@@ -5,17 +5,81 @@
 //! the logical length are kept zero (the *normalization invariant*), which
 //! makes structural equality, hashing and word-wise comparison valid without
 //! masking on the read path.
+//!
+//! Strings of at most 128 bits keep their words inside the
+//! `BitStr` value itself; longer ones spill to a heap `Vec`. Trie edges,
+//! `S_rem` suffixes and hash tails are almost always that short, so the
+//! common clone/slice/append allocates nothing. The representation is not
+//! observable: [`BitStr::words`] exposes exactly `ceil(len / 64)` words
+//! either way, and `Eq`/`Hash`/`Ord` are defined on those.
 
 use crate::{chunk_from, mask_left};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
+const INLINE_WORDS: usize = 2;
+
+/// Longest bit-string stored without a heap allocation.
+const INLINE_BITS: usize = INLINE_WORDS * 64;
+
+/// Word storage. `Inline` holds at most `INLINE_BITS` bits and keeps the
+/// words past the active ones zero; `Heap` keeps `vec.len() == ceil(len/64)`.
+/// A `Heap` string may be short (after `truncate`/`pop`, which never move
+/// words back inline); `clone` re-inlines it.
+enum Repr {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
+}
+
 /// An owned, packed bit-string of arbitrary length.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitStr {
-    words: Vec<u64>,
+    repr: Repr,
     len: usize,
+}
+
+impl Default for BitStr {
+    #[inline]
+    fn default() -> Self {
+        BitStr {
+            repr: Repr::Inline([0; INLINE_WORDS]),
+            len: 0,
+        }
+    }
+}
+
+impl Clone for BitStr {
+    fn clone(&self) -> Self {
+        let repr = if self.len <= INLINE_BITS {
+            let mut a = [0; INLINE_WORDS];
+            let w = self.words();
+            a[..w.len()].copy_from_slice(w);
+            Repr::Inline(a)
+        } else {
+            Repr::Heap(self.words().to_vec())
+        };
+        BitStr {
+            repr,
+            len: self.len,
+        }
+    }
+}
+
+impl PartialEq for BitStr {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitStr {}
+
+impl Hash for BitStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().hash(state);
+        self.len.hash(state);
+    }
 }
 
 impl BitStr {
@@ -27,8 +91,11 @@ impl BitStr {
 
     /// Empty bit-string with capacity for `bits` bits.
     pub fn with_capacity(bits: usize) -> Self {
+        if bits <= INLINE_BITS {
+            return BitStr::new();
+        }
         BitStr {
-            words: Vec::with_capacity(bits.div_ceil(64)),
+            repr: Repr::Heap(Vec::with_capacity(bits.div_ceil(64))),
             len: 0,
         }
     }
@@ -57,18 +124,11 @@ impl BitStr {
     /// MSB-first. E.g. `from_u64(0b101, 3)` is the string `101`.
     pub fn from_u64(value: u64, len: usize) -> Self {
         assert!(len <= 64);
-        if len == 0 {
-            return BitStr::new();
+        let mut s = BitStr::new();
+        if len > 0 {
+            s.push_chunk(value << (64 - len), len);
         }
-        let masked = if len == 64 {
-            value
-        } else {
-            value & ((1 << len) - 1)
-        };
-        BitStr {
-            words: vec![masked << (64 - len)],
-            len,
-        }
+        s
     }
 
     /// Bytes interpreted MSB-first (so ASCII strings order lexicographically).
@@ -97,23 +157,57 @@ impl BitStr {
         self.len == 0
     }
 
-    /// The backing words (normalized: tail bits are zero).
+    /// The backing words (normalized: tail bits are zero) — exactly
+    /// `ceil(len / 64)` of them, inline or not.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match &self.repr {
+            Repr::Inline(a) => &a[..self.len.div_ceil(64)],
+            Repr::Heap(v) => v,
+        }
     }
 
-    /// Heap footprint in 64-bit words — used by the space experiments.
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.repr {
+            Repr::Inline(a) => &mut a[..self.len.div_ceil(64)],
+            Repr::Heap(v) => v,
+        }
+    }
+
+    /// Make `w` the word after the active ones (the caller then grows
+    /// `len` into it), spilling to the heap when the inline words are full.
+    #[inline]
+    fn push_word(&mut self, w: u64) {
+        match &mut self.repr {
+            Repr::Heap(v) => v.push(w),
+            Repr::Inline(a) => {
+                let n = self.len.div_ceil(64);
+                if n < INLINE_WORDS {
+                    a[n] = w;
+                } else {
+                    let mut v = Vec::with_capacity(2 * INLINE_WORDS);
+                    v.extend_from_slice(a);
+                    v.push(w);
+                    self.repr = Repr::Heap(v);
+                }
+            }
+        }
+    }
+
+    /// Packed size in 64-bit words, `ceil(len / 64)` — the unit of the
+    /// space experiments (the same whether the words sit inline or on the
+    /// heap).
     #[inline]
     pub fn storage_words(&self) -> usize {
-        self.words.len()
+        self.len.div_ceil(64)
     }
 
     /// Bit `i` (0-based from the most significant end).
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        (self.words[i >> 6] >> (63 - (i & 63))) & 1 == 1
+        (self.words()[i >> 6] >> (63 - (i & 63))) & 1 == 1
     }
 
     /// Set bit `i`.
@@ -121,23 +215,23 @@ impl BitStr {
         assert!(i < self.len);
         let m = 1u64 << (63 - (i & 63));
         if v {
-            self.words[i >> 6] |= m;
+            self.words_mut()[i >> 6] |= m;
         } else {
-            self.words[i >> 6] &= !m;
+            self.words_mut()[i >> 6] &= !m;
         }
     }
 
     /// Append one bit.
     #[inline]
     pub fn push(&mut self, v: bool) {
-        if self.len & 63 == 0 {
-            self.words.push(0);
+        let i = self.len;
+        if i & 63 == 0 {
+            self.push_word(0);
         }
+        self.len = i + 1;
         if v {
-            let i = self.len;
-            *self.words.last_mut().unwrap() |= 1u64 << (63 - (i & 63));
+            self.words_mut()[i >> 6] |= 1u64 << (63 - (i & 63));
         }
-        self.len += 1;
     }
 
     /// Remove and return the last bit.
@@ -147,12 +241,12 @@ impl BitStr {
         }
         let i = self.len - 1;
         let b = self.get(i);
-        if b {
-            self.words[i >> 6] &= !(1u64 << (63 - (i & 63)));
-        }
+        // clearing the bit keeps the tail (and a word that just became
+        // inactive) zero
+        self.words_mut()[i >> 6] &= !(1u64 << (63 - (i & 63)));
         self.len = i;
-        if self.words.len() > self.len.div_ceil(64) {
-            self.words.pop();
+        if let Repr::Heap(v) = &mut self.repr {
+            v.truncate(i.div_ceil(64));
         }
         Some(b)
     }
@@ -167,11 +261,12 @@ impl BitStr {
         let x = mask_left(x, n);
         let off = self.len & 63;
         if off == 0 {
-            self.words.push(x);
+            self.push_word(x);
         } else {
-            *self.words.last_mut().unwrap() |= x >> off;
+            let last = self.len >> 6;
+            self.words_mut()[last] |= x >> off;
             if n > 64 - off {
-                self.words.push(x << (64 - off));
+                self.push_word(x << (64 - off));
             }
         }
         self.len += n;
@@ -200,12 +295,15 @@ impl BitStr {
             return;
         }
         self.len = len;
-        self.words.truncate(len.div_ceil(64));
-        if let Some(last) = self.words.last_mut() {
-            let r = len & 63;
-            if r != 0 {
-                *last = mask_left(*last, r);
-            }
+        let keep = len.div_ceil(64);
+        match &mut self.repr {
+            Repr::Inline(a) => a[keep..].fill(0),
+            Repr::Heap(v) => v.truncate(keep),
+        }
+        let r = len & 63;
+        if r != 0 {
+            let last = &mut self.words_mut()[keep - 1];
+            *last = mask_left(*last, r);
         }
     }
 
@@ -213,7 +311,7 @@ impl BitStr {
     #[inline]
     pub fn as_slice(&self) -> BitSlice<'_> {
         BitSlice {
-            words: &self.words,
+            words: self.words(),
             start: 0,
             len: self.len,
         }
@@ -231,7 +329,7 @@ impl BitStr {
         if n == 0 {
             0
         } else {
-            self.words[0] >> (64 - n)
+            self.words()[0] >> (64 - n)
         }
     }
 
@@ -584,6 +682,174 @@ mod tests {
         assert!(s.starts_with(&BitStr::new()));
         assert!(!s.starts_with(&BitStr::from_bin_str("1011")));
         assert!(!s.starts_with(&BitStr::from_bin_str("1010011")));
+    }
+
+    /// Lengths on both sides of every representation boundary: empty, one
+    /// bit, one full word, the last inline lengths, the first heap length,
+    /// and a heap string of whole words.
+    const BOUNDARY_LENS: [usize; 7] = [0, 1, 64, 127, 128, 129, 192];
+
+    fn pattern(n: usize) -> Vec<bool> {
+        (0..n).map(|i| (i * 7 + i / 5) % 3 != 0).collect()
+    }
+
+    /// `s` holds exactly `model`, normalized, whatever its representation.
+    fn check(s: &BitStr, model: &[bool]) {
+        assert_eq!(s.len(), model.len());
+        assert_eq!(s.is_empty(), model.is_empty());
+        assert_eq!(s.words().len(), model.len().div_ceil(64));
+        assert_eq!(s.storage_words(), model.len().div_ceil(64));
+        for (i, &b) in model.iter().enumerate() {
+            assert_eq!(s.get(i), b, "bit {i} of {}", model.len());
+        }
+        if let Some(&last) = s.words().last() {
+            let r = model.len() & 63;
+            assert_eq!(
+                last,
+                mask_left(last, if r == 0 { 64 } else { r }),
+                "tail not zero"
+            );
+        }
+        assert_eq!(s, &BitStr::from_bits(model.iter().copied()));
+    }
+
+    fn hash_of(s: &BitStr) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn boundary_push_pop() {
+        for &n in &BOUNDARY_LENS {
+            let model = pattern(n + 1);
+            let mut s = BitStr::from_bits(model[..n].iter().copied());
+            check(&s, &model[..n]);
+            s.push(model[n]);
+            check(&s, &model);
+            assert_eq!(s.pop(), Some(model[n]));
+            check(&s, &model[..n]);
+            // all the way down and back up across every boundary
+            for i in (0..n).rev() {
+                assert_eq!(s.pop(), Some(model[i]));
+            }
+            assert_eq!(s.pop(), None);
+            check(&s, &[]);
+            for &b in &model {
+                s.push(b);
+            }
+            check(&s, &model);
+        }
+    }
+
+    #[test]
+    fn boundary_push_chunk_and_append() {
+        for &n in &BOUNDARY_LENS {
+            for &extra in &[1usize, 63, 64, 65, 130] {
+                let model = pattern(n + extra);
+                let head = BitStr::from_bits(model[..n].iter().copied());
+                let tail = BitStr::from_bits(model[n..].iter().copied());
+                let mut s = head.clone();
+                s.append(&tail.as_slice());
+                check(&s, &model);
+                // an unaligned source view takes the same path
+                let padded = BitStr::from_bits(
+                    [true, false, true]
+                        .into_iter()
+                        .chain(model[n..].iter().copied()),
+                );
+                let mut t = head.clone();
+                t.append(&padded.slice(3..padded.len()));
+                check(&t, &model);
+                if extra <= 64 {
+                    let mut u = head.clone();
+                    // garbage below the chunk's n bits must be masked off
+                    let garbage = if extra < 64 { u64::MAX >> extra } else { 0 };
+                    u.push_chunk(tail.as_slice().chunk(0, extra) | garbage, extra);
+                    check(&u, &model);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_truncate() {
+        for &from in &BOUNDARY_LENS {
+            for &to in &BOUNDARY_LENS {
+                let model = pattern(from);
+                let mut s = BitStr::from_bits(model.iter().copied());
+                s.truncate(to);
+                check(&s, &model[..to.min(from)]);
+                // growing again after a truncate must not resurrect old bits
+                let mut grown = model[..to.min(from)].to_vec();
+                grown.resize(grown.len() + 130, false);
+                for _ in 0..130 {
+                    s.push(false);
+                }
+                check(&s, &grown);
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_from_u64() {
+        for len in [0usize, 1, 63, 64] {
+            let v = 0xA5A5_5A5A_DEAD_BEEFu64;
+            let s = BitStr::from_u64(v, len);
+            let model: Vec<bool> = (0..len).map(|i| (v >> (len - 1 - i)) & 1 == 1).collect();
+            check(&s, &model);
+            // and it keeps growing across the inline limit
+            let mut t = s.clone();
+            let mut grown = model.clone();
+            for b in pattern(129) {
+                t.push(b);
+                grown.push(b);
+            }
+            check(&t, &grown);
+        }
+    }
+
+    #[test]
+    fn boundary_slice_to_bitstr_and_clone() {
+        let src = BitStr::from_bits(pattern(400));
+        let model = pattern(400);
+        for &n in &BOUNDARY_LENS {
+            for start in [0usize, 1, 63, 64, 65] {
+                let s = src.slice(start..start + n).to_bitstr();
+                check(&s, &model[start..start + n]);
+                let c = s.clone();
+                check(&c, &model[start..start + n]);
+                assert_eq!(c, s);
+            }
+        }
+    }
+
+    #[test]
+    fn inline_equals_truncated_heap() {
+        let long = BitStr::from_bits(pattern(300));
+        for &n in &BOUNDARY_LENS {
+            let mut heap = long.clone();
+            heap.truncate(n); // stays on the heap
+            let inline = BitStr::from_bits(pattern(300).into_iter().take(n));
+            assert_eq!(heap, inline, "len {n}");
+            assert_eq!(hash_of(&heap), hash_of(&inline), "len {n}");
+            assert_eq!(heap.cmp(&inline), Ordering::Equal, "len {n}");
+            assert_eq!(heap.words(), inline.words(), "len {n}");
+            let mut bigger = inline.clone();
+            bigger.push(true);
+            assert!(heap < bigger, "len {n}");
+            assert_ne!(heap, bigger);
+            // a clone of the truncated string is the same value again
+            assert_eq!(heap.clone(), inline);
+            assert_eq!(hash_of(&heap.clone()), hash_of(&inline));
+        }
+    }
+
+    #[test]
+    fn value_is_four_words() {
+        // the inline words share the Vec's space, so nodes holding a
+        // BitStr edge did not grow
+        assert_eq!(std::mem::size_of::<BitStr>(), 32);
     }
 
     #[test]

@@ -3,10 +3,21 @@
 //! A [`HashIndex`] stores block-root metadata in the paper's two-layer
 //! form: the first layer maps the digest of `hash(S_pre)` (the longest
 //! `w`-aligned prefix of the root string `S`) to a group; the second layer
-//! resolves the sub-word suffix `S_rem` inside the group through a
-//! [`RemIndex`] (y-fast + validity vectors) plus an exact `rem → entry`
-//! table. Every entry also carries `S_last` — the trailing `w` bits of `S`
-//! — for the §4.4.3 verification of non-critical matches.
+//! resolves the sub-word suffix `S_rem` inside the group. `S_rem` is
+//! shorter than `w` bits, so a group is one vector of
+//! `(S_rem left-aligned in a word, its length, entry slot)` kept in
+//! prefix-first lexicographic order, and a query is an exact
+//! `O(log g)` search of it (see `resolve`). Every entry also carries
+//! `S_last` — the trailing `w` bits of `S` — for the §4.4.3 verification
+//! of non-critical matches.
+//!
+//! The paper's second layer is a y-fast trie with validity vectors
+//! (Figure 5); that structure lives on in `fast_trie::RemIndex` and the
+//! tests here check both against each other. Its query only guarantees
+//! that the critical root is *recoverable* from the answer, which left
+//! the old kernel scanning the whole group whenever the answer was not
+//! itself the match; the sorted vector answers exactly and needs no
+//! second path.
 //!
 //! [`hash_match_piece`] is Algorithm 3 in its efficient form (§4.4.2): it
 //! walks a query piece once, enumerates *pivot* positions (global depths
@@ -17,10 +28,10 @@
 //! per edge (the critical-pivot rule). The same kernel runs on a PIM
 //! module (push) or on the CPU against pulled metadata (pull).
 
+use crate::fixed::ceil_log2;
 use crate::refs::Slab;
 use bitstr::hash::{HashVal, HashWidth, IncrementalHash, PolyHasher};
 use bitstr::{BitSlice, BitStr, WORD_BITS};
-use fast_trie::RemIndex;
 use std::collections::BTreeMap;
 use trie_core::{NodeId, Trie};
 
@@ -41,12 +52,56 @@ pub struct IndexEntry<R> {
     pub target: R,
 }
 
-/// A group of entries sharing a first-layer digest.
+/// At most `w` bits held left-aligned in one word, tail zero: an `S_rem`,
+/// a query's `S'_rem`, or the bits between a pivot and a node. The derived
+/// order — bits, then length — is lexicographic with a prefix before its
+/// extensions, because zero is the smallest padding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Chunk {
+    bits: u64,
+    len: u8,
+}
+
+impl Chunk {
+    /// The `n <= w` bits of `s` from offset `at`.
+    fn of(s: BitSlice<'_>, at: usize, n: usize) -> Chunk {
+        Chunk {
+            bits: s.chunk(at, n),
+            len: n as u8,
+        }
+    }
+
+    /// The first `n <= len` bits.
+    fn prefix(self, n: u8) -> Chunk {
+        Chunk {
+            bits: match n {
+                0 => 0,
+                n => self.bits & (!0u64 << (64 - n as u32)),
+            },
+            len: n,
+        }
+    }
+
+    /// Bits shared with `other` from the front.
+    fn lcp(self, other: Chunk) -> u8 {
+        let same = (self.bits ^ other.bits).leading_zeros() as u8;
+        same.min(self.len).min(other.len)
+    }
+}
+
+/// One `S_rem` of a group and the entry it belongs to.
+#[derive(Clone, Copy)]
+struct RemEntry {
+    rem: Chunk,
+    slot: u32,
+}
+
+/// The entries sharing a first-layer digest, sorted by `rem`; equal rems
+/// (narrow digests merge groups of different true `S_pre`) stay in
+/// insertion order.
+#[derive(Default)]
 struct RemGroup {
-    rems: RemIndex,
-    /// exact second layer: rem bits -> entry slots (a Vec because narrow
-    /// digests can merge groups of different true `S_pre`)
-    by_rem: BTreeMap<BitStr, Vec<u32>>,
+    rems: Vec<RemEntry>,
 }
 
 /// The two-layer index over root strings (used by the master table and by
@@ -84,17 +139,15 @@ impl<R: Copy> HashIndex<R> {
         self.entries.len() as u64 * 8
     }
 
-    /// Insert a root's metadata; returns the entry slot.
+    /// Insert a root's metadata; returns the entry slot. Panics if
+    /// `entry.rem` is not shorter than `w` bits.
     pub fn insert(&mut self, entry: IndexEntry<R>) -> u32 {
         let digest = self.width.digest(entry.pre_hash);
-        let rem = entry.rem.clone();
+        let rem = sub_word(&entry.rem);
         let slot = self.entries.insert(entry);
-        let group = self.groups.entry(digest).or_insert_with(|| RemGroup {
-            rems: RemIndex::new(WORD_BITS as u32),
-            by_rem: BTreeMap::new(),
-        });
-        group.rems.insert(rem.as_slice());
-        group.by_rem.entry(rem).or_default().push(slot);
+        let rems = &mut self.groups.entry(digest).or_default().rems;
+        let at = rems.partition_point(|e| e.rem <= rem);
+        rems.insert(at, RemEntry { rem, slot });
         slot
     }
 
@@ -103,14 +156,16 @@ impl<R: Copy> HashIndex<R> {
         let entry = self.entries.remove(slot)?;
         let digest = self.width.digest(entry.pre_hash);
         if let Some(group) = self.groups.get_mut(&digest) {
-            if let Some(v) = group.by_rem.get_mut(&entry.rem) {
-                v.retain(|s| *s != slot);
-                if v.is_empty() {
-                    group.by_rem.remove(&entry.rem);
-                    group.rems.remove(entry.rem.as_slice());
-                }
+            let rem = sub_word(&entry.rem);
+            let run = group.rems.partition_point(|e| e.rem < rem);
+            let found = group.rems[run..]
+                .iter()
+                .take_while(|e| e.rem == rem)
+                .position(|e| e.slot == slot);
+            if let Some(i) = found {
+                group.rems.remove(run + i);
             }
-            if group.by_rem.is_empty() {
+            if group.rems.is_empty() {
                 self.groups.remove(&digest);
             }
         }
@@ -199,218 +254,171 @@ pub fn hash_match_piece<R: Copy>(
     if index.is_empty() {
         return out;
     }
-    let root_pre = piece.root_depth - piece.root_rem.len() as u64;
+    let root_rem = sub_word(&piece.root_rem);
+    let root_pre = piece.root_depth - root_rem.len as u64;
     debug_assert_eq!(root_pre % W, 0);
 
-    // Match at the piece root itself (exact depth only).
+    // Match at the piece root itself (exact depth only: lo = hi).
     *work += 2;
-    if let Some((d, target)) = resolve(
+    if let Some((depth, target)) = resolve(
         index,
         piece.root_pre_hash,
-        piece.root_rem.as_slice(),
+        root_rem,
         root_pre,
-        piece.root_depth.saturating_sub(0), // lo handled via exact check
+        piece.root_depth,
         piece.root_depth,
         work,
     ) {
-        if d == piece.root_depth {
-            out.push(PieceMatch {
-                qt_below: piece.tags[NodeId::ROOT.idx()],
-                depth: d,
-                target,
-            });
-        }
+        out.push(PieceMatch {
+            qt_below: piece.tags[NodeId::ROOT.idx()],
+            depth,
+            target,
+        });
     }
 
-    // DFS carrying the rolling pivot context.
-    let mut stack = vec![(
-        NodeId::ROOT,
-        root_pre,
-        piece.root_pre_hash,
-        piece.root_rem.clone(),
-    )];
+    // DFS carrying the rolling pivot context: the last w-boundary at or
+    // above the node, the query prefix's hash there, the bits since.
+    let mut stack = vec![(NodeId::ROOT, root_pre, piece.root_pre_hash, root_rem)];
+    // per edge: (hash at the pivot, S'_rem below it) for each pivot
+    let mut pivots: Vec<(HashVal, Chunk)> = Vec::new();
     while let Some((node, pre_depth, pre_hash, tail)) = stack.pop() {
-        let top_depth = pre_depth + tail.len() as u64;
+        let top_depth = pre_depth + tail.len as u64;
         for child in piece.trie.node(node).children.iter().flatten() {
-            let edge = &piece.trie.node(*child).edge;
+            let edge = piece.trie.node(*child).edge.as_slice();
             let bottom_depth = top_depth + edge.len() as u64;
             *work += edge.len().div_ceil(WORD_BITS) as u64 + 1;
 
-            // Pivots relevant to this edge: w-boundaries in
-            // [pre_depth, bottom_depth], scanned deepest-first. Matches at
-            // deeper pivots are strictly deeper, so stop at first hit.
-            let mut best: Option<(u64, R)> = None;
-            let mut pivot = (bottom_depth / W) * W;
-            if pivot < pre_depth {
-                pivot = pre_depth;
-            }
+            // Pivots relevant to this edge: the w-boundaries in
+            // [pre_depth, bottom_depth]. `tail · edge` cut into words
+            // gives S'_rem at each, and the pivot hashes roll forward one
+            // full word at a time; only the last window is partial.
+            pivots.clear();
+            let mut pivot_hash = pre_hash;
             loop {
-                let (ph, srem) =
-                    pivot_context(hasher, pre_depth, pre_hash, &tail, edge, top_depth, pivot);
-                *work += 2;
-                if let Some(m) = resolve(
-                    index,
-                    ph,
-                    srem.as_slice(),
-                    pivot,
-                    top_depth + 1,
-                    bottom_depth,
-                    work,
-                ) {
-                    best = Some(m);
+                let srem = window(tail, edge, pivots.len());
+                pivots.push((pivot_hash, srem));
+                if (srem.len as u64) < W {
                     break;
                 }
-                if pivot <= pre_depth || pivot < W {
-                    break;
-                }
-                pivot -= W;
-                if pivot < pre_depth {
-                    break;
-                }
+                let word_hash = hasher.hash_chunk(srem.bits, WORD_BITS);
+                pivot_hash = hasher.combine(pivot_hash, word_hash, W);
             }
-            if let Some((d, target)) = best {
+
+            // Scanned deepest-first: matches at deeper pivots are strictly
+            // deeper, so stop at the first hit.
+            let hit = pivots
+                .iter()
+                .enumerate()
+                .rev()
+                .find_map(|(k, &(ph, srem))| {
+                    *work += 2;
+                    let pivot = pre_depth + k as u64 * W;
+                    resolve(index, ph, srem, pivot, top_depth + 1, bottom_depth, work)
+                });
+            if let Some((depth, target)) = hit {
                 out.push(PieceMatch {
                     qt_below: piece.tags[child.idx()],
-                    depth: d,
+                    depth,
                     target,
                 });
             }
 
-            // Child context: advance the pivot past any crossed boundary.
-            let new_pre = (bottom_depth / W) * W;
-            if new_pre > pre_depth {
-                let consumed = (new_pre - top_depth) as usize; // bits of edge up to new_pre
-                let mut bits = tail.clone();
-                bits.append(&edge.slice(0..consumed));
-                let h = hasher.combine(
-                    pre_hash,
-                    hasher.hash_bits(bits.as_slice()),
-                    bits.len() as u64,
-                );
-                stack.push((
-                    *child,
-                    new_pre,
-                    h,
-                    edge.slice(consumed..edge.len()).to_bitstr(),
-                ));
-            } else {
-                let mut t = tail.clone();
-                t.append(&edge.as_slice());
-                stack.push((*child, pre_depth, pre_hash, t));
-            }
+            // Child context: the deepest pivot and the partial window
+            // below it.
+            let crossed = pivots.len() as u64 - 1;
+            stack.push((
+                *child,
+                pre_depth + crossed * W,
+                pivot_hash,
+                pivots[crossed as usize].1,
+            ));
         }
     }
     out
 }
 
-/// Hash at `pivot` and the `S'_rem` bits from `pivot` down to the edge
-/// bottom (at most `w` bits), derived from the rolling walk state.
-#[allow(clippy::too_many_arguments)]
-fn pivot_context(
-    hasher: &PolyHasher,
-    pre_depth: u64,
-    pre_hash: HashVal,
-    tail: &BitStr,
-    edge: &BitStr,
-    top_depth: u64,
-    pivot: u64,
-) -> (HashVal, BitStr) {
-    let bottom_depth = top_depth + edge.len() as u64;
-    debug_assert!(pivot >= pre_depth && pivot <= bottom_depth);
-    let ph = if pivot == pre_depth {
-        pre_hash
-    } else {
-        let need = (pivot - pre_depth) as usize;
-        let mut bits = BitStr::with_capacity(need);
-        let from_tail = need.min(tail.len());
-        bits.append(&tail.slice(0..from_tail));
-        if need > from_tail {
-            bits.append(&edge.slice(0..need - from_tail));
+/// A `< w`-bit string (an `S_rem`, a piece's `root_rem`) as a [`Chunk`].
+fn sub_word(s: &BitStr) -> Chunk {
+    assert!(s.len() < WORD_BITS, "S_rem must be shorter than w bits");
+    Chunk::of(s.as_slice(), 0, s.len())
+}
+
+/// Word `k` of the bit-string `tail · edge`, shorter than `w` bits only
+/// where the string ends. The caller asks for word `k > 0` only after
+/// word `k - 1` came back full.
+fn window(tail: Chunk, edge: BitSlice<'_>, k: usize) -> Chunk {
+    if k == 0 {
+        let n = (WORD_BITS - tail.len as usize).min(edge.len());
+        Chunk {
+            bits: tail.bits | (edge.chunk(0, n) >> tail.len),
+            len: tail.len + n as u8,
         }
-        hasher.combine(
-            pre_hash,
-            hasher.hash_bits(bits.as_slice()),
-            bits.len() as u64,
-        )
-    };
-    // S'_rem: bits in [pivot, min(pivot + w, bottom)), from tail then edge.
-    let srem_end = (pivot + W).min(bottom_depth);
-    let mut srem = BitStr::with_capacity(WORD_BITS);
-    let mut pos = pivot;
-    if pos < top_depth {
-        let i = (pos - pre_depth) as usize;
-        let upto = (srem_end.min(top_depth) - pre_depth) as usize;
-        srem.append(&tail.slice(i..upto));
-        pos = srem_end.min(top_depth);
+    } else {
+        let at = k * WORD_BITS - tail.len as usize;
+        Chunk::of(edge, at, (edge.len() - at).min(WORD_BITS))
     }
-    if pos < srem_end {
-        let i = (pos - top_depth) as usize;
-        let upto = (srem_end - top_depth) as usize;
-        srem.append(&edge.slice(i..upto));
-    }
-    (ph, srem)
 }
 
 /// Second-layer resolution at one pivot: the deepest entry whose
 /// `(pre_hash, rem)` is *bit-verified* against the query bits `srem`
-/// (positions `pivot..pivot+|srem|`), with depth in `[lo, hi]`.
+/// (positions `pivot..pivot+|srem|`), with depth in `[lo, hi]` and its
+/// own recorded depth agreeing; the first-inserted one among equal rems.
+///
+/// Every stored prefix of `srem` sorts at or before it, longest last, so
+/// the search starts at `srem`'s own position and moves towards the front.
+/// An entry that is a prefix is a candidate (with its run of equal rems).
+/// One that leaves `srem` after `l` bits rules out every prefix longer
+/// than `l`, and everything between it and `srem[..l]`'s position extends
+/// `srem[..l]` without being a prefix — one more binary search skips it.
+/// `l` strictly falls, so this is at most `w` searches and in practice one
+/// or two; it ends as soon as `l` drops below the `lo` end of the window.
 fn resolve<R: Copy>(
     index: &HashIndex<R>,
     pre_hash: HashVal,
-    srem: BitSlice<'_>,
+    srem: Chunk,
     pivot: u64,
     lo: u64,
     hi: u64,
     work: &mut u64,
 ) -> Option<(u64, R)> {
-    let group = index.group(pre_hash)?;
+    let rems = &index.group(pre_hash)?.rems;
     *work += 1;
-    // Fast path: the paper's RemIndex (y-fast + validity) query.
-    if let Some(k) = group.rems.query(srem) {
-        *work += 6; // O(log w) probes
-        if let Some(m) = try_rem(group, &k, srem, pivot, lo, hi, index) {
-            return Some(m);
-        }
-    }
-    // Exact fallback: scan the group's rems for the deepest verified one.
-    // Groups are O(1) expected size; the scan preserves exactness under
-    // adversarial collisions at bounded extra work.
-    let mut best: Option<(u64, R)> = None;
-    for k in group.by_rem.keys() {
+    let search_work = ceil_log2(rems.len()) + 1;
+    let min_len = lo.saturating_sub(pivot);
+    let mut end = rems.partition_point(|e| e.rem <= srem);
+    *work += search_work;
+    while end > 0 {
+        let last = rems[end - 1].rem;
         *work += 1;
-        if let Some(m) = try_rem(group, k, srem, pivot, lo, hi, index) {
-            if best.map(|(d, _)| m.0 > d).unwrap_or(true) {
-                best = Some(m);
+        let l = last.lcp(srem);
+        if (l as u64) < min_len {
+            break;
+        }
+        if l < last.len {
+            end = rems[..end - 1].partition_point(|e| e.rem <= srem.prefix(l));
+            *work += search_work;
+            continue;
+        }
+        // `last` is a bit-exact prefix of the query bits below the pivot,
+        // and so is the whole run of entries equal to it
+        let run = end
+            - rems[..end]
+                .iter()
+                .rev()
+                .take_while(|e| e.rem == last)
+                .count();
+        let depth = pivot + l as u64;
+        if depth <= hi {
+            for e in &rems[run..end] {
+                *work += 1;
+                let entry = index.get(e.slot)?;
+                // …and the entry's depth must agree.
+                if entry.depth == depth {
+                    return Some((depth, entry.target));
+                }
             }
         }
-    }
-    best
-}
-
-fn try_rem<R: Copy>(
-    group: &RemGroup,
-    k: &BitStr,
-    srem: BitSlice<'_>,
-    pivot: u64,
-    lo: u64,
-    hi: u64,
-    index: &HashIndex<R>,
-) -> Option<(u64, R)> {
-    // k must be a bit-exact prefix of the query bits below the pivot…
-    if k.len() > srem.len() || srem.slice(0..k.len()).lcp(&k.as_slice()) != k.len() {
-        return None;
-    }
-    let depth = pivot + k.len() as u64;
-    if depth < lo || depth > hi {
-        return None;
-    }
-    let slots = group.by_rem.get(k)?;
-    for &slot in slots {
-        let e = index.get(slot)?;
-        // …and the entry's depth must agree.
-        if e.depth == depth {
-            return Some((depth, e.target));
-        }
+        end = run;
     }
     None
 }
@@ -418,6 +426,7 @@ fn try_rem<R: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hasher() -> PolyHasher {
         PolyHasher::with_seed(42)
@@ -559,6 +568,217 @@ mod tests {
             ms.iter().any(|m| m.depth == 73 && m.target == 9),
             "missed root below piece boundary: {ms:?}"
         );
+    }
+
+    /// The previous kernel's exact path, kept as the reference `resolve`
+    /// is checked against: look at every live entry of the group, keep the
+    /// deepest one that is bit-verified, inside the window and of agreeing
+    /// depth — the first-inserted on a tie. `live` is in insertion order.
+    fn resolve_by_scan(
+        live: &[(u32, IndexEntry<u32>)],
+        width: HashWidth,
+        pre_hash: HashVal,
+        srem: &BitStr,
+        pivot: u64,
+        lo: u64,
+        hi: u64,
+    ) -> Option<(u64, u32)> {
+        let mut best: Option<(u64, u32)> = None;
+        for (_, e) in live {
+            if width.digest(e.pre_hash) != width.digest(pre_hash) || !srem.starts_with(&e.rem) {
+                continue;
+            }
+            let depth = pivot + e.rem.len() as u64;
+            if depth < lo || depth > hi || e.depth != depth {
+                continue;
+            }
+            match best {
+                Some((d, _)) if d >= depth => {}
+                _ => best = Some((depth, e.target)),
+            }
+        }
+        best
+    }
+
+    /// Bit patterns whose prefixes nest and fork, so stored rems are often
+    /// prefixes, siblings and duplicates of each other and of the queries.
+    fn shaped_bits(shape: u8, noise: u64, len: usize) -> BitStr {
+        let base = match shape % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            2 => 0xAAAA_AAAA_AAAA_AAAA,
+            _ => 0xAAAA_AAAA_0000_FFFF,
+        };
+        // flip at most one bit, so most strings stay on a shared path
+        let flip = if noise & 3 == 0 {
+            1u64 << (noise % 64)
+        } else {
+            0
+        };
+        let mut s = BitStr::new();
+        s.push_chunk(base ^ flip, len);
+        s
+    }
+
+    fn len_strategy(max: usize) -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), Just(max), Just(1usize), 0usize..=max]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `resolve` equals the linear scan on random groups: narrow
+        /// digests merging different `S_pre`, duplicate rems at different
+        /// depths, the empty and the 63-bit rem, windows that cut the
+        /// longest prefix off, inserts interleaved with removes.
+        #[test]
+        fn resolve_matches_linear_scan(
+            narrow in any::<bool>(),
+            ops in proptest::collection::vec(
+                (
+                    (0u8..8, any::<u8>(), any::<u64>(), len_strategy(63), 0usize..6),
+                    (len_strategy(64), 0u64..=65, 0u64..=65),
+                ),
+                1..80,
+            ),
+        ) {
+            let h = hasher();
+            let width = if narrow { HashWidth(4) } else { HashWidth::FULL };
+            // six true S_pre of 0, 1 and 2 words; 4-bit digests merge some
+            let prefixes: Vec<BitStr> = (0..6usize)
+                .map(|i| BitStr::from_bits((0..(i % 3) * 64).map(|b| (b * (i + 2)) % 5 < 2)))
+                .collect();
+            let mut idx: HashIndex<u32> = HashIndex::new(width);
+            let mut live: Vec<(u32, IndexEntry<u32>)> = Vec::new();
+            let mut next_target = 0u32;
+            for ((kind, shape, noise, rem_len, pre), (q_len, lo_off, hi_off)) in ops {
+                let s_pre = &prefixes[pre];
+                let pivot = s_pre.len() as u64;
+                let pre_hash = h.hash_bits(s_pre.as_slice());
+                match kind {
+                    // insert (twice as likely as remove)
+                    0..=3 => {
+                        let rem = shaped_bits(shape, noise, rem_len);
+                        let e = IndexEntry {
+                            depth: pivot + rem.len() as u64,
+                            pre_hash,
+                            s_last: rem.clone(),
+                            rem,
+                            target: next_target,
+                        };
+                        next_target += 1;
+                        let slot = idx.insert(e.clone());
+                        live.push((slot, e));
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        let (slot, e) = live.remove(noise as usize % live.len());
+                        let back = idx.remove(slot).expect("live slot");
+                        prop_assert_eq!(back.target, e.target);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(idx.len(), live.len());
+                // query after every step
+                let srem = shaped_bits(shape.wrapping_add(kind), noise.rotate_left(7), q_len);
+                let (lo, hi) = (pivot + lo_off, pivot + hi_off);
+                let want = resolve_by_scan(&live, width, pre_hash, &srem, pivot, lo, hi);
+                let q = Chunk::of(srem.as_slice(), 0, srem.len());
+                let got = resolve(&idx, pre_hash, q, pivot, lo, hi, &mut 0);
+                prop_assert_eq!(got, want, "srem={} pivot={} window=[{},{}]", srem, pivot, lo, hi);
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_does_not_scan_the_group() {
+        let h = hasher();
+        let mut idx = HashIndex::new(HashWidth::FULL);
+        // the root plus every 12-bit string: one group of 4097 rems
+        idx.insert(entry(&h, &BitStr::new(), u32::MAX));
+        for v in 0..4096u64 {
+            idx.insert(entry(&h, &BitStr::from_u64(v, 12), v as u32));
+        }
+        // An 11-bit query: no 12-bit string is a prefix of it, the root
+        // is. The old kernel tried all 4097 rems. A complete tree is the
+        // worst case for the search too — some stored string leaves the
+        // query at every length, so each search gives up one bit — and
+        // even then it is |query| searches, not g steps.
+        let q = BitStr::from_u64(0b101_1011_1011, 11);
+        let q = Chunk::of(q.as_slice(), 0, q.len());
+        let bound = (q.len as u64 + 1) * (ceil_log2(4097) + 2);
+        let mut work = 0;
+        assert_eq!(resolve(&idx, h.empty(), q, 0, 1, 11, &mut work), None);
+        assert!(work <= bound, "work {work}");
+        let mut work = 0;
+        assert_eq!(
+            resolve(&idx, h.empty(), q, 0, 0, 11, &mut work),
+            Some((0, u32::MAX))
+        );
+        assert!(work <= bound, "work {work}");
+        // the usual case: the window starts near the bottom of the edge,
+        // so the first entry that leaves the query too early ends it
+        let mut work = 0;
+        assert_eq!(resolve(&idx, h.empty(), q, 0, 11, 11, &mut work), None);
+        assert!(work <= ceil_log2(4097) + 3, "work {work}");
+    }
+
+    /// The paper's own second layer (y-fast trie + validity vectors) on
+    /// the Figure-5 strings: its documented contract — the critical root
+    /// is a prefix of its answer, and is the answer whenever that is a
+    /// prefix of the query — leads to the same root `resolve` returns.
+    #[test]
+    fn rem_index_recovers_the_same_critical_root() {
+        let h = hasher();
+        let stored = ["01", "110"]; // Figure 5, w = 3
+        let mut reference = fast_trie::RemIndex::new(3);
+        let mut idx = HashIndex::new(HashWidth::FULL);
+        for (t, s) in stored.iter().enumerate() {
+            let s = BitStr::from_bin_str(s);
+            reference.insert(s.as_slice());
+            idx.insert(entry(&h, &s, t as u32));
+        }
+        assert_eq!(
+            reference.query(BitStr::from_bin_str("0").as_slice()),
+            Some(BitStr::from_bin_str("01")),
+            "the figure's own query"
+        );
+        for q in [
+            "", "0", "1", "01", "00", "11", "010", "011", "110", "111", "100",
+        ] {
+            let q = BitStr::from_bin_str(q);
+            let answer = reference.query(q.as_slice()).expect("non-empty index");
+            let critical = stored
+                .iter()
+                .map(|s| BitStr::from_bin_str(s))
+                .filter(|s| q.starts_with(s))
+                .max_by_key(|s| s.len());
+            let got = resolve(
+                &idx,
+                h.empty(),
+                Chunk::of(q.as_slice(), 0, q.len()),
+                0,
+                0,
+                3,
+                &mut 0,
+            );
+            match &critical {
+                Some(r) => {
+                    assert!(
+                        answer.starts_with(r),
+                        "q={q}: {r} not recoverable from {answer}"
+                    );
+                    if q.starts_with(&answer) {
+                        assert_eq!(&answer, r, "q={q}");
+                    }
+                    let t = stored.iter().position(|s| BitStr::from_bin_str(s) == *r);
+                    assert_eq!(got, Some((r.len() as u64, t.unwrap() as u32)), "q={q}");
+                }
+                None => {
+                    assert!(!q.starts_with(&answer), "q={q}: phantom prefix {answer}");
+                    assert_eq!(got, None, "q={q}");
+                }
+            }
+        }
     }
 
     #[test]

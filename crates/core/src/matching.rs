@@ -153,7 +153,6 @@ pub(crate) fn ctx_at(
     let parent = n.parent.expect("position above root");
     let pctx = ctxs[parent.idx()].clone().unwrap();
     let top = pctx.pre_depth + pctx.tail.len() as u64;
-    debug_assert!(depth > top.saturating_sub(pctx.tail.len() as u64));
     debug_assert!(
         depth >= top && depth <= n.depth as u64,
         "bad position depth"
@@ -188,6 +187,11 @@ pub(crate) fn ctx_at(
 /// A matched position in query-trie coordinates.
 pub(crate) type QtPos = (u32, u64); // (qt node below, global depth)
 
+/// Where pieces end: per query-trie node id, the depths of the cut
+/// positions on the edge into that node. Dense, so a lookup is an index;
+/// a node past the end has no cuts.
+pub(crate) type CutTable = [Vec<u64>];
+
 /// Build the query piece rooted at `from`, cut at every position in `cuts`
 /// strictly below the root. `from = None` roots the piece at the query
 /// root (depth 0).
@@ -196,7 +200,7 @@ pub(crate) fn make_piece(
     ctxs: &[Option<NodeCtx>],
     hasher: &bitstr::hash::PolyHasher,
     from: Option<QtPos>,
-    cuts: &BTreeMap<u32, Vec<u64>>,
+    cuts: &CutTable,
 ) -> QueryPiece {
     let mut piece = Trie::new();
     let mut tags: Vec<u32> = vec![0];
@@ -206,7 +210,7 @@ pub(crate) fn make_piece(
 
     // first cut strictly inside (top, bottom] on the edge into `v`
     let first_cut = |v: u32, top: u64, bottom: u64| -> Option<u64> {
-        cuts.get(&v)?
+        cuts.get(v as usize)?
             .iter()
             .copied()
             .filter(|d| *d > top && *d <= bottom)
@@ -325,12 +329,10 @@ impl PimTrie {
         let total = qt.trie.size_words() as u64;
         let kb_master = (total / (p as u64 * lg).max(1)).max(16);
         let master_roots = trie_core::partition::partition_roots(&qt.trie, kb_master);
-        let mut cuts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        let mut cuts: Vec<Vec<u64>> = vec![Vec::new(); bound];
         for r in &master_roots {
             if *r != NodeId::ROOT {
-                cuts.entry(r.0)
-                    .or_default()
-                    .push(qt.trie.node(*r).depth as u64);
+                cuts[r.idx()].push(qt.trie.node(*r).depth as u64);
             }
         }
         let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
@@ -378,14 +380,21 @@ impl PimTrie {
             }
         }
         let replies = self.rounds("match.master", inbox)?;
+        // From here on pieces end at matched positions, not at the master
+        // cuts: every accepted match is appended to the table as it is
+        // found, and the descent rounds and block matching cut by it.
+        for r in &master_roots {
+            cuts[r.idx()].clear();
+        }
         let mut matches: Vec<RootMatch> = Vec::new();
         let mut seen: BTreeSet<(u32, u64, BlockRef)> = BTreeSet::new();
         for resp in replies.into_iter().flatten() {
             let Resp::Matches(ms) = resp else {
-                panic!("master: unexpected response")
+                return Err(unexpected("match.master"));
             };
             for m in ms {
                 if seen.insert((m.qt_below, m.depth, m.block)) {
+                    cuts[m.qt_below as usize].push(m.depth);
                     matches.push(m);
                 }
             }
@@ -403,15 +412,12 @@ impl PimTrie {
             .iter()
             .map(|m| (m.descend.unwrap(), m.qt_below, m.depth))
             .collect();
-        let mut guard = 0;
         while !frontier.is_empty() {
-            guard += 1;
-            assert!(guard < 64, "meta descent did not terminate");
             stats.descend_rounds += 1;
-            // cut map from every match known so far
-            let mut cutmap: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-            for m in &matches {
-                cutmap.entry(m.qt_below).or_default().push(m.depth);
+            if stats.descend_rounds >= 64 {
+                return Err(PimTrieError::Protocol(
+                    "match.meta: descent did not terminate".into(),
+                ));
             }
             // Build pieces, grouped by target meta-block. The push-pull
             // decision (§3.3 / Algorithm 5) is per *target*: if the pieces
@@ -429,7 +435,7 @@ impl PimTrie {
                     &ctxs,
                     &self.hasher,
                     Some((m.qt_below, m.depth)),
-                    &cutmap,
+                    &cuts,
                 );
                 groups.entry(target).or_default().push(piece);
             }
@@ -464,19 +470,17 @@ impl PimTrie {
                 for (m, rs) in replies.into_iter().enumerate() {
                     for (j, resp) in rs.into_iter().enumerate() {
                         let Resp::MetaSummary { entries } = resp else {
-                            panic!("pull: unexpected response")
+                            return Err(unexpected("match.meta.pull"));
                         };
                         let (_, pieces) = &pulls[origin[m][j]];
                         let mut work = 0u64;
-                        for piece in pieces {
-                            new_matches.extend(cpu_match_entries(
-                                &self.hasher,
-                                self.cfg.hash_width,
-                                piece,
-                                &entries,
-                                &mut work,
-                            ));
-                        }
+                        new_matches.extend(cpu_match_entries(
+                            &self.hasher,
+                            self.cfg.hash_width,
+                            pieces,
+                            &entries,
+                            &mut work,
+                        ));
                         self.sys.metrics_mut().charge_cpu(work);
                     }
                 }
@@ -486,13 +490,14 @@ impl PimTrie {
                 let replies = self.rounds("match.meta.push", push_inbox)?;
                 for resp in replies.into_iter().flatten() {
                     let Resp::Matches(ms) = resp else {
-                        panic!("meta: unexpected response")
+                        return Err(unexpected("match.meta.push"));
                     };
                     new_matches.extend(ms);
                 }
             }
             for m in new_matches {
                 if seen.insert((m.qt_below, m.depth, m.block)) {
+                    cuts[m.qt_below as usize].push(m.depth);
                     matches.push(m);
                 }
                 if let Some(d) = m.descend {
@@ -505,10 +510,6 @@ impl PimTrie {
 
         // ---- Phase 3: block matching (Algorithm 2) --------------------
         self.t_phase("block-match");
-        let mut cutmap: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for m in &matches {
-            cutmap.entry(m.qt_below).or_default().push(m.depth);
-        }
         let mut block_meta = BTreeMap::new();
         for m in &matches {
             block_meta.insert(m.block, (m.meta, m.node_slot));
@@ -525,7 +526,7 @@ impl PimTrie {
                 &ctxs,
                 &self.hasher,
                 Some((m.qt_below, m.depth)),
-                &cutmap,
+                &cuts,
             );
             groups.entry(m.block).or_default().push(piece);
         }
@@ -578,7 +579,7 @@ impl PimTrie {
             for (m, rs) in replies.into_iter().enumerate() {
                 for (j, resp) in rs.into_iter().enumerate() {
                     let Resp::BlockData(bd) = resp else {
-                        panic!("block pull: unexpected response")
+                        return Err(unexpected("match.block.pull"));
                     };
                     let (bref, pieces) = &pulls[origin[m][j]];
                     let block = DataBlock {
@@ -616,15 +617,12 @@ impl PimTrie {
             let mut per_module: Vec<std::vec::IntoIter<Resp>> =
                 replies.into_iter().map(|v| v.into_iter()).collect();
             for (block, tags) in &pushed_pieces {
-                let resp = per_module[block.module as usize]
-                    .next()
-                    .expect("missing block reply");
-                let Resp::BlockResults {
+                let Some(Resp::BlockResults {
                     results: rs,
                     collision,
-                } = resp
+                }) = per_module[block.module as usize].next()
                 else {
-                    panic!("block push: unexpected response")
+                    return Err(unexpected("match.block.push"));
                 };
                 if collision {
                     stats.collisions += 1;
@@ -706,17 +704,10 @@ impl PimTrie {
         // child block itself matched with zero extension. Only an
         // uncovered stop indicates a hidden collision and forces a redo.
         if !mirror_stops.is_empty() {
-            let mut match_pos: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-            for m in &matches {
-                match_pos.entry(m.qt_below).or_default().push(m.depth);
-            }
             let mut reflag: Vec<u32> = Vec::new();
             for (tag, d) in mirror_stops {
                 let covered_deeper = depth_of[tag as usize] > d;
-                let matched_here = match_pos
-                    .get(&tag)
-                    .map(|v| v.iter().any(|x| *x >= d))
-                    .unwrap_or(false);
+                let matched_here = cuts[tag as usize].iter().any(|x| *x >= d);
                 if !covered_deeper && !matched_here {
                     reflag.push(tag);
                 }
@@ -753,6 +744,11 @@ impl PimTrie {
     }
 }
 
+/// A reply that is missing, or of the wrong variant for its round.
+fn unexpected(round: &str) -> PimTrieError {
+    PimTrieError::Protocol(format!("{round}: missing or unexpected response"))
+}
+
 fn flag_tags(flagged: &mut [bool], tags: &[u32]) {
     for &t in tags {
         if t != u32::MAX {
@@ -761,12 +757,13 @@ fn flag_tags(flagged: &mut [bool], tags: &[u32]) {
     }
 }
 
-/// CPU-side HashMatching against pulled entries (the pull arm of
-/// Algorithm 5).
+/// CPU-side HashMatching of every piece aimed at one pulled meta-block
+/// (the pull arm of Algorithm 5): the index over its entries is built
+/// once, however many pieces contend for it.
 fn cpu_match_entries(
     hasher: &bitstr::hash::PolyHasher,
     width: bitstr::hash::HashWidth,
-    piece: &QueryPiece,
+    pieces: &[QueryPiece],
     entries: &[EntrySummary],
     work: &mut u64,
 ) -> Vec<RootMatch> {
@@ -780,20 +777,21 @@ fn cpu_match_entries(
             target: i,
         });
     }
-    hash_match_piece(hasher, piece, &index, work)
-        .into_iter()
-        .map(|m| {
+    let mut out = Vec::new();
+    for piece in pieces {
+        for m in hash_match_piece(hasher, piece, &index, work) {
             let e = &entries[m.target];
-            RootMatch {
+            out.push(RootMatch {
                 qt_below: m.qt_below,
                 depth: m.depth,
                 block: e.target.block,
                 meta: e.target.meta,
                 node_slot: e.target.node_slot,
                 descend: e.target.descend,
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -871,7 +869,7 @@ mod tests {
         let hasher = PolyHasher::with_seed(7);
         let qt = qt_of(&["00001001", "101001", "101011"]);
         let ctxs = node_ctxs(&qt.trie, &hasher);
-        let piece = make_piece(&qt.trie, &ctxs, &hasher, None, &BTreeMap::new());
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, None, &[]);
         assert_eq!(piece.root_depth, 0);
         assert_eq!(piece.trie.n_nodes(), qt.trie.n_nodes());
         // tags are a bijection onto qt nodes
@@ -892,8 +890,8 @@ mod tests {
         let ctxs = node_ctxs(&qt.trie, &hasher);
         // cut the deep edge at depth 5
         let deep = qt.key_node[0]; // node for "111111"
-        let mut cuts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        cuts.insert(deep.0, vec![5]);
+        let mut cuts = vec![Vec::new(); qt.trie.id_bound()];
+        cuts[deep.idx()].push(5);
         let piece = make_piece(&qt.trie, &ctxs, &hasher, None, &cuts);
         // the piece must contain a leaf at depth 5 tagged with `deep`
         let found = piece
@@ -916,13 +914,7 @@ mod tests {
         let ctxs = node_ctxs(&qt.trie, &hasher);
         let deep = qt.key_node[0];
         // root the piece at depth 3, inside the edge into `deep`
-        let piece = make_piece(
-            &qt.trie,
-            &ctxs,
-            &hasher,
-            Some((deep.0, 3)),
-            &BTreeMap::new(),
-        );
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, Some((deep.0, 3)), &[]);
         assert_eq!(piece.root_depth, 3);
         assert_eq!(piece.root_rem, b("111"));
         // remaining 5 bits hang below the piece root
@@ -937,7 +929,7 @@ mod tests {
         let qt = qt_of(&["1010", "1011", "10"]);
         let ctxs = node_ctxs(&qt.trie, &hasher);
         let mid = qt.key_node[2]; // node for "10"
-        let piece = make_piece(&qt.trie, &ctxs, &hasher, Some((mid.0, 2)), &BTreeMap::new());
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, Some((mid.0, 2)), &[]);
         assert_eq!(piece.root_depth, 2);
         // subtree below "10": "10"→"1"→{"0","1"}
         assert_eq!(piece.trie.n_nodes(), 4);

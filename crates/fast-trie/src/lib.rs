@@ -11,12 +11,14 @@
 //! * [`ZFastTrie`] — a compressed binary trie over *variable-length*
 //!   bit-strings with 2-fattest-number handles and fat binary search:
 //!   locates the exit node of a query string in `O(log l)` hash probes.
-//! * [`RemIndex`] — the second-layer index PIM-trie builds per meta-block
-//!   (§4.4.2): a set of strings shorter than `w` bits, each padded with 0s
-//!   and 1s into the y-fast trie, plus per-integer *validity vectors*; a
-//!   query returns the stored string with the longest LCP such that no
-//!   equally-matching stored string is a proper prefix of it — i.e. the
-//!   critical block root or one of its direct children.
+//! * [`RemIndex`] — the paper's second-layer index per meta-block
+//!   (§4.4.2, Figure 5): a set of strings shorter than `w` bits, each
+//!   padded with 0s and 1s into the y-fast trie, plus per-integer
+//!   *validity vectors*; a query returns the stored string with the
+//!   longest LCP such that no equally-matching stored string is a proper
+//!   prefix of it — i.e. the critical block root or one of its direct
+//!   children. `pim_trie`'s own second layer is an exact sorted search
+//!   (`pim_trie::hvm`); this one is the reference its tests compare to.
 
 #![warn(missing_docs)]
 
