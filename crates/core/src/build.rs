@@ -17,7 +17,7 @@
 //!   promotes its root's children to independent trees registered in the
 //!   master table.
 
-use crate::error::PimTrieError;
+use crate::error::{unexpected, PimTrieError};
 use crate::module::{
     handle, MasterAddMsg, ModuleState, NewMetaChild, NewMetaNode, PutMetaMsg, Req, Resp,
 };
@@ -227,7 +227,7 @@ impl PimTrie {
             "bootstrap.block",
         )?;
         let Resp::Placed { slot, .. } = resp else {
-            panic!("bootstrap: unexpected response")
+            return Err(unexpected("bootstrap"));
         };
         let root_block = BlockRef { module: m, slot };
         self.root_block = root_block;
@@ -252,7 +252,7 @@ impl PimTrie {
             slot, node_slots, ..
         } = resp
         else {
-            panic!("bootstrap: unexpected response")
+            return Err(unexpected("bootstrap"));
         };
         let mref = MetaRef { module: mm, slot };
         let node_slot = node_slots[0];
@@ -673,7 +673,7 @@ impl PimTrie {
                         slot, node_slots, ..
                     } = resp
                     else {
-                        panic!("meta.place: unexpected response")
+                        return Err(unexpected("meta.place"));
                     };
                     let (ji, pi) = origin[m][j];
                     let plan = &jobs[ji].plans[pi];

@@ -1,16 +1,23 @@
-//! Structural compact-frame encodings for the PIM-trie protocol
-//! messages (`WireCodec::Compact`, `WIRE_FORMAT.md` §"Frames and
-//! groups").
+//! Primitive compact-frame codecs for the PIM-trie protocol messages
+//! (`WireCodec::Compact`, `WIRE_FORMAT.md` §"Frames and groups").
 //!
 //! The simulator meters whatever [`pim_sim::Wire::encode_frame`] emits;
 //! by default that is an *opaque frame* no smaller than the plain word
-//! count. This module replaces the default for every CPU↔PIM message
-//! with a field-by-field bit-level encoding: varints for ids and
-//! lengths, per-stream delta coding for sequence numbers, slots, tags
-//! and depths, bit-packed edge labels, and shared-prefix elimination
-//! for the root-string remainder/`s_last` labels that repeat across a
-//! round's messages (`WIRE_FORMAT.md` §"Delta streams", §"Labels",
+//! count. Every CPU↔PIM message replaces the default with a
+//! field-by-field bit-level encoding: varints for ids and lengths,
+//! per-stream delta coding for sequence numbers, slots, tags and depths,
+//! bit-packed edge labels, and shared-prefix elimination for the
+//! root-string remainder/`s_last` labels that repeat across a round's
+//! messages (`WIRE_FORMAT.md` §"Delta streams", §"Labels",
 //! §"Shared-prefix elimination").
+//!
+//! Which fields a message has, in which order and with which of those
+//! codings, is written once, in the `schema.rs` field table beside this
+//! file, which generates the [`Encode`]/[`Decode`] impls of `Req`, `Resp`
+//! and their payload structs. This module holds what that table's fields
+//! resolve to: the two traits and the codecs that hide a format —
+//! integers, `bool`, `Option`, `Vec`, tuples, hash words, bit-string
+//! labels, block/meta addresses and the structural trie frame.
 //!
 //! Two traits split the work:
 //!
@@ -27,20 +34,10 @@
 //!   the metered size is an honest size for the information actually
 //!   shipped.
 //!
-//! Frame schemas deliberately reuse the `wire_guard` fingerprint tag numbering
-//! (`Req` 1–32, `Resp` 1–14) so the two wire descriptions of each enum
-//! cannot drift apart silently.
-//!
 //! Paper: PIM-tree (Kang et al.) charges every bound in words moved;
 //! this module is where the reproduction's words/op floor is attacked
 //! without changing any algorithm.
 
-use crate::hvm::QueryPiece;
-use crate::module::{
-    BlockDataOut, BlockNodeResult, DescendOut, EntrySummary, GraftMsg, MasterAddMsg, MetaChildInfo,
-    MetaFullNode, MetaFullOut, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp,
-    RootMatch, RootMatchTarget,
-};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use bitstr::hash::HashVal;
 use bitstr::BitStr;
@@ -175,23 +172,6 @@ codec_tuple!(A: 0, B: 1, C: 2);
 codec_tuple!(A: 0, B: 1, C: 2, D: 3);
 codec_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 
-/// Field-sequence codec for structs whose fields all implement
-/// [`Encode`]/[`Decode`]: encode each field in declaration order.
-macro_rules! codec_struct {
-    ($t:ty { $($f:ident),+ $(,)? }) => {
-        impl Encode for $t {
-            fn enc(&self, e: &mut Enc) {
-                $(self.$f.enc(e);)+
-            }
-        }
-        impl Decode for $t {
-            fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-                Ok(Self { $($f: Decode::dec(d)?),+ })
-            }
-        }
-    };
-}
-
 impl Encode for HashVal {
     // hashes are incompressible: one raw word (`WIRE_FORMAT.md` §"Raw
     // words")
@@ -231,11 +211,11 @@ impl Decode for BitStr {
     }
 }
 
-fn put_shared(e: &mut Enc, s: usize, b: &BitStr) {
+pub(crate) fn put_shared(e: &mut Enc, s: usize, b: &BitStr) {
     e.put_label_shared(s, b.words(), b.len() as u64);
 }
 
-fn get_shared(d: &mut Dec<'_>, s: usize) -> Result<BitStr, CodecError> {
+pub(crate) fn get_shared(d: &mut Dec<'_>, s: usize) -> Result<BitStr, CodecError> {
     let (words, len) = d.get_label_shared(s)?;
     Ok(bits_from_label(&words, len))
 }
@@ -359,761 +339,15 @@ impl Decode for BitsMsg {
     }
 }
 
-impl Encode for QueryPiece {
-    fn enc(&self, e: &mut Enc) {
-        self.trie.enc(e);
-        e.put_varint(self.tags.len() as u64);
-        for &t in &self.tags {
-            e.put_delta(stream::TAG, t as u64);
-        }
-        e.put_delta(stream::DEPTH, self.root_depth);
-        self.root_pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.root_rem);
-    }
-}
-
-impl Decode for QueryPiece {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let trie = Trie::dec(d)?;
-        let n = d.get_varint()? as usize;
-        let mut tags = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            tags.push(d.get_delta(stream::TAG)? as u32);
-        }
-        Ok(QueryPiece {
-            trie,
-            tags,
-            root_depth: d.get_delta(stream::DEPTH)?,
-            root_pre_hash: HashVal::dec(d)?,
-            root_rem: get_shared(d, stream::LABEL_REM)?,
-        })
-    }
-}
-
-impl Encode for RootMatch {
-    fn enc(&self, e: &mut Enc) {
-        e.put_delta(stream::TAG, self.qt_below as u64);
-        e.put_delta(stream::DEPTH, self.depth);
-        self.block.enc(e);
-        self.meta.enc(e);
-        e.put_delta(stream::NODE_SLOT, self.node_slot as u64);
-        self.descend.enc(e);
-    }
-}
-
-impl Decode for RootMatch {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(RootMatch {
-            qt_below: d.get_delta(stream::TAG)? as u32,
-            depth: d.get_delta(stream::DEPTH)?,
-            block: BlockRef::dec(d)?,
-            meta: MetaRef::dec(d)?,
-            node_slot: d.get_delta(stream::NODE_SLOT)? as u32,
-            descend: Decode::dec(d)?,
-        })
-    }
-}
-
-impl Encode for BlockNodeResult {
-    fn enc(&self, e: &mut Enc) {
-        e.put_delta(stream::TAG, self.tag as u64);
-        e.put_delta(stream::DEPTH, self.depth);
-        e.put_varint(self.anchor_node as u64);
-        e.put_varint(self.anchor_off as u64);
-        self.at_mirror.enc(e);
-        self.redirect.enc(e);
-    }
-}
-
-impl Decode for BlockNodeResult {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(BlockNodeResult {
-            tag: d.get_delta(stream::TAG)? as u32,
-            depth: d.get_delta(stream::DEPTH)?,
-            anchor_node: d.get_varint()? as u32,
-            anchor_off: d.get_varint()? as u32,
-            at_mirror: bool::dec(d)?,
-            redirect: Decode::dec(d)?,
-        })
-    }
-}
-
-impl Encode for RootMatchTarget {
-    fn enc(&self, e: &mut Enc) {
-        self.block.enc(e);
-        self.meta.enc(e);
-        e.put_delta(stream::NODE_SLOT, self.node_slot as u64);
-        self.descend.enc(e);
-    }
-}
-
-impl Decode for RootMatchTarget {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(RootMatchTarget {
-            block: BlockRef::dec(d)?,
-            meta: MetaRef::dec(d)?,
-            node_slot: d.get_delta(stream::NODE_SLOT)? as u32,
-            descend: Decode::dec(d)?,
-        })
-    }
-}
-
-impl Encode for EntrySummary {
-    fn enc(&self, e: &mut Enc) {
-        e.put_delta(stream::DEPTH, self.depth);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem);
-        put_shared(e, stream::LABEL_LAST, &self.s_last);
-        self.target.enc(e);
-    }
-}
-
-impl Decode for EntrySummary {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(EntrySummary {
-            depth: d.get_delta(stream::DEPTH)?,
-            pre_hash: HashVal::dec(d)?,
-            rem: get_shared(d, stream::LABEL_REM)?,
-            s_last: get_shared(d, stream::LABEL_LAST)?,
-            target: RootMatchTarget::dec(d)?,
-        })
-    }
-}
-
-codec_struct!(GraftMsg {
-    anchor_node,
-    anchor_off,
-    subtree
-});
-
-impl Encode for PutBlockMsg {
-    fn enc(&self, e: &mut Enc) {
-        self.trie.enc(e);
-        e.put_delta(stream::DEPTH, self.root_depth);
-        self.root_hash.enc(e);
-        put_shared(e, stream::LABEL_LAST, &self.s_last.0);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem.0);
-        self.parent.enc(e);
-        self.mirrors.enc(e);
-    }
-}
-
-impl Decode for PutBlockMsg {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(PutBlockMsg {
-            trie: TrieMsg::dec(d)?,
-            root_depth: d.get_delta(stream::DEPTH)?,
-            root_hash: HashVal::dec(d)?,
-            s_last: BitsMsg(get_shared(d, stream::LABEL_LAST)?),
-            pre_hash: HashVal::dec(d)?,
-            rem: BitsMsg(get_shared(d, stream::LABEL_REM)?),
-            parent: Decode::dec(d)?,
-            mirrors: Decode::dec(d)?,
-        })
-    }
-}
-
-impl Encode for NewMetaNode {
-    fn enc(&self, e: &mut Enc) {
-        self.block.enc(e);
-        e.put_delta(stream::DEPTH, self.depth);
-        self.hash.enc(e);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem.0);
-        put_shared(e, stream::LABEL_LAST, &self.s_last.0);
-    }
-}
-
-impl Decode for NewMetaNode {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(NewMetaNode {
-            block: BlockRef::dec(d)?,
-            depth: d.get_delta(stream::DEPTH)?,
-            hash: HashVal::dec(d)?,
-            pre_hash: HashVal::dec(d)?,
-            rem: BitsMsg(get_shared(d, stream::LABEL_REM)?),
-            s_last: BitsMsg(get_shared(d, stream::LABEL_LAST)?),
-        })
-    }
-}
-
-impl Encode for NewMetaChild {
-    fn enc(&self, e: &mut Enc) {
-        self.mref.enc(e);
-        e.put_varint(self.under_node as u64);
-        self.root_block.enc(e);
-        e.put_delta(stream::NODE_SLOT, self.root_node_slot as u64);
-        e.put_delta(stream::DEPTH, self.depth);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem.0);
-        put_shared(e, stream::LABEL_LAST, &self.s_last.0);
-    }
-}
-
-impl Decode for NewMetaChild {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(NewMetaChild {
-            mref: MetaRef::dec(d)?,
-            under_node: d.get_varint()? as u32,
-            root_block: BlockRef::dec(d)?,
-            root_node_slot: d.get_delta(stream::NODE_SLOT)? as u32,
-            depth: d.get_delta(stream::DEPTH)?,
-            pre_hash: HashVal::dec(d)?,
-            rem: BitsMsg(get_shared(d, stream::LABEL_REM)?),
-            s_last: BitsMsg(get_shared(d, stream::LABEL_LAST)?),
-        })
-    }
-}
-
-codec_struct!(PutMetaMsg {
-    nodes,
-    root_idx,
-    parent,
-    children,
-    chunks,
-    parents
-});
-
-impl Encode for MasterAddMsg {
-    fn enc(&self, e: &mut Enc) {
-        self.mref.enc(e);
-        self.root_block.enc(e);
-        e.put_delta(stream::NODE_SLOT, self.root_node_slot as u64);
-        e.put_delta(stream::DEPTH, self.depth);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem.0);
-        put_shared(e, stream::LABEL_LAST, &self.s_last.0);
-    }
-}
-
-impl Decode for MasterAddMsg {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(MasterAddMsg {
-            mref: MetaRef::dec(d)?,
-            root_block: BlockRef::dec(d)?,
-            root_node_slot: d.get_delta(stream::NODE_SLOT)? as u32,
-            depth: d.get_delta(stream::DEPTH)?,
-            pre_hash: HashVal::dec(d)?,
-            rem: BitsMsg(get_shared(d, stream::LABEL_REM)?),
-            s_last: BitsMsg(get_shared(d, stream::LABEL_LAST)?),
-        })
-    }
-}
-
-impl Encode for MetaFullNode {
-    fn enc(&self, e: &mut Enc) {
-        e.put_delta(stream::NODE_SLOT, self.slot as u64);
-        self.block.enc(e);
-        self.parent.enc(e);
-        e.put_delta(stream::DEPTH, self.depth);
-        self.hash.enc(e);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem);
-        put_shared(e, stream::LABEL_LAST, &self.s_last);
-    }
-}
-
-impl Decode for MetaFullNode {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(MetaFullNode {
-            slot: d.get_delta(stream::NODE_SLOT)? as u32,
-            block: BlockRef::dec(d)?,
-            parent: Decode::dec(d)?,
-            depth: d.get_delta(stream::DEPTH)?,
-            hash: HashVal::dec(d)?,
-            pre_hash: HashVal::dec(d)?,
-            rem: get_shared(d, stream::LABEL_REM)?,
-            s_last: get_shared(d, stream::LABEL_LAST)?,
-        })
-    }
-}
-
-codec_struct!(MetaChildInfo {
-    mref,
-    under_node,
-    entry_slot,
-    root_block,
-    root_node_slot
-});
-
-codec_struct!(MetaFullOut {
-    nodes,
-    root_node,
-    parent,
-    children,
-    chunk_children
-});
-
-impl Encode for BlockDataOut {
-    fn enc(&self, e: &mut Enc) {
-        self.trie.enc(e);
-        e.put_delta(stream::DEPTH, self.root_depth);
-        self.root_hash.enc(e);
-        put_shared(e, stream::LABEL_LAST, &self.s_last.0);
-        self.pre_hash.enc(e);
-        put_shared(e, stream::LABEL_REM, &self.rem.0);
-        self.parent.enc(e);
-        self.mirrors.enc(e);
-        self.meta.enc(e);
-    }
-}
-
-impl Decode for BlockDataOut {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(BlockDataOut {
-            trie: TrieMsg::dec(d)?,
-            root_depth: d.get_delta(stream::DEPTH)?,
-            root_hash: HashVal::dec(d)?,
-            s_last: BitsMsg(get_shared(d, stream::LABEL_LAST)?),
-            pre_hash: HashVal::dec(d)?,
-            rem: BitsMsg(get_shared(d, stream::LABEL_REM)?),
-            parent: Decode::dec(d)?,
-            mirrors: Decode::dec(d)?,
-            meta: Decode::dec(d)?,
-        })
-    }
-}
-
-codec_struct!(DescendOut {
-    consumed,
-    next,
-    anchor_node,
-    anchor_off
-});
-
-// Variant tags reuse the `Fingerprint` numbering (`wire_guard.rs`),
-// `WIRE_FORMAT.md` §"Frames and groups".
-impl Encode for Req {
-    fn enc(&self, e: &mut Enc) {
-        match self {
-            Req::MatchMaster(p) => {
-                e.put_varint(1);
-                p.enc(e);
-            }
-            Req::MatchMeta { slot, piece } => {
-                e.put_varint(2);
-                slot.enc(e);
-                piece.enc(e);
-            }
-            Req::MatchBlock { slot, piece } => {
-                e.put_varint(3);
-                slot.enc(e);
-                piece.enc(e);
-            }
-            Req::FetchMeta { slot } => {
-                e.put_varint(4);
-                slot.enc(e);
-            }
-            Req::FetchBlock { slot } => {
-                e.put_varint(5);
-                slot.enc(e);
-            }
-            Req::GraftMany { slot, grafts } => {
-                e.put_varint(6);
-                slot.enc(e);
-                grafts.enc(e);
-            }
-            Req::ReadKey { slot, node, depth } => {
-                e.put_varint(7);
-                slot.enc(e);
-                node.enc(e);
-                e.put_delta(stream::DEPTH, *depth);
-            }
-            Req::DeleteKey { slot, node, depth } => {
-                e.put_varint(8);
-                slot.enc(e);
-                node.enc(e);
-                e.put_delta(stream::DEPTH, *depth);
-            }
-            Req::MergeChild {
-                slot,
-                child,
-                subtree,
-            } => {
-                e.put_varint(9);
-                slot.enc(e);
-                child.enc(e);
-                subtree.enc(e);
-            }
-            Req::ReplaceBlock {
-                slot,
-                trie,
-                mirrors,
-            } => {
-                e.put_varint(10);
-                slot.enc(e);
-                trie.enc(e);
-                mirrors.enc(e);
-            }
-            Req::RemoveMetaChild { slot, mref } => {
-                e.put_varint(11);
-                slot.enc(e);
-                mref.enc(e);
-            }
-            Req::PutBlock(p) => {
-                e.put_varint(12);
-                p.enc(e);
-            }
-            Req::PutMeta(p) => {
-                e.put_varint(13);
-                p.enc(e);
-            }
-            Req::ReplaceMeta { slot, msg } => {
-                e.put_varint(14);
-                slot.enc(e);
-                msg.enc(e);
-            }
-            Req::FetchMetaFull { slot } => {
-                e.put_varint(15);
-                slot.enc(e);
-            }
-            Req::DropBlock { slot } => {
-                e.put_varint(16);
-                slot.enc(e);
-            }
-            Req::DropMeta { slot } => {
-                e.put_varint(17);
-                slot.enc(e);
-            }
-            Req::SetMirror { slot, node, child } => {
-                e.put_varint(18);
-                slot.enc(e);
-                node.enc(e);
-                child.enc(e);
-            }
-            Req::SetParent { slot, parent } => {
-                e.put_varint(19);
-                slot.enc(e);
-                parent.enc(e);
-            }
-            Req::SetBlockMeta {
-                slot,
-                meta,
-                meta_slot,
-            } => {
-                e.put_varint(20);
-                slot.enc(e);
-                meta.enc(e);
-                meta_slot.enc(e);
-            }
-            Req::AddMetaNodes {
-                slot,
-                parent_node,
-                nodes,
-                parents,
-            } => {
-                e.put_varint(21);
-                slot.enc(e);
-                parent_node.enc(e);
-                nodes.enc(e);
-                parents.enc(e);
-            }
-            Req::RemoveMetaNode { slot, node } => {
-                e.put_varint(22);
-                slot.enc(e);
-                node.enc(e);
-            }
-            Req::SetMetaParent { slot, parent } => {
-                e.put_varint(23);
-                slot.enc(e);
-                parent.enc(e);
-            }
-            Req::MasterAdd(m) => {
-                e.put_varint(24);
-                m.enc(e);
-            }
-            Req::MasterRemove { mref } => {
-                e.put_varint(25);
-                mref.enc(e);
-            }
-            Req::FetchSubtree { slot, node, off } => {
-                e.put_varint(26);
-                slot.enc(e);
-                node.enc(e);
-                off.enc(e);
-            }
-            Req::DescendBlock { slot, bits } => {
-                e.put_varint(27);
-                slot.enc(e);
-                bits.enc(e);
-            }
-            Req::ResetModule => e.put_varint(28),
-            Req::BlockStats { slot } => {
-                e.put_varint(29);
-                slot.enc(e);
-            }
-            Req::MetaNodeKind { slot, node } => {
-                e.put_varint(30);
-                slot.enc(e);
-                node.enc(e);
-            }
-            Req::RelinkMirror { slot, old, new } => {
-                e.put_varint(31);
-                slot.enc(e);
-                old.enc(e);
-                new.enc(e);
-            }
-            Req::SetMetaNodeBlock { slot, node, block } => {
-                e.put_varint(32);
-                slot.enc(e);
-                node.enc(e);
-                block.enc(e);
-            }
-        }
-    }
-}
-
-impl Decode for Req {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.get_varint()? {
-            1 => Req::MatchMaster(QueryPiece::dec(d)?),
-            2 => Req::MatchMeta {
-                slot: Decode::dec(d)?,
-                piece: QueryPiece::dec(d)?,
-            },
-            3 => Req::MatchBlock {
-                slot: Decode::dec(d)?,
-                piece: QueryPiece::dec(d)?,
-            },
-            4 => Req::FetchMeta {
-                slot: Decode::dec(d)?,
-            },
-            5 => Req::FetchBlock {
-                slot: Decode::dec(d)?,
-            },
-            6 => Req::GraftMany {
-                slot: Decode::dec(d)?,
-                grafts: Decode::dec(d)?,
-            },
-            7 => Req::ReadKey {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-                depth: d.get_delta(stream::DEPTH)?,
-            },
-            8 => Req::DeleteKey {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-                depth: d.get_delta(stream::DEPTH)?,
-            },
-            9 => Req::MergeChild {
-                slot: Decode::dec(d)?,
-                child: Decode::dec(d)?,
-                subtree: Decode::dec(d)?,
-            },
-            10 => Req::ReplaceBlock {
-                slot: Decode::dec(d)?,
-                trie: Decode::dec(d)?,
-                mirrors: Decode::dec(d)?,
-            },
-            11 => Req::RemoveMetaChild {
-                slot: Decode::dec(d)?,
-                mref: Decode::dec(d)?,
-            },
-            12 => Req::PutBlock(PutBlockMsg::dec(d)?),
-            13 => Req::PutMeta(PutMetaMsg::dec(d)?),
-            14 => Req::ReplaceMeta {
-                slot: Decode::dec(d)?,
-                msg: Decode::dec(d)?,
-            },
-            15 => Req::FetchMetaFull {
-                slot: Decode::dec(d)?,
-            },
-            16 => Req::DropBlock {
-                slot: Decode::dec(d)?,
-            },
-            17 => Req::DropMeta {
-                slot: Decode::dec(d)?,
-            },
-            18 => Req::SetMirror {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-                child: Decode::dec(d)?,
-            },
-            19 => Req::SetParent {
-                slot: Decode::dec(d)?,
-                parent: Decode::dec(d)?,
-            },
-            20 => Req::SetBlockMeta {
-                slot: Decode::dec(d)?,
-                meta: Decode::dec(d)?,
-                meta_slot: Decode::dec(d)?,
-            },
-            21 => Req::AddMetaNodes {
-                slot: Decode::dec(d)?,
-                parent_node: Decode::dec(d)?,
-                nodes: Decode::dec(d)?,
-                parents: Decode::dec(d)?,
-            },
-            22 => Req::RemoveMetaNode {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-            },
-            23 => Req::SetMetaParent {
-                slot: Decode::dec(d)?,
-                parent: Decode::dec(d)?,
-            },
-            24 => Req::MasterAdd(MasterAddMsg::dec(d)?),
-            25 => Req::MasterRemove {
-                mref: Decode::dec(d)?,
-            },
-            26 => Req::FetchSubtree {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-                off: Decode::dec(d)?,
-            },
-            27 => Req::DescendBlock {
-                slot: Decode::dec(d)?,
-                bits: Decode::dec(d)?,
-            },
-            28 => Req::ResetModule,
-            29 => Req::BlockStats {
-                slot: Decode::dec(d)?,
-            },
-            30 => Req::MetaNodeKind {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-            },
-            31 => Req::RelinkMirror {
-                slot: Decode::dec(d)?,
-                old: Decode::dec(d)?,
-                new: Decode::dec(d)?,
-            },
-            32 => Req::SetMetaNodeBlock {
-                slot: Decode::dec(d)?,
-                node: Decode::dec(d)?,
-                block: Decode::dec(d)?,
-            },
-            _ => return Err(CodecError::UnexpectedEnd),
-        })
-    }
-}
-
-impl Encode for Resp {
-    fn enc(&self, e: &mut Enc) {
-        match self {
-            Resp::Matches(v) => {
-                e.put_varint(1);
-                v.enc(e);
-            }
-            Resp::BlockResults { results, collision } => {
-                e.put_varint(2);
-                results.enc(e);
-                collision.enc(e);
-            }
-            Resp::MetaSummary { entries } => {
-                e.put_varint(3);
-                entries.enc(e);
-            }
-            Resp::BlockData(b) => {
-                e.put_varint(4);
-                b.enc(e);
-            }
-            Resp::MetaFull(m) => {
-                e.put_varint(5);
-                m.enc(e);
-            }
-            Resp::BlockVitals {
-                weight,
-                keys,
-                children,
-                keys_delta,
-                collision,
-            } => {
-                e.put_varint(6);
-                weight.enc(e);
-                keys.enc(e);
-                children.enc(e);
-                keys_delta.enc(e);
-                collision.enc(e);
-            }
-            Resp::Placed {
-                slot,
-                node_slots,
-                count,
-            } => {
-                e.put_varint(7);
-                slot.enc(e);
-                node_slots.enc(e);
-                count.enc(e);
-            }
-            Resp::MetaVitals { nodes, parent } => {
-                e.put_varint(8);
-                nodes.enc(e);
-                parent.enc(e);
-            }
-            Resp::Subtree {
-                trie,
-                children,
-                depth,
-            } => {
-                e.put_varint(9);
-                trie.enc(e);
-                children.enc(e);
-                e.put_delta(stream::DEPTH, *depth);
-            }
-            Resp::Descend(x) => {
-                e.put_varint(10);
-                x.enc(e);
-            }
-            Resp::Value(v) => {
-                e.put_varint(11);
-                v.enc(e);
-            }
-            Resp::Ok => e.put_varint(12),
-            Resp::CorruptReq => e.put_varint(13),
-            Resp::Rebooted => e.put_varint(14),
-        }
-    }
-}
-
-impl Decode for Resp {
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.get_varint()? {
-            1 => Resp::Matches(Decode::dec(d)?),
-            2 => Resp::BlockResults {
-                results: Decode::dec(d)?,
-                collision: Decode::dec(d)?,
-            },
-            3 => Resp::MetaSummary {
-                entries: Decode::dec(d)?,
-            },
-            4 => Resp::BlockData(BlockDataOut::dec(d)?),
-            5 => Resp::MetaFull(MetaFullOut::dec(d)?),
-            6 => Resp::BlockVitals {
-                weight: Decode::dec(d)?,
-                keys: Decode::dec(d)?,
-                children: Decode::dec(d)?,
-                keys_delta: Decode::dec(d)?,
-                collision: Decode::dec(d)?,
-            },
-            7 => Resp::Placed {
-                slot: Decode::dec(d)?,
-                node_slots: Decode::dec(d)?,
-                count: Decode::dec(d)?,
-            },
-            8 => Resp::MetaVitals {
-                nodes: Decode::dec(d)?,
-                parent: Decode::dec(d)?,
-            },
-            9 => Resp::Subtree {
-                trie: Decode::dec(d)?,
-                children: Decode::dec(d)?,
-                depth: d.get_delta(stream::DEPTH)?,
-            },
-            10 => Resp::Descend(DescendOut::dec(d)?),
-            11 => Resp::Value(Decode::dec(d)?),
-            12 => Resp::Ok,
-            13 => Resp::CorruptReq,
-            14 => Resp::Rebooted,
-            _ => return Err(CodecError::UnexpectedEnd),
-        })
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::hvm::QueryPiece;
+    use crate::module::{
+        BlockDataOut, BlockNodeResult, DescendOut, EntrySummary, GraftMsg, MasterAddMsg,
+        MetaChildInfo, MetaFullNode, MetaFullOut, NewMetaChild, NewMetaNode, PutBlockMsg,
+        PutMetaMsg, Req, Resp, RootMatch, RootMatchTarget,
+    };
     use crate::wire_guard::seal_crc;
     use pim_sim::Wire;
     use proptest::prelude::*;
@@ -1143,13 +377,15 @@ mod tests {
     }
 
     /// Encode a group, decode it in order, check semantic equality (via
-    /// the wire-guard fingerprint) and re-encode identity.
-    fn roundtrip_group<T>(msgs: &[T])
+    /// the wire-guard fingerprint) and re-encode identity. Returns each
+    /// message's Plain `wire_words()` and its Compact frame length in
+    /// bits (before padding).
+    fn roundtrip_group<T>(msgs: &[T]) -> Vec<(u64, u64)>
     where
         T: Wire + Decode + crate::wire_guard::Fingerprint,
     {
         let mut enc = Enc::new();
-        let sizes: Vec<u64> = msgs
+        let frame_words: Vec<u64> = msgs
             .iter()
             .map(|m| {
                 enc.begin_frame();
@@ -1157,12 +393,15 @@ mod tests {
                 enc.end_frame()
             })
             .collect();
-        assert_eq!(sizes.iter().sum::<u64>(), enc.total_words());
+        assert_eq!(frame_words.iter().sum::<u64>(), enc.total_words());
         let mut dec = Dec::new(enc.words());
         let mut out = Vec::with_capacity(msgs.len());
-        for _ in msgs {
+        let mut sizes = Vec::with_capacity(msgs.len());
+        for m in msgs {
             dec.begin_frame();
+            let start = dec.bit_pos();
             out.push(T::dec(&mut dec).expect("decode"));
+            sizes.push((m.wire_words(), dec.bit_pos() - start));
             dec.end_frame().expect("frame padding");
         }
         for (a, b) in msgs.iter().zip(&out) {
@@ -1179,6 +418,7 @@ mod tests {
             enc2.end_frame();
         }
         assert_eq!(enc.words(), enc2.words(), "re-encode differs");
+        sizes
     }
 
     fn bref(module: u32, slot: u32) -> BlockRef {
@@ -1205,11 +445,42 @@ mod tests {
         back.check_invariants(true);
     }
 
-    #[test]
-    fn req_variants_roundtrip_in_one_group() {
+    fn new_meta_node() -> NewMetaNode {
+        NewMetaNode {
+            block: bref(2, 4),
+            depth: 96,
+            hash: HashVal(21),
+            pre_hash: HashVal(22),
+            rem: BitsMsg(bits("110")),
+            s_last: BitsMsg(bits("1101")),
+        }
+    }
+
+    fn put_meta_msg() -> PutMetaMsg {
+        PutMetaMsg {
+            nodes: vec![new_meta_node()],
+            root_idx: 0,
+            parent: None,
+            children: vec![NewMetaChild {
+                mref: mref(1, 2),
+                under_node: 0,
+                root_block: bref(1, 3),
+                root_node_slot: 1,
+                depth: 128,
+                pre_hash: HashVal(31),
+                rem: BitsMsg(bits("1100")),
+                s_last: BitsMsg(bits("11011")),
+            }],
+            chunks: vec![(mref(0, 7), 0)],
+            parents: vec![None],
+        }
+    }
+
+    /// One sample of every `Req` variant, in tag order.
+    pub(crate) fn req_samples() -> Vec<Req> {
         let piece = sample_piece();
         let subtree = TrieMsg(sample_trie(&["010", "011"]));
-        let msgs = vec![
+        vec![
             Req::MatchMaster(piece.clone()),
             Req::MatchMeta {
                 slot: 4,
@@ -1258,7 +529,7 @@ mod tests {
                 mref: mref(3, 1),
             },
             Req::PutBlock(PutBlockMsg {
-                trie: subtree.clone(),
+                trie: subtree,
                 root_depth: 64,
                 root_hash: HashVal(11),
                 s_last: BitsMsg(bits("0011")),
@@ -1267,30 +538,14 @@ mod tests {
                 parent: Some(bref(0, 0)),
                 mirrors: vec![(1, bref(1, 1))],
             }),
-            Req::PutMeta(PutMetaMsg {
-                nodes: vec![NewMetaNode {
-                    block: bref(2, 4),
-                    depth: 96,
-                    hash: HashVal(21),
-                    pre_hash: HashVal(22),
-                    rem: BitsMsg(bits("110")),
-                    s_last: BitsMsg(bits("1101")),
-                }],
-                root_idx: 0,
-                parent: None,
-                children: vec![NewMetaChild {
-                    mref: mref(1, 2),
-                    under_node: 0,
-                    root_block: bref(1, 3),
-                    root_node_slot: 1,
-                    depth: 128,
-                    pre_hash: HashVal(31),
-                    rem: BitsMsg(bits("1100")),
-                    s_last: BitsMsg(bits("11011")),
-                }],
-                chunks: vec![(mref(0, 7), 0)],
-                parents: vec![None],
-            }),
+            Req::PutMeta(put_meta_msg()),
+            Req::ReplaceMeta {
+                slot: 7,
+                msg: put_meta_msg(),
+            },
+            Req::FetchMetaFull { slot: 6 },
+            Req::DropBlock { slot: 4 },
+            Req::DropMeta { slot: 5 },
             Req::SetMirror {
                 slot: 1,
                 node: 4,
@@ -1300,11 +555,21 @@ mod tests {
                 slot: 1,
                 parent: None,
             },
+            Req::SetBlockMeta {
+                slot: 2,
+                meta: mref(1, 4),
+                meta_slot: 3,
+            },
             Req::AddMetaNodes {
                 slot: 2,
                 parent_node: 1,
-                nodes: vec![],
+                nodes: vec![new_meta_node()],
                 parents: vec![Some(0), None],
+            },
+            Req::RemoveMetaNode { slot: 2, node: 5 },
+            Req::SetMetaParent {
+                slot: 3,
+                parent: Some(mref(0, 2)),
             },
             Req::MasterAdd(MasterAddMsg {
                 mref: mref(2, 0),
@@ -1315,29 +580,42 @@ mod tests {
                 rem: BitsMsg(bits("")),
                 s_last: BitsMsg(bits("10101010")),
             }),
+            Req::MasterRemove { mref: mref(2, 0) },
+            Req::FetchSubtree {
+                slot: 8,
+                node: 3,
+                off: 2,
+            },
             Req::DescendBlock {
                 slot: 6,
                 bits: BitsMsg(bits("0110100111")),
             },
             Req::ResetModule,
+            Req::BlockStats { slot: 11 },
+            Req::MetaNodeKind { slot: 3, node: 1 },
+            Req::RelinkMirror {
+                slot: 4,
+                old: bref(1, 6),
+                new: bref(5, 0),
+            },
             Req::SetMetaNodeBlock {
                 slot: 3,
                 node: 2,
                 block: bref(0, 5),
             },
-        ];
-        roundtrip_group(&msgs);
+        ]
     }
 
-    #[test]
-    fn resp_variants_roundtrip_in_one_group() {
+    /// One sample of every `Resp` variant, in tag order (`Value` twice:
+    /// `Some` and `None`).
+    pub(crate) fn resp_samples() -> Vec<Resp> {
         let target = RootMatchTarget {
             block: bref(1, 2),
             meta: mref(1, 0),
             node_slot: 3,
             descend: Some(mref(2, 2)),
         };
-        let msgs = vec![
+        vec![
             Resp::Matches(vec![
                 RootMatch {
                     qt_below: 4,
@@ -1447,8 +725,55 @@ mod tests {
             Resp::Ok,
             Resp::CorruptReq,
             Resp::Rebooted,
-        ];
-        roundtrip_group(&msgs);
+        ]
+    }
+
+    /// Plain `wire_words()` and Compact frame bits of `req_samples()` as
+    /// one group, captured from the hand-written encoders this schema
+    /// replaced: pins byte-identity per message.
+    #[rustfmt::skip]
+    const REQ_GOLDEN: [(u64, u64); 32] = [
+        (51, 521), (52, 516), (52, 516), (1, 16),
+        (1, 16), (43, 400), (3, 32), (3, 32),
+        (21, 204), (24, 244), (2, 32), (27, 409),
+        (21, 419), (21, 420), (1, 16), (1, 16),
+        (1, 16), (3, 40), (2, 17), (3, 40),
+        (11, 234), (2, 24), (2, 33), (8, 159),
+        (1, 24), (3, 32), (3, 34), (1, 8),
+        (1, 16), (2, 24), (5, 48), (4, 40),
+    ];
+
+    /// As `REQ_GOLDEN`, for `resp_samples()`.
+    #[rustfmt::skip]
+    const RESP_GOLDEN: [(u64, u64); 15] = [
+        (11, 162), (6, 67), (9, 197), (26, 419),
+        (20, 443), (5, 49), (6, 56), (2, 17),
+        (23, 219), (4, 49), (2, 25), (2, 9),
+        (1, 8), (1, 8), (1, 8),
+    ];
+
+    /// The variant tag a message encodes first.
+    fn tag_of<T: Wire>(m: &T) -> u64 {
+        let mut enc = Enc::new();
+        m.encode_frame(&mut enc);
+        Dec::new(enc.words()).get_varint().expect("tag")
+    }
+
+    #[test]
+    fn req_variants_roundtrip_in_one_group() {
+        let msgs = req_samples();
+        let tags: Vec<u64> = msgs.iter().map(tag_of).collect();
+        assert_eq!(tags, (1..=32).collect::<Vec<u64>>());
+        assert_eq!(roundtrip_group(&msgs), REQ_GOLDEN);
+    }
+
+    #[test]
+    fn resp_variants_roundtrip_in_one_group() {
+        let msgs = resp_samples();
+        let mut tags: Vec<u64> = msgs.iter().map(tag_of).collect();
+        tags.dedup();
+        assert_eq!(tags, (1..=14).collect::<Vec<u64>>());
+        assert_eq!(roundtrip_group(&msgs), RESP_GOLDEN);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! PIM-trie tuning parameters (the paper's `K_B`, `K_MB`, `K_SMB`, `α`,
+//! PIM-trie tuning parameters (the paper's `K_B`, `K_MB`, `K_SMB`,
 //! push-pull threshold and hash width).
 
 use crate::error::PimTrieError;
@@ -20,10 +20,6 @@ pub struct PimTrieConfig {
     /// (Algorithm 5, line 3). Pieces larger than this pull data to the CPU
     /// instead of being pushed.
     pub push_threshold: u64,
-    /// Scapegoat imbalance fraction `α ∈ (0.5, 1)` for meta-block-tree
-    /// rebuilds (§5.2). Held as Q32.32 fixed point ([`Fx`]) so the
-    /// rebuild decision is bit-identical on every target.
-    pub alpha: Fx,
     /// Digest width compared by hash tables (§4.4.3). Narrow widths force
     /// collisions and exercise verification; `HashWidth::FULL` for normal
     /// use.
@@ -109,7 +105,7 @@ pub struct PimTrieConfig {
 
 impl PimTrieConfig {
     /// The paper's parameter choices for `p` modules: `K_B = log² P`,
-    /// `K_MB = P`, `K_SMB = log² P`, push threshold `log⁴ P`, `α = 0.75`.
+    /// `K_MB = P`, `K_SMB = log² P`, push threshold `log⁴ P`.
     pub fn for_modules(p: usize) -> Self {
         assert!(p >= 1);
         let lg = ceil_log2(p.max(2));
@@ -120,7 +116,6 @@ impl PimTrieConfig {
             k_mb: p.max(4),
             k_smb: lg2 as usize,
             push_threshold: (lg2 * lg2).max(64),
-            alpha: Fx::from_milli(750),
             hash_width: HashWidth::FULL,
             seed: 0x9122_7cc1_dead_beef,
             oversize_factor: 2,
@@ -216,9 +211,6 @@ impl PimTrieConfig {
                 "K_MB and K_SMB must be at least 1".into(),
             ));
         }
-        if !(self.alpha > Fx::HALF && self.alpha < Fx::ONE) {
-            return Err(PimTrieError::BadConfig("alpha must lie in (0.5, 1)".into()));
-        }
         if self.oversize_factor < 1 || self.undersize_divisor < 1 {
             return Err(PimTrieError::BadConfig(
                 "oversize_factor and undersize_divisor must be at least 1".into(),
@@ -306,9 +298,6 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_configs() {
         assert!(PimTrieConfig::for_modules(8).validate().is_ok());
-        let mut c = PimTrieConfig::for_modules(8);
-        c.alpha = Fx::HALF;
-        assert!(c.validate().is_err());
         let mut c = PimTrieConfig::for_modules(8);
         c.p = 0;
         assert!(c.validate().is_err());

@@ -93,3 +93,8 @@ impl fmt::Display for PimTrieError {
 }
 
 impl std::error::Error for PimTrieError {}
+
+/// A reply that is missing, or of the wrong variant for its round.
+pub(crate) fn unexpected(round: &str) -> PimTrieError {
+    PimTrieError::Protocol(format!("{round}: missing or unexpected response"))
+}

@@ -210,15 +210,10 @@ pub struct QueryPiece {
 }
 
 impl QueryPiece {
-    /// Size in words, the unit of the push-pull decision.
+    /// Size in words, the unit of the push-pull decision: the piece's
+    /// Plain wire size (`crate::schema`).
     pub fn size_words(&self) -> u64 {
-        self.trie.size_words() as u64 + self.trie.n_nodes() as u64 + 3
-    }
-}
-
-impl pim_sim::Wire for QueryPiece {
-    fn wire_words(&self) -> u64 {
-        self.size_words()
+        pim_sim::Wire::wire_words(self)
     }
 }
 

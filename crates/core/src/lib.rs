@@ -76,6 +76,7 @@ mod matching;
 mod module;
 mod ops;
 mod refs;
+mod schema;
 pub mod slowpath;
 mod wire_guard;
 

@@ -23,7 +23,7 @@
 //!    query bits left) flags the affected paths for an exact slow-path
 //!    redo.
 
-use crate::error::PimTrieError;
+use crate::error::{unexpected, PimTrieError};
 use crate::hvm::{hash_match_piece, HashIndex, IndexEntry, QueryPiece};
 use crate::module::{
     match_block_local, BlockNodeResult, DataBlock, EntrySummary, Req, Resp, RootMatch,
@@ -742,11 +742,6 @@ impl PimTrie {
     fn place_rng_next(&mut self) -> u32 {
         self.random_module()
     }
-}
-
-/// A reply that is missing, or of the wrong variant for its round.
-fn unexpected(round: &str) -> PimTrieError {
-    PimTrieError::Protocol(format!("{round}: missing or unexpected response"))
 }
 
 fn flag_tags(flagged: &mut [bool], tags: &[u32]) {

@@ -19,7 +19,7 @@ use crate::hvm::{hash_match_piece, HashIndex, IndexEntry, PieceMatch, QueryPiece
 use crate::refs::{BlockRef, MetaRef, Slab, TrieMsg};
 use bitstr::hash::{HashVal, HashWidth};
 use bitstr::BitStr;
-use pim_sim::{PimCtx, Wire};
+use pim_sim::PimCtx;
 use std::collections::BTreeMap;
 use trie_core::{NodeId, Trie, TriePos, Value};
 
@@ -232,12 +232,6 @@ pub struct RootMatch {
     pub descend: Option<MetaRef>,
 }
 
-impl Wire for RootMatch {
-    fn wire_words(&self) -> u64 {
-        5
-    }
-}
-
 /// Result of bit-exact in-block matching for one query-piece node.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockNodeResult {
@@ -256,12 +250,6 @@ pub struct BlockNodeResult {
     /// The stop position is exactly a mirror leaf: the canonical anchor is
     /// the child block's root instead.
     pub redirect: Option<BlockRef>,
-}
-
-impl Wire for BlockNodeResult {
-    fn wire_words(&self) -> u64 {
-        5
-    }
 }
 
 /// Summary of one index entry, pulled to the CPU (the pull side of
@@ -291,13 +279,6 @@ pub struct RootMatchTarget {
     pub node_slot: u32,
     /// Descend target, if any.
     pub descend: Option<MetaRef>,
-}
-
-impl Wire for EntrySummary {
-    fn wire_words(&self) -> u64 {
-        // depth + hash + rem + s_last (≤1 word each) + target refs
-        8
-    }
 }
 
 /// Requests the host can send to a module in one round.
@@ -640,60 +621,6 @@ pub struct MasterAddMsg {
     pub s_last: crate::refs::BitsMsg,
 }
 
-impl Wire for Req {
-    fn wire_words(&self) -> u64 {
-        match self {
-            Req::MatchMaster(p) => 1 + p.wire_words(),
-            Req::MatchMeta { piece, .. } => 2 + piece.wire_words(),
-            Req::MatchBlock { piece, .. } => 2 + piece.wire_words(),
-            Req::FetchMeta { .. } | Req::FetchBlock { .. } => 1,
-            Req::GraftMany { grafts, .. } => {
-                1 + grafts
-                    .iter()
-                    .map(|g| 2 + g.subtree.wire_words())
-                    .sum::<u64>()
-            }
-            Req::ReadKey { .. } => 3,
-            Req::DeleteKey { .. } => 3,
-            Req::MergeChild { subtree, .. } => 2 + subtree.wire_words(),
-            Req::ReplaceBlock { trie, mirrors, .. } => {
-                1 + trie.wire_words() + mirrors.len() as u64 * 2
-            }
-            Req::RemoveMetaChild { .. } => 2,
-            Req::PutBlock(p) => {
-                4 + p.trie.wire_words() + p.s_last.wire_words() + p.mirrors.len() as u64 * 2
-            }
-            Req::PutMeta(p) | Req::ReplaceMeta { msg: p, .. } => {
-                3 + p.nodes.len() as u64 * 8
-                    + p.children.len() as u64 * 8
-                    + p.chunks.len() as u64 * 2
-            }
-            Req::FetchMetaFull { .. } => 1,
-            Req::DropBlock { .. } | Req::DropMeta { .. } => 1,
-            Req::SetMirror { .. } => 3,
-            Req::SetParent { .. } => 2,
-            Req::SetBlockMeta { .. } => 3,
-            Req::AddMetaNodes { nodes, .. } => 2 + nodes.len() as u64 * 9,
-            Req::RemoveMetaNode { .. } => 2,
-            Req::SetMetaParent { .. } => 2,
-            Req::MasterAdd(_) => 8,
-            Req::MasterRemove { .. } => 1,
-            Req::FetchSubtree { .. } => 3,
-            Req::DescendBlock { bits, .. } => 1 + bits.wire_words(),
-            Req::BlockStats { .. } => 1,
-            Req::MetaNodeKind { .. } => 2,
-            Req::RelinkMirror { .. } => 5,
-            Req::SetMetaNodeBlock { .. } => 4,
-            Req::ResetModule => 1,
-        }
-    }
-
-    /// Structural compact frame (see [`crate::codec`]).
-    fn encode_frame(&self, enc: &mut pim_sim::Enc) {
-        crate::codec::Encode::enc(self, enc);
-    }
-}
-
 /// Responses, one per request.
 #[derive(Clone)]
 pub enum Resp {
@@ -882,39 +809,6 @@ pub struct DescendOut {
     pub anchor_node: u32,
     /// anchor edge offset
     pub anchor_off: u32,
-}
-
-impl Wire for Resp {
-    fn wire_words(&self) -> u64 {
-        match self {
-            Resp::Matches(v) => 1 + v.iter().map(Wire::wire_words).sum::<u64>(),
-            Resp::BlockResults { results, .. } => {
-                1 + results.iter().map(Wire::wire_words).sum::<u64>()
-            }
-            Resp::MetaSummary { entries } => 1 + entries.iter().map(Wire::wire_words).sum::<u64>(),
-            Resp::BlockData(b) => 5 + b.trie.wire_words() + b.mirrors.len() as u64 * 2,
-            Resp::MetaFull(m) => {
-                2 + m.nodes.len() as u64 * 8
-                    + m.children.len() as u64 * 8
-                    + m.chunk_children.len() as u64 * 2
-            }
-            Resp::BlockVitals { .. } => 5,
-            Resp::Placed { node_slots, .. } => 3 + node_slots.len() as u64,
-            Resp::MetaVitals { .. } => 2,
-            Resp::Subtree { trie, children, .. } => {
-                2 + trie.wire_words() + children.len() as u64 * 2
-            }
-            Resp::Descend(_) => 4,
-            Resp::Value(_) => 2,
-            Resp::Ok => 1,
-            Resp::CorruptReq | Resp::Rebooted => 1,
-        }
-    }
-
-    /// Structural compact frame (see [`crate::codec`]).
-    fn encode_frame(&self, enc: &mut pim_sim::Enc) {
-        crate::codec::Encode::enc(self, enc);
-    }
 }
 
 /// The module program: execute one request.

@@ -3,7 +3,7 @@
 //! their updates trigger (block re-partitioning, meta-block splits,
 //! undersized merges).
 
-use crate::error::PimTrieError;
+use crate::error::{unexpected, PimTrieError};
 use crate::fixed::Fx;
 use crate::matching::{Anchor, MatchedTrie};
 use crate::module::{GraftMsg, Req, Resp, MIRROR_VALUE};
@@ -282,7 +282,7 @@ impl PimTrie {
                     ..
                 } = resp
                 else {
-                    panic!("graft: unexpected response")
+                    return Err(unexpected("graft"));
                 };
                 assert!(!collision, "graft collision escaped verification");
                 self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
@@ -393,7 +393,7 @@ impl PimTrie {
                     collision,
                 } = resp
                 else {
-                    panic!("delete: unexpected response")
+                    return Err(unexpected("delete"));
                 };
                 if !collision {
                     removed += 1;
@@ -482,7 +482,7 @@ impl PimTrie {
                         depth,
                     } = resp
                     else {
-                        panic!("subtree: unexpected response")
+                        return Err(unexpected("subtree"));
                     };
                     debug_assert!(depth as usize >= prefix.len());
                     let piece = trie.0;
@@ -617,7 +617,7 @@ impl PimTrie {
         for (m, rs) in replies.into_iter().enumerate() {
             for (j, resp) in rs.into_iter().enumerate() {
                 let Resp::Value(v) = resp else {
-                    panic!("get: unexpected response")
+                    return Err(unexpected("get"));
                 };
                 out[origin[m][j]] = v;
             }
@@ -879,7 +879,7 @@ impl PimTrie {
         for (m, rs) in replies.into_iter().enumerate() {
             for (j, resp) in rs.into_iter().enumerate() {
                 let Resp::Placed { slot, .. } = resp else {
-                    panic!("repart.place: unexpected response")
+                    return Err(unexpected("repart.place"));
                 };
                 let (pi, bi) = origin[m][j];
                 plans[pi].placed[bi].as_mut().unwrap().target = BlockRef {
@@ -1034,7 +1034,7 @@ impl PimTrie {
                     node_slots, count, ..
                 } = resp
                 else {
-                    panic!("repart.meta: unexpected response")
+                    return Err(unexpected("repart.meta"));
                 };
                 let pi = origin[m][j];
                 let plan = &plans[pi];
@@ -1091,7 +1091,7 @@ impl PimTrie {
         for (m, rs) in replies.into_iter().enumerate() {
             for (j, resp) in rs.into_iter().enumerate() {
                 let Resp::BlockData(bd) = resp else {
-                    panic!("{name}: unexpected response")
+                    return Err(unexpected(name));
                 };
                 out[origin[m][j]] = Some(bd);
             }
@@ -1160,7 +1160,7 @@ impl PimTrie {
                         ..
                     } = resp
                     else {
-                        panic!("merge.apply: unexpected response")
+                        return Err(unexpected("merge.apply"));
                     };
                     parent_vitals.insert(origin[m][j], (weight, keys, children));
                 }
@@ -1260,7 +1260,7 @@ impl PimTrie {
         for (m, rs) in replies.into_iter().enumerate() {
             for (j, resp) in rs.into_iter().enumerate() {
                 let Resp::MetaFull(full) = resp else {
-                    panic!("msplit: unexpected response")
+                    return Err(unexpected("msplit"));
                 };
                 fulls[origin[m][j]] = Some(full);
             }

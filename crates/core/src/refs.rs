@@ -61,6 +61,18 @@ impl Wire for BitsMsg {
     }
 }
 
+impl From<BitStr> for BitsMsg {
+    fn from(bits: BitStr) -> Self {
+        BitsMsg(bits)
+    }
+}
+
+impl std::borrow::Borrow<BitStr> for BitsMsg {
+    fn borrow(&self) -> &BitStr {
+        &self.0
+    }
+}
+
 /// A slab arena with stable `u32` slots (module-local object storage).
 #[derive(Clone, Default)]
 pub struct Slab<T> {

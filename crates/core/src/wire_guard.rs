@@ -33,7 +33,7 @@
 //! recovery cost is separable from the op's own rounds in the trace.
 
 use crate::module::{handle, ModuleState, Req, Resp};
-use crate::refs::{BitsMsg, BlockRef, MetaRef};
+use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use bitstr::crc::Crc64Hasher;
 use bitstr::hash::{HashVal, IncrementalHash, PolyHasher};
 use bitstr::BitStr;
@@ -61,7 +61,7 @@ impl Fp {
     }
 
     #[inline]
-    fn word(&mut self, w: u64) {
+    pub(crate) fn word(&mut self, w: u64) {
         self.acc = crc64().combine(self.acc, HashVal(w), 64);
     }
 
@@ -71,6 +71,10 @@ impl Fp {
 }
 
 /// Types whose semantic content can be folded into a wire checksum.
+///
+/// This module implements the primitives; the impls for `Req`, `Resp`
+/// and their payload structs (variant tag, then every field in wire
+/// order) are generated from the `schema.rs` field table.
 ///
 /// Large opaque payloads (shipped tries, query pieces) contribute their
 /// structural size rather than full content: the simulator's fault layer
@@ -158,426 +162,23 @@ impl<T: Fingerprint> Fingerprint for Vec<T> {
     }
 }
 
-impl<A: Fingerprint, B: Fingerprint> Fingerprint for (A, B) {
-    fn feed(&self, fp: &mut Fp) {
-        self.0.feed(fp);
-        self.1.feed(fp);
-    }
-}
-
-/// Opaque payloads: digest the structural wire size (see trait docs).
-macro_rules! fp_opaque {
-    ($($t:ty),*) => {
-        $(impl Fingerprint for $t {
+macro_rules! fp_tuple {
+    ($($name:ident : $idx:tt),+) => {
+        impl<$($name: Fingerprint),+> Fingerprint for ($($name,)+) {
             fn feed(&self, fp: &mut Fp) {
-                fp.word(self.wire_words());
+                $(self.$idx.feed(fp);)+
             }
-        })*
+        }
     };
 }
 
-fp_opaque!(crate::refs::TrieMsg, crate::hvm::QueryPiece);
+fp_tuple!(A: 0, B: 1);
+fp_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 
-impl Fingerprint for crate::module::GraftMsg {
+/// Opaque payload: digest the structural wire size (see trait docs).
+impl Fingerprint for TrieMsg {
     fn feed(&self, fp: &mut Fp) {
-        self.anchor_node.feed(fp);
-        self.anchor_off.feed(fp);
-        self.subtree.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::PutBlockMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.trie.feed(fp);
-        self.root_depth.feed(fp);
-        self.root_hash.feed(fp);
-        self.s_last.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.parent.feed(fp);
-        self.mirrors.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::NewMetaNode {
-    fn feed(&self, fp: &mut Fp) {
-        self.block.feed(fp);
-        self.depth.feed(fp);
-        self.hash.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::NewMetaChild {
-    fn feed(&self, fp: &mut Fp) {
-        self.mref.feed(fp);
-        self.under_node.feed(fp);
-        self.root_block.feed(fp);
-        self.root_node_slot.feed(fp);
-        self.depth.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::PutMetaMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.nodes.feed(fp);
-        self.root_idx.feed(fp);
-        self.parent.feed(fp);
-        self.children.feed(fp);
-        self.chunks.feed(fp);
-        self.parents.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::MasterAddMsg {
-    fn feed(&self, fp: &mut Fp) {
-        self.mref.feed(fp);
-        self.root_block.feed(fp);
-        self.root_node_slot.feed(fp);
-        self.depth.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-    }
-}
-
-impl Fingerprint for Req {
-    fn feed(&self, fp: &mut Fp) {
-        match self {
-            Req::MatchMaster(p) => {
-                fp.word(1);
-                p.feed(fp);
-            }
-            Req::MatchMeta { slot, piece } => {
-                fp.word(2);
-                slot.feed(fp);
-                piece.feed(fp);
-            }
-            Req::MatchBlock { slot, piece } => {
-                fp.word(3);
-                slot.feed(fp);
-                piece.feed(fp);
-            }
-            Req::FetchMeta { slot } => {
-                fp.word(4);
-                slot.feed(fp);
-            }
-            Req::FetchBlock { slot } => {
-                fp.word(5);
-                slot.feed(fp);
-            }
-            Req::GraftMany { slot, grafts } => {
-                fp.word(6);
-                slot.feed(fp);
-                grafts.feed(fp);
-            }
-            Req::ReadKey { slot, node, depth } => {
-                fp.word(7);
-                slot.feed(fp);
-                node.feed(fp);
-                depth.feed(fp);
-            }
-            Req::DeleteKey { slot, node, depth } => {
-                fp.word(8);
-                slot.feed(fp);
-                node.feed(fp);
-                depth.feed(fp);
-            }
-            Req::MergeChild {
-                slot,
-                child,
-                subtree,
-            } => {
-                fp.word(9);
-                slot.feed(fp);
-                child.feed(fp);
-                subtree.feed(fp);
-            }
-            Req::ReplaceBlock {
-                slot,
-                trie,
-                mirrors,
-            } => {
-                fp.word(10);
-                slot.feed(fp);
-                trie.feed(fp);
-                mirrors.feed(fp);
-            }
-            Req::RemoveMetaChild { slot, mref } => {
-                fp.word(11);
-                slot.feed(fp);
-                mref.feed(fp);
-            }
-            Req::PutBlock(p) => {
-                fp.word(12);
-                p.feed(fp);
-            }
-            Req::PutMeta(p) => {
-                fp.word(13);
-                p.feed(fp);
-            }
-            Req::ReplaceMeta { slot, msg } => {
-                fp.word(14);
-                slot.feed(fp);
-                msg.feed(fp);
-            }
-            Req::FetchMetaFull { slot } => {
-                fp.word(15);
-                slot.feed(fp);
-            }
-            Req::DropBlock { slot } => {
-                fp.word(16);
-                slot.feed(fp);
-            }
-            Req::DropMeta { slot } => {
-                fp.word(17);
-                slot.feed(fp);
-            }
-            Req::SetMirror { slot, node, child } => {
-                fp.word(18);
-                slot.feed(fp);
-                node.feed(fp);
-                child.feed(fp);
-            }
-            Req::SetParent { slot, parent } => {
-                fp.word(19);
-                slot.feed(fp);
-                parent.feed(fp);
-            }
-            Req::SetBlockMeta {
-                slot,
-                meta,
-                meta_slot,
-            } => {
-                fp.word(20);
-                slot.feed(fp);
-                meta.feed(fp);
-                meta_slot.feed(fp);
-            }
-            Req::AddMetaNodes {
-                slot,
-                parent_node,
-                nodes,
-                parents,
-            } => {
-                fp.word(21);
-                slot.feed(fp);
-                parent_node.feed(fp);
-                nodes.feed(fp);
-                parents.feed(fp);
-            }
-            Req::RemoveMetaNode { slot, node } => {
-                fp.word(22);
-                slot.feed(fp);
-                node.feed(fp);
-            }
-            Req::SetMetaParent { slot, parent } => {
-                fp.word(23);
-                slot.feed(fp);
-                parent.feed(fp);
-            }
-            Req::MasterAdd(m) => {
-                fp.word(24);
-                m.feed(fp);
-            }
-            Req::MasterRemove { mref } => {
-                fp.word(25);
-                mref.feed(fp);
-            }
-            Req::FetchSubtree { slot, node, off } => {
-                fp.word(26);
-                slot.feed(fp);
-                node.feed(fp);
-                off.feed(fp);
-            }
-            Req::DescendBlock { slot, bits } => {
-                fp.word(27);
-                slot.feed(fp);
-                bits.feed(fp);
-            }
-            Req::ResetModule => fp.word(28),
-            Req::BlockStats { slot } => {
-                fp.word(29);
-                slot.feed(fp);
-            }
-            Req::MetaNodeKind { slot, node } => {
-                fp.word(30);
-                slot.feed(fp);
-                node.feed(fp);
-            }
-            Req::RelinkMirror { slot, old, new } => {
-                fp.word(31);
-                slot.feed(fp);
-                old.feed(fp);
-                new.feed(fp);
-            }
-            Req::SetMetaNodeBlock { slot, node, block } => {
-                fp.word(32);
-                slot.feed(fp);
-                node.feed(fp);
-                block.feed(fp);
-            }
-        }
-    }
-}
-
-impl Fingerprint for crate::module::RootMatch {
-    fn feed(&self, fp: &mut Fp) {
-        self.qt_below.feed(fp);
-        self.depth.feed(fp);
-        self.block.feed(fp);
-        self.meta.feed(fp);
-        self.node_slot.feed(fp);
-        self.descend.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::BlockNodeResult {
-    fn feed(&self, fp: &mut Fp) {
-        self.tag.feed(fp);
-        self.depth.feed(fp);
-        self.anchor_node.feed(fp);
-        self.anchor_off.feed(fp);
-        self.at_mirror.feed(fp);
-        self.redirect.feed(fp);
-    }
-}
-
-impl Fingerprint for crate::module::EntrySummary {
-    fn feed(&self, fp: &mut Fp) {
-        self.depth.feed(fp);
-        self.pre_hash.feed(fp);
-        self.rem.feed(fp);
-        self.s_last.feed(fp);
-        self.target.block.feed(fp);
-        self.target.meta.feed(fp);
-        self.target.node_slot.feed(fp);
-        self.target.descend.feed(fp);
-    }
-}
-
-impl Fingerprint for Resp {
-    fn feed(&self, fp: &mut Fp) {
-        match self {
-            Resp::Matches(v) => {
-                fp.word(1);
-                v.feed(fp);
-            }
-            Resp::BlockResults { results, collision } => {
-                fp.word(2);
-                results.feed(fp);
-                collision.feed(fp);
-            }
-            Resp::MetaSummary { entries } => {
-                fp.word(3);
-                entries.feed(fp);
-            }
-            Resp::BlockData(b) => {
-                fp.word(4);
-                b.trie.feed(fp);
-                b.root_depth.feed(fp);
-                b.root_hash.feed(fp);
-                b.s_last.feed(fp);
-                b.pre_hash.feed(fp);
-                b.rem.feed(fp);
-                b.parent.feed(fp);
-                b.mirrors.feed(fp);
-                match &b.meta {
-                    None => fp.word(0),
-                    Some((m, s)) => {
-                        fp.word(1);
-                        m.feed(fp);
-                        s.feed(fp);
-                    }
-                }
-            }
-            Resp::MetaFull(m) => {
-                fp.word(5);
-                fp.word(m.nodes.len() as u64);
-                for n in &m.nodes {
-                    n.slot.feed(fp);
-                    n.block.feed(fp);
-                    n.parent.feed(fp);
-                    n.depth.feed(fp);
-                    n.hash.feed(fp);
-                    n.pre_hash.feed(fp);
-                    n.rem.feed(fp);
-                    n.s_last.feed(fp);
-                }
-                m.root_node.feed(fp);
-                m.parent.feed(fp);
-                fp.word(m.children.len() as u64);
-                for (c, depth, pre, rem, s_last) in &m.children {
-                    c.mref.feed(fp);
-                    c.under_node.feed(fp);
-                    c.root_block.feed(fp);
-                    c.root_node_slot.feed(fp);
-                    depth.feed(fp);
-                    pre.feed(fp);
-                    rem.feed(fp);
-                    s_last.feed(fp);
-                }
-                m.chunk_children.feed(fp);
-            }
-            Resp::BlockVitals {
-                weight,
-                keys,
-                children,
-                keys_delta,
-                collision,
-            } => {
-                fp.word(6);
-                weight.feed(fp);
-                keys.feed(fp);
-                children.feed(fp);
-                (*keys_delta as u64).feed(fp);
-                collision.feed(fp);
-            }
-            Resp::Placed {
-                slot,
-                node_slots,
-                count,
-            } => {
-                fp.word(7);
-                slot.feed(fp);
-                node_slots.feed(fp);
-                count.feed(fp);
-            }
-            Resp::MetaVitals { nodes, parent } => {
-                fp.word(8);
-                nodes.feed(fp);
-                parent.feed(fp);
-            }
-            Resp::Subtree {
-                trie,
-                children,
-                depth,
-            } => {
-                fp.word(9);
-                trie.feed(fp);
-                children.feed(fp);
-                depth.feed(fp);
-            }
-            Resp::Descend(d) => {
-                fp.word(10);
-                d.consumed.feed(fp);
-                d.next.feed(fp);
-                d.anchor_node.feed(fp);
-                d.anchor_off.feed(fp);
-            }
-            Resp::Value(v) => {
-                fp.word(11);
-                v.feed(fp);
-            }
-            Resp::Ok => fp.word(12),
-            Resp::CorruptReq => fp.word(13),
-            Resp::Rebooted => fp.word(14),
-        }
+        fp.word(self.wire_words());
     }
 }
 
@@ -718,25 +319,27 @@ mod tests {
         assert_eq!(s.wire_words(), 3);
     }
 
+    /// Every `Req`/`Resp` variant, sealed: a flip steered at any word of
+    /// the frame, at any bit of that word, lands and fails `verify`.
     #[test]
     fn any_flip_is_detected() {
-        for r in 0..512u64 {
-            let mut s = SealedReq::seal(7, 2, Req::DropBlock { slot: 4 });
-            assert!(s.flip_bit(r));
-            assert!(!s.verify(), "flip {r} went undetected");
+        use crate::codec::tests::{req_samples, resp_samples};
+        fn check<S: Wire + Clone>(sealed: S, verify: fn(&S) -> bool, what: &str) {
+            assert!(verify(&sealed));
+            let words = sealed.wire_words();
+            for r in 0..words * 64 {
+                let mut s = sealed.clone();
+                assert!(s.flip_bit(r), "{what}: flip {r} did not land");
+                assert!(!verify(&s), "{what}: flip {r} went undetected");
+            }
         }
-        for r in 0..512u64 {
-            let mut s = SealedResp::seal(
-                7,
-                2,
-                Resp::Placed {
-                    slot: 1,
-                    node_slots: vec![4, 5],
-                    count: 2,
-                },
-            );
-            assert!(s.flip_bit(r));
-            assert!(!s.verify(), "resp flip {r} went undetected");
+        for (i, req) in req_samples().into_iter().enumerate() {
+            let sealed = SealedReq::seal(7, 2, req);
+            check(sealed, SealedReq::verify, &format!("req sample {i}"));
+        }
+        for (i, resp) in resp_samples().into_iter().enumerate() {
+            let sealed = SealedResp::seal(7, 2, resp);
+            check(sealed, SealedResp::verify, &format!("resp sample {i}"));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the fast-trie family.
 
 use bitstr::BitStr;
-use fast_trie::{RemIndex, XFastTrie, YFastTrie, ZFastTrie};
+use fast_trie::{RemIndex, XFastTrie, YFastTrie};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -49,39 +49,6 @@ proptest! {
             prop_assert_eq!(t.contains(q), set.contains(&q));
             prop_assert_eq!(t.pred_or_eq(q), set.range(..=q).next_back().copied());
             prop_assert_eq!(t.succ_or_eq(q), set.range(q..).next().copied());
-        }
-    }
-
-    #[test]
-    fn zfast_exit_node_is_exact(
-        keys in proptest::collection::vec(
-            proptest::collection::vec(any::<bool>(), 1..40),
-            1..60,
-        ),
-        queries in proptest::collection::vec(
-            proptest::collection::vec(any::<bool>(), 0..50),
-            1..40,
-        ),
-        seed in any::<u64>(),
-    ) {
-        let mut z = ZFastTrie::new(seed);
-        for (i, k) in keys.iter().enumerate() {
-            z.insert(&BitStr::from_bits(k.iter().copied()), i as u64);
-        }
-        z.trie().check_invariants(false);
-        for q in &queries {
-            let q = BitStr::from_bits(q.iter().copied());
-            let got = z.exit_node(q.as_slice());
-            // exact semantics: matches the plain-trie walk
-            let r = z.trie().lcp(q.as_slice());
-            let want = if r.pos.edge_off == z.trie().node(r.pos.node).edge.len() {
-                r.pos.node
-            } else if r.pos.edge_off == 0 {
-                z.trie().node(r.pos.node).parent.unwrap_or(trie_core::NodeId::ROOT)
-            } else {
-                r.pos.node
-            };
-            prop_assert_eq!(got, want);
         }
     }
 

@@ -24,7 +24,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "baselines",
     "codec",
     "core",
-    "etree",
     "fast-trie",
     "obs",
     "serve",

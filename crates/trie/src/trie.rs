@@ -411,8 +411,7 @@ impl Trie {
 
     /// [`Trie::lcp`] resuming at `start` with the first `matched` bits of
     /// `query` already known to spell `start`'s string — lets shortcut
-    /// structures (z-fast tries) finish a walk without re-reading the
-    /// prefix.
+    /// structures finish a walk without re-reading the prefix.
     pub fn lcp_from(&self, start: NodeId, start_matched: usize, query: BitSlice<'_>) -> LcpResult {
         debug_assert_eq!(self.node(start).depth as usize, start_matched);
         let mut node = start;
@@ -481,7 +480,7 @@ impl Trie {
     }
 
     /// [`Trie::insert`] reporting the structural changes — consumed by
-    /// structures that maintain per-node metadata (e.g. z-fast handles).
+    /// structures that maintain per-node metadata.
     pub fn insert_with_info(&mut self, key: &BitStr, value: Value) -> InsertInfo {
         let r = self.lcp(key.as_slice());
         let at_node = r.pos.edge_off == self.node(r.pos.node).edge.len();
