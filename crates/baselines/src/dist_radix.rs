@@ -11,7 +11,7 @@
 //! on the same module (§3.3's Push-method imbalance).
 
 use bitstr::BitStr;
-use pim_sim::{words_for_bits, PimSystem, Wire};
+use pim_sim::{words_for_bits, PimSystem, Scatter, Wire};
 use trie_core::Value;
 
 /// Remote pointer to a radix node.
@@ -139,11 +139,11 @@ impl DistRadixTree {
                 self.0.words(self.1)
             }
         }
-        let mut inbox: Vec<Vec<PutNode>> = (0..p).map(|_| Vec::new()).collect();
+        let mut put = Scatter::new(p);
         for (i, node) in nodes.into_iter().enumerate() {
-            inbox[placement[i] as usize].push(PutNode(node, span));
+            put.push(placement[i] as usize, (), PutNode(node, span));
         }
-        sys.round("radix.build", inbox, |ctx, msgs| {
+        sys.round("radix.build", put.take_boxes(), |ctx, msgs| {
             for PutNode(n, _) in msgs {
                 ctx.state.nodes.push(n);
             }
@@ -212,40 +212,38 @@ impl DistRadixTree {
         let mut out = vec![0usize; queries.len()];
         let mut active: Vec<usize> = (0..queries.len()).collect();
         while !active.is_empty() {
-            let mut inbox: Vec<Vec<StepMsg>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+            let mut sent = Scatter::new(p);
             for &qi in &active {
                 let st = &states[qi];
-                inbox[st.node.module as usize].push(StepMsg {
+                let step = StepMsg {
                     slot: st.node.slot,
                     bits: queries[qi]
                         .slice(st.consumed..queries[qi].len())
                         .to_bitstr(),
-                });
-                origin[st.node.module as usize].push(qi);
+                };
+                sent.push(st.node.module as usize, qi, step);
             }
-            let replies = self.sys.round("radix.step", inbox, |ctx, msgs| {
-                msgs.into_iter()
-                    .map(|m| {
-                        ctx.work(2);
-                        step_local(&ctx.state.nodes[m.slot as usize], span, &m.bits)
-                    })
-                    .collect::<Vec<StepOut>>()
-            });
+            let replies = self
+                .sys
+                .round("radix.step", sent.take_boxes(), |ctx, msgs| {
+                    msgs.into_iter()
+                        .map(|m| {
+                            ctx.work(2);
+                            step_local(&ctx.state.nodes[m.slot as usize], span, &m.bits)
+                        })
+                        .collect::<Vec<StepOut>>()
+                });
             let mut next_active = Vec::new();
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, r) in rs.into_iter().enumerate() {
-                    let qi = origin[m][j];
-                    states[qi].consumed += r.consumed as usize;
-                    match r.next {
-                        Some(nr) if !done[qi] => {
-                            states[qi].node = nr;
-                            next_active.push(qi);
-                        }
-                        _ => {
-                            out[qi] = states[qi].consumed.min(raw_queries[qi].len());
-                            done[qi] = true;
-                        }
+            for (_, qi, r) in crate::gathered(sent, replies) {
+                states[qi].consumed += r.consumed as usize;
+                match r.next {
+                    Some(nr) if !done[qi] => {
+                        states[qi].node = nr;
+                        next_active.push(qi);
+                    }
+                    _ => {
+                        out[qi] = states[qi].consumed.min(raw_queries[qi].len());
+                        done[qi] = true;
                     }
                 }
             }
@@ -266,17 +264,16 @@ impl DistRadixTree {
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
         let mut active: Vec<usize> = (0..keys.len()).collect();
         while !active.is_empty() {
-            let mut inbox: Vec<Vec<StepMsg>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+            let mut sent = Scatter::new(p);
             for &qi in &active {
                 let (node, consumed) = states[qi];
-                inbox[node.module as usize].push(StepMsg {
+                let step = StepMsg {
                     slot: node.slot,
                     bits: keys[qi].slice(consumed..keys[qi].len()).to_bitstr(),
-                });
-                origin[node.module as usize].push(qi);
+                };
+                sent.push(node.module as usize, qi, step);
             }
-            let replies = self.sys.round("radix.get", inbox, |ctx, msgs| {
+            let replies = self.sys.round("radix.get", sent.take_boxes(), |ctx, msgs| {
                 msgs.into_iter()
                     .map(|m| {
                         ctx.work(2);
@@ -285,19 +282,16 @@ impl DistRadixTree {
                     .collect::<Vec<StepOut>>()
             });
             let mut next_active = Vec::new();
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, r) in rs.into_iter().enumerate() {
-                    let qi = origin[m][j];
-                    states[qi].1 += r.consumed as usize;
-                    match r.next {
-                        Some(nr) => {
-                            states[qi].0 = nr;
-                            next_active.push(qi);
-                        }
-                        None => {
-                            if states[qi].1 == keys[qi].len() {
-                                out[qi] = r.exact_value;
-                            }
+            for (_, qi, r) in crate::gathered(sent, replies) {
+                states[qi].1 += r.consumed as usize;
+                match r.next {
+                    Some(nr) => {
+                        states[qi].0 = nr;
+                        next_active.push(qi);
+                    }
+                    None => {
+                        if states[qi].1 == keys[qi].len() {
+                            out[qi] = r.exact_value;
                         }
                     }
                 }

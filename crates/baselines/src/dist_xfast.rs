@@ -8,7 +8,7 @@
 //! per round. Inserts write all `w` prefixes: `O(w)` messages per key and
 //! `O(n·w)` total space — exactly the costs Table 1 charges this design.
 
-use pim_sim::{PimSystem, Wire};
+use pim_sim::{PimSystem, Scatter, Wire};
 use std::collections::BTreeMap;
 
 /// Module-local state: a shard of the per-level prefix tables.
@@ -105,24 +105,31 @@ impl DistXFastTrie {
     pub fn insert_batch(&mut self, keys: &[u64]) {
         crate::trace_op(self.sys.metrics_mut(), "insert", "insert/level-tables");
         let p = self.sys.p();
-        let mut inbox: Vec<Vec<Probe>> = (0..p).map(|_| Vec::new()).collect();
+        let mut out = Scatter::new(p);
         for &x in keys {
             for level in 0..=self.width as u8 {
                 let prefix = self.prefix(x, level);
-                inbox[place(p, self.salt, level, prefix)].push(Probe { level, prefix });
+                out.push(
+                    place(p, self.salt, level, prefix),
+                    (),
+                    Probe { level, prefix },
+                );
             }
         }
-        let replies = self.sys.round("xfast.insert", inbox, |ctx, msgs| {
-            let mut fresh = 0u64;
-            ctx.work(msgs.len() as u64);
-            for m in msgs {
-                if ctx.state.table.insert((m.level, m.prefix), ()).is_none() && m.level as u32 == 64
-                {
-                    fresh += 1;
+        let replies = self
+            .sys
+            .round("xfast.insert", out.take_boxes(), |ctx, msgs| {
+                let mut fresh = 0u64;
+                ctx.work(msgs.len() as u64);
+                for m in msgs {
+                    if ctx.state.table.insert((m.level, m.prefix), ()).is_none()
+                        && m.level as u32 == 64
+                    {
+                        fresh += 1;
+                    }
                 }
-            }
-            vec![fresh]
-        });
+                vec![fresh]
+            });
         // count distinct new full keys (level == width entries)
         if self.width == 64 {
             self.n_keys += replies.iter().flatten().sum::<u64>() as usize;
@@ -157,8 +164,7 @@ impl DistXFastTrie {
             return vec![0; n];
         }
         while (0..n).any(|i| lo[i] < hi[i]) {
-            let mut inbox: Vec<Vec<Probe>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+            let mut sent = Scatter::new(p);
             for i in 0..n {
                 if lo[i] >= hi[i] {
                     continue;
@@ -166,24 +172,22 @@ impl DistXFastTrie {
                 let mid = (lo[i] + hi[i]).div_ceil(2);
                 let prefix = self.prefix(queries[i], mid);
                 let m = place(p, self.salt, mid, prefix);
-                inbox[m].push(Probe { level: mid, prefix });
-                origin[m].push(i);
+                sent.push(m, i, Probe { level: mid, prefix });
             }
-            let replies = self.sys.round("xfast.probe", inbox, |ctx, msgs| {
-                ctx.work(msgs.len() as u64);
-                msgs.into_iter()
-                    .map(|m| ctx.state.table.contains_key(&(m.level, m.prefix)))
-                    .collect::<Vec<bool>>()
-            });
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, hit) in rs.into_iter().enumerate() {
-                    let i = origin[m][j];
-                    let mid = (lo[i] + hi[i]).div_ceil(2);
-                    if hit {
-                        lo[i] = mid;
-                    } else {
-                        hi[i] = mid - 1;
-                    }
+            let replies = self
+                .sys
+                .round("xfast.probe", sent.take_boxes(), |ctx, msgs| {
+                    ctx.work(msgs.len() as u64);
+                    msgs.into_iter()
+                        .map(|m| ctx.state.table.contains_key(&(m.level, m.prefix)))
+                        .collect::<Vec<bool>>()
+                });
+            for (_, i, hit) in crate::gathered(sent, replies) {
+                let mid = (lo[i] + hi[i]).div_ceil(2);
+                if hit {
+                    lo[i] = mid;
+                } else {
+                    hi[i] = mid - 1;
                 }
             }
         }

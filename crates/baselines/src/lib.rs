@@ -28,6 +28,19 @@ pub use dist_radix::DistRadixTree;
 pub use dist_xfast::DistXFastTrie;
 pub use range_part::RangePartitioned;
 
+/// Pair a round's replies with the tags of the messages that caused
+/// them. The baselines build their own simulator, install no
+/// [`pim_sim::FaultPlan`] and answer every message, so a miscount is a
+/// bug in this crate (Table 1's comparators have no recovery to fall
+/// back on), not a condition to report.
+pub(crate) fn gathered<T, M, R>(
+    sent: pim_sim::Scatter<T, M>,
+    replies: Vec<Vec<R>>,
+) -> pim_sim::Scatter<T, R> {
+    sent.gather(replies)
+        .unwrap_or_else(|e| unreachable!("baseline round: {e}"))
+}
+
 /// Open a traced op span with its single phase on a baseline's metrics
 /// (baseline batch ops are one logical phase each). No-op when tracing is
 /// off — the metered counters are untouched either way.

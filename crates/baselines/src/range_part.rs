@@ -12,7 +12,7 @@
 //! measure exactly that.
 
 use bitstr::BitStr;
-use pim_sim::{words_for_bits, PimSystem, Wire};
+use pim_sim::{words_for_bits, PimSystem, Scatter, Wire};
 use trie_core::{Trie, Value};
 
 /// Module-local state: the local trie of one key range.
@@ -72,18 +72,18 @@ impl RangePartitioned {
         // query needs only its own range's module: the best match is the
         // query's predecessor (in range) or successor (at worst the next
         // separator, now replicated here). One message per query.
-        let p = t.sys.p();
-        let mut inbox: Vec<Vec<InsertMsg>> = (0..p).map(|_| Vec::new()).collect();
+        let mut out = Scatter::new(t.sys.p());
         for (i, s) in t.separators.iter().enumerate() {
-            inbox[i].push(InsertMsg(s.clone(), 0));
+            out.push(i, (), InsertMsg(s.clone(), 0));
         }
-        t.sys.round("range.replicate", inbox, |ctx, msgs| {
-            ctx.work(msgs.len() as u64 * 2);
-            for InsertMsg(k, v) in msgs {
-                ctx.state.trie.insert(&k, v);
-            }
-            Vec::<u64>::new()
-        });
+        t.sys
+            .round("range.replicate", out.take_boxes(), |ctx, msgs| {
+                ctx.work(msgs.len() as u64 * 2);
+                for InsertMsg(k, v) in msgs {
+                    ctx.state.trie.insert(&k, v);
+                }
+                Vec::<u64>::new()
+            });
         t
     }
 
@@ -121,21 +121,22 @@ impl RangePartitioned {
     /// Insert a batch: each key ships to its range's module only.
     pub fn insert_batch(&mut self, keys: &[BitStr], values: &[Value]) {
         crate::trace_op(self.sys.metrics_mut(), "insert", "insert/range-scatter");
-        let p = self.sys.p();
-        let mut inbox: Vec<Vec<InsertMsg>> = (0..p).map(|_| Vec::new()).collect();
+        let mut out = Scatter::new(self.sys.p());
         for (k, v) in keys.iter().zip(values) {
-            inbox[self.range_of(k)].push(InsertMsg(k.clone(), *v));
+            out.push(self.range_of(k), (), InsertMsg(k.clone(), *v));
         }
-        let replies = self.sys.round("range.insert", inbox, |ctx, msgs| {
-            ctx.work(msgs.len() as u64 * 2);
-            let mut fresh = 0u64;
-            for InsertMsg(k, v) in msgs {
-                if ctx.state.trie.insert(&k, v).is_none() {
-                    fresh += 1;
+        let replies = self
+            .sys
+            .round("range.insert", out.take_boxes(), |ctx, msgs| {
+                ctx.work(msgs.len() as u64 * 2);
+                let mut fresh = 0u64;
+                for InsertMsg(k, v) in msgs {
+                    if ctx.state.trie.insert(&k, v).is_none() {
+                        fresh += 1;
+                    }
                 }
-            }
-            vec![fresh]
-        });
+                vec![fresh]
+            });
         self.n_keys += replies.iter().flatten().sum::<u64>() as usize;
         crate::trace_op_end(self.sys.metrics_mut());
     }
@@ -146,26 +147,19 @@ impl RangePartitioned {
     /// serialize on one module.
     pub fn lcp_batch(&mut self, queries: &[BitStr]) -> Vec<usize> {
         crate::trace_op(self.sys.metrics_mut(), "lcp", "lcp/local-scan");
-        let p = self.sys.p();
-        let mut inbox: Vec<Vec<QueryMsg>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut sent = Scatter::new(self.sys.p());
         for (i, q) in queries.iter().enumerate() {
-            let r = self.range_of(q);
-            inbox[r].push(QueryMsg(q.clone()));
-            origin[r].push(i);
+            sent.push(self.range_of(q), i, QueryMsg(q.clone()));
         }
-        let replies = self.sys.round("range.lcp", inbox, |ctx, msgs| {
+        let replies = self.sys.round("range.lcp", sent.take_boxes(), |ctx, msgs| {
             ctx.work(msgs.len() as u64 * 2);
             msgs.into_iter()
                 .map(|QueryMsg(q)| ctx.state.trie.lcp(q.as_slice()).lcp_bits as u64)
                 .collect::<Vec<u64>>()
         });
         let mut out = vec![0usize; queries.len()];
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, r) in rs.into_iter().enumerate() {
-                let i = origin[m][j];
-                out[i] = out[i].max(r as usize);
-            }
+        for (_, i, r) in crate::gathered(sent, replies) {
+            out[i] = out[i].max(r as usize);
         }
         crate::trace_op_end(self.sys.metrics_mut());
         out
@@ -174,25 +168,19 @@ impl RangePartitioned {
     /// Batch exact lookup (single-range shipping).
     pub fn get_batch(&mut self, keys: &[BitStr]) -> Vec<Option<Value>> {
         crate::trace_op(self.sys.metrics_mut(), "get", "get/range-lookup");
-        let p = self.sys.p();
-        let mut inbox: Vec<Vec<QueryMsg>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut sent = Scatter::new(self.sys.p());
         for (i, k) in keys.iter().enumerate() {
-            let r = self.range_of(k);
-            inbox[r].push(QueryMsg(k.clone()));
-            origin[r].push(i);
+            sent.push(self.range_of(k), i, QueryMsg(k.clone()));
         }
-        let replies = self.sys.round("range.get", inbox, |ctx, msgs| {
+        let replies = self.sys.round("range.get", sent.take_boxes(), |ctx, msgs| {
             ctx.work(msgs.len() as u64 * 2);
             msgs.into_iter()
                 .map(|QueryMsg(k)| ctx.state.trie.get(k.as_slice()))
                 .collect::<Vec<Option<Value>>>()
         });
         let mut out = vec![None; keys.len()];
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, r) in rs.into_iter().enumerate() {
-                out[origin[m][j]] = r;
-            }
+        for (_, i, r) in crate::gathered(sent, replies) {
+            out[i] = r;
         }
         crate::trace_op_end(self.sys.metrics_mut());
         out

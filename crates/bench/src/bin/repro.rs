@@ -322,7 +322,7 @@ fn run(args: Args) {
     if run("compress") {
         emit(
             "compress",
-            "X-compress — compact wire codec + Bonsai node tables vs Plain (words/op, space)",
+            "X-compress — compact wire codec vs Plain (words/op)",
             &bench::compress(p, quick),
         );
     }

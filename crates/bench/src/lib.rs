@@ -6,8 +6,8 @@
 //! space / IO-round / communication bounds for three designs) and five
 //! mechanism figures. Every function here measures one of those claims on
 //! the simulator and returns printable rows; the `repro` binary drives
-//! them, and the Criterion benches reuse the same runners at reduced sizes
-//! for wall-clock tracking.
+//! them. Wall-clock is tracked by the repository's benchmark
+//! (`benchmark/`), not here.
 
 #![warn(missing_docs)]
 
@@ -737,7 +737,7 @@ pub fn cache(p: usize, quick: bool, cache_words: u64) -> Vec<Row> {
 }
 
 // ---------------------------------------------------------------------
-// X-adapt — sketch-guided adaptive blocking under dynamic skew
+// X-adapt — adaptive blocking under dynamic skew
 // ---------------------------------------------------------------------
 
 /// Post-warm-up per-batch IO balance of dynamically skewed LCP streams
@@ -867,11 +867,10 @@ pub fn adapt(p: usize, quick: bool) -> Vec<Row> {
 }
 
 // ---------------------------------------------------------------------
-// X-compress — compact wire codec + Bonsai node tables
+// X-compress — compact wire codec
 // ---------------------------------------------------------------------
 
-/// Words/op and space of the compact wire codec + Bonsai node tables
-/// against the Plain baseline, on the three workload families where the
+/// Words/op of the compact wire codec against the Plain baseline, on the three workload families where the
 /// words/op floor matters:
 ///
 /// * the `skew` experiment's LCP batches (`uniform`, `zipf1.2`,
@@ -886,9 +885,9 @@ pub fn adapt(p: usize, quick: bool) -> Vec<Row> {
 /// Each workload runs twice on identically seeded builds: `plain` is
 /// the byte-identical legacy metering
 /// ([`WireCodec::Plain`](pim_trie::WireCodec)), `compact` negotiates
-/// the structural codec and meters Bonsai-table block space. Columns:
-/// the standard per-batch delta block, `space/key` (module words per
-/// stored key under the active space accounting), and `ratio` — the
+/// the structural codec. Columns: the standard per-batch delta block,
+/// `space/key` (module words per stored key — the codec only changes
+/// what crosses the wire, so the two rows of a pair agree), and `ratio` — the
 /// run-cumulative `plain_words / encoded_words` from
 /// [`CodecStats`](pim_trie::CodecStats) (1.0 on plain rows by
 /// definition). The gates (tests/compress_experiment.rs + the cost
@@ -903,10 +902,7 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
     let n = if quick { 1 << 13 } else { 1 << 14 };
     let bsz = if quick { 1 << 12 } else { 1 << 13 };
     let keys = workloads::uniform_fixed(n, 96, 31);
-    let modes = [
-        ("plain", WireCodec::Plain, false),
-        ("compact", WireCodec::Compact, true),
-    ];
+    let modes = [("plain", WireCodec::Plain), ("compact", WireCodec::Compact)];
 
     // skew-family LCP batches (same shapes and seeds as `skew`)
     let batches: Vec<(&str, Vec<BitStr>)> = vec![
@@ -919,11 +915,10 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
     ];
     let mut rows = Vec::new();
     for (tag, batch) in &batches {
-        for (mode, codec, compact) in modes {
+        for (mode, codec) in modes {
             let cfg = PimTrieConfig::for_modules(p)
                 .with_seed(36)
-                .with_codec(codec)
-                .with_compact_nodes(compact);
+                .with_codec(codec);
             let mut t = PimTrie::build(cfg, &keys, &values_for(&keys));
             let snap = t.system().metrics().snapshot();
             let _ = t.lcp_batch(batch);
@@ -942,12 +937,11 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
     let cbatches: Vec<Vec<BitStr>> = (0..warm + 2)
         .map(|i| workloads::zipf_prefixes(bsz, 64, 12, 0.99, 62 + i as u64))
         .collect();
-    for (mode, codec, compact) in modes {
+    for (mode, codec) in modes {
         let cfg = PimTrieConfig::for_modules(p)
             .with_seed(63)
             .with_cache_words(DEFAULT_CACHE_WORDS)
-            .with_codec(codec)
-            .with_compact_nodes(compact);
+            .with_codec(codec);
         let mut t = PimTrie::build(cfg, &ckeys, &values_for(&ckeys));
         for b in &cbatches[..warm] {
             let _ = t.lcp_batch(b);
@@ -968,12 +962,11 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
     let akeys = workloads::uniform_fixed(1 << 12, 64, 91);
     let abatch = 1 << 10;
     let stream = workloads::hotspot_chase((warm + 2) * abatch, 64, 4, abatch, 0.95, 92);
-    for (mode, codec, compact) in modes {
+    for (mode, codec) in modes {
         let cfg = PimTrieConfig::for_modules(p)
             .with_seed(94)
             .with_adapt(0.02)
-            .with_codec(codec)
-            .with_compact_nodes(compact);
+            .with_codec(codec);
         let mut t = PimTrie::build(cfg, &akeys, &values_for(&akeys));
         let chunks: Vec<&[BitStr]> = stream.chunks(abatch).collect();
         for b in &chunks[..warm] {

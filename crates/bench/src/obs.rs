@@ -301,8 +301,7 @@ mod tests {
             r.skew_rows
                 .iter()
                 .find(|row| row.label == label)
-                .map(|row| row.cols.iter().find(|(n, _)| *n == "alarms").map(|c| c.1))
-                .flatten()
+                .and_then(|row| row.cols.iter().find(|(n, _)| *n == "alarms").map(|c| c.1))
         };
         assert_eq!(skew_alarm("pim-trie/uniform"), Some(0.0));
         assert_eq!(skew_alarm("range-part/uniform"), Some(0.0));
@@ -311,8 +310,7 @@ mod tests {
             r.serve_rows
                 .iter()
                 .find(|row| row.label == label)
-                .map(|row| row.cols.iter().find(|(n, _)| *n == "alarms").map(|c| c.1))
-                .flatten()
+                .and_then(|row| row.cols.iter().find(|(n, _)| *n == "alarms").map(|c| c.1))
         };
         assert_eq!(serve_alarm("steady"), Some(0.0));
         assert!(serve_alarm("overload").unwrap_or(0.0) >= 1.0);

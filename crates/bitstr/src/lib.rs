@@ -16,8 +16,6 @@
 //!   remainder hash over GF(2) ([`crc::Crc64Hasher`]). Both support
 //!   `h(A·B) = combine(h(A), h(B), |B|)`, which is what lets PIM-trie hash a
 //!   decomposed trie bottom-up and in parallel (Lemma 4.4 / Lemma 4.9).
-//! * [`par`] — batch-parallel hashing helpers (rayon), i.e. the
-//!   word-granularity parallel prefix-sum hashing of Lemma 4.4.
 //!
 //! # Example
 //!
@@ -39,7 +37,6 @@
 mod bits;
 pub mod crc;
 pub mod hash;
-pub mod par;
 
 pub use bits::{BitSlice, BitStr, Bits};
 

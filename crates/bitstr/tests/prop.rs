@@ -166,14 +166,4 @@ proptest! {
         let sb = BitStr::from_bits(b.iter().copied());
         prop_assert_ne!(h.hash_str(&sa), h.hash_str(&sb));
     }
-
-    #[test]
-    fn prefix_hash_pivots(bits in proptest::collection::vec(any::<bool>(), 0..500), seed in any::<u64>()) {
-        let h = PolyHasher::with_seed(seed);
-        let s = BitStr::from_bits(bits.iter().copied());
-        let pivots = bitstr::par::prefix_hashes(&h, s.as_slice(), 64);
-        for (i, hv) in pivots.iter().enumerate() {
-            prop_assert_eq!(*hv, h.hash_bits(s.slice(0..i * 64)));
-        }
-    }
 }

@@ -1,5 +1,5 @@
-//! Sketch-guided adaptive blocking: per-block traffic tracking for
-//! online repartitioning.
+//! Adaptive blocking: per-block traffic tracking for online
+//! repartitioning.
 //!
 //! The build-time partition fixes each block's module forever, so a
 //! workload whose hotspot *moves* drives per-module IO balance toward
@@ -20,13 +20,8 @@
 //! * **Zero cost off** — `threshold = 0` (the config sentinel) makes
 //!   every method an early-returning no-op; the legacy path is
 //!   byte-identical, including RNG draws.
-//! * **Exact or sketched** — exact mode keeps one decayed counter per
-//!   touched block. Sketch mode (`adapt_sketch`) replaces the map with a
-//!   fixed-size count-min sketch ([`CM_ROWS`]·[`CM_COLS`] counters) plus
-//!   a bounded set of recently-touched candidate refs; estimates can
-//!   only over-count, so sketch mode may split a warm block early but
-//!   never misses a hot one. Cold-merge needs exact enumerable counters
-//!   and is skipped in sketch mode.
+//! * **Exact** — one decayed counter per touched block; decay drops
+//!   dust, so the map holds only blocks with recent traffic.
 //!
 //! Paper: §6.3 names skew-adaptive placement as the scaling direction;
 //! PIM-tree and JSPIM (PAPERS.md) demonstrate data-side adaptation.
@@ -62,44 +57,15 @@ pub(crate) const COLD_SUPPORT: u64 = 2;
 /// block population and its metadata.
 pub(crate) const ADAPT_SPAWN_BUDGET_PER_MODULE: usize = 512;
 
-/// Count-min sketch rows.
-const CM_ROWS: usize = 4;
-/// Count-min sketch columns per row (power of two).
-const CM_COLS: usize = 256;
-/// Cap on the sketch-mode candidate set (bounds memory; overflow refs
-/// are simply not candidates until the set is cleared by decay).
-const CM_CANDIDATES: usize = 4096;
-
-/// Odd multipliers for the per-row sketch hashes (Knuth-style).
-const CM_MULT: [u64; CM_ROWS] = [
-    0x9E37_79B9_7F4A_7C15,
-    0xC2B2_AE3D_27D4_EB4F,
-    0x2545_F491_4F6C_DD1D,
-    0xFF51_AFD7_ED55_8CCD,
-];
-
-fn cm_key(b: BlockRef) -> u64 {
-    ((b.module as u64) << 32) | b.slot as u64
-}
-
-fn cm_col(key: u64, row: usize) -> usize {
-    (key.wrapping_mul(CM_MULT[row]) >> 32) as usize % CM_COLS
-}
-
 /// Decayed per-block / per-module traffic estimates driving adaptive
 /// repartitioning. Owned by [`PimTrie`](crate::PimTrie); inert when
 /// `threshold == 0`.
 pub(crate) struct TrafficTracker {
     /// Hot-block traffic share, Q32.32 (`Fx::ZERO` = adaptation off)
     threshold: Fx,
-    sketch: bool,
     ops: u64,
-    /// exact mode: decayed words per block
+    /// decayed words per block
     freq: BTreeMap<BlockRef, u64>,
-    /// sketch mode: flattened `CM_ROWS × CM_COLS` counters
-    cm: Vec<u64>,
-    /// sketch mode: refs seen since the last decay (candidate set)
-    touched: BTreeSet<BlockRef>,
     /// decayed words per module (all requests, the load proxy)
     module_win: Vec<u64>,
     /// EMA of *measured* per-module IO (requests and responses, from the
@@ -123,19 +89,12 @@ pub(crate) struct TrafficTracker {
 }
 
 impl TrafficTracker {
-    pub(crate) fn new(threshold: Fx, sketch: bool, p: usize) -> TrafficTracker {
+    pub(crate) fn new(threshold: Fx, p: usize) -> TrafficTracker {
         let on = !threshold.is_zero();
         TrafficTracker {
             threshold,
-            sketch,
             ops: 0,
             freq: BTreeMap::new(),
-            cm: if on && sketch {
-                vec![0; CM_ROWS * CM_COLS]
-            } else {
-                Vec::new()
-            },
-            touched: BTreeSet::new(),
             module_win: if on { vec![0; p] } else { Vec::new() },
             io_ema: if on { vec![0; p] } else { Vec::new() },
             io_last: if on { vec![0; p] } else { Vec::new() },
@@ -226,59 +185,27 @@ impl TrafficTracker {
     }
 
     fn charge(&mut self, b: BlockRef, w: u64) {
-        if self.sketch {
-            let key = cm_key(b);
-            for r in 0..CM_ROWS {
-                if let Some(c) = self.cm.get_mut(r * CM_COLS + cm_col(key, r)) {
-                    *c += w;
-                }
-            }
-            if self.touched.len() < CM_CANDIDATES {
-                self.touched.insert(b);
-            }
-        } else {
-            *self.freq.entry(b).or_insert(0) += w;
-        }
+        *self.freq.entry(b).or_insert(0) += w;
     }
 
-    /// Decayed traffic estimate for one block (count-min upper bound in
-    /// sketch mode, exact decayed count otherwise).
+    /// Decayed traffic count of one block.
     pub(crate) fn estimate(&self, b: BlockRef) -> u64 {
-        if self.sketch {
-            let key = cm_key(b);
-            (0..CM_ROWS)
-                .map(|r| {
-                    self.cm
-                        .get(r * CM_COLS + cm_col(key, r))
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .min()
-                .unwrap_or(0)
-        } else {
-            self.freq.get(&b).copied().unwrap_or(0)
-        }
+        self.freq.get(&b).copied().unwrap_or(0)
     }
 
     /// Remove a block from all tracked state (it was dropped or its
     /// counter is intentionally reset after a split).
     pub(crate) fn forget(&mut self, b: BlockRef) {
         self.freq.remove(&b);
-        self.touched.remove(&b);
         self.spawned.remove(&b);
         self.no_split.remove(&b);
         self.sizes.remove(&b);
-        // sketch counters cannot subtract a single key; decay ages the
-        // residue out instead
     }
 
     /// Re-key a migrated block's tracked state from `old` to `new`.
     pub(crate) fn rename(&mut self, old: BlockRef, new: BlockRef) {
         if let Some(f) = self.freq.remove(&old) {
             self.freq.insert(new, f);
-        }
-        if self.touched.remove(&old) {
-            self.touched.insert(new);
         }
         if self.spawned.remove(&old) {
             self.spawned.insert(new);
@@ -313,10 +240,6 @@ impl TrafficTracker {
     /// must not drive adaptation of the rebuilt partition).
     pub(crate) fn clear(&mut self) {
         self.freq.clear();
-        for c in &mut self.cm {
-            *c = 0;
-        }
-        self.touched.clear();
         for w in &mut self.module_win {
             *w = 0;
         }
@@ -368,8 +291,8 @@ impl TrafficTracker {
     }
 
     /// Advance the deterministic op clock; every [`DECAY_PERIOD`] ops
-    /// all counters halve (dust dropped), the sketch candidate set
-    /// clears, and failed-split flags reset so shrunken blocks retry.
+    /// all counters halve (dust dropped) and failed-split flags reset so
+    /// shrunken blocks retry.
     pub(crate) fn tick(&mut self) {
         if !self.enabled() {
             return;
@@ -381,10 +304,6 @@ impl TrafficTracker {
                 .into_iter()
                 .filter_map(|(b, f)| (f >= 2).then_some((b, f / 2)))
                 .collect();
-            for c in &mut self.cm {
-                *c /= 2;
-            }
-            self.touched.clear();
             for w in &mut self.module_win {
                 *w /= 2;
             }
@@ -407,16 +326,11 @@ impl TrafficTracker {
         }
         let floor = self.threshold.mul_u64(self.total);
         let floor = floor.max(MIN_HOT_SUPPORT);
-        let candidates: Vec<BlockRef> = if self.sketch {
-            self.touched.iter().copied().collect()
-        } else {
-            self.freq.keys().copied().collect()
-        };
-        let mut hot: Vec<(u64, BlockRef)> = candidates
-            .into_iter()
-            .filter(|b| !self.no_split.contains(b))
-            .map(|b| (self.estimate(b), b))
-            .filter(|(f, _)| *f > floor)
+        let mut hot: Vec<(u64, BlockRef)> = self
+            .freq
+            .iter()
+            .filter(|(b, f)| **f > floor && !self.no_split.contains(b))
+            .map(|(b, f)| (*f, *b))
             .collect();
         hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         hot.into_iter().map(|(_, b)| b).collect()
@@ -450,10 +364,9 @@ impl TrafficTracker {
     /// only once the live spawned population exceeds
     /// [`ADAPT_SPAWN_BUDGET_PER_MODULE`]·P, and then only the coldest
     /// blocks over budget whose decayed count fell below
-    /// [`COLD_SUPPORT`] (exact mode only — the sketch cannot prove
-    /// coldness, it only upper-bounds heat).
+    /// [`COLD_SUPPORT`].
     pub(crate) fn cold_spawned(&self) -> Vec<BlockRef> {
-        if !self.enabled() || self.sketch || !self.warm() {
+        if !self.enabled() || !self.warm() {
             return Vec::new();
         }
         let budget = ADAPT_SPAWN_BUDGET_PER_MODULE * self.module_win.len();
@@ -481,18 +394,13 @@ impl TrafficTracker {
     }
 
     /// Tracked blocks living on `module`, heaviest first (ties in
-    /// [`BlockRef`] order) — migration candidates. Sketch mode draws
-    /// from the bounded candidate set.
+    /// [`BlockRef`] order) — migration candidates.
     pub(crate) fn tracked_on(&self, module: u32) -> Vec<(u64, BlockRef)> {
-        let refs: Vec<BlockRef> = if self.sketch {
-            self.touched.iter().copied().collect()
-        } else {
-            self.freq.keys().copied().collect()
-        };
-        let mut out: Vec<(u64, BlockRef)> = refs
-            .into_iter()
-            .filter(|b| b.module == module)
-            .map(|b| (self.estimate(b), b))
+        let mut out: Vec<(u64, BlockRef)> = self
+            .freq
+            .iter()
+            .filter(|(b, _)| b.module == module)
+            .map(|(b, f)| (*f, *b))
             .collect();
         out.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         out
@@ -534,7 +442,7 @@ mod tests {
 
     #[test]
     fn disabled_tracker_is_inert() {
-        let mut t = TrafficTracker::new(Fx::ZERO, false, 4);
+        let mut t = TrafficTracker::new(Fx::ZERO, 4);
         assert!(!t.enabled());
         t.record_inbox(&[vec![match_req(1)], vec![], vec![], vec![]]);
         t.tick();
@@ -545,7 +453,7 @@ mod tests {
 
     #[test]
     fn exact_counters_accrue_and_decay() {
-        let mut t = TrafficTracker::new(Fx::from_milli(50), false, 2);
+        let mut t = TrafficTracker::new(Fx::from_milli(50), 2);
         // ReadKey is 3 words; 40 of them = 120 words on block (0,1)
         let inbox = vec![(0..40).map(|_| match_req(1)).collect::<Vec<_>>(), vec![]];
         t.record_inbox(&inbox);
@@ -562,7 +470,7 @@ mod tests {
 
     #[test]
     fn paused_rounds_do_not_feed_back() {
-        let mut t = TrafficTracker::new(Fx::from_milli(50), false, 2);
+        let mut t = TrafficTracker::new(Fx::from_milli(50), 2);
         t.set_paused(true);
         t.record_inbox(&[vec![match_req(1)], vec![]]);
         assert_eq!(t.estimate(bref(0, 1)), 0);
@@ -577,7 +485,7 @@ mod tests {
 
     #[test]
     fn hot_needs_support_floor_and_share() {
-        let mut t = TrafficTracker::new(Fx::HALF, false, 1);
+        let mut t = TrafficTracker::new(Fx::HALF, 1);
         // three blocks at ~1/3 each (63 words total): none passes 0.5
         let inbox = vec![(0..21).map(|i| match_req(1 + i % 3)).collect::<Vec<_>>()];
         t.record_inbox(&inbox);
@@ -592,34 +500,27 @@ mod tests {
     }
 
     #[test]
-    fn sketch_estimates_upper_bound_and_skip_cold_merge() {
-        let mut exact = TrafficTracker::new(Fx::from_milli(50), false, 2);
-        let mut sk = TrafficTracker::new(Fx::from_milli(50), true, 2);
+    fn cold_merge_waits_for_the_spawn_budget() {
+        let mut t = TrafficTracker::new(Fx::from_milli(50), 2);
         let inbox = vec![
             (0..30).map(|i| match_req(i % 3)).collect::<Vec<_>>(),
             vec![],
         ];
-        exact.record_inbox(&inbox);
-        sk.record_inbox(&inbox);
-        for s in 0..3 {
-            assert!(sk.estimate(bref(0, s)) >= exact.estimate(bref(0, s)));
-        }
+        t.record_inbox(&inbox);
         // merge-back only engages past the spawn budget (512 per module
         // here, p = 2): fill it, then one over — the lexicographically
         // smallest zero-traffic spawn is the one handed back
         let mut refs = vec![bref(0, 9)];
         refs.extend((0..ADAPT_SPAWN_BUDGET_PER_MODULE as u32 * 2).map(|s| bref(1, s)));
-        sk.note_spawned(&refs);
-        assert!(sk.cold_spawned().is_empty(), "sketch mode never merges");
-        exact.note_spawned(&refs[..refs.len() - 1]);
-        assert!(exact.cold_spawned().is_empty(), "within budget: no merges");
-        exact.note_spawned(&refs[refs.len() - 1..]);
-        assert_eq!(exact.cold_spawned(), vec![bref(0, 9)]);
+        t.note_spawned(&refs[..refs.len() - 1]);
+        assert!(t.cold_spawned().is_empty(), "within budget: no merges");
+        t.note_spawned(&refs[refs.len() - 1..]);
+        assert_eq!(t.cold_spawned(), vec![bref(0, 9)]);
     }
 
     #[test]
     fn rename_and_forget_track_migrations() {
-        let mut t = TrafficTracker::new(Fx::from_milli(50), false, 4);
+        let mut t = TrafficTracker::new(Fx::from_milli(50), 4);
         let inbox = vec![(0..40).map(|_| match_req(1)).collect::<Vec<_>>()];
         t.record_inbox(&inbox);
         t.note_spawned(&[bref(0, 1)]);
@@ -638,7 +539,7 @@ mod tests {
 
     #[test]
     fn tracked_on_orders_heaviest_first() {
-        let mut t = TrafficTracker::new(Fx::from_milli(50), false, 2);
+        let mut t = TrafficTracker::new(Fx::from_milli(50), 2);
         let mut reqs = Vec::new();
         for _ in 0..5 {
             reqs.push(match_req(2));

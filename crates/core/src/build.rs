@@ -26,7 +26,7 @@ use crate::wire_guard::{handle_sealed, SealedReq};
 use crate::{PimTrie, PimTrieConfig};
 use bitstr::hash::{HashVal, IncrementalHash, PolyHasher};
 use bitstr::{BitStr, WORD_BITS};
-use pim_sim::PimSystem;
+use pim_sim::{PimSystem, Scatter};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use trie_core::Trie;
@@ -129,20 +129,14 @@ impl PimTrie {
     pub fn try_new(cfg: PimTrieConfig) -> Result<Self, PimTrieError> {
         cfg.validate()?;
         let width = cfg.hash_width;
-        let compact_nodes = cfg.compact_nodes;
-        let mut sys = PimSystem::new(cfg.p, |_| {
-            let mut s = ModuleState::new(width);
-            s.compact_nodes = compact_nodes;
-            s
-        });
+        let mut sys = PimSystem::new(cfg.p, |_| ModuleState::new(width));
         // Version handshake before any protocol traffic: Plain is the
         // implicit default and costs nothing; Compact is one metered
         // broadcast round (see WIRE_FORMAT.md, "Version negotiation").
         sys.negotiate_codec(cfg.codec);
         let hasher = PolyHasher::with_seed(cfg.seed);
         let cache = crate::cache::HotPathCache::new(cfg.cache_words);
-        let (adapt_threshold, adapt_sketch, p_for_adapt) =
-            (cfg.adapt_threshold, cfg.adapt_sketch, cfg.p);
+        let adapt = crate::adapt::TrafficTracker::new(cfg.adapt_threshold, cfg.p);
         let mut t = PimTrie {
             sys,
             cfg,
@@ -157,7 +151,7 @@ impl PimTrie {
             cache,
             quarantined: std::collections::BTreeSet::new(),
             scoped: crate::ScopedBatchStats::default(),
-            adapt: crate::adapt::TrafficTracker::new(adapt_threshold, adapt_sketch, p_for_adapt),
+            adapt,
         };
         t.bootstrap()?;
         Ok(t)
@@ -280,13 +274,31 @@ impl PimTrie {
         req: Req,
         name: &str,
     ) -> Result<Resp, PimTrieError> {
-        let mut inbox: Vec<Vec<Req>> = (0..self.sys.p()).map(|_| Vec::new()).collect();
-        inbox[module as usize].push(req);
-        let mut out = self.rounds(name, inbox)?;
-        Ok(out[module as usize].pop().expect("missing response"))
+        let mut out = Scatter::new(self.sys.p());
+        out.push(module as usize, (), req);
+        let reply = self.rounds(name, out)?.into_iter().next();
+        reply
+            .map(|(_, (), resp)| resp)
+            .ok_or_else(|| unexpected(name))
     }
 
-    /// Run one *logical* BSP round delivering per-module request vectors.
+    /// Run one *logical* BSP round: ship `out`'s boxes, and hand the
+    /// replies back in their place, paired with the tags `out` was built
+    /// with (see [`Scatter::gather`]) — iterate the result for
+    /// `(module, tag, reply)`. A module that answered more or fewer times
+    /// than it was asked is a [`PimTrieError::Protocol`] error.
+    pub(crate) fn rounds<T>(
+        &mut self,
+        name: &str,
+        mut out: Scatter<T, Req>,
+    ) -> Result<Scatter<T, Resp>, PimTrieError> {
+        let replies = self.exchange(name, out.take_boxes())?;
+        out.gather(replies)
+            .map_err(|e| PimTrieError::Protocol(format!("{name}: {e}")))
+    }
+
+    /// The untagged half of [`Self::rounds`] — kept free of the tag type
+    /// so the module handler is compiled into one round, not one per tag.
     ///
     /// Without fault tolerance this is exactly one physical round through
     /// the plain handler — the same code and metering as a build without
@@ -296,7 +308,7 @@ impl PimTrie {
     /// re-requested (the module's at-most-once cache prevents double
     /// execution) until all requests are answered, the retry budget is
     /// exhausted, or a module reports a rebooted (blank) state.
-    pub(crate) fn rounds(
+    fn exchange(
         &mut self,
         name: &str,
         inbox: Vec<Vec<Req>>,
@@ -455,23 +467,12 @@ impl PimTrie {
             rem: BitsMsg(meta.rem.clone()),
             s_last: BitsMsg(meta.s_last.clone()),
         };
-        let inbox: Vec<Vec<Req>> = (0..self.sys.p())
-            .map(|_| vec![Req::MasterAdd(clone_master(&msg))])
-            .collect();
-        self.rounds("master.add", inbox)?;
+        let mut out = Scatter::new(self.sys.p());
+        for m in 0..self.sys.p() {
+            out.push(m, (), Req::MasterAdd(msg.clone()));
+        }
+        self.rounds("master.add", out)?;
         Ok(())
-    }
-}
-
-fn clone_master(m: &MasterAddMsg) -> MasterAddMsg {
-    MasterAddMsg {
-        mref: m.mref,
-        root_block: m.root_block,
-        root_node_slot: m.root_node_slot,
-        depth: m.depth,
-        pre_hash: m.pre_hash,
-        rem: BitsMsg(m.rem.0.clone()),
-        s_last: BitsMsg(m.s_last.0.clone()),
     }
 }
 
@@ -638,8 +639,7 @@ impl PimTrie {
             .map(|j| (0..j.plans.len()).map(|_| None).collect())
             .collect();
         for d in (0..=maxd).rev() {
-            let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<(usize, usize)>> = (0..p).map(|_| Vec::new()).collect();
+            let mut out = Scatter::new(p);
             for (ji, job) in jobs.iter().enumerate() {
                 for (pi, plan) in job.plans.iter().enumerate() {
                     if depths[ji][pi] != d {
@@ -662,33 +662,28 @@ impl PimTrie {
                         job.replace_root_at,
                         job.extra.iter().filter(|(x, _)| *x == pi).map(|(_, c)| c),
                     );
-                    inbox[target as usize].push(msg);
-                    origin[target as usize].push((ji, pi));
+                    out.push(target as usize, (ji, pi), msg);
                 }
             }
-            let replies = self.rounds("meta.place", inbox)?;
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, resp) in rs.into_iter().enumerate() {
-                    let Resp::Placed {
-                        slot, node_slots, ..
-                    } = resp
-                    else {
-                        return Err(unexpected("meta.place"));
-                    };
-                    let (ji, pi) = origin[m][j];
-                    let plan = &jobs[ji].plans[pi];
-                    let mut map = BTreeMap::new();
-                    for (i, &cn) in plan.nodes.iter().enumerate() {
-                        map.insert(cn, node_slots[i]);
-                    }
-                    placed[ji][pi] = Some(PlacedPlan {
-                        mref: MetaRef {
-                            module: m as u32,
-                            slot,
-                        },
-                        node_slots: map,
-                    });
+            for (m, (ji, pi), resp) in self.rounds("meta.place", out)? {
+                let Resp::Placed {
+                    slot, node_slots, ..
+                } = resp
+                else {
+                    return Err(unexpected("meta.place"));
+                };
+                let plan = &jobs[ji].plans[pi];
+                let mut map = BTreeMap::new();
+                for (i, &cn) in plan.nodes.iter().enumerate() {
+                    map.insert(cn, node_slots[i]);
                 }
+                placed[ji][pi] = Some(PlacedPlan {
+                    mref: MetaRef {
+                        module: m as u32,
+                        slot,
+                    },
+                    node_slots: map,
+                });
             }
         }
         let placed: Vec<Vec<PlacedPlan>> = placed
@@ -697,28 +692,30 @@ impl PimTrie {
             .collect();
 
         // Wire parents (children were placed before parents) and blocks.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+        let mut out = Scatter::new(p);
         for (ji, job) in jobs.iter().enumerate() {
             for (pi, plan) in job.plans.iter().enumerate() {
                 let me = placed[ji][pi].mref;
                 for (c, _) in &plan.children {
                     let cref = placed[ji][*c].mref;
-                    inbox[cref.module as usize].push(Req::SetMetaParent {
+                    let req = Req::SetMetaParent {
                         slot: cref.slot,
                         parent: Some(me),
-                    });
+                    };
+                    out.push(cref.module as usize, (), req);
                 }
                 for &cn in &plan.nodes {
                     let b = job.tree[cn].block;
-                    inbox[b.module as usize].push(Req::SetBlockMeta {
+                    let req = Req::SetBlockMeta {
                         slot: b.slot,
                         meta: me,
                         meta_slot: placed[ji][pi].node_slots[&cn],
-                    });
+                    };
+                    out.push(b.module as usize, (), req);
                 }
             }
         }
-        self.rounds("meta.wire", inbox)?;
+        self.rounds("meta.wire", out)?;
         Ok(placed)
     }
 

@@ -69,12 +69,6 @@ pub struct PimTrieConfig {
     /// Paper: §6.3 names skew-adaptive placement as the scaling
     /// direction; PIM-tree and JSPIM demonstrate data-side adaptation.
     pub adapt_threshold: Fx,
-    /// Track per-block traffic with a fixed-size count-min sketch instead
-    /// of exact per-block counters. Trades exactness of the frequency
-    /// estimates (and the cold-merge pass, which needs enumerable
-    /// counters and is skipped in sketch mode) for O(1) memory. Only
-    /// consulted while `adapt_threshold > 0`.
-    pub adapt_sketch: bool,
     /// Wire codec metered on every CPU↔PIM message (`WIRE_FORMAT.md` in
     /// the repository root holds the normative frame layouts).
     /// [`WireCodec::Plain`](pim_sim::WireCodec)
@@ -90,17 +84,6 @@ pub struct PimTrieConfig {
     /// Paper: §7.3 measures words/op as the cost metric; the compact
     /// codec attacks that floor without changing any algorithm.
     pub codec: pim_sim::WireCodec,
-    /// Meter module space with Bonsai-style compact node tables
-    /// ([`bonsai::CompactNodeTable`](crate::bonsai::CompactNodeTable))
-    /// instead of the arena layout's ~4-words-plus-edge per node. Off by
-    /// default; the flag only changes what
-    /// [`space_words`](crate::PimTrie::space_words) reports — block
-    /// weights, partitioning and every round count are untouched, so all
-    /// traffic counters stay byte-identical.
-    ///
-    /// Paper: Lemma 4.2/4.7 give the block-space bounds this layout
-    /// tightens by a constant factor (Darragh–Cleary–Witten Bonsai).
-    pub compact_nodes: bool,
 }
 
 impl PimTrieConfig {
@@ -124,9 +107,7 @@ impl PimTrieConfig {
             max_round_retries: 8,
             cache_words: 0,
             adapt_threshold: Fx::ZERO,
-            adapt_sketch: false,
             codec: pim_sim::WireCodec::Plain,
-            compact_nodes: false,
         }
     }
 
@@ -136,13 +117,6 @@ impl PimTrieConfig {
     /// construction.
     pub fn with_codec(mut self, codec: pim_sim::WireCodec) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// Meter module space with Bonsai-style compact node tables (see
-    /// [`PimTrieConfig::compact_nodes`]).
-    pub fn with_compact_nodes(mut self, on: bool) -> Self {
-        self.compact_nodes = on;
         self
     }
 
@@ -165,7 +139,7 @@ impl PimTrieConfig {
         self
     }
 
-    /// Enable sketch-guided adaptive blocking: a block whose decayed
+    /// Enable adaptive blocking: a block whose decayed
     /// traffic share exceeds `threshold` triggers online repartitioning
     /// (split / migrate / merge in bounded, metered BSP rounds). Pass a
     /// share in `(0, 1)`; `0.0` is the disabled sentinel.
@@ -178,20 +152,6 @@ impl PimTrieConfig {
         // NaN/negative map to the out-of-domain sentinel: `validate`
         // rejects anything >= 1
         self.adapt_threshold = Fx::from_f64_checked(threshold).unwrap_or(Fx::MAX);
-        self
-    }
-
-    /// Disable adaptive blocking (`adapt_threshold = 0`), reproducing the
-    /// static-partition behaviour bit-for-bit.
-    pub fn with_adapt_disabled(mut self) -> Self {
-        self.adapt_threshold = Fx::ZERO;
-        self
-    }
-
-    /// Track traffic with a count-min sketch instead of exact counters
-    /// (see [`PimTrieConfig::adapt_sketch`]).
-    pub fn with_adapt_sketch(mut self, on: bool) -> Self {
-        self.adapt_sketch = on;
         self
     }
 
@@ -312,16 +272,10 @@ mod tests {
     fn adapt_disabled_by_default_and_validated() {
         let c = PimTrieConfig::for_modules(8);
         assert!(c.adapt_threshold.is_zero());
-        assert!(!c.adapt_sketch);
         let on = PimTrieConfig::for_modules(8).with_adapt(0.25);
         assert_eq!(on.adapt_threshold, Fx::from_milli(250));
         assert!(on.validate().is_ok());
-        assert!(on.with_adapt_disabled().adapt_threshold.is_zero());
-        assert!(PimTrieConfig::for_modules(8)
-            .with_adapt(0.1)
-            .with_adapt_sketch(true)
-            .validate()
-            .is_ok());
+        assert!(on.with_adapt(0.0).adapt_threshold.is_zero());
         for bad in [-0.1, 1.0, 1.5, f64::NAN, f64::INFINITY] {
             assert!(
                 PimTrieConfig::for_modules(8)
@@ -334,15 +288,11 @@ mod tests {
     }
 
     #[test]
-    fn codec_and_compact_nodes_default_off() {
+    fn codec_defaults_to_plain() {
         let c = PimTrieConfig::for_modules(8);
         assert_eq!(c.codec, pim_sim::WireCodec::Plain);
-        assert!(!c.compact_nodes);
-        let on = PimTrieConfig::for_modules(8)
-            .with_codec(pim_sim::WireCodec::Compact)
-            .with_compact_nodes(true);
+        let on = PimTrieConfig::for_modules(8).with_codec(pim_sim::WireCodec::Compact);
         assert_eq!(on.codec, pim_sim::WireCodec::Compact);
-        assert!(on.compact_nodes);
         assert!(on.validate().is_ok());
     }
 

@@ -64,7 +64,6 @@
 #![warn(missing_docs)]
 
 mod adapt;
-pub mod bonsai;
 mod build;
 mod cache;
 pub mod codec;
@@ -252,12 +251,10 @@ impl PimTrie {
     /// behaviour the fault experiments compare against).
     pub fn install_faults(&mut self, plan: FaultPlan) {
         let width = self.cfg.hash_width;
-        let compact = self.cfg.compact_nodes;
         self.sys.install_faults(
             plan,
             Some(Box::new(move |_id, state: &mut ModuleState| {
                 *state = ModuleState::new(width);
-                state.compact_nodes = compact;
                 state.crashed = true;
             })),
         );
@@ -320,9 +317,7 @@ impl PimTrie {
     }
 
     /// Total words of PIM memory used by blocks, meta-blocks and master
-    /// replicas (the paper's space metric, Lemma 4.2 / 4.7). With
-    /// [`PimTrieConfig::compact_nodes`] set, blocks are priced at their
-    /// Bonsai-style [`bonsai::CompactNodeTable`] size.
+    /// replicas (the paper's space metric, Lemma 4.2 / 4.7).
     pub fn space_words(&self) -> u64 {
         self.sys.modules().map(|m| m.space_words()).sum()
     }

@@ -32,6 +32,7 @@ use crate::refs::{BlockRef, MetaRef};
 use crate::PimTrie;
 use bitstr::hash::{HashVal, IncrementalHash};
 use bitstr::{BitStr, WORD_BITS};
+use pim_sim::Scatter;
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::query::QueryTrie;
 use trie_core::{NodeId, Trie};
@@ -335,7 +336,7 @@ impl PimTrie {
                 cuts[r.idx()].push(qt.trie.node(*r).depth as u64);
             }
         }
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+        let mut master = Scatter::new(p);
         if self.adapt.enabled() {
             // The master table is replicated, so piece→module is a free
             // choice. Random placement leaves a ~2x spread at a few
@@ -367,7 +368,7 @@ impl PimTrie {
                 loads[m] += sizes[i];
                 if let Some(pc) = pieces[i].take() {
                     stats.pushes += 1;
-                    inbox[m].push(Req::MatchMaster(pc));
+                    master.push(m, (), Req::MatchMaster(pc));
                 }
             }
         } else {
@@ -376,10 +377,10 @@ impl PimTrie {
                 let piece = make_piece(&qt.trie, &ctxs, &self.hasher, from, &cuts);
                 stats.pushes += 1;
                 let m = self.place_rng_next();
-                inbox[m as usize].push(Req::MatchMaster(piece));
+                master.push(m as usize, (), Req::MatchMaster(piece));
             }
         }
-        let replies = self.rounds("match.master", inbox)?;
+        let replies = self.rounds("match.master", master)?;
         // From here on pieces end at matched positions, not at the master
         // cuts: every accepted match is appended to the table as it is
         // found, and the descent rounds and block matching cut by it.
@@ -388,7 +389,7 @@ impl PimTrie {
         }
         let mut matches: Vec<RootMatch> = Vec::new();
         let mut seen: BTreeSet<(u32, u64, BlockRef)> = BTreeSet::new();
-        for resp in replies.into_iter().flatten() {
+        for (_, (), resp) in replies {
             let Resp::Matches(ms) = resp else {
                 return Err(unexpected("match.master"));
             };
@@ -439,17 +440,18 @@ impl PimTrie {
                 );
                 groups.entry(target).or_default().push(piece);
             }
-            let mut push_inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+            let mut pushes = Scatter::new(p);
             let mut pulls: Vec<(MetaRef, Vec<QueryPiece>)> = Vec::new();
             for (target, pieces) in groups {
                 let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
                 if total <= self.cfg.push_threshold {
                     for piece in pieces {
                         stats.pushes += 1;
-                        push_inbox[target.module as usize].push(Req::MatchMeta {
+                        let req = Req::MatchMeta {
                             slot: target.slot,
                             piece,
-                        });
+                        };
+                        pushes.push(target.module as usize, (), req);
                     }
                 } else {
                     stats.pulls += 1;
@@ -460,35 +462,28 @@ impl PimTrie {
             // of its pieces on the CPU
             let mut new_matches: Vec<RootMatch> = Vec::new();
             if !pulls.is_empty() {
-                let mut fetch_inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-                let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-                for (gi, (t, _)) in pulls.iter().enumerate() {
-                    fetch_inbox[t.module as usize].push(Req::FetchMeta { slot: t.slot });
-                    origin[t.module as usize].push(gi);
+                let mut fetch = Scatter::new(p);
+                for (t, pieces) in &pulls {
+                    fetch.push(t.module as usize, pieces, Req::FetchMeta { slot: t.slot });
                 }
-                let replies = self.rounds("match.meta.pull", fetch_inbox)?;
-                for (m, rs) in replies.into_iter().enumerate() {
-                    for (j, resp) in rs.into_iter().enumerate() {
-                        let Resp::MetaSummary { entries } = resp else {
-                            return Err(unexpected("match.meta.pull"));
-                        };
-                        let (_, pieces) = &pulls[origin[m][j]];
-                        let mut work = 0u64;
-                        new_matches.extend(cpu_match_entries(
-                            &self.hasher,
-                            self.cfg.hash_width,
-                            pieces,
-                            &entries,
-                            &mut work,
-                        ));
-                        self.sys.metrics_mut().charge_cpu(work);
-                    }
+                for (_, pieces, resp) in self.rounds("match.meta.pull", fetch)? {
+                    let Resp::MetaSummary { entries } = resp else {
+                        return Err(unexpected("match.meta.pull"));
+                    };
+                    let mut work = 0u64;
+                    new_matches.extend(cpu_match_entries(
+                        &self.hasher,
+                        self.cfg.hash_width,
+                        pieces,
+                        &entries,
+                        &mut work,
+                    ));
+                    self.sys.metrics_mut().charge_cpu(work);
                 }
             }
             // push round
-            if push_inbox.iter().any(|v| !v.is_empty()) {
-                let replies = self.rounds("match.meta.push", push_inbox)?;
-                for resp in replies.into_iter().flatten() {
+            if !pushes.is_empty() {
+                for (_, (), resp) in self.rounds("match.meta.push", pushes)? {
                     let Resp::Matches(ms) = resp else {
                         return Err(unexpected("match.meta.push"));
                     };
@@ -530,8 +525,7 @@ impl PimTrie {
             );
             groups.entry(m.block).or_default().push(piece);
         }
-        let mut push_inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut pushed_pieces: Vec<(BlockRef, Vec<u32>)> = Vec::new();
+        let mut pushes = Scatter::new(p);
         let mut pulls: Vec<(BlockRef, Vec<QueryPiece>)> = Vec::new();
         let pull_threshold = self.cfg.k_b.max(self.cfg.push_threshold);
         for (block, pieces) in groups {
@@ -549,11 +543,12 @@ impl PimTrie {
             if total <= thr {
                 for piece in pieces {
                     stats.pushes += 1;
-                    pushed_pieces.push((block, piece.tags.clone()));
-                    push_inbox[block.module as usize].push(Req::MatchBlock {
+                    let tag = (block, piece.tags.clone());
+                    let req = Req::MatchBlock {
                         slot: block.slot,
                         piece,
-                    });
+                    };
+                    pushes.push(block.module as usize, tag, req);
                 }
             } else {
                 stats.pulls += 1;
@@ -569,66 +564,62 @@ impl PimTrie {
         let mut flagged = vec![false; bound];
         // pull side: fetch each contended block once
         if !pulls.is_empty() {
-            let mut fetch_inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-            for (gi, (b, _)) in pulls.iter().enumerate() {
-                fetch_inbox[b.module as usize].push(Req::FetchBlock { slot: b.slot });
-                origin[b.module as usize].push(gi);
+            let mut fetch = Scatter::new(p);
+            for pull in &pulls {
+                fetch.push(
+                    pull.0.module as usize,
+                    pull,
+                    Req::FetchBlock { slot: pull.0.slot },
+                );
             }
-            let replies = self.rounds("match.block.pull", fetch_inbox)?;
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, resp) in rs.into_iter().enumerate() {
-                    let Resp::BlockData(bd) = resp else {
-                        return Err(unexpected("match.block.pull"));
-                    };
-                    let (bref, pieces) = &pulls[origin[m][j]];
-                    let block = DataBlock {
-                        trie: bd.trie.0,
-                        root_depth: bd.root_depth,
-                        root_hash: bd.root_hash,
-                        s_last: bd.s_last.0,
-                        pre_hash: bd.pre_hash,
-                        rem: bd.rem.0,
-                        parent: bd.parent,
-                        mirrors: bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect(),
-                        meta: bd.meta,
-                    };
-                    for piece in pieces {
-                        self.sys
-                            .metrics_mut()
-                            .charge_cpu(block.weight() + piece.size_words());
-                        if block.root_depth != piece.root_depth {
-                            stats.collisions += 1;
-                            flag_tags(&mut flagged, &piece.tags);
-                            continue;
-                        }
-                        results.extend(
-                            match_block_local(&block, piece)
-                                .into_iter()
-                                .map(|r| (*bref, r)),
-                        );
+            for (_, (bref, pieces), resp) in self.rounds("match.block.pull", fetch)? {
+                let Resp::BlockData(bd) = resp else {
+                    return Err(unexpected("match.block.pull"));
+                };
+                let block = DataBlock {
+                    trie: bd.trie.0,
+                    root_depth: bd.root_depth,
+                    root_hash: bd.root_hash,
+                    s_last: bd.s_last.0,
+                    pre_hash: bd.pre_hash,
+                    rem: bd.rem.0,
+                    parent: bd.parent,
+                    mirrors: bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect(),
+                    meta: bd.meta,
+                };
+                for piece in pieces {
+                    self.sys
+                        .metrics_mut()
+                        .charge_cpu(block.weight() + piece.size_words());
+                    if block.root_depth != piece.root_depth {
+                        stats.collisions += 1;
+                        flag_tags(&mut flagged, &piece.tags);
+                        continue;
                     }
+                    results.extend(
+                        match_block_local(&block, piece)
+                            .into_iter()
+                            .map(|r| (*bref, r)),
+                    );
                 }
             }
         }
-        // push side
-        if push_inbox.iter().any(|v| !v.is_empty()) {
-            let replies = self.rounds("match.block.push", push_inbox)?;
-            let mut per_module: Vec<std::vec::IntoIter<Resp>> =
-                replies.into_iter().map(|v| v.into_iter()).collect();
-            for (block, tags) in &pushed_pieces {
-                let Some(Resp::BlockResults {
+        // push side: `groups` iterates in `BlockRef` order, which is
+        // module-major, so the gathered order is the push order
+        if !pushes.is_empty() {
+            for (_, (block, tags), resp) in self.rounds("match.block.push", pushes)? {
+                let Resp::BlockResults {
                     results: rs,
                     collision,
-                }) = per_module[block.module as usize].next()
+                } = resp
                 else {
                     return Err(unexpected("match.block.push"));
                 };
                 if collision {
                     stats.collisions += 1;
-                    flag_tags(&mut flagged, tags);
+                    flag_tags(&mut flagged, &tags);
                 }
-                results.extend(rs.into_iter().map(|r| (*block, r)));
+                results.extend(rs.into_iter().map(|r| (block, r)));
             }
         }
 

@@ -167,12 +167,6 @@ pub struct ModuleState {
     pub reply_cache: BTreeMap<(u64, u32), Resp>,
     /// Round sequence the reply cache belongs to.
     pub cache_seq: u64,
-    /// Meter this module's block space with Bonsai-style compact node
-    /// tables (see [`crate::bonsai`]). Accounting only: block weights,
-    /// partitioning and round counts never consult this flag. Set from
-    /// [`PimTrieConfig::compact_nodes`](crate::PimTrieConfig) and
-    /// preserved across crash wipes and `Req::ResetModule`.
-    pub compact_nodes: bool,
 }
 
 impl ModuleState {
@@ -187,28 +181,12 @@ impl ModuleState {
             crashed: false,
             reply_cache: BTreeMap::new(),
             cache_seq: 0,
-            compact_nodes: false,
         }
     }
 
-    /// Words of PIM memory in use (space experiments). With
-    /// [`compact_nodes`](Self::compact_nodes) set, each block is priced
-    /// at the size of its Bonsai-style
-    /// [`CompactNodeTable`](crate::bonsai::CompactNodeTable) (built
-    /// transiently — this accessor is experiment-only) instead of the
-    /// arena trie's `weight()`.
+    /// Words of PIM memory in use (space experiments).
     pub fn space_words(&self) -> u64 {
-        let blocks: u64 = self
-            .blocks
-            .iter()
-            .map(|(_, b)| {
-                if self.compact_nodes {
-                    crate::bonsai::CompactNodeTable::from_trie(&b.trie).space_words()
-                } else {
-                    b.weight()
-                }
-            })
-            .sum();
+        let blocks: u64 = self.blocks.iter().map(|(_, b)| b.weight()).sum();
         let metas: u64 = self.metas.iter().map(|(_, m)| m.space_words()).sum();
         blocks + metas + self.master.space_words()
     }
@@ -1241,11 +1219,7 @@ pub fn handle(
             Resp::Ok
         }
         Req::ResetModule => {
-            // space-metering mode is configuration, not state: it
-            // survives the wipe
-            let compact = state.compact_nodes;
             *state = ModuleState::new(state.width);
-            state.compact_nodes = compact;
             Resp::Ok
         }
     };

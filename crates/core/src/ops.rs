@@ -10,6 +10,7 @@ use crate::module::{GraftMsg, Req, Resp, MIRROR_VALUE};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::PimTrie;
 use bitstr::BitStr;
+use pim_sim::Scatter;
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::{NodeId, Trie};
 
@@ -244,7 +245,6 @@ impl PimTrie {
             return Ok(());
         }
         self.t_phase("graft");
-        let p = self.sys.p();
         // group per block, sorted by (anchor node, off) for the module's
         // split-offset adjustment; BTreeMap so message order is stable
         // across runs (fault draws index into it)
@@ -252,8 +252,7 @@ impl PimTrie {
         for (a, t) in grafts {
             per_block.entry(a.block).or_default().push((a, t));
         }
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<BlockRef>> = (0..p).map(|_| Vec::new()).collect();
+        let mut out = Scatter::new(self.sys.p());
         for (block, mut gs) in per_block {
             gs.sort_by_key(|(a, _)| (a.node, a.off));
             let msgs = gs
@@ -264,31 +263,27 @@ impl PimTrie {
                     subtree: TrieMsg(t),
                 })
                 .collect();
-            inbox[block.module as usize].push(Req::GraftMany {
+            let req = Req::GraftMany {
                 slot: block.slot,
                 grafts: msgs,
-            });
-            origin[block.module as usize].push(block);
+            };
+            out.push(block.module as usize, block, req);
         }
-        let replies = self.rounds("insert.graft", inbox)?;
         let mut oversized: Vec<BlockRef> = Vec::new();
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let block = origin[m][j];
-                let Resp::BlockVitals {
-                    weight,
-                    keys_delta,
-                    collision,
-                    ..
-                } = resp
-                else {
-                    return Err(unexpected("graft"));
-                };
-                assert!(!collision, "graft collision escaped verification");
-                self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
-                if weight > self.cfg.oversize_factor * self.cfg.k_b {
-                    oversized.push(block);
-                }
+        for (_, block, resp) in self.rounds("insert.graft", out)? {
+            let Resp::BlockVitals {
+                weight,
+                keys_delta,
+                collision,
+                ..
+            } = resp
+            else {
+                return Err(unexpected("graft"));
+            };
+            assert!(!collision, "graft collision escaped verification");
+            self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
+            if weight > self.cfg.oversize_factor * self.cfg.k_b {
+                oversized.push(block);
             }
         }
         self.repartition_blocks(oversized)
@@ -330,9 +325,7 @@ impl PimTrie {
 
     fn delete_core(&mut self, keys: &[BitStr]) -> Result<usize, PimTrieError> {
         let mt = self.match_batch(keys)?;
-        let p = self.sys.p();
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<BlockRef>> = (0..p).map(|_| Vec::new()).collect();
+        let mut out = Scatter::new(self.sys.p());
         let mut sent: BTreeSet<u32> = BTreeSet::new();
         let mut slow: Vec<BitStr> = Vec::new();
         for (i, k) in keys.iter().enumerate() {
@@ -353,12 +346,12 @@ impl PimTrie {
             };
             // the key must end exactly at a compressed node to be stored
             // (anchor_off == edge len is checked module-side via value)
-            inbox[a.block.module as usize].push(Req::DeleteKey {
+            let req = Req::DeleteKey {
                 slot: a.block.slot,
                 node: a.node,
                 depth: k.len() as u64,
-            });
-            origin[a.block.module as usize].push(a.block);
+            };
+            out.push(a.block.module as usize, a.block, req);
         }
         // exact path for flagged keys
         if !slow.is_empty() {
@@ -366,41 +359,37 @@ impl PimTrie {
             let rs = self.try_slow_descend(&slow)?;
             for (k, r) in slow.iter().zip(rs) {
                 if r.depth as usize == k.len() {
-                    inbox[r.anchor.block.module as usize].push(Req::DeleteKey {
+                    let req = Req::DeleteKey {
                         slot: r.anchor.block.slot,
                         node: r.anchor.node,
                         depth: k.len() as u64,
-                    });
-                    origin[r.anchor.block.module as usize].push(r.anchor.block);
+                    };
+                    out.push(r.anchor.block.module as usize, r.anchor.block, req);
                 }
             }
         }
-        if inbox.iter().all(|v| v.is_empty()) {
+        if out.is_empty() {
             return Ok(0);
         }
         self.t_phase("remove");
-        let replies = self.rounds("delete.keys", inbox)?;
         let mut removed = 0usize;
         let mut shrunk: Vec<(BlockRef, u64, u64, u64)> = Vec::new();
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let block = origin[m][j];
-                let Resp::BlockVitals {
-                    weight,
-                    keys,
-                    children,
-                    keys_delta,
-                    collision,
-                } = resp
-                else {
-                    return Err(unexpected("delete"));
-                };
-                if !collision {
-                    removed += 1;
-                    self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
-                }
-                shrunk.push((block, weight, keys, children));
+        for (_, block, resp) in self.rounds("delete.keys", out)? {
+            let Resp::BlockVitals {
+                weight,
+                keys,
+                children,
+                keys_delta,
+                collision,
+            } = resp
+            else {
+                return Err(unexpected("delete"));
+            };
+            if !collision {
+                removed += 1;
+                self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
             }
+            shrunk.push((block, weight, keys, children));
         }
         self.maintain_after_shrink(shrunk)?;
         Ok(removed)
@@ -436,7 +425,6 @@ impl PimTrie {
 
     fn subtree_core(&mut self, prefixes: &[BitStr]) -> Result<Vec<Option<Trie>>, PimTrieError> {
         let mt = self.match_batch(prefixes)?;
-        let p = self.sys.p();
         let mut out: Vec<Option<Trie>> = (0..prefixes.len()).map(|_| None).collect();
         // frontier entries: (query idx, block, node, off, absolute prefix)
         let mut frontier: Vec<(usize, BlockRef, u32, u32, BitStr)> = Vec::new();
@@ -462,43 +450,38 @@ impl PimTrie {
         while !frontier.is_empty() {
             guard += 1;
             assert!(guard < 100_000, "subtree assembly did not terminate");
-            let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<(usize, BitStr)>> = (0..p).map(|_| Vec::new()).collect();
+            let mut fetch = Scatter::new(self.sys.p());
             for (qi, block, node, off, prefix) in frontier.drain(..) {
-                inbox[block.module as usize].push(Req::FetchSubtree {
+                let req = Req::FetchSubtree {
                     slot: block.slot,
                     node,
                     off,
-                });
-                origin[block.module as usize].push((qi, prefix));
+                };
+                fetch.push(block.module as usize, (qi, prefix), req);
             }
-            let replies = self.rounds("subtree.fetch", inbox)?;
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, resp) in rs.into_iter().enumerate() {
-                    let (qi, prefix) = origin[m][j].clone();
-                    let Resp::Subtree {
-                        trie,
-                        children,
-                        depth,
-                    } = resp
-                    else {
-                        return Err(unexpected("subtree"));
-                    };
-                    debug_assert!(depth as usize >= prefix.len());
-                    let piece = trie.0;
-                    // splice items into the result under `prefix`
-                    let result = out[qi].as_mut().unwrap();
-                    for (rel, v) in piece.items() {
-                        let mut full = prefix.clone();
-                        full.append(&rel.as_slice());
-                        result.insert(&full, v);
-                    }
-                    // recurse into child blocks with their absolute prefixes
-                    for (piece_node, child) in children {
-                        let mut child_prefix = prefix.clone();
-                        child_prefix.append(&piece.node_string(NodeId(piece_node)).as_slice());
-                        frontier.push((qi, child, NodeId::ROOT.0, 0, child_prefix));
-                    }
+            for (_, (qi, prefix), resp) in self.rounds("subtree.fetch", fetch)? {
+                let Resp::Subtree {
+                    trie,
+                    children,
+                    depth,
+                } = resp
+                else {
+                    return Err(unexpected("subtree"));
+                };
+                debug_assert!(depth as usize >= prefix.len());
+                let piece = trie.0;
+                // splice items into the result under `prefix`
+                let result = out[qi].as_mut().unwrap();
+                for (rel, v) in piece.items() {
+                    let mut full = prefix.clone();
+                    full.append(&rel.as_slice());
+                    result.insert(&full, v);
+                }
+                // recurse into child blocks with their absolute prefixes
+                for (piece_node, child) in children {
+                    let mut child_prefix = prefix.clone();
+                    child_prefix.append(&piece.node_string(NodeId(piece_node)).as_slice());
+                    frontier.push((qi, child, NodeId::ROOT.0, 0, child_prefix));
                 }
             }
         }
@@ -569,10 +552,8 @@ impl PimTrie {
 
     fn get_core_io(&mut self, keys: &[BitStr]) -> Result<Vec<Option<u64>>, PimTrieError> {
         let mt = self.match_batch(keys)?;
-        let p = self.sys.p();
         let mut out: Vec<Option<u64>> = vec![None; keys.len()];
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut reads = Scatter::new(self.sys.p());
         let mut slow: Vec<(usize, BitStr)> = Vec::new();
         for (i, k) in keys.iter().enumerate() {
             let node = mt.qt.key_node[i];
@@ -587,12 +568,12 @@ impl PimTrie {
                 slow.push((i, k.clone()));
                 continue;
             };
-            inbox[a.block.module as usize].push(Req::ReadKey {
+            let req = Req::ReadKey {
                 slot: a.block.slot,
                 node: a.node,
                 depth: k.len() as u64,
-            });
-            origin[a.block.module as usize].push(i);
+            };
+            reads.push(a.block.module as usize, i, req);
         }
         if !slow.is_empty() {
             self.redo_paths += slow.len() as u64;
@@ -600,27 +581,24 @@ impl PimTrie {
             let rs = self.try_slow_descend(&qs)?;
             for ((i, k), r) in slow.iter().zip(rs) {
                 if r.depth as usize == k.len() {
-                    inbox[r.anchor.block.module as usize].push(Req::ReadKey {
+                    let req = Req::ReadKey {
                         slot: r.anchor.block.slot,
                         node: r.anchor.node,
                         depth: k.len() as u64,
-                    });
-                    origin[r.anchor.block.module as usize].push(*i);
+                    };
+                    reads.push(r.anchor.block.module as usize, *i, req);
                 }
             }
         }
-        if inbox.iter().all(|v| v.is_empty()) {
+        if reads.is_empty() {
             return Ok(out);
         }
         self.t_phase("read");
-        let replies = self.rounds("get.read", inbox)?;
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let Resp::Value(v) = resp else {
-                    return Err(unexpected("get"));
-                };
-                out[origin[m][j]] = v;
-            }
+        for (_, i, resp) in self.rounds("get.read", reads)? {
+            let Resp::Value(v) = resp else {
+                return Err(unexpected("get"));
+            };
+            out[i] = v;
         }
         Ok(out)
     }
@@ -734,6 +712,7 @@ impl PimTrie {
         }
         self.t_phase("repartition");
         let p = self.sys.p();
+        let orphan = || PimTrieError::Protocol("repartition: piece tree is not rooted".into());
         // Round 1: fetch all oversized blocks.
         let bds = self.fetch_blocks(&brefs, "repart.fetch")?;
 
@@ -743,15 +722,21 @@ impl PimTrie {
         }
         struct Plan {
             bref: BlockRef,
-            bd: crate::module::BlockDataOut,
+            /// the block's meta node: (meta-block, node slot)
+            meta: (MetaRef, u32),
             pieces: Vec<trie_core::partition::Block>,
             root_idx: usize,
-            placed: Vec<Option<Piece>>,
+            /// piece index by the original node its root was cut at
+            piece_of_orig: BTreeMap<NodeId, usize>,
+            /// per piece, the piece holding its boundary mirror (the root
+            /// piece is its own parent)
+            parent_of: Vec<usize>,
+            placed: Vec<Piece>,
             old_mirrors: BTreeMap<NodeId, BlockRef>,
         }
         let mut plans: Vec<Plan> = Vec::new();
         for (bref, bd) in brefs.into_iter().zip(bds) {
-            let mut trie = bd.trie.0.clone();
+            let mut trie = bd.trie.0;
             let old_mirrors: BTreeMap<NodeId, BlockRef> =
                 bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect();
             // long-edge cutting before partitioning (§4.2)
@@ -763,14 +748,32 @@ impl PimTrie {
             if roots.len() <= 1 {
                 continue;
             }
+            let Some(meta) = bd.meta else {
+                return Err(unexpected("repart.fetch"));
+            };
             let pieces = trie_core::partition::decompose(&trie, &roots);
-            let root_idx = pieces
+            let piece_of_orig: BTreeMap<NodeId, usize> = pieces
                 .iter()
-                .position(|b| b.orig_root == NodeId::ROOT)
-                .expect("root piece missing");
+                .enumerate()
+                .map(|(bi, b)| (b.orig_root, bi))
+                .collect();
+            let root_idx = *piece_of_orig.get(&NodeId::ROOT).ok_or_else(orphan)?;
+            let mut holder: Vec<Option<usize>> = vec![None; pieces.len()];
+            holder[root_idx] = Some(root_idx);
+            for (pbi, pb) in pieces.iter().enumerate() {
+                for (_, orig) in &pb.mirrors {
+                    if let Some(cbi) = piece_of_orig.get(orig) {
+                        holder[*cbi] = Some(pbi);
+                    }
+                }
+            }
+            let parent_of: Vec<usize> = holder
+                .into_iter()
+                .collect::<Option<_>>()
+                .ok_or_else(orphan)?;
             // compute every piece's root metadata now, while the
             // edge-split trie (which the piece ids refer to) is alive
-            let mut placed: Vec<Option<Piece>> = (0..pieces.len()).map(|_| None).collect();
+            let mut placed: Vec<Piece> = Vec::with_capacity(pieces.len());
             for (bi, b) in pieces.iter().enumerate() {
                 let local = trie.node_string(b.orig_root);
                 let meta = crate::build::root_meta_with_prefix(
@@ -790,13 +793,15 @@ impl PimTrie {
                         slot: u32::MAX,
                     }
                 };
-                placed[bi] = Some(Piece { target, meta });
+                placed.push(Piece { target, meta });
             }
             plans.push(Plan {
                 bref,
-                bd,
+                meta,
                 pieces,
                 root_idx,
+                piece_of_orig,
+                parent_of,
                 placed,
                 old_mirrors,
             });
@@ -821,8 +826,7 @@ impl PimTrie {
         } else {
             Vec::new()
         };
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<(usize, usize)>> = (0..p).map(|_| Vec::new()).collect();
+        let mut place = Scatter::new(p);
         for (pi, plan) in plans.iter().enumerate() {
             // Each piece charges the chosen window with a uniform share
             // of the parent's tracked traffic. (Weighting shares by
@@ -848,7 +852,7 @@ impl PimTrie {
                 if bi == plan.root_idx {
                     continue;
                 }
-                let meta = &plan.placed[bi].as_ref().unwrap().meta;
+                let meta = &plan.placed[bi].meta;
                 let m = if adaptive {
                     let m = order[next % order.len()];
                     next += 1;
@@ -862,7 +866,7 @@ impl PimTrie {
                 } else {
                     self.random_module()
                 };
-                inbox[m as usize].push(Req::PutBlock(crate::module::PutBlockMsg {
+                let req = Req::PutBlock(crate::module::PutBlockMsg {
                     trie: TrieMsg(b.trie.clone()),
                     root_depth: meta.depth,
                     root_hash: meta.hash,
@@ -871,66 +875,39 @@ impl PimTrie {
                     rem: BitsMsg(meta.rem.clone()),
                     parent: Some(plan.bref), // fixed in the wire round
                     mirrors: Vec::new(),
-                }));
-                origin[m as usize].push((pi, bi));
+                });
+                place.push(m as usize, (pi, bi), req);
             }
         }
-        let replies = self.rounds("repart.place", inbox)?;
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let Resp::Placed { slot, .. } = resp else {
-                    return Err(unexpected("repart.place"));
-                };
-                let (pi, bi) = origin[m][j];
-                plans[pi].placed[bi].as_mut().unwrap().target = BlockRef {
-                    module: m as u32,
-                    slot,
-                };
-            }
+        for (m, (pi, bi), resp) in self.rounds("repart.place", place)? {
+            let Resp::Placed { slot, .. } = resp else {
+                return Err(unexpected("repart.place"));
+            };
+            plans[pi].placed[bi].target = BlockRef {
+                module: m as u32,
+                slot,
+            };
         }
         if adaptive {
             // Tell the tracker every piece's true weight — including the
             // shrunken root piece — so the match pipeline can pull a
             // contended piece at its real cost instead of K_B.
             for plan in &plans {
-                for (b, placed) in plan.pieces.iter().zip(&plan.placed) {
-                    if let Some(pl) = placed {
-                        self.adapt.note_size(pl.target, b.trie.size_words() as u64);
-                    }
+                for (b, pl) in plan.pieces.iter().zip(&plan.placed) {
+                    self.adapt.note_size(pl.target, b.trie.size_words() as u64);
                 }
             }
         }
 
         // Round 3: wire mirrors, parents, and replace root pieces.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+        let mut wire = Scatter::new(p);
         for plan in &plans {
-            let piece_of_orig: BTreeMap<NodeId, usize> = plan
-                .pieces
-                .iter()
-                .enumerate()
-                .map(|(bi, b)| (b.orig_root, bi))
-                .collect();
-            // parent piece of each piece: the piece holding its boundary
-            // mirror (computed once; the inner position() scan was O(n²))
-            let mut parent_of: BTreeMap<usize, usize> = BTreeMap::new();
-            for (pbi, pb) in plan.pieces.iter().enumerate() {
-                for (_, orig) in &pb.mirrors {
-                    if let Some(cbi) = piece_of_orig.get(orig) {
-                        parent_of.insert(*cbi, pbi);
-                    }
-                }
-            }
             for (bi, b) in plan.pieces.iter().enumerate() {
-                let me = plan.placed[bi].as_ref().unwrap().target;
+                let me = plan.placed[bi].target;
                 let mut mirrors: Vec<(u32, BlockRef)> = b
                     .mirrors
                     .iter()
-                    .map(|(leaf, orig)| {
-                        (
-                            leaf.0,
-                            plan.placed[piece_of_orig[orig]].as_ref().unwrap().target,
-                        )
-                    })
+                    .map(|(leaf, orig)| (leaf.0, plan.placed[plan.piece_of_orig[orig]].target))
                     .collect();
                 for (new_id, orig_id) in b
                     .orig_of
@@ -943,43 +920,44 @@ impl PimTrie {
                     }
                     if let Some(r) = plan.old_mirrors.get(&orig_id) {
                         mirrors.push((new_id as u32, *r));
-                        inbox[r.module as usize].push(Req::SetParent {
+                        let req = Req::SetParent {
                             slot: r.slot,
                             parent: Some(me),
-                        });
+                        };
+                        wire.push(r.module as usize, (), req);
                     }
                 }
                 if bi == plan.root_idx {
-                    inbox[me.module as usize].push(Req::ReplaceBlock {
+                    let req = Req::ReplaceBlock {
                         slot: me.slot,
                         trie: TrieMsg(b.trie.clone()),
                         mirrors,
-                    });
+                    };
+                    wire.push(me.module as usize, (), req);
                 } else {
                     for (n, r) in mirrors {
-                        inbox[me.module as usize].push(Req::SetMirror {
+                        let req = Req::SetMirror {
                             slot: me.slot,
                             node: n,
                             child: r,
-                        });
+                        };
+                        wire.push(me.module as usize, (), req);
                     }
-                    let parent_bi = *parent_of.get(&bi).expect("orphan piece");
-                    inbox[me.module as usize].push(Req::SetParent {
+                    let parent = plan.placed[plan.parent_of[bi]].target;
+                    let req = Req::SetParent {
                         slot: me.slot,
-                        parent: Some(plan.placed[parent_bi].as_ref().unwrap().target),
-                    });
+                        parent: Some(parent),
+                    };
+                    wire.push(me.module as usize, (), req);
                 }
             }
         }
-        self.rounds("repart.wire", inbox)?;
+        self.rounds("repart.wire", wire)?;
 
         // Round 4: register meta nodes for all new pieces.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-        for (pi, plan) in plans.iter().enumerate() {
-            let Some((meta_ref, meta_slot)) = plan.bd.meta else {
-                panic!("repartition: block without meta location")
-            };
+        let mut register = Scatter::new(p);
+        for plan in &plans {
+            let (meta_ref, meta_slot) = plan.meta;
             // pieces in `order`; parents mirror the piece tree so the meta
             // tree keeps the block tree's bounded degree (a star here would
             // degenerate the Lemma-4.5 decomposition)
@@ -993,79 +971,56 @@ impl PimTrie {
                 .collect();
             let mut nodes = Vec::with_capacity(order.len());
             let mut parents = Vec::with_capacity(order.len());
-            let piece_of_orig: BTreeMap<NodeId, usize> = plan
-                .pieces
-                .iter()
-                .enumerate()
-                .map(|(bi, b)| (b.orig_root, bi))
-                .collect();
-            let mut parent_of: BTreeMap<usize, usize> = BTreeMap::new();
-            for (pbi, pb) in plan.pieces.iter().enumerate() {
-                for (_, orig) in &pb.mirrors {
-                    if let Some(cbi) = piece_of_orig.get(orig) {
-                        parent_of.insert(*cbi, pbi);
-                    }
-                }
-            }
             for &bi in &order {
-                let piece = plan.placed[bi].as_ref().unwrap();
+                let piece = &plan.placed[bi];
                 nodes.push(piece.meta.new_meta_node(piece.target));
-                let parent_bi = *parent_of.get(&bi).expect("orphan piece");
+                let parent_bi = plan.parent_of[bi];
                 parents.push(if parent_bi == plan.root_idx {
                     None
                 } else {
                     Some(order_pos[&parent_bi])
                 });
             }
-            inbox[meta_ref.module as usize].push(Req::AddMetaNodes {
+            let req = Req::AddMetaNodes {
                 slot: meta_ref.slot,
                 parent_node: meta_slot,
                 nodes,
                 parents,
-            });
-            origin[meta_ref.module as usize].push(pi);
+            };
+            register.push(meta_ref.module as usize, plan, req);
         }
-        let replies = self.rounds("repart.meta", inbox)?;
-        let mut wire_inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+        let mut meta_wire = Scatter::new(p);
         let mut oversized_metas: Vec<MetaRef> = Vec::new();
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let Resp::Placed {
-                    node_slots, count, ..
-                } = resp
-                else {
-                    return Err(unexpected("repart.meta"));
+        for (_, plan, resp) in self.rounds("repart.meta", register)? {
+            let Resp::Placed {
+                node_slots, count, ..
+            } = resp
+            else {
+                return Err(unexpected("repart.meta"));
+            };
+            let meta_ref = plan.meta.0;
+            let order = (0..plan.pieces.len()).filter(|bi| *bi != plan.root_idx);
+            for (bi, ns) in order.zip(&node_slots) {
+                let b = plan.placed[bi].target;
+                let req = Req::SetBlockMeta {
+                    slot: b.slot,
+                    meta: meta_ref,
+                    meta_slot: *ns,
                 };
-                let pi = origin[m][j];
-                let plan = &plans[pi];
-                let meta_ref = plan.bd.meta.unwrap().0;
-                let order: Vec<usize> = (0..plan.pieces.len())
-                    .filter(|bi| *bi != plan.root_idx)
-                    .collect();
-                for (bi, ns) in order.iter().zip(&node_slots) {
-                    let b = plan.placed[*bi].as_ref().unwrap().target;
-                    wire_inbox[b.module as usize].push(Req::SetBlockMeta {
-                        slot: b.slot,
-                        meta: meta_ref,
-                        meta_slot: *ns,
-                    });
-                }
-                if count > self.cfg.k_smb as u64 && !oversized_metas.contains(&meta_ref) {
-                    oversized_metas.push(meta_ref);
-                }
+                meta_wire.push(b.module as usize, (), req);
+            }
+            if count > self.cfg.k_smb as u64 && !oversized_metas.contains(&meta_ref) {
+                oversized_metas.push(meta_ref);
             }
         }
-        self.rounds("repart.meta.wire", wire_inbox)?;
+        self.rounds("repart.meta.wire", meta_wire)?;
         self.split_meta_blocks(oversized_metas)?;
         let split_inputs: Vec<BlockRef> = plans.iter().map(|pl| pl.bref).collect();
         let mut spawned: Vec<BlockRef> = Vec::new();
         for plan in &plans {
             for (bi, piece) in plan.placed.iter().enumerate() {
-                if bi == plan.root_idx {
-                    continue;
-                }
-                if let Some(pc) = piece {
-                    spawned.push(pc.target);
+                if bi != plan.root_idx {
+                    spawned.push(piece.target);
                 }
             }
         }
@@ -1078,25 +1033,21 @@ impl PimTrie {
         brefs: &[BlockRef],
         name: &str,
     ) -> Result<Vec<crate::module::BlockDataOut>, PimTrieError> {
-        let p = self.sys.p();
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut fetch = Scatter::new(self.sys.p());
         for (i, b) in brefs.iter().enumerate() {
-            inbox[b.module as usize].push(Req::FetchBlock { slot: b.slot });
-            origin[b.module as usize].push(i);
+            fetch.push(b.module as usize, i, Req::FetchBlock { slot: b.slot });
         }
-        let replies = self.rounds(name, inbox)?;
         let mut out: Vec<Option<crate::module::BlockDataOut>> =
             brefs.iter().map(|_| None).collect();
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let Resp::BlockData(bd) = resp else {
-                    return Err(unexpected(name));
-                };
-                out[origin[m][j]] = Some(bd);
-            }
+        for (_, i, resp) in self.rounds(name, fetch)? {
+            let Resp::BlockData(bd) = resp else {
+                return Err(unexpected(name));
+            };
+            out[i] = Some(bd);
         }
-        Ok(out.into_iter().map(|o| o.unwrap()).collect())
+        out.into_iter()
+            .collect::<Option<_>>()
+            .ok_or_else(|| unexpected(name))
     }
 
     /// Merge/drop undersized and emptied blocks after deletions. Each loop
@@ -1136,87 +1087,75 @@ impl PimTrie {
             // Round A: fetch all candidates.
             let bds = self.fetch_blocks(&candidates, "merge.fetch")?;
             // Round B: splice each into its parent.
-            let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<BlockRef>> = (0..p).map(|_| Vec::new()).collect();
-            let mut merged: Vec<(BlockRef, crate::module::BlockDataOut)> = Vec::new();
+            let mut apply = Scatter::new(p);
+            let mut merged: Vec<(BlockRef, Option<(MetaRef, u32)>)> = Vec::new();
             for (bref, bd) in candidates.iter().zip(bds) {
                 let Some(parent) = bd.parent else { continue };
-                inbox[parent.module as usize].push(Req::MergeChild {
+                let req = Req::MergeChild {
                     slot: parent.slot,
                     child: *bref,
-                    subtree: TrieMsg(bd.trie.0.clone()),
-                });
-                origin[parent.module as usize].push(parent);
-                merged.push((*bref, bd));
+                    subtree: bd.trie,
+                };
+                apply.push(parent.module as usize, parent, req);
+                merged.push((*bref, bd.meta));
             }
-            let replies = self.rounds("merge.apply", inbox)?;
             let mut parent_vitals: BTreeMap<BlockRef, (u64, u64, u64)> = BTreeMap::new();
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, resp) in rs.into_iter().enumerate() {
-                    let Resp::BlockVitals {
-                        weight,
-                        keys,
-                        children,
-                        ..
-                    } = resp
-                    else {
-                        return Err(unexpected("merge.apply"));
-                    };
-                    parent_vitals.insert(origin[m][j], (weight, keys, children));
-                }
+            for (_, parent, resp) in self.rounds("merge.apply", apply)? {
+                let Resp::BlockVitals {
+                    weight,
+                    keys,
+                    children,
+                    ..
+                } = resp
+                else {
+                    return Err(unexpected("merge.apply"));
+                };
+                parent_vitals.insert(parent, (weight, keys, children));
             }
-            // Round C: drop merged blocks + remove their meta nodes.
-            let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-            let mut meta_origin: Vec<Vec<MetaRef>> = (0..p).map(|_| Vec::new()).collect();
-            for (bref, bd) in &merged {
-                inbox[bref.module as usize].push(Req::DropBlock { slot: bref.slot });
-                meta_origin[bref.module as usize].push(MetaRef {
-                    module: u32::MAX,
-                    slot: 0,
-                }); // placeholder aligning with DropBlock replies
-                if let Some((mref, slot)) = bd.meta {
-                    inbox[mref.module as usize].push(Req::RemoveMetaNode {
+            // Round C: drop merged blocks + remove their meta nodes; only
+            // the meta-node removals are tagged, their replies decide D.
+            let mut cleanup = Scatter::new(p);
+            for (bref, meta) in merged {
+                let req = Req::DropBlock { slot: bref.slot };
+                cleanup.push(bref.module as usize, None, req);
+                if let Some((mref, slot)) = meta {
+                    let req = Req::RemoveMetaNode {
                         slot: mref.slot,
                         node: slot,
-                    });
-                    meta_origin[mref.module as usize].push(mref);
+                    };
+                    cleanup.push(mref.module as usize, Some(mref), req);
                 }
             }
-            let replies = self.rounds("merge.cleanup", inbox)?;
             // Round D: drop emptied meta-blocks, detach from parents/master.
-            let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+            let mut meta_drop = Scatter::new(p);
             let mut master_removals: Vec<MetaRef> = Vec::new();
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, resp) in rs.into_iter().enumerate() {
-                    if let Resp::MetaVitals { nodes, parent } = resp {
-                        let mref = meta_origin[m][j];
-                        if nodes == 0 {
-                            inbox[mref.module as usize].push(Req::DropMeta { slot: mref.slot });
-                            match parent {
-                                Some(pm) => {
-                                    inbox[pm.module as usize].push(Req::RemoveMetaChild {
-                                        slot: pm.slot,
-                                        mref,
-                                    });
-                                }
-                                None => master_removals.push(mref),
-                            }
-                        }
+            for (_, mref, resp) in self.rounds("merge.cleanup", cleanup)? {
+                let (Some(mref), Resp::MetaVitals { nodes: 0, parent }) = (mref, resp) else {
+                    continue;
+                };
+                let req = Req::DropMeta { slot: mref.slot };
+                meta_drop.push(mref.module as usize, (), req);
+                match parent {
+                    Some(pm) => {
+                        let req = Req::RemoveMetaChild {
+                            slot: pm.slot,
+                            mref,
+                        };
+                        meta_drop.push(pm.module as usize, (), req);
                     }
+                    None => master_removals.push(mref),
                 }
             }
-            if inbox.iter().any(|v| !v.is_empty()) {
-                self.rounds("merge.meta.drop", inbox)?;
+            if !meta_drop.is_empty() {
+                self.rounds("merge.meta.drop", meta_drop)?;
             }
             if !master_removals.is_empty() {
-                let broadcast: Vec<Vec<Req>> = (0..p)
-                    .map(|_| {
-                        master_removals
-                            .iter()
-                            .map(|m| Req::MasterRemove { mref: *m })
-                            .collect()
-                    })
-                    .collect();
+                let mut broadcast = Scatter::new(p);
+                for m in 0..p {
+                    for mref in &master_removals {
+                        broadcast.push(m, (), Req::MasterRemove { mref: *mref });
+                    }
+                }
                 self.rounds("master.remove", broadcast)?;
                 for m in &master_removals {
                     self.chunk_sizes.remove(m);
@@ -1248,22 +1187,17 @@ impl PimTrie {
         self.t_phase("meta-split");
         let p = self.sys.p();
         // Round 1: fetch all full meta-blocks.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut fetch = Scatter::new(p);
         for (i, m) in mrefs.iter().enumerate() {
-            inbox[m.module as usize].push(Req::FetchMetaFull { slot: m.slot });
-            origin[m.module as usize].push(i);
+            fetch.push(m.module as usize, i, Req::FetchMetaFull { slot: m.slot });
         }
-        let replies = self.rounds("msplit.fetch", inbox)?;
         let mut fulls: Vec<Option<crate::module::MetaFullOut>> =
             mrefs.iter().map(|_| None).collect();
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let Resp::MetaFull(full) = resp else {
-                    return Err(unexpected("msplit"));
-                };
-                fulls[origin[m][j]] = Some(full);
-            }
+        for (_, i, resp) in self.rounds("msplit.fetch", fetch)? {
+            let Resp::MetaFull(full) = resp else {
+                return Err(unexpected("msplit"));
+            };
+            fulls[i] = Some(full);
         }
 
         // CPU: rebuild each chunk piece and cut it.
@@ -1344,17 +1278,17 @@ impl PimTrie {
         }
         let placed = self.place_chunks(&jobs)?;
         // Re-wire surviving external children's parent pointers.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+        let mut rewire = Scatter::new(p);
         for (ji, job) in jobs.iter().enumerate() {
             for (plan_idx, child) in &job.extra {
-                let holder = placed[ji][*plan_idx].mref;
-                inbox[child.mref.module as usize].push(Req::SetMetaParent {
+                let req = Req::SetMetaParent {
                     slot: child.mref.slot,
-                    parent: Some(holder),
-                });
+                    parent: Some(placed[ji][*plan_idx].mref),
+                };
+                rewire.push(child.mref.module as usize, (), req);
             }
         }
-        self.rounds("msplit.rewire", inbox)?;
+        self.rounds("msplit.rewire", rewire)?;
         Ok(())
     }
 
@@ -1608,24 +1542,20 @@ impl PimTrie {
         }
         // Round: keep only blocks whose meta node is a non-root node of
         // its meta-block.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut check = Scatter::new(p);
         for (i, mv) in moves.iter().enumerate() {
             if let Some((mref, mslot)) = mv.bd.meta {
-                inbox[mref.module as usize].push(Req::MetaNodeKind {
+                let req = Req::MetaNodeKind {
                     slot: mref.slot,
                     node: mslot,
-                });
-                origin[mref.module as usize].push(i);
+                };
+                check.push(mref.module as usize, i, req);
             }
         }
-        let replies = self.rounds("adapt.mig.check", inbox)?;
         let mut keep: Vec<bool> = vec![false; moves.len()];
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                if let Resp::Value(Some(0)) = resp {
-                    keep[origin[m][j]] = true;
-                }
+        for (_, i, resp) in self.rounds("adapt.mig.check", check)? {
+            if let Resp::Value(Some(0)) = resp {
+                keep[i] = true;
             }
         }
         let moves: Vec<Move> = moves
@@ -1644,11 +1574,10 @@ impl PimTrie {
             return Ok(0);
         }
         // Round: place copies at the destinations.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+        let mut place = Scatter::new(p);
         for (i, mv) in moves.iter().enumerate() {
             let bd = &mv.bd;
-            inbox[mv.dest as usize].push(Req::PutBlock(crate::module::PutBlockMsg {
+            let req = Req::PutBlock(crate::module::PutBlockMsg {
                 trie: bd.trie.clone(),
                 root_depth: bd.root_depth,
                 root_hash: bd.root_hash,
@@ -1657,25 +1586,22 @@ impl PimTrie {
                 rem: bd.rem.clone(),
                 parent: bd.parent,
                 mirrors: bd.mirrors.clone(),
-            }));
-            origin[mv.dest as usize].push(i);
+            });
+            place.push(mv.dest as usize, i, req);
         }
-        let replies = self.rounds("adapt.mig.place", inbox)?;
         let mut new_ref: Vec<Option<BlockRef>> = vec![None; moves.len()];
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                if let Resp::Placed { slot, .. } = resp {
-                    new_ref[origin[m][j]] = Some(BlockRef {
-                        module: m as u32,
-                        slot,
-                    });
-                }
+        for (m, i, resp) in self.rounds("adapt.mig.place", place)? {
+            if let Resp::Placed { slot, .. } = resp {
+                new_ref[i] = Some(BlockRef {
+                    module: m as u32,
+                    slot,
+                });
             }
         }
         // Round: rewire every holder of the old address, then drop the
         // original. The shared wire scan invalidates the host cache's
         // copies (old address and the retargeted parent) in passing.
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
+        let mut wire = Scatter::new(p);
         let mut moved = 0u64;
         for (mv, new) in moves.iter().zip(new_ref) {
             let Some(new) = new else {
@@ -1688,33 +1614,38 @@ impl PimTrie {
             let Some((mref, mslot)) = mv.bd.meta else {
                 continue; // filtered above; defensive
             };
-            inbox[parent.module as usize].push(Req::RelinkMirror {
+            let relink = Req::RelinkMirror {
                 slot: parent.slot,
                 old: mv.old,
                 new,
-            });
+            };
+            wire.push(parent.module as usize, (), relink);
             for (_, child) in &mv.bd.mirrors {
-                inbox[child.module as usize].push(Req::SetParent {
+                let req = Req::SetParent {
                     slot: child.slot,
                     parent: Some(new),
-                });
+                };
+                wire.push(child.module as usize, (), req);
             }
-            inbox[mref.module as usize].push(Req::SetMetaNodeBlock {
+            let retarget = Req::SetMetaNodeBlock {
                 slot: mref.slot,
                 node: mslot,
                 block: new,
-            });
-            inbox[new.module as usize].push(Req::SetBlockMeta {
+            };
+            wire.push(mref.module as usize, (), retarget);
+            let rehome = Req::SetBlockMeta {
                 slot: new.slot,
                 meta: mref,
                 meta_slot: mslot,
-            });
-            inbox[mv.old.module as usize].push(Req::DropBlock { slot: mv.old.slot });
+            };
+            wire.push(new.module as usize, (), rehome);
+            let drop_old = Req::DropBlock { slot: mv.old.slot };
+            wire.push(mv.old.module as usize, (), drop_old);
             self.adapt.rename(mv.old, new);
             self.adapt.shift_load(mv.old.module, new.module, mv.freq);
             moved += 1;
         }
-        self.rounds("adapt.mig.wire", inbox)?;
+        self.rounds("adapt.mig.wire", wire)?;
         Ok(moved)
     }
 
@@ -1722,42 +1653,35 @@ impl PimTrie {
     /// genuinely undersized ones to the ordinary merge cascade. Returns
     /// how many entered the cascade.
     fn adapt_merge(&mut self, cold: Vec<BlockRef>) -> Result<u64, PimTrieError> {
-        let p = self.sys.p();
-        let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origin: Vec<Vec<BlockRef>> = (0..p).map(|_| Vec::new()).collect();
-        for b in &cold {
-            inbox[b.module as usize].push(Req::BlockStats { slot: b.slot });
-            origin[b.module as usize].push(*b);
+        let mut probe = Scatter::new(self.sys.p());
+        for b in cold {
+            probe.push(b.module as usize, b, Req::BlockStats { slot: b.slot });
             // one shot: a probed piece is re-tracked only if touched again
-            self.adapt.forget(*b);
+            self.adapt.forget(b);
         }
-        let replies = self.rounds("adapt.vitals", inbox)?;
         let mut shrunk: Vec<(BlockRef, u64, u64, u64)> = Vec::new();
         let mut merges = 0u64;
-        for (m, rs) in replies.into_iter().enumerate() {
-            for (j, resp) in rs.into_iter().enumerate() {
-                let Resp::BlockVitals {
-                    weight,
-                    keys,
-                    children,
-                    collision,
-                    ..
-                } = resp
-                else {
-                    continue;
-                };
-                if collision {
-                    continue; // slot vanished under us; nothing to merge
-                }
-                let bref = origin[m][j];
-                if bref != self.root_block
-                    && children == 0
-                    && (keys == 0 || weight < self.cfg.k_b / self.cfg.undersize_divisor)
-                {
-                    merges += 1;
-                }
-                shrunk.push((bref, weight, keys, children));
+        for (_, bref, resp) in self.rounds("adapt.vitals", probe)? {
+            let Resp::BlockVitals {
+                weight,
+                keys,
+                children,
+                collision,
+                ..
+            } = resp
+            else {
+                continue;
+            };
+            if collision {
+                continue; // slot vanished under us; nothing to merge
             }
+            if bref != self.root_block
+                && children == 0
+                && (keys == 0 || weight < self.cfg.k_b / self.cfg.undersize_divisor)
+            {
+                merges += 1;
+            }
+            shrunk.push((bref, weight, keys, children));
         }
         self.maintain_after_shrink(shrunk)?;
         Ok(merges)
@@ -1827,9 +1751,11 @@ impl PimTrie {
     fn rebuild_from_journal_inner(&mut self) -> Result<(), PimTrieError> {
         self.sys.metrics_mut().fault_stats_mut().rebuilds += 1;
         self.t_phase("reset");
-        let p = self.sys.p();
-        let inbox: Vec<Vec<Req>> = (0..p).map(|_| vec![Req::ResetModule]).collect();
-        self.rounds("recover.reset", inbox)?;
+        let mut reset = Scatter::new(self.sys.p());
+        for m in 0..self.sys.p() {
+            reset.push(m, (), Req::ResetModule);
+        }
+        self.rounds("recover.reset", reset)?;
         self.chunk_sizes.clear();
         self.n_keys = 0;
         self.bootstrap()?;

@@ -18,6 +18,7 @@ use crate::module::{Req, Resp};
 use crate::refs::{BitsMsg, BlockRef};
 use crate::PimTrie;
 use bitstr::BitStr;
+use pim_sim::Scatter;
 
 /// Exact result of one slow-path descent.
 #[derive(Clone, Copy, Debug)]
@@ -62,45 +63,40 @@ impl PimTrie {
         while !active.is_empty() {
             guard += 1;
             assert!(guard < 100_000, "slow descent did not terminate");
-            let mut inbox: Vec<Vec<Req>> = (0..p).map(|_| Vec::new()).collect();
-            let mut origin: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
+            let mut step = Scatter::new(p);
             for &qi in &active {
                 let st = &states[qi];
                 let rest = queries[qi]
                     .slice(st.consumed as usize..queries[qi].len())
                     .to_bitstr();
-                inbox[st.block.module as usize].push(Req::DescendBlock {
+                let req = Req::DescendBlock {
                     slot: st.block.slot,
                     bits: BitsMsg(rest),
-                });
-                origin[st.block.module as usize].push(qi);
+                };
+                step.push(st.block.module as usize, qi, req);
             }
-            let replies = self.rounds("slowpath", inbox)?;
             let mut next_active = Vec::new();
-            for (m, rs) in replies.into_iter().enumerate() {
-                for (j, resp) in rs.into_iter().enumerate() {
-                    let qi = origin[m][j];
-                    let Resp::Descend(d) = resp else {
-                        return Err(PimTrieError::Protocol(format!(
-                            "slowpath: unexpected response variant from module {m}"
-                        )));
-                    };
-                    states[qi].consumed += d.consumed;
-                    match d.next {
-                        Some(child) => {
-                            states[qi].block = child;
-                            next_active.push(qi);
-                        }
-                        None => {
-                            out[qi] = Some(SlowResult {
-                                depth: states[qi].consumed,
-                                anchor: Anchor {
-                                    block: states[qi].block,
-                                    node: d.anchor_node,
-                                    off: d.anchor_off,
-                                },
-                            });
-                        }
+            for (m, qi, resp) in self.rounds("slowpath", step)? {
+                let Resp::Descend(d) = resp else {
+                    return Err(PimTrieError::Protocol(format!(
+                        "slowpath: unexpected response variant from module {m}"
+                    )));
+                };
+                states[qi].consumed += d.consumed;
+                match d.next {
+                    Some(child) => {
+                        states[qi].block = child;
+                        next_active.push(qi);
+                    }
+                    None => {
+                        out[qi] = Some(SlowResult {
+                            depth: states[qi].consumed,
+                            anchor: Anchor {
+                                block: states[qi].block,
+                                node: d.anchor_node,
+                                off: d.anchor_off,
+                            },
+                        });
                     }
                 }
             }

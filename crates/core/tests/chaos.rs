@@ -7,7 +7,7 @@
 //! counters must show the faults were actually seen and repaired.
 
 use bitstr::BitStr;
-use pim_trie::{CrashSpec, FaultPlan, FaultStats, PimTrie, PimTrieConfig};
+use pim_trie::{CrashSpec, FaultPlan, FaultStats, PimTrie, PimTrieConfig, PimTrieError};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -294,7 +294,6 @@ fn zero_fault_runs_pay_nothing() {
 
 #[test]
 fn input_validation_reports_errors() {
-    use pim_trie::PimTrieError;
     let mut t = PimTrie::new(PimTrieConfig::for_modules(4).with_seed(1));
     let k = vec![BitStr::from_bin_str("101")];
     assert!(matches!(
@@ -324,4 +323,51 @@ fn input_validation_reports_errors() {
         PimTrie::try_new(cfg),
         Err(PimTrieError::BadConfig(_))
     ));
+}
+
+#[test]
+fn dropped_replies_on_the_unsealed_wire_are_errors_not_wrong_answers() {
+    // Fault tolerance off, a plan that only drops replies: a module's
+    // reply vector comes back shorter than its request vector, and the
+    // host can no longer tell which reply answers which key. Every batch
+    // must either equal the oracle or fail as a protocol error — an `Ok`
+    // with shifted values is the one outcome that may never happen.
+    let p = 8;
+    let mut rng = ChaCha8Rng::seed_from_u64(77);
+    let keys = random_keys(&mut rng, 400, 100);
+    let values: Vec<u64> = (0..keys.len() as u64).collect();
+    let mut oracle = PimTrie::new(PimTrieConfig::for_modules(p).with_seed(42));
+    let mut subject = PimTrie::new(PimTrieConfig::for_modules(p).with_seed(42));
+    oracle.insert_batch(&keys, &values);
+    subject.insert_batch(&keys, &values);
+    subject.install_faults(FaultPlan::new(0xD20B).with_drop_rate(2e-3));
+
+    let (mut oks, mut errs) = (0, 0);
+    for round in 0..40 {
+        let probes: Vec<BitStr> = keys.iter().skip(round).step_by(7).cloned().collect();
+        match subject.try_get_batch(&probes) {
+            Ok(got) => {
+                assert_eq!(got, oracle.get_batch(&probes), "get batch {round}");
+                oks += 1;
+            }
+            Err(PimTrieError::Protocol(_)) => errs += 1,
+            Err(e) => panic!("get batch {round}: unexpected error {e}"),
+        }
+        let mut queries = random_keys(&mut rng, 40, 120);
+        queries.extend(probes.into_iter().take(20));
+        match subject.try_lcp_batch(&queries) {
+            Ok(got) => {
+                assert_eq!(got, oracle.lcp_batch(&queries), "lcp batch {round}");
+                oks += 1;
+            }
+            Err(PimTrieError::Protocol(_)) => errs += 1,
+            Err(e) => panic!("lcp batch {round}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        subject.system().metrics().fault_stats().drops_injected > 0,
+        "no reply was dropped"
+    );
+    assert!(errs > 0, "drops never surfaced ({oks} ok batches)");
+    assert!(oks > 0, "no batch escaped the drops; lower the rate");
 }

@@ -4,7 +4,7 @@
 //! |------------------|------------------------------------------------------------|
 //! | `safety-comment` | every `unsafe` block/impl carries a written `// SAFETY:` audit |
 //! | `unordered-iter` | no `HashMap`/`HashSet` in the deterministic crates (their iteration order is seeded per process and would leak into metered counters) |
-//! | `wallclock`      | `Instant::now`/`SystemTime` only in timing-owned crates (`crates/bench`, `vendor/criterion`) — counters stay exact functions of (seed, P, workload) |
+//! | `wallclock`      | `Instant::now`/`SystemTime` only in the timing-owned crate (`crates/bench`) — counters stay exact functions of (seed, P, workload) |
 //! | `global-state`   | no `static mut` / interior-mutable statics (hidden cross-run or cross-thread coupling) |
 //! | `panic-ratchet`  | `unwrap`/`expect`/`panic!` per library crate may only decrease (see [`crate::ratchet`]) |
 //! | `serve-channel-panic` | in `crates/serve`, no `.unwrap()`/`.expect()` on channel send/recv or lock results — the serving front-end's contract is that every failure becomes a typed outcome, never a panic that silently drops admitted requests |
@@ -574,9 +574,7 @@ fn rule_wallclock(ctx: &FileCtx, fa: &FileAnalysis, in_test: &[bool], rep: &mut 
                     path: ctx.path.clone(),
                     line: t.line,
                     krate: ctx.krate.clone(),
-                    msg: format!(
-                        "{what} outside timing-owned crates (crates/bench, vendor/criterion)"
-                    ),
+                    msg: format!("{what} outside the timing-owned crate (crates/bench)"),
                     waived: None,
                 },
             );

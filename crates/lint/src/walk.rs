@@ -32,7 +32,7 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read the wall clock (they *measure* time).
-pub const TIMING_CRATES: &[&str] = &["bench", "criterion"];
+pub const TIMING_CRATES: &[&str] = &["bench"];
 
 /// One file to scan.
 #[derive(Clone, Debug)]

@@ -107,7 +107,7 @@ pub use metrics::{
 // protocol crates implement `Wire::encode_frame` against `pim_sim`
 // alone.
 pub use pim_codec::{stream as codec_stream, CodecError, Dec, Enc, WireCodec};
-pub use route::{OriginMap, Routed};
+pub use route::{GatherError, Scatter};
 pub use system::{CrashHandler, PimCtx, PimSystem};
 pub use trace::{Dist, PhaseSummary, TraceEvent, Tracer, RETRANSMIT_PHASE};
 pub use wire::{words_for_bits, Wire};

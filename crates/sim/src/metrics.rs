@@ -188,7 +188,7 @@ impl ServeStats {
 ///
 /// Like [`CacheStats`] and [`ServeStats`], the simulator itself never
 /// touches these: they exist so a skew-adaptive partitioner (e.g.
-/// `pim-trie`'s sketch-guided adaptive blocking) reports its actions and
+/// `pim-trie`'s adaptive blocking) reports its actions and
 /// their honestly-metered cost through the same metrics pipeline as
 /// every other counter. All zero when no adaptive layer is in play, so a
 /// run that merely *links* the layer is bit-identical to one that never

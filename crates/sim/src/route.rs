@@ -1,96 +1,144 @@
-//! Scatter/gather bookkeeping for batch operations.
+//! Scatter/gather bookkeeping for host rounds.
 //!
-//! A batch algorithm typically maps each of `k` items to a target module,
-//! performs a round, and then needs the per-item replies back *in the
-//! original batch order*. [`Routed`] does the index bookkeeping once so
-//! every algorithm doesn't have to.
+//! Every host-side step of a batch algorithm has one shape in the PIM
+//! Model: send each item to the module that holds its data, run one BSP
+//! round, read the replies back. [`Scatter`] is that shape — per-module
+//! message boxes plus, beside each message, a caller-chosen tag saying
+//! what the reply is for — so no algorithm keeps a parallel index table.
 
-/// Items scattered into per-module boxes, remembering where each came from.
-pub struct Routed<T> {
-    boxes: Vec<Vec<T>>,
-    origins: Vec<Vec<usize>>,
+use std::fmt;
+use std::iter::Zip;
+use std::vec::IntoIter;
+
+/// Messages scattered into per-module boxes, each remembered by a tag.
+///
+/// Per-module message order is push order, so everything that indexes
+/// into a box (wire sizes, group encoding, fault draws) sees exactly
+/// the sequence the caller produced.
+pub struct Scatter<T, M> {
+    boxes: Vec<Vec<M>>,
+    tags: Vec<Vec<T>>,
     len: usize,
 }
 
-impl<T> Routed<T> {
-    /// Scatter `items` into `p` boxes by `target(item) -> module id`.
-    pub fn new(p: usize, items: impl IntoIterator<Item = (usize, T)>) -> Self {
-        let mut boxes: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        let mut origins: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-        let mut len = 0;
-        for (idx, (m, item)) in items.into_iter().enumerate() {
-            assert!(m < p, "target module {m} out of range (P={p})");
-            boxes[m].push(item);
-            origins[m].push(idx);
-            len = idx + 1;
-        }
-        Routed {
-            boxes,
-            origins,
-            len,
-        }
-    }
+/// A module answered a different number of times than it was asked (a
+/// dropped reply on an unsealed wire, or a handler bug), so replies can
+/// no longer be paired with the messages that caused them.
+#[derive(Debug)]
+pub struct GatherError {
+    /// first module whose counts differ
+    pub module: usize,
+    /// messages pushed to it
+    pub sent: usize,
+    /// replies it returned
+    pub replied: usize,
+}
 
-    /// Number of routed items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff no items were routed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The per-module boxes, consuming the router (pass to
-    /// [`PimSystem::round`](crate::PimSystem::round)); keep the returned
-    /// origin map to [`unroute`](OriginMap::unroute) the replies.
-    pub fn into_parts(self) -> (Vec<Vec<T>>, OriginMap) {
-        (
-            self.boxes,
-            OriginMap {
-                origins: self.origins,
-                len: self.len,
-            },
+impl fmt::Display for GatherError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "module {} replied {} times to {} messages",
+            self.module, self.replied, self.sent
         )
     }
 }
 
-/// Maps per-module reply vectors back to original batch order.
-pub struct OriginMap {
-    origins: Vec<Vec<usize>>,
-    len: usize,
-}
+impl std::error::Error for GatherError {}
 
-impl OriginMap {
-    /// Reorder replies: `replies[m][j]` answers the item that `origins[m][j]`
-    /// points at. Panics if any module returned a different number of
-    /// replies than it received items.
-    pub fn unroute<R>(&self, replies: Vec<Vec<R>>) -> Vec<R> {
-        assert_eq!(replies.len(), self.origins.len());
-        let mut out: Vec<Option<R>> = (0..self.len).map(|_| None).collect();
-        for (m, rs) in replies.into_iter().enumerate() {
-            assert_eq!(
-                rs.len(),
-                self.origins[m].len(),
-                "module {m} replied {} times to {} items",
-                rs.len(),
-                self.origins[m].len()
-            );
-            for (j, r) in rs.into_iter().enumerate() {
-                out[self.origins[m][j]] = Some(r);
-            }
+impl<T, M> Scatter<T, M> {
+    /// Empty boxes for `p` modules.
+    pub fn new(p: usize) -> Self {
+        Scatter {
+            boxes: (0..p).map(|_| Vec::new()).collect(),
+            tags: (0..p).map(|_| Vec::new()).collect(),
+            len: 0,
         }
-        out.into_iter().map(|o| o.expect("reply missing")).collect()
     }
 
-    /// Number of items routed.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Append `msg` to `module`'s box; `tag` comes back with its reply.
+    /// Panics if `module` is not one of the `p` modules.
+    pub fn push(&mut self, module: usize, tag: T, msg: M) {
+        let p = self.tags.len();
+        assert!(module < p, "target module {module} out of range (P={p})");
+        self.boxes[module].push(msg);
+        self.tags[module].push(tag);
+        self.len += 1;
     }
 
-    /// True iff no items were routed.
+    /// True iff nothing was pushed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Move the boxes out ([`PimSystem::round`](crate::PimSystem::round)
+    /// takes them by value); the tags stay behind for [`Self::gather`],
+    /// and nothing more can be pushed.
+    pub fn take_boxes(&mut self) -> Vec<Vec<M>> {
+        std::mem::take(&mut self.boxes)
+    }
+
+    /// Pair `replies[m][j]` with the tag pushed `j`-th to module `m`:
+    /// the replies take the messages' place in the boxes, so iterating
+    /// the result yields `(m, tag, reply)`. Every tag comes back exactly
+    /// once, or not at all: a module whose reply count differs from its
+    /// message count is an error before any reply is handed out.
+    pub fn gather<R>(self, replies: Vec<Vec<R>>) -> Result<Scatter<T, R>, GatherError> {
+        for m in 0..self.tags.len().max(replies.len()) {
+            let sent = self.tags.get(m).map_or(0, Vec::len);
+            let replied = replies.get(m).map_or(0, Vec::len);
+            if sent != replied {
+                return Err(GatherError {
+                    module: m,
+                    sent,
+                    replied,
+                });
+            }
+        }
+        Ok(Scatter {
+            boxes: replies,
+            tags: self.tags,
+            len: self.len,
+        })
+    }
+}
+
+/// `(module, tag, message)` module-major — ascending module, push order
+/// within a module — without copying the boxes.
+impl<T, M> IntoIterator for Scatter<T, M> {
+    type Item = (usize, T, M);
+    type IntoIter = Tagged<T, M>;
+
+    fn into_iter(self) -> Tagged<T, M> {
+        Tagged {
+            tags: self.tags.into_iter(),
+            boxes: self.boxes.into_iter(),
+            started: 0,
+            current: Vec::new().into_iter().zip(Vec::new()),
+        }
+    }
+}
+
+/// Iterator over a [`Scatter`]'s `(module, tag, message)` triples.
+pub struct Tagged<T, M> {
+    tags: IntoIter<Vec<T>>,
+    boxes: IntoIter<Vec<M>>,
+    /// modules opened so far; `current` belongs to module `started - 1`
+    started: usize,
+    current: Zip<IntoIter<T>, IntoIter<M>>,
+}
+
+impl<T, M> Iterator for Tagged<T, M> {
+    type Item = (usize, T, M);
+
+    fn next(&mut self) -> Option<(usize, T, M)> {
+        loop {
+            if let Some((tag, msg)) = self.current.next() {
+                return Some((self.started - 1, tag, msg));
+            }
+            self.current = self.tags.next()?.into_iter().zip(self.boxes.next()?);
+            self.started += 1;
+        }
     }
 }
 
@@ -98,44 +146,91 @@ impl OriginMap {
 mod tests {
     use super::*;
 
-    #[test]
-    fn route_and_unroute_restores_order() {
-        let items = vec![(2usize, "a"), (0, "b"), (2, "c"), (1, "d"), (0, "e")];
-        let routed = Routed::new(3, items);
-        assert_eq!(routed.len(), 5);
-        let (boxes, map) = routed.into_parts();
-        assert_eq!(boxes[0], vec!["b", "e"]);
-        assert_eq!(boxes[1], vec!["d"]);
-        assert_eq!(boxes[2], vec!["a", "c"]);
-        // modules answer by uppercasing
-        let replies: Vec<Vec<String>> = boxes
-            .iter()
-            .map(|b| b.iter().map(|s| s.to_uppercase()).collect())
-            .collect();
-        assert_eq!(map.unroute(replies), vec!["A", "B", "C", "D", "E"]);
+    fn sample() -> Scatter<char, &'static str> {
+        let mut s = Scatter::new(3);
+        for (m, tag, msg) in [
+            (2, 'a', "a"),
+            (0, 'b', "b"),
+            (2, 'c', "c"),
+            (1, 'd', "d"),
+            (0, 'e', "e"),
+        ] {
+            s.push(m, tag, msg);
+        }
+        s
     }
 
     #[test]
-    fn empty_route() {
-        let routed = Routed::new(4, Vec::<(usize, u64)>::new());
-        assert!(routed.is_empty());
-        let (boxes, map) = routed.into_parts();
-        assert!(boxes.iter().all(Vec::is_empty));
-        let out: Vec<u64> = map.unroute(vec![vec![], vec![], vec![], vec![]]);
+    fn box_order_is_push_order() {
+        let mut s = sample();
+        assert!(!s.is_empty());
+        assert_eq!(
+            s.take_boxes(),
+            vec![vec!["b", "e"], vec!["d"], vec!["a", "c"]]
+        );
+    }
+
+    #[test]
+    fn gather_returns_every_tag_once_module_major() {
+        let mut s = sample();
+        // modules answer by uppercasing
+        let replies: Vec<Vec<String>> = s
+            .take_boxes()
+            .iter()
+            .map(|b| b.iter().map(|m| m.to_uppercase()).collect())
+            .collect();
+        let got: Vec<_> = s.gather(replies).unwrap().into_iter().collect();
+        let want = [
+            (0, 'b', "B"),
+            (0, 'e', "E"),
+            (1, 'd', "D"),
+            (2, 'a', "A"),
+            (2, 'c', "C"),
+        ];
+        assert_eq!(got.len(), want.len());
+        for ((m, t, r), (wm, wt, wr)) in got.iter().zip(want) {
+            assert_eq!((*m, *t, r.as_str()), (wm, wt, wr));
+        }
+    }
+
+    #[test]
+    fn empty_scatter_gathers_nothing() {
+        let s: Scatter<(), u64> = Scatter::new(4);
+        assert!(s.is_empty());
+        let out = s.gather(vec![Vec::<u64>::new(); 4]).unwrap();
         assert!(out.is_empty());
+        assert_eq!(out.into_iter().count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn bad_target_panics() {
-        let _ = Routed::new(2, vec![(5usize, ())]);
+    fn out_of_range_module_is_rejected() {
+        Scatter::new(2).push(5, (), ());
     }
 
     #[test]
-    #[should_panic(expected = "replied")]
-    fn mismatched_replies_panic() {
-        let routed = Routed::new(2, vec![(0usize, 1u64)]);
-        let (_, map) = routed.into_parts();
-        let _ = map.unroute(vec![Vec::<u64>::new(), Vec::new()]);
+    fn reply_count_mismatch_is_an_error() {
+        // a dropped reply, an extra reply, a missing module vector, and a
+        // reply from a module that was sent nothing
+        for (replies, module, sent, replied) in [
+            (vec![vec![], vec![7u64]], 1, 2, 1),
+            (vec![vec![], vec![7, 8, 9]], 1, 2, 3),
+            (vec![vec![]], 1, 2, 0),
+            (vec![vec![0], vec![7, 8]], 0, 0, 1),
+        ] {
+            let mut s = Scatter::new(2);
+            s.push(1, 'x', 1u64);
+            s.push(1, 'y', 2u64);
+            let Err(err) = s.gather(replies) else {
+                panic!("miscounted replies were paired")
+            };
+            assert_eq!((err.module, err.sent, err.replied), (module, sent, replied));
+        }
+        let err = GatherError {
+            module: 3,
+            sent: 5,
+            replied: 2,
+        };
+        assert_eq!(err.to_string(), "module 3 replied 2 times to 5 messages");
     }
 }

@@ -1,29 +1,37 @@
 //! Property-based tests for the simulator's accounting and routing.
 
-use pim_sim::{PimSystem, Routed};
+use pim_sim::{PimSystem, Scatter};
 use proptest::prelude::*;
 
 proptest! {
     #[test]
-    fn route_unroute_is_identity(
+    fn scatter_gather_pairs_every_tag_with_its_reply(
         items in proptest::collection::vec((0usize..8, any::<u64>()), 0..200),
     ) {
-        let routed = Routed::new(8, items.clone());
-        let (boxes, map) = routed.into_parts();
-        // modules echo their items
-        let replies: Vec<Vec<u64>> = boxes.clone();
-        let out = map.unroute(replies);
-        let want: Vec<u64> = items.iter().map(|(_, v)| *v).collect();
-        prop_assert_eq!(out, want);
-        // every item landed in its target box
-        let mut count = 0;
-        for (m, b) in boxes.iter().enumerate() {
-            for v in b {
-                prop_assert!(items.iter().any(|(t, x)| *t == m && x == v));
-                count += 1;
-            }
+        let mut s = Scatter::new(8);
+        for (i, (m, v)) in items.iter().enumerate() {
+            s.push(*m, i, *v);
         }
-        prop_assert_eq!(count, items.len());
+        prop_assert_eq!(s.is_empty(), items.is_empty());
+        // box order = push order: module m's box is the subsequence aimed at m
+        let boxes = s.take_boxes();
+        for (m, b) in boxes.iter().enumerate() {
+            let want: Vec<u64> = items.iter().filter(|(t, _)| *t == m).map(|(_, v)| *v).collect();
+            prop_assert_eq!(b, &want);
+        }
+        // modules echo their items
+        let replies = boxes;
+        let got: Vec<_> = s.gather(replies).unwrap().into_iter().collect();
+        // every tag exactly once, with its own reply, from its own module
+        let mut seen = vec![false; items.len()];
+        for (m, i, v) in &got {
+            prop_assert_eq!((*m, *v), items[*i]);
+            prop_assert!(!std::mem::replace(&mut seen[*i], true));
+        }
+        prop_assert!(seen.iter().all(|s| *s));
+        // module-major, push order within a module
+        let order: Vec<(usize, usize)> = got.iter().map(|(m, i, _)| (*m, *i)).collect();
+        prop_assert!(order.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

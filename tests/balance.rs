@@ -5,7 +5,7 @@
 use baselines::RangePartitioned;
 use pim_trie::{PimTrie, PimTrieConfig};
 
-/// The adversary sketch-guided adaptive blocking exists for: a 95 %-hot
+/// The adversary adaptive blocking exists for: a 95 %-hot
 /// prefix bucket that moves to the next bucket every batch, against a
 /// partition whose `K_B` keeps each bucket in one block. The static
 /// partition serialises every batch on the hot bucket's module; the
