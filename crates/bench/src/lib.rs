@@ -587,6 +587,18 @@ pub fn ablate(p: usize, quick: bool) -> Vec<Row> {
 /// graft whose size no bounded retry budget can push through at 1e-3.)
 /// Every faulted run is asserted identical to the fault-free oracle, so
 /// the overhead columns measure *successful* recovery, not divergence.
+///
+/// The sweep's top rate is not a constant: a message of `W` words crosses
+/// a wire flipping words at rate `r` intact with probability `(1 − r)^W`,
+/// so whether a rate is survivable inside the retry budget is decided by
+/// the largest message the run ships — and that message belongs to the
+/// journal rebuild after the crash (grafts into, and re-partitioning
+/// fetches of, a nearly empty trie), whose size moves with the block
+/// layout. The `sealed/crash` row takes the crash over a clean wire and
+/// records that size (`max_msg`: the most words any one module sent or
+/// received in one round, an upper bound on any single message); the
+/// `sealed/top` row runs at `1 / max_msg`, capped at 1e-3, where the
+/// largest message still gets through about one attempt in three.
 pub fn faults(p: usize, quick: bool) -> Vec<Row> {
     use pim_trie::{CrashSpec, FaultPlan};
     let n = if quick { 1 << 10 } else { 1 << 12 };
@@ -610,31 +622,32 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
     let base_rounds = d0.io_rounds as f64;
     let base_words = d0.io_volume() as f64;
 
-    let fault_cols = |row: Row, rate: f64, d: &MetricsDelta, fs: &pim_trie::FaultStats| {
-        row.col("flip_rate", rate)
-            .col("io_rounds", d.io_rounds as f64)
-            .col("words", d.io_volume() as f64)
-            .col("xtra_rounds", d.io_rounds as f64 - base_rounds)
-            .col("xtra_words", d.io_volume() as f64 - base_words)
-            .col("injected", fs.total_injected() as f64)
-            .col("detected", fs.total_detected() as f64)
-            .col("retries", fs.retries as f64)
-            .col("rebuilds", fs.rebuilds as f64)
-    };
+    let fault_cols =
+        |row: Row, rate: f64, d: &MetricsDelta, fs: &pim_trie::FaultStats, max_msg: u64| {
+            row.col("flip_rate", rate)
+                .col("io_rounds", d.io_rounds as f64)
+                .col("words", d.io_volume() as f64)
+                .col("xtra_rounds", d.io_rounds as f64 - base_rounds)
+                .col("xtra_words", d.io_volume() as f64 - base_words)
+                .col("injected", fs.total_injected() as f64)
+                .col("detected", fs.total_detected() as f64)
+                .col("retries", fs.retries as f64)
+                .col("rebuilds", fs.rebuilds as f64)
+                .col("max_msg", max_msg as f64)
+        };
 
     let mut rows = vec![fault_cols(
         Row::new("plain"),
         0.0,
         &d0,
         &pim_trie::FaultStats::default(),
+        0,
     )];
 
-    for (tag, rate) in [
-        ("sealed/0", 0.0),
-        ("sealed/1e-5", 1e-5),
-        ("sealed/1e-4", 1e-4),
-        ("sealed/1e-3", 1e-3),
-    ] {
+    // One sealed run: `None` installs no plan at all, `Some(rate)` the
+    // crash plus flips and drops at `rate`. Returns the row and the
+    // run's largest one-way module transfer.
+    let sealed = |tag: &str, rate: Option<f64>| -> (Row, u64) {
         let mut t = PimTrie::new(
             PimTrieConfig::for_modules(p)
                 .with_seed(1)
@@ -642,7 +655,7 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
                 .with_max_round_retries(64),
         );
         t.insert_batch(&keys, &vals);
-        if rate > 0.0 {
+        if let Some(rate) = rate {
             t.install_faults(
                 FaultPlan::new(7)
                     .with_flip_rate(rate)
@@ -655,14 +668,35 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
                     }),
             );
         }
+        t.system_mut().metrics_mut().set_round_logging(true);
         let snap = t.system().metrics().snapshot();
         t.insert_batch(&keys2, &vals2);
         let got = t.lcp_batch(&queries);
-        assert_eq!(got, want, "faulted run diverged from oracle at rate {rate}");
-        let d = t.system().metrics().since(&snap);
-        let fs = t.system().metrics().fault_stats().clone();
-        rows.push(fault_cols(Row::new(tag), rate, &d, &fs));
-    }
+        assert_eq!(got, want, "faulted run {tag} diverged from oracle");
+        let m = t.system().metrics();
+        let max_msg = m
+            .round_log
+            .iter()
+            .flat_map(|r| r.sent.iter().chain(&r.received))
+            .copied()
+            .max()
+            .unwrap_or(0);
+        let row = fault_cols(
+            Row::new(tag),
+            rate.unwrap_or(0.0),
+            &m.since(&snap),
+            m.fault_stats(),
+            max_msg,
+        );
+        (row, max_msg)
+    };
+    rows.push(sealed("sealed/0", None).0);
+    let (crash_row, max_msg) = sealed("sealed/crash", Some(0.0));
+    rows.push(crash_row);
+    rows.push(sealed("sealed/1e-5", Some(1e-5)).0);
+    rows.push(sealed("sealed/1e-4", Some(1e-4)).0);
+    let top = (1.0 / max_msg.max(1) as f64).min(1e-3);
+    rows.push(sealed("sealed/top", Some(top)).0);
     rows
 }
 
@@ -761,12 +795,12 @@ pub fn cache(p: usize, quick: bool, cache_words: u64) -> Vec<Row> {
 /// contended pieces be pulled at their real (small) cost, and measured
 /// per-module IO drives migration away from residual imbalance.
 /// Warm-up batches let the adaptive run converge; measured batches then
-/// record per-batch `io_balance` (mean and worst) over the *query
-/// path*: the repartitioner's own transfers are metered separately
-/// (`adapt_*` columns) and subtracted from the per-batch window, so
-/// neither run hides load in the other's bookkeeping. The `adapt_*`
-/// columns expose
-/// [`pim_trie::AdaptStats`]: how many repartition passes, split /
+/// record per-batch `io_balance` (mean and worst) and `max_words` — the
+/// busiest module's words per batch, the load the ratio is a ratio of —
+/// over the *query path*: the repartitioner's own transfers are metered
+/// separately (`adapt_*` columns) and subtracted from the per-batch
+/// window, so neither run hides load in the other's bookkeeping. The
+/// `adapt_*` columns expose [`pim_trie::AdaptStats`]: how many repartition passes, split /
 /// migrated / merged blocks, and the extra BSP rounds and words the
 /// adaptation spent — `adapt_words/op` is the amortized overhead over
 /// the whole stream. Static rows must show balance degrading toward P;
@@ -821,7 +855,7 @@ pub fn adapt(p: usize, quick: bool) -> Vec<Row> {
                 let _ = t.lcp_batch(b);
             }
             let (mut bal_sum, mut bal_max) = (0.0f64, 0.0f64);
-            let (mut words, mut rounds) = (0u64, 0u64);
+            let (mut words, mut max_words, mut rounds) = (0u64, 0u64, 0u64);
             for b in &batches[warm..] {
                 let snap = t.system().metrics().snapshot();
                 let a0 = t.adapt_stats().clone();
@@ -845,6 +879,7 @@ pub fn adapt(p: usize, quick: bool) -> Vec<Row> {
                 bal_sum += bal;
                 bal_max = bal_max.max(bal);
                 words += query_io.iter().sum::<u64>();
+                max_words += query_io.iter().copied().max().unwrap_or(0);
                 rounds += d.io_rounds - (a1.rounds - a0.rounds);
             }
             let s = t.adapt_stats().clone();
@@ -852,6 +887,7 @@ pub fn adapt(p: usize, quick: bool) -> Vec<Row> {
                 Row::new(format!("{tag}/{mode}"))
                     .col("balance", bal_sum / measure as f64)
                     .col("balance_max", bal_max)
+                    .col("max_words", max_words as f64 / measure as f64)
                     .col("io_rounds", rounds as f64)
                     .col("words/op", words as f64 / (bsz * measure) as f64)
                     .col("repartitions", s.repartitions as f64)

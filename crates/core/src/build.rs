@@ -1,8 +1,9 @@
 //! Construction and hash-value-manager maintenance.
 //!
 //! * [`PimTrie::new`] bootstraps the empty index: one root block (the empty
-//!   string) on a random module, a one-node meta-block, and a master entry
-//!   broadcast to every module.
+//!   string) on a random module and a one-node meta-block whose address the
+//!   host keeps as `PimTrie::root_meta` — the root of the one meta-block
+//!   tree, where every match starts.
 //! * [`cut_decompose`] is the recursive meta-block decomposition of §4.4.1:
 //!   repeatedly pick the Lemma-4.5 cut node (the highest node whose subtree
 //!   reaches half the remaining size), detach its child subtrees, and
@@ -13,14 +14,12 @@
 //! * `PimTrie::split_meta_blocks` is the batched form of
 //!   §5.2 maintenance actions: an overfull meta-block is pulled to the CPU,
 //!   re-cut and re-distributed (the scapegoat-style rebuild, executed on
-//!   the CPU side as the paper prescribes); an overfull meta-block *tree*
-//!   promotes its root's children to independent trees registered in the
-//!   master table.
+//!   the CPU side as the paper prescribes). The paper's promotion of an
+//!   overfull meta-block *tree* into independent trees found through a
+//!   master table is not implemented (DESIGN.md, deviations).
 
 use crate::error::{unexpected, PimTrieError};
-use crate::module::{
-    handle, MasterAddMsg, ModuleState, NewMetaChild, NewMetaNode, PutMetaMsg, Req, Resp,
-};
+use crate::module::{handle, ModuleState, NewMetaChild, NewMetaNode, PutMetaMsg, Req, Resp};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::wire_guard::{handle_sealed, SealedReq};
 use crate::{PimTrie, PimTrieConfig};
@@ -144,8 +143,8 @@ impl PimTrie {
             n_keys: 0,
             place_rng: rand_chacha::ChaCha8Rng::seed_from_u64(0x51AC_EE01),
             redo_paths: 0,
-            chunk_sizes: BTreeMap::new(),
             root_block: BlockRef { module: 0, slot: 0 },
+            root_meta: MetaRef { module: 0, slot: 0 },
             seq: 0,
             journal: std::collections::BTreeMap::new(),
             cache,
@@ -237,7 +236,6 @@ impl PimTrie {
                 root_idx: 0,
                 parent: None,
                 children: Vec::new(),
-                chunks: Vec::new(),
                 parents: vec![None],
             }),
             "bootstrap.meta",
@@ -248,21 +246,18 @@ impl PimTrie {
         else {
             return Err(unexpected("bootstrap"));
         };
-        let mref = MetaRef { module: mm, slot };
-        let node_slot = node_slots[0];
+        self.root_meta = MetaRef { module: mm, slot };
 
-        // Wire the block to its meta node; register the chunk in master.
+        // Wire the block to its meta node.
         self.send_one(
             m,
             Req::SetBlockMeta {
                 slot: root_block.slot,
-                meta: mref,
-                meta_slot: node_slot,
+                meta: self.root_meta,
+                meta_slot: node_slots[0],
             },
             "bootstrap.wire",
         )?;
-        self.master_add(mref, root_block, node_slot, &meta)?;
-        self.chunk_sizes.insert(mref, 1);
         Ok(())
     }
 
@@ -449,31 +444,6 @@ impl PimTrie {
             .map(|v| v.into_iter().map(Option::unwrap).collect())
             .collect())
     }
-
-    /// Broadcast a master-table update to every module.
-    pub(crate) fn master_add(
-        &mut self,
-        mref: MetaRef,
-        root_block: BlockRef,
-        root_node_slot: u32,
-        meta: &RootMeta,
-    ) -> Result<(), PimTrieError> {
-        let msg = MasterAddMsg {
-            mref,
-            root_block,
-            root_node_slot,
-            depth: meta.depth,
-            pre_hash: meta.pre_hash,
-            rem: BitsMsg(meta.rem.clone()),
-            s_last: BitsMsg(meta.s_last.clone()),
-        };
-        let mut out = Scatter::new(self.sys.p());
-        for m in 0..self.sys.p() {
-            out.push(m, (), Req::MasterAdd(msg.clone()));
-        }
-        self.rounds("master.add", out)?;
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -487,8 +457,6 @@ pub(crate) struct ChunkNode {
     pub meta: RootMeta,
     pub parent: Option<usize>,
     pub children: Vec<usize>,
-    /// chunks hanging under this block (kept through rebuilds)
-    pub chunk_children: Vec<MetaRef>,
 }
 
 /// One piece of the decomposition: a future meta-block.
@@ -756,7 +724,6 @@ impl PimTrie {
                     mref: p.mref,
                     under_node: idx_of[under],
                     root_block: tree[croot].block,
-                    root_node_slot: p.node_slots[&croot],
                     depth: tree[croot].meta.depth,
                     pre_hash: tree[croot].meta.pre_hash,
                     rem: BitsMsg(tree[croot].meta.rem.clone()),
@@ -771,25 +738,17 @@ impl PimTrie {
                 mref: c.mref,
                 under_node: idx_of[&(c.under_node as usize)],
                 root_block: c.root_block,
-                root_node_slot: c.root_node_slot,
                 depth: c.depth,
                 pre_hash: c.pre_hash,
                 rem: BitsMsg(c.rem.0.clone()),
                 s_last: BitsMsg(c.s_last.0.clone()),
             });
         }
-        let mut chunks: Vec<(MetaRef, u32)> = Vec::new();
-        for &cn in &plan.nodes {
-            for m in &tree[cn].chunk_children {
-                chunks.push((*m, idx_of[&cn]));
-            }
-        }
         let msg = PutMetaMsg {
             nodes,
             root_idx: idx_of[&plan.root],
             parent: None, // wired afterwards
             children,
-            chunks,
             parents,
         };
         if is_root {

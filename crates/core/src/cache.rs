@@ -6,7 +6,7 @@
 //! of the hottest [`DataBlock`](crate::module::DataBlock)s, keyed by
 //! [`BlockRef`], so read-only batch ops (`lcp`, `get`) can resolve a
 //! query entirely on the CPU when its longest common prefix terminates
-//! inside cached levels — skipping the master/meta/block IO rounds for
+//! inside cached levels — skipping the meta-descent and block IO rounds for
 //! that query altogether.
 //!
 //! Design rules (all enforced here or in `ops.rs`/`build.rs`):

@@ -1,5 +1,5 @@
-//! PIM-trie tuning parameters (the paper's `K_B`, `K_MB`, `K_SMB`,
-//! push-pull threshold and hash width).
+//! PIM-trie tuning parameters (the paper's `K_B`, `K_SMB`, push-pull
+//! threshold and hash width).
 
 use crate::error::PimTrieError;
 use crate::fixed::{ceil_log2, Fx};
@@ -12,8 +12,6 @@ pub struct PimTrieConfig {
     pub p: usize,
     /// Block size upper bound in words — `K_B = Θ(log² P)` (§4.2).
     pub k_b: u64,
-    /// Meta-block size upper bound in hash values — `K_MB = P` (§4.4).
-    pub k_mb: usize,
     /// Small-meta-block bound — `K_SMB = log² P` (§4.4.1).
     pub k_smb: usize,
     /// Push-pull threshold for query pieces in words — `log⁴ P`
@@ -88,7 +86,7 @@ pub struct PimTrieConfig {
 
 impl PimTrieConfig {
     /// The paper's parameter choices for `p` modules: `K_B = log² P`,
-    /// `K_MB = P`, `K_SMB = log² P`, push threshold `log⁴ P`.
+    /// `K_SMB = log² P`, push threshold `log⁴ P`.
     pub fn for_modules(p: usize) -> Self {
         assert!(p >= 1);
         let lg = ceil_log2(p.max(2));
@@ -96,7 +94,6 @@ impl PimTrieConfig {
         PimTrieConfig {
             p,
             k_b: lg2,
-            k_mb: p.max(4),
             k_smb: lg2 as usize,
             push_threshold: (lg2 * lg2).max(64),
             hash_width: HashWidth::FULL,
@@ -166,10 +163,8 @@ impl PimTrieConfig {
                 "K_B below 8 words is degenerate".into(),
             ));
         }
-        if self.k_mb < 1 || self.k_smb < 1 {
-            return Err(PimTrieError::BadConfig(
-                "K_MB and K_SMB must be at least 1".into(),
-            ));
+        if self.k_smb < 1 {
+            return Err(PimTrieError::BadConfig("K_SMB must be at least 1".into()));
         }
         if self.oversize_factor < 1 || self.undersize_divisor < 1 {
             return Err(PimTrieError::BadConfig(
@@ -228,7 +223,6 @@ mod tests {
         let c4 = PimTrieConfig::for_modules(4);
         let c256 = PimTrieConfig::for_modules(256);
         assert!(c256.k_b >= c4.k_b);
-        assert_eq!(c256.k_mb, 256);
         assert!(c256.push_threshold >= c256.k_b);
         assert!(c4.k_b >= 16);
     }

@@ -104,8 +104,8 @@ struct RemGroup {
     rems: Vec<RemEntry>,
 }
 
-/// The two-layer index over root strings (used by the master table and by
-/// every meta-block).
+/// The two-layer index over root strings (one per meta-block; the pull arm
+/// of Algorithm 5 builds one on the CPU over pulled entries).
 pub struct HashIndex<R> {
     groups: BTreeMap<u64, RemGroup>,
     entries: Slab<IndexEntry<R>>,

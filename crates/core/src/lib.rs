@@ -16,15 +16,18 @@
 //! (node hash, PIM address, `S_pre`/`S_rem` pivot decomposition, `S_last`)
 //! lives in the **hash value manager** (§4.4): a *meta-tree* over blocks,
 //! itself cut into **meta-blocks**, recursively decomposed by cut nodes
-//! (Lemmas 4.5–4.6) into *meta-block trees* of height `O(log P)`, whose
-//! roots are registered in a **master table** replicated on every module.
+//! (Lemmas 4.5–4.6) into one *meta-block tree* whose root meta-block sits
+//! at an address the host keeps. (The paper cuts the meta-tree into many
+//! such trees and finds their roots through a replicated master table,
+//! Algorithm 4; this implementation has one tree and no master table —
+//! DESIGN.md, deviations.)
 //!
 //! A batch is processed by **trie matching** (§4.1, §4.3): the CPU builds
 //! the *query trie* of the batch (Algorithm 1), then matches it against the
-//! data trie level by level — master table → meta-block trees → blocks —
-//! using **hash comparisons at pivot positions** for coarse elimination and
-//! **bit-by-bit comparison** inside the matched blocks for the exact
-//! result. Work is spread with the **push-pull** rule: small query pieces
+//! data trie level by level — the meta-block tree from its root, then
+//! blocks — using **hash comparisons at pivot positions** for coarse
+//! elimination and **bit-by-bit comparison** inside the matched blocks for
+//! the exact result. Work is spread with the **push-pull** rule: small query pieces
 //! are pushed to the module owning the data; large pieces pull the
 //! (bounded-size) data to the CPU instead. All communication flows through
 //! the simulator and is metered in words, rounds, and per-module balance.
@@ -120,13 +123,15 @@ pub struct PimTrie {
     pub(crate) place_rng: rand_chacha::ChaCha8Rng,
     /// count of verification-triggered redo walks (collision repairs)
     pub(crate) redo_paths: u64,
-    /// host-side director state: approximate node count per meta-block
-    /// tree (chunk), keyed by the chunk's root meta-block — drives the
-    /// K_MB promotion rule of §5.2
-    pub(crate) chunk_sizes: std::collections::BTreeMap<refs::MetaRef, usize>,
     /// the data trie's root block (depth 0); its address is stable across
     /// repartitions
     pub(crate) root_block: refs::BlockRef,
+    /// the root of the one meta-block tree: the meta-block whose root node
+    /// describes `root_block`. Matching starts here. Stable for the life
+    /// of the index — meta splits re-place it at the same address, merges
+    /// and migrations never touch the root block's meta node — and reset
+    /// by the bootstrap of a journal rebuild
+    pub(crate) root_meta: refs::MetaRef,
     /// sealed-wire round sequence counter (fault tolerance only)
     pub(crate) seq: u64,
     /// host-side key journal, maintained only with
@@ -316,8 +321,8 @@ impl PimTrie {
         self.sys.metrics().codec_stats()
     }
 
-    /// Total words of PIM memory used by blocks, meta-blocks and master
-    /// replicas (the paper's space metric, Lemma 4.2 / 4.7).
+    /// Total words of PIM memory used by blocks and meta-blocks (the
+    /// paper's space metric, Lemma 4.2 / 4.7).
     pub fn space_words(&self) -> u64 {
         self.sys.modules().map(|m| m.space_words()).sum()
     }
@@ -336,8 +341,21 @@ impl PimTrie {
     /// every invariant violation found (empty = healthy). Tests call this
     /// after each batch.
     pub fn audit_debug(&self) -> Vec<String> {
-        use trie_core::NodeId;
         let mut issues = Vec::new();
+        // matching starts at `root_meta` without asking any module
+        let rm = self.root_meta;
+        match self.sys.module(rm.module as usize).metas.get(rm.slot) {
+            None => issues.push(format!("root_meta {rm:?} names no live meta-block")),
+            Some(mb) => {
+                let root = mb.nodes.get(mb.root_node).map(|n| n.block);
+                if root != Some(self.root_block) || mb.parent.is_some() {
+                    issues.push(format!(
+                        "root_meta {rm:?}: root node describes {root:?} under parent {:?}, want {:?} under None",
+                        mb.parent, self.root_block
+                    ));
+                }
+            }
+        }
         for (mi, m) in self.sys.modules().enumerate() {
             for (slot, b) in m.blocks.iter() {
                 for (node, child) in &b.mirrors {
@@ -386,7 +404,6 @@ impl PimTrie {
                         ));
                     }
                 }
-                let _ = NodeId::ROOT;
             }
         }
         issues

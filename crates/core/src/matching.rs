@@ -1,21 +1,21 @@
-//! Trie matching — the orchestration of Algorithms 2–5.
+//! Trie matching — the orchestration of Algorithms 2, 3 and 5.
 //!
-//! One batch is matched in three phases, all expressed as BSP rounds over
-//! the simulator:
+//! One batch is matched in two phases, both expressed as BSP rounds over
+//! the simulator. There is no master-table round (Algorithm 4): the index
+//! is one meta-block tree whose root meta-block sits at an address the
+//! host has known since bootstrap (`PimTrie::root_meta`), and every query
+//! path starts at the empty string that root describes, so the first match
+//! is a constant the host supplies itself.
 //!
-//! 1. **Master matching** (Algorithm 4): the query trie is cut into
-//!    `O(P log P)` similar-sized pieces, each sent to a *uniformly random*
-//!    module and matched against the replicated master table. This yields
-//!    every meta-block-tree root lying on any query path.
-//! 2. **Meta descent** (Algorithm 5): each matched meta-block tree is
-//!    walked level by level. The query piece below a match is either
+//! 1. **Meta descent** (Algorithm 5): the meta-block tree is walked level
+//!    by level from its root. The query piece below a match is either
 //!    *pushed* to the module holding the (small) meta-block, or — when the
 //!    piece exceeds the `log⁴ P` threshold — the meta-block's `O(log² P)`
 //!    entries are *pulled* to the CPU and matched there (push-pull).
 //!    Every round discovers deeper verified block-root matches and the
 //!    child meta-blocks to recurse into; rounds are bounded by the
-//!    meta-block-tree height, `O(log P)`.
-//! 3. **Block matching** (Algorithm 2): the query piece between a matched
+//!    meta-block-tree height.
+//! 2. **Block matching** (Algorithm 2): the query piece between a matched
 //!    block root and the next deeper matches is matched *bit by bit*
 //!    against the block — pushed if small, pulled if the piece outweighs
 //!    the `O(K_B)` block. This is simultaneously the §4.4.3 verification:
@@ -75,8 +75,6 @@ pub struct MatchedTrie {
     pub depth_of: Vec<u64>,
     /// per qt node id: data anchor of the deepest match on its path
     pub anchor_of: Vec<Option<Anchor>>,
-    /// meta location (meta-block, node slot) per matched block
-    pub block_meta: BTreeMap<BlockRef, (MetaRef, u32)>,
     /// per qt node id: this node's result is untrusted (§ 4.4.3)
     pub flagged: Vec<bool>,
     /// counters
@@ -194,18 +192,16 @@ pub(crate) type QtPos = (u32, u64); // (qt node below, global depth)
 pub(crate) type CutTable = [Vec<u64>];
 
 /// Build the query piece rooted at `from`, cut at every position in `cuts`
-/// strictly below the root. `from = None` roots the piece at the query
-/// root (depth 0).
+/// strictly below the root.
 pub(crate) fn make_piece(
     qt: &Trie,
     ctxs: &[Option<NodeCtx>],
     hasher: &bitstr::hash::PolyHasher,
-    from: Option<QtPos>,
+    (root_below, root_depth): QtPos,
     cuts: &CutTable,
 ) -> QueryPiece {
     let mut piece = Trie::new();
     let mut tags: Vec<u32> = vec![0];
-    let (root_below, root_depth) = from.unwrap_or((NodeId::ROOT.0, 0));
     let ctx = ctx_at(qt, ctxs, hasher, NodeId(root_below), root_depth);
     tags[0] = root_below;
 
@@ -316,103 +312,37 @@ impl PimTrie {
                 qt,
                 depth_of: vec![0; bound],
                 anchor_of: vec![None; bound],
-                block_meta: BTreeMap::new(),
                 flagged: vec![false; bound],
                 stats,
             });
         }
         let ctxs = node_ctxs(&qt.trie, &self.hasher);
 
-        // ---- Phase 1: master matching (Algorithm 4) -------------------
-        self.t_phase("master-match");
         let p = self.sys.p();
-        let lg = crate::fixed::ceil_log2(p.max(2));
-        let total = qt.trie.size_words() as u64;
-        let kb_master = (total / (p as u64 * lg).max(1)).max(16);
-        let master_roots = trie_core::partition::partition_roots(&qt.trie, kb_master);
+        // The descent starts from a match the host already holds: the
+        // empty string is the root block's root, and its meta node is the
+        // root of the one meta-block tree. From here on pieces end at
+        // matched positions: every accepted match is appended to the cut
+        // table as it is found, and the descent rounds and block matching
+        // cut by it.
+        let root = RootMatch {
+            qt_below: NodeId::ROOT.0,
+            depth: 0,
+            block: self.root_block,
+            descend: Some(self.root_meta),
+        };
         let mut cuts: Vec<Vec<u64>> = vec![Vec::new(); bound];
-        for r in &master_roots {
-            if *r != NodeId::ROOT {
-                cuts[r.idx()].push(qt.trie.node(*r).depth as u64);
-            }
-        }
-        let mut master = Scatter::new(p);
-        if self.adapt.enabled() {
-            // The master table is replicated, so piece→module is a free
-            // choice. Random placement leaves a ~2x spread at a few
-            // pieces per module; with the tracker on, the host spends
-            // the sizes it already knows on a longest-processing-time
-            // assignment instead (heaviest piece to the lightest module,
-            // deterministic tie-breaks), flattening the scatter phase.
-            let mut pieces: Vec<Option<QueryPiece>> = master_roots
-                .iter()
-                .map(|r| {
-                    let from = (*r != NodeId::ROOT).then(|| (r.0, qt.trie.node(*r).depth as u64));
-                    Some(make_piece(&qt.trie, &ctxs, &self.hasher, from, &cuts))
-                })
-                .collect();
-            let sizes: Vec<u64> = pieces
-                .iter()
-                .map(|pc| pc.as_ref().map_or(0, |q| q.size_words()))
-                .collect();
-            let mut idx: Vec<usize> = (0..pieces.len()).collect();
-            idx.sort_by_key(|i| (u64::MAX - sizes[*i], *i));
-            let mut loads = vec![0u64; p];
-            for i in idx {
-                let mut m = 0;
-                for c in 1..p {
-                    if loads[c] < loads[m] {
-                        m = c;
-                    }
-                }
-                loads[m] += sizes[i];
-                if let Some(pc) = pieces[i].take() {
-                    stats.pushes += 1;
-                    master.push(m, (), Req::MatchMaster(pc));
-                }
-            }
-        } else {
-            for r in &master_roots {
-                let from = (*r != NodeId::ROOT).then(|| (r.0, qt.trie.node(*r).depth as u64));
-                let piece = make_piece(&qt.trie, &ctxs, &self.hasher, from, &cuts);
-                stats.pushes += 1;
-                let m = self.place_rng_next();
-                master.push(m as usize, (), Req::MatchMaster(piece));
-            }
-        }
-        let replies = self.rounds("match.master", master)?;
-        // From here on pieces end at matched positions, not at the master
-        // cuts: every accepted match is appended to the table as it is
-        // found, and the descent rounds and block matching cut by it.
-        for r in &master_roots {
-            cuts[r.idx()].clear();
-        }
-        let mut matches: Vec<RootMatch> = Vec::new();
-        let mut seen: BTreeSet<(u32, u64, BlockRef)> = BTreeSet::new();
-        for (_, (), resp) in replies {
-            let Resp::Matches(ms) = resp else {
-                return Err(unexpected("match.master"));
-            };
-            for m in ms {
-                if seen.insert((m.qt_below, m.depth, m.block)) {
-                    cuts[m.qt_below as usize].push(m.depth);
-                    matches.push(m);
-                }
-            }
-        }
+        cuts[NodeId::ROOT.idx()].push(0);
+        let mut matches: Vec<RootMatch> = vec![root];
+        let mut seen: BTreeSet<(u32, u64, BlockRef)> =
+            BTreeSet::from([(root.qt_below, 0, root.block)]);
 
-        // ---- Phase 2: meta descent (Algorithm 5) ----------------------
+        // ---- Phase 1: meta descent (Algorithm 5) ----------------------
         // hash comparisons at pivot positions — the paper's coarse filter
         self.t_phase("hash-probe");
-        let mut frontier: Vec<RootMatch> = matches
-            .iter()
-            .filter(|m| m.descend.is_some())
-            .copied()
-            .collect();
-        let mut frontier_seen: BTreeSet<(MetaRef, u32, u64)> = frontier
-            .iter()
-            .map(|m| (m.descend.unwrap(), m.qt_below, m.depth))
-            .collect();
+        let mut frontier: Vec<RootMatch> = vec![root];
+        let mut frontier_seen: BTreeSet<(MetaRef, u32, u64)> =
+            BTreeSet::from([(self.root_meta, root.qt_below, 0)]);
         while !frontier.is_empty() {
             stats.descend_rounds += 1;
             if stats.descend_rounds >= 64 {
@@ -431,13 +361,7 @@ impl PimTrie {
             let mut groups: BTreeMap<MetaRef, Vec<QueryPiece>> = BTreeMap::new();
             for m in frontier.drain(..) {
                 let target = m.descend.unwrap();
-                let piece = make_piece(
-                    &qt.trie,
-                    &ctxs,
-                    &self.hasher,
-                    Some((m.qt_below, m.depth)),
-                    &cuts,
-                );
+                let piece = make_piece(&qt.trie, &ctxs, &self.hasher, (m.qt_below, m.depth), &cuts);
                 groups.entry(target).or_default().push(piece);
             }
             let mut pushes = Scatter::new(p);
@@ -503,12 +427,8 @@ impl PimTrie {
             }
         }
 
-        // ---- Phase 3: block matching (Algorithm 2) --------------------
+        // ---- Phase 2: block matching (Algorithm 2) --------------------
         self.t_phase("block-match");
-        let mut block_meta = BTreeMap::new();
-        for m in &matches {
-            block_meta.insert(m.block, (m.meta, m.node_slot));
-        }
         // Group pieces per target block: contention-based push-pull (the
         // Pull method of §3.3). A block whose aimed pieces together exceed
         // its own O(K_B) size is fetched once to the CPU, and all of its
@@ -516,13 +436,7 @@ impl PimTrie {
         // (every query down one path) off any single module.
         let mut groups: BTreeMap<BlockRef, Vec<QueryPiece>> = BTreeMap::new();
         for m in &matches {
-            let piece = make_piece(
-                &qt.trie,
-                &ctxs,
-                &self.hasher,
-                Some((m.qt_below, m.depth)),
-                &cuts,
-            );
+            let piece = make_piece(&qt.trie, &ctxs, &self.hasher, (m.qt_below, m.depth), &cuts);
             groups.entry(m.block).or_default().push(piece);
         }
         let mut pushes = Scatter::new(p);
@@ -724,14 +638,9 @@ impl PimTrie {
             qt,
             depth_of,
             anchor_of,
-            block_meta,
             flagged,
             stats,
         })
-    }
-
-    fn place_rng_next(&mut self) -> u32 {
-        self.random_module()
     }
 }
 
@@ -771,8 +680,6 @@ fn cpu_match_entries(
                 qt_below: m.qt_below,
                 depth: m.depth,
                 block: e.target.block,
-                meta: e.target.meta,
-                node_slot: e.target.node_slot,
                 descend: e.target.descend,
             });
         }
@@ -855,7 +762,7 @@ mod tests {
         let hasher = PolyHasher::with_seed(7);
         let qt = qt_of(&["00001001", "101001", "101011"]);
         let ctxs = node_ctxs(&qt.trie, &hasher);
-        let piece = make_piece(&qt.trie, &ctxs, &hasher, None, &[]);
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, (NodeId::ROOT.0, 0), &[]);
         assert_eq!(piece.root_depth, 0);
         assert_eq!(piece.trie.n_nodes(), qt.trie.n_nodes());
         // tags are a bijection onto qt nodes
@@ -878,7 +785,7 @@ mod tests {
         let deep = qt.key_node[0]; // node for "111111"
         let mut cuts = vec![Vec::new(); qt.trie.id_bound()];
         cuts[deep.idx()].push(5);
-        let piece = make_piece(&qt.trie, &ctxs, &hasher, None, &cuts);
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, (NodeId::ROOT.0, 0), &cuts);
         // the piece must contain a leaf at depth 5 tagged with `deep`
         let found = piece
             .trie
@@ -900,7 +807,7 @@ mod tests {
         let ctxs = node_ctxs(&qt.trie, &hasher);
         let deep = qt.key_node[0];
         // root the piece at depth 3, inside the edge into `deep`
-        let piece = make_piece(&qt.trie, &ctxs, &hasher, Some((deep.0, 3)), &[]);
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, (deep.0, 3), &[]);
         assert_eq!(piece.root_depth, 3);
         assert_eq!(piece.root_rem, b("111"));
         // remaining 5 bits hang below the piece root
@@ -915,7 +822,7 @@ mod tests {
         let qt = qt_of(&["1010", "1011", "10"]);
         let ctxs = node_ctxs(&qt.trie, &hasher);
         let mid = qt.key_node[2]; // node for "10"
-        let piece = make_piece(&qt.trie, &ctxs, &hasher, Some((mid.0, 2)), &[]);
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, (mid.0, 2), &[]);
         assert_eq!(piece.root_depth, 2);
         // subtree below "10": "10"→"1"→{"0","1"}
         assert_eq!(piece.trie.n_nodes(), 4);

@@ -1,6 +1,6 @@
 //! Module-local state and the PIM-side programs.
 //!
-//! Each module's PIM memory holds three kinds of objects (paper §4.2/§4.4):
+//! Each module's PIM memory holds two kinds of objects (paper §4.2/§4.4):
 //!
 //! * [`DataBlock`] — a piece of the data trie (`O(K_B)` words): a trie whose
 //!   root is the block root (empty edge), with *mirror leaves* standing in
@@ -8,9 +8,8 @@
 //! * [`MetaBlock`] — a piece of the meta-tree: meta-nodes for the block
 //!   roots it covers, a two-layer [`HashIndex`] over them (plus the roots of
 //!   its child meta-blocks for descent), and links forming the meta-block
-//!   tree;
-//! * the replicated **master table** — the two-layer index over the roots
-//!   of all meta-block trees.
+//!   tree. There is one meta-block tree; the host knows its root's address
+//!   (`PimTrie::root_meta`), so no module holds a table of tree roots.
 //!
 //! [`handle`] is the module program: one BSP round delivers a vector of
 //! [`Req`] messages and returns one [`Resp`] per request, metering PIM work.
@@ -97,10 +96,8 @@ pub struct MetaChildInfo {
     pub under_node: u32,
     /// Entry slot for the child's root in this meta-block's index.
     pub entry_slot: u32,
-    /// The child's root block and its meta-node slot inside the child.
+    /// The child's root block.
     pub root_block: BlockRef,
-    /// Meta node slot of the child's root within the child meta-block.
-    pub root_node_slot: u32,
 }
 
 /// A piece of the meta-tree stored on one module.
@@ -115,9 +112,6 @@ pub struct MetaBlock {
     pub parent: Option<MetaRef>,
     /// Child meta-blocks.
     pub children: Vec<MetaChildInfo>,
-    /// Chunks (separate meta-block trees) whose parent block is covered
-    /// here: (chunk root meta-block, own node it hangs under).
-    pub chunk_children: Vec<(MetaRef, u32)>,
 }
 
 impl MetaBlock {
@@ -132,28 +126,12 @@ impl MetaBlock {
     }
 }
 
-/// Master-table target: a meta-block-tree root.
-#[derive(Clone, Copy, Debug)]
-pub struct MasterTarget {
-    /// The chunk's root meta-block.
-    pub mref: MetaRef,
-    /// The chunk root's block.
-    pub root_block: BlockRef,
-    /// Meta node slot of the root inside `mref`.
-    pub root_node_slot: u32,
-}
-
 /// One module's PIM memory.
 pub struct ModuleState {
     /// Data-trie blocks.
     pub blocks: Slab<DataBlock>,
     /// Meta-tree pieces.
     pub metas: Slab<MetaBlock>,
-    /// Replicated master table (meta-block-tree roots), keyed for removal
-    /// by the chunk's root meta-block ref.
-    pub master: HashIndex<MasterTarget>,
-    /// master removal map: chunk mref -> master entry slot
-    pub master_slots: BTreeMap<MetaRef, u32>,
     /// digest width shared by all indexes on this module
     pub width: HashWidth,
     /// Set by the host's crash callback when this module's memory was
@@ -175,8 +153,6 @@ impl ModuleState {
         ModuleState {
             blocks: Slab::new(),
             metas: Slab::new(),
-            master: HashIndex::new(width),
-            master_slots: BTreeMap::new(),
             width,
             crashed: false,
             reply_cache: BTreeMap::new(),
@@ -188,7 +164,7 @@ impl ModuleState {
     pub fn space_words(&self) -> u64 {
         let blocks: u64 = self.blocks.iter().map(|(_, b)| b.weight()).sum();
         let metas: u64 = self.metas.iter().map(|(_, m)| m.space_words()).sum();
-        blocks + metas + self.master.space_words()
+        blocks + metas
     }
 }
 
@@ -201,12 +177,8 @@ pub struct RootMatch {
     pub depth: u64,
     /// The matched block.
     pub block: BlockRef,
-    /// Meta-block holding the block's meta node.
-    pub meta: MetaRef,
-    /// Meta node slot within `meta`.
-    pub node_slot: u32,
-    /// Meta-block tree to descend for deeper roots, if this match is a
-    /// chunk/meta-block root.
+    /// Meta-block to descend into for deeper roots, if this match is a
+    /// meta-block's root.
     pub descend: Option<MetaRef>,
 }
 
@@ -251,10 +223,6 @@ pub struct EntrySummary {
 pub struct RootMatchTarget {
     /// The block.
     pub block: BlockRef,
-    /// Owning meta-block.
-    pub meta: MetaRef,
-    /// Meta node slot.
-    pub node_slot: u32,
     /// Descend target, if any.
     pub descend: Option<MetaRef>,
 }
@@ -262,8 +230,6 @@ pub struct RootMatchTarget {
 /// Requests the host can send to a module in one round.
 #[derive(Clone)]
 pub enum Req {
-    /// Match a piece against the replicated master table.
-    MatchMaster(QueryPiece),
     /// Match a piece against one meta-block's index (push).
     MatchMeta {
         /// target meta-block slot
@@ -348,7 +314,7 @@ pub enum Req {
     /// Install a new meta-block.
     PutMeta(PutMetaMsg),
     /// Replace an existing meta-block's content in place (rebuilds keep
-    /// the chunk's address stable).
+    /// the split meta-block's address stable).
     ReplaceMeta {
         /// existing meta-block slot
         slot: u32,
@@ -424,13 +390,6 @@ pub enum Req {
         /// new parent
         parent: Option<MetaRef>,
     },
-    /// Add an entry to the replicated master table (broadcast).
-    MasterAdd(MasterAddMsg),
-    /// Remove a chunk from the replicated master table (broadcast).
-    MasterRemove {
-        /// chunk root meta-block
-        mref: MetaRef,
-    },
     /// Fetch a block's subtree below a position plus the child blocks
     /// hanging under it (SubtreeQuery assembly).
     FetchSubtree {
@@ -457,8 +416,8 @@ pub enum Req {
     },
     /// Ask whether a meta node is its meta-block's *root* node. Root meta
     /// nodes are additionally referenced by the parent meta-block's child
-    /// list (or the master table), so the host excludes those blocks from
-    /// migration rather than chase every replica of the address.
+    /// list, so the host excludes those blocks from migration rather than
+    /// chase every replica of the address.
     MetaNodeKind {
         /// meta-block slot
         slot: u32,
@@ -536,8 +495,6 @@ pub struct PutMetaMsg {
     pub parent: Option<MetaRef>,
     /// children meta-blocks
     pub children: Vec<NewMetaChild>,
-    /// chunk children: (chunk mref, index into `nodes` it hangs under)
-    pub chunks: Vec<(MetaRef, u32)>,
     /// parent links: for node i, Some(j) = nodes[j] is its parent
     pub parents: Vec<Option<u32>>,
 }
@@ -568,8 +525,6 @@ pub struct NewMetaChild {
     pub under_node: u32,
     /// the child's root block
     pub root_block: BlockRef,
-    /// root meta node slot within the child
-    pub root_node_slot: u32,
     /// root string depth
     pub depth: u64,
     /// pre hash of the child root string
@@ -580,29 +535,10 @@ pub struct NewMetaChild {
     pub s_last: crate::refs::BitsMsg,
 }
 
-/// Master-table entry payload.
-#[derive(Clone)]
-pub struct MasterAddMsg {
-    /// chunk root meta-block
-    pub mref: MetaRef,
-    /// chunk root block
-    pub root_block: BlockRef,
-    /// root meta node slot within `mref`
-    pub root_node_slot: u32,
-    /// root depth
-    pub depth: u64,
-    /// pre hash
-    pub pre_hash: HashVal,
-    /// rem bits
-    pub rem: crate::refs::BitsMsg,
-    /// trailing bits
-    pub s_last: crate::refs::BitsMsg,
-}
-
 /// Responses, one per request.
 #[derive(Clone)]
 pub enum Resp {
-    /// Root matches from a master/meta match.
+    /// Root matches from a meta-block match.
     Matches(Vec<RootMatch>),
     /// Per-node results of an in-block match.
     BlockResults {
@@ -647,7 +583,7 @@ pub enum Resp {
     MetaVitals {
         /// node count
         nodes: u64,
-        /// the meta-block's parent (None = chunk root)
+        /// the meta-block's parent (None = the tree's root meta-block)
         parent: Option<MetaRef>,
     },
     /// Subtree pieces for SubtreeQuery.
@@ -707,8 +643,6 @@ pub struct MetaFullOut {
     pub parent: Option<MetaRef>,
     /// child meta-blocks with full root metadata
     pub children: Vec<(MetaChildInfo, u64, HashVal, BitStr, BitStr)>,
-    /// chunk children
-    pub chunk_children: Vec<(MetaRef, u32)>,
 }
 
 fn meta_full(mb: &MetaBlock) -> MetaFullOut {
@@ -748,7 +682,6 @@ fn meta_full(mb: &MetaBlock) -> MetaFullOut {
         root_node: mb.root_node,
         parent: mb.parent,
         children,
-        chunk_children: mb.chunk_children.clone(),
     }
 }
 
@@ -795,29 +728,13 @@ pub fn handle(
     hasher: &bitstr::hash::PolyHasher,
     req: Req,
 ) -> Resp {
-    let my = ctx.id as u32;
     let state = &mut *ctx.state;
     let mut work = 0u64;
     let resp = match req {
-        Req::MatchMaster(piece) => {
-            let ms = hash_match_piece(hasher, &piece, &state.master, &mut work);
-            Resp::Matches(
-                ms.into_iter()
-                    .map(|m| RootMatch {
-                        qt_below: m.qt_below,
-                        depth: m.depth,
-                        block: m.target.root_block,
-                        meta: m.target.mref,
-                        node_slot: m.target.root_node_slot,
-                        descend: Some(m.target.mref),
-                    })
-                    .collect(),
-            )
-        }
         Req::MatchMeta { slot, piece } => {
             let mb = state.metas.get(slot).expect("MatchMeta: bad slot");
             let ms = hash_match_piece(hasher, &piece, &mb.index, &mut work);
-            Resp::Matches(ms.iter().map(|m| meta_match(mb, slot, my, m)).collect())
+            Resp::Matches(ms.iter().map(|m| meta_match(mb, m)).collect())
         }
         Req::MatchBlock { slot, piece } => {
             let b = state.blocks.get(slot).expect("MatchBlock: bad slot");
@@ -838,7 +755,7 @@ pub fn handle(
             let mb = state.metas.get(slot).expect("FetchMeta: bad slot");
             work += mb.n_nodes() as u64;
             Resp::MetaSummary {
-                entries: summarize_meta(mb, slot, my),
+                entries: summarize_meta(mb),
             }
         }
         Req::FetchBlock { slot } => {
@@ -982,7 +899,6 @@ pub fn handle(
                     patch_target(&mut mb.index, c.entry_slot, LocalTarget::Child(j as u32));
                 }
             }
-            mb.chunk_children.retain(|(m, _)| *m != mref);
             Resp::MetaVitals {
                 nodes: mb.n_nodes() as u64,
                 parent: mb.parent,
@@ -1017,7 +933,7 @@ pub fn handle(
         Req::PutMeta(p) => {
             work += p.nodes.len() as u64 * 2;
             let count = p.nodes.len() as u64;
-            let (slot, node_slots) = put_meta(state, my, p, None);
+            let (slot, node_slots) = put_meta(state, p, None);
             Resp::Placed {
                 slot,
                 node_slots,
@@ -1027,7 +943,7 @@ pub fn handle(
         Req::ReplaceMeta { slot, msg } => {
             work += msg.nodes.len() as u64 * 2;
             let count = msg.nodes.len() as u64;
-            let (slot, node_slots) = put_meta(state, my, msg, Some(slot));
+            let (slot, node_slots) = put_meta(state, msg, Some(slot));
             Resp::Placed {
                 slot,
                 node_slots,
@@ -1131,27 +1047,6 @@ pub fn handle(
             mb.parent = parent;
             Resp::Ok
         }
-        Req::MasterAdd(m) => {
-            let slot = state.master.insert(IndexEntry {
-                depth: m.depth,
-                pre_hash: m.pre_hash,
-                rem: m.rem.0.clone(),
-                s_last: m.s_last.0.clone(),
-                target: MasterTarget {
-                    mref: m.mref,
-                    root_block: m.root_block,
-                    root_node_slot: m.root_node_slot,
-                },
-            });
-            state.master_slots.insert(m.mref, slot);
-            Resp::Ok
-        }
-        Req::MasterRemove { mref } => {
-            if let Some(slot) = state.master_slots.remove(&mref) {
-                state.master.remove(slot);
-            }
-            Resp::Ok
-        }
         Req::FetchSubtree { slot, node, off } => {
             let b = state.blocks.get(slot).expect("FetchSubtree: bad slot");
             work += b.weight();
@@ -1193,7 +1088,7 @@ pub fn handle(
             work += 2;
             match state.metas.get(slot) {
                 // `1` = the meta-block's root node (block address is also
-                // replicated in the parent's child list / master table)
+                // replicated in the parent's child list)
                 Some(mb) => Resp::Value(Some(u64::from(node == mb.root_node))),
                 None => Resp::Value(None),
             }
@@ -1227,56 +1122,38 @@ pub fn handle(
     resp
 }
 
-fn meta_match(mb: &MetaBlock, slot: u32, my: u32, m: &PieceMatch<LocalTarget>) -> RootMatch {
-    match m.target {
-        LocalTarget::Own(ns) => {
-            let node = mb.nodes.get(ns).expect("match target node missing");
-            RootMatch {
-                qt_below: m.qt_below,
-                depth: m.depth,
-                block: node.block,
-                meta: MetaRef { module: my, slot },
-                node_slot: ns,
-                descend: None,
-            }
-        }
+/// What an index entry of `mb` resolves to: one of its own blocks, or a
+/// child meta-block's root block plus the child to descend into.
+fn resolve_target(mb: &MetaBlock, t: LocalTarget) -> RootMatchTarget {
+    match t {
+        LocalTarget::Own(ns) => RootMatchTarget {
+            block: mb.nodes.get(ns).expect("match target node missing").block,
+            descend: None,
+        },
         LocalTarget::Child(ci) => {
             let c = &mb.children[ci as usize];
-            RootMatch {
-                qt_below: m.qt_below,
-                depth: m.depth,
+            RootMatchTarget {
                 block: c.root_block,
-                meta: c.mref,
-                node_slot: c.root_node_slot,
                 descend: Some(c.mref),
             }
         }
     }
 }
 
-fn summarize_meta(mb: &MetaBlock, slot: u32, my: u32) -> Vec<EntrySummary> {
+fn meta_match(mb: &MetaBlock, m: &PieceMatch<LocalTarget>) -> RootMatch {
+    let t = resolve_target(mb, m.target);
+    RootMatch {
+        qt_below: m.qt_below,
+        depth: m.depth,
+        block: t.block,
+        descend: t.descend,
+    }
+}
+
+fn summarize_meta(mb: &MetaBlock) -> Vec<EntrySummary> {
     let mut out = Vec::with_capacity(mb.index.len());
     for (_, e) in mb.index.iter() {
-        let target = match e.target {
-            LocalTarget::Own(ns) => {
-                let node = mb.nodes.get(ns).expect("node missing");
-                RootMatchTarget {
-                    block: node.block,
-                    meta: MetaRef { module: my, slot },
-                    node_slot: ns,
-                    descend: None,
-                }
-            }
-            LocalTarget::Child(ci) => {
-                let c = &mb.children[ci as usize];
-                RootMatchTarget {
-                    block: c.root_block,
-                    meta: c.mref,
-                    node_slot: c.root_node_slot,
-                    descend: Some(c.mref),
-                }
-            }
-        };
+        let target = resolve_target(mb, e.target);
         out.push(EntrySummary {
             depth: e.depth,
             pre_hash: e.pre_hash,
@@ -1297,19 +1174,13 @@ fn patch_target(index: &mut HashIndex<LocalTarget>, slot: u32, t: LocalTarget) {
     debug_assert_eq!(new_slot, slot);
 }
 
-fn put_meta(
-    state: &mut ModuleState,
-    _my: u32,
-    p: PutMetaMsg,
-    replace: Option<u32>,
-) -> (u32, Vec<u32>) {
+fn put_meta(state: &mut ModuleState, p: PutMetaMsg, replace: Option<u32>) -> (u32, Vec<u32>) {
     let mut mb = MetaBlock {
         index: HashIndex::new(state.width),
         nodes: Slab::new(),
         root_node: 0,
         parent: p.parent,
         children: Vec::new(),
-        chunk_children: Vec::new(),
     };
     let mut node_slots = Vec::with_capacity(p.nodes.len());
     for n in &p.nodes {
@@ -1360,14 +1231,8 @@ fn put_meta(
             under_node: node_slots[c.under_node as usize],
             entry_slot,
             root_block: c.root_block,
-            root_node_slot: c.root_node_slot,
         });
     }
-    mb.chunk_children = p
-        .chunks
-        .into_iter()
-        .map(|(mref, under)| (mref, node_slots[under as usize]))
-        .collect();
     // ReplaceMeta keeps the old parent pointer unless the payload set one.
     if mb.parent.is_none() {
         if let Some(s) = replace {
@@ -1409,17 +1274,12 @@ fn remove_meta_node(mb: &mut MetaBlock, node: u32) {
             mb.root_node = c;
         }
     }
-    // chunk/tree children hanging under the removed node re-hang under its
+    // child meta-blocks hanging under the removed node re-hang under its
     // parent (or the new root)
     let new_under = n.parent.unwrap_or(mb.root_node);
     for c in &mut mb.children {
         if c.under_node == node {
             c.under_node = new_under;
-        }
-    }
-    for c in &mut mb.chunk_children {
-        if c.1 == node {
-            c.1 = new_under;
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::error::{unexpected, PimTrieError};
 use crate::fixed::Fx;
-use crate::matching::{Anchor, MatchedTrie};
+use crate::matching::Anchor;
 use crate::module::{GraftMsg, Req, Resp, MIRROR_VALUE};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::PimTrie;
@@ -200,7 +200,7 @@ impl PimTrie {
             // position (id, d)
             let Some(anchor) = mt.anchor_of[id.idx()] else {
                 // no anchor at all — defer to slow path
-                collect_keys_below(qt, id, &val_of, keys, &mt, &mut flagged_keys);
+                collect_keys_below(qt, id, &val_of, &mut flagged_keys);
                 continue;
             };
             let sub = subtree_for_graft(qt, id, d, &val_of);
@@ -426,17 +426,28 @@ impl PimTrie {
     fn subtree_core(&mut self, prefixes: &[BitStr]) -> Result<Vec<Option<Trie>>, PimTrieError> {
         let mt = self.match_batch(prefixes)?;
         let mut out: Vec<Option<Trie>> = (0..prefixes.len()).map(|_| None).collect();
+        // §4.4.3 redo: one exact descent for all flagged prefixes.
+        let mut exact: Vec<(u64, Option<Anchor>)> = (0..prefixes.len())
+            .map(|i| {
+                let node = mt.qt.key_node[i];
+                (mt.depth_of[node.idx()], mt.anchor_of[node.idx()])
+            })
+            .collect();
+        let flagged: Vec<usize> = (0..prefixes.len())
+            .filter(|i| mt.flagged[mt.qt.key_node[*i].idx()])
+            .collect();
+        if !flagged.is_empty() {
+            self.redo_paths += flagged.len() as u64;
+            let qs: Vec<BitStr> = flagged.iter().map(|i| prefixes[*i].clone()).collect();
+            let rs = self.try_slow_descend(&qs)?;
+            for (i, r) in flagged.into_iter().zip(rs) {
+                exact[i] = (r.depth, Some(r.anchor));
+            }
+        }
         // frontier entries: (query idx, block, node, off, absolute prefix)
         let mut frontier: Vec<(usize, BlockRef, u32, u32, BitStr)> = Vec::new();
         for (i, prefix) in prefixes.iter().enumerate() {
-            let node = mt.qt.key_node[i];
-            let (depth, anchor) = if mt.flagged[node.idx()] {
-                self.redo_paths += 1;
-                let r = self.try_slow_descend(std::slice::from_ref(prefix))?[0];
-                (r.depth, Some(r.anchor))
-            } else {
-                (mt.depth_of[node.idx()], mt.anchor_of[node.idx()])
-            };
+            let (depth, anchor) = exact[i];
             if depth as usize != prefix.len() {
                 continue; // nothing extends this prefix
             }
@@ -1126,40 +1137,31 @@ impl PimTrie {
                     cleanup.push(mref.module as usize, Some(mref), req);
                 }
             }
-            // Round D: drop emptied meta-blocks, detach from parents/master.
+            // Round D: drop emptied meta-blocks and detach them from their
+            // parents. The root meta-block never empties: its root node
+            // describes the root block, which is never a merge candidate.
             let mut meta_drop = Scatter::new(p);
-            let mut master_removals: Vec<MetaRef> = Vec::new();
             for (_, mref, resp) in self.rounds("merge.cleanup", cleanup)? {
-                let (Some(mref), Resp::MetaVitals { nodes: 0, parent }) = (mref, resp) else {
+                let (
+                    Some(mref),
+                    Resp::MetaVitals {
+                        nodes: 0,
+                        parent: Some(pm),
+                    },
+                ) = (mref, resp)
+                else {
                     continue;
                 };
                 let req = Req::DropMeta { slot: mref.slot };
                 meta_drop.push(mref.module as usize, (), req);
-                match parent {
-                    Some(pm) => {
-                        let req = Req::RemoveMetaChild {
-                            slot: pm.slot,
-                            mref,
-                        };
-                        meta_drop.push(pm.module as usize, (), req);
-                    }
-                    None => master_removals.push(mref),
-                }
+                let req = Req::RemoveMetaChild {
+                    slot: pm.slot,
+                    mref,
+                };
+                meta_drop.push(pm.module as usize, (), req);
             }
             if !meta_drop.is_empty() {
                 self.rounds("merge.meta.drop", meta_drop)?;
-            }
-            if !master_removals.is_empty() {
-                let mut broadcast = Scatter::new(p);
-                for m in 0..p {
-                    for mref in &master_removals {
-                        broadcast.push(m, (), Req::MasterRemove { mref: *mref });
-                    }
-                }
-                self.rounds("master.remove", broadcast)?;
-                for m in &master_removals {
-                    self.chunk_sizes.remove(m);
-                }
             }
             // cascade: parents that shrank continue; oversized ones split
             let mut oversized = Vec::new();
@@ -1200,7 +1202,7 @@ impl PimTrie {
             fulls[i] = Some(full);
         }
 
-        // CPU: rebuild each chunk piece and cut it.
+        // CPU: rebuild each meta-block's node tree and cut it.
         let mut jobs: Vec<crate::build::PlaceJob> = Vec::new();
         let mut job_mref: Vec<MetaRef> = Vec::new();
         for (mref, full) in mrefs.iter().zip(fulls) {
@@ -1225,7 +1227,6 @@ impl PimTrie {
                     },
                     parent: n.parent.map(|p| idx_of[&p]),
                     children: Vec::new(),
-                    chunk_children: Vec::new(),
                 })
                 .collect();
             for (i, n) in full.nodes.iter().enumerate() {
@@ -1233,9 +1234,6 @@ impl PimTrie {
                     let pi = idx_of[&pslot];
                     tree[pi].children.push(i);
                 }
-            }
-            for (m, under) in &full.chunk_children {
-                tree[idx_of[under]].chunk_children.push(*m);
             }
             let root = idx_of[&full.root_node];
             let (plans, root_plan, locate) =
@@ -1255,7 +1253,6 @@ impl PimTrie {
                             mref: c.mref,
                             under_node: idx_of[&c.under_node] as u32,
                             root_block: c.root_block,
-                            root_node_slot: c.root_node_slot,
                             depth: *depth,
                             pre_hash: *pre,
                             rem: BitsMsg(rem.clone()),
@@ -1500,7 +1497,7 @@ impl PimTrie {
     /// Execute a planned migration wave: fetch the candidates, drop any
     /// whose move would race another in the same wave (parent/child
     /// links) or whose meta node roots a meta-block (moving one would
-    /// stale the parent meta-block's root pointer and the master table),
+    /// stale the parent meta-block's copy of the child's root block),
     /// place copies at the destinations, then rewire every holder of the
     /// old address — the parent's mirror entry, each child's parent
     /// link, the meta node, the host cache (via the wire scan) — and
@@ -1756,7 +1753,6 @@ impl PimTrie {
             reset.push(m, (), Req::ResetModule);
         }
         self.rounds("recover.reset", reset)?;
-        self.chunk_sizes.clear();
         self.n_keys = 0;
         self.bootstrap()?;
         let entries: Vec<(BitStr, u64)> =
@@ -2019,8 +2015,6 @@ fn collect_keys_below(
     qt: &Trie,
     from: NodeId,
     val_of: &BTreeMap<u32, u64>,
-    _keys: &[BitStr],
-    _mt: &MatchedTrie,
     out: &mut Vec<(BitStr, u64)>,
 ) {
     let mut stack = vec![from];

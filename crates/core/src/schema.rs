@@ -41,9 +41,9 @@
 use crate::codec::{get_shared, put_shared, Decode, Encode};
 use crate::hvm::QueryPiece;
 use crate::module::{
-    BlockDataOut, BlockNodeResult, DescendOut, EntrySummary, GraftMsg, MasterAddMsg, MetaChildInfo,
-    MetaFullNode, MetaFullOut, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp,
-    RootMatch, RootMatchTarget,
+    BlockDataOut, BlockNodeResult, DescendOut, EntrySummary, GraftMsg, MetaChildInfo, MetaFullNode,
+    MetaFullOut, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp, RootMatch,
+    RootMatchTarget,
 };
 use crate::wire_guard::{Fingerprint, Fp};
 use pim_sim::{codec_stream as stream, CodecError, Dec, Enc, Wire};
@@ -208,10 +208,8 @@ wire_schema! {
         qt_below: delta(TAG),
         depth: delta(DEPTH),
         block,
-        meta,
-        node_slot: delta(NODE_SLOT),
         descend,
-    } words = 5;
+    } words = 3;
 
     struct BlockNodeResult {
         tag: delta(TAG),
@@ -224,8 +222,6 @@ wire_schema! {
 
     struct RootMatchTarget {
         block,
-        meta,
-        node_slot: delta(NODE_SLOT),
         descend,
     };
 
@@ -236,7 +232,7 @@ wire_schema! {
         rem: shared(LABEL_REM),
         s_last: shared(LABEL_LAST),
         target,
-    } words = 8;
+    } words = 6;
 
     struct GraftMsg {
         anchor_node,
@@ -268,7 +264,6 @@ wire_schema! {
         mref,
         under_node,
         root_block,
-        root_node_slot: delta(NODE_SLOT),
         depth: delta(DEPTH),
         pre_hash,
         rem: shared(LABEL_REM),
@@ -280,19 +275,8 @@ wire_schema! {
         root_idx,
         parent,
         children,
-        chunks,
         parents,
-    } words = 3 + nodes.len() as u64 * 8 + children.len() as u64 * 8 + chunks.len() as u64 * 2;
-
-    struct MasterAddMsg {
-        mref,
-        root_block,
-        root_node_slot: delta(NODE_SLOT),
-        depth: delta(DEPTH),
-        pre_hash,
-        rem: shared(LABEL_REM),
-        s_last: shared(LABEL_LAST),
-    } words = 8;
+    } words = 3 + nodes.len() as u64 * 8 + children.len() as u64 * 7;
 
     struct MetaFullNode {
         slot: delta(NODE_SLOT),
@@ -310,7 +294,6 @@ wire_schema! {
         under_node,
         entry_slot,
         root_block,
-        root_node_slot,
     };
 
     struct MetaFullOut {
@@ -318,11 +301,7 @@ wire_schema! {
         root_node,
         parent,
         children,
-        chunk_children,
-    } words = 2
-        + nodes.len() as u64 * 8
-        + children.len() as u64 * 8
-        + chunk_children.len() as u64 * 2;
+    } words = 2 + nodes.len() as u64 * 8 + children.len() as u64 * 8;
 
     struct BlockDataOut {
         trie,
@@ -344,7 +323,7 @@ wire_schema! {
     } words = 4;
 
     enum Req {
-        1: MatchMaster(p) => 1 + p.wire_words(),
+        // tag 1 is retired (WIRE_FORMAT.md): tags are never renumbered
         2: MatchMeta { slot, piece } => 2 + piece.wire_words(),
         3: MatchBlock { slot, piece } => 2 + piece.wire_words(),
         4: FetchMeta { slot } => 1,
@@ -369,8 +348,7 @@ wire_schema! {
         21: AddMetaNodes { slot, parent_node, nodes, parents } => 2 + nodes.len() as u64 * 9,
         22: RemoveMetaNode { slot, node } => 2,
         23: SetMetaParent { slot, parent } => 2,
-        24: MasterAdd(m) => m.wire_words(),
-        25: MasterRemove { mref } => 1,
+        // tags 24 and 25 are retired
         26: FetchSubtree { slot, node, off } => 3,
         27: DescendBlock { slot, bits } => 1 + bits.wire_words(),
         28: ResetModule => 1,

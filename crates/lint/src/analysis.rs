@@ -6,7 +6,7 @@
 //! | `metering-honesty` | stat-struct counters (`Metrics`, `FaultStats`, `CacheStats`, `ServeStats`, `AdaptStats`) are mutated only through the `sim` metering API — a layer that bumps `hits` on a private copy reports costs it never paid |
 //! | `dead-waiver`      | every `lint: allow(…)` comment suppresses at least one finding — a waiver that outlived its violation is camouflage for the next real one |
 //! | `doc-drift`        | every experiment in `repro`'s KNOWN list is named in its `--help` text, in EXPERIMENTS.md, and in the committed cost-baseline — an experiment the docs forgot is an experiment nobody re-runs |
-//! | `wire-spec-drift`  | every identifier in WIRE_FORMAT.md's "Wire vocabulary" table exists in the wire-layer sources (`crates/codec`, `crates/sim`) — a spec that names vanished machinery is worse than no spec |
+//! | `wire-spec-drift`  | every identifier in WIRE_FORMAT.md's "Wire vocabulary" table exists in the wire-layer sources (`crates/codec`, `crates/sim`, `crates/core/src/schema.rs`) — a spec that names vanished machinery is worse than no spec |
 //!
 //! The phase consumes the per-file [`FileAnalysis`]/[`FileReport`]
 //! pairs the driver built with [`crate::rules::analyze`] and
@@ -36,6 +36,11 @@ const RULE_WIRE_SPEC: &str = "wire-spec-drift";
 /// `wire-spec-drift`: the bit-level codec and the simulator that
 /// negotiates, meters, and fault-indexes it.
 const WIRE_CRATES: &[&str] = &["codec", "sim"];
+
+/// The third wire-layer source: the one field table of every protocol
+/// message and payload struct, so the spec cannot keep naming a message
+/// the protocol dropped.
+const WIRE_SCHEMA: &str = "crates/core/src/schema.rs";
 
 /// One file's full state flowing through the run: context, analysis,
 /// and the report the rules accumulate into.
@@ -469,8 +474,10 @@ fn spec_vocabulary(spec: &str) -> Option<Vec<(u32, String)>> {
 /// wire-layer unit. Silent when the tree has no wire layer (fixture
 /// trees, pre-codec checkouts).
 fn wire_spec_drift(units: &mut [Unit], wire_spec: Option<&str>) {
-    let is_wire =
-        |u: &Unit| u.ctx.class == FileClass::Src && WIRE_CRATES.contains(&u.ctx.krate.as_str());
+    let is_wire = |u: &Unit| {
+        u.ctx.class == FileClass::Src
+            && (WIRE_CRATES.contains(&u.ctx.krate.as_str()) || u.ctx.path == WIRE_SCHEMA)
+    };
     let mut tokens = BTreeSet::new();
     for u in units.iter().filter(|u| is_wire(u)) {
         for t in &u.fa.lexed.toks {
@@ -496,8 +503,8 @@ fn wire_spec_drift(units: &mut [Unit], wire_spec: Option<&str>) {
     let Some(spec) = wire_spec else {
         push(
             1,
-            "the wire layer (crates/codec, crates/sim) exists but WIRE_FORMAT.md is missing — \
-             the codecs must stay specified"
+            "the wire layer (crates/codec, crates/sim, crates/core/src/schema.rs) exists but \
+             WIRE_FORMAT.md is missing — the codecs must stay specified"
                 .to_string(),
         );
         return;
@@ -517,8 +524,8 @@ fn wire_spec_drift(units: &mut [Unit], wire_spec: Option<&str>) {
                 line,
                 format!(
                     "`{ident}` is named in WIRE_FORMAT.md's vocabulary but does not appear in \
-                     the wire-layer sources (crates/codec, crates/sim) — update the spec or \
-                     restore the identifier"
+                     the wire-layer sources (crates/codec, crates/sim, \
+                     crates/core/src/schema.rs) — update the spec or restore the identifier"
                 ),
             );
         }
@@ -854,6 +861,28 @@ mod tests {
         let d = active(&units[0], "wire-spec-drift");
         assert_eq!(d.len(), 1);
         assert!(d[0].msg.contains("Wire vocabulary"));
+    }
+
+    #[test]
+    fn schema_table_is_a_wire_source() {
+        let spec = "## Wire vocabulary\n\
+                    | identifier | meaning |\n|---|---|\n\
+                    | `PutMetaMsg` | live payload |\n| `DroppedPayloadMsg` | retired payload |\n";
+        let schema = "wire_schema! { struct PutMetaMsg { nodes, root_idx } words = 3; }\n";
+        let mut units = vec![
+            unit("crates/codec/src/lib.rs", CODEC_RS),
+            unit("crates/core/src/schema.rs", schema),
+            // not a wire source: naming it here must not rescue the spec
+            unit(
+                "crates/core/src/module.rs",
+                "pub struct DroppedPayloadMsg;\n",
+            ),
+        ];
+        run(&mut units, None, None, Some(spec));
+        let d = active(&units[0], "wire-spec-drift");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 5);
+        assert!(d[0].msg.contains("DroppedPayloadMsg"));
     }
 
     #[test]

@@ -46,6 +46,7 @@ fn bad_tree_reports_the_exact_seeded_findings() {
     // sorted (file, line, rule) order the JSONL guarantees.
     let expected: &[(&str, &str, u32, bool)] = &[
         ("wire-spec-drift", "WIRE_FORMAT.md", 11, false),
+        ("wire-spec-drift", "WIRE_FORMAT.md", 12, false),
         ("doc-drift", "crates/bench/src/bin/repro.rs", 1, false),
         ("float-determinism", "crates/core/src/hot.rs", 2, false),
         ("span-balance", "crates/core/src/hot.rs", 8, false),
@@ -75,52 +76,54 @@ fn bad_tree_reports_the_exact_seeded_findings() {
         );
     }
 
-    // the spec's vanished identifier is named
+    // the spec's vanished identifiers are named: one gone from the
+    // codec, one gone from the message schema
     assert!(
-        lines[0].contains("`put_warp_drive`"),
-        "wire-spec-drift must name the identifier: {}",
-        lines[0]
+        lines[0].contains("`put_warp_drive`") && lines[1].contains("`DroppedPayloadMsg`"),
+        "wire-spec-drift must name the identifier: {} / {}",
+        lines[0],
+        lines[1]
     );
     // the undocumented experiment is named
     assert!(
-        lines[1].contains("`ghost`"),
+        lines[2].contains("`ghost`"),
         "doc-drift must name the experiment: {}",
-        lines[1]
+        lines[2]
     );
     // span-balance points back at the open site it leaks
     assert!(
-        lines[3].contains("opened at line 6"),
+        lines[4].contains("opened at line 6"),
         "span-balance must cite the open site: {}",
-        lines[3]
+        lines[4]
     );
     // the waived finding carries its written reason
     assert!(
-        lines[5].contains("\"reason\":\"membership probes only, never iterated\""),
+        lines[6].contains("\"reason\":\"membership probes only, never iterated\""),
         "waiver reason missing: {}",
-        lines[5]
+        lines[6]
     );
     // the reason-less waiver is called out, not honoured
     assert!(
-        lines[6].contains("missing a reason"),
+        lines[7].contains("missing a reason"),
         "reason-less waiver not flagged: {}",
-        lines[6]
+        lines[7]
     );
     // the private-copy metering dodge is diagnosed as such
     assert!(
-        lines[11].contains("privately constructed stat struct"),
+        lines[12].contains("privately constructed stat struct"),
         "metering-honesty verdict wrong: {}",
-        lines[11]
+        lines[12]
     );
     // both ratchet regressions name the crate and both counts
     assert!(
-        lines[13].contains("\"crate\":\"core\"") && lines[13].contains("2 unwrap"),
+        lines[14].contains("\"crate\":\"core\"") && lines[14].contains("2 unwrap"),
         "panic-ratchet message wrong: {}",
-        lines[13]
+        lines[14]
     );
     assert!(
-        lines[14].contains("3 lint waiver sites") && lines[14].contains("budget of 2"),
+        lines[15].contains("3 lint waiver sites") && lines[15].contains("budget of 2"),
         "waiver-ratchet message wrong: {}",
-        lines[14]
+        lines[15]
     );
     // timing-owned fixture crate still gets no wallclock finding
     assert!(

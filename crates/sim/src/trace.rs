@@ -503,14 +503,14 @@ mod tests {
         t.set_phase("lcp/hash-probe");
         t.on_round(&rec("match.meta.pull", vec![2], vec![2], vec![1]));
         t.clear_phase();
-        t.on_round(&rec("match.master", vec![1], vec![1], vec![0]));
+        t.on_round(&rec("match.meta.pull", vec![1], vec![1], vec![0]));
         t.end_op();
         let ev = t.events();
         assert_eq!((ev[0].op.as_str(), ev[0].phase.as_str()), ("-", "raw"));
         assert_eq!(ev[1].op, "lcp");
         assert_eq!(ev[1].phase, "lcp/hash-probe");
         // cleared phase falls back to the round's own name
-        assert_eq!(ev[2].phase, "match.master");
+        assert_eq!(ev[2].phase, "match.meta.pull");
         assert_eq!((ev[0].seq, ev[1].seq, ev[2].seq), (0, 1, 2));
     }
 

@@ -1,6 +1,9 @@
-//! Theorem 4.3's skew-resistance, asserted: under the worst-case batch the
-//! PIM-trie's per-module load stays within a small constant of the mean,
-//! while the range-partitioned strawman degenerates to one module.
+//! Theorem 4.3's skew-resistance, asserted on what the theorem bounds —
+//! the words the busiest module moves (IO time) — and not only on the
+//! max/mean ratio: under the worst-case batch the PIM-trie's busiest
+//! module moves a small fraction of what the range-partitioned strawman's
+//! one hot module does, and on a uniform batch, where every module has
+//! real work, the load stays within a small constant of the mean.
 
 use baselines::RangePartitioned;
 use pim_trie::{PimTrie, PimTrieConfig};
@@ -9,9 +12,14 @@ use pim_trie::{PimTrie, PimTrieConfig};
 /// prefix bucket that moves to the next bucket every batch, against a
 /// partition whose `K_B` keeps each bucket in one block. The static
 /// partition serialises every batch on the hot bucket's module; the
-/// adaptive run must hold per-batch IO balance near 1 once it has seen
-/// (and therefore split and spread) each bucket — while staying inside
-/// a hard budget on its own repartitioning traffic. ISSUE 8.
+/// adaptive run must cut the busiest module's query words severalfold
+/// once it has seen (and therefore split and spread) each bucket — while
+/// staying inside a hard budget on its own repartitioning traffic.
+///
+/// The max/mean ratio is asserted too, but it is the weaker statement:
+/// a batch here moves ~2 000 words per module, so a few hundred words on
+/// one module move the ratio by a tenth while the load that decides IO
+/// time barely changes. ISSUE 8.
 #[test]
 fn adaptive_blocking_beats_static_under_hotspot_chase() {
     let p = 16;
@@ -27,6 +35,8 @@ fn adaptive_blocking_beats_static_under_hotspot_chase() {
     let batches: Vec<&[bitstr::BitStr]> = stream.chunks(bsz).collect();
 
     let mut balances = Vec::new();
+    // busiest module's query words, mean over the measured batches
+    let mut max_words = Vec::new();
     for threshold in [0.0, 0.02] {
         let mut cfg = PimTrieConfig::for_modules(p).with_seed(94).with_k_b(20480);
         if threshold > 0.0 {
@@ -37,6 +47,7 @@ fn adaptive_blocking_beats_static_under_hotspot_chase() {
             let _ = t.lcp_batch(b);
         }
         let mut bal_sum = 0.0f64;
+        let mut max_sum = 0u64;
         for b in &batches[warm..] {
             let snap = t.system().metrics().snapshot();
             let a0 = t.adapt_stats().clone();
@@ -56,8 +67,10 @@ fn adaptive_blocking_beats_static_under_hotspot_chase() {
                 })
                 .collect();
             bal_sum += pim_sim::balance(&query_io);
+            max_sum += query_io.iter().copied().max().unwrap_or(0);
         }
         balances.push(bal_sum / measure as f64);
+        max_words.push(max_sum / measure as u64);
 
         if threshold > 0.0 {
             let s = t.adapt_stats().clone();
@@ -81,12 +94,31 @@ fn adaptive_blocking_beats_static_under_hotspot_chase() {
         stat >= p as f64 / 2.0,
         "static partition should serialise the chase: balance {stat:.2}"
     );
+    // Measured: static 21 864 words on the busiest module, adaptive 2 877
+    // (7.6x). With the master-table scatter still in every batch it was
+    // 22 443 vs 3 802 (5.9x): that round spread ~14 000 words evenly, which
+    // flattered the ratio below and hid a quarter of the real serialisation.
     assert!(
-        adap <= 1.3,
+        max_words[1] * 6 <= max_words[0],
+        "adaptive partition left the busiest module too loaded: {} vs static {} words",
+        max_words[1],
+        max_words[0]
+    );
+    // 1.40 measured (1.28 with the scatter round in the denominator, on a
+    // busiest module that carried 3 802 words instead of 2 877)
+    assert!(
+        adap <= 1.5,
         "adaptive partition failed to level the chase: balance {adap:.2}"
     );
 }
 
+/// The paper's adversary: every query descends one path. Once matched,
+/// the whole batch is a handful of pulls — ~600 words over seven rounds —
+/// so its max/mean ratio (5.3) says which module the hot block sits on,
+/// not how loaded the machine is. What Theorem 4.3 bounds is the busiest
+/// module's words, so that is compared with the strawman's; the ratio is
+/// asserted where it is a load statement, on a uniform batch of the same
+/// size.
 #[test]
 fn pim_trie_balanced_under_worst_case_skew() {
     let p = 16;
@@ -105,15 +137,28 @@ fn pim_trie_balanced_under_worst_case_skew() {
     let _ = range.lcp_batch(&batch);
     let d_range = range.system().metrics().since(&snap);
 
+    // 512 vs 20 480 measured (7 025 when every batch opened with the
+    // master-table scatter, which this inequality would have failed)
     assert!(
-        d_pim.io_balance() < 4.0,
-        "pim-trie imbalanced under skew: {:.2}",
-        d_pim.io_balance()
+        d_pim.io_time * 8 <= d_range.io_time,
+        "pim-trie IO time under skew {} is not 8x below range partitioning's {}",
+        d_pim.io_time,
+        d_range.io_time
     );
     assert!(
         d_range.io_balance() > p as f64 * 0.9,
         "range partitioning should serialize: {:.2}",
         d_range.io_balance()
+    );
+
+    let uniform = workloads::uniform_fixed(1 << 12, 96, 34);
+    let snap = pim.system().metrics().snapshot();
+    let _ = pim.lcp_batch(&uniform);
+    let d_uni = pim.system().metrics().since(&snap);
+    assert!(
+        d_uni.io_balance() < 1.5,
+        "pim-trie imbalanced on a uniform batch: {:.2}",
+        d_uni.io_balance()
     );
 }
 

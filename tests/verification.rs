@@ -1,5 +1,5 @@
 //! §4.4.3 verification: results stay exact no matter how narrow the hash
-//! digests are, across all four operations.
+//! digests are, across all four operations (and point lookups).
 
 use bitstr::hash::HashWidth;
 use bitstr::BitStr;
@@ -67,6 +67,62 @@ fn narrow_digests_exact_updates() {
         .map(|q| oracle.lcp(q.as_slice()).lcp_bits)
         .collect();
     assert_eq!(pim.lcp_batch(&queries), want);
+}
+
+/// SubtreeQuery under narrow digests, with duplicate prefixes and
+/// duplicate keys in every batch: results equal the oracle's, duplicates
+/// share one answer, and an insert's last occurrence wins. (On these
+/// inputs `redo_paths()` stays 0 at both widths: the hash index's exact
+/// second layer rejects a colliding digest before it becomes a match, so
+/// this pins the subtree path's exactness, not the redo behind it.)
+#[test]
+fn narrow_digests_exact_subtree_and_duplicate_keys() {
+    for width in [8u32, 10] {
+        let (mut pim, mut oracle, keys) = build_pair(width, 131 + width as u64, 600);
+        // prefixes of stored keys at mixed depths (each twice), plus
+        // random ones that mostly extend nothing
+        let mut prefixes: Vec<BitStr> = keys
+            .iter()
+            .take(60)
+            .enumerate()
+            .map(|(i, k)| k.slice(0..4 + (i * 7) % 70).to_bitstr())
+            .collect();
+        prefixes.extend(workloads::uniform_fixed(40, 24, 140 + width as u64));
+        prefixes.extend(prefixes.clone());
+        let got = pim.subtree_batch(&prefixes);
+        for (pfx, sub) in prefixes.iter().zip(got) {
+            let want = oracle.subtree(pfx.as_slice()).map(|t| sorted(t.items()));
+            assert_eq!(
+                sub.map(|t| sorted(t.items())),
+                want,
+                "subtree of {pfx} width {width}"
+            );
+        }
+
+        // duplicate keys: re-insert stored keys twice with different
+        // values, look them up twice, delete them twice
+        let dup: Vec<BitStr> = keys
+            .iter()
+            .take(80)
+            .chain(keys.iter().take(80))
+            .cloned()
+            .collect();
+        let vals: Vec<u64> = (1000..1000 + dup.len() as u64).collect();
+        pim.insert_batch(&dup, &vals);
+        for (k, v) in dup.iter().zip(&vals) {
+            oracle.insert(k, *v);
+        }
+        assert_eq!(pim.len(), oracle.n_keys(), "width {width}");
+        let want: Vec<Option<u64>> = dup.iter().map(|k| oracle.get(k.as_slice())).collect();
+        assert_eq!(pim.get_batch(&dup), want, "get width {width}");
+        assert_eq!(pim.delete_batch(&dup), 80, "delete width {width}");
+        assert_eq!(pim.get_batch(&dup), vec![None; dup.len()], "width {width}");
+    }
+}
+
+fn sorted(mut items: Vec<(BitStr, u64)>) -> Vec<(BitStr, u64)> {
+    items.sort();
+    items
 }
 
 #[test]
