@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `EXPERIMENT` is any of `t1-space`, `t1-rounds`, `t1-comm`, `skew`,
-//! `space-balance`, `scale-p`, `batch`, `verify`, `ablate`, `faults`,
+//! `space-balance`, `scale-p`, `descent`, `batch`, `verify`, `ablate`, `faults`,
 //! `cache`, `adapt`, `compress`, `serve`, or `all` (the default). `--json` writes a deterministic
 //! `BENCH_repro.json` summary (one record per experiment run — the
 //! `cost-guard` baseline format); `--trace` writes the canonical traced
@@ -18,7 +18,7 @@ use pim_sim::Json;
 use pimtrie_bench as bench;
 
 /// Every experiment the harness knows, in run order. `all` runs the rest.
-const KNOWN: [&str; 15] = [
+const KNOWN: [&str; 16] = [
     "all",
     "t1-space",
     "t1-rounds",
@@ -26,6 +26,7 @@ const KNOWN: [&str; 15] = [
     "skew",
     "space-balance",
     "scale-p",
+    "descent",
     "batch",
     "verify",
     "ablate",
@@ -270,6 +271,13 @@ fn run(args: Args) {
             "scale-p",
             "X-scaleP — IO time per op and rounds as P grows",
             &bench::scale_p(quick),
+        );
+    }
+    if run("descent") {
+        emit(
+            "descent",
+            "X-descent — meta-descent IO rounds vs tree height as n grows (host-resident top levels)",
+            &bench::descent(p, quick),
         );
     }
     if run("batch") {

@@ -455,6 +455,98 @@ pub fn scale_p(quick: bool) -> Vec<Row> {
 }
 
 // ---------------------------------------------------------------------
+// X-descent — what the meta descent costs as n grows
+// ---------------------------------------------------------------------
+
+/// IO rounds of the meta descent against the height of the meta-block
+/// tree, for n ∈ {n₀/8, n₀, 4·n₀} stored keys at fixed `P`. The host holds
+/// the top levels of the tree (DESIGN.md, deviations), so the descent
+/// costs `height − resident levels` rounds, not `height`; this table says
+/// how many levels that is at each n and what holding them costs.
+///
+/// Per n, two schedules on one index:
+///
+/// * `read` — after running both twice to warm up, a 4096-key and a
+///   16-key `lcp` batch. `fills/batch` must read 0: nothing changes the
+///   tree, so no resident copy is ever pulled twice;
+/// * `churn` — four cycles of insert 1024 fresh keys → delete them → the
+///   same 4096-key `lcp`, then the 16-key batch. Meta splits and merges
+///   drop resident copies (`inval/batch`) and the next descent re-pulls
+///   them (`fills/batch`); both are the schedule's totals over the
+///   cycles' twelve batches.
+///
+/// Columns: `height` (levels of the meta-block tree) and `res_levels`
+/// (leading levels held whole) from [`PimTrie::meta_levels_debug`] after
+/// the schedule, `res_words` and `res_high` (words held now, and the most
+/// ever held) from [`pim_trie::ResidentStats`], `descend/4096` and
+/// `descend/16` from [`pim_trie::MatchStats::descend_rounds`].
+pub fn descent(p: usize, quick: bool) -> Vec<Row> {
+    let n0: usize = if quick { 1 << 13 } else { 1 << 15 };
+    let big = workloads::uniform_fixed(4096, 64, 102);
+    let small: Vec<BitStr> = big[..16].to_vec();
+    let mut rows = Vec::new();
+    for n in [n0 / 8, n0, 4 * n0] {
+        let keys = workloads::uniform_fixed(n, 64, 101);
+        let mut t = build_pim(p, 103, &keys);
+        let descend = |t: &mut PimTrie, batch: &[BitStr]| {
+            let _ = t.lcp_batch(batch);
+            t.last_match_stats().descend_rounds as f64
+        };
+        let row = |t: &PimTrie, tag: &str, big: f64, small: f64, fills: f64, inval: f64| {
+            let levels = t.meta_levels_debug();
+            let whole = levels.iter().take_while(|(all, held)| all == held).count();
+            Row::new(format!("{tag}/n={n}"))
+                .col("n", n as f64)
+                .col("height", levels.len() as f64)
+                .col("res_levels", whole as f64)
+                .col("res_words", t.resident_stats().words as f64)
+                .col("res_high", t.resident_stats().words_high_water as f64)
+                .col("descend/4096", big)
+                .col("descend/16", small)
+                .col("fills/batch", fills)
+                .col("inval/batch", inval)
+        };
+
+        for _ in 0..2 {
+            descend(&mut t, &big);
+            descend(&mut t, &small);
+        }
+        let r0 = t.resident_stats().clone();
+        let (d_big, d_small) = (descend(&mut t, &big), descend(&mut t, &small));
+        let r1 = t.resident_stats().clone();
+        rows.push(row(
+            &t,
+            "read",
+            d_big,
+            d_small,
+            (r1.fills - r0.fills) as f64 / 2.0,
+            (r1.invalidations - r0.invalidations) as f64 / 2.0,
+        ));
+
+        let cycles = 4;
+        let mut d_big = 0.0;
+        for c in 0..cycles {
+            let fresh = workloads::uniform_fixed(1024, 72, 104 + c);
+            t.insert_batch(&fresh, &values_for(&fresh));
+            let _ = t.delete_batch(&fresh);
+            d_big += descend(&mut t, &big);
+        }
+        let d_small = descend(&mut t, &small);
+        let r2 = t.resident_stats().clone();
+        let batches = (3 * cycles) as f64;
+        rows.push(row(
+            &t,
+            "churn",
+            d_big / cycles as f64,
+            d_small,
+            (r2.fills - r1.fills) as f64 / batches,
+            (r2.invalidations - r1.invalidations) as f64 / batches,
+        ));
+    }
+    rows
+}
+
+// ---------------------------------------------------------------------
 // X-batch — the Ω(P log^5 P) batch-size condition
 // ---------------------------------------------------------------------
 

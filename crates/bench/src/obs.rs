@@ -18,7 +18,7 @@ use crate::{values_for, zipf_over_keys, Row};
 use baselines::RangePartitioned;
 use bitstr::BitStr;
 use obs::{critical, default_board, report, ObsSample, Registry, Timeline};
-use pim_sim::{MetricsDelta, TraceEvent};
+use pim_sim::{MetricsDelta, ResidentStats, TraceEvent};
 use pim_trie::{PimTrie, PimTrieConfig};
 
 /// Everything one `pimtrie-report` invocation produces.
@@ -42,9 +42,16 @@ struct TracedRun {
     delta: MetricsDelta,
     alarms: u64,
     alarm_text: String,
+    /// the index's resident-top counters (pim-trie runs only)
+    resident: Option<ResidentStats>,
 }
 
-fn run_skew_case(tag: &str, events: Vec<TraceEvent>, delta: MetricsDelta) -> TracedRun {
+fn run_skew_case(
+    tag: &str,
+    events: Vec<TraceEvent>,
+    delta: MetricsDelta,
+    resident: Option<ResidentStats>,
+) -> TracedRun {
     let mut board = default_board();
     let fired = board.evaluate(
         0,
@@ -59,6 +66,7 @@ fn run_skew_case(tag: &str, events: Vec<TraceEvent>, delta: MetricsDelta) -> Tra
         delta,
         alarms: fired,
         alarm_text: board.render(),
+        resident,
     }
 }
 
@@ -95,6 +103,7 @@ fn skew_runs(p: usize, quick: bool) -> Vec<TracedRun> {
             &format!("pim-trie/{tag}"),
             tracer.events().to_vec(),
             delta,
+            Some(pim.resident_stats().clone()),
         ));
 
         let mut range = RangePartitioned::build(p, &keys, &vals);
@@ -111,6 +120,7 @@ fn skew_runs(p: usize, quick: bool) -> Vec<TracedRun> {
             &format!("range-part/{tag}"),
             tracer.events().to_vec(),
             delta,
+            None,
         ));
     }
     runs
@@ -232,6 +242,14 @@ pub fn obs_report(p: usize, quick: bool) -> ObsReport {
 
         text.push_str(&format!("\n-- {} --\n", run.tag));
         text.push_str(&diagnosis_lines(&crit, &tl));
+        if let Some(r) = &run.resident {
+            reg.publish_resident(r);
+            text.push_str(&format!(
+                "resident top: {} words held (high-water {}), {} fills of {} words, \
+                 {} invalidations, {} targets matched on the host\n",
+                r.words, r.words_high_water, r.fills, r.fill_words, r.invalidations, r.host_matches
+            ));
+        }
         if run.alarms > 0 {
             text.push_str("alarms:\n");
         }

@@ -84,6 +84,10 @@ fn report_is_byte_identical_across_thread_counts_and_diagnoses_skew() {
             "{label}: alarm fired on a benign run"
         );
     }
+    assert!(
+        section(&rep1, "pim-trie/uniform").contains("resident top:"),
+        "no resident-set line"
+    );
 
     // serving contrast: overload sheds and alarms, steady stays quiet
     assert!(

@@ -19,7 +19,7 @@
 //!   master table is not implemented (DESIGN.md, deviations).
 
 use crate::error::{unexpected, PimTrieError};
-use crate::module::{handle, ModuleState, NewMetaChild, NewMetaNode, PutMetaMsg, Req, Resp};
+use crate::module::{handle, ModuleState, NewMetaChild, NewMetaNode, PutMetaMsg, Req, Resp, Touch};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::wire_guard::{handle_sealed, SealedReq};
 use crate::{PimTrie, PimTrieConfig};
@@ -151,6 +151,8 @@ impl PimTrie {
             quarantined: std::collections::BTreeSet::new(),
             scoped: crate::ScopedBatchStats::default(),
             adapt,
+            resident: crate::resident::ResidentMeta::default(),
+            last_match: crate::MatchStats::default(),
         };
         t.bootstrap()?;
         Ok(t)
@@ -308,14 +310,29 @@ impl PimTrie {
         name: &str,
         inbox: Vec<Vec<Req>>,
     ) -> Result<Vec<Vec<Resp>>, PimTrieError> {
-        if self.cache.enabled() {
-            // Cache coherence: every mutating request flows through here
-            // (sealed or not), so scanning the outbox before dispatch
-            // guarantees no cached block can go stale. Crash recovery is
-            // covered too — rebuilds broadcast `ResetModule` through this
-            // same path before re-running any op.
-            let n = self.cache.invalidate_for_reqs(&inbox);
-            self.sys.metrics_mut().cache_stats_mut().invalidations += n;
+        if self.cache.enabled() || !self.resident.is_empty() {
+            // Coherence of the host-side copies (hot data blocks, the top
+            // of the meta-block tree): every mutating request flows
+            // through here (sealed or not), so classifying the outbox
+            // before dispatch guarantees no copy can go stale. Crash
+            // recovery is covered too — rebuilds broadcast `ResetModule`
+            // through this same path before re-running any op.
+            let (mut blocks, mut metas) = (0u64, 0u64);
+            for (m, msgs) in inbox.iter().enumerate() {
+                for req in msgs {
+                    let touch = req.touches(m as u32);
+                    blocks += self.cache.invalidate_touched(m as u32, &touch);
+                    metas += match touch {
+                        Touch::Meta(mref) => u64::from(self.resident.invalidate(mref)),
+                        Touch::Reset => self.resident.clear(),
+                        Touch::Blocks(..) | Touch::NoCopy => 0,
+                    };
+                }
+            }
+            let metrics = self.sys.metrics_mut();
+            metrics.cache_stats_mut().invalidations += blocks;
+            metrics.resident_stats_mut().invalidations += metas;
+            self.note_resident_words();
         }
         if self.adapt.enabled() {
             // Adaptive blocking observes the same chokepoint the cache

@@ -17,11 +17,11 @@
 //!   A walk that stops *exactly* on a mirror leaf descends into the child
 //!   block; if that child is not cached the probe is a miss, because the
 //!   canonical anchor lives in the child.
-//! * **Coherence** — every mutating request the host sends is scanned by
-//!   [`HotPathCache::invalidate_for_reqs`] before dispatch; any cached
-//!   block it touches is dropped (frequency is retained, so a still-hot
-//!   block is re-admitted quickly). Module resets invalidate the whole
-//!   module.
+//! * **Coherence** — every request the host sends is classified before
+//!   dispatch ([`Req::touches`](crate::module::Req::touches)) and handed
+//!   to [`HotPathCache::invalidate_touched`]; any cached block it touches
+//!   is dropped (frequency is retained, so a still-hot block is
+//!   re-admitted quickly). Module resets invalidate the whole module.
 //! * **Determinism** — frequency decay is driven by a deterministic op
 //!   counter, never a wall clock; all containers are `BTreeMap`s; ties
 //!   break on `BlockRef` order. Capacity `0` disables everything.
@@ -30,7 +30,9 @@
 //! skew-scaling direction; PIM-tree (Kang et al., PAPERS.md) demonstrates
 //! the same host/PIM split.
 
-use crate::module::{extend_match, is_at, Req, MIRROR_VALUE};
+#[cfg(test)]
+use crate::module::Req;
+use crate::module::{extend_match, is_at, Touch, MIRROR_VALUE};
 use crate::refs::BlockRef;
 use bitstr::BitStr;
 use std::collections::BTreeMap;
@@ -291,50 +293,27 @@ impl HotPathCache {
         n
     }
 
-    /// Coherence scan: given one BSP round's outgoing requests (indexed
-    /// by module), drop every cached block a mutating request touches.
-    /// Returns the number of invalidations. `SetParent`/`SetBlockMeta`
-    /// only rewire bookkeeping the CPU walk never reads, so they are
-    /// deliberately exempt; `DropBlock` must invalidate because its slot
-    /// can be reused by an unrelated block later.
-    pub(crate) fn invalidate_for_reqs(&mut self, inbox: &[Vec<Req>]) -> u64 {
-        if self.blocks.is_empty() {
-            return 0;
+    /// Coherence: drop every cached block an outgoing request touches
+    /// (see [`Req::touches`]; `module` is where the request is going).
+    /// Returns the number of invalidations.
+    pub(crate) fn invalidate_touched(&mut self, module: u32, touch: &Touch) -> u64 {
+        match touch {
+            Touch::Blocks(a, b) => {
+                u64::from(self.invalidate(*a)) + b.map_or(0, |b| u64::from(self.invalidate(b)))
+            }
+            Touch::Reset => self.invalidate_module(module),
+            Touch::Meta(_) | Touch::NoCopy => 0,
         }
+    }
+
+    /// [`Self::invalidate_touched`] over one BSP round's outgoing requests
+    /// (indexed by module), the way `PimTrie::exchange` scans them.
+    #[cfg(test)]
+    pub(crate) fn invalidate_for_reqs(&mut self, inbox: &[Vec<Req>]) -> u64 {
         let mut n = 0u64;
         for (m, msgs) in inbox.iter().enumerate() {
             for req in msgs {
-                match req {
-                    Req::GraftMany { slot, .. }
-                    | Req::DeleteKey { slot, .. }
-                    | Req::ReplaceBlock { slot, .. }
-                    | Req::SetMirror { slot, .. }
-                    | Req::DropBlock { slot } => {
-                        n += u64::from(self.invalidate(BlockRef {
-                            module: m as u32,
-                            slot: *slot,
-                        }));
-                    }
-                    Req::MergeChild { slot, child, .. } => {
-                        n += u64::from(self.invalidate(BlockRef {
-                            module: m as u32,
-                            slot: *slot,
-                        }));
-                        n += u64::from(self.invalidate(*child));
-                    }
-                    // Migration retargets the parent's mirror list (which
-                    // the CPU walk descends through) and strands any copy
-                    // cached under the block's old address.
-                    Req::RelinkMirror { slot, old, .. } => {
-                        n += u64::from(self.invalidate(BlockRef {
-                            module: m as u32,
-                            slot: *slot,
-                        }));
-                        n += u64::from(self.invalidate(*old));
-                    }
-                    Req::ResetModule => n += self.invalidate_module(m as u32),
-                    _ => {}
-                }
+                n += self.invalidate_touched(m as u32, &req.touches(m as u32));
             }
         }
         n

@@ -205,6 +205,18 @@ impl PimTrieConfig {
         self
     }
 
+    /// Word budget of the host-resident top of the meta-block tree:
+    /// `P · K_SMB²` — `P log⁴ P` at the paper's parameters, one push
+    /// threshold's worth per module — in Plain wire words of pulled
+    /// entries. At `P = 64` that is 82 944 words, ≈ 384 meta-blocks at the
+    /// `K_SMB`-entry bound the admission estimate uses; the levels that
+    /// fit are whatever the index's shape makes of it (DESIGN.md,
+    /// deviations). Host memory, not PIM space.
+    pub fn resident_meta_words(&self) -> u64 {
+        let k = self.k_smb as u64;
+        (self.p as u64).saturating_mul(k.saturating_mul(k))
+    }
+
     /// The minimum batch size for the balance guarantees,
     /// `Ω(P log⁵ P)` scaled by `c` (Theorem 4.3). Informational: smaller
     /// batches still work, only the whp balance claim weakens.

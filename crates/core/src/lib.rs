@@ -24,8 +24,9 @@
 //!
 //! A batch is processed by **trie matching** (§4.1, §4.3): the CPU builds
 //! the *query trie* of the batch (Algorithm 1), then matches it against the
-//! data trie level by level — the meta-block tree from its root, then
-//! blocks — using **hash comparisons at pivot positions** for coarse
+//! data trie level by level — the meta-block tree from its root (its top
+//! levels on host-resident copies, no IO round; the rest on the modules),
+//! then blocks — using **hash comparisons at pivot positions** for coarse
 //! elimination and **bit-by-bit comparison** inside the matched blocks for
 //! the exact result. Work is spread with the **push-pull** rule: small query pieces
 //! are pushed to the module owning the data; large pieces pull the
@@ -78,6 +79,7 @@ mod matching;
 mod module;
 mod ops;
 mod refs;
+mod resident;
 mod schema;
 pub mod slowpath;
 mod wire_guard;
@@ -89,8 +91,8 @@ pub use module::ModuleState;
 pub use refs::{BlockRef, MetaRef};
 // Re-exported so fault, cache and serving experiments need only this crate.
 pub use pim_sim::{
-    AdaptStats, CacheStats, CodecStats, CrashSpec, FaultPlan, FaultStats, JamSpec, ServeStats,
-    WireCodec,
+    AdaptStats, CacheStats, CodecStats, CrashSpec, FaultPlan, FaultStats, JamSpec, ResidentStats,
+    ServeStats, WireCodec,
 };
 
 use bitstr::hash::PolyHasher;
@@ -153,6 +155,12 @@ pub struct PimTrie {
     /// repartitioning ([`PimTrieConfig::adapt_threshold`] > 0); inert
     /// (and absent from every code path) at the default threshold 0
     pub(crate) adapt: adapt::TrafficTracker,
+    /// host-resident copies of the top of the meta-block tree (see
+    /// [`resident`]): matched on the CPU, dropped when a request rewrites
+    /// their source, re-filled by the descent's own pull
+    pub(crate) resident: resident::ResidentMeta,
+    /// counters of the most recent [`PimTrie::match_batch`]
+    pub(crate) last_match: MatchStats,
 }
 
 /// Instrumentation counters of the `try_*_batch_scoped` bisection
@@ -305,6 +313,29 @@ impl PimTrie {
         self.sys.metrics().cache_stats()
     }
 
+    /// Counters of the host-resident top of the meta-block tree (words
+    /// held and their high-water mark, fills, invalidations, targets
+    /// matched on the host). Shorthand for
+    /// `self.system().metrics().resident_stats()`.
+    pub fn resident_stats(&self) -> &ResidentStats {
+        self.sys.metrics().resident_stats()
+    }
+
+    /// Publish the resident set's size after it changed.
+    pub(crate) fn note_resident_words(&mut self) {
+        let held = self.resident.words();
+        let rs = self.sys.metrics_mut().resident_stats_mut();
+        rs.words = held;
+        rs.words_high_water = rs.words_high_water.max(held);
+    }
+
+    /// Counters of the most recent [`PimTrie::match_batch`] (every batch
+    /// operation runs one): what a monitor reads the descent's IO rounds
+    /// from without holding the [`MatchedTrie`].
+    pub fn last_match_stats(&self) -> MatchStats {
+        self.last_match
+    }
+
     /// Adaptive-repartitioning counters (hot flags, splits, migrations,
     /// merges, metered extra rounds/words). All zero unless
     /// [`PimTrieConfig::adapt_threshold`] is nonzero. Shorthand for
@@ -354,6 +385,24 @@ impl PimTrie {
                         mb.parent, self.root_block
                     ));
                 }
+            }
+        }
+        // a resident copy stands in for its meta-block: it must hold
+        // exactly what the module would answer a `FetchMeta` with now
+        for (mref, index) in self.resident.iter() {
+            let Some(mb) = self.sys.module(mref.module as usize).metas.get(mref.slot) else {
+                issues.push(format!("resident copy of {mref:?}: no such meta-block"));
+                continue;
+            };
+            let live = module::summarize_meta(mb);
+            let same = live.len() == index.len()
+                && live.iter().zip(index.iter()).all(|(l, (_, h))| {
+                    (l.depth, l.pre_hash, &l.rem, &l.s_last)
+                        == (h.depth, h.pre_hash, &h.rem, &h.s_last)
+                        && (l.target.block, l.target.descend) == (h.target.block, h.target.descend)
+                });
+            if !same {
+                issues.push(format!("resident copy of {mref:?} is stale"));
             }
         }
         for (mi, m) in self.sys.modules().enumerate() {
@@ -407,6 +456,28 @@ impl PimTrie {
             }
         }
         issues
+    }
+
+    /// Debug-only shape of the meta-block tree: per level from the root
+    /// (level 0), how many meta-blocks it has and how many of them the host
+    /// holds a resident copy of (simulator peek, not costed). The vector's
+    /// length is the tree's height.
+    pub fn meta_levels_debug(&self) -> Vec<(usize, usize)> {
+        let mut levels = Vec::new();
+        let mut wave = vec![self.root_meta];
+        while !wave.is_empty() {
+            let held = wave
+                .iter()
+                .filter(|m| self.resident.get(**m).is_some())
+                .count();
+            levels.push((wave.len(), held));
+            wave = wave
+                .iter()
+                .filter_map(|m| self.sys.module(m.module as usize).metas.get(m.slot))
+                .flat_map(|mb| mb.children.iter().map(|c| c.mref))
+                .collect();
+        }
+        levels
     }
 
     /// Debug-only ground-truth item dump: walks the block tree from the

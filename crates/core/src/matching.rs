@@ -8,13 +8,19 @@
 //! is a constant the host supplies itself.
 //!
 //! 1. **Meta descent** (Algorithm 5): the meta-block tree is walked level
-//!    by level from its root. The query piece below a match is either
-//!    *pushed* to the module holding the (small) meta-block, or — when the
-//!    piece exceeds the `log⁴ P` threshold — the meta-block's `O(log² P)`
-//!    entries are *pulled* to the CPU and matched there (push-pull).
-//!    Every round discovers deeper verified block-root matches and the
-//!    child meta-blocks to recurse into; rounds are bounded by the
-//!    meta-block-tree height.
+//!    by level from its root, one loop iteration per level. The host
+//!    holds copies of the top levels ([`crate::resident`]): a target with
+//!    a resident copy is matched on the CPU and costs no IO; a missing
+//!    target inside those levels is pulled (`FetchMeta`) and the reply
+//!    kept. Below them the query piece under a match is either *pushed*
+//!    to the module holding the (small) meta-block, or — when the pieces
+//!    aimed at it exceed the `log⁴ P` threshold — the meta-block's
+//!    `O(log² P)` entries are *pulled* to the CPU and matched there
+//!    (push-pull); that pull and a fill are the same request, the same
+//!    index build and the same matching kernel. Every iteration discovers
+//!    deeper verified block-root matches and the child meta-blocks to
+//!    recurse into; iterations are bounded by the meta-block-tree height,
+//!    IO rounds by the height minus the resident levels.
 //! 2. **Block matching** (Algorithm 2): the query piece between a matched
 //!    block root and the next deeper matches is matched *bit by bit*
 //!    against the block — pushed if small, pulled if the piece outweighs
@@ -24,15 +30,14 @@
 //!    redo.
 
 use crate::error::{unexpected, PimTrieError};
-use crate::hvm::{hash_match_piece, HashIndex, IndexEntry, QueryPiece};
-use crate::module::{
-    match_block_local, BlockNodeResult, DataBlock, EntrySummary, Req, Resp, RootMatch,
-};
+use crate::hvm::{hash_match_piece, QueryPiece};
+use crate::module::{match_block_local, BlockNodeResult, DataBlock, Req, Resp, RootMatch};
 use crate::refs::{BlockRef, MetaRef};
+use crate::resident::{index_entries, MetaIndex, ENTRY_WORDS};
 use crate::PimTrie;
 use bitstr::hash::{HashVal, IncrementalHash};
 use bitstr::{BitStr, WORD_BITS};
-use pim_sim::Scatter;
+use pim_sim::{Scatter, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::query::QueryTrie;
 use trie_core::{NodeId, Trie};
@@ -340,35 +345,60 @@ impl PimTrie {
         // ---- Phase 1: meta descent (Algorithm 5) ----------------------
         // hash comparisons at pivot positions — the paper's coarse filter
         self.t_phase("hash-probe");
-        let mut frontier: Vec<RootMatch> = vec![root];
+        // (meta-block to look in, matched position to look below). Every
+        // iteration consumes the whole frontier and the matches it finds
+        // are the next one, so iteration `level` works on level `level` of
+        // the meta-block tree, root = 0.
+        let mut frontier: Vec<(MetaRef, QtPos)> = vec![(self.root_meta, (root.qt_below, 0))];
         let mut frontier_seen: BTreeSet<(MetaRef, u32, u64)> =
             BTreeSet::from([(self.root_meta, root.qt_below, 0)]);
+        // no match so far needed a module: this level hangs off resident
+        // copies only, so its missing meta-blocks may join them
+        let mut top = true;
+        let mut level = 0u32;
         while !frontier.is_empty() {
-            stats.descend_rounds += 1;
-            if stats.descend_rounds >= 64 {
+            if level >= 64 {
                 return Err(PimTrieError::Protocol(
                     "match.meta: descent did not terminate".into(),
                 ));
             }
-            // Build pieces, grouped by target meta-block. The push-pull
-            // decision (§3.3 / Algorithm 5) is per *target*: if the pieces
-            // aimed at one meta-block together outweigh the threshold —
-            // either one big piece, or many small contending pieces — the
-            // meta-block's O(log² P) entries are pulled once and every
-            // piece is matched on the CPU.
+            // Build pieces, grouped by target meta-block.
             // BTreeMap: group iteration orders the push/pull messages, and
             // that order must repeat across runs for seeded fault schedules
             let mut groups: BTreeMap<MetaRef, Vec<QueryPiece>> = BTreeMap::new();
-            for m in frontier.drain(..) {
-                let target = m.descend.unwrap();
-                let piece = make_piece(&qt.trie, &ctxs, &self.hasher, (m.qt_below, m.depth), &cuts);
+            for (target, pos) in frontier.drain(..) {
+                let piece = make_piece(&qt.trie, &ctxs, &self.hasher, pos, &cuts);
                 groups.entry(target).or_default().push(piece);
             }
+            // A target resident on the host is matched there, no IO. A
+            // missing one inside the resident levels is pulled — whatever
+            // its pieces weigh — and the reply kept; whether the level's
+            // missing targets fit is settled before any is pulled. Below
+            // those levels the push-pull decision (§3.3 / Algorithm 5) is
+            // per *target*: if the pieces aimed at one meta-block together
+            // outweigh the threshold — either one big piece, or many small
+            // contending pieces — the meta-block's O(log² P) entries are
+            // pulled once and every piece is matched on the CPU.
+            let (mut on_host, missing): (Vec<_>, Vec<_>) = groups
+                .into_iter()
+                .partition(|(target, _)| self.resident.get(*target).is_some());
+            // each missing meta-block counted at the `K_SMB`-entry bound
+            let budget = self.cfg.resident_meta_words();
+            let estimate =
+                (missing.len() as u64).saturating_mul(self.cfg.k_smb as u64 * ENTRY_WORDS);
+            let keep = top
+                && !missing.is_empty()
+                && self.resident.words().saturating_add(estimate) <= budget;
+            top &= missing.is_empty() || keep;
             let mut pushes = Scatter::new(p);
-            let mut pulls: Vec<(MetaRef, Vec<QueryPiece>)> = Vec::new();
-            for (target, pieces) in groups {
+            let mut fetch = Scatter::new(p);
+            for (target, pieces) in missing {
                 let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
-                if total <= self.cfg.push_threshold {
+                if keep || total > self.cfg.push_threshold {
+                    stats.pulls += 1;
+                    let req = Req::FetchMeta { slot: target.slot };
+                    fetch.push(target.module as usize, (target, pieces), req);
+                } else {
                     for piece in pieces {
                         stats.pushes += 1;
                         let req = Req::MatchMeta {
@@ -377,33 +407,47 @@ impl PimTrie {
                         };
                         pushes.push(target.module as usize, (), req);
                     }
-                } else {
-                    stats.pulls += 1;
-                    pulls.push((target, pieces));
                 }
             }
-            // pull round: fetch each contended meta-block once, match all
-            // of its pieces on the CPU
+            stats.descend_rounds += u64::from(!fetch.is_empty() || !pushes.is_empty());
             let mut new_matches: Vec<RootMatch> = Vec::new();
-            if !pulls.is_empty() {
-                let mut fetch = Scatter::new(p);
-                for (t, pieces) in &pulls {
-                    fetch.push(t.module as usize, pieces, Req::FetchMeta { slot: t.slot });
-                }
-                for (_, pieces, resp) in self.rounds("match.meta.pull", fetch)? {
+            let mut work = 0u64;
+            // pull round: fetch each meta-block once; a kept one joins the
+            // resident targets, the others are matched and let go
+            if !fetch.is_empty() {
+                for (_, (target, pieces), resp) in self.rounds("match.meta.pull", fetch)? {
                     let Resp::MetaSummary { entries } = resp else {
                         return Err(unexpected("match.meta.pull"));
                     };
-                    let mut work = 0u64;
-                    new_matches.extend(cpu_match_entries(
-                        &self.hasher,
-                        self.cfg.hash_width,
-                        pieces,
-                        &entries,
-                        &mut work,
-                    ));
-                    self.sys.metrics_mut().charge_cpu(work);
+                    // the estimate is not a bound (a meta-block indexes its
+                    // children's roots too): the budget is checked again on
+                    // what actually came back
+                    if keep && self.resident.words() + entries.wire_words() <= budget {
+                        let words = self.resident.fill(target, entries, self.cfg.hash_width);
+                        let rs = self.sys.metrics_mut().resident_stats_mut();
+                        rs.fills += 1;
+                        rs.fill_words += words;
+                        on_host.push((target, pieces));
+                    } else {
+                        top = false;
+                        let index = index_entries(entries, self.cfg.hash_width);
+                        match_pieces(&self.hasher, &index, &pieces, &mut work, &mut new_matches);
+                    }
                 }
+                if keep {
+                    self.note_resident_words();
+                }
+            }
+            for (target, pieces) in &on_host {
+                let index = self.resident.get(*target).ok_or_else(|| {
+                    PimTrieError::Protocol(format!("match.meta: {target:?} is not resident"))
+                })?;
+                match_pieces(&self.hasher, index, pieces, &mut work, &mut new_matches);
+            }
+            let metrics = self.sys.metrics_mut();
+            metrics.resident_stats_mut().host_matches += on_host.len() as u64;
+            if work > 0 {
+                metrics.charge_cpu(work);
             }
             // push round
             if !pushes.is_empty() {
@@ -421,10 +465,11 @@ impl PimTrie {
                 }
                 if let Some(d) = m.descend {
                     if frontier_seen.insert((d, m.qt_below, m.depth)) {
-                        frontier.push(m);
+                        frontier.push((d, (m.qt_below, m.depth)));
                     }
                 }
             }
+            level += 1;
         }
 
         // ---- Phase 2: block matching (Algorithm 2) --------------------
@@ -634,6 +679,7 @@ impl PimTrie {
             }
         }
 
+        self.last_match = stats;
         Ok(MatchedTrie {
             qt,
             depth_of,
@@ -652,39 +698,28 @@ fn flag_tags(flagged: &mut [bool], tags: &[u32]) {
     }
 }
 
-/// CPU-side HashMatching of every piece aimed at one pulled meta-block
-/// (the pull arm of Algorithm 5): the index over its entries is built
-/// once, however many pieces contend for it.
-fn cpu_match_entries(
+/// HashMatching of the pieces aimed at one meta-block whose entries the
+/// host holds (the pull arm of Algorithm 5): the same kernel, `S_rem` /
+/// `S_last` verification and depth checks a module runs on a pushed piece.
+fn match_pieces(
     hasher: &bitstr::hash::PolyHasher,
-    width: bitstr::hash::HashWidth,
+    index: &MetaIndex,
     pieces: &[QueryPiece],
-    entries: &[EntrySummary],
     work: &mut u64,
-) -> Vec<RootMatch> {
-    let mut index: HashIndex<usize> = HashIndex::new(width);
-    for (i, e) in entries.iter().enumerate() {
-        index.insert(IndexEntry {
-            depth: e.depth,
-            pre_hash: e.pre_hash,
-            rem: e.rem.clone(),
-            s_last: e.s_last.clone(),
-            target: i,
-        });
-    }
-    let mut out = Vec::new();
+    out: &mut Vec<RootMatch>,
+) {
     for piece in pieces {
-        for m in hash_match_piece(hasher, piece, &index, work) {
-            let e = &entries[m.target];
-            out.push(RootMatch {
-                qt_below: m.qt_below,
-                depth: m.depth,
-                block: e.target.block,
-                descend: e.target.descend,
-            });
-        }
+        out.extend(
+            hash_match_piece(hasher, piece, index, work)
+                .into_iter()
+                .map(|m| RootMatch {
+                    qt_below: m.qt_below,
+                    depth: m.depth,
+                    block: m.target.block,
+                    descend: m.target.descend,
+                }),
+        );
     }
-    out
 }
 
 #[cfg(test)]

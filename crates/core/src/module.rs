@@ -449,6 +449,71 @@ pub enum Req {
     ResetModule,
 }
 
+/// What a request does to state the host may hold a copy of. Both host-side
+/// copies — hot data blocks (`crate::cache`) and the top of the meta-block
+/// tree (`crate::resident`) — are kept coherent from this one answer, read
+/// where every request leaves the host (`PimTrie::exchange`).
+pub(crate) enum Touch {
+    /// Rewrites what these data blocks hold: trie, mirrors, or the slot
+    /// itself.
+    Blocks(BlockRef, Option<BlockRef>),
+    /// Rewrites what this meta-block's index entries are or resolve to.
+    Meta(MetaRef),
+    /// Wipes the module.
+    Reset,
+    /// Reads, fills a slot no copy can name yet, or rewires a field no
+    /// copy holds (block parent / meta location, meta-block parent).
+    NoCopy,
+}
+
+impl Req {
+    /// Classify this request, sent to `module`. No wildcard arm: a new
+    /// variant does not compile until it says what it touches.
+    pub(crate) fn touches(&self, module: u32) -> Touch {
+        let block = |slot: &u32| BlockRef {
+            module,
+            slot: *slot,
+        };
+        match self {
+            Req::GraftMany { slot, .. }
+            | Req::DeleteKey { slot, .. }
+            | Req::ReplaceBlock { slot, .. }
+            | Req::SetMirror { slot, .. }
+            // the slot can be reused by an unrelated block later
+            | Req::DropBlock { slot } => Touch::Blocks(block(slot), None),
+            Req::MergeChild { slot, child, .. } => Touch::Blocks(block(slot), Some(*child)),
+            // retargets the parent's mirror list and strands a copy held
+            // under the moved block's old address
+            Req::RelinkMirror { slot, old, .. } => Touch::Blocks(block(slot), Some(*old)),
+            Req::AddMetaNodes { slot, .. }
+            | Req::RemoveMetaNode { slot, .. }
+            | Req::RemoveMetaChild { slot, .. }
+            | Req::ReplaceMeta { slot, .. }
+            | Req::DropMeta { slot }
+            | Req::SetMetaNodeBlock { slot, .. } => Touch::Meta(MetaRef {
+                module,
+                slot: *slot,
+            }),
+            Req::ResetModule => Touch::Reset,
+            Req::MatchMeta { .. }
+            | Req::MatchBlock { .. }
+            | Req::FetchMeta { .. }
+            | Req::FetchBlock { .. }
+            | Req::ReadKey { .. }
+            | Req::FetchMetaFull { .. }
+            | Req::FetchSubtree { .. }
+            | Req::DescendBlock { .. }
+            | Req::BlockStats { .. }
+            | Req::MetaNodeKind { .. }
+            | Req::PutBlock(_)
+            | Req::PutMeta(_)
+            | Req::SetParent { .. }
+            | Req::SetBlockMeta { .. }
+            | Req::SetMetaParent { .. } => Touch::NoCopy,
+        }
+    }
+}
+
 /// One graft: an unmatched query subtree and where it attaches.
 #[derive(Clone)]
 pub struct GraftMsg {
@@ -1150,7 +1215,7 @@ fn meta_match(mb: &MetaBlock, m: &PieceMatch<LocalTarget>) -> RootMatch {
     }
 }
 
-fn summarize_meta(mb: &MetaBlock) -> Vec<EntrySummary> {
+pub(crate) fn summarize_meta(mb: &MetaBlock) -> Vec<EntrySummary> {
     let mut out = Vec::with_capacity(mb.index.len());
     for (_, e) in mb.index.iter() {
         let target = resolve_target(mb, e.target);

@@ -117,9 +117,14 @@ fn capacity_zero_is_bit_identical_to_default() {
 }
 
 /// Effectiveness: once warm, a hot Zipf query batch moves strictly fewer
-/// CPU↔PIM words and runs strictly fewer IO rounds than the same batch on
-/// an uncached twin, and `words_saved` stays a true lower bound on the
-/// measured volume gap.
+/// CPU↔PIM words than the same batch on an uncached twin — under half —
+/// and never more IO rounds, and `words_saved` stays a true lower bound on
+/// the measured volume gap. The rounds used to be strictly fewer because
+/// a cache hit skipped the descent's top rounds; the uncached twin no
+/// longer pays for those either (the host holds the top of the meta-block
+/// tree with or without a block cache), so what the block cache saves in
+/// rounds is whatever a batch that hits entirely skips, which this batch
+/// need not be. The words are the block cache's own claim and stay strict.
 #[test]
 fn warm_cache_cuts_io_words_and_rounds() {
     let p = 8;
@@ -155,8 +160,8 @@ fn warm_cache_cuts_io_words_and_rounds() {
         "warm volume {vol_warm} not < half of cold {vol_cold}"
     );
     assert!(
-        rounds_warm < rounds_cold,
-        "warm rounds {rounds_warm} !< cold {rounds_cold}"
+        rounds_warm <= rounds_cold,
+        "warm rounds {rounds_warm} > cold {rounds_cold}"
     );
     assert!(
         saved <= vol_cold - vol_warm,

@@ -210,6 +210,71 @@ fn chaos_survives_the_compact_codec() {
     );
 }
 
+/// The fills of the host-resident meta copies travel the sealed wire like
+/// every other reply. Every piece is pushed here
+/// (`with_push_threshold(u64::MAX)`), so the only `FetchMeta` traffic is
+/// fills, and each cycle's insert drops copies the next read has to pull
+/// again — under word flips and dropped replies heavy enough that a
+/// meta-block-sized reply rarely arrives intact first time. A corrupt
+/// reply must be re-requested, never kept: a read answers as the clean
+/// oracle does or fails with a typed error, and the audit — which compares every resident copy with its
+/// module's own summary — stays clean.
+#[test]
+fn faulted_fills_are_retried_never_kept() {
+    let cfg = PimTrieConfig::for_modules(8)
+        .with_seed(42)
+        .with_push_threshold(u64::MAX);
+    let mut oracle = PimTrie::new(cfg.clone());
+    let mut subject = PimTrie::new(cfg.with_fault_tolerance(true).with_max_round_retries(64));
+    let mut rng = ChaCha8Rng::seed_from_u64(4321);
+    let keys = random_keys(&mut rng, 600, 100);
+    let values: Vec<u64> = (0..keys.len() as u64).collect();
+    oracle.insert_batch(&keys, &values);
+    subject.insert_batch(&keys, &values);
+    subject.install_faults(
+        FaultPlan::new(0xF111)
+            .with_flip_rate(4e-3)
+            .with_drop_rate(5e-2),
+    );
+    let fills_before = subject.resident_stats().fills;
+    let (mut answered, mut failed) = (0, 0);
+    for cycle in 0..8u64 {
+        let fresh = random_keys(&mut rng, 48, 100);
+        let fv: Vec<u64> = (0..48).map(|i| 10_000 + cycle * 48 + i).collect();
+        // 64 retries a round cover these rates (the schedule is a pure
+        // function of the seed), so the writes land on both sides
+        subject
+            .try_insert_batch(&fresh, &fv)
+            .expect("faulted insert exhausted its retries");
+        oracle.insert_batch(&fresh, &fv);
+        let queries = random_keys(&mut rng, 64, 110);
+        match subject.try_lcp_batch(&queries) {
+            Ok(got) => {
+                assert_eq!(got, oracle.lcp_batch(&queries), "cycle {cycle}");
+                answered += 1;
+            }
+            Err(e) => {
+                assert!(
+                    matches!(e, PimTrieError::RecoveryExhausted { .. }),
+                    "cycle {cycle}: {e:?}"
+                );
+                failed += 1;
+            }
+        }
+    }
+    subject.clear_faults();
+    assert!(answered > 0, "every faulted read failed ({failed} errors)");
+    let stats = subject.system().metrics().fault_stats().clone();
+    assert!(stats.total_detected() > 0, "no fault detected: {stats:?}");
+    assert!(
+        subject.resident_stats().fills > fills_before,
+        "no fill ran under faults"
+    );
+    assert_eq!(subject.audit_debug(), Vec::<String>::new());
+    let probes: Vec<BitStr> = keys.iter().step_by(7).cloned().collect();
+    assert_eq!(subject.get_batch(&probes), oracle.get_batch(&probes));
+}
+
 #[test]
 fn codec_choice_never_changes_results() {
     // Fault-free: Plain and Compact builds must agree on every result —

@@ -6,15 +6,29 @@
 //! merges, an adaptive migration pass, a crash with a journal rebuild —
 //! and checks the audit and `lcp`/`get` against the sequential trie after
 //! each.
+//!
+//! The same rewrites are what can leave a host-resident copy of a
+//! meta-block stale (`core::resident`): the audit also compares every copy
+//! with its module's own summary, each stage must have dropped copies, and
+//! the reads after it must pull some again. The tests at the bottom pin
+//! the resident set's own contract: what a repeated batch pulls (nothing),
+//! what a small batch pays, and what happens when a level outgrows the
+//! budget.
 
 use bitstr::BitStr;
-use pim_trie::{CrashSpec, FaultPlan, PimTrie, PimTrieConfig};
+use pim_trie::{CrashSpec, FaultPlan, PimTrie, PimTrieConfig, ResidentStats};
 use trie_core::Trie;
 
-/// Audit clean, and every probe answered as the oracle answers it.
-fn check(t: &mut PimTrie, oracle: &Trie, probes: &[BitStr], stage: &str) {
+/// Audit clean, every probe answered as the oracle answers it, and since
+/// `mark` (the resident counters before the stage) copies were dropped
+/// and — by the end of these reads at the latest — pulled again.
+fn check(t: &mut PimTrie, oracle: &Trie, probes: &[BitStr], stage: &str, mark: &ResidentStats) {
     assert_eq!(t.audit_debug(), Vec::<String>::new(), "audit after {stage}");
     assert_eq!(t.len(), oracle.n_keys(), "key count after {stage}");
+    assert!(
+        t.resident_stats().invalidations > mark.invalidations,
+        "{stage} dropped no resident copy"
+    );
     let lcp: Vec<usize> = probes
         .iter()
         .map(|q| oracle.lcp(q.as_slice()).lcp_bits)
@@ -22,6 +36,11 @@ fn check(t: &mut PimTrie, oracle: &Trie, probes: &[BitStr], stage: &str) {
     assert_eq!(t.lcp_batch(probes), lcp, "lcp after {stage}");
     let get: Vec<Option<u64>> = probes.iter().map(|q| oracle.get(q.as_slice())).collect();
     assert_eq!(t.get_batch(probes), get, "get after {stage}");
+    assert!(
+        t.resident_stats().fills > mark.fills,
+        "nothing pulled again after {stage}"
+    );
+    assert_eq!(t.audit_debug(), Vec::<String>::new(), "audit after reads");
 }
 
 /// Names of the rounds run since the log was last cleared.
@@ -50,6 +69,7 @@ fn root_meta_survives_splits_merges_migration_and_rebuild() {
     probes.extend(workloads::uniform_fixed(200, 96, 18));
 
     // insert-driven meta splits
+    let mark = t.resident_stats().clone();
     let values: Vec<u64> = (0..keys.len() as u64).collect();
     t.insert_batch(&keys, &values);
     for (k, v) in keys.iter().zip(&values) {
@@ -60,9 +80,10 @@ fn root_meta_survives_splits_merges_migration_and_rebuild() {
         rounds.iter().any(|r| r == "msplit.fetch"),
         "no meta-block split while loading"
     );
-    check(&mut t, &oracle, &probes, "meta splits");
+    check(&mut t, &oracle, &probes, "meta splits", &mark);
 
     // delete-driven merges, down to dropping emptied meta-blocks
+    let mark = t.resident_stats().clone();
     let dels: Vec<BitStr> = keys.iter().skip(64).cloned().collect();
     t.delete_batch(&dels);
     for k in &dels {
@@ -73,9 +94,10 @@ fn root_meta_survives_splits_merges_migration_and_rebuild() {
         rounds.iter().any(|r| r == "merge.meta.drop"),
         "no meta-block emptied by the merges"
     );
-    check(&mut t, &oracle, &probes, "merges");
+    check(&mut t, &oracle, &probes, "merges", &mark);
 
     // adaptive migration: reload, then hammer one hot slice
+    let mark = t.resident_stats().clone();
     t.insert_batch(&keys, &values);
     for (k, v) in keys.iter().zip(&values) {
         oracle.insert(k, *v);
@@ -86,9 +108,10 @@ fn root_meta_survives_splits_merges_migration_and_rebuild() {
     }
     let s = t.adapt_stats().clone();
     assert!(s.migrations > 0, "no block migrated: {s:?}");
-    check(&mut t, &oracle, &probes, "migration");
+    check(&mut t, &oracle, &probes, "migration", &mark);
 
     // crash with state loss: the journal rebuild bootstraps a new root
+    let mark = t.resident_stats().clone();
     t.install_faults(FaultPlan::new(11).with_crash(CrashSpec {
         round: 3,
         module: 5,
@@ -106,5 +129,166 @@ fn root_meta_survives_splits_merges_migration_and_rebuild() {
         "the crash forced no rebuild"
     );
     t.clear_faults();
-    check(&mut t, &oracle, &probes, "journal rebuild");
+    check(&mut t, &oracle, &probes, "journal rebuild", &mark);
+}
+
+// ---- the host-resident top of the meta-block tree ----------------------
+//
+// The configs below push every piece (`with_push_threshold(u64::MAX)`), so
+// a `match.meta.pull` round can only be a fill of the resident set.
+
+fn resident_cfg(p: usize) -> PimTrieConfig {
+    PimTrieConfig::for_modules(p)
+        .with_seed(42)
+        .with_push_threshold(u64::MAX)
+}
+
+/// Leading levels of the meta-block tree held whole, and its height.
+fn resident_levels(t: &PimTrie) -> (usize, usize) {
+    let levels = t.meta_levels_debug();
+    let whole = levels.iter().take_while(|(all, held)| all == held).count();
+    (whole, levels.len())
+}
+
+#[test]
+fn repeated_read_batch_pulls_nothing_and_skips_the_resident_levels() {
+    let keys = workloads::uniform_fixed(1 << 12, 64, 5);
+    let values: Vec<u64> = (0..keys.len() as u64).collect();
+    let mut t = PimTrie::build(resident_cfg(8), &keys, &values);
+    t.system_mut().metrics_mut().set_round_logging(true);
+    let batch = workloads::uniform_fixed(512, 64, 6);
+
+    let first = t.lcp_batch(&batch);
+    let filled = t.resident_stats().fills;
+    assert!(filled > 0, "the first read batch kept nothing");
+    rounds_since_clear(&mut t);
+
+    assert_eq!(t.lcp_batch(&batch), first);
+    let rounds = rounds_since_clear(&mut t);
+    assert!(
+        rounds.iter().all(|r| r != "match.meta.pull"),
+        "second run pulled again: {rounds:?}"
+    );
+    assert_eq!(t.resident_stats().fills, filled);
+    // one descent iteration per level of the tree; the resident levels'
+    // issued no IO, every other one exactly its push round
+    let (whole, height) = resident_levels(&t);
+    assert!(whole >= 1 && whole < height, "{whole} of {height} levels");
+    let descent = rounds.iter().filter(|r| *r == "match.meta.push").count();
+    assert_eq!(descent, height - whole);
+    assert_eq!(t.last_match_stats().descend_rounds, descent as u64);
+    assert_eq!(t.audit_debug(), Vec::<String>::new());
+}
+
+#[test]
+fn small_batch_descends_in_fewer_rounds_than_the_tree_has_levels() {
+    let keys = workloads::uniform_fixed(1 << 12, 64, 7);
+    let values: Vec<u64> = (0..keys.len() as u64).collect();
+    let mut t = PimTrie::build(PimTrieConfig::for_modules(8).with_seed(42), &keys, &values);
+    let batch: Vec<BitStr> = keys.iter().step_by(256).cloned().collect();
+    assert_eq!(batch.len(), 16);
+    let _ = t.get_batch(&batch);
+    let got = t.get_batch(&batch);
+    let want: Vec<Option<u64>> = (0..16).map(|i| Some(i * 256)).collect();
+    assert_eq!(got, want);
+    let height = t.meta_levels_debug().len() as u64;
+    let descent = t.last_match_stats().descend_rounds;
+    assert!(
+        descent < height,
+        "{descent} descent rounds, {height} levels"
+    );
+}
+
+/// A batch that rewrites resident meta-blocks drops exactly those copies;
+/// the next read re-pulls the ones it crosses inside the resident levels,
+/// once, and a repeat of that read pulls nothing. The audit (resident copy
+/// == the module's own summary) is clean after every batch.
+#[test]
+fn churn_drops_and_refills_resident_copies_once() {
+    let keys = workloads::uniform_fixed(1 << 11, 64, 8);
+    let values: Vec<u64> = (0..keys.len() as u64).collect();
+    let mut t = PimTrie::build(resident_cfg(8), &keys, &values);
+    let mut oracle = Trie::new();
+    for (k, v) in keys.iter().zip(&values) {
+        oracle.insert(k, *v);
+    }
+    let probes = workloads::uniform_fixed(256, 64, 9);
+    let want = |o: &Trie| -> Vec<usize> {
+        probes
+            .iter()
+            .map(|q| o.lcp(q.as_slice()).lcp_bits)
+            .collect()
+    };
+    let _ = t.lcp_batch(&probes);
+    let mut refilled = 0;
+    for cycle in 0..6u64 {
+        let fresh = workloads::uniform_fixed(512, 64, 100 + cycle);
+        let fv: Vec<u64> = (0..512).map(|i| 1_000_000 + cycle * 512 + i).collect();
+        let s0 = t.resident_stats().clone();
+        if cycle % 2 == 0 {
+            t.insert_batch(&fresh, &fv);
+            for (k, v) in fresh.iter().zip(&fv) {
+                oracle.insert(k, *v);
+            }
+        } else {
+            // the previous cycle's keys
+            let old = workloads::uniform_fixed(512, 64, 100 + cycle - 1);
+            t.delete_batch(&old);
+            for k in &old {
+                oracle.delete(k.as_slice());
+            }
+        }
+        assert_eq!(t.audit_debug(), Vec::<String>::new(), "cycle {cycle} write");
+        let s1 = t.resident_stats().clone();
+        assert!(
+            s1.invalidations > s0.invalidations,
+            "cycle {cycle} rewrote no resident meta-block"
+        );
+        assert_eq!(t.lcp_batch(&probes), want(&oracle), "cycle {cycle}");
+        assert_eq!(t.audit_debug(), Vec::<String>::new(), "cycle {cycle} read");
+        let s2 = t.resident_stats().clone();
+        refilled += s2.fills - s1.fills;
+        assert_eq!(t.lcp_batch(&probes), want(&oracle), "cycle {cycle} again");
+        let s3 = t.resident_stats().clone();
+        assert_eq!(s3.fills, s2.fills, "cycle {cycle}: pulled twice");
+        assert_eq!(s3.invalidations, s2.invalidations);
+        assert_eq!(s3.words, s2.words);
+    }
+    assert!(refilled > 0, "no dropped copy was ever pulled again");
+}
+
+/// Growing an index pushes its levels past the budget one after another.
+/// A level that no longer fits stops being pulled — it is not fetched
+/// every batch to be thrown away — and the levels above it stay.
+#[test]
+fn level_that_outgrows_the_budget_is_not_pulled_again() {
+    let cfg = resident_cfg(8);
+    let budget = cfg.resident_meta_words();
+    let mut t = PimTrie::new(cfg);
+    let batch = workloads::uniform_fixed(512, 64, 10);
+    // (levels held whole, height, IO descent rounds) after each step
+    let mut shape: Vec<(usize, usize, u64)> = Vec::new();
+    for step in 0..12u64 {
+        let n = if step < 4 { 64 } else { 512 };
+        let fresh = workloads::uniform_fixed(n, 64, 200 + step);
+        t.insert_batch(&fresh, &vec![step; n]);
+        let _ = t.lcp_batch(&batch);
+        let s = t.resident_stats().clone();
+        for _ in 0..2 {
+            let _ = t.lcp_batch(&batch);
+        }
+        let after = t.resident_stats().clone();
+        assert_eq!(after.fills, s.fills, "step {step}: re-pulled on a repeat");
+        assert!(after.words <= budget, "step {step}: {} words", after.words);
+        assert_eq!(t.audit_debug(), Vec::<String>::new(), "step {step}");
+        let (whole, height) = resident_levels(&t);
+        shape.push((whole, height, t.last_match_stats().descend_rounds));
+    }
+    // small enough at first to be resident top to bottom
+    assert_eq!(shape[0].2, 0, "{shape:?}");
+    // and in the end the tree is higher than what fits
+    let (whole, height, descent) = shape[shape.len() - 1];
+    assert!(whole >= 1 && whole < height, "{shape:?}");
+    assert_eq!(descent as usize, height - whole, "{shape:?}");
+    assert!(t.resident_stats().words_high_water <= budget);
 }

@@ -47,6 +47,12 @@ pub enum Threshold {
     /// repartition churn, the signature of a threshold set so low the
     /// partitioner chases noise (quiet with adaptation off).
     AdaptMovesAbove(u64),
+    /// Fire when a batch's meta descent took more IO rounds than
+    /// `c · ⌈log₂ P⌉` — the paper's `O(log P)` round bound (Table 1) with
+    /// its constant written out, `P` being the window's module count. A
+    /// descent that grows with `log n` instead crosses it as the index
+    /// grows; one the host's resident top levels keep short does not.
+    DescentRoundsAbove(u64),
 }
 
 /// A named alarm: `name` must be a `'static` literal (the
@@ -89,6 +95,9 @@ pub struct ObsSample {
     pub adapt: AdaptStats,
     /// Modules currently quarantined.
     pub quarantined: u64,
+    /// IO rounds of the latest batch's meta descent
+    /// (`MatchStats::descend_rounds`).
+    pub descend_rounds: u64,
 }
 
 struct SpecState {
@@ -151,6 +160,10 @@ impl AlarmBoard {
                 Threshold::AdaptMovesAbove(b) => {
                     let v = s.adapt.moves();
                     (v as f64, b as f64, v > b)
+                }
+                Threshold::DescentRoundsAbove(c) => {
+                    let b = c * ceil_log2(s.io_per_module.len());
+                    (s.descend_rounds as f64, b as f64, s.descend_rounds > b)
                 }
             };
             if firing {
@@ -225,7 +238,11 @@ pub const BALANCE_MIN_WORDS_PER_MODULE: u64 = 64;
 /// adaptive run moves tens of blocks, so the stock board is silent
 /// there; a Zipf batch on a range-partitioned layout (balance 4+), an
 /// overloaded queue (69 % shed), or a partitioner thrashing on noise
-/// crosses immediately.
+/// crosses immediately. [`Threshold::DescentRoundsAbove`] is not on it:
+/// the descent still costs `height − resident levels` rounds, which a
+/// healthy run past `n ≈ 500 k` at `P = 64` (or any quick `P = 8` run)
+/// takes above `⌈log₂ P⌉`, so it is a monitor to install where that
+/// bound is the question, not a stock alarm.
 pub fn default_board() -> AlarmBoard {
     AlarmBoard::new(vec![
         AlarmSpec {
@@ -249,6 +266,12 @@ pub fn default_board() -> AlarmBoard {
             threshold: Threshold::AdaptMovesAbove(512),
         },
     ])
+}
+
+/// `⌈log₂ p⌉`, at least 1 (the figure `PimTrieConfig::for_modules` sizes
+/// its thresholds by).
+fn ceil_log2(p: usize) -> u64 {
+    u64::from(p.max(2).next_power_of_two().trailing_zeros())
 }
 
 fn round6(v: f64) -> f64 {
@@ -316,6 +339,26 @@ mod tests {
         // skewed but near-empty window: below the support floor, quiet
         let mut fresh = default_board();
         assert_eq!(fresh.evaluate(0, &sample(vec![20, 0, 0, 0], 10, 0)), 0);
+    }
+
+    /// `uniform-read` at P = 64, n = 131 072: the meta-block tree is 8
+    /// levels high. Walking all of them by IO (every commit before the
+    /// host held the top) is 8 > 1 · ⌈log₂ 64⌉ = 6 rounds; with levels
+    /// 0–2 resident the descent is 5.
+    #[test]
+    fn descent_rounds_fire_past_log_p() {
+        let mut b = AlarmBoard::new(vec![AlarmSpec {
+            name: "descent-rounds",
+            threshold: Threshold::DescentRoundsAbove(1),
+        }]);
+        let mut s = sample(vec![100; 64], 0, 0);
+        s.descend_rounds = 5;
+        assert_eq!(b.evaluate(0, &s), 0);
+        s.descend_rounds = 8;
+        assert_eq!(b.evaluate(1, &s), 1);
+        assert_eq!((b.fired()[0].value, b.fired()[0].threshold), (8.0, 6.0));
+        // the bound moves with P, not with the sample
+        assert_eq!((ceil_log2(1), ceil_log2(8), ceil_log2(9)), (1, 3, 4));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use pim_sim::{balance, Metrics, MetricsDelta, TraceEvent};
+use pim_sim::{balance, Metrics, MetricsDelta, ResidentStats, TraceEvent};
 
 /// Registered metric names. All publishing goes through these consts —
 /// never a formatted string — so the exposition's cardinality is fixed
@@ -55,6 +55,18 @@ pub mod names {
     pub const CACHE_HITS: &str = "pimtrie_cache_hits_total";
     /// Words the cache hits avoided moving.
     pub const CACHE_WORDS_SAVED: &str = "pimtrie_cache_words_saved_total";
+    /// Words of meta-block copies the host holds resident.
+    pub const RESIDENT_WORDS: &str = "pimtrie_resident_words";
+    /// The most words the resident copies ever held.
+    pub const RESIDENT_WORDS_HIGH_WATER: &str = "pimtrie_resident_words_high_water";
+    /// Meta-blocks pulled and kept resident.
+    pub const RESIDENT_FILLS: &str = "pimtrie_resident_fills_total";
+    /// Reply words of those pulls.
+    pub const RESIDENT_FILL_WORDS: &str = "pimtrie_resident_fill_words_total";
+    /// Resident copies dropped because a request rewrote their source.
+    pub const RESIDENT_INVALIDATIONS: &str = "pimtrie_resident_invalidations_total";
+    /// Matching targets answered from a resident copy.
+    pub const RESIDENT_HOST_MATCHES: &str = "pimtrie_resident_host_matches_total";
     /// Requests clients attempted to submit.
     pub const SERVE_SUBMITTED: &str = "pimtrie_serve_submitted_total";
     /// Requests accepted into the bounded queue.
@@ -106,6 +118,18 @@ pub mod names {
         (CACHE_LOOKUPS, K::Counter, "host-cache probe walks"),
         (CACHE_HITS, K::Counter, "host-cache hits"),
         (CACHE_WORDS_SAVED, K::Counter, "words saved by cache hits"),
+        (RESIDENT_FILLS, K::Counter, "meta-blocks pulled and kept"),
+        (RESIDENT_FILL_WORDS, K::Counter, "words of those pulls"),
+        (
+            RESIDENT_INVALIDATIONS,
+            K::Counter,
+            "resident copies dropped by a mutation",
+        ),
+        (
+            RESIDENT_HOST_MATCHES,
+            K::Counter,
+            "targets matched from a resident copy",
+        ),
         (SERVE_SUBMITTED, K::Counter, "requests submitted by clients"),
         (SERVE_ADMITTED, K::Counter, "requests admitted to the queue"),
         (SERVE_REJECTED, K::Counter, "requests shed at admission"),
@@ -121,6 +145,12 @@ pub mod names {
             "PIM-work load balance, max/mean module",
         ),
         (CACHE_HIT_RATIO, K::Gauge, "cache hit ratio over all probes"),
+        (RESIDENT_WORDS, K::Gauge, "words of resident meta copies"),
+        (
+            RESIDENT_WORDS_HIGH_WATER,
+            K::Gauge,
+            "most words the resident copies held",
+        ),
         (SIM_TIME, K::Gauge, "simulated time: io+pim+cpu"),
         (
             ROUND_IO_TIME,
@@ -312,6 +342,7 @@ impl Registry {
         self.counter_add(names::CACHE_LOOKUPS, c.lookups);
         self.counter_add(names::CACHE_HITS, c.hits);
         self.counter_add(names::CACHE_WORDS_SAVED, c.words_saved);
+        self.publish_resident(m.resident_stats());
         let s = m.serve_stats();
         self.counter_add(names::SERVE_SUBMITTED, s.submitted);
         self.counter_add(names::SERVE_ADMITTED, s.admitted);
@@ -326,6 +357,18 @@ impl Registry {
         self.gauge_set(names::CACHE_HIT_RATIO, c.hit_ratio());
         let t = m.io_time() + m.pim_time() + m.cpu_work();
         self.gauge_set(names::SIM_TIME, t as f64);
+    }
+
+    /// Publish the host-resident meta copies' counters: fills,
+    /// invalidations and host matches accumulate across publishes, the
+    /// two word gauges hold the last published index's values.
+    pub fn publish_resident(&mut self, r: &ResidentStats) {
+        self.counter_add(names::RESIDENT_FILLS, r.fills);
+        self.counter_add(names::RESIDENT_FILL_WORDS, r.fill_words);
+        self.counter_add(names::RESIDENT_INVALIDATIONS, r.invalidations);
+        self.counter_add(names::RESIDENT_HOST_MATCHES, r.host_matches);
+        self.gauge_set(names::RESIDENT_WORDS, r.words as f64);
+        self.gauge_set(names::RESIDENT_WORDS_HIGH_WATER, r.words_high_water as f64);
     }
 
     /// Publish a windowed [`MetricsDelta`] (e.g. one experiment's batch):

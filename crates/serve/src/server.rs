@@ -106,7 +106,16 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The scoped batch op failed this request's key (e.g. a module
     /// exhausted its recovery budget and the key routes through it).
-    Failed(PimTrieError),
+    /// Boxed: an [`Outcome`] is recorded per request and kept in every
+    /// report, and this arm is the rare one — unboxed, the error's
+    /// string and module list made each record 64 bytes instead of 24.
+    Failed(Box<PimTrieError>),
+}
+
+impl From<PimTrieError> for ServeError {
+    fn from(e: PimTrieError) -> Self {
+        ServeError::Failed(Box::new(e))
+    }
 }
 
 impl fmt::Display for ServeError {
@@ -403,13 +412,13 @@ impl Server {
                     .trie
                     .try_lcp_batch_scoped(&keys)
                     .into_iter()
-                    .map(|r| r.map(Reply::Lcp).map_err(ServeError::Failed))
+                    .map(|r| r.map(Reply::Lcp).map_err(ServeError::from))
                     .collect(),
                 OpClass::Get => self
                     .trie
                     .try_get_batch_scoped(&keys)
                     .into_iter()
-                    .map(|r| r.map(Reply::Got).map_err(ServeError::Failed))
+                    .map(|r| r.map(Reply::Got).map_err(ServeError::from))
                     .collect(),
                 OpClass::Insert => {
                     let vals: Vec<u64> = live
@@ -422,14 +431,14 @@ impl Server {
                     self.trie
                         .try_insert_batch_scoped(&keys, &vals)
                         .into_iter()
-                        .map(|r| r.map(|()| Reply::Inserted).map_err(ServeError::Failed))
+                        .map(|r| r.map(|()| Reply::Inserted).map_err(ServeError::from))
                         .collect()
                 }
                 OpClass::Delete => self
                     .trie
                     .try_delete_batch_scoped(&keys)
                     .into_iter()
-                    .map(|r| r.map(|()| Reply::Deleted).map_err(ServeError::Failed))
+                    .map(|r| r.map(|()| Reply::Deleted).map_err(ServeError::from))
                     .collect(),
             };
             let finish = self.now();
@@ -452,6 +461,7 @@ impl Server {
                 cache: m.cache_stats().clone(),
                 adapt: m.adapt_stats().clone(),
                 quarantined: self.trie.quarantined().len() as u64,
+                descend_rounds: self.trie.last_match_stats().descend_rounds,
             };
             let epoch = m.serve_stats().epochs;
             let fired = match self.alarms.as_mut() {

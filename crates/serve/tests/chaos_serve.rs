@@ -94,7 +94,7 @@ fn chaos_serving_scopes_failures_and_never_drops_a_request() {
         .outcomes
         .values()
         .filter_map(|o| match o {
-            Err(ServeError::Failed(e)) => Some(e),
+            Err(ServeError::Failed(e)) => Some(e.as_ref()),
             _ => None,
         })
         .collect();

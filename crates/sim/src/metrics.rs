@@ -138,6 +138,30 @@ impl CacheStats {
     }
 }
 
+/// Counters for host-resident copies of index structure (e.g. `pim-trie`'s
+/// resident top of the meta-block tree): what the host holds, what it
+/// paid to pull it, and how often it answered in a module's place.
+///
+/// Like [`CacheStats`], the simulator itself never touches these. The
+/// pulls that fill a copy are ordinary metered rounds; this block says
+/// how many of them there were and what the copies cost in host memory,
+/// which is not PIM space and appears in no other counter.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ResidentStats {
+    /// Words of copies held right now (a gauge, not a sum).
+    pub words: u64,
+    /// The most `words` has ever been.
+    pub words_high_water: u64,
+    /// Copies pulled from their modules and kept.
+    pub fills: u64,
+    /// Reply words of those pulls.
+    pub fill_words: u64,
+    /// Copies dropped because an outgoing request rewrote their source.
+    pub invalidations: u64,
+    /// Matching targets answered from a copy instead of an IO round.
+    pub host_matches: u64,
+}
+
 /// Counters for a request-serving front-end layered over the simulated
 /// system (admission, load shedding, deadlines, epochs).
 ///
@@ -279,6 +303,7 @@ pub struct Metrics {
     cpu_work: u64,
     faults: FaultStats,
     cache: CacheStats,
+    resident: ResidentStats,
     serve: ServeStats,
     adapt: AdaptStats,
     codec: CodecStats,
@@ -422,6 +447,17 @@ impl Metrics {
         &mut self.cache
     }
 
+    /// Host-resident structure counters (see [`ResidentStats`]).
+    pub fn resident_stats(&self) -> &ResidentStats {
+        &self.resident
+    }
+
+    /// Mutable resident-structure counters, for the layer holding the
+    /// copies to record fills, invalidations and host-side matches.
+    pub fn resident_stats_mut(&mut self) -> &mut ResidentStats {
+        &mut self.resident
+    }
+
     /// Serving front-end counters (see [`ServeStats`]).
     pub fn serve_stats(&self) -> &ServeStats {
         &self.serve
@@ -494,9 +530,9 @@ impl Metrics {
 impl Metrics {
     /// Human-readable per-round-name cost report (requires round logging).
     /// The name column widens to fit the longest round name, and per-name
-    /// PIM time is reported alongside IO time. When the cache or serving
-    /// layers have recorded anything (any counter non-zero), a
-    /// `cache.*` / `serve.*` section follows in the same column layout;
+    /// PIM time is reported alongside IO time. When the cache, resident or
+    /// serving layers have recorded anything (any counter non-zero), a
+    /// `cache.*` / `resident.*` / `serve.*` section follows in the same column layout;
     /// with those layers idle the sections are omitted entirely, so a
     /// plain simulation report looks exactly as it always did.
     pub fn report(&self) -> String {
@@ -521,6 +557,19 @@ impl Metrics {
                 ("cache.admissions", c.admissions),
                 ("cache.invalidations", c.invalidations),
                 ("cache.evictions", c.evictions),
+            ]
+        };
+        let r = &self.resident;
+        let resident_rows: Vec<(&str, u64)> = if self.resident == ResidentStats::default() {
+            Vec::new()
+        } else {
+            vec![
+                ("resident.words", r.words),
+                ("resident.words_high_water", r.words_high_water),
+                ("resident.fills", r.fills),
+                ("resident.fill_words", r.fill_words),
+                ("resident.invalidations", r.invalidations),
+                ("resident.host_matches", r.host_matches),
             ]
         };
         let s = &self.serve;
@@ -568,6 +617,7 @@ impl Metrics {
             .keys()
             .map(|name| name.len())
             .chain(cache_rows.iter().map(|(n, _)| n.len()))
+            .chain(resident_rows.iter().map(|(n, _)| n.len()))
             .chain(serve_rows.iter().map(|(n, _)| n.len()))
             .chain(adapt_rows.iter().map(|(n, _)| n.len()))
             .chain(codec_rows.iter().map(|(n, _)| n.len()))
@@ -585,6 +635,7 @@ impl Metrics {
         }
         for (name, v) in cache_rows
             .iter()
+            .chain(resident_rows.iter())
             .chain(serve_rows.iter())
             .chain(adapt_rows.iter())
             .chain(codec_rows.iter())
