@@ -8,7 +8,7 @@
 //!
 //! `EXPERIMENT` is any of `t1-space`, `t1-rounds`, `t1-comm`, `skew`,
 //! `space-balance`, `scale-p`, `descent`, `batch`, `verify`, `ablate`, `faults`,
-//! `cache`, `adapt`, `compress`, `serve`, or `all` (the default). `--json` writes a deterministic
+//! `cache`, `compress`, `serve`, or `all` (the default). `--json` writes a deterministic
 //! `BENCH_repro.json` summary (one record per experiment run — the
 //! `cost-guard` baseline format); `--trace` writes the canonical traced
 //! run's JSONL event log; `--cache-words` sets the host hot-path cache
@@ -18,7 +18,7 @@ use pim_sim::Json;
 use pimtrie_bench as bench;
 
 /// Every experiment the harness knows, in run order. `all` runs the rest.
-const KNOWN: [&str; 16] = [
+const KNOWN: [&str; 15] = [
     "all",
     "t1-space",
     "t1-rounds",
@@ -32,7 +32,6 @@ const KNOWN: [&str; 16] = [
     "ablate",
     "faults",
     "cache",
-    "adapt",
     "compress",
     "serve",
 ];
@@ -316,14 +315,6 @@ fn run(args: Args) {
             "cache",
             "X-cache — host hot-path cache: words/rounds saved under skew (§6.3)",
             &bench::cache(p, quick, args.cache_words),
-        );
-    }
-
-    if run("adapt") {
-        emit(
-            "adapt",
-            "X-adapt — adaptive blocking: IO balance under moving hotspots, static vs adaptive",
-            &bench::adapt(p, quick),
         );
     }
 

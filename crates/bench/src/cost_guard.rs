@@ -25,9 +25,7 @@ use pim_sim::Json;
 pub const DEFAULT_TOLERANCE: f64 = 0.02;
 
 /// True for columns compared exactly: BSP round counts, fault/retry
-/// counters, exactness counters, cache hit/saving counters, adaptive
-/// repartitioning counters (pass/split/migrate/merge counts and their
-/// extra rounds are exact functions of seed/P/config), sweep
+/// counters, exactness counters, cache hit/saving counters, sweep
 /// parameters, and every `serve` column (the serving schedule is a
 /// pure function of seed/P/config, so its counts and latency
 /// percentiles are gated at tolerance 0). Everything else (words,
@@ -36,11 +34,6 @@ pub fn is_exact_col(name: &str) -> bool {
     matches!(
         name,
         "io_rounds"
-            | "repartitions"
-            | "splits"
-            | "migrations"
-            | "merges"
-            | "adapt_rounds"
             | "xtra_rounds"
             | "keys"
             | "result_keys"

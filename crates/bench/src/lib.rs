@@ -863,152 +863,17 @@ pub fn cache(p: usize, quick: bool, cache_words: u64) -> Vec<Row> {
 }
 
 // ---------------------------------------------------------------------
-// X-adapt — adaptive blocking under dynamic skew
-// ---------------------------------------------------------------------
-
-/// Post-warm-up per-batch IO balance of dynamically skewed LCP streams
-/// with the partition frozen at build time (`static`) vs online
-/// repartitioning (`adaptive`), on the two moving-hotspot adversaries:
-///
-/// * `shift…` — [`workloads::shifting_hotspot`], one Zipf(2.5) phase per
-///   batch with the hot-bucket ranking rotated at every boundary;
-/// * `chase…` — [`workloads::hotspot_chase`], a 95 %-hot bucket that
-///   advances every batch — faster than the tracker's op-counter decay
-///   half-life, so adaptation has to win structurally (by having split
-///   and spread every bucket it has ever seen hot), not by prediction.
-///
-/// The config concentrates each hot subtree the way the paper's
-/// adversary would: few prefix buckets and a block bound large enough
-/// that a whole bucket fits in one block, so under the static partition
-/// a batch's demand stays below the `K_B` contention-pull threshold and
-/// every matched word lands on the bucket's owning module. The adaptive
-/// run escapes through the full §3.3 toolkit: fine re-cuts spread each
-/// hot subtree over all modules, the tracker's size hints let truly
-/// contended pieces be pulled at their real (small) cost, and measured
-/// per-module IO drives migration away from residual imbalance.
-/// Warm-up batches let the adaptive run converge; measured batches then
-/// record per-batch `io_balance` (mean and worst) and `max_words` — the
-/// busiest module's words per batch, the load the ratio is a ratio of —
-/// over the *query path*: the repartitioner's own transfers are metered
-/// separately (`adapt_*` columns) and subtracted from the per-batch
-/// window, so neither run hides load in the other's bookkeeping. The
-/// `adapt_*` columns expose [`pim_trie::AdaptStats`]: how many repartition passes, split /
-/// migrated / merged blocks, and the extra BSP rounds and words the
-/// adaptation spent — `adapt_words/op` is the amortized overhead over
-/// the whole stream. Static rows must show balance degrading toward P;
-/// adaptive rows must hold it near 1 (gated by `tests/balance.rs` at
-/// P = 16 and by the cost-guard baseline at the CI point).
-/// ISSUE 8; DESIGN.md "X-adapt".
-pub fn adapt(p: usize, quick: bool) -> Vec<Row> {
-    let n = 1 << 13;
-    let bsz = 1 << 10;
-    let prefix_bits = 4;
-    let len = 64;
-    let warm = if quick { 18 } else { 24 };
-    let measure = if quick { 4 } else { 6 };
-    let total = warm + measure;
-    // stored keys are uniform: every prefix bucket holds a real subtree
-    // for the moving hotspot to land on
-    let keys = workloads::uniform_fixed(n, len, 91);
-    let vals = values_for(&keys);
-
-    let streams: [(String, Vec<BitStr>); 2] = [
-        (
-            Spec::ShiftingHotspot {
-                len,
-                prefix_bits,
-                phases: total,
-                theta: 3.0,
-            }
-            .label(),
-            workloads::shifting_hotspot(total * bsz, len, prefix_bits, total, 3.0, 92),
-        ),
-        (
-            Spec::HotspotChase {
-                len,
-                prefix_bits,
-                period: bsz,
-                hot_frac: 0.95,
-            }
-            .label(),
-            workloads::hotspot_chase(total * bsz, len, prefix_bits, bsz, 0.95, 93),
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (tag, stream) in &streams {
-        let batches: Vec<&[BitStr]> = stream.chunks(bsz).collect();
-        for (mode, threshold) in [("static", 0.0), ("adaptive", 0.02)] {
-            let mut cfg = PimTrieConfig::for_modules(p).with_seed(94).with_k_b(20480);
-            if threshold > 0.0 {
-                cfg = cfg.with_adapt(threshold);
-            }
-            let mut t = PimTrie::build(cfg, &keys, &vals);
-            for b in &batches[..warm] {
-                let _ = t.lcp_batch(b);
-            }
-            let (mut bal_sum, mut bal_max) = (0.0f64, 0.0f64);
-            let (mut words, mut max_words, mut rounds) = (0u64, 0u64, 0u64);
-            for b in &batches[warm..] {
-                let snap = t.system().metrics().snapshot();
-                let a0 = t.adapt_stats().clone();
-                let _ = t.lcp_batch(b);
-                let d = t.system().metrics().since(&snap);
-                let a1 = t.adapt_stats().clone();
-                // judge the query path's balance: the repartitioner's own
-                // transfers are metered separately (adapt_* columns) and
-                // subtracted from the per-batch window here
-                let query_io: Vec<u64> = d
-                    .io_per_module
-                    .iter()
-                    .enumerate()
-                    .map(|(m, w)| {
-                        let a = a1.io_per_module.get(m).copied().unwrap_or(0)
-                            - a0.io_per_module.get(m).copied().unwrap_or(0);
-                        w.saturating_sub(a)
-                    })
-                    .collect();
-                let bal = pim_sim::balance(&query_io);
-                bal_sum += bal;
-                bal_max = bal_max.max(bal);
-                words += query_io.iter().sum::<u64>();
-                max_words += query_io.iter().copied().max().unwrap_or(0);
-                rounds += d.io_rounds - (a1.rounds - a0.rounds);
-            }
-            let s = t.adapt_stats().clone();
-            rows.push(
-                Row::new(format!("{tag}/{mode}"))
-                    .col("balance", bal_sum / measure as f64)
-                    .col("balance_max", bal_max)
-                    .col("max_words", max_words as f64 / measure as f64)
-                    .col("io_rounds", rounds as f64)
-                    .col("words/op", words as f64 / (bsz * measure) as f64)
-                    .col("repartitions", s.repartitions as f64)
-                    .col("splits", s.splits as f64)
-                    .col("migrations", s.migrations as f64)
-                    .col("merges", s.merges as f64)
-                    .col("adapt_rounds", s.rounds as f64)
-                    .col("adapt_words/op", s.words as f64 / (bsz * total) as f64),
-            );
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
 // X-compress — compact wire codec
 // ---------------------------------------------------------------------
 
-/// Words/op of the compact wire codec against the Plain baseline, on the three workload families where the
+/// Words/op of the compact wire codec against the Plain baseline, on the two workload families where the
 /// words/op floor matters:
 ///
 /// * the `skew` experiment's LCP batches (`uniform`, `zipf1.2`,
 ///   `same-path`) — pure query traffic over a warm trie;
 /// * the `cache` experiment's Zipf(0.99) prefix workload with the host
 ///   cache on — compression applies to the *residual* miss traffic the
-///   cache could not absorb;
-/// * the `adapt` experiment's hotspot-chase stream with adaptation on —
-///   compression composes with online repartitioning (whose own
-///   transfer rounds travel encoded too).
+///   cache could not absorb.
 ///
 /// Each workload runs twice on identically seeded builds: `plain` is
 /// the byte-identical legacy metering
@@ -1086,31 +951,6 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
         );
     }
 
-    // adapt-family: compression composes with online repartitioning
-    let akeys = workloads::uniform_fixed(1 << 12, 64, 91);
-    let abatch = 1 << 10;
-    let stream = workloads::hotspot_chase((warm + 2) * abatch, 64, 4, abatch, 0.95, 92);
-    for (mode, codec) in modes {
-        let cfg = PimTrieConfig::for_modules(p)
-            .with_seed(94)
-            .with_adapt(0.02)
-            .with_codec(codec);
-        let mut t = PimTrie::build(cfg, &akeys, &values_for(&akeys));
-        let chunks: Vec<&[BitStr]> = stream.chunks(abatch).collect();
-        for b in &chunks[..warm] {
-            let _ = t.lcp_batch(b);
-        }
-        let snap = t.system().metrics().snapshot();
-        for b in &chunks[warm..] {
-            let _ = t.lcp_batch(b);
-        }
-        let d = t.system().metrics().since(&snap);
-        rows.push(
-            delta_cols(Row::new(format!("adapt-chase/{mode}")), &d, 2 * abatch)
-                .col("space/key", t.space_words() as f64 / t.len().max(1) as f64)
-                .col("ratio", t.codec_stats().ratio()),
-        );
-    }
     rows
 }
 

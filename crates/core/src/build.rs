@@ -135,7 +135,6 @@ impl PimTrie {
         sys.negotiate_codec(cfg.codec);
         let hasher = PolyHasher::with_seed(cfg.seed);
         let cache = crate::cache::HotPathCache::new(cfg.cache_words);
-        let adapt = crate::adapt::TrafficTracker::new(cfg.adapt_threshold, cfg.p);
         let mut t = PimTrie {
             sys,
             cfg,
@@ -150,7 +149,6 @@ impl PimTrie {
             cache,
             quarantined: std::collections::BTreeSet::new(),
             scoped: crate::ScopedBatchStats::default(),
-            adapt,
             resident: crate::resident::ResidentMeta::default(),
             last_match: crate::MatchStats::default(),
         };
@@ -167,11 +165,6 @@ impl PimTrie {
             let j = (i + step).min(keys.len());
             t.insert_batch(&keys[i..j], &values[i..j]);
         }
-        // Bulk-construction traffic is structural, not workload skew:
-        // start the adaptive window clean so the first query batches are
-        // judged on their own shape instead of against graft mass that
-        // would both inflate the hot floor and fake module imbalance.
-        t.adapt.clear();
         t
     }
 
@@ -333,12 +326,6 @@ impl PimTrie {
             metrics.cache_stats_mut().invalidations += blocks;
             metrics.resident_stats_mut().invalidations += metas;
             self.note_resident_words();
-        }
-        if self.adapt.enabled() {
-            // Adaptive blocking observes the same chokepoint the cache
-            // does: every request (sealed or not) is charged to its
-            // block/module window before dispatch. Free when disabled.
-            self.adapt.record_inbox(&inbox);
         }
         if !self.cfg.fault_tolerance {
             let hasher = &self.hasher;

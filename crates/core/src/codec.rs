@@ -578,18 +578,6 @@ pub(crate) mod tests {
                 bits: BitsMsg(bits("0110100111")),
             },
             Req::ResetModule,
-            Req::BlockStats { slot: 11 },
-            Req::MetaNodeKind { slot: 3, node: 1 },
-            Req::RelinkMirror {
-                slot: 4,
-                old: bref(1, 6),
-                new: bref(5, 0),
-            },
-            Req::SetMetaNodeBlock {
-                slot: 3,
-                node: 2,
-                block: bref(0, 5),
-            },
         ]
     }
 
@@ -713,15 +701,14 @@ pub(crate) mod tests {
     /// group, so its frame carries the piece's streams undelta'd (529
     /// bits; 516 as `MatchBlock`, which follows it with the same piece).
     #[rustfmt::skip]
-    const REQ_GOLDEN: [(u64, u64); 29] = [
+    const REQ_GOLDEN: [(u64, u64); 25] = [
         (52, 529), (52, 516), (1, 16), (1, 16),
         (43, 400), (3, 32), (3, 32), (21, 204),
         (24, 244), (2, 32), (27, 409), (18, 379),
         (18, 380), (1, 16), (1, 16), (1, 16),
         (3, 40), (2, 17), (3, 40), (11, 234),
         (2, 24), (2, 33), (3, 32), (3, 34),
-        (1, 8), (1, 16), (2, 24), (5, 48),
-        (4, 40),
+        (1, 8),
     ];
 
     /// As `REQ_GOLDEN`, for `resp_samples()`.
@@ -744,8 +731,8 @@ pub(crate) mod tests {
     fn req_variants_roundtrip_in_one_group() {
         let msgs = req_samples();
         let tags: Vec<u64> = msgs.iter().map(tag_of).collect();
-        // tags 1, 24 and 25 are retired (WIRE_FORMAT.md)
-        assert_eq!(tags, (2..=23).chain(26..=32).collect::<Vec<u64>>());
+        // tags 1, 24, 25 and 29–32 are retired (WIRE_FORMAT.md)
+        assert_eq!(tags, (2..=23).chain(26..=28).collect::<Vec<u64>>());
         assert_eq!(roundtrip_group(&msgs), REQ_GOLDEN);
     }
 

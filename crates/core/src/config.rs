@@ -2,7 +2,7 @@
 //! threshold and hash width).
 
 use crate::error::PimTrieError;
-use crate::fixed::{ceil_log2, Fx};
+use crate::fixed::ceil_log2;
 use bitstr::hash::HashWidth;
 
 /// Configuration of a [`PimTrie`](crate::PimTrie).
@@ -53,20 +53,6 @@ pub struct PimTrieConfig {
     /// skew-scaling direction; PIM-tree (Kang et al.) demonstrates the
     /// technique.
     pub cache_words: u64,
-    /// Traffic share (of the decayed tracking window) above which a block
-    /// counts as *hot* and triggers online repartitioning: hot blocks are
-    /// split with a finer cut bound and scattered over the least-loaded
-    /// modules, overloaded modules shed blocks to underloaded ones, and
-    /// cold adapt-spawned pieces merge back into their parents. `0.0`
-    /// (the default) disables adaptation entirely and takes the exact
-    /// legacy code path: no extra rounds, CPU charges, trace spans or RNG
-    /// draws — byte-identical counters at any thread count. Held as
-    /// Q32.32 fixed point ([`Fx`]); [`with_adapt`](Self::with_adapt)
-    /// converts a human-friendly `f64` share once, at the boundary.
-    ///
-    /// Paper: §6.3 names skew-adaptive placement as the scaling
-    /// direction; PIM-tree and JSPIM demonstrate data-side adaptation.
-    pub adapt_threshold: Fx,
     /// Wire codec metered on every CPU↔PIM message (`WIRE_FORMAT.md` in
     /// the repository root holds the normative frame layouts).
     /// [`WireCodec::Plain`](pim_sim::WireCodec)
@@ -103,7 +89,6 @@ impl PimTrieConfig {
             fault_tolerance: false,
             max_round_retries: 8,
             cache_words: 0,
-            adapt_threshold: Fx::ZERO,
             codec: pim_sim::WireCodec::Plain,
         }
     }
@@ -136,22 +121,6 @@ impl PimTrieConfig {
         self
     }
 
-    /// Enable adaptive blocking: a block whose decayed
-    /// traffic share exceeds `threshold` triggers online repartitioning
-    /// (split / migrate / merge in bounded, metered BSP rounds). Pass a
-    /// share in `(0, 1)`; `0.0` is the disabled sentinel.
-    /// The `f64` here is the one sanctioned float boundary: the share
-    /// is rounded to the nearest Q32.32 value once, and every decision
-    /// downstream is exact integer arithmetic.
-    // lint: allow(float-determinism) — public API boundary; converted
-    // to Fx at entry, nothing downstream branches on a float
-    pub fn with_adapt(mut self, threshold: f64) -> Self {
-        // NaN/negative map to the out-of-domain sentinel: `validate`
-        // rejects anything >= 1
-        self.adapt_threshold = Fx::from_f64_checked(threshold).unwrap_or(Fx::MAX);
-        self
-    }
-
     /// Check the configuration for degenerate values. `PimTrie::try_new`
     /// runs this; the panicking constructors assert it.
     pub fn validate(&self) -> Result<(), PimTrieError> {
@@ -169,11 +138,6 @@ impl PimTrieConfig {
         if self.oversize_factor < 1 || self.undersize_divisor < 1 {
             return Err(PimTrieError::BadConfig(
                 "oversize_factor and undersize_divisor must be at least 1".into(),
-            ));
-        }
-        if self.adapt_threshold >= Fx::ONE {
-            return Err(PimTrieError::BadConfig(
-                "adapt_threshold must lie in [0, 1) (0 disables adaptation)".into(),
             ));
         }
         Ok(())
@@ -272,25 +236,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = PimTrieConfig::for_modules(8).with_fault_tolerance(true);
         assert!(c.fault_tolerance && c.validate().is_ok());
-    }
-
-    #[test]
-    fn adapt_disabled_by_default_and_validated() {
-        let c = PimTrieConfig::for_modules(8);
-        assert!(c.adapt_threshold.is_zero());
-        let on = PimTrieConfig::for_modules(8).with_adapt(0.25);
-        assert_eq!(on.adapt_threshold, Fx::from_milli(250));
-        assert!(on.validate().is_ok());
-        assert!(on.with_adapt(0.0).adapt_threshold.is_zero());
-        for bad in [-0.1, 1.0, 1.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                PimTrieConfig::for_modules(8)
-                    .with_adapt(bad)
-                    .validate()
-                    .is_err(),
-                "threshold {bad} should be rejected"
-            );
-        }
     }
 
     #[test]

@@ -67,7 +67,6 @@
 
 #![warn(missing_docs)]
 
-mod adapt;
 mod build;
 mod cache;
 pub mod codec;
@@ -91,8 +90,8 @@ pub use module::ModuleState;
 pub use refs::{BlockRef, MetaRef};
 // Re-exported so fault, cache and serving experiments need only this crate.
 pub use pim_sim::{
-    AdaptStats, CacheStats, CodecStats, CrashSpec, FaultPlan, FaultStats, JamSpec, ResidentStats,
-    ServeStats, WireCodec,
+    CacheStats, CodecStats, CrashSpec, FaultPlan, FaultStats, JamSpec, ResidentStats, ServeStats,
+    WireCodec,
 };
 
 use bitstr::hash::PolyHasher;
@@ -131,7 +130,7 @@ pub struct PimTrie {
     /// the root of the one meta-block tree: the meta-block whose root node
     /// describes `root_block`. Matching starts here. Stable for the life
     /// of the index — meta splits re-place it at the same address, merges
-    /// and migrations never touch the root block's meta node — and reset
+    /// never touch the root block's meta node — and reset
     /// by the bootstrap of a journal rebuild
     pub(crate) root_meta: refs::MetaRef,
     /// sealed-wire round sequence counter (fault tolerance only)
@@ -151,10 +150,6 @@ pub struct PimTrie {
     /// scoped-batch bisection instrumentation (see
     /// [`ScopedBatchStats`]); host-side observation only, never metered
     pub(crate) scoped: ScopedBatchStats,
-    /// decayed per-block / per-module traffic tracker driving adaptive
-    /// repartitioning ([`PimTrieConfig::adapt_threshold`] > 0); inert
-    /// (and absent from every code path) at the default threshold 0
-    pub(crate) adapt: adapt::TrafficTracker,
     /// host-resident copies of the top of the meta-block tree (see
     /// [`resident`]): matched on the CPU, dropped when a request rewrites
     /// their source, re-filled by the descent's own pull
@@ -334,14 +329,6 @@ impl PimTrie {
     /// from without holding the [`MatchedTrie`].
     pub fn last_match_stats(&self) -> MatchStats {
         self.last_match
-    }
-
-    /// Adaptive-repartitioning counters (hot flags, splits, migrations,
-    /// merges, metered extra rounds/words). All zero unless
-    /// [`PimTrieConfig::adapt_threshold`] is nonzero. Shorthand for
-    /// `self.system().metrics().adapt_stats()`.
-    pub fn adapt_stats(&self) -> &AdaptStats {
-        self.sys.metrics().adapt_stats()
     }
 
     /// Wire-codec counters (negotiated version, frames, plain vs encoded

@@ -489,17 +489,9 @@ impl PimTrie {
         let pull_threshold = self.cfg.k_b.max(self.cfg.push_threshold);
         for (block, pieces) in groups {
             let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
-            // K_B bounds a block's size, so "demand outweighs the block"
-            // defaults to comparing against K_B — but adaptively-split
-            // pieces are far smaller than K_B, and pulling one costs its
-            // *actual* weight. Where the tracker knows that weight, use
-            // it: a hot fine piece (every query descending one path) is
-            // then fetched once instead of serialising its module.
-            let thr = match self.adapt.size_hint(block) {
-                Some(w) => w.max(self.cfg.push_threshold),
-                None => pull_threshold,
-            };
-            if total <= thr {
+            // K_B bounds a block's size, so demand past it (or past the
+            // push threshold, if larger) costs more than pulling the block
+            if total <= pull_threshold {
                 for piece in pieces {
                     stats.pushes += 1;
                     let tag = (block, piece.tags.clone());
@@ -511,10 +503,6 @@ impl PimTrie {
                 }
             } else {
                 stats.pulls += 1;
-                // the pull's one-word request hides the real demand from
-                // the traffic tracker — credit the aimed piece words so
-                // adaptive repartitioning sees pull-contended blocks
-                self.adapt.record_pull_demand(block, total);
                 pulls.push((block, pieces));
             }
         }

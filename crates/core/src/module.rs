@@ -407,43 +407,6 @@ pub enum Req {
         /// query bits below the block root (at most the remaining key)
         bits: crate::refs::BitsMsg,
     },
-    /// Read a block's vitals (weight / keys / children) without pulling
-    /// its content — the adaptive cold-merge pass filters candidates on
-    /// this before committing to a full merge.
-    BlockStats {
-        /// block slot
-        slot: u32,
-    },
-    /// Ask whether a meta node is its meta-block's *root* node. Root meta
-    /// nodes are additionally referenced by the parent meta-block's child
-    /// list, so the host excludes those blocks from migration rather than
-    /// chase every replica of the address.
-    MetaNodeKind {
-        /// meta-block slot
-        slot: u32,
-        /// meta node to classify
-        node: u32,
-    },
-    /// Rewrite the mirror leaf that points at `old` to point at `new`
-    /// (block migration retargets the parent without re-shipping it).
-    RelinkMirror {
-        /// block slot (the parent of the moved block)
-        slot: u32,
-        /// the moved block's old address
-        old: BlockRef,
-        /// its new address
-        new: BlockRef,
-    },
-    /// Rewrite one meta node's block address (block migration keeps the
-    /// meta tree in step with the moved data block).
-    SetMetaNodeBlock {
-        /// meta-block slot
-        slot: u32,
-        /// meta node of the moved block
-        node: u32,
-        /// the block's new address
-        block: BlockRef,
-    },
     /// Wipe this module back to a fresh empty state and clear its crash
     /// flag (the first step of the host's rebuild-after-crash ladder).
     ResetModule,
@@ -482,15 +445,11 @@ impl Req {
             // the slot can be reused by an unrelated block later
             | Req::DropBlock { slot } => Touch::Blocks(block(slot), None),
             Req::MergeChild { slot, child, .. } => Touch::Blocks(block(slot), Some(*child)),
-            // retargets the parent's mirror list and strands a copy held
-            // under the moved block's old address
-            Req::RelinkMirror { slot, old, .. } => Touch::Blocks(block(slot), Some(*old)),
             Req::AddMetaNodes { slot, .. }
             | Req::RemoveMetaNode { slot, .. }
             | Req::RemoveMetaChild { slot, .. }
             | Req::ReplaceMeta { slot, .. }
-            | Req::DropMeta { slot }
-            | Req::SetMetaNodeBlock { slot, .. } => Touch::Meta(MetaRef {
+            | Req::DropMeta { slot } => Touch::Meta(MetaRef {
                 module,
                 slot: *slot,
             }),
@@ -503,8 +462,6 @@ impl Req {
             | Req::FetchMetaFull { .. }
             | Req::FetchSubtree { .. }
             | Req::DescendBlock { .. }
-            | Req::BlockStats { .. }
-            | Req::MetaNodeKind { .. }
             | Req::PutBlock(_)
             | Req::PutMeta(_)
             | Req::SetParent { .. }
@@ -1126,57 +1083,6 @@ pub fn handle(
             let b = state.blocks.get(slot).expect("DescendBlock: bad slot");
             work += bits.0.len().div_ceil(64) as u64 + 2;
             Resp::Descend(descend_local(b, &bits.0))
-        }
-        // The four migration requests tolerate a missing slot (vitals of
-        // zeros / no-op ack) instead of panicking: the adapt planner works
-        // from a traffic estimate that can momentarily lag the structure.
-        Req::BlockStats { slot } => {
-            work += 2;
-            match state.blocks.get(slot) {
-                Some(b) => Resp::BlockVitals {
-                    weight: b.weight(),
-                    keys: b.n_real_keys() as u64,
-                    children: b.mirrors.len() as u64,
-                    keys_delta: 0,
-                    collision: false,
-                },
-                None => Resp::BlockVitals {
-                    weight: 0,
-                    keys: 0,
-                    children: 0,
-                    keys_delta: 0,
-                    collision: true,
-                },
-            }
-        }
-        Req::MetaNodeKind { slot, node } => {
-            work += 2;
-            match state.metas.get(slot) {
-                // `1` = the meta-block's root node (block address is also
-                // replicated in the parent's child list)
-                Some(mb) => Resp::Value(Some(u64::from(node == mb.root_node))),
-                None => Resp::Value(None),
-            }
-        }
-        Req::RelinkMirror { slot, old, new } => {
-            work += 2;
-            if let Some(b) = state.blocks.get_mut(slot) {
-                let node = b.mirrors.iter().find(|(_, r)| **r == old).map(|(n, _)| *n);
-                if let Some(n) = node {
-                    b.mirrors.insert(n, new);
-                }
-                debug_assert!(node.is_some(), "RelinkMirror: old child not mirrored");
-            }
-            Resp::Ok
-        }
-        Req::SetMetaNodeBlock { slot, node, block } => {
-            work += 2;
-            if let Some(mb) = state.metas.get_mut(slot) {
-                if let Some(mn) = mb.nodes.get_mut(node) {
-                    mn.block = block;
-                }
-            }
-            Resp::Ok
         }
         Req::ResetModule => {
             *state = ModuleState::new(state.width);

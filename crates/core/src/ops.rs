@@ -4,7 +4,6 @@
 //! undersized merges).
 
 use crate::error::{unexpected, PimTrieError};
-use crate::fixed::Fx;
 use crate::matching::Anchor;
 use crate::module::{GraftMsg, Req, Resp, MIRROR_VALUE};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
@@ -41,11 +40,7 @@ impl PimTrie {
             return Ok(Vec::new());
         }
         self.t_op("lcp");
-        let r = self.with_recovery(|t| {
-            let out = t.lcp_core(queries)?;
-            t.adapt_maintain()?;
-            Ok(out)
-        });
+        let r = self.with_recovery(|t| t.lcp_core(queries));
         self.t_op_end();
         r
     }
@@ -136,10 +131,7 @@ impl PimTrie {
             return Ok(());
         }
         self.t_op("insert");
-        let r = self.with_recovery(|t| {
-            t.insert_core(keys, values)?;
-            t.adapt_maintain()
-        });
+        let r = self.with_recovery(|t| t.insert_core(keys, values));
         self.t_op_end();
         r?;
         if self.cfg.fault_tolerance {
@@ -308,11 +300,7 @@ impl PimTrie {
             return Ok(0);
         }
         self.t_op("delete");
-        let r = self.with_recovery(|t| {
-            let out = t.delete_core(keys)?;
-            t.adapt_maintain()?;
-            Ok(out)
-        });
+        let r = self.with_recovery(|t| t.delete_core(keys));
         self.t_op_end();
         let removed = r?;
         if self.cfg.fault_tolerance {
@@ -414,11 +402,7 @@ impl PimTrie {
             return Ok(Vec::new());
         }
         self.t_op("subtree");
-        let r = self.with_recovery(|t| {
-            let out = t.subtree_core(prefixes)?;
-            t.adapt_maintain()?;
-            Ok(out)
-        });
+        let r = self.with_recovery(|t| t.subtree_core(prefixes));
         self.t_op_end();
         r
     }
@@ -522,11 +506,7 @@ impl PimTrie {
             return Ok(Vec::new());
         }
         self.t_op("get");
-        let r = self.with_recovery(|t| {
-            let out = t.get_core(keys)?;
-            t.adapt_maintain()?;
-            Ok(out)
-        });
+        let r = self.with_recovery(|t| t.get_core(keys));
         self.t_op_end();
         r
     }
@@ -701,28 +681,12 @@ impl PimTrie {
     /// rest — all blocks advance together through shared BSP rounds, so a
     /// batch of overflows costs O(1) extra rounds, not O(#blocks).
     pub(crate) fn repartition_blocks(&mut self, brefs: Vec<BlockRef>) -> Result<(), PimTrieError> {
-        let k_b = self.cfg.k_b;
-        self.repartition_blocks_with(brefs, k_b, false).map(|_| ())
-    }
-
-    /// [`Self::repartition_blocks`] with the cut bound and the placement
-    /// policy exposed. The adaptive-blocking pass re-cuts *hot* blocks
-    /// with a finer `cut` and places the pieces deterministically on the
-    /// least-loaded modules instead of uniformly at random; with
-    /// `adaptive` false the legacy path — including its placement RNG
-    /// draw sequence — is bit-for-bit untouched. Returns the inputs that
-    /// actually split and the refs of the newly spawned pieces.
-    fn repartition_blocks_with(
-        &mut self,
-        brefs: Vec<BlockRef>,
-        cut: u64,
-        adaptive: bool,
-    ) -> Result<(Vec<BlockRef>, Vec<BlockRef>), PimTrieError> {
         if brefs.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
+            return Ok(());
         }
         self.t_phase("repartition");
         let p = self.sys.p();
+        let k_b = self.cfg.k_b;
         let orphan = || PimTrieError::Protocol("repartition: piece tree is not rooted".into());
         // Round 1: fetch all oversized blocks.
         let bds = self.fetch_blocks(&brefs, "repart.fetch")?;
@@ -751,8 +715,8 @@ impl PimTrie {
             let old_mirrors: BTreeMap<NodeId, BlockRef> =
                 bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect();
             // long-edge cutting before partitioning (§4.2)
-            trie.split_long_edges((cut as usize * 64 / 4).max(64));
-            let mut roots = trie_core::partition::partition_roots(&trie, cut);
+            trie.split_long_edges((k_b as usize * 64 / 4).max(64));
+            let mut roots = trie_core::partition::partition_roots(&trie, k_b);
             // Never cut at an existing mirror leaf: the piece rooted there
             // would be an empty shell in front of the old child block.
             roots.retain(|r| *r == NodeId::ROOT || !old_mirrors.contains_key(r));
@@ -818,65 +782,18 @@ impl PimTrie {
             });
         }
         if plans.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
+            return Ok(());
         }
 
-        // Round 2: place all non-root pieces. The legacy path scatters
-        // them uniformly at random; the adaptive path walks the modules
-        // cyclically in ascending order of tracked window load
-        // (deterministic: lowest load, lowest module index on ties),
-        // each piece charging the chosen window with its share of the
-        // parent's tracked traffic. The cyclic sweep — rather than pure
-        // least-loaded water-filling — caps any module at
-        // ⌈pieces/P⌉ pieces of the same parent: when that parent's
-        // subtree is the live hotspot, per-batch balance is set by how
-        // evenly *its* pieces spread, not by how level the decayed
-        // window looks.
-        let mut loads: Vec<u64> = if adaptive {
-            self.adapt.load_win().to_vec()
-        } else {
-            Vec::new()
-        };
+        // Round 2: place all non-root pieces uniformly at random.
         let mut place = Scatter::new(p);
         for (pi, plan) in plans.iter().enumerate() {
-            // Each piece charges the chosen window with a uniform share
-            // of the parent's tracked traffic. (Weighting shares by
-            // piece size or key count was tried and measures *worse*:
-            // the fine cut already equalises pieces well enough that
-            // share skew just injects placement noise.)
-            let share = if adaptive {
-                (self.adapt.estimate(plan.bref) / plan.pieces.len().max(1) as u64).max(1)
-            } else {
-                0
-            };
-            let mut order: Vec<u32> = if adaptive {
-                let mut idx: Vec<u32> = (0..p as u32)
-                    .filter(|m| self.quarantined.len() >= p || !self.quarantined.contains(m))
-                    .collect();
-                idx.sort_by_key(|m| (loads[*m as usize], *m));
-                idx
-            } else {
-                Vec::new()
-            };
-            let mut next = 0usize;
             for (bi, b) in plan.pieces.iter().enumerate() {
                 if bi == plan.root_idx {
                     continue;
                 }
                 let meta = &plan.placed[bi].meta;
-                let m = if adaptive {
-                    let m = order[next % order.len()];
-                    next += 1;
-                    if next.is_multiple_of(order.len()) {
-                        // re-rank between sweeps so later pieces still
-                        // respect what this wave already placed
-                        order.sort_by_key(|m| (loads[*m as usize], *m));
-                    }
-                    loads[m as usize] += share;
-                    m
-                } else {
-                    self.random_module()
-                };
+                let m = self.random_module();
                 let req = Req::PutBlock(crate::module::PutBlockMsg {
                     trie: TrieMsg(b.trie.clone()),
                     root_depth: meta.depth,
@@ -899,17 +816,6 @@ impl PimTrie {
                 slot,
             };
         }
-        if adaptive {
-            // Tell the tracker every piece's true weight — including the
-            // shrunken root piece — so the match pipeline can pull a
-            // contended piece at its real cost instead of K_B.
-            for plan in &plans {
-                for (b, pl) in plan.pieces.iter().zip(&plan.placed) {
-                    self.adapt.note_size(pl.target, b.trie.size_words() as u64);
-                }
-            }
-        }
-
         // Round 3: wire mirrors, parents, and replace root pieces.
         let mut wire = Scatter::new(p);
         for plan in &plans {
@@ -1025,17 +931,7 @@ impl PimTrie {
             }
         }
         self.rounds("repart.meta.wire", meta_wire)?;
-        self.split_meta_blocks(oversized_metas)?;
-        let split_inputs: Vec<BlockRef> = plans.iter().map(|pl| pl.bref).collect();
-        let mut spawned: Vec<BlockRef> = Vec::new();
-        for plan in &plans {
-            for (bi, piece) in plan.placed.iter().enumerate() {
-                if bi != plan.root_idx {
-                    spawned.push(piece.target);
-                }
-            }
-        }
-        Ok((split_inputs, spawned))
+        self.split_meta_blocks(oversized_metas)
     }
 
     /// Round helper: fetch many blocks at once.
@@ -1287,412 +1183,6 @@ impl PimTrie {
         }
         self.rounds("msplit.rewire", rewire)?;
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // adaptive blocking (skew-driven online repartitioning)
-    // ------------------------------------------------------------------
-
-    /// One adaptive-blocking maintenance pass — a no-op unless
-    /// [`adapt_threshold`](crate::PimTrieConfig::adapt_threshold) > 0:
-    /// decays the traffic window, splits blocks whose share of it crossed
-    /// the threshold with a finer cut, migrates tracked blocks off
-    /// overloaded modules, and merges spawned pieces that went cold.
-    /// Every extra round is metered through [`pim_sim::Metrics`] and
-    /// traced under its own `repartition` op span. The pass runs inside
-    /// the batch operations' recovery scope, so a module crash
-    /// mid-migration triggers the ordinary journal rebuild (which resets
-    /// the tracker along with everything else) and the op re-runs.
-    pub(crate) fn adapt_maintain(&mut self) -> Result<(), PimTrieError> {
-        if !self.adapt.enabled() {
-            return Ok(());
-        }
-        self.adapt.tick();
-        // Feed the tracker the simulator's measured per-module IO net of
-        // adapt's own transfers. The demand window only sees request
-        // words, which spread evenly once blocks are split fine; the
-        // residual skew lives in responses and in bucket roots pinned to
-        // their build modules, and only these counters can see it.
-        let observed: Vec<u64> = {
-            let met = self.sys.metrics();
-            let own = &met.adapt_stats().io_per_module;
-            met.io_per_module()
-                .iter()
-                .enumerate()
-                .map(|(m, w)| w.saturating_sub(own.get(m).copied().unwrap_or(0)))
-                .collect()
-        };
-        self.adapt.observe_io(&observed);
-        if !self.adapt.warm() {
-            return Ok(());
-        }
-        // Migration triggers on measured-IO imbalance; a lower bar than
-        // the hot-split threshold so residual skew the splits cannot
-        // reach (block spines stacked on one module) still levels out.
-        // Q32.32 so the trigger compares identically on every target
-        // (`pim_sim::balance` reports the same ratio, in f64, for humans).
-        const ADAPT_MIG_TRIGGER: Fx = Fx::from_milli(1200);
-        let hot = self.adapt.hot_blocks();
-        let cold = self.adapt.cold_spawned();
-        let win = self.adapt.load_win();
-        let win_total: u64 = win.iter().sum();
-        let win_max = win.iter().copied().max().unwrap_or(0);
-        let migrate =
-            win_total > 0 && Fx::ratio(win_max * win.len() as u64, win_total) > ADAPT_MIG_TRIGGER;
-        if hot.is_empty() && cold.is_empty() && !migrate {
-            return Ok(());
-        }
-        let before = self.sys.metrics().snapshot();
-        self.t_op("repartition");
-        // The tracker ignores adapt's own rounds (structural removals
-        // still apply) so the pass never feeds back into its own window.
-        self.adapt.set_paused(true);
-        let r = self.adapt_actions(hot, cold, migrate);
-        self.adapt.set_paused(false);
-        self.t_op_end();
-        // Meter the pass even when a round died mid-way: the rounds ran
-        // and their cost is real; recovery re-runs the whole op anyway.
-        let delta = self.sys.metrics().since(&before);
-        let stats = self.sys.metrics_mut().adapt_stats_mut();
-        stats.rounds += delta.io_rounds;
-        stats.words += delta.io_volume();
-        if stats.io_per_module.len() < delta.io_per_module.len() {
-            stats.io_per_module.resize(delta.io_per_module.len(), 0);
-        }
-        for (acc, d) in stats.io_per_module.iter_mut().zip(&delta.io_per_module) {
-            *acc += d;
-        }
-        let (hot_flags, splits, migrations, merges) = r?;
-        let stats = self.sys.metrics_mut().adapt_stats_mut();
-        stats.repartitions += 1;
-        stats.hot_flags += hot_flags;
-        stats.splits += splits;
-        stats.migrations += migrations;
-        stats.merges += merges;
-        Ok(())
-    }
-
-    /// The actual adaptive actions, run inside the `repartition` op span
-    /// with the tracker paused. Returns `(hot flags, splits, migrations,
-    /// merges)` for [`pim_sim::AdaptStats`].
-    fn adapt_actions(
-        &mut self,
-        hot: Vec<BlockRef>,
-        cold: Vec<BlockRef>,
-        migrate: bool,
-    ) -> Result<(u64, u64, u64, u64), PimTrieError> {
-        let hot_flags = hot.len() as u64;
-        let mut splits = 0u64;
-        if !hot.is_empty() {
-            // A hot block is re-cut fine enough that its pieces outnumber
-            // the modules severalfold — that is what lets the placement
-            // pass spread one subtree's traffic across the whole machine.
-            // K_B still caps piece size, this only lowers the target.
-            const ADAPT_PIECES_PER_MODULE: u64 = 32;
-            let fine_cut = (self.cfg.k_b / (ADAPT_PIECES_PER_MODULE * self.sys.p() as u64)).max(8);
-            self.t_phase("split");
-            let (split_inputs, spawned) =
-                self.repartition_blocks_with(hot.clone(), fine_cut, true)?;
-            let mut mass = 0u64;
-            for b in &hot {
-                if split_inputs.contains(b) {
-                    // carry the input's decayed estimate over to its
-                    // pieces (seeded below) instead of zeroing it
-                    mass += self.adapt.estimate(*b);
-                    self.adapt.forget(*b);
-                } else {
-                    // too small to cut finer — a migration candidate now
-                    self.adapt.mark_no_split(*b);
-                }
-            }
-            self.adapt.note_spawned(&spawned);
-            if !spawned.is_empty() {
-                let share = (mass / spawned.len() as u64).max(1);
-                for b in &spawned {
-                    self.adapt.seed(*b, share);
-                }
-            }
-            splits = spawned.len() as u64;
-        }
-        let migrations = if migrate { self.adapt_migrate()? } else { 0 };
-        let merges = if cold.is_empty() {
-            0
-        } else {
-            self.adapt_merge(cold)?
-        };
-        Ok((hot_flags, splits, migrations, merges))
-    }
-
-    /// Plan and execute one migration wave: greedily move the heaviest
-    /// tracked blocks off the heaviest modules to the lightest ones until
-    /// the traffic window's projected balance drops under the target.
-    /// Host-side arithmetic plans the wave; four bounded BSP rounds
-    /// execute it. Returns the number of blocks actually moved.
-    fn adapt_migrate(&mut self) -> Result<u64, PimTrieError> {
-        const ADAPT_MIG_TARGET: Fx = Fx::from_milli(1100);
-        let win = self.adapt.load_win().to_vec();
-        let p = win.len();
-        let total: u64 = win.iter().sum();
-        if p <= 1 || total == 0 {
-            return Ok(0);
-        }
-        let mut est = win;
-        let mut moving: BTreeSet<BlockRef> = BTreeSet::new();
-        let mut plan: Vec<(BlockRef, u64, u32)> = Vec::new();
-        let mut exhausted: BTreeSet<usize> = BTreeSet::new();
-        while plan.len() < p {
-            // heaviest non-exhausted module (ties: lowest index)
-            let Some((src, src_load)) = est
-                .iter()
-                .enumerate()
-                .filter(|(m, _)| !exhausted.contains(m))
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-                .map(|(m, l)| (m, *l))
-            else {
-                break;
-            };
-            // `src_load <= 1.1 · total/p`, in exact integer form
-            if Fx::ratio(src_load * p as u64, total) <= ADAPT_MIG_TARGET {
-                break;
-            }
-            // lightest destination (ties: lowest index), skipping
-            // quarantined modules while any other remains
-            let all_q = self.quarantined.len() >= p;
-            let Some((dst, dst_load)) = est
-                .iter()
-                .enumerate()
-                .filter(|(m, _)| *m != src && (all_q || !self.quarantined.contains(&(*m as u32))))
-                .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-                .map(|(m, l)| (m, *l))
-            else {
-                break;
-            };
-            let headroom = src_load - dst_load;
-            let cand = self
-                .adapt
-                .tracked_on(src as u32)
-                .into_iter()
-                .find(|(f, b)| {
-                    *f > 0 && *f < headroom && *b != self.root_block && !moving.contains(b)
-                });
-            match cand {
-                Some((f, b)) => {
-                    est[src] -= f;
-                    est[dst] += f;
-                    moving.insert(b);
-                    plan.push((b, f, dst as u32));
-                }
-                None => {
-                    exhausted.insert(src);
-                }
-            }
-        }
-        if plan.is_empty() {
-            return Ok(0);
-        }
-        self.t_phase("migrate");
-        self.adapt_execute_moves(plan)
-    }
-
-    /// Execute a planned migration wave: fetch the candidates, drop any
-    /// whose move would race another in the same wave (parent/child
-    /// links) or whose meta node roots a meta-block (moving one would
-    /// stale the parent meta-block's copy of the child's root block),
-    /// place copies at the destinations, then rewire every holder of the
-    /// old address — the parent's mirror entry, each child's parent
-    /// link, the meta node, the host cache (via the wire scan) — and
-    /// drop the originals.
-    fn adapt_execute_moves(
-        &mut self,
-        plan: Vec<(BlockRef, u64, u32)>,
-    ) -> Result<u64, PimTrieError> {
-        let p = self.sys.p();
-        let brefs: Vec<BlockRef> = plan.iter().map(|(b, _, _)| *b).collect();
-        let bds = self.fetch_blocks(&brefs, "adapt.mig.fetch")?;
-        let in_wave: BTreeSet<BlockRef> = brefs.iter().copied().collect();
-        struct Move {
-            old: BlockRef,
-            freq: u64,
-            dest: u32,
-            bd: crate::module::BlockDataOut,
-        }
-        let mut moves: Vec<Move> = Vec::new();
-        for ((old, freq, dest), bd) in plan.into_iter().zip(bds) {
-            // Independence: a block whose parent or child also moves this
-            // wave would be rewired against a dying address. Dropped
-            // candidates lose their stale estimate and re-accrue.
-            let independent = bd.parent.map(|pr| !in_wave.contains(&pr)).unwrap_or(false)
-                && bd.mirrors.iter().all(|(_, c)| !in_wave.contains(c));
-            if old == self.root_block || dest == old.module || bd.meta.is_none() || !independent {
-                self.adapt.forget(old);
-                continue;
-            }
-            moves.push(Move {
-                old,
-                freq,
-                dest,
-                bd,
-            });
-        }
-        if moves.is_empty() {
-            return Ok(0);
-        }
-        // Round: keep only blocks whose meta node is a non-root node of
-        // its meta-block.
-        let mut check = Scatter::new(p);
-        for (i, mv) in moves.iter().enumerate() {
-            if let Some((mref, mslot)) = mv.bd.meta {
-                let req = Req::MetaNodeKind {
-                    slot: mref.slot,
-                    node: mslot,
-                };
-                check.push(mref.module as usize, i, req);
-            }
-        }
-        let mut keep: Vec<bool> = vec![false; moves.len()];
-        for (_, i, resp) in self.rounds("adapt.mig.check", check)? {
-            if let Resp::Value(Some(0)) = resp {
-                keep[i] = true;
-            }
-        }
-        let moves: Vec<Move> = moves
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(mv, k)| {
-                if k {
-                    Some(mv)
-                } else {
-                    self.adapt.forget(mv.old);
-                    None
-                }
-            })
-            .collect();
-        if moves.is_empty() {
-            return Ok(0);
-        }
-        // Round: place copies at the destinations.
-        let mut place = Scatter::new(p);
-        for (i, mv) in moves.iter().enumerate() {
-            let bd = &mv.bd;
-            let req = Req::PutBlock(crate::module::PutBlockMsg {
-                trie: bd.trie.clone(),
-                root_depth: bd.root_depth,
-                root_hash: bd.root_hash,
-                s_last: bd.s_last.clone(),
-                pre_hash: bd.pre_hash,
-                rem: bd.rem.clone(),
-                parent: bd.parent,
-                mirrors: bd.mirrors.clone(),
-            });
-            place.push(mv.dest as usize, i, req);
-        }
-        let mut new_ref: Vec<Option<BlockRef>> = vec![None; moves.len()];
-        for (m, i, resp) in self.rounds("adapt.mig.place", place)? {
-            if let Resp::Placed { slot, .. } = resp {
-                new_ref[i] = Some(BlockRef {
-                    module: m as u32,
-                    slot,
-                });
-            }
-        }
-        // Round: rewire every holder of the old address, then drop the
-        // original. The shared wire scan invalidates the host cache's
-        // copies (old address and the retargeted parent) in passing.
-        let mut wire = Scatter::new(p);
-        let mut moved = 0u64;
-        for (mv, new) in moves.iter().zip(new_ref) {
-            let Some(new) = new else {
-                self.adapt.forget(mv.old);
-                continue;
-            };
-            let Some(parent) = mv.bd.parent else {
-                continue; // filtered above; defensive
-            };
-            let Some((mref, mslot)) = mv.bd.meta else {
-                continue; // filtered above; defensive
-            };
-            let relink = Req::RelinkMirror {
-                slot: parent.slot,
-                old: mv.old,
-                new,
-            };
-            wire.push(parent.module as usize, (), relink);
-            for (_, child) in &mv.bd.mirrors {
-                let req = Req::SetParent {
-                    slot: child.slot,
-                    parent: Some(new),
-                };
-                wire.push(child.module as usize, (), req);
-            }
-            let retarget = Req::SetMetaNodeBlock {
-                slot: mref.slot,
-                node: mslot,
-                block: new,
-            };
-            wire.push(mref.module as usize, (), retarget);
-            let rehome = Req::SetBlockMeta {
-                slot: new.slot,
-                meta: mref,
-                meta_slot: mslot,
-            };
-            wire.push(new.module as usize, (), rehome);
-            let drop_old = Req::DropBlock { slot: mv.old.slot };
-            wire.push(mv.old.module as usize, (), drop_old);
-            self.adapt.rename(mv.old, new);
-            self.adapt.shift_load(mv.old.module, new.module, mv.freq);
-            moved += 1;
-        }
-        self.rounds("adapt.mig.wire", wire)?;
-        Ok(moved)
-    }
-
-    /// Probe spawned-then-cold pieces' vitals in one round and feed the
-    /// genuinely undersized ones to the ordinary merge cascade. Returns
-    /// how many entered the cascade.
-    fn adapt_merge(&mut self, cold: Vec<BlockRef>) -> Result<u64, PimTrieError> {
-        let mut probe = Scatter::new(self.sys.p());
-        for b in cold {
-            probe.push(b.module as usize, b, Req::BlockStats { slot: b.slot });
-            // one shot: a probed piece is re-tracked only if touched again
-            self.adapt.forget(b);
-        }
-        let mut shrunk: Vec<(BlockRef, u64, u64, u64)> = Vec::new();
-        let mut merges = 0u64;
-        for (_, bref, resp) in self.rounds("adapt.vitals", probe)? {
-            let Resp::BlockVitals {
-                weight,
-                keys,
-                children,
-                collision,
-                ..
-            } = resp
-            else {
-                continue;
-            };
-            if collision {
-                continue; // slot vanished under us; nothing to merge
-            }
-            if bref != self.root_block
-                && children == 0
-                && (keys == 0 || weight < self.cfg.k_b / self.cfg.undersize_divisor)
-            {
-                merges += 1;
-            }
-            shrunk.push((bref, weight, keys, children));
-        }
-        self.maintain_after_shrink(shrunk)?;
-        Ok(merges)
-    }
-
-    /// Run one adaptive-blocking pass outside any batch operation — the
-    /// epoch-boundary hook for serving front-ends. A no-op unless
-    /// [`adapt_threshold`](crate::PimTrieConfig::adapt_threshold) > 0;
-    /// module crashes mid-pass are recovered like the batch operations'.
-    pub fn try_adapt_rebalance(&mut self) -> Result<(), PimTrieError> {
-        if !self.adapt.enabled() {
-            return Ok(());
-        }
-        self.with_recovery(|t| t.adapt_maintain())
     }
 
     // ------------------------------------------------------------------

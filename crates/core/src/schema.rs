@@ -352,10 +352,7 @@ wire_schema! {
         26: FetchSubtree { slot, node, off } => 3,
         27: DescendBlock { slot, bits } => 1 + bits.wire_words(),
         28: ResetModule => 1,
-        29: BlockStats { slot } => 1,
-        30: MetaNodeKind { slot, node } => 2,
-        31: RelinkMirror { slot, old, new } => 5,
-        32: SetMetaNodeBlock { slot, node, block } => 4,
+        // tags 29–32 are retired
     }
 
     enum Resp {

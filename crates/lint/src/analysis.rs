@@ -3,7 +3,7 @@
 //!
 //! | rule               | invariant it protects                                  |
 //! |--------------------|--------------------------------------------------------|
-//! | `metering-honesty` | stat-struct counters (`Metrics`, `FaultStats`, `CacheStats`, `ResidentStats`, `ServeStats`, `AdaptStats`) are mutated only through the `sim` metering API — a layer that bumps `hits` on a private copy reports costs it never paid |
+//! | `metering-honesty` | stat-struct counters (`Metrics`, `FaultStats`, `CacheStats`, `ResidentStats`, `ServeStats`) are mutated only through the `sim` metering API — a layer that bumps `hits` on a private copy reports costs it never paid |
 //! | `dead-waiver`      | every `lint: allow(…)` comment suppresses at least one finding — a waiver that outlived its violation is camouflage for the next real one |
 //! | `doc-drift`        | every experiment in `repro`'s KNOWN list is named in its `--help` text, in EXPERIMENTS.md, and in the committed cost-baseline — an experiment the docs forgot is an experiment nobody re-runs |
 //! | `wire-spec-drift`  | every identifier in WIRE_FORMAT.md's "Wire vocabulary" table exists in the wire-layer sources (`crates/codec`, `crates/sim`, `crates/core/src/schema.rs`) — a spec that names vanished machinery is worse than no spec |
@@ -20,7 +20,6 @@ use std::collections::BTreeSet;
 /// The stat structs whose counters the honesty rule guards. `Metrics`
 /// owns the rest; the others are its embedded per-layer counter blocks.
 pub const STAT_STRUCTS: &[&str] = &[
-    "AdaptStats",
     "CacheStats",
     "FaultStats",
     "Metrics",

@@ -20,7 +20,7 @@
 // them as f64 and compare against advisory thresholds; nothing here
 // feeds back into the metered execution
 
-use pim_sim::{balance, AdaptStats, CacheStats, ServeStats};
+use pim_sim::{balance, CacheStats, ServeStats};
 
 use crate::report;
 
@@ -42,11 +42,6 @@ pub enum Threshold {
     /// Fire when the cache hit ratio drops below the bound while the
     /// cache is actually being probed (quiet with zero lookups).
     CacheHitRatioBelow(f64),
-    /// Fire when the adaptive partitioner's cumulative block moves
-    /// (splits + migrations + merges) exceed the bound — sustained
-    /// repartition churn, the signature of a threshold set so low the
-    /// partitioner chases noise (quiet with adaptation off).
-    AdaptMovesAbove(u64),
     /// Fire when a batch's meta descent took more IO rounds than
     /// `c · ⌈log₂ P⌉` — the paper's `O(log P)` round bound (Table 1) with
     /// its constant written out, `P` being the window's module count. A
@@ -91,8 +86,6 @@ pub struct ObsSample {
     pub serve: ServeStats,
     /// Cache counters (cumulative).
     pub cache: CacheStats,
-    /// Adaptive-partitioning counters (cumulative).
-    pub adapt: AdaptStats,
     /// Modules currently quarantined.
     pub quarantined: u64,
     /// IO rounds of the latest batch's meta descent
@@ -156,10 +149,6 @@ impl AlarmBoard {
                 Threshold::CacheHitRatioBelow(b) => {
                     let v = s.cache.hit_ratio();
                     (v, b, s.cache.lookups > 0 && v < b)
-                }
-                Threshold::AdaptMovesAbove(b) => {
-                    let v = s.adapt.moves();
-                    (v as f64, b as f64, v > b)
                 }
                 Threshold::DescentRoundsAbove(c) => {
                     let b = c * ceil_log2(s.io_per_module.len());
@@ -231,18 +220,16 @@ pub const BALANCE_MIN_WORDS_PER_MODULE: u64 = 64;
 
 /// The stock board the serving layer and `pimtrie-report` install:
 /// skew (`io-balance > 3`), overload (`shed-rate > 0.2`), fault
-/// quarantine (`quarantined > 0`), cache collapse (`hit-ratio < 0.05`
-/// while probed), and repartition churn (`adapt moves > 512`).
-/// Calibrated against X-skew / X-serve / X-adapt: uniform batches sit
-/// near balance 1, steady serving sheds nothing, and a sanely-thresholded
-/// adaptive run moves tens of blocks, so the stock board is silent
-/// there; a Zipf batch on a range-partitioned layout (balance 4+), an
-/// overloaded queue (69 % shed), or a partitioner thrashing on noise
-/// crosses immediately. [`Threshold::DescentRoundsAbove`] is not on it:
-/// the descent still costs `height − resident levels` rounds, which a
-/// healthy run past `n ≈ 500 k` at `P = 64` (or any quick `P = 8` run)
-/// takes above `⌈log₂ P⌉`, so it is a monitor to install where that
-/// bound is the question, not a stock alarm.
+/// quarantine (`quarantined > 0`) and cache collapse (`hit-ratio < 0.05`
+/// while probed). Calibrated against X-skew / X-serve: uniform batches
+/// sit near balance 1 and steady serving sheds nothing, so the stock
+/// board is silent there; a Zipf batch on a range-partitioned layout
+/// (balance 4+) or an overloaded queue (69 % shed) crosses immediately.
+/// [`Threshold::DescentRoundsAbove`] is not on it: the descent still
+/// costs `height − resident levels` rounds, which a healthy run past
+/// `n ≈ 500 k` at `P = 64` (or any quick `P = 8` run) takes above
+/// `⌈log₂ P⌉`, so it is a monitor to install where that bound is the
+/// question, not a stock alarm.
 pub fn default_board() -> AlarmBoard {
     AlarmBoard::new(vec![
         AlarmSpec {
@@ -260,10 +247,6 @@ pub fn default_board() -> AlarmBoard {
         AlarmSpec {
             name: "cache-collapse",
             threshold: Threshold::CacheHitRatioBelow(0.05),
-        },
-        AlarmSpec {
-            name: "adapt-churn",
-            threshold: Threshold::AdaptMovesAbove(512),
         },
     ])
 }
@@ -330,12 +313,6 @@ mod tests {
         let quiet = sample(vec![5, 5, 5, 5], 10, 0); // lookups == 0
         b.evaluate(4, &quiet);
         assert_eq!(b.count(), 3);
-        // repartition churn: quiet at rest, edge when moves cross
-        let mut s = sample(vec![5, 5, 5, 5], 10, 0);
-        s.adapt.splits = 400;
-        s.adapt.migrations = 200;
-        assert_eq!(b.evaluate(5, &s), 1);
-        assert_eq!(b.fired().last().map(|e| e.name), Some("adapt-churn"));
         // skewed but near-empty window: below the support floor, quiet
         let mut fresh = default_board();
         assert_eq!(fresh.evaluate(0, &sample(vec![20, 0, 0, 0], 10, 0)), 0);

@@ -446,20 +446,12 @@ impl Server {
                 self.record(ci, r.submitted, r.id, finish, out);
             }
         }
-        // End-of-epoch adaptive rebalance. The scoped batches above
-        // already maintain opportunistically, but a bisected epoch can
-        // end on a failing sub-batch that never reached its maintenance
-        // step; this guarantees one pass per epoch regardless.
-        // Best-effort: a failed pass leaves the trie on its (valid) old
-        // partition and the next epoch retries.
-        let _ = self.trie.try_adapt_rebalance();
         if let Some(snap) = snap {
             let m = self.trie.system().metrics();
             let sample = ObsSample {
                 io_per_module: m.since(&snap).io_per_module,
                 serve: m.serve_stats().clone(),
                 cache: m.cache_stats().clone(),
-                adapt: m.adapt_stats().clone(),
                 quarantined: self.trie.quarantined().len() as u64,
                 descend_rounds: self.trie.last_match_stats().descend_rounds,
             };

@@ -207,49 +207,6 @@ impl ServeStats {
     }
 }
 
-/// Counters for an adaptive-repartitioning layer driving online block
-/// splits, migrations and merges over the simulated system.
-///
-/// Like [`CacheStats`] and [`ServeStats`], the simulator itself never
-/// touches these: they exist so a skew-adaptive partitioner (e.g.
-/// `pim-trie`'s adaptive blocking) reports its actions and
-/// their honestly-metered cost through the same metrics pipeline as
-/// every other counter. All zero when no adaptive layer is in play, so a
-/// run that merely *links* the layer is bit-identical to one that never
-/// heard of it.
-///
-/// Paper: §6.3 names skew-adaptive placement as the scaling direction;
-/// PIM-tree (Kang et al.) shows skew resistance must live in the data
-/// placement itself.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AdaptStats {
-    /// Adaptation passes that took at least one action.
-    pub repartitions: u64,
-    /// Blocks flagged hot (traffic share above the threshold).
-    pub hot_flags: u64,
-    /// Hot blocks split into finer pieces.
-    pub splits: u64,
-    /// Blocks migrated from an overloaded to an underloaded module.
-    pub migrations: u64,
-    /// Cold adapt-spawned blocks handed back to the merge machinery.
-    pub merges: u64,
-    /// Extra BSP rounds spent purely on adaptation.
-    pub rounds: u64,
-    /// Wire words moved purely by adaptation.
-    pub words: u64,
-    /// Per-module wire words moved purely by adaptation (same totals as
-    /// [`words`](AdaptStats::words)); lets a harness subtract the
-    /// repartitioner's own transfers when judging query-path balance.
-    pub io_per_module: Vec<u64>,
-}
-
-impl AdaptStats {
-    /// Total structural actions (splits + migrations + merges).
-    pub fn moves(&self) -> u64 {
-        self.splits + self.migrations + self.merges
-    }
-}
-
 /// Counters for the negotiated wire codec (see `WIRE_FORMAT.md`).
 ///
 /// Like the other layered stat blocks, these are all zero until a run
@@ -305,7 +262,6 @@ pub struct Metrics {
     cache: CacheStats,
     resident: ResidentStats,
     serve: ServeStats,
-    adapt: AdaptStats,
     codec: CodecStats,
     /// Detailed per-round log (kept only when `log_rounds` is on).
     pub round_log: Vec<RoundRecord>,
@@ -469,18 +425,6 @@ impl Metrics {
         &mut self.serve
     }
 
-    /// Adaptive-repartitioning counters (see [`AdaptStats`]).
-    pub fn adapt_stats(&self) -> &AdaptStats {
-        &self.adapt
-    }
-
-    /// Mutable adaptation counters, for a skew-adaptive partitioner to
-    /// record hot flags, splits, migrations, merges and their metered
-    /// round/word cost.
-    pub fn adapt_stats_mut(&mut self) -> &mut AdaptStats {
-        &mut self.adapt
-    }
-
     /// Wire-codec counters (see [`CodecStats`]).
     pub fn codec_stats(&self) -> &CodecStats {
         &self.codec
@@ -587,20 +531,6 @@ impl Metrics {
                 ("serve.alarms", s.alarms),
             ]
         };
-        let a = &self.adapt;
-        let adapt_rows: Vec<(&str, u64)> = if self.adapt == AdaptStats::default() {
-            Vec::new()
-        } else {
-            vec![
-                ("adapt.repartitions", a.repartitions),
-                ("adapt.hot_flags", a.hot_flags),
-                ("adapt.splits", a.splits),
-                ("adapt.migrations", a.migrations),
-                ("adapt.merges", a.merges),
-                ("adapt.rounds", a.rounds),
-                ("adapt.words", a.words),
-            ]
-        };
         let k = &self.codec;
         let codec_rows: Vec<(&str, u64)> = if self.codec == CodecStats::default() {
             Vec::new()
@@ -619,7 +549,6 @@ impl Metrics {
             .chain(cache_rows.iter().map(|(n, _)| n.len()))
             .chain(resident_rows.iter().map(|(n, _)| n.len()))
             .chain(serve_rows.iter().map(|(n, _)| n.len()))
-            .chain(adapt_rows.iter().map(|(n, _)| n.len()))
             .chain(codec_rows.iter().map(|(n, _)| n.len()))
             .chain(std::iter::once("round name".len()))
             .max()
@@ -637,7 +566,6 @@ impl Metrics {
             .iter()
             .chain(resident_rows.iter())
             .chain(serve_rows.iter())
-            .chain(adapt_rows.iter())
             .chain(codec_rows.iter())
         {
             out.push_str(&format!("{name:width$} {v:>8}\n"));
@@ -868,24 +796,6 @@ mod tests {
         s.failed = 1;
         assert_eq!(m.serve_stats().settled(), 8);
         assert_eq!(m.serve_stats().settled(), m.serve_stats().admitted);
-    }
-
-    #[test]
-    fn adapt_stats_default_zero_and_report_section() {
-        let mut m = Metrics::new(2);
-        m.set_round_logging(true);
-        m.record_round(rec("s", vec![1, 0], vec![0, 0], vec![4, 0]));
-        assert_eq!(*m.adapt_stats(), AdaptStats::default());
-        assert!(!m.report().contains("adapt."));
-        let a = m.adapt_stats_mut();
-        a.repartitions = 2;
-        a.splits = 3;
-        a.migrations = 1;
-        a.merges = 1;
-        assert_eq!(m.adapt_stats().moves(), 5);
-        let rep = m.report();
-        assert!(rep.contains("adapt.splits"));
-        assert!(rep.contains("adapt.migrations"));
     }
 
     #[test]

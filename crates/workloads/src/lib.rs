@@ -12,8 +12,6 @@
 //! * [`seq_ints`] — dense sequential integers (deep shared prefixes);
 //! * [`zipf_prefixes`] — keys whose high bits follow a Zipf(θ) bucket
 //!   distribution: the knob that sweeps benign → skewed;
-//! * [`shifting_hotspot`] — Zipf-skewed phases whose hot buckets rotate, the
-//!   adversary for frequency caches without decay;
 //! * [`hotspot_chase`] — one hot bucket advancing faster than any fixed
 //!   decay half-life, the adversary for *decayed* frequency trackers;
 //! * [`shared_prefix`] — the range-partition killer: every key in the batch
@@ -149,44 +147,6 @@ pub fn zipf_prefixes(
         .collect()
 }
 
-/// An adversarial *shifting-hotspot* stream: the `n` keys are emitted in
-/// `phases` contiguous segments, each segment Zipf(θ)-skewed over the
-/// `2^prefix_bits` buckets but with the bucket ranking rotated per phase,
-/// so the hot set moves to a disjoint region of the key space at every
-/// phase boundary. Built to defeat any frequency tracker without decay: a
-/// cache that never ages its counters keeps serving phase-1's hot prefixes
-/// long after the traffic has moved on.
-///
-/// Paper: the skew model follows §6.1's Zipf query workloads; the phase
-/// rotation is the adversary for host-side hot-path caching (§6.3).
-pub fn shifting_hotspot(
-    n: usize,
-    len: usize,
-    prefix_bits: usize,
-    phases: usize,
-    theta: f64,
-    seed: u64,
-) -> Vec<BitStr> {
-    assert!(prefix_bits <= len && prefix_bits <= 20 && phases >= 1);
-    let buckets = 1u64 << prefix_bits;
-    let zipf = Zipf::new(buckets as usize, theta);
-    let mut r = rng(seed);
-    let per_phase = n.div_ceil(phases);
-    (0..n)
-        .map(|i| {
-            let phase = (i / per_phase) as u64;
-            let rank = zipf.sample(&mut r) as u64;
-            // rotate the rank→bucket mapping so each phase's head ranks
-            // land on a different bucket range
-            let rotated = (rank + phase * (buckets / phases as u64)) % buckets;
-            let bucket = rotated.reverse_bits() >> (64 - prefix_bits.max(1));
-            let mut s = BitStr::from_u64(bucket, prefix_bits);
-            s.append(&random_bits(&mut r, len - prefix_bits).as_slice());
-            s
-        })
-        .collect()
-}
-
 /// The adversary for *decayed* frequency trackers: a single hot bucket
 /// holds `hot_frac` of the traffic, but it advances to the next bucket
 /// every `period` keys — pick `period` below the tracker's decay
@@ -197,9 +157,8 @@ pub fn shifting_hotspot(
 /// are bit-reversed like [`zipf_prefixes`]'s so consecutive hot
 /// buckets land in distant parts of the key space.
 ///
-/// Paper: the skew model follows §6.1; the rotation schedule is the
-/// adversarial counterpart of [`shifting_hotspot`] tuned to outpace
-/// op-counter decay rather than merely to move between phases.
+/// Paper: the skew model follows §6.1; the rotation schedule is tuned to
+/// outpace op-counter decay rather than merely to move between phases.
 pub fn hotspot_chase(
     n: usize,
     len: usize,
@@ -350,29 +309,6 @@ pub enum Spec {
         /// Zipf exponent
         theta: f64,
     },
-    /// Zipf-skewed prefixes whose hot set rotates between phases.
-    ShiftingHotspot {
-        /// key length in bits
-        len: usize,
-        /// number of prefix bits forming the bucket id
-        prefix_bits: usize,
-        /// number of contiguous phases the stream is split into
-        phases: usize,
-        /// Zipf exponent
-        theta: f64,
-    },
-    /// One hot bucket holding most traffic, advancing every `period`
-    /// keys — faster than any fixed decay half-life.
-    HotspotChase {
-        /// key length in bits
-        len: usize,
-        /// number of prefix bits forming the bucket id
-        prefix_bits: usize,
-        /// keys emitted before the hot bucket advances
-        period: usize,
-        /// fraction of keys drawn from the current hot bucket
-        hot_frac: f64,
-    },
     /// One shared prefix.
     SharedPrefix {
         /// shared prefix length in bits
@@ -406,18 +342,6 @@ impl Spec {
                 prefix_bits,
                 theta,
             } => zipf_prefixes(n, len, prefix_bits, theta, seed),
-            Spec::ShiftingHotspot {
-                len,
-                prefix_bits,
-                phases,
-                theta,
-            } => shifting_hotspot(n, len, prefix_bits, phases, theta, seed),
-            Spec::HotspotChase {
-                len,
-                prefix_bits,
-                period,
-                hot_frac,
-            } => hotspot_chase(n, len, prefix_bits, period, hot_frac, seed),
             Spec::SharedPrefix {
                 prefix_len,
                 total_len,
@@ -435,8 +359,6 @@ impl Spec {
             Spec::UniformVar { min_len, max_len } => format!("var{min_len}-{max_len}"),
             Spec::SeqInts { width } => format!("seq{width}"),
             Spec::Zipf { theta, .. } => format!("zipf{theta}"),
-            Spec::ShiftingHotspot { phases, theta, .. } => format!("shift{phases}x{theta}"),
-            Spec::HotspotChase { period, .. } => format!("chase{period}"),
             Spec::SharedPrefix { prefix_len, .. } => format!("shared{prefix_len}"),
             Spec::PathChain { step } => format!("path{step}"),
             Spec::Genome { symbols } => format!("genome{symbols}"),
@@ -495,33 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn shifting_hotspot_moves_the_hot_bucket() {
-        let prefix_bits = 8;
-        let keys = shifting_hotspot(4096, 64, prefix_bits, 4, 1.2, 9);
-        assert_eq!(keys.len(), 4096);
-        // per phase, count which bucket (top prefix_bits) is hottest
-        let hottest = |phase: usize| -> u64 {
-            let mut counts = std::collections::BTreeMap::new();
-            for k in &keys[phase * 1024..(phase + 1) * 1024] {
-                *counts
-                    .entry(k.slice(0..prefix_bits).to_bitstr().to_u64())
-                    .or_insert(0usize) += 1;
-            }
-            let (&b, &c) = counts.iter().max_by_key(|(_, &c)| c).unwrap();
-            assert!(c > 200, "phase {phase} not skewed enough: {c}");
-            b
-        };
-        let heads: std::collections::HashSet<u64> = (0..4).map(hottest).collect();
-        assert_eq!(
-            heads.len(),
-            4,
-            "hot buckets must differ per phase: {heads:?}"
-        );
-        // and determinism in seed
-        assert_eq!(keys, shifting_hotspot(4096, 64, prefix_bits, 4, 1.2, 9));
-    }
-
-    #[test]
     fn hotspot_chase_rotates_faster_than_phases() {
         let prefix_bits = 4;
         let period = 256;
@@ -545,16 +440,6 @@ mod tests {
             assert_ne!(w[0], w[1], "hot bucket failed to advance: {heads:?}");
         }
         assert_eq!(keys, hotspot_chase(2048, 64, prefix_bits, period, 0.9, 9));
-        assert_eq!(
-            Spec::HotspotChase {
-                len: 64,
-                prefix_bits,
-                period,
-                hot_frac: 0.9,
-            }
-            .label(),
-            "chase256"
-        );
     }
 
     #[test]

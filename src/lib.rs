@@ -7,7 +7,6 @@
 
 pub use baselines;
 pub use bitstr;
-pub use fast_trie;
 pub use pim_sim;
 pub use pim_trie;
 pub use trie_core;

@@ -155,41 +155,6 @@ proptest! {
     }
 
     #[test]
-    fn adapt_on_off_equivalent(keys in arb_batch(60), hot in arb_batch(20)) {
-        // Adaptive repartitioning moves and re-cuts blocks while serving;
-        // none of that may leak into results. Amplified queries give the
-        // tracker real skew to act on; a small K_B lets splits fire even
-        // at these batch sizes. Results must match the adapt-off run
-        // exactly, at any thread count, and every stored key must still
-        // resolve to exactly one value afterwards.
-        let values: Vec<u64> = (0..keys.len() as u64).collect();
-        let queries: Vec<BitStr> = hot.iter().cycle().take(hot.len() * 6).cloned().collect();
-        let run = |threshold: f64, threads: usize| {
-            pim_trie::with_threads(threads, || {
-                let mut cfg = PimTrieConfig::for_modules(4).with_seed(5).with_k_b(128);
-                if threshold > 0.0 {
-                    cfg = cfg.with_adapt(threshold);
-                }
-                let mut t = PimTrie::build(cfg, &keys, &values);
-                let lcp = t.lcp_batch(&queries);
-                let got = t.get_batch(&keys);
-                assert!(t.audit_debug().is_empty());
-                (lcp, got, t.adapt_stats().clone())
-            })
-        };
-        let (l_off, g_off, s_off) = run(0.0, 1);
-        let (l_on, g_on, _) = run(0.05, 1);
-        let (l_on4, g_on4, _) = run(0.05, 4);
-        prop_assert_eq!(&s_off, &pim_trie::AdaptStats::default());
-        prop_assert_eq!(&l_on, &l_off, "lcp diverged with adaptation on");
-        prop_assert_eq!(&g_on, &g_off, "get diverged with adaptation on");
-        prop_assert_eq!(&l_on4, &l_on, "adapt-on lcp not thread-invariant");
-        prop_assert_eq!(&g_on4, &g_on, "adapt-on get not thread-invariant");
-        // exactly one result per stored key, adaptation or not
-        prop_assert!(g_on.iter().all(|v| v.is_some()));
-    }
-
-    #[test]
     fn subtree_equals_oracle(keys in arb_batch(60), prefixes in arb_batch(12)) {
         let values: Vec<u64> = (0..keys.len() as u64).collect();
         let mut pim = PimTrie::build(
