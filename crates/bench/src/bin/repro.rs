@@ -3,22 +3,21 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [--p N] [--threads N] [--cache-words N] [--json PATH] [--trace PATH] [EXPERIMENT ...]
+//! repro [--quick] [--p N] [--threads N] [--json PATH] [--trace PATH] [EXPERIMENT ...]
 //! ```
 //!
 //! `EXPERIMENT` is any of `t1-space`, `t1-rounds`, `t1-comm`, `skew`,
 //! `space-balance`, `scale-p`, `descent`, `batch`, `verify`, `ablate`, `faults`,
-//! `cache`, `compress`, `serve`, or `all` (the default). `--json` writes a deterministic
+//! `compress`, `serve`, or `all` (the default). `--json` writes a deterministic
 //! `BENCH_repro.json` summary (one record per experiment run — the
 //! `cost-guard` baseline format); `--trace` writes the canonical traced
-//! run's JSONL event log; `--cache-words` sets the host hot-path cache
-//! capacity used by the `cache` experiment's cache-on rows.
+//! run's JSONL event log.
 
 use pim_sim::Json;
 use pimtrie_bench as bench;
 
 /// Every experiment the harness knows, in run order. `all` runs the rest.
-const KNOWN: [&str; 15] = [
+const KNOWN: [&str; 14] = [
     "all",
     "t1-space",
     "t1-rounds",
@@ -31,14 +30,13 @@ const KNOWN: [&str; 15] = [
     "verify",
     "ablate",
     "faults",
-    "cache",
     "compress",
     "serve",
 ];
 
 fn usage() -> String {
     format!(
-        "usage: repro [--quick] [--p N] [--threads N] [--cache-words N] \
+        "usage: repro [--quick] [--p N] [--threads N] \
          [--clients N] [--deadline T] [--queue-cap N] [--json PATH] [--trace PATH] [EXPERIMENT ...]\n\
          \n\
          Regenerates the PIM-trie paper's tables and figures on the simulator.\n\
@@ -49,8 +47,6 @@ fn usage() -> String {
          \x20 --threads N    worker threads for module dispatch and batch ops\n\
          \x20                (default 0 = RAYON_NUM_THREADS, else all cores);\n\
          \x20                every measured counter is identical for any N\n\
-         \x20 --cache-words N  host hot-path cache capacity in words for the\n\
-         \x20                `cache` experiment's cache-on rows (default {})\n\
          \x20 --clients N    closed-loop client population for the `serve`\n\
          \x20                experiment (default 16)\n\
          \x20 --deadline T   latency budget in simulated PIM time units for\n\
@@ -67,7 +63,6 @@ fn usage() -> String {
          \x20 --help         this text\n\
          \n\
          experiments: {}",
-        bench::DEFAULT_CACHE_WORDS,
         KNOWN.join(", ")
     )
 }
@@ -76,7 +71,6 @@ struct Args {
     quick: bool,
     p: usize,
     threads: usize,
-    cache_words: u64,
     clients: usize,
     deadline: u64,
     queue_cap: usize,
@@ -93,7 +87,6 @@ fn parse_args() -> Args {
         quick: false,
         p: 16,
         threads: 0,
-        cache_words: bench::DEFAULT_CACHE_WORDS,
         clients: 16,
         deadline: 600,
         queue_cap: 4,
@@ -133,13 +126,6 @@ fn parse_args() -> Args {
                 Ok(v) => args.threads = v,
                 _ => {
                     eprintln!("error: --threads needs a non-negative integer");
-                    std::process::exit(2);
-                }
-            },
-            "--cache-words" => match value("--cache-words").parse::<u64>() {
-                Ok(v) if v >= 1 => args.cache_words = v,
-                _ => {
-                    eprintln!("error: --cache-words needs a positive integer");
                     std::process::exit(2);
                 }
             },
@@ -308,14 +294,6 @@ fn run(args: Args) {
             &rows,
         );
         println!("{}", bench::rows_json("faults", &rows));
-    }
-
-    if run("cache") {
-        emit(
-            "cache",
-            "X-cache — host hot-path cache: words/rounds saved under skew (§6.3)",
-            &bench::cache(p, quick, args.cache_words),
-        );
     }
 
     if run("compress") {

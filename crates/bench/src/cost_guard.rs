@@ -25,11 +25,11 @@ use pim_sim::Json;
 pub const DEFAULT_TOLERANCE: f64 = 0.02;
 
 /// True for columns compared exactly: BSP round counts, fault/retry
-/// counters, exactness counters, cache hit/saving counters, sweep
-/// parameters, and every `serve` column (the serving schedule is a
-/// pure function of seed/P/config, so its counts and latency
-/// percentiles are gated at tolerance 0). Everything else (words,
-/// times, space, balance ratios) gets the tolerance band.
+/// counters, exactness counters, sweep parameters, and every `serve`
+/// column (the serving schedule is a pure function of seed/P/config, so
+/// its counts and latency percentiles are gated at tolerance 0).
+/// Everything else (words, times, space, balance ratios) gets the
+/// tolerance band.
 pub fn is_exact_col(name: &str) -> bool {
     matches!(
         name,
@@ -48,9 +48,6 @@ pub fn is_exact_col(name: &str) -> bool {
             | "batch"
             | "width"
             | "flip_rate"
-            | "cache_words"
-            | "hits"
-            | "words_saved"
             | "clients"
             | "submitted"
             | "admitted"

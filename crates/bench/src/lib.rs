@@ -793,87 +793,12 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
 }
 
 // ---------------------------------------------------------------------
-// X-cache — host-side hot-path cache under skew
-// ---------------------------------------------------------------------
-
-/// Default capacity, in 64-bit words, of the host-side hot-path cache for
-/// the `cache` experiment (`repro --cache-words` overrides it). Sized to
-/// hold the upper trie levels plus a skewed working set's full paths at
-/// the experiment's key counts, while staying far below total trie size —
-/// the point is a *small* host cache absorbing most skewed traffic.
-pub const DEFAULT_CACHE_WORDS: u64 = 1 << 16;
-
-/// Steady-state IO cost of skewed query batches with the host hot-path
-/// cache off vs on, for uniform and Zipf(0.99) query popularity over
-/// uniformly stored keys.
-///
-/// The trie stores uniform random keys (every prefix bucket holds a few
-/// keys), and queries draw their top bits from a Zipf(θ) bucket
-/// distribution ([`workloads::zipf_prefixes`]) with uniform random
-/// tails: every query is distinct, but under skew nearly all of them
-/// resolve their LCP inside the hot buckets' small subtrees — a working
-/// set far below trie size that the cache can hold entirely. Each
-/// configuration builds the same trie, runs warm-up batches so
-/// admissions converge, then measures further batches: cache-off rows
-/// are the exact legacy pipeline (capacity 0); cache-on rows must move
-/// ≤ half the words per op under Zipf(0.99) while IO balance stays
-/// within 5%. Uniform queries (θ = 0) spread the divergence frontier
-/// over the whole trie, so their residual traffic is bounded by raw
-/// capacity rather than skew — the uniform row is the control that
-/// shows how much of the saving is the skew adapting, not just cache
-/// size. Paper: §6.3 (host-side skew handling).
-pub fn cache(p: usize, quick: bool, cache_words: u64) -> Vec<Row> {
-    let n = 1 << 13;
-    let bsz = if quick { 1 << 11 } else { 1 << 12 };
-    let prefix_bits = 12;
-    let warm_batches = 24;
-    let measure_batches = 4;
-    let keys = workloads::uniform_fixed(n, 64, 61);
-    let vals = values_for(&keys);
-
-    let mut rows = Vec::new();
-    for (tag, theta) in [("uniform", 0.0), ("zipf0.99", 0.99)] {
-        let batches: Vec<Vec<BitStr>> = (0..warm_batches + measure_batches)
-            .map(|i| workloads::zipf_prefixes(bsz, 64, prefix_bits, theta, 62 + i as u64))
-            .collect();
-        for (mode, cw) in [("off", 0), ("on", cache_words)] {
-            let cfg = PimTrieConfig::for_modules(p)
-                .with_seed(63)
-                .with_cache_words(cw);
-            let mut t = PimTrie::build(cfg, &keys, &vals);
-            for b in &batches[..warm_batches] {
-                let _ = t.lcp_batch(b);
-            }
-            let snap = t.system().metrics().snapshot();
-            let cs0 = t.cache_stats().clone();
-            for b in &batches[warm_batches..] {
-                let _ = t.lcp_batch(b);
-            }
-            let d = t.system().metrics().since(&snap);
-            let cs = t.cache_stats();
-            rows.push(
-                delta_cols(Row::new(format!("{tag}/{mode}")), &d, bsz * measure_batches)
-                    .col("cache_words", cw as f64)
-                    .col("hits", (cs.hits - cs0.hits) as f64)
-                    .col("words_saved", (cs.words_saved - cs0.words_saved) as f64),
-            );
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
 // X-compress — compact wire codec
 // ---------------------------------------------------------------------
 
-/// Words/op of the compact wire codec against the Plain baseline, on the two workload families where the
-/// words/op floor matters:
-///
-/// * the `skew` experiment's LCP batches (`uniform`, `zipf1.2`,
-///   `same-path`) — pure query traffic over a warm trie;
-/// * the `cache` experiment's Zipf(0.99) prefix workload with the host
-///   cache on — compression applies to the *residual* miss traffic the
-///   cache could not absorb.
+/// Words/op of the compact wire codec against the Plain baseline, on the
+/// `skew` experiment's LCP batches (`uniform`, `zipf1.2`, `same-path`) —
+/// pure query traffic over a warm trie, where the words/op floor matters.
 ///
 /// Each workload runs twice on identically seeded builds: `plain` is
 /// the byte-identical legacy metering
@@ -922,33 +847,6 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
                     .col("ratio", t.codec_stats().ratio()),
             );
         }
-    }
-
-    // cache-family: compression of the residual miss traffic
-    let ckeys = workloads::uniform_fixed(1 << 12, 64, 61);
-    let warm = if quick { 6 } else { 10 };
-    let cbatches: Vec<Vec<BitStr>> = (0..warm + 2)
-        .map(|i| workloads::zipf_prefixes(bsz, 64, 12, 0.99, 62 + i as u64))
-        .collect();
-    for (mode, codec) in modes {
-        let cfg = PimTrieConfig::for_modules(p)
-            .with_seed(63)
-            .with_cache_words(DEFAULT_CACHE_WORDS)
-            .with_codec(codec);
-        let mut t = PimTrie::build(cfg, &ckeys, &values_for(&ckeys));
-        for b in &cbatches[..warm] {
-            let _ = t.lcp_batch(b);
-        }
-        let snap = t.system().metrics().snapshot();
-        for b in &cbatches[warm..] {
-            let _ = t.lcp_batch(b);
-        }
-        let d = t.system().metrics().since(&snap);
-        rows.push(
-            delta_cols(Row::new(format!("cache-zipf0.99/{mode}")), &d, 2 * bsz)
-                .col("space/key", t.space_words() as f64 / t.len().max(1) as f64)
-                .col("ratio", t.codec_stats().ratio()),
-        );
     }
 
     rows

@@ -134,7 +134,6 @@ impl PimTrie {
         // broadcast round (see WIRE_FORMAT.md, "Version negotiation").
         sys.negotiate_codec(cfg.codec);
         let hasher = PolyHasher::with_seed(cfg.seed);
-        let cache = crate::cache::HotPathCache::new(cfg.cache_words);
         let mut t = PimTrie {
             sys,
             cfg,
@@ -146,7 +145,6 @@ impl PimTrie {
             root_meta: MetaRef { module: 0, slot: 0 },
             seq: 0,
             journal: std::collections::BTreeMap::new(),
-            cache,
             quarantined: std::collections::BTreeSet::new(),
             scoped: crate::ScopedBatchStats::default(),
             resident: crate::resident::ResidentMeta::default(),
@@ -219,8 +217,6 @@ impl PimTrie {
         };
         let root_block = BlockRef { module: m, slot };
         self.root_block = root_block;
-        // the root is on every query's path — never evict it
-        self.cache.set_pinned(root_block);
 
         // Its meta-block (a single node) on a random module.
         let mm = self.random_module();
@@ -303,28 +299,24 @@ impl PimTrie {
         name: &str,
         inbox: Vec<Vec<Req>>,
     ) -> Result<Vec<Vec<Resp>>, PimTrieError> {
-        if self.cache.enabled() || !self.resident.is_empty() {
-            // Coherence of the host-side copies (hot data blocks, the top
-            // of the meta-block tree): every mutating request flows
-            // through here (sealed or not), so classifying the outbox
-            // before dispatch guarantees no copy can go stale. Crash
-            // recovery is covered too — rebuilds broadcast `ResetModule`
-            // through this same path before re-running any op.
-            let (mut blocks, mut metas) = (0u64, 0u64);
+        if !self.resident.is_empty() {
+            // Coherence of the host-resident top of the meta-block tree:
+            // every mutating request flows through here (sealed or not),
+            // so classifying the outbox before dispatch guarantees no copy
+            // can go stale. Crash recovery is covered too — rebuilds
+            // broadcast `ResetModule` through this same path before
+            // re-running any op.
+            let mut metas = 0u64;
             for (m, msgs) in inbox.iter().enumerate() {
                 for req in msgs {
-                    let touch = req.touches(m as u32);
-                    blocks += self.cache.invalidate_touched(m as u32, &touch);
-                    metas += match touch {
+                    metas += match req.touches(m as u32) {
                         Touch::Meta(mref) => u64::from(self.resident.invalidate(mref)),
                         Touch::Reset => self.resident.clear(),
-                        Touch::Blocks(..) | Touch::NoCopy => 0,
+                        Touch::NoCopy => 0,
                     };
                 }
             }
-            let metrics = self.sys.metrics_mut();
-            metrics.cache_stats_mut().invalidations += blocks;
-            metrics.resident_stats_mut().invalidations += metas;
+            self.sys.metrics_mut().resident_stats_mut().invalidations += metas;
             self.note_resident_words();
         }
         if !self.cfg.fault_tolerance {

@@ -41,18 +41,6 @@ pub struct PimTrieConfig {
     /// [`RecoveryExhausted`](PimTrieError::RecoveryExhausted). Must cover
     /// the longest scheduled module outage.
     pub max_round_retries: u32,
-    /// Capacity in words of the host-side hot-path cache (`0` = disabled,
-    /// the default). With a non-zero capacity, read-only batch ops (`lcp`,
-    /// `get`) first walk each query through host-cached copies of hot
-    /// upper-trie blocks and only dispatch the residual misses to the
-    /// modules, trading host memory for CPU↔PIM words under skew. `0`
-    /// takes the exact legacy code path: no extra rounds, CPU charges,
-    /// trace phases or RNG draws.
-    ///
-    /// Paper: §6.3 names host-side replication of hot levels as the
-    /// skew-scaling direction; PIM-tree (Kang et al.) demonstrates the
-    /// technique.
-    pub cache_words: u64,
     /// Wire codec metered on every CPU↔PIM message (`WIRE_FORMAT.md` in
     /// the repository root holds the normative frame layouts).
     /// [`WireCodec::Plain`](pim_sim::WireCodec)
@@ -88,7 +76,6 @@ impl PimTrieConfig {
             undersize_divisor: 4,
             fault_tolerance: false,
             max_round_retries: 8,
-            cache_words: 0,
             codec: pim_sim::WireCodec::Plain,
         }
     }
@@ -111,13 +98,6 @@ impl PimTrieConfig {
     /// Override the per-round recovery retry budget.
     pub fn with_max_round_retries(mut self, retries: u32) -> Self {
         self.max_round_retries = retries;
-        self
-    }
-
-    /// Set the hot-path cache capacity in words (`0` disables the cache
-    /// and reproduces today's behaviour bit-for-bit).
-    pub fn with_cache_words(mut self, words: u64) -> Self {
-        self.cache_words = words;
         self
     }
 
@@ -208,21 +188,10 @@ mod tests {
         let c = PimTrieConfig::for_modules(8)
             .with_seed(7)
             .with_k_b(64)
-            .with_push_threshold(10)
-            .with_cache_words(1 << 15);
+            .with_push_threshold(10);
         assert_eq!(c.seed, 7);
         assert_eq!(c.k_b, 64);
         assert_eq!(c.push_threshold, 10);
-        assert_eq!(c.cache_words, 1 << 15);
-    }
-
-    #[test]
-    fn cache_disabled_by_default() {
-        assert_eq!(PimTrieConfig::for_modules(8).cache_words, 0);
-        assert!(PimTrieConfig::for_modules(8)
-            .with_cache_words(4096)
-            .validate()
-            .is_ok());
     }
 
     #[test]

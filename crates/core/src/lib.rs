@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 
 mod build;
-mod cache;
 pub mod codec;
 mod config;
 mod error;
@@ -88,10 +87,9 @@ pub use error::PimTrieError;
 pub use matching::{MatchStats, MatchedTrie};
 pub use module::ModuleState;
 pub use refs::{BlockRef, MetaRef};
-// Re-exported so fault, cache and serving experiments need only this crate.
+// Re-exported so fault, residency and serving experiments need only this crate.
 pub use pim_sim::{
-    CacheStats, CodecStats, CrashSpec, FaultPlan, FaultStats, JamSpec, ResidentStats, ServeStats,
-    WireCodec,
+    CodecStats, CrashSpec, FaultPlan, FaultStats, JamSpec, ResidentStats, ServeStats, WireCodec,
 };
 
 use bitstr::hash::PolyHasher;
@@ -139,9 +137,6 @@ pub struct PimTrie {
     /// [`PimTrieConfig::fault_tolerance`] on: the source of truth the
     /// trie is rebuilt from after a module crash with state loss
     pub(crate) journal: std::collections::BTreeMap<bitstr::BitStr, u64>,
-    /// host-side hot-path cache ([`PimTrieConfig::cache_words`] > 0);
-    /// inert (and absent from every code path) at the default capacity 0
-    pub(crate) cache: cache::HotPathCache,
     /// modules excluded from new placements after a
     /// [`PimTrieError::RecoveryExhausted`] named them (scoped batch ops
     /// only); empty on the fault-free path, where placement draws are
@@ -299,13 +294,6 @@ impl PimTrie {
     /// and the other counters are 0.
     pub fn scoped_batch_stats(&self) -> &ScopedBatchStats {
         &self.scoped
-    }
-
-    /// Hot-path cache counters (hits, misses, words saved). All zero
-    /// unless [`PimTrieConfig::cache_words`] is nonzero. Shorthand for
-    /// `self.system().metrics().cache_stats()`.
-    pub fn cache_stats(&self) -> &CacheStats {
-        self.sys.metrics().cache_stats()
     }
 
     /// Counters of the host-resident top of the meta-block tree (words

@@ -412,20 +412,18 @@ pub enum Req {
     ResetModule,
 }
 
-/// What a request does to state the host may hold a copy of. Both host-side
-/// copies — hot data blocks (`crate::cache`) and the top of the meta-block
-/// tree (`crate::resident`) — are kept coherent from this one answer, read
-/// where every request leaves the host (`PimTrie::exchange`).
+/// What a request does to state the host may hold a copy of. The host's
+/// only copies are the top of the meta-block tree (`crate::resident`),
+/// kept coherent from this one answer, read where every request leaves
+/// the host (`PimTrie::exchange`).
 pub(crate) enum Touch {
-    /// Rewrites what these data blocks hold: trie, mirrors, or the slot
-    /// itself.
-    Blocks(BlockRef, Option<BlockRef>),
     /// Rewrites what this meta-block's index entries are or resolve to.
     Meta(MetaRef),
     /// Wipes the module.
     Reset,
-    /// Reads, fills a slot no copy can name yet, or rewires a field no
-    /// copy holds (block parent / meta location, meta-block parent).
+    /// Reads, writes a data block (the host copies none), fills a slot no
+    /// copy can name yet, or rewires a field no copy holds (block parent /
+    /// meta location, meta-block parent).
     NoCopy,
 }
 
@@ -433,18 +431,7 @@ impl Req {
     /// Classify this request, sent to `module`. No wildcard arm: a new
     /// variant does not compile until it says what it touches.
     pub(crate) fn touches(&self, module: u32) -> Touch {
-        let block = |slot: &u32| BlockRef {
-            module,
-            slot: *slot,
-        };
         match self {
-            Req::GraftMany { slot, .. }
-            | Req::DeleteKey { slot, .. }
-            | Req::ReplaceBlock { slot, .. }
-            | Req::SetMirror { slot, .. }
-            // the slot can be reused by an unrelated block later
-            | Req::DropBlock { slot } => Touch::Blocks(block(slot), None),
-            Req::MergeChild { slot, child, .. } => Touch::Blocks(block(slot), Some(*child)),
             Req::AddMetaNodes { slot, .. }
             | Req::RemoveMetaNode { slot, .. }
             | Req::RemoveMetaChild { slot, .. }
@@ -454,7 +441,13 @@ impl Req {
                 slot: *slot,
             }),
             Req::ResetModule => Touch::Reset,
-            Req::MatchMeta { .. }
+            Req::GraftMany { .. }
+            | Req::DeleteKey { .. }
+            | Req::ReplaceBlock { .. }
+            | Req::SetMirror { .. }
+            | Req::DropBlock { .. }
+            | Req::MergeChild { .. }
+            | Req::MatchMeta { .. }
             | Req::MatchBlock { .. }
             | Req::FetchMeta { .. }
             | Req::FetchBlock { .. }
@@ -1322,19 +1315,13 @@ pub fn match_block_local(block: &DataBlock, piece: &QueryPiece) -> Vec<BlockNode
 }
 
 /// Is the position exactly at a compressed node? Returns it.
-pub(crate) fn is_at(trie: &Trie, pos: TriePos) -> Option<NodeId> {
+fn is_at(trie: &Trie, pos: TriePos) -> Option<NodeId> {
     (pos.edge_off == trie.node(pos.node).edge.len()).then_some(pos.node)
 }
 
 /// Extend a match from `pos` by `bits`, stopping at divergence or
-/// dead-end. Returns (bits consumed, stop position). Shared with the
-/// host-side hot-path cache (`crate::cache`), whose CPU walk must agree
-/// bit-for-bit with the module-side matcher.
-pub(crate) fn extend_match(
-    trie: &Trie,
-    mut pos: TriePos,
-    bits: bitstr::BitSlice<'_>,
-) -> (usize, TriePos) {
+/// dead-end. Returns (bits consumed, stop position).
+fn extend_match(trie: &Trie, mut pos: TriePos, bits: bitstr::BitSlice<'_>) -> (usize, TriePos) {
     let mut i = 0;
     loop {
         let n = trie.node(pos.node);

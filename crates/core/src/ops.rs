@@ -13,14 +13,6 @@ use pim_sim::Scatter;
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::{NodeId, Trie};
 
-/// One batch's cache-probe outcome (see `PimTrie::cache_probe`).
-struct CacheProbeBatch {
-    /// Per query: `Some((depth, value))` on a hit, `None` on a miss.
-    hits: Vec<Option<(u64, Option<u64>)>>,
-    /// Miss frontiers with per-op touch counts (admission candidates).
-    frontiers: BTreeMap<BlockRef, u64>,
-}
-
 impl PimTrie {
     /// LongestCommonPrefix for every query in the batch: the length in
     /// bits of the longest prefix shared with *any* stored key. Panics
@@ -46,35 +38,6 @@ impl PimTrie {
     }
 
     fn lcp_core(&mut self, queries: &[BitStr]) -> Result<Vec<usize>, PimTrieError> {
-        if !self.cache.enabled() {
-            return self.lcp_core_io(queries);
-        }
-        // Hot-path cache fast path: resolve what the cached upper levels
-        // can answer exactly on the CPU, dispatch only the residual batch.
-        let probe = self.cache_probe(queries);
-        let mut out: Vec<usize> = vec![0; queries.len()];
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_q: Vec<BitStr> = Vec::new();
-        for (i, hit) in probe.hits.iter().enumerate() {
-            match hit {
-                Some((depth, _)) => out[i] = *depth as usize,
-                None => {
-                    miss_idx.push(i);
-                    miss_q.push(queries[i].clone());
-                }
-            }
-        }
-        if !miss_q.is_empty() {
-            let sub = self.lcp_core_io(&miss_q)?;
-            for (i, d) in miss_idx.into_iter().zip(sub) {
-                out[i] = d;
-            }
-        }
-        self.cache_maintain(&probe.frontiers)?;
-        Ok(out)
-    }
-
-    fn lcp_core_io(&mut self, queries: &[BitStr]) -> Result<Vec<usize>, PimTrieError> {
         let mt = self.match_batch(queries)?;
         let mut out: Vec<usize> = (0..queries.len())
             .map(|i| mt.depth_of[mt.qt.key_node[i].idx()] as usize)
@@ -512,36 +475,6 @@ impl PimTrie {
     }
 
     fn get_core(&mut self, keys: &[BitStr]) -> Result<Vec<Option<u64>>, PimTrieError> {
-        if !self.cache.enabled() {
-            return self.get_core_io(keys);
-        }
-        // A cache hit carries the exact point-lookup answer (the probe
-        // replicates `Req::ReadKey`'s liveness/depth/mirror filters), so
-        // hits need zero IO; misses form the residual batch.
-        let probe = self.cache_probe(keys);
-        let mut out: Vec<Option<u64>> = vec![None; keys.len()];
-        let mut miss_idx: Vec<usize> = Vec::new();
-        let mut miss_q: Vec<BitStr> = Vec::new();
-        for (i, hit) in probe.hits.iter().enumerate() {
-            match hit {
-                Some((_, value)) => out[i] = *value,
-                None => {
-                    miss_idx.push(i);
-                    miss_q.push(keys[i].clone());
-                }
-            }
-        }
-        if !miss_q.is_empty() {
-            let sub = self.get_core_io(&miss_q)?;
-            for (i, v) in miss_idx.into_iter().zip(sub) {
-                out[i] = v;
-            }
-        }
-        self.cache_maintain(&probe.frontiers)?;
-        Ok(out)
-    }
-
-    fn get_core_io(&mut self, keys: &[BitStr]) -> Result<Vec<Option<u64>>, PimTrieError> {
         let mt = self.match_batch(keys)?;
         let mut out: Vec<Option<u64>> = vec![None; keys.len()];
         let mut reads = Scatter::new(self.sys.p());
@@ -592,84 +525,6 @@ impl PimTrie {
             out[i] = v;
         }
         Ok(out)
-    }
-
-    // ------------------------------------------------------------------
-    // hot-path cache (read-only fast path, see `crate::cache`)
-    // ------------------------------------------------------------------
-
-    /// Probe every query against the host cache. Hits are exact answers
-    /// (depth + optional stored value) computed with zero IO; misses
-    /// record their frontier block (first uncached block on the path) as
-    /// an admission candidate. The walk's work is charged as CPU work and
-    /// all counters flow into [`pim_sim::CacheStats`].
-    fn cache_probe(&mut self, queries: &[BitStr]) -> CacheProbeBatch {
-        self.t_phase("cache-probe");
-        let root = self.root_block;
-        let mut hits: Vec<Option<(u64, Option<u64>)>> = Vec::with_capacity(queries.len());
-        let mut frontiers: BTreeMap<BlockRef, u64> = BTreeMap::new();
-        let mut work = 0u64;
-        let mut n_hits = 0u64;
-        let mut saved = 0u64;
-        for q in queries {
-            let probe = self.cache.probe(root, q);
-            work += probe.work;
-            match probe.result {
-                crate::cache::ProbeResult::Hit { depth, value } => {
-                    n_hits += 1;
-                    // lower-bound words estimate per skipped dispatch: the
-                    // query's own bits pushed up once plus an O(1) reply
-                    saved += pim_sim::words_for_bits(q.len()) + 2;
-                    hits.push(Some((depth, value)));
-                }
-                crate::cache::ProbeResult::Miss { frontier } => {
-                    *frontiers.entry(frontier).or_insert(0) += 1;
-                    hits.push(None);
-                }
-            }
-        }
-        let m = self.sys.metrics_mut();
-        m.charge_cpu(work);
-        let cs = m.cache_stats_mut();
-        cs.lookups += queries.len() as u64;
-        cs.hits += n_hits;
-        cs.misses += queries.len() as u64 - n_hits;
-        cs.words_saved += saved;
-        CacheProbeBatch { hits, frontiers }
-    }
-
-    /// Post-op cache upkeep: advance the decay clock and admit this op's
-    /// hottest miss frontiers. Admission pulls each candidate block in an
-    /// honestly-metered `cache.admit` round (frontier blocks are always
-    /// alive: they are the root or a mirror child of a coherent cached
-    /// block, and read-only ops mutate nothing in between).
-    fn cache_maintain(&mut self, frontiers: &BTreeMap<BlockRef, u64>) -> Result<(), PimTrieError> {
-        self.cache.tick();
-        let cands = self.cache.admission_candidates(frontiers);
-        if cands.is_empty() {
-            return Ok(());
-        }
-        self.t_phase("cache-admit");
-        let bds = self.fetch_blocks(&cands, "cache.admit")?;
-        let mut admissions = 0u64;
-        let mut evictions = 0u64;
-        for (bref, bd) in cands.into_iter().zip(bds) {
-            let trie = bd.trie.0;
-            let weight = trie.size_words() as u64;
-            let block = crate::cache::CachedBlock {
-                trie,
-                root_depth: bd.root_depth,
-                mirrors: bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect(),
-                weight,
-            };
-            let (ok, ev) = self.cache.admit(bref, block);
-            admissions += u64::from(ok);
-            evictions += ev;
-        }
-        let cs = self.sys.metrics_mut().cache_stats_mut();
-        cs.admissions += admissions;
-        cs.evictions += evictions;
-        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -15,8 +15,8 @@
 //!   left of the budget. A meta-block's level is not a property it has —
 //!   meta splits insert levels mid-tree — so it is counted by the
 //!   descent, root = 0, and nothing here stores it.
-//! * **Coherence** is the host cache's: the host authors every meta
-//!   mutation, and each outgoing request is classified
+//! * **Coherence** — the host authors every meta mutation, and each
+//!   outgoing request is classified
 //!   ([`Req::touches`](crate::module::Req::touches)) before dispatch; a
 //!   copy whose meta-block a request rewrites is dropped and re-filled by
 //!   a metered pull the next time a query reaches it.

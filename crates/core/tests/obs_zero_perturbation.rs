@@ -1,13 +1,13 @@
 //! Observability must be free on the core batch paths too: a chaos run
-//! (faults + recovery) with the hot-path cache enabled produces
-//! byte-identical results, metered counters, cache stats, and fault
-//! stats whether tracing and registry publication are on or off — at
+//! (faults + recovery) over the host-resident top of the meta-block tree
+//! produces byte-identical results, metered counters, resident stats, and
+//! fault stats whether tracing and registry publication are on or off — at
 //! any thread count. The trace log and the Prometheus exposition are
 //! themselves byte-deterministic.
 
 use bitstr::BitStr;
 use obs::Registry;
-use pim_sim::{CacheStats, FaultStats};
+use pim_sim::{FaultStats, ResidentStats};
 use pim_trie::{CrashSpec, FaultPlan, PimTrie, PimTrieConfig};
 
 fn values_for(keys: &[BitStr]) -> Vec<u64> {
@@ -18,20 +18,19 @@ struct RunOut {
     lcps: Vec<usize>,
     gets: Vec<Option<u64>>,
     counters: [u64; 5],
-    cache: CacheStats,
+    resident: ResidentStats,
     faults: FaultStats,
     jsonl: String,
     exposition: String,
 }
 
-/// Faulted, cached op mix. With `obs` on, tracing runs end to end and
+/// Faulted op mix. With `obs` on, tracing runs end to end and
 /// the full registry (metrics + events) is published and exposed.
 fn run(obs: bool, threads: usize) -> RunOut {
     pim_trie::with_threads(threads, || {
         let mut pim = PimTrie::new(
             PimTrieConfig::for_modules(8)
                 .with_seed(42)
-                .with_cache_words(1 << 14)
                 .with_fault_tolerance(true)
                 .with_max_round_retries(64),
         );
@@ -56,8 +55,9 @@ fn run(obs: bool, threads: usize) -> RunOut {
         );
         let hot: Vec<BitStr> = keys.iter().step_by(17).cloned().collect();
         let queries: Vec<BitStr> = hot.iter().cycle().take(1 << 10).cloned().collect();
-        // repeated hot batches: early rounds admit the hot paths level
-        // by level, later rounds serve whole-path hits from the cache
+        // repeated hot batches: the first descent pulls the top meta
+        // levels, later ones match them on the host; the crash's rebuild
+        // drops every copy and the next descent re-fills them
         let mut lcps = Vec::new();
         let mut gets = Vec::new();
         for _ in 0..6 {
@@ -74,7 +74,7 @@ fn run(obs: bool, threads: usize) -> RunOut {
             m.pim_time(),
             m.cpu_work(),
         ];
-        let cache = m.cache_stats().clone();
+        let resident = m.resident_stats().clone();
         let faults = m.fault_stats().clone();
         let (jsonl, exposition) = if obs {
             let tracer = pim
@@ -93,7 +93,7 @@ fn run(obs: bool, threads: usize) -> RunOut {
             lcps,
             gets,
             counters,
-            cache,
+            resident,
             faults,
             jsonl,
             exposition,
@@ -105,15 +105,18 @@ fn run(obs: bool, threads: usize) -> RunOut {
 fn obs_on_perturbs_no_core_counter_or_result() {
     let off = run(false, 1);
     let on = run(true, 1);
-    assert!(off.cache.hits > 0, "cache never hit: workload degenerate");
     assert!(
-        off.faults.flips_injected > 0,
-        "no faults seen: chaos degenerate"
+        off.resident.host_matches > 0 && off.resident.fills > 0,
+        "no resident copy filled and matched: workload degenerate"
+    );
+    assert!(
+        off.faults.flips_injected > 0 && off.faults.rebuilds > 0,
+        "no faults or no state-loss rebuild seen: chaos degenerate"
     );
     assert_eq!(off.lcps, on.lcps, "obs changed LCP results");
     assert_eq!(off.gets, on.gets, "obs changed get results");
     assert_eq!(off.counters, on.counters, "obs charged simulated cost");
-    assert_eq!(off.cache, on.cache, "obs perturbed cache stats");
+    assert_eq!(off.resident, on.resident, "obs perturbed resident stats");
     assert_eq!(off.faults, on.faults, "obs perturbed fault stats");
     assert!(!on.jsonl.is_empty() && !on.exposition.is_empty());
 }
@@ -123,6 +126,10 @@ fn obs_on_is_thread_count_invariant_end_to_end() {
     let one = run(true, 1);
     let four = run(true, 4);
     assert_eq!(one.counters, four.counters, "counters depend on threads");
+    assert_eq!(
+        one.resident, four.resident,
+        "resident stats depend on threads"
+    );
     assert_eq!(one.jsonl, four.jsonl, "trace JSONL depends on threads");
     assert_eq!(
         one.exposition, four.exposition,

@@ -3,7 +3,7 @@
 //!
 //! | rule               | invariant it protects                                  |
 //! |--------------------|--------------------------------------------------------|
-//! | `metering-honesty` | stat-struct counters (`Metrics`, `FaultStats`, `CacheStats`, `ResidentStats`, `ServeStats`) are mutated only through the `sim` metering API — a layer that bumps `hits` on a private copy reports costs it never paid |
+//! | `metering-honesty` | stat-struct counters (`Metrics`, `FaultStats`, `ResidentStats`, `ServeStats`) are mutated only through the `sim` metering API — a layer that bumps `host_matches` on a private copy reports costs it never paid |
 //! | `dead-waiver`      | every `lint: allow(…)` comment suppresses at least one finding — a waiver that outlived its violation is camouflage for the next real one |
 //! | `doc-drift`        | every experiment in `repro`'s KNOWN list is named in its `--help` text, in EXPERIMENTS.md, and in the committed cost-baseline — an experiment the docs forgot is an experiment nobody re-runs |
 //! | `wire-spec-drift`  | every identifier in WIRE_FORMAT.md's "Wire vocabulary" table exists in the wire-layer sources (`crates/codec`, `crates/sim`, `crates/core/src/schema.rs`) — a spec that names vanished machinery is worse than no spec |
@@ -19,13 +19,7 @@ use std::collections::BTreeSet;
 
 /// The stat structs whose counters the honesty rule guards. `Metrics`
 /// owns the rest; the others are its embedded per-layer counter blocks.
-pub const STAT_STRUCTS: &[&str] = &[
-    "CacheStats",
-    "FaultStats",
-    "Metrics",
-    "ResidentStats",
-    "ServeStats",
-];
+pub const STAT_STRUCTS: &[&str] = &["FaultStats", "Metrics", "ResidentStats", "ServeStats"];
 
 const RULE_METERING: &str = "metering-honesty";
 const RULE_DEAD_WAIVER: &str = "dead-waiver";
@@ -58,7 +52,7 @@ pub struct Unit {
 #[derive(Debug, Default)]
 pub struct Facts {
     /// Field names declared by the stat structs themselves
-    /// (`hits`, `retries`, `admitted`, …).
+    /// (`fills`, `retries`, `admitted`, …).
     stat_fields: BTreeSet<String>,
     /// Field names (of *any* struct, anywhere) whose declared type
     /// mentions a stat struct — walking through one of these reaches a
@@ -595,12 +589,12 @@ mod tests {
 
     const METRICS_RS: &str = "\
         pub struct FaultStats {\n    pub retries: u64,\n    pub rebuilds: u64,\n}\n\
-        pub struct CacheStats {\n    pub hits: u64,\n    pub misses: u64,\n}\n\
-        pub struct Metrics {\n    rounds: u64,\n    faults: FaultStats,\n    cache: CacheStats,\n}\n\
+        pub struct ResidentStats {\n    pub host_matches: u64,\n    pub fills: u64,\n}\n\
+        pub struct Metrics {\n    rounds: u64,\n    faults: FaultStats,\n    resident: ResidentStats,\n}\n\
         impl Metrics {\n\
             pub fn add_round(&mut self) { self.rounds += 1; }\n\
             pub fn fault_stats_mut(&mut self) -> &mut FaultStats { &mut self.faults }\n\
-            pub fn cache_stats_mut(&mut self) -> &mut CacheStats { &mut self.cache }\n\
+            pub fn resident_stats_mut(&mut self) -> &mut ResidentStats { &mut self.resident }\n\
         }\n";
 
     fn run_units(mut units: Vec<Unit>) -> Vec<Unit> {
@@ -624,8 +618,8 @@ mod tests {
             impl Ops {\n\
                 fn recover(&mut self) {\n\
                     self.sys.metrics_mut().fault_stats_mut().rebuilds += 1;\n\
-                    let cs = self.sys.metrics_mut().cache_stats_mut();\n\
-                    cs.hits += 1;\n\
+                    let rs = self.sys.metrics_mut().resident_stats_mut();\n\
+                    rs.host_matches += 1;\n\
                 }\n\
             }\n";
         let units = run_units(vec![
@@ -646,13 +640,13 @@ mod tests {
     fn private_copy_and_field_bypass_are_flagged() {
         let copy = "\
             fn sneak() {\n\
-                let mut st = CacheStats::default();\n\
-                st.hits += 1;\n\
+                let mut st = ResidentStats::default();\n\
+                st.host_matches += 1;\n\
             }\n";
         let bypass = "\
             struct Layer { metrics: Metrics }\n\
             impl Layer {\n\
-                fn sneak(&mut self) { self.metrics.cache.hits += 1; }\n\
+                fn sneak(&mut self) { self.metrics.resident.host_matches += 1; }\n\
             }\n";
         let units = run_units(vec![
             unit("crates/sim/src/metrics.rs", METRICS_RS),
@@ -708,13 +702,13 @@ mod tests {
     fn metering_honesty_waivable_and_test_exempt() {
         let waived = "\
             fn sneak() {\n\
-                let mut st = CacheStats::default();\n\
+                let mut st = ResidentStats::default();\n\
                 // lint: allow(metering-honesty) — scratch copy folded back via the API\n\
-                st.hits += 1;\n\
+                st.host_matches += 1;\n\
             }\n";
         let test_only = "\
             #[cfg(test)]\nmod tests {\n\
-                fn t() { let mut st = CacheStats::default(); st.hits += 1; }\n\
+                fn t() { let mut st = ResidentStats::default(); st.host_matches += 1; }\n\
             }\n";
         let units = run_units(vec![
             unit("crates/sim/src/metrics.rs", METRICS_RS),

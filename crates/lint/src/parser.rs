@@ -47,7 +47,7 @@ pub struct FnDef {
     /// for `impl sim::Metrics`, and for `impl Default for Metrics`).
     pub impl_target: Option<String>,
     /// Identifier tokens of the declared return type (`-> &mut
-    /// CacheStats` yields `["mut", "CacheStats"]`-ish; only the ident
+    /// ResidentStats` yields `["mut", "ResidentStats"]`-ish; only the ident
     /// names survive). Empty for `()` returns and bodyless decls.
     pub ret_idents: Vec<String>,
     /// The body scope; empty for bodyless declarations.

@@ -9,7 +9,7 @@
 //! | `panic-ratchet`  | `unwrap`/`expect`/`panic!` per library crate may only decrease (see [`crate::ratchet`]) |
 //! | `serve-channel-panic` | in `crates/serve`, no `.unwrap()`/`.expect()` on channel send/recv or lock results — the serving front-end's contract is that every failure becomes a typed outcome, never a panic that silently drops admitted requests |
 //! | `metric-cardinality` | metric/phase names handed to the tracer or registry (`set_phase`, `begin_op`, `counter_add`, `gauge_set`, `observe`) must be `'static` string literals or `SCREAMING_CASE` consts — a data-dependent name unbounds the exposition's label set and breaks its byte-determinism |
-//! | `float-determinism` | no `f32`/`f64` types or float literals in the determinism-checked crates — platform- and flag-sensitive float rounding breaks cross-arch byte-identity of the metered counters; integer decision math belongs in `core::fixed` (Q32.32) |
+//! | `float-determinism` | no `f32`/`f64` types or float literals in the determinism-checked crates — platform- and flag-sensitive float rounding breaks cross-arch byte-identity of the metered counters; decision math belongs in integers |
 //! | `span-balance` | `begin_op`/`end_op` (and the `t_op`/`trace_op` wrappers, `set_retry(true/false)`) must pair up on every control path of a fn body — an early return between them leaves the tracer in a wedged span |
 //!
 //! Two further rules need cross-file facts and live in
@@ -834,9 +834,9 @@ fn rule_panic_ratchet(lexed: &Lexed, in_test: &[bool], rep: &mut FileReport) {
 /// in float-checked crates. Float rounding depends on target arch,
 /// `-C target-feature` flags, and libm versions, so any float on a
 /// metered decision path can silently fork the cost counters across
-/// hosts. Decision math belongs in `core::fixed` (Q32.32 integers);
-/// genuinely presentational floats (JSON exporters, histogram bounds)
-/// take a waiver with the determinism argument written out.
+/// hosts. Decision math belongs in integers; genuinely presentational
+/// floats (JSON exporters, histogram bounds) take a waiver with the
+/// determinism argument written out.
 ///
 /// One finding per source line: a line like `let x: f64 = 0.5;` is a
 /// single offence, not three.
@@ -876,8 +876,8 @@ fn rule_float_determinism(
                 krate: ctx.krate.clone(),
                 msg: format!(
                     "{what} in float-checked crate `{}` — float rounding is arch/flag-sensitive; \
-                     use `core::fixed` (Q32.32) for decision math, or waive with the \
-                     determinism argument",
+                     keep decision math in integers, or waive with the determinism \
+                     argument",
                     ctx.krate
                 ),
                 waived: None,

@@ -1,4 +1,4 @@
 pub fn sneak() {
-    let mut st = CacheStats::default();
-    st.hits += 1;
+    let mut st = ResidentStats::default();
+    st.host_matches += 1;
 }

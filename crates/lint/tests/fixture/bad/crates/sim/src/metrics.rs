@@ -1,13 +1,13 @@
-pub struct CacheStats {
-    pub hits: u64,
+pub struct ResidentStats {
+    pub host_matches: u64,
 }
 
 pub struct Metrics {
-    cache: CacheStats,
+    resident: ResidentStats,
 }
 
 impl Metrics {
-    pub fn cache_stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.cache
+    pub fn resident_stats_mut(&mut self) -> &mut ResidentStats {
+        &mut self.resident
     }
 }

@@ -1,3 +1,3 @@
 pub fn meter(m: &mut Metrics) {
-    m.cache_stats_mut().hits += 1;
+    m.resident_stats_mut().host_matches += 1;
 }

@@ -20,7 +20,7 @@
 // them as f64 and compare against advisory thresholds; nothing here
 // feeds back into the metered execution
 
-use pim_sim::{balance, CacheStats, ServeStats};
+use pim_sim::{balance, ServeStats};
 
 use crate::report;
 
@@ -39,9 +39,6 @@ pub enum Threshold {
     ShedRateAbove(f64),
     /// Fire when more than this many modules are quarantined.
     QuarantinedAbove(u64),
-    /// Fire when the cache hit ratio drops below the bound while the
-    /// cache is actually being probed (quiet with zero lookups).
-    CacheHitRatioBelow(f64),
     /// Fire when a batch's meta descent took more IO rounds than
     /// `c · ⌈log₂ P⌉` — the paper's `O(log P)` round bound (Table 1) with
     /// its constant written out, `P` being the window's module count. A
@@ -84,8 +81,6 @@ pub struct ObsSample {
     pub io_per_module: Vec<u64>,
     /// Serving counters (cumulative).
     pub serve: ServeStats,
-    /// Cache counters (cumulative).
-    pub cache: CacheStats,
     /// Modules currently quarantined.
     pub quarantined: u64,
     /// IO rounds of the latest batch's meta descent
@@ -145,10 +140,6 @@ impl AlarmBoard {
                 Threshold::QuarantinedAbove(b) => {
                     let v = s.quarantined;
                     (v as f64, b as f64, v > b)
-                }
-                Threshold::CacheHitRatioBelow(b) => {
-                    let v = s.cache.hit_ratio();
-                    (v, b, s.cache.lookups > 0 && v < b)
                 }
                 Threshold::DescentRoundsAbove(c) => {
                     let b = c * ceil_log2(s.io_per_module.len());
@@ -219,12 +210,12 @@ impl AlarmBoard {
 pub const BALANCE_MIN_WORDS_PER_MODULE: u64 = 64;
 
 /// The stock board the serving layer and `pimtrie-report` install:
-/// skew (`io-balance > 3`), overload (`shed-rate > 0.2`), fault
-/// quarantine (`quarantined > 0`) and cache collapse (`hit-ratio < 0.05`
-/// while probed). Calibrated against X-skew / X-serve: uniform batches
-/// sit near balance 1 and steady serving sheds nothing, so the stock
-/// board is silent there; a Zipf batch on a range-partitioned layout
-/// (balance 4+) or an overloaded queue (69 % shed) crosses immediately.
+/// skew (`io-balance > 3`), overload (`shed-rate > 0.2`) and fault
+/// quarantine (`quarantined > 0`). Calibrated against X-skew / X-serve:
+/// uniform batches sit near balance 1 and steady serving sheds nothing,
+/// so the stock board is silent there; a Zipf batch on a
+/// range-partitioned layout (balance 4+) or an overloaded queue (69 %
+/// shed) crosses immediately.
 /// [`Threshold::DescentRoundsAbove`] is not on it: the descent still
 /// costs `height − resident levels` rounds, which a healthy run past
 /// `n ≈ 500 k` at `P = 64` (or any quick `P = 8` run) takes above
@@ -243,10 +234,6 @@ pub fn default_board() -> AlarmBoard {
         AlarmSpec {
             name: "quarantine",
             threshold: Threshold::QuarantinedAbove(0),
-        },
-        AlarmSpec {
-            name: "cache-collapse",
-            threshold: Threshold::CacheHitRatioBelow(0.05),
         },
     ])
 }
@@ -292,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn balance_quarantine_and_cache_conditions() {
+    fn balance_and_quarantine_conditions() {
         let mut b = default_board();
         // balanced, unshed, healthy: silent
         assert_eq!(b.evaluate(0, &sample(vec![5, 5, 5, 5], 10, 0)), 0);
@@ -304,15 +291,8 @@ mod tests {
         let mut s = sample(vec![5, 5, 5, 5], 10, 0);
         s.quarantined = 2;
         assert_eq!(b.evaluate(2, &s), 1);
-        // cache collapse only fires when the cache is probed
-        let mut s = sample(vec![5, 5, 5, 5], 10, 0);
-        s.cache.lookups = 100;
-        s.cache.hits = 1;
-        assert_eq!(b.evaluate(3, &s), 1);
-        assert_eq!(b.fired().last().map(|e| e.name), Some("cache-collapse"));
-        let quiet = sample(vec![5, 5, 5, 5], 10, 0); // lookups == 0
-        b.evaluate(4, &quiet);
-        assert_eq!(b.count(), 3);
+        assert_eq!(b.fired().last().map(|e| e.name), Some("quarantine"));
+        assert_eq!(b.count(), 2);
         // skewed but near-empty window: below the support floor, quiet
         let mut fresh = default_board();
         assert_eq!(fresh.evaluate(0, &sample(vec![20, 0, 0, 0], 10, 0)), 0);

@@ -26,7 +26,7 @@
 //!   op → phase → round hierarchy: dominant phase per op, barrier-setting
 //!   module per round, balance score per phase.
 //! * [`AlarmBoard`] — declarative thresholds (balance, shed rate,
-//!   quarantine, cache-hit collapse) evaluated per epoch by the serving
+//!   quarantine, descent rounds) evaluated per epoch by the serving
 //!   layer and surfaced in [`ServeStats`](pim_sim::ServeStats).
 //! * [`report`] — shared table renderer and the folded-stack
 //!   (flamegraph-compatible) exporter behind `pimtrie-report`.

@@ -49,12 +49,6 @@ pub mod names {
     pub const RETRIES: &str = "pimtrie_retries_total";
     /// Extra module work injected by straggler faults.
     pub const STRAGGLER_DELAY: &str = "pimtrie_straggler_delay_total";
-    /// Host-cache probe walks.
-    pub const CACHE_LOOKUPS: &str = "pimtrie_cache_lookups_total";
-    /// Host-cache hits.
-    pub const CACHE_HITS: &str = "pimtrie_cache_hits_total";
-    /// Words the cache hits avoided moving.
-    pub const CACHE_WORDS_SAVED: &str = "pimtrie_cache_words_saved_total";
     /// Words of meta-block copies the host holds resident.
     pub const RESIDENT_WORDS: &str = "pimtrie_resident_words";
     /// The most words the resident copies ever held.
@@ -87,8 +81,6 @@ pub mod names {
     pub const IO_BALANCE: &str = "pimtrie_io_balance";
     /// Cumulative PIM-work load balance.
     pub const PIM_BALANCE: &str = "pimtrie_pim_balance";
-    /// Cache hit ratio over all probes (0 when the cache is idle).
-    pub const CACHE_HIT_RATIO: &str = "pimtrie_cache_hit_ratio";
     /// Simulated time elapsed: io_time + pim_time + cpu_work.
     pub const SIM_TIME: &str = "pimtrie_sim_time";
     /// Per-round IO time (max module words that round).
@@ -115,9 +107,6 @@ pub mod names {
             K::Counter,
             "module work added by straggler faults",
         ),
-        (CACHE_LOOKUPS, K::Counter, "host-cache probe walks"),
-        (CACHE_HITS, K::Counter, "host-cache hits"),
-        (CACHE_WORDS_SAVED, K::Counter, "words saved by cache hits"),
         (RESIDENT_FILLS, K::Counter, "meta-blocks pulled and kept"),
         (RESIDENT_FILL_WORDS, K::Counter, "words of those pulls"),
         (
@@ -144,7 +133,6 @@ pub mod names {
             K::Gauge,
             "PIM-work load balance, max/mean module",
         ),
-        (CACHE_HIT_RATIO, K::Gauge, "cache hit ratio over all probes"),
         (RESIDENT_WORDS, K::Gauge, "words of resident meta copies"),
         (
             RESIDENT_WORDS_HIGH_WATER,
@@ -324,7 +312,7 @@ impl Registry {
     }
 
     /// Publish a [`Metrics`] snapshot: all cumulative counters, the
-    /// balance/ratio gauges, and the simulated clock. Counters are
+    /// balance gauges, and the simulated clock. Counters are
     /// *set-to-current* via add-over-zero, so publish into a fresh
     /// registry (or accept summation across publishes).
     pub fn publish_metrics(&mut self, m: &Metrics) {
@@ -338,10 +326,6 @@ impl Registry {
         self.counter_add(names::FAULTS_INJECTED, f.total_injected());
         self.counter_add(names::FAULTS_DETECTED, f.total_detected());
         self.counter_add(names::RETRIES, f.retries);
-        let c = m.cache_stats();
-        self.counter_add(names::CACHE_LOOKUPS, c.lookups);
-        self.counter_add(names::CACHE_HITS, c.hits);
-        self.counter_add(names::CACHE_WORDS_SAVED, c.words_saved);
         self.publish_resident(m.resident_stats());
         let s = m.serve_stats();
         self.counter_add(names::SERVE_SUBMITTED, s.submitted);
@@ -354,7 +338,6 @@ impl Registry {
         self.counter_add(names::SERVE_ALARMS, s.alarms);
         self.gauge_set(names::IO_BALANCE, balance(m.io_per_module()));
         self.gauge_set(names::PIM_BALANCE, balance(m.pim_per_module()));
-        self.gauge_set(names::CACHE_HIT_RATIO, c.hit_ratio());
         let t = m.io_time() + m.pim_time() + m.cpu_work();
         self.gauge_set(names::SIM_TIME, t as f64);
     }

@@ -37,7 +37,7 @@
 //! An optional [`AlarmBoard`] (from `pim-obs`, re-exported here) can be
 //! installed with [`Server::install_alarms`]: the dispatcher evaluates
 //! it once per epoch — balance of the epoch's IO window, shed rate,
-//! quarantined modules, cache hit ratio — and surfaces rising-edge
+//! quarantined modules, descent rounds — and surfaces rising-edge
 //! firings in [`pim_sim::ServeStats::alarms`]. Evaluation never charges
 //! simulated cost, so installing a board changes no other counter.
 //!

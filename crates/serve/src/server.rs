@@ -257,7 +257,7 @@ impl Server {
 
     /// Install an alarm board; [`Server::dispatch`] evaluates it once
     /// per epoch against the epoch's IO window and the cumulative
-    /// serve/cache/quarantine state, and accumulates rising-edge
+    /// serve/quarantine state, and accumulates rising-edge
     /// firings into [`pim_sim::ServeStats::alarms`]. Evaluation only
     /// *reads* counters — it charges no simulated cost — so every other
     /// counter is bit-identical with or without a board installed.
@@ -451,7 +451,6 @@ impl Server {
             let sample = ObsSample {
                 io_per_module: m.since(&snap).io_per_module,
                 serve: m.serve_stats().clone(),
-                cache: m.cache_stats().clone(),
                 quarantined: self.trie.quarantined().len() as u64,
                 descend_rounds: self.trie.last_match_stats().descend_rounds,
             };

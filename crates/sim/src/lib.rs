@@ -98,8 +98,8 @@ mod wire;
 pub use fault::{CrashSpec, FaultPlan, JamSpec};
 pub use json::Json;
 pub use metrics::{
-    balance, CacheStats, CodecStats, FaultStats, Metrics, MetricsDelta, ResidentStats, RoundRecord,
-    ServeStats, Snapshot,
+    balance, CodecStats, FaultStats, Metrics, MetricsDelta, ResidentStats, RoundRecord, ServeStats,
+    Snapshot,
 };
 // The compact wire codec's vocabulary (`WIRE_FORMAT.md`): the bit-level
 // encoder/decoder pair `Enc`/`Dec`, the negotiated `WireCodec` version,

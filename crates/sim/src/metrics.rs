@@ -98,54 +98,14 @@ impl FaultStats {
     }
 }
 
-/// Counters for a host-side cache layered over the simulated system.
-///
-/// The simulator itself never touches these: they exist so protocols that
-/// short-circuit rounds with host-side state (e.g. `pim-trie`'s hot-path
-/// cache) can report their effect through the same metrics pipeline as
-/// every other counter. All zero when no cache is in play, so an untraced,
-/// cache-free run is bit-identical to one that merely *links* the cache.
-///
-/// Paper: §6.3 discusses host-side replication of hot upper-trie levels
-/// as the skew-scaling direction this counter set meters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries fully resolved by cached state (no IO round needed).
-    pub hits: u64,
-    /// Queries that fell through to the normal dispatch path.
-    pub misses: u64,
-    /// Lower-bound estimate of CPU↔PIM words the hits avoided moving.
-    pub words_saved: u64,
-    /// Cache probe walks performed (hits + misses, kept separately so a
-    /// disabled cache shows a hard zero here).
-    pub lookups: u64,
-    /// Entries admitted into the cache.
-    pub admissions: u64,
-    /// Entries dropped because an update touched their backing state.
-    pub invalidations: u64,
-    /// Entries evicted to make room under the capacity bound.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Hit ratio over all probe walks; 0.0 when nothing was probed.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// Counters for host-resident copies of index structure (e.g. `pim-trie`'s
 /// resident top of the meta-block tree): what the host holds, what it
 /// paid to pull it, and how often it answered in a module's place.
 ///
-/// Like [`CacheStats`], the simulator itself never touches these. The
-/// pulls that fill a copy are ordinary metered rounds; this block says
-/// how many of them there were and what the copies cost in host memory,
-/// which is not PIM space and appears in no other counter.
+/// The simulator itself never touches these. The pulls that fill a copy
+/// are ordinary metered rounds; this block says how many of them there
+/// were and what the copies cost in host memory, which is not PIM space
+/// and appears in no other counter.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResidentStats {
     /// Words of copies held right now (a gauge, not a sum).
@@ -165,7 +125,7 @@ pub struct ResidentStats {
 /// Counters for a request-serving front-end layered over the simulated
 /// system (admission, load shedding, deadlines, epochs).
 ///
-/// Like [`CacheStats`], the simulator itself never touches these: they
+/// Like [`ResidentStats`], the simulator itself never touches these: they
 /// exist so an ingress layer (e.g. `pimtrie-serve`'s coalescing server)
 /// reports its admission and shedding decisions through the same metrics
 /// pipeline as every other counter. All zero when no serving layer is in
@@ -259,7 +219,6 @@ pub struct Metrics {
     pim_per_module: Vec<u64>,
     cpu_work: u64,
     faults: FaultStats,
-    cache: CacheStats,
     resident: ResidentStats,
     serve: ServeStats,
     codec: CodecStats,
@@ -392,17 +351,6 @@ impl Metrics {
         &mut self.faults
     }
 
-    /// Host-side cache counters (see [`CacheStats`]).
-    pub fn cache_stats(&self) -> &CacheStats {
-        &self.cache
-    }
-
-    /// Mutable cache counters, for a host-side cache layer to record
-    /// hits, misses, admissions and invalidations.
-    pub fn cache_stats_mut(&mut self) -> &mut CacheStats {
-        &mut self.cache
-    }
-
     /// Host-resident structure counters (see [`ResidentStats`]).
     pub fn resident_stats(&self) -> &ResidentStats {
         &self.resident
@@ -474,9 +422,9 @@ impl Metrics {
 impl Metrics {
     /// Human-readable per-round-name cost report (requires round logging).
     /// The name column widens to fit the longest round name, and per-name
-    /// PIM time is reported alongside IO time. When the cache, resident or
-    /// serving layers have recorded anything (any counter non-zero), a
-    /// `cache.*` / `resident.*` / `serve.*` section follows in the same column layout;
+    /// PIM time is reported alongside IO time. When the resident, serving or
+    /// codec layers have recorded anything (any counter non-zero), a
+    /// `resident.*` / `serve.*` / `codec.*` section follows in the same column layout;
     /// with those layers idle the sections are omitted entirely, so a
     /// plain simulation report looks exactly as it always did.
     pub fn report(&self) -> String {
@@ -489,20 +437,6 @@ impl Metrics {
             e.2 += r.io_time();
             e.3 += r.pim_time();
         }
-        let c = &self.cache;
-        let cache_rows: Vec<(&str, u64)> = if self.cache == CacheStats::default() {
-            Vec::new()
-        } else {
-            vec![
-                ("cache.lookups", c.lookups),
-                ("cache.hits", c.hits),
-                ("cache.misses", c.misses),
-                ("cache.words_saved", c.words_saved),
-                ("cache.admissions", c.admissions),
-                ("cache.invalidations", c.invalidations),
-                ("cache.evictions", c.evictions),
-            ]
-        };
         let r = &self.resident;
         let resident_rows: Vec<(&str, u64)> = if self.resident == ResidentStats::default() {
             Vec::new()
@@ -546,7 +480,6 @@ impl Metrics {
         let width = agg
             .keys()
             .map(|name| name.len())
-            .chain(cache_rows.iter().map(|(n, _)| n.len()))
             .chain(resident_rows.iter().map(|(n, _)| n.len()))
             .chain(serve_rows.iter().map(|(n, _)| n.len()))
             .chain(codec_rows.iter().map(|(n, _)| n.len()))
@@ -562,9 +495,8 @@ impl Metrics {
                 "{name:width$} {n:>8} {vol:>10} {io:>10} {pim:>10}\n"
             ));
         }
-        for (name, v) in cache_rows
+        for (name, v) in resident_rows
             .iter()
-            .chain(resident_rows.iter())
             .chain(serve_rows.iter())
             .chain(codec_rows.iter())
         {
@@ -708,19 +640,19 @@ mod tests {
         m.set_round_logging(true);
         m.record_round(rec("s", vec![1, 0], vec![0, 0], vec![4, 0]));
         let plain = m.report();
-        assert!(!plain.contains("cache."));
+        assert!(!plain.contains("resident."));
         assert!(!plain.contains("serve."));
 
-        m.cache_stats_mut().lookups = 4;
-        m.cache_stats_mut().hits = 3;
+        m.resident_stats_mut().fills = 4;
+        m.resident_stats_mut().host_matches = 3;
         m.serve_stats_mut().submitted = 9;
         m.serve_stats_mut().alarms = 1;
         let full = m.report();
-        assert!(full.contains("cache.lookups"));
+        assert!(full.contains("resident.fills"));
         assert!(full.contains("serve.alarms"));
         // stat labels share the round-name column: every stat row is
         // padded to the same width as the table's name column
-        let name_w = "cache.invalidations".len();
+        let name_w = "resident.words_high_water".len();
         for line in full.lines().filter(|l| l.contains("serve.")) {
             assert_eq!(line.len(), name_w + 1 + 8, "row: {line:?}");
         }
@@ -764,23 +696,6 @@ mod tests {
         let t = m.take_tracer().unwrap();
         assert!(!m.tracing_enabled());
         assert_eq!(t.events()[0].round, "x");
-    }
-
-    #[test]
-    fn cache_stats_default_zero_and_ratio() {
-        let mut m = Metrics::new(2);
-        assert_eq!(*m.cache_stats(), CacheStats::default());
-        assert_eq!(m.cache_stats().hit_ratio(), 0.0);
-        let c = m.cache_stats_mut();
-        c.lookups = 4;
-        c.hits = 3;
-        c.misses = 1;
-        c.words_saved = 12;
-        assert!((m.cache_stats().hit_ratio() - 0.75).abs() < 1e-12);
-        // snapshots/deltas ignore cache counters: they are cumulative-only
-        let snap = m.snapshot();
-        let d = m.since(&snap);
-        assert_eq!(d.io_rounds, 0);
     }
 
     #[test]
