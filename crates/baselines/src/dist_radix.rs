@@ -190,7 +190,7 @@ impl DistRadixTree {
     /// Batch LongestCommonPrefix by level-by-level pointer chasing:
     /// `Θ(max path length)` BSP rounds for the batch.
     pub fn lcp_batch(&mut self, raw_queries: &[BitStr]) -> Vec<usize> {
-        crate::trace_op(self.sys.metrics_mut(), "lcp", "lcp/pointer-chase");
+        crate::trace_op(self.sys.metrics_mut(), "lcp", "pointer-chase");
         // queries are padded like stored keys; the reported LCP is capped
         // at the raw query length (span > 1 quantises LCPs to digit
         // granularity — the l/s resolution Table 1 charges this design)
@@ -255,7 +255,7 @@ impl DistRadixTree {
 
     /// Exact-key lookup, same pointer-chasing pattern.
     pub fn get_batch(&mut self, raw_keys: &[BitStr]) -> Vec<Option<Value>> {
-        crate::trace_op(self.sys.metrics_mut(), "get", "get/pointer-chase");
+        crate::trace_op(self.sys.metrics_mut(), "get", "pointer-chase");
         // queries walk the same padded digit space the build used
         let keys: Vec<BitStr> = raw_keys.iter().map(|k| pad_key(k, self.span)).collect();
         let p = self.sys.p();

@@ -103,7 +103,7 @@ impl DistXFastTrie {
     /// Insert a batch: every key writes one entry per level — `O(w)` words
     /// per key, the Table 1 insert cost.
     pub fn insert_batch(&mut self, keys: &[u64]) {
-        crate::trace_op(self.sys.metrics_mut(), "insert", "insert/level-tables");
+        crate::trace_op(self.sys.metrics_mut(), "insert", "level-tables");
         let p = self.sys.p();
         let mut out = Scatter::new(p);
         for &x in keys {
@@ -154,7 +154,7 @@ impl DistXFastTrie {
         if n == 0 {
             return Vec::new();
         }
-        crate::trace_op(self.sys.metrics_mut(), "lcp", "lcp/binary-search");
+        crate::trace_op(self.sys.metrics_mut(), "lcp", "binary-search");
         // per-query binary search interval [lo, hi] over levels; invariant:
         // prefix at `lo` is present (level 0 always matches once nonempty)
         let mut lo = vec![0u8; n];

@@ -41,17 +41,14 @@ pub(crate) fn gathered<T, M, R>(
         .unwrap_or_else(|e| unreachable!("baseline round: {e}"))
 }
 
-/// Open a traced op span with its single phase on a baseline's metrics
-/// (baseline batch ops are one logical phase each). No-op when tracing is
-/// off — the metered counters are untouched either way.
-pub(crate) fn trace_op(metrics: &mut pim_sim::Metrics, op: &str, phase: &str) {
+/// Open a traced op span with its single stage on a baseline's metrics
+/// (baseline batch ops are one logical phase each, traced as
+/// `<op>/<stage>`). No-op when tracing is off — the metered counters are
+/// untouched either way.
+pub(crate) fn trace_op(metrics: &mut pim_sim::Metrics, op: &'static str, stage: &'static str) {
     if let Some(t) = metrics.tracer_mut() {
-        // lint: allow(metric-cardinality) — `op` forwards the literal
-        // each baseline batch op passes in; the set stays closed
         t.begin_op(op);
-        // lint: allow(metric-cardinality) — `phase` likewise forwards
-        // the per-call-site literal, one phase per baseline op
-        t.set_phase(phase);
+        t.set_phase(stage);
     }
 }
 

@@ -120,7 +120,7 @@ impl RangePartitioned {
 
     /// Insert a batch: each key ships to its range's module only.
     pub fn insert_batch(&mut self, keys: &[BitStr], values: &[Value]) {
-        crate::trace_op(self.sys.metrics_mut(), "insert", "insert/range-scatter");
+        crate::trace_op(self.sys.metrics_mut(), "insert", "range-scatter");
         let mut out = Scatter::new(self.sys.p());
         for (k, v) in keys.iter().zip(values) {
             out.push(self.range_of(k), (), InsertMsg(k.clone(), *v));
@@ -146,7 +146,7 @@ impl RangePartitioned {
     /// boundary) — the O(1)-communication design whose skewed batches
     /// serialize on one module.
     pub fn lcp_batch(&mut self, queries: &[BitStr]) -> Vec<usize> {
-        crate::trace_op(self.sys.metrics_mut(), "lcp", "lcp/local-scan");
+        crate::trace_op(self.sys.metrics_mut(), "lcp", "local-scan");
         let mut sent = Scatter::new(self.sys.p());
         for (i, q) in queries.iter().enumerate() {
             sent.push(self.range_of(q), i, QueryMsg(q.clone()));
@@ -167,7 +167,7 @@ impl RangePartitioned {
 
     /// Batch exact lookup (single-range shipping).
     pub fn get_batch(&mut self, keys: &[BitStr]) -> Vec<Option<Value>> {
-        crate::trace_op(self.sys.metrics_mut(), "get", "get/range-lookup");
+        crate::trace_op(self.sys.metrics_mut(), "get", "range-lookup");
         let mut sent = Scatter::new(self.sys.p());
         for (i, k) in keys.iter().enumerate() {
             sent.push(self.range_of(k), i, QueryMsg(k.clone()));

@@ -869,8 +869,7 @@ pub fn compress(p: usize, quick: bool) -> Vec<Row> {
 ///   requests expire with a typed error before dispatch (`expired`).
 ///
 /// Every column is an exact count (the serving schedule is a pure
-/// function of seed, P and config — thread-count and pipelining
-/// invariant), so the cost-guard gates all of them at tolerance 0.
+/// function of seed, P and config — thread-count invariant), so the cost-guard gates all of them at tolerance 0.
 /// Latencies are p50/p99 of completed replies per op class in simulated
 /// PIM time. ISSUE: overload-safe serving; DESIGN.md "X-serve".
 pub fn serve(p: usize, quick: bool, clients: usize, deadline: u64, queue_cap: usize) -> Vec<Row> {
@@ -904,8 +903,7 @@ pub fn serve(p: usize, quick: bool, clients: usize, deadline: u64, queue_cap: us
             trie,
             ServeConfig::default()
                 .with_queue_cap(cap)
-                .with_epoch_max(epoch_max)
-                .with_pipeline(true),
+                .with_epoch_max(epoch_max),
         );
         srv.install_alarms(serve::default_board());
         let rep = run_closed_loop(&mut srv, &scripts);

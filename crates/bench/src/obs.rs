@@ -165,8 +165,7 @@ fn serve_runs(p: usize, quick: bool) -> Vec<ServeRun> {
             trie,
             ServeConfig::default()
                 .with_queue_cap(cap)
-                .with_epoch_max(epoch_max)
-                .with_pipeline(true),
+                .with_epoch_max(epoch_max),
         );
         srv.install_alarms(default_board());
         let rep = run_closed_loop(&mut srv, &scripts);

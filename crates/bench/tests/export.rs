@@ -1,5 +1,5 @@
 //! Export-layer integration tests: trace determinism (across runs and
-//! rayon pool sizes), summary-schema round-trip, baseline tracing, and
+//! thread-pool sizes), summary-schema round-trip, baseline tracing, and
 //! the `repro` / `cost-guard` binaries end to end.
 
 use pim_sim::Json;
@@ -16,17 +16,9 @@ fn trace_jsonl_is_byte_identical_across_runs_and_pool_sizes() {
     // pool size must not leak into the trace: these are real worker
     // pools (1 thread vs 8), so this asserts that genuinely concurrent
     // module dispatch and batch work cannot perturb a single trace byte
-    let one = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(|| export::trace_all(4, true).jsonl);
-    let many = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build()
-        .unwrap()
-        .install(|| export::trace_all(4, true).jsonl);
-    assert_eq!(one, many, "trace must not depend on rayon pool size");
+    let one = pim_trie::with_threads(1, || export::trace_all(4, true).jsonl);
+    let many = pim_trie::with_threads(8, || export::trace_all(4, true).jsonl);
+    assert_eq!(one, many, "trace must not depend on pool size");
     assert_eq!(one, a.jsonl);
 }
 

@@ -55,7 +55,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 /// Delta and label stream identifiers (`WIRE_FORMAT.md` §"Streams").
 ///

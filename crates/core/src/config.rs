@@ -24,12 +24,6 @@ pub struct PimTrieConfig {
     pub hash_width: HashWidth,
     /// Seed for the hash base and block placement.
     pub seed: u64,
-    /// Blocks heavier than `oversize_factor · k_b` are re-partitioned
-    /// after inserts; blocks lighter than `k_b / undersize_divisor` merge
-    /// into their parent after deletes.
-    pub oversize_factor: u64,
-    /// See `oversize_factor`.
-    pub undersize_divisor: u64,
     /// Run every CPU↔PIM message inside a CRC-64-sealed envelope and
     /// recover from injected wire faults and module crashes (see
     /// `wire_guard`). Off by default: the unguarded build's metering is
@@ -72,8 +66,6 @@ impl PimTrieConfig {
             push_threshold: (lg2 * lg2).max(64),
             hash_width: HashWidth::FULL,
             seed: 0x9122_7cc1_dead_beef,
-            oversize_factor: 2,
-            undersize_divisor: 4,
             fault_tolerance: false,
             max_round_retries: 8,
             codec: pim_sim::WireCodec::Plain,
@@ -114,11 +106,6 @@ impl PimTrieConfig {
         }
         if self.k_smb < 1 {
             return Err(PimTrieError::BadConfig("K_SMB must be at least 1".into()));
-        }
-        if self.oversize_factor < 1 || self.undersize_divisor < 1 {
-            return Err(PimTrieError::BadConfig(
-                "oversize_factor and undersize_divisor must be at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -201,7 +188,7 @@ mod tests {
         c.p = 0;
         assert!(c.validate().is_err());
         let mut c = PimTrieConfig::for_modules(8);
-        c.undersize_divisor = 0;
+        c.k_smb = 0;
         assert!(c.validate().is_err());
         let c = PimTrieConfig::for_modules(8).with_fault_tolerance(true);
         assert!(c.fault_tolerance && c.validate().is_ok());

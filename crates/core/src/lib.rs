@@ -35,10 +35,11 @@
 //!
 //! Hash collisions (forced in experiments by narrowing
 //! [`PimTrieConfig::hash_width`]) are caught by the **verification** rules
-//! of §4.4.3 — `S_last` comparisons at hash matches and bit-exact matching
-//! inside critical blocks — and corrected by re-running the affected paths
-//! through the exact [`slowpath`], so results are exact regardless of hash
-//! width.
+//! of §4.4.3 — `S_last` comparisons at hash matches, a full-width pivot
+//! hash comparison between each query piece and its target block, and
+//! bit-exact matching inside critical blocks — and corrected by re-running
+//! the affected paths through the exact [`slowpath`], so results are exact
+//! regardless of hash width.
 //!
 //! ```
 //! use pim_trie::{PimTrie, PimTrieConfig};
@@ -98,10 +99,9 @@ use pim_sim::PimSystem;
 /// Run `f` on a rayon pool of `threads` threads (0 = automatic:
 /// `RAYON_NUM_THREADS`, else the machine's available parallelism).
 ///
-/// Every parallel operation `f` starts — module dispatch in
-/// [`pim_sim::PimSystem::round`], batch hashing, query-trie sorts —
-/// executes on that pool. Results and all metered counters are
-/// bit-identical for any `threads` value (see DESIGN.md
+/// The pool runs the one parallel operation the stack has: module
+/// dispatch in [`pim_sim::PimSystem::round`]. Results and all metered
+/// counters are bit-identical for any `threads` value (see DESIGN.md
 /// "Observability"); only wall-clock changes.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -187,10 +187,8 @@ impl PimTrie {
 
     /// Open a tracer op span (no-op when tracing is off). Callers must
     /// pair with [`Self::t_op_end`] on every path, including errors.
-    pub(crate) fn t_op(&mut self, op: &str) {
+    pub(crate) fn t_op(&mut self, op: &'static str) {
         if let Some(t) = self.sys.metrics_mut().tracer_mut() {
-            // lint: allow(metric-cardinality) — `op` forwards the
-            // literal from each t_op() call site; the op set is closed
             t.begin_op(op);
         }
     }
@@ -202,22 +200,11 @@ impl PimTrie {
         }
     }
 
-    /// Set the tracer phase to `<current-op>/<suffix>` (or bare `suffix`
+    /// Set the tracer phase to `<current-op>/<stage>` (or bare `stage`
     /// outside any op span). No-op when tracing is off.
-    pub(crate) fn t_phase(&mut self, suffix: &str) {
+    pub(crate) fn t_phase(&mut self, stage: &'static str) {
         if let Some(t) = self.sys.metrics_mut().tracer_mut() {
-            let op = t.current_op();
-            let phase = if op == "-" {
-                suffix.to_string()
-            } else {
-                format!("{op}/{suffix}")
-            };
-            // lint: allow(metric-cardinality) — the formatted name joins
-            // two closed sets: `op` comes from the literal t_op() calls
-            // and `suffix` from the literal t_phase() call sites, so the
-            // phase space stays bounded (ops × suffixes), never
-            // data-dependent.
-            t.set_phase(&phase);
+            t.set_phase(stage);
         }
     }
 

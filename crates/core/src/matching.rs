@@ -538,7 +538,10 @@ impl PimTrie {
                     self.sys
                         .metrics_mut()
                         .charge_cpu(block.weight() + piece.size_words());
-                    if block.root_depth != piece.root_depth {
+                    // the depth and pivot-hash checks of the MatchBlock
+                    // handler (module.rs)
+                    if block.root_depth != piece.root_depth || block.pre_hash != piece.root_pre_hash
+                    {
                         stats.collisions += 1;
                         flag_tags(&mut flagged, &piece.tags);
                         continue;

@@ -754,11 +754,13 @@ pub fn handle(
         Req::MatchBlock { slot, piece } => {
             let b = state.blocks.get(slot).expect("MatchBlock: bad slot");
             work += piece.size_words();
-            // §4.4.3 verification: the piece's root_rem must be a suffix of
-            // the block root's S_last (both are trailing bits of the same
-            // string if the hash match was genuine).
-            let collision =
-                b.root_depth != piece.root_depth || !rem_consistent(&b.s_last, &piece.root_rem);
+            // §4.4.3 verification: a genuine hash match puts the piece root
+            // at the block root, so both share the full-width hash at
+            // their pivot, and the piece's root_rem is a suffix of the
+            // block root's S_last (trailing bits of the same string).
+            let collision = b.root_depth != piece.root_depth
+                || b.pre_hash != piece.root_pre_hash
+                || !rem_consistent(&b.s_last, &piece.root_rem);
             let results = if collision {
                 Vec::new()
             } else {

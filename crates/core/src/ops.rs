@@ -13,6 +13,14 @@ use pim_sim::Scatter;
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::{NodeId, Trie};
 
+/// Blocks heavier than `OVERSIZE_FACTOR · K_B` words are re-partitioned
+/// after inserts and merges.
+const OVERSIZE_FACTOR: u64 = 2;
+
+/// Leaf blocks lighter than `K_B / UNDERSIZE_DIVISOR` words (or holding
+/// no key) merge into their parent after deletes.
+const UNDERSIZE_DIVISOR: u64 = 4;
+
 impl PimTrie {
     /// LongestCommonPrefix for every query in the batch: the length in
     /// bits of the longest prefix shared with *any* stored key. Panics
@@ -237,7 +245,7 @@ impl PimTrie {
             };
             assert!(!collision, "graft collision escaped verification");
             self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
-            if weight > self.cfg.oversize_factor * self.cfg.k_b {
+            if weight > OVERSIZE_FACTOR * self.cfg.k_b {
                 oversized.push(block);
             }
         }
@@ -837,7 +845,7 @@ impl PimTrie {
                 .filter(|(bref, (weight, keys, children))| {
                     *bref != self.root_block
                         && *children == 0
-                        && (*keys == 0 || *weight < self.cfg.k_b / self.cfg.undersize_divisor)
+                        && (*keys == 0 || *weight < self.cfg.k_b / UNDERSIZE_DIVISOR)
                 })
                 .map(|(b, _)| b)
                 .collect();
@@ -918,7 +926,7 @@ impl PimTrie {
             let mut oversized = Vec::new();
             let mut next = Vec::new();
             for (parent, (weight, keys, children)) in parent_vitals {
-                if weight > self.cfg.oversize_factor * self.cfg.k_b {
+                if weight > OVERSIZE_FACTOR * self.cfg.k_b {
                     oversized.push(parent);
                 } else {
                     next.push((parent, weight, keys, children));

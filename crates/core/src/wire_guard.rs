@@ -38,13 +38,14 @@ use bitstr::crc::Crc64Hasher;
 use bitstr::hash::{HashVal, IncrementalHash, PolyHasher};
 use bitstr::BitStr;
 use pim_sim::{PimCtx, Wire};
-use std::sync::OnceLock;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "memoized CRC-64/ECMA lookup table: the init is a pure function of the \
+              fixed polynomial, so every thread observes the identical table"
+)]
 fn crc64() -> &'static Crc64Hasher {
-    // lint: allow(global-state) — memoized CRC-64/ECMA lookup table: the
-    // init is a pure function of the fixed polynomial, so every thread
-    // observes the identical table regardless of who initializes it.
-    static CRC: OnceLock<Crc64Hasher> = OnceLock::new();
+    static CRC: std::sync::OnceLock<Crc64Hasher> = std::sync::OnceLock::new();
     CRC.get_or_init(Crc64Hasher::ecma)
 }
 

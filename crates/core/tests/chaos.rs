@@ -383,7 +383,7 @@ fn input_validation_reports_errors() {
     assert_eq!(t.try_delete_batch(&k).unwrap(), 1);
     // degenerate config is rejected, not asserted
     let mut cfg = PimTrieConfig::for_modules(4);
-    cfg.undersize_divisor = 0;
+    cfg.p = 0;
     assert!(matches!(
         PimTrie::try_new(cfg),
         Err(PimTrieError::BadConfig(_))

@@ -14,7 +14,7 @@
 //! ([`Facts`]), then pushes its findings through the same waiver
 //! protocol as the per-file rules.
 
-use crate::rules::{push_with_waiver, FileAnalysis, FileClass, FileCtx, FileReport, Finding};
+use crate::rules::{push_with_waiver, FileAnalysis, FileCtx, FileReport, Finding};
 use std::collections::BTreeSet;
 
 /// The stat structs whose counters the honesty rule guards. `Metrics`
@@ -112,9 +112,6 @@ pub fn run(
 ) {
     let facts = collect_facts(units);
     for u in units.iter_mut() {
-        if u.ctx.class != FileClass::Src {
-            continue;
-        }
         apply_metering(&facts, u);
         doc_drift(u, experiments_md, cost_baseline);
     }
@@ -468,10 +465,8 @@ fn spec_vocabulary(spec: &str) -> Option<Vec<(u32, String)>> {
 /// wire-layer unit. Silent when the tree has no wire layer (fixture
 /// trees, pre-codec checkouts).
 fn wire_spec_drift(units: &mut [Unit], wire_spec: Option<&str>) {
-    let is_wire = |u: &Unit| {
-        u.ctx.class == FileClass::Src
-            && (WIRE_CRATES.contains(&u.ctx.krate.as_str()) || u.ctx.path == WIRE_SCHEMA)
-    };
+    let is_wire =
+        |u: &Unit| WIRE_CRATES.contains(&u.ctx.krate.as_str()) || u.ctx.path == WIRE_SCHEMA;
     let mut tokens = BTreeSet::new();
     for u in units.iter().filter(|u| is_wire(u)) {
         for t in &u.fa.lexed.toks {
@@ -733,25 +728,25 @@ mod tests {
     #[test]
     fn unused_waivers_flagged_used_ones_not() {
         let src = "\
-            // lint: allow(unordered-iter) — probed by key, never iterated\n\
-            use std::collections::HashMap;\n\
-            // lint: allow(wallclock) — nothing here reads a clock\n\
+            // lint: allow(float-determinism) — exporter output, never compared\n\
+            fn ratio(x: f64) -> f64 { x }\n\
+            // lint: allow(span-balance) — nothing here opens a span\n\
             fn quiet() {}\n";
         let units = run_units(vec![unit("crates/core/src/a.rs", src)]);
         let dead = active(&units[0], "dead-waiver");
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].line, 3);
-        assert!(dead[0].msg.contains("allow(wallclock)"));
+        assert!(dead[0].msg.contains("allow(span-balance)"));
     }
 
     #[test]
     fn meta_waiver_keeps_a_deliberate_dead_waiver() {
         let src = "\
             // lint: allow(dead-waiver) — template kept for the next port\n\
-            // lint: allow(wallclock) — nothing here reads a clock\n\
+            // lint: allow(span-balance) — nothing here opens a span\n\
             fn quiet() {}\n";
         let units = run_units(vec![unit("crates/core/src/a.rs", src)]);
-        // the wallclock waiver is dead but its finding is waived by the
+        // the span-balance waiver is dead but its finding is waived by the
         // meta-waiver; the meta-waiver is then used, so nothing active
         assert!(active(&units[0], "dead-waiver").is_empty());
         assert_eq!(units[0].rep.findings.len(), 1);

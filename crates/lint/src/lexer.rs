@@ -2,9 +2,9 @@
 //! linting.
 //!
 //! The rules in [`crate::rules`] only need to see *identifiers and
-//! punctuation that are really code*: a `HashMap` inside a string
-//! literal, a commented-out `unsafe`, or `Instant` in a doc example must
-//! not trip a lint. So the lexer's job is exact classification of the
+//! punctuation that are really code*: an `f64` inside a string literal,
+//! a commented-out `.unwrap()`, or `begin_op` in a doc example must not
+//! trip a lint. So the lexer's job is exact classification of the
 //! token-boundary cases that naive `grep` gets wrong:
 //!
 //! * line comments and **nested** block comments,
@@ -17,18 +17,16 @@
 //!   float-shaped ones marked (the `float-determinism` rule needs them).
 //!
 //! Output is a flat token stream with line numbers, plus the per-line
-//! comment text (the rules look there for `SAFETY:` justifications and
-//! `lint: allow(...)` waivers) and the set of lines that contain any
-//! non-comment code (so "directly above" checks can walk over pure
-//! comment lines).
+//! comment text (the rules look there for `lint: allow(...)` waivers)
+//! and the set of lines that contain any non-comment code (so "directly
+//! above" checks can walk over pure comment lines).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What a token is. String and numeric literals are emitted as opaque
 /// [`TokKind::Str`]/[`TokKind::Num`] tokens: the `doc-drift` rule reads
-/// string contents, `float-determinism` needs float-literal positions,
-/// and `metric-cardinality` distinguishes a literal name from a
-/// computed one. Char literals and lifetimes still vanish — no rule
+/// string contents and `float-determinism` needs float-literal
+/// positions. Char literals and lifetimes still vanish — no rule
 /// needs them, only the code-line fact (tracked in
 /// [`Lexed::code_lines`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -625,8 +623,7 @@ mod tests {
     #[test]
     fn static_lifetime_vs_char_at_expression_start() {
         // `&'static str` in type position: lifetime, no tokens, and the
-        // `static` keyword must NOT be reported as an ident (it would
-        // trip `global-state`)
+        // `static` keyword must NOT be reported as an ident
         let l = lex("fn f(s: &'static str) -> &'static str { s }");
         assert!(!l.toks.iter().any(|t| t.is_ident("static")));
         // expression-start char literals right after `{`, `(`, `=`, `match`

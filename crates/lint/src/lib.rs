@@ -2,12 +2,14 @@
 //! reproduction.
 //!
 //! Every bound this workspace validates rests on counters that are
-//! *exact functions of (seed, P, workload)*: the cost-regression gate
-//! and the thread-count-invariance proofs are only sound if no code
-//! path sneaks in unordered iteration, wall-clock reads, hidden global
-//! state, or unaudited `unsafe`. Clippy cannot see those
-//! project-specific invariants; this crate can, and CI runs it as the
-//! `lint-invariants` gate.
+//! *exact functions of (seed, P, workload)*. The toolchain guards most of
+//! that: the workspace lints forbid `unsafe` and deny `clippy.toml`'s
+//! hash-ordered collections, interior mutability, atomics and clock
+//! reads. This crate checks what no compiler lint can state — float use
+//! on metered paths, tracer spans closed on every path, stat counters
+//! bumped only through the metering API, per-crate panic and waiver
+//! budgets, and docs that name only live experiments and wire
+//! identifiers — and CI runs it as the `lint-invariants` gate.
 //!
 //! See [`rules`] for the rule set and the waiver syntax, [`lexer`] for
 //! the token model, [`ratchet`] for the panic budget, and [`walk`] for

@@ -25,13 +25,13 @@ struct Opts {
 const USAGE: &str = "usage: pimtrie-lint [--root DIR] [--json FILE] [--ratchet FILE] \
                      [--write-ratchet] [--quiet]
 
-Scans the workspace tree for violations of the determinism and
-unsafe-audit invariants. Per-file rules: safety-comment,
-unordered-iter, wallclock, global-state, panic-ratchet,
-serve-channel-panic, metric-cardinality, float-determinism,
-span-balance. Workspace rules (cross-file facts): metering-honesty,
-dead-waiver, doc-drift, wire-spec-drift, plus the panic and waiver
-ratchets. See DESIGN.md \"Static analysis & invariants\".
+Scans the workspace's library sources for violations of the
+determinism invariants the compiler cannot state. Per-file rules:
+panic-ratchet, float-determinism, span-balance. Workspace rules
+(cross-file facts): metering-honesty, dead-waiver, doc-drift,
+wire-spec-drift, plus the panic and waiver ratchets. rustc and clippy
+enforce the rest (workspace lints, clippy.toml). See DESIGN.md
+\"Static analysis & invariants\".
 
   --root DIR        workspace root to scan (default: .)
   --json FILE       also write findings as JSONL (includes waived ones)
@@ -113,11 +113,8 @@ fn run(opts: &Opts) -> Result<ExitCode, String> {
         // tally every library crate, including clean ones at 0, so new
         // crates land in the baseline pinned to zero rather than
         // reading as stale entries
-        if u.ctx.class == rules::FileClass::Src {
-            *counts.entry(u.ctx.krate.clone()).or_insert(0) += u.rep.panics.count;
-            *waiver_counts.entry(u.ctx.krate.clone()).or_insert(0) +=
-                u.rep.waiver_sites.len() as u64;
-        }
+        *counts.entry(u.ctx.krate.clone()).or_insert(0) += u.rep.panics.count;
+        *waiver_counts.entry(u.ctx.krate.clone()).or_insert(0) += u.rep.waiver_sites.len() as u64;
         findings.extend(u.rep.findings);
     }
 

@@ -6,7 +6,7 @@
 //! rest of the tree is not. One finding per line:
 //!
 //! ```json
-//! {"rule":"unordered-iter","file":"crates/core/src/ops.rs","line":12,"crate":"core","msg":"…","waived":false,"reason":null}
+//! {"rule":"float-determinism","file":"crates/core/src/ops.rs","line":12,"crate":"core","msg":"…","waived":false,"reason":null}
 //! ```
 
 use crate::rules::Finding;

@@ -2,18 +2,19 @@
 //!
 //! | rule             | invariant it protects                                      |
 //! |------------------|------------------------------------------------------------|
-//! | `safety-comment` | every `unsafe` block/impl carries a written `// SAFETY:` audit |
-//! | `unordered-iter` | no `HashMap`/`HashSet` in the deterministic crates (their iteration order is seeded per process and would leak into metered counters) |
-//! | `wallclock`      | `Instant::now`/`SystemTime` only in the timing-owned crate (`crates/bench`) — counters stay exact functions of (seed, P, workload) |
-//! | `global-state`   | no `static mut` / interior-mutable statics (hidden cross-run or cross-thread coupling) |
 //! | `panic-ratchet`  | `unwrap`/`expect`/`panic!` per library crate may only decrease (see [`crate::ratchet`]) |
-//! | `serve-channel-panic` | in `crates/serve`, no `.unwrap()`/`.expect()` on channel send/recv or lock results — the serving front-end's contract is that every failure becomes a typed outcome, never a panic that silently drops admitted requests |
-//! | `metric-cardinality` | metric/phase names handed to the tracer or registry (`set_phase`, `begin_op`, `counter_add`, `gauge_set`, `observe`) must be `'static` string literals or `SCREAMING_CASE` consts — a data-dependent name unbounds the exposition's label set and breaks its byte-determinism |
 //! | `float-determinism` | no `f32`/`f64` types or float literals in the determinism-checked crates — platform- and flag-sensitive float rounding breaks cross-arch byte-identity of the metered counters; decision math belongs in integers |
 //! | `span-balance` | `begin_op`/`end_op` (and the `t_op`/`trace_op` wrappers, `set_retry(true/false)`) must pair up on every control path of a fn body — an early return between them leaves the tracer in a wedged span |
 //!
-//! Two further rules need cross-file facts and live in
-//! [`crate::analysis`]: `metering-honesty`, `dead-waiver`, `doc-drift`.
+//! Rules the compiler can state live in the toolchain instead: the
+//! workspace's `[workspace.lints]` forbid `unsafe` code and deny the
+//! `clippy.toml` lists of disallowed types (hash-ordered collections,
+//! interior mutability, atomics) and methods (wall-clock reads), and the
+//! tracer's `&'static str` signatures keep metric names closed. See
+//! DESIGN.md "Static analysis & invariants".
+//!
+//! Further rules need cross-file facts and live in [`crate::analysis`]:
+//! `metering-honesty`, `dead-waiver`, `doc-drift`, `wire-spec-drift`.
 //!
 //! A finding can be **waived** in place with
 //! `// lint: allow(<rule>) — <reason>`; the reason is mandatory and the
@@ -30,16 +31,6 @@ use crate::lexer::{lex, Lexed, Tok};
 use crate::parser::{self, Parsed};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Where a file sits in its crate, which decides rule applicability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FileClass {
-    /// Library/binary sources (`src/**`): all rules apply.
-    Src,
-    /// Integration tests, benches, examples: only `safety-comment`
-    /// applies (they neither run in metered paths nor ship).
-    Aux,
-}
-
 /// Per-file context the rules need.
 #[derive(Clone, Debug)]
 pub struct FileCtx {
@@ -47,12 +38,8 @@ pub struct FileCtx {
     pub path: String,
     /// Crate short name (directory under `crates/` or `vendor/`).
     pub krate: String,
-    /// File classification.
-    pub class: FileClass,
     /// Whether the crate is on the deterministic-metering list.
     pub deterministic: bool,
-    /// Whether the crate owns timing (wall-clock reads allowed).
-    pub owns_timing: bool,
     /// Whether the crate is checked for float determinism (the
     /// deterministic list plus `workloads`, whose generators feed the
     /// metered runs).
@@ -62,7 +49,7 @@ pub struct FileCtx {
 /// One rule violation (possibly waived).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (`safety-comment`, `unordered-iter`, …).
+    /// Rule name (`float-determinism`, `span-balance`, …).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub path: String,
@@ -196,12 +183,6 @@ fn collect_waivers(lexed: &Lexed) -> (Vec<WaiverSite>, BTreeMap<String, (u32, St
     (sites, file_scope)
 }
 
-const RULE_SAFETY: &str = "safety-comment";
-const RULE_UNORDERED: &str = "unordered-iter";
-const RULE_WALLCLOCK: &str = "wallclock";
-const RULE_GLOBAL: &str = "global-state";
-const RULE_SERVE_PANIC: &str = "serve-channel-panic";
-const RULE_METRIC: &str = "metric-cardinality";
 const RULE_FLOAT: &str = "float-determinism";
 const RULE_SPAN: &str = "span-balance";
 
@@ -212,62 +193,6 @@ const SPAN_PAIRS: &[(&str, &str)] = &[
     ("begin_op", "end_op"),
     ("t_op", "t_op_end"),
     ("trace_op", "trace_op_end"),
-];
-
-/// Tracer/registry methods whose *name* argument must come from a
-/// closed set. For `set_phase`/`begin_op` that is the only argument;
-/// for the registry writers it is the first of two.
-const METRIC_NAME_METHODS: &[&str] = &[
-    "set_phase",
-    "begin_op",
-    "counter_add",
-    "gauge_set",
-    "observe",
-];
-
-/// Methods whose `Result` must not be `.unwrap()`/`.expect()`ed in the
-/// serving crate: channel endpoints, lock acquisition, and thread
-/// joins. Their failures (peer hung up, poisoned lock, worker panic)
-/// are exactly the overload/fault conditions the front-end exists to
-/// turn into typed per-request outcomes.
-const SERVE_FALLIBLE_METHODS: &[&str] = &[
-    "send",
-    "try_send",
-    "recv",
-    "try_recv",
-    "recv_timeout",
-    "lock",
-    "try_lock",
-    "read",
-    "write",
-    "join",
-];
-
-/// Interior-mutability wrappers that make a `static` shared mutable
-/// state. (`OnceLock`/`OnceCell`/`LazyLock` are included: even
-/// idempotent init is cross-thread coupling worth an explicit waiver.)
-const INTERIOR_MUTABLE: &[&str] = &[
-    "AtomicBool",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-    "AtomicPtr",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "Cell",
-    "LazyCell",
-    "LazyLock",
-    "Mutex",
-    "OnceCell",
-    "OnceLock",
-    "RefCell",
-    "RwLock",
-    "UnsafeCell",
 ];
 
 /// Run every per-file rule over one file's source text. Convenience
@@ -283,20 +208,9 @@ pub fn check(ctx: &FileCtx, fa: &FileAnalysis) -> FileReport {
         waiver_sites: fa.waiver_sites.clone(),
         ..FileReport::default()
     };
-    let lexed = &fa.lexed;
-    let in_test = &fa.in_test;
-
-    rule_safety_comment(ctx, lexed, &mut rep);
-    if ctx.class == FileClass::Src {
-        rule_unordered_iter(ctx, fa, in_test, &mut rep);
-        rule_wallclock(ctx, fa, in_test, &mut rep);
-        rule_global_state(ctx, fa, in_test, &mut rep);
-        rule_panic_ratchet(lexed, in_test, &mut rep);
-        rule_serve_channel_panic(ctx, fa, in_test, &mut rep);
-        rule_metric_cardinality(ctx, fa, in_test, &mut rep);
-        rule_float_determinism(ctx, fa, in_test, &mut rep);
-        rule_span_balance(ctx, fa, &mut rep);
-    }
+    rule_panic_ratchet(&fa.lexed, &fa.in_test, &mut rep);
+    rule_float_determinism(ctx, fa, &fa.in_test, &mut rep);
+    rule_span_balance(ctx, fa, &mut rep);
     rep
 }
 
@@ -305,8 +219,8 @@ pub fn check(ctx: &FileCtx, fa: &FileAnalysis) -> FileReport {
 // ---------------------------------------------------------------------
 
 /// For each token, whether it sits inside a `#[cfg(test)] mod … { … }`
-/// region. Test-only code is exempt from the determinism rules (it
-/// never runs in metered paths) though not from `safety-comment`.
+/// region. Test-only code is exempt from the rules: it never runs in
+/// metered paths.
 pub fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut depth = 0usize;
@@ -449,367 +363,6 @@ pub(crate) fn push_with_waiver(rep: &mut FileReport, fa: &FileAnalysis, mut f: F
 // ---------------------------------------------------------------------
 // Rules
 // ---------------------------------------------------------------------
-
-/// `safety-comment`: each `unsafe` block or `unsafe impl` needs
-/// `SAFETY:` in a comment on its own line or in the contiguous
-/// comment block directly above. `unsafe fn`/`unsafe trait`
-/// declarations are exempt (their contract belongs in `# Safety` docs;
-/// each *use* is a block and is checked).
-fn rule_safety_comment(ctx: &FileCtx, lexed: &Lexed, rep: &mut FileReport) {
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        let what = match lexed.toks.get(i + 1) {
-            Some(n) if n.is_sym('{') => "unsafe block",
-            Some(n) if n.is_ident("impl") => "unsafe impl",
-            Some(n) if n.is_ident("fn") || n.is_ident("trait") || n.is_ident("extern") => continue,
-            _ => "unsafe",
-        };
-        // Accept the justification on the `unsafe` line, above it, or
-        // above the start of the enclosing statement (rustfmt wraps
-        // `let x = unsafe { … }` across lines). The statement start is
-        // the first token after the previous `;` / `{` / `}` — or the
-        // file's first token when there is no such boundary.
-        let stmt_line = lexed.toks[..i]
-            .iter()
-            .rposition(|p| p.is_sym(';') || p.is_sym('{') || p.is_sym('}'))
-            .and_then(|j| lexed.toks.get(j + 1))
-            .or(lexed.toks.first())
-            .map_or(t.line, |s| s.line);
-        if has_safety_comment(lexed, t.line) || has_safety_comment(lexed, stmt_line) {
-            continue;
-        }
-        rep.findings.push(Finding {
-            rule: RULE_SAFETY,
-            path: ctx.path.clone(),
-            line: t.line,
-            krate: ctx.krate.clone(),
-            msg: format!("{what} without a `// SAFETY:` justification directly above"),
-            waived: None,
-        });
-    }
-}
-
-fn has_safety_comment(lexed: &Lexed, line: u32) -> bool {
-    let contains = |l: u32| lexed.comments.get(&l).is_some_and(|c| c.contains("SAFETY"));
-    if contains(line) {
-        return true;
-    }
-    // walk the contiguous pure-comment block directly above
-    let mut l = line;
-    while l > 1 && lexed.is_comment_only(l - 1) {
-        l -= 1;
-        if contains(l) {
-            return true;
-        }
-    }
-    false
-}
-
-/// `unordered-iter`: any `HashMap`/`HashSet` mention in a deterministic
-/// crate's library code. Hash iteration order is seeded per process, so
-/// one stray loop silently un-pins every counter the cost model proves;
-/// membership-only uses may stay, but must say so in a waiver.
-fn rule_unordered_iter(ctx: &FileCtx, fa: &FileAnalysis, in_test: &[bool], rep: &mut FileReport) {
-    let lexed = &fa.lexed;
-    if !ctx.deterministic {
-        return;
-    }
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let Some(name) = t.ident() else { continue };
-        if name == "HashMap" || name == "HashSet" {
-            push_with_waiver(
-                rep,
-                fa,
-                Finding {
-                    rule: RULE_UNORDERED,
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    krate: ctx.krate.clone(),
-                    msg: format!(
-                        "{name} in deterministic crate `{}` — use BTreeMap/BTreeSet (or waive a \
-                         provably non-iterated use)",
-                        ctx.krate
-                    ),
-                    waived: None,
-                },
-            );
-        }
-    }
-}
-
-/// `wallclock`: `Instant::now` / `SystemTime` outside the crates that
-/// own timing. A wall-clock read anywhere else can leak scheduling into
-/// results that must be exact functions of (seed, P, workload).
-fn rule_wallclock(ctx: &FileCtx, fa: &FileAnalysis, in_test: &[bool], rep: &mut FileReport) {
-    let lexed = &fa.lexed;
-    if ctx.owns_timing {
-        return;
-    }
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let hit = if t.is_ident("SystemTime") {
-            Some("SystemTime")
-        } else if t.is_ident("Instant")
-            && lexed.toks.get(i + 1).is_some_and(|a| a.is_sym(':'))
-            && lexed.toks.get(i + 2).is_some_and(|a| a.is_sym(':'))
-            && lexed.toks.get(i + 3).is_some_and(|a| a.is_ident("now"))
-        {
-            Some("Instant::now")
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            push_with_waiver(
-                rep,
-                fa,
-                Finding {
-                    rule: RULE_WALLCLOCK,
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    krate: ctx.krate.clone(),
-                    msg: format!("{what} outside the timing-owned crate (crates/bench)"),
-                    waived: None,
-                },
-            );
-        }
-    }
-}
-
-/// `global-state`: `static mut`, and `static X: T` where `T` mentions an
-/// interior-mutability wrapper. Thread-locals count too — per-thread
-/// state still decouples results from (seed, P, workload) unless argued
-/// otherwise in a waiver.
-fn rule_global_state(ctx: &FileCtx, fa: &FileAnalysis, in_test: &[bool], rep: &mut FileReport) {
-    let lexed = &fa.lexed;
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if in_test[i] || !t.is_ident("static") {
-            continue;
-        }
-        // `unsafe` blocks aside, `static` as an ident only opens a
-        // static item here (lifetimes are not emitted as idents).
-        let msg = if lexed.toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            Some("`static mut` item".to_string())
-        } else {
-            // scan `name : <type tokens> = | ;` for wrapper names
-            let mut j = i + 1;
-            let mut saw_colon = false;
-            let mut wrapper = None;
-            while j < lexed.toks.len() && wrapper.is_none() {
-                let a = &lexed.toks[j];
-                if a.is_sym('=') || a.is_sym(';') || a.is_sym('{') {
-                    break;
-                }
-                if a.is_sym(':') {
-                    saw_colon = true;
-                } else if saw_colon {
-                    if let Some(id) = a.ident() {
-                        if INTERIOR_MUTABLE.contains(&id) {
-                            wrapper = Some(id.to_string());
-                        }
-                    }
-                }
-                j += 1;
-            }
-            wrapper.map(|w| format!("interior-mutable static (`{w}`)"))
-        };
-        if let Some(what) = msg {
-            push_with_waiver(
-                rep,
-                fa,
-                Finding {
-                    rule: RULE_GLOBAL,
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    krate: ctx.krate.clone(),
-                    msg: format!("{what} — global mutable state needs an explicit waiver"),
-                    waived: None,
-                },
-            );
-        }
-    }
-}
-
-/// `serve-channel-panic`: in the `serve` crate's library code, flag
-/// `.unwrap()`/`.expect()` whose receiver is a direct call to a channel
-/// or lock method ([`SERVE_FALLIBLE_METHODS`]). A disconnected channel
-/// or poisoned lock inside the serving front-end must become a typed
-/// outcome for the affected requests, not a panic that drops everything
-/// admitted behind them. (`unwrap_or_else` and friends are fine — they
-/// are how those failures get converted.)
-fn rule_serve_channel_panic(
-    ctx: &FileCtx,
-    fa: &FileAnalysis,
-    in_test: &[bool],
-    rep: &mut FileReport,
-) {
-    let lexed = &fa.lexed;
-    if ctx.krate != "serve" {
-        return;
-    }
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let is_panicky = (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i >= 1
-            && lexed.toks[i - 1].is_sym('.')
-            && lexed.toks.get(i + 1).is_some_and(|n| n.is_sym('('));
-        if !is_panicky {
-            continue;
-        }
-        // the receiver must itself be a call: `…method(args).unwrap(`
-        if i < 2 || !lexed.toks[i - 2].is_sym(')') {
-            continue;
-        }
-        // walk back over the argument list to the matching `(`
-        let mut depth = 0usize;
-        let mut open = None;
-        for j in (0..=i - 2).rev() {
-            let a = &lexed.toks[j];
-            if a.is_sym(')') {
-                depth += 1;
-            } else if a.is_sym('(') {
-                depth -= 1;
-                if depth == 0 {
-                    open = Some(j);
-                    break;
-                }
-            }
-        }
-        let Some(open) = open else { continue };
-        let Some(method) = open.checked_sub(1).and_then(|j| lexed.toks[j].ident()) else {
-            continue;
-        };
-        if SERVE_FALLIBLE_METHODS.contains(&method) {
-            let what = t.ident().unwrap_or("unwrap");
-            push_with_waiver(
-                rep,
-                fa,
-                Finding {
-                    rule: RULE_SERVE_PANIC,
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    krate: ctx.krate.clone(),
-                    msg: format!(
-                        "`.{what}()` on `{method}(…)` in the serving front-end — convert \
-                         channel/lock failures into typed outcomes (ServeError), never panic"
-                    ),
-                    waived: None,
-                },
-            );
-        }
-    }
-}
-
-/// `metric-cardinality`: in deterministic crates, the name handed to a
-/// tracer/registry write ([`METRIC_NAME_METHODS`]) must be a `'static`
-/// string literal or a const path ending in a `SCREAMING_CASE` ident
-/// (e.g. `names::IO_ROUNDS`). A name built from data makes the metric
-/// label set data-dependent: the exposition's closed registered set no
-/// longer bounds it, and its byte-determinism contract dies.
-///
-/// A literal first argument shows up as a single string-literal token
-/// (optionally behind `&`). Value-only calls such as
-/// `Log2Hist::observe(v)` (one argument, no top-level comma) carry no
-/// name and are exempt.
-fn rule_metric_cardinality(
-    ctx: &FileCtx,
-    fa: &FileAnalysis,
-    in_test: &[bool],
-    rep: &mut FileReport,
-) {
-    let lexed = &fa.lexed;
-    if !ctx.deterministic {
-        return;
-    }
-    for (i, t) in lexed.toks.iter().enumerate() {
-        if in_test[i] {
-            continue;
-        }
-        let Some(method) = t.ident() else { continue };
-        if !METRIC_NAME_METHODS.contains(&method)
-            || i == 0
-            || !lexed.toks[i - 1].is_sym('.')
-            || !lexed.toks.get(i + 1).is_some_and(|n| n.is_sym('('))
-        {
-            continue;
-        }
-        // scan the argument list: first-arg token span + top-level commas
-        let mut depth = 1usize;
-        let mut commas = 0usize;
-        let mut first_end = None; // token index just past the first arg
-        let mut j = i + 2;
-        while j < lexed.toks.len() && depth > 0 {
-            let a = &lexed.toks[j];
-            if a.is_sym('(') || a.is_sym('[') || a.is_sym('{') {
-                depth += 1;
-            } else if a.is_sym(')') || a.is_sym(']') || a.is_sym('}') {
-                depth -= 1;
-            } else if a.is_sym(',') && depth == 1 {
-                commas += 1;
-                first_end.get_or_insert(j);
-            }
-            j += 1;
-        }
-        first_end.get_or_insert(j.saturating_sub(1).max(i + 2));
-        let name_ok = match method {
-            // registry writers take (name, value); with no top-level
-            // comma this is a value-only histogram/inner call — no name
-            "counter_add" | "gauge_set" | "observe" if commas == 0 => continue,
-            // a 'static literal name, or a const path whose last
-            // segment is SCREAMING_CASE (an empty arg carries no name)
-            _ => {
-                let arg = &lexed.toks[i + 2..first_end.unwrap_or(i + 2)];
-                let lit = match arg {
-                    [t] => t.str_lit().is_some(),
-                    [amp, t] => amp.is_sym('&') && t.str_lit().is_some(),
-                    _ => false,
-                };
-                arg.is_empty() || lit || is_const_path(arg)
-            }
-        };
-        if !name_ok {
-            push_with_waiver(
-                rep,
-                fa,
-                Finding {
-                    rule: RULE_METRIC,
-                    path: ctx.path.clone(),
-                    line: t.line,
-                    krate: ctx.krate.clone(),
-                    msg: format!(
-                        "dynamic metric/phase name passed to `.{method}(…)` — use a 'static \
-                         literal or a registered `SCREAMING_CASE` const so the exposition's \
-                         label set stays closed"
-                    ),
-                    waived: None,
-                },
-            );
-        }
-    }
-}
-
-/// `names::IO_ROUNDS`-shaped: idents joined by `::`, last one
-/// `SCREAMING_CASE` (uppercase/digits/underscores, at least one letter).
-fn is_const_path(toks: &[Tok]) -> bool {
-    if toks.is_empty() || !toks.iter().all(|t| t.ident().is_some() || t.is_sym(':')) {
-        return false;
-    }
-    let Some(last) = toks.last().and_then(|t| t.ident()) else {
-        return false;
-    };
-    last.chars().any(|c| c.is_ascii_uppercase())
-        && last
-            .chars()
-            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-}
 
 /// `panic-ratchet`: count `.unwrap(`, `.expect(`, `panic!` sites. The
 /// comparison against the committed per-crate budget happens in
@@ -1019,13 +572,11 @@ fn rule_span_balance(ctx: &FileCtx, fa: &FileAnalysis, rep: &mut FileReport) {
 mod tests {
     use super::*;
 
-    fn ctx(deterministic: bool, owns_timing: bool, class: FileClass) -> FileCtx {
+    fn ctx(deterministic: bool) -> FileCtx {
         FileCtx {
             path: "crates/x/src/lib.rs".into(),
             krate: "x".into(),
-            class,
             deterministic,
-            owns_timing,
             // off by default so rule tests can use float literals as
             // innocuous values; float-determinism tests opt in
             float_checked: false,
@@ -1033,7 +584,7 @@ mod tests {
     }
 
     fn det_src() -> FileCtx {
-        ctx(true, false, FileClass::Src)
+        ctx(true)
     }
 
     fn float_src() -> FileCtx {
@@ -1051,151 +602,44 @@ mod tests {
             .collect()
     }
 
-    // ---- safety-comment ----
-
-    #[test]
-    fn unsafe_block_needs_safety_comment() {
-        let rep = check_file(&det_src(), "fn f() { unsafe { g() } }\n");
-        assert_eq!(rules_of(&rep), ["safety-comment"]);
-
-        let ok = "fn f() {\n    // SAFETY: g is sound here\n    unsafe { g() }\n}\n";
-        assert!(check_file(&det_src(), ok).findings.is_empty());
-    }
-
-    #[test]
-    fn safety_comment_above_statement_start() {
-        // rustfmt wraps `let x = unsafe {…}` — the audit sits above `let`.
-        let src = "// SAFETY: disjoint indices\nlet s =\n    unsafe { go() };\n";
-        assert!(check_file(&det_src(), src).findings.is_empty());
-    }
-
-    #[test]
-    fn unsafe_impl_checked_fn_exempt() {
-        let rep = check_file(&det_src(), "unsafe impl Send for T {}\n");
-        assert_eq!(rules_of(&rep), ["safety-comment"]);
-        // `unsafe fn` / `unsafe trait` carry their contract in docs instead
-        assert!(
-            check_file(&det_src(), "unsafe fn f() {}\nunsafe trait T {}\n")
-                .findings
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn unsafe_in_raw_string_or_comment_ignored() {
-        let src = "// unsafe { }\nlet s = r#\"unsafe { }\"#;\n/* unsafe */\n";
-        assert!(check_file(&det_src(), src).findings.is_empty());
-    }
-
-    // ---- unordered-iter ----
-
-    #[test]
-    fn hashmap_flagged_only_in_deterministic_src() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(rules_of(&check_file(&det_src(), src)), ["unordered-iter"]);
-        assert!(check_file(&ctx(false, false, FileClass::Src), src)
-            .findings
-            .is_empty());
-        assert!(check_file(&ctx(true, false, FileClass::Aux), src)
-            .findings
-            .is_empty());
-    }
-
-    #[test]
-    fn hashmap_in_cfg_test_mod_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-        assert!(check_file(&det_src(), src).findings.is_empty());
-        // …but cfg(not(test)) is live code
-        let live = "#[cfg(not(test))]\nmod m {\n    use std::collections::HashSet;\n}\n";
-        assert_eq!(rules_of(&check_file(&det_src(), live)), ["unordered-iter"]);
-    }
+    // ---- waivers ----
 
     #[test]
     fn waiver_with_reason_waives() {
-        let src = "// lint: allow(unordered-iter) — probed by key, never iterated\n\
-                   use std::collections::HashMap;\n";
-        let rep = check_file(&det_src(), src);
+        let src = "// lint: allow(float-determinism) — JSON output only, never compared\n\
+                   fn f(x: f64) -> f64 { x }\n";
+        let rep = check_file(&float_src(), src);
         assert_eq!(rep.findings.len(), 1);
         assert_eq!(
             rep.findings[0].waived.as_deref(),
-            Some("probed by key, never iterated")
+            Some("JSON output only, never compared")
         );
         assert!(rules_of(&rep).is_empty());
     }
 
     #[test]
     fn waiver_reason_may_wrap_lines() {
-        let src = "// lint: allow(unordered-iter) — a reason whose tail\n\
+        let src = "// lint: allow(float-determinism) — a reason whose tail\n\
                    // wraps onto the following comment line\n\
-                   use std::collections::HashMap;\n";
-        assert!(rules_of(&check_file(&det_src(), src)).is_empty());
+                   fn f(x: f64) -> f64 { x }\n";
+        assert!(rules_of(&check_file(&float_src(), src)).is_empty());
     }
 
     #[test]
     fn waiver_without_reason_stays_active() {
-        let src = "use std::collections::HashMap; // lint: allow(unordered-iter)\n";
-        let rep = check_file(&det_src(), src);
-        assert_eq!(rules_of(&rep), ["unordered-iter"]);
+        let src = "fn f(x: f64) -> f64 { x } // lint: allow(float-determinism)\n";
+        let rep = check_file(&float_src(), src);
+        assert_eq!(rules_of(&rep), ["float-determinism"]);
         assert!(rep.findings[0].msg.contains("missing a reason"));
     }
 
     #[test]
     fn waiver_for_wrong_rule_does_not_apply() {
-        let src = "// lint: allow(wallclock) — wrong rule\n\
-                   use std::collections::HashMap;\n";
-        assert_eq!(rules_of(&check_file(&det_src(), src)), ["unordered-iter"]);
-    }
-
-    // ---- wallclock ----
-
-    #[test]
-    fn wallclock_outside_timing_crates() {
-        let src = "let t = std::time::Instant::now();\n";
-        assert_eq!(rules_of(&check_file(&det_src(), src)), ["wallclock"]);
-        assert!(check_file(&ctx(false, true, FileClass::Src), src)
-            .findings
-            .is_empty());
-        // `Instant` without `::now` (e.g. a type position) is fine
-        assert!(check_file(&det_src(), "fn f(t: Instant) {}\n")
-            .findings
-            .is_empty());
+        let src = "// lint: allow(span-balance) — wrong rule\n\
+                   fn f(x: f64) -> f64 { x }\n";
         assert_eq!(
-            rules_of(&check_file(&det_src(), "let t = SystemTime::now();\n")),
-            ["wallclock"]
-        );
-    }
-
-    #[test]
-    fn wallclock_in_tests_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { let t = Instant::now(); }\n}\n";
-        assert!(check_file(&det_src(), src).findings.is_empty());
-    }
-
-    // ---- global-state ----
-
-    #[test]
-    fn static_mut_and_interior_mutable_statics() {
-        assert_eq!(
-            rules_of(&check_file(&det_src(), "static mut X: u32 = 0;\n")),
-            ["global-state"]
-        );
-        assert_eq!(
-            rules_of(&check_file(
-                &det_src(),
-                "static C: OnceLock<u32> = OnceLock::new();\n"
-            )),
-            ["global-state"]
-        );
-        // a plain immutable static is fine, as is a local `let`
-        assert!(check_file(&det_src(), "static N: u32 = 3;\nlet x = 1;\n")
-            .findings
-            .is_empty());
-        // the initializer is not scanned: `= AtomicU32::new(0)` after a
-        // plain type must not trip the wrapper check
-        assert!(
-            check_file(&det_src(), "static N: u32 = f(AtomicU32::new(0));\n")
-                .findings
-                .is_empty()
+            rules_of(&check_file(&float_src(), src)),
+            ["float-determinism"]
         );
     }
 
@@ -1218,145 +662,6 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests;\nfn f() { x.unwrap(); }\n";
         let rep = check_file(&det_src(), src);
         assert_eq!(rep.panics.count, 1);
-    }
-
-    // ---- serve-channel-panic ----
-
-    fn serve_src() -> FileCtx {
-        FileCtx {
-            path: "crates/serve/src/lib.rs".into(),
-            krate: "serve".into(),
-            class: FileClass::Src,
-            deterministic: true,
-            owns_timing: false,
-            float_checked: false,
-        }
-    }
-
-    #[test]
-    fn channel_and_lock_unwraps_flagged_in_serve() {
-        for src in [
-            "fn f() { rx.recv().unwrap(); }\n",
-            "fn f() { tx.send(x).unwrap(); }\n",
-            "fn f() { rx.try_recv().expect(\"m\"); }\n",
-            "fn f() { rx.recv_timeout(d).unwrap(); }\n",
-            "fn f() { m.lock().unwrap(); }\n",
-            "fn f() { l.read().unwrap(); }\n",
-            "fn f() { l.write().expect(\"w\"); }\n",
-            "fn f() { h.join().unwrap(); }\n",
-            // nested args inside the receiver call still resolve
-            "fn f() { tx.send((a, g(b))).unwrap(); }\n",
-        ] {
-            assert_eq!(
-                rules_of(&check_file(&serve_src(), src)),
-                ["serve-channel-panic"],
-                "should flag: {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn serve_rule_scoped_to_serve_crate_and_live_code() {
-        let src = "fn f() { rx.recv().unwrap(); }\n";
-        // other crates: panic-ratchet territory, not this rule
-        assert!(rules_of(&check_file(&det_src(), src)).is_empty());
-        // serve test modules are exempt
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { rx.recv().unwrap(); }\n}\n";
-        assert!(rules_of(&check_file(&serve_src(), test_src)).is_empty());
-    }
-
-    #[test]
-    fn converting_handlers_and_other_receivers_pass() {
-        for src in [
-            // unwrap_or_else is the sanctioned conversion path
-            "fn f() { m.lock().unwrap_or_else(|e| e.into_inner()); }\n",
-            // unwrap on a non-channel call
-            "fn f() { q.pop().unwrap(); }\n",
-            // unwrap on a plain binding (ratchet counts it, not this rule)
-            "fn f() { x.unwrap(); }\n",
-            // a channel method *mention* without the panicking tail
-            "fn f() { let r = rx.recv(); drop(r); }\n",
-        ] {
-            assert!(
-                rules_of(&check_file(&serve_src(), src)).is_empty(),
-                "should pass: {src}"
-            );
-        }
-    }
-
-    // ---- metric-cardinality ----
-
-    #[test]
-    fn dynamic_metric_names_flagged_in_deterministic_src() {
-        for src in [
-            "fn f(t: &mut Tracer, p: &str) { t.set_phase(p); }\n",
-            "fn f(t: &mut Tracer, op: &str) { t.begin_op(op); t.end_op(); }\n",
-            "fn f(t: &mut Tracer, p: &String) { t.set_phase(&p); }\n",
-            "fn f(t: &mut Tracer) { t.set_phase(format!(\"lcp/{n}\")); }\n",
-            "fn f(r: &mut Registry, n: &'static str) { r.counter_add(n, 1); }\n",
-            "fn f(r: &mut Registry, n: &'static str) { r.gauge_set(n, 1.0); }\n",
-            "fn f(r: &mut Registry, n: &'static str, v: u64) { r.observe(n, v); }\n",
-        ] {
-            assert_eq!(
-                rules_of(&check_file(&det_src(), src)),
-                ["metric-cardinality"],
-                "should flag: {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn literal_and_const_metric_names_pass() {
-        for src in [
-            // literal names lex away to an empty argument gap
-            "fn f(t: &mut Tracer) { t.set_phase(\"lcp/local-scan\"); }\n",
-            "fn f(t: &mut Tracer) { t.begin_op(\"lcp\"); t.end_op(); }\n",
-            "fn f(r: &mut Registry) { r.counter_add(\"pimtrie_io_rounds_total\", 1); }\n",
-            // const paths ending in a SCREAMING_CASE ident
-            "fn f(r: &mut Registry) { r.counter_add(names::IO_ROUNDS, 1); }\n",
-            "fn f(r: &mut Registry) { r.gauge_set(obs::names::IO_BALANCE, 2.0); }\n",
-            "fn f(r: &mut Registry, v: u64) { r.observe(names::ROUND_IO_TIME, v); }\n",
-            // value-only observe (histogram internals) carries no name
-            "fn f(h: &mut Log2Hist, v: u64) { h.observe(v); }\n",
-            "fn f(h: &mut Log2Hist) { h.observe(2); }\n",
-            // method *definitions* are not calls
-            "pub fn set_phase(&mut self, name: &'static str) {}\n",
-        ] {
-            assert!(
-                rules_of(&check_file(&det_src(), src)).is_empty(),
-                "should pass: {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn metric_rule_scoped_to_deterministic_live_code() {
-        let src = "fn f(t: &mut Tracer, p: &str) { t.set_phase(p); }\n";
-        assert!(rules_of(&check_file(&ctx(false, false, FileClass::Src), src)).is_empty());
-        assert!(rules_of(&check_file(&ctx(true, false, FileClass::Aux), src)).is_empty());
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    fn f(t: &mut Tracer, p: &str) { t.set_phase(p); }\n}\n";
-        assert!(rules_of(&check_file(&det_src(), test_src)).is_empty());
-    }
-
-    #[test]
-    fn metric_rule_honours_waivers() {
-        let src = "// lint: allow(metric-cardinality) — forwards literals from call sites\n\
-                   fn f(t: &mut Tracer, p: &str) { t.set_phase(p); }\n";
-        let rep = check_file(&det_src(), src);
-        assert_eq!(rep.findings.len(), 1);
-        assert!(rep.findings[0].waived.is_some());
-        assert!(rules_of(&rep).is_empty());
-    }
-
-    #[test]
-    fn serve_rule_honours_waivers() {
-        let src = "// lint: allow(serve-channel-panic) — startup only, before any admission\n\
-                   fn f() { h.join().unwrap(); }\n";
-        let rep = check_file(&serve_src(), src);
-        assert_eq!(rep.findings.len(), 1);
-        assert!(rep.findings[0].waived.is_some());
-        assert!(rules_of(&rep).is_empty());
     }
 
     // ---- float-determinism ----
@@ -1407,6 +712,12 @@ mod tests {
         // test code exempt
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f(x: f64) -> f64 { x }\n}\n";
         assert!(rules_of(&check_file(&float_src(), test_src)).is_empty());
+        // …but cfg(not(test)) is live code
+        let live = "#[cfg(not(test))]\nmod m {\n    fn f(x: f64) -> f64 { x }\n}\n";
+        assert_eq!(
+            rules_of(&check_file(&float_src(), live)),
+            ["float-determinism"]
+        );
         // line waiver
         let waived = "// lint: allow(float-determinism) — JSON output only, never compared\n\
                       fn f(x: f64) -> f64 { x }\n";
@@ -1426,11 +737,8 @@ mod tests {
         assert!(rules_of(&rep).is_empty());
         // …but not findings of other rules
         let mixed = "// lint: allow-file(float-determinism) — exporter\n\
-                     use std::collections::HashMap;\n";
-        assert_eq!(
-            rules_of(&check_file(&float_src(), mixed)),
-            ["unordered-iter"]
-        );
+                     fn f(t: &mut T) { t.begin_op(\"x\"); }\n";
+        assert_eq!(rules_of(&check_file(&float_src(), mixed)), ["span-balance"]);
     }
 
     // ---- span-balance ----
@@ -1507,7 +815,7 @@ mod tests {
 
         // non-deterministic crates are out of scope
         let src = "fn f(t: &mut T) { t.begin_op(\"x\"); }\n";
-        assert!(rules_of(&check_file(&ctx(false, false, FileClass::Src), src)).is_empty());
+        assert!(rules_of(&check_file(&ctx(false), src)).is_empty());
 
         // test fns are exempt
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f(t: &mut T) { t.begin_op(\"x\"); }\n}\n";

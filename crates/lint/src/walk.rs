@@ -1,30 +1,24 @@
 //! Workspace traversal: which `.rs` files are scanned, and the crate
-//! name + file class each one gets.
+//! name each one gets.
 //!
 //! The layout is path-derived, not manifest-derived, so the linter
 //! works on fixture trees (and on a broken workspace) without parsing
 //! any `Cargo.toml`:
 //!
-//! * `crates/<name>/src/**` and `vendor/<name>/src/**` — library code,
-//!   all rules apply;
-//! * `…/tests/**`, `…/benches/**`, `…/examples/**` — auxiliary code,
-//!   only `safety-comment` applies;
-//! * root `src/**`, `tests/**`, `examples/**` — the facade crate,
-//!   reported under the name `repro`;
+//! * `crates/<name>/src/**` and `vendor/<name>/src/**` — library code;
+//! * root `src/**` — the facade crate, reported under the name `repro`;
+//! * nothing else: tests, benches and examples never run in metered
+//!   paths and carry no panic budget, so no rule applies to them;
 //! * `target/`, `.git/`, and any directory named `fixture` are skipped
 //!   (the linter's own test fixtures contain *seeded violations*).
 
-use crate::rules::{FileClass, FileCtx};
+use crate::rules::FileCtx;
 use std::path::{Path, PathBuf};
 
-/// Crates whose library code must stay free of unordered iteration:
-/// they feed the metered paths whose counters the paper's Table 1
-/// bounds are checked against.
+/// Crates whose library code feeds the metered paths whose counters the
+/// paper's Table 1 bounds are checked against.
 pub const DETERMINISTIC_CRATES: &[&str] =
     &["baselines", "codec", "core", "obs", "serve", "sim", "trie"];
-
-/// Crates allowed to read the wall clock (they *measure* time).
-pub const TIMING_CRATES: &[&str] = &["bench"];
 
 /// One file to scan.
 #[derive(Clone, Debug)]
@@ -68,35 +62,25 @@ pub fn collect(root: &Path) -> std::io::Result<Vec<WorkItem>> {
 }
 
 /// Derive the rule context from a workspace-relative path; `None` for
-/// files outside the recognised layout (stray scripts, `build.rs` at
-/// the workspace root, editor droppings).
+/// files outside library sources (tests, examples, stray scripts,
+/// `build.rs` at the workspace root, editor droppings).
 pub fn classify(rel: &Path) -> Option<FileCtx> {
     let parts: Vec<&str> = rel.iter().filter_map(|p| p.to_str()).collect();
-    let (krate, class) = match parts.as_slice() {
-        ["crates" | "vendor", krate, sub, ..] => (*krate, class_of(sub)?),
-        [sub @ ("src" | "tests" | "examples" | "benches"), ..] => ("repro", class_of(sub)?),
+    let krate = match parts.as_slice() {
+        ["crates" | "vendor", krate, "src", ..] => *krate,
+        ["src", ..] => "repro",
         _ => return None,
     };
     let deterministic = DETERMINISTIC_CRATES.contains(&krate);
     Some(FileCtx {
         path: parts.join("/"),
         krate: krate.to_string(),
-        class,
         deterministic,
-        owns_timing: TIMING_CRATES.contains(&krate),
         // `workloads` generators feed the metered runs, so their float
         // use is checked even though the crate is not on the metered
-        // unordered-iter list
+        // list
         float_checked: deterministic || krate == "workloads",
     })
-}
-
-fn class_of(sub: &str) -> Option<FileClass> {
-    match sub {
-        "src" => Some(FileClass::Src),
-        "tests" | "benches" | "examples" => Some(FileClass::Aux),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -107,21 +91,22 @@ mod tests {
     fn classification() {
         let c = classify(Path::new("crates/core/src/ops.rs")).unwrap();
         assert_eq!(c.krate, "core");
-        assert_eq!(c.class, FileClass::Src);
-        assert!(c.deterministic);
-        assert!(!c.owns_timing);
+        assert!(c.deterministic && c.float_checked);
 
         let c = classify(Path::new("vendor/rayon/src/pool.rs")).unwrap();
         assert_eq!(c.krate, "rayon");
         assert!(!c.deterministic);
 
-        let c = classify(Path::new("crates/bench/benches/skew.rs")).unwrap();
-        assert_eq!(c.class, FileClass::Aux);
-        assert!(c.owns_timing);
+        let c = classify(Path::new("crates/workloads/src/lib.rs")).unwrap();
+        assert!(!c.deterministic && c.float_checked);
 
         let c = classify(Path::new("src/lib.rs")).unwrap();
         assert_eq!(c.krate, "repro");
 
+        // tests, benches and examples carry no rule
+        assert!(classify(Path::new("crates/bench/benches/skew.rs")).is_none());
+        assert!(classify(Path::new("crates/core/tests/e2e.rs")).is_none());
+        assert!(classify(Path::new("examples/quickstart.rs")).is_none());
         assert!(classify(Path::new("build.rs")).is_none());
         assert!(classify(Path::new("crates/core/Cargo.toml")).is_none());
     }

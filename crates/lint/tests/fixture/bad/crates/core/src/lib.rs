@@ -1,47 +1,21 @@
-use std::collections::HashMap;
+// lint: allow(float-determinism) — rendered for humans only, never compared
+pub fn shown(total: u64) -> f64 { total as f64 }
 
-// lint: allow(unordered-iter) — membership probes only, never iterated
-use std::collections::HashSet;
-
-pub type Bad = HashSet<u32>; // lint: allow(unordered-iter)
-
-pub fn unaudited() -> u32 {
-    let p: *const u32 = &7;
-    unsafe { *p }
-}
-
-pub fn audited() -> u32 {
-    let p: *const u32 = &7;
-    // SAFETY: p points at a live local for the whole read
-    unsafe { *p }
-}
-
-pub fn leaky_clock() -> u64 {
-    let _t = std::time::Instant::now();
-    0
-}
-
-static HITS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+pub fn halved(total: u64) -> f64 { total as f64 / 2.0 } // lint: allow(float-determinism)
 
 pub fn risky(v: Option<u32>, w: Option<u32>) -> u32 {
     v.unwrap() + w.expect("w missing")
 }
 
-// a commented-out HashMap must not count: HashMap<u8, u8>
-pub const RAW: &str = r#"unsafe { HashMap }"#;
-
-pub fn leaky_name(t: &mut Tracer, user_key: &str) {
-    t.set_phase(user_key);
-}
+// a commented-out float must not count: let x: f64 = 0.5;
+pub const RAW: &str = r#"let x: f64 = 0.5;"#;
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
     #[test]
     fn exempt() {
-        let m: HashMap<u8, u8> = HashMap::new();
-        assert!(m.is_empty());
+        let x: f64 = 0.5;
+        assert!(x > 0.0);
         let v: Option<u32> = Some(1);
         assert_eq!(v.unwrap(), 1);
     }

@@ -1,20 +1,9 @@
-// lint: allow(unordered-iter) — probed by key only, never iterated
-use std::collections::HashMap;
-
-// lint: allow(unordered-iter) — same probe-only table as the use above
-type Probe = HashMap<u32, u32>;
-
-pub fn audited(m: &Probe) -> u32 {
-    let p: *const u32 = &7;
-    // SAFETY: p points at a live local for the whole read
-    let v = unsafe { *p };
-    v + m.get(&0).copied().unwrap_or(0)
+// lint: allow(float-determinism) — rendered for humans only, never compared
+pub fn shown(total: u64) -> f64 {
+    // lint: allow(float-determinism) — the same presentational conversion
+    total as f64
 }
 
 pub fn one_panic(v: Option<u32>) -> u32 {
     v.unwrap()
-}
-
-pub fn bounded_name(t: &mut Tracer) {
-    t.set_phase("lcp/local-scan");
 }

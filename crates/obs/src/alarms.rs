@@ -47,9 +47,8 @@ pub enum Threshold {
     DescentRoundsAbove(u64),
 }
 
-/// A named alarm: `name` must be a `'static` literal (the
-/// `metric-cardinality` lint rule holds alarm names to the same closed-
-/// set discipline as metric names).
+/// A named alarm: `name` is `&'static str`, which holds alarm names to
+/// the same closed-set discipline as metric names.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AlarmSpec {
     /// Stable alarm name, e.g. `"io-balance"`.

@@ -4,9 +4,9 @@
 //! fixed-bucket log₂ histograms — all keyed by `&'static str` names from
 //! the [`names`] module. The name set is *closed*: publishing under a
 //! name absent from [`names::REGISTERED`] is a programming error and
-//! panics, which is what keeps label cardinality bounded (and is what
-//! the `metric-cardinality` lint rule enforces statically at call
-//! sites). Every instrument exists from construction with a zero value,
+//! panics, which is what keeps label cardinality bounded; the
+//! `&'static str` parameter keeps data-built names out at compile time.
+//! Every instrument exists from construction with a zero value,
 //! so an exposition's line set never depends on which code paths ran —
 //! only the numbers differ.
 //!

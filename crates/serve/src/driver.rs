@@ -1,6 +1,6 @@
 //! Closed-loop serving driver: replays per-client scripts from
-//! `workloads` against a [`Server`], modelling think times, retries on
-//! overload, and the epoch pipeline.
+//! `workloads` against a [`Server`], modelling think times and retries
+//! on overload.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +41,7 @@ fn percentile(sorted: &[u64], q_milli: u64) -> u64 {
 
 /// Everything a closed-loop run produced, in deterministic, comparable
 /// form (two runs of the same (trie seed, scripts, config) compare
-/// equal with `==`, regardless of thread count or pipelining).
+/// equal with `==`, regardless of thread count).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeReport {
     /// terminal outcome per (client, op index); every scripted op that
@@ -75,11 +75,9 @@ struct ClientState {
 /// [`ServeError::DeadlineExceeded`] or [`ServeError::Failed`] outcome
 /// is terminal and the client moves on.
 ///
-/// With [`crate::ServeConfig::pipeline`] on, epoch `k+1`'s prep runs
-/// via `rayon::join` alongside epoch `k`'s dispatch; the schedule —
-/// which requests land in which epoch, and every metered counter — is
-/// identical to sequential mode by construction (arrivals and drains
-/// happen before the dispatch in both modes, and prep is pure).
+/// Each iteration drains the next epoch before it dispatches the one
+/// staged by the previous iteration, so requests that arrive while an
+/// epoch is staged land in the one after it.
 pub fn run_closed_loop(server: &mut Server, scripts: &[ClientScript]) -> ServeReport {
     // Safety valve so a scheduling bug degrades into a report full of
     // unresolved requests instead of a hang. Generous: real runs take
@@ -159,22 +157,14 @@ pub fn run_closed_loop(server: &mut Server, scripts: &[ClientScript]) -> ServeRe
             }
         }
 
-        // 4. drain the *next* epoch's batch, then run the staged epoch
-        //    while (pipelined: during) prepping the drained one
+        // 4. drain the *next* epoch's batch, run the staged epoch, then
+        //    stage the drained one
         let batch = server.drain_epoch();
-        let next = if batch.is_empty() { None } else { Some(batch) };
-        match (staged.take(), next) {
-            (Some(ep), Some(b)) if server.config().pipeline => {
-                let (_, prepped) = rayon::join(|| server.dispatch(ep), || Server::prep_epoch(b));
-                staged = Some(prepped);
-            }
-            (Some(ep), Some(b)) => {
-                server.dispatch(ep);
-                staged = Some(Server::prep_epoch(b));
-            }
-            (Some(ep), None) => server.dispatch(ep),
-            (None, Some(b)) => staged = Some(Server::prep_epoch(b)),
-            (None, None) => {}
+        if let Some(ep) = staged.take() {
+            server.dispatch(ep);
+        }
+        if !batch.is_empty() {
+            staged = Some(Server::prep_epoch(batch));
         }
     }
 

@@ -6,7 +6,7 @@
 //! bridges the two worlds with an *epoch coalescer*: client requests
 //! enter a bounded queue, a scheduler drains them into epochs, each
 //! epoch runs as one batched PIM operation per op class, and per-client
-//! replies are scattered back. Four robustness mechanisms ride on top:
+//! replies are scattered back. Three robustness mechanisms ride on top:
 //!
 //! * **admission control** — the queue is bounded
 //!   ([`ServeConfig::queue_cap`]); when it is full the *newest* request
@@ -22,17 +22,13 @@
 //!   `try_*_batch_scoped` front-ends, so a module that exhausts its
 //!   recovery budget mid-epoch fails only the requests routed through
 //!   it ([`ServeError::Failed`]); every other client's reply is
-//!   byte-identical to a fault-free run;
-//! * **pipelining** — with [`ServeConfig::pipeline`] on, epoch `k+1`'s
-//!   host-side sort/group prep overlaps epoch `k`'s PIM rounds on the
-//!   rayon pool. Prep is pure and its CPU cost is charged at dispatch,
-//!   so every metered counter is bit-identical to sequential mode.
+//!   byte-identical to a fault-free run.
 //!
 //! All serving counters live in [`pim_sim::ServeStats`] (reachable via
 //! `Metrics::serve_stats`), and the whole crate follows the repo's
 //! determinism contract: outcomes, latencies and counters are exact
 //! functions of (trie seed, scripts, config), independent of thread
-//! count and of whether pipelining is enabled.
+//! count.
 //!
 //! An optional [`AlarmBoard`] (from `pim-obs`, re-exported here) can be
 //! installed with [`Server::install_alarms`]: the dispatcher evaluates

@@ -141,8 +141,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// maximum requests drained into one epoch
     pub epoch_max: usize,
-    /// overlap epoch `k+1`'s host-side prep with epoch `k`'s PIM rounds
-    pub pipeline: bool,
 }
 
 impl Default for ServeConfig {
@@ -150,7 +148,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_cap: 256,
             epoch_max: 64,
-            pipeline: false,
         }
     }
 }
@@ -165,12 +162,6 @@ impl ServeConfig {
     /// Set the per-epoch drain bound.
     pub fn with_epoch_max(mut self, n: usize) -> Self {
         self.epoch_max = n;
-        self
-    }
-
-    /// Enable or disable prep/dispatch pipelining.
-    pub fn with_pipeline(mut self, on: bool) -> Self {
-        self.pipeline = on;
         self
     }
 }
@@ -336,10 +327,9 @@ impl Server {
     }
 
     /// Group a drained batch by op class and sort each class by
-    /// (key, client, op_idx) — the host-side work a pipelined server
-    /// overlaps with the previous epoch's PIM rounds. Pure: touches no
-    /// server state; the cost (one CPU unit per request) is charged
-    /// when the epoch dispatches, so pipelining cannot shift counters.
+    /// (key, client, op_idx) — the epoch's host-side prep. Pure: touches
+    /// no server state; the cost (one CPU unit per request) is charged
+    /// when the epoch dispatches.
     pub fn prep_epoch(batch: EpochBatch) -> PreppedEpoch {
         let prep_work = batch.reqs.len() as u64;
         let mut by_class: [Vec<Admitted>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
@@ -387,8 +377,8 @@ impl Server {
             .epochs += 1;
         let now = self.now();
         for (ci, reqs) in ep.by_class.into_iter().enumerate() {
-            // deadline shed happens at dispatch, against the same clock
-            // in pipelined and sequential mode
+            // deadline shed happens at dispatch, against the clock the
+            // epoch runs at
             let mut live: Vec<Admitted> = Vec::with_capacity(reqs.len());
             for r in reqs {
                 if r.deadline <= now {

@@ -31,10 +31,7 @@ fn run(obs: bool, threads: usize) -> (ServeReport, [u64; 5], u64, String) {
         let scripts = closed_loop_scripts(&spec, &keys, 77);
         let mut srv = Server::new(
             trie,
-            ServeConfig::default()
-                .with_queue_cap(4)
-                .with_epoch_max(2)
-                .with_pipeline(true),
+            ServeConfig::default().with_queue_cap(4).with_epoch_max(2),
         );
         if obs {
             srv.install_alarms(default_board());

@@ -2,7 +2,7 @@
 //! admitted request receives exactly one terminal outcome — a reply,
 //! `DeadlineExceeded`, or a scoped failure — with no silent drops and
 //! no double replies, and the whole run is identical at 1 and 4
-//! threads, pipelined or not.
+//! threads.
 
 use pim_trie::{PimTrie, PimTrieConfig};
 use proptest::prelude::*;
@@ -18,17 +18,16 @@ struct Case {
     theta: f64,
     deadline: u64,
     seed: u64,
-    pipeline: bool,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
     (
         (1usize..5, 1usize..12, 1usize..6, 1usize..5),
         // theta in hundredths: the vendored proptest has no f64 ranges
-        (0u32..130, 0u64..5_000, any::<u64>(), any::<bool>()),
+        (0u32..130, 0u64..5_000, any::<u64>()),
     )
         .prop_map(
-            |((clients, ops, queue_cap, epoch_max), (theta, deadline, seed, pipeline))| Case {
+            |((clients, ops, queue_cap, epoch_max), (theta, deadline, seed))| Case {
                 clients,
                 ops,
                 queue_cap,
@@ -38,7 +37,6 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 // expiring and never-expiring regimes get exercised
                 deadline: if deadline < 500 { u64::MAX } else { deadline },
                 seed,
-                pipeline,
             },
         )
 }
@@ -62,8 +60,7 @@ fn serve_case(case: &Case, threads: usize) -> ServeReport {
             trie,
             ServeConfig::default()
                 .with_queue_cap(case.queue_cap)
-                .with_epoch_max(case.epoch_max)
-                .with_pipeline(case.pipeline),
+                .with_epoch_max(case.epoch_max),
         );
         run_closed_loop(&mut srv, &scripts)
     })

@@ -10,9 +10,13 @@
 //!   `subtree`, `get`, `build`, `recovery`, …). Ops nest: a rebuild
 //!   triggered inside an insert records as the innermost op.
 //! * **phase** — a named stage within the op (`lcp/hash-probe`,
-//!   `insert/graft`, `recovery/retransmit`). If no phase is set the round's
-//!   own name is used, so no event is ever attributed to an *unknown*
-//!   phase.
+//!   `insert/graft`, `recovery/retransmit`). Callers name the stage only
+//!   (`hash-probe`); the tracer prefixes the innermost op. If no phase is
+//!   set the round's own name is used, so no event is ever attributed to
+//!   an *unknown* phase.
+//!
+//! Op and stage names are `&'static str`: the label set of a trace is
+//! whatever the code spells out, never a function of the data.
 //! * **round** — the BSP round label already carried by
 //!   [`RoundRecord`].
 //!
@@ -282,8 +286,9 @@ fn skew(per_module: &[u64]) -> f64 {
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
-    op_stack: Vec<String>,
-    phase: Option<String>,
+    op_stack: Vec<&'static str>,
+    /// the stage set by [`Tracer::set_phase`], without its op prefix
+    phase: Option<&'static str>,
     retry: bool,
     cpu_by_scope: BTreeMap<(String, String), u64>,
     retries_by_scope: BTreeMap<(String, String), u64>,
@@ -297,8 +302,8 @@ impl Tracer {
     }
 
     /// Open an op span. Clears any phase left over from a previous op.
-    pub fn begin_op(&mut self, op: &str) {
-        self.op_stack.push(op.to_string());
+    pub fn begin_op(&mut self, op: &'static str) {
+        self.op_stack.push(op);
         self.phase = None;
     }
 
@@ -308,9 +313,11 @@ impl Tracer {
         self.phase = None;
     }
 
-    /// Set the sticky phase; subsequent rounds resolve to it.
-    pub fn set_phase(&mut self, phase: &str) {
-        self.phase = Some(phase.to_string());
+    /// Set the sticky stage of the current op; subsequent rounds resolve
+    /// to `<op>/<stage>` (bare `stage` outside any op span). Opening or
+    /// closing an op clears it.
+    pub fn set_phase(&mut self, stage: &'static str) {
+        self.phase = Some(stage);
     }
 
     /// Clear the sticky phase; rounds fall back to their own names.
@@ -327,29 +334,25 @@ impl Tracer {
     }
 
     /// Innermost open op, or `"-"` when none.
-    pub fn current_op(&self) -> &str {
-        self.op_stack.last().map(|s| s.as_str()).unwrap_or(NO_OP)
+    pub fn current_op(&self) -> &'static str {
+        self.op_stack.last().copied().unwrap_or(NO_OP)
     }
 
-    fn resolve_phase(&self, round_name: &str) -> String {
-        if self.retry {
-            RETRANSMIT_PHASE.to_string()
-        } else {
-            match &self.phase {
-                Some(p) => p.clone(),
-                None => round_name.to_string(),
-            }
+    /// The phase label rounds and charges resolve to now, with `fallback`
+    /// standing in when no stage is set.
+    fn resolve_phase(&self, fallback: &str) -> String {
+        match (self.retry, self.phase, self.op_stack.last()) {
+            (true, _, _) => RETRANSMIT_PHASE.to_string(),
+            (false, Some(stage), Some(op)) => format!("{op}/{stage}"),
+            (false, Some(stage), None) => stage.to_string(),
+            (false, None, _) => fallback.to_string(),
         }
     }
 
     fn scope(&self) -> (String, String) {
         (
             self.current_op().to_string(),
-            if self.retry {
-                RETRANSMIT_PHASE.to_string()
-            } else {
-                self.phase.clone().unwrap_or_else(|| HOST_PHASE.to_string())
-            },
+            self.resolve_phase(HOST_PHASE),
         )
     }
 
@@ -500,7 +503,7 @@ mod tests {
         let mut t = Tracer::new();
         t.on_round(&rec("raw", vec![1], vec![0], vec![0]));
         t.begin_op("lcp");
-        t.set_phase("lcp/hash-probe");
+        t.set_phase("hash-probe");
         t.on_round(&rec("match.meta.pull", vec![2], vec![2], vec![1]));
         t.clear_phase();
         t.on_round(&rec("match.meta.pull", vec![1], vec![1], vec![0]));
@@ -518,7 +521,7 @@ mod tests {
     fn retry_mode_overrides_but_preserves_phase() {
         let mut t = Tracer::new();
         t.begin_op("insert");
-        t.set_phase("insert/graft");
+        t.set_phase("graft");
         t.set_retry(true);
         t.note_retries(2);
         t.on_round(&rec("insert.graft", vec![1], vec![1], vec![1]));
@@ -537,10 +540,12 @@ mod tests {
         let mut t = Tracer::new();
         t.begin_op("insert");
         t.begin_op("recovery");
-        t.set_phase("recovery/rebuild");
+        t.set_phase("rebuild");
         t.on_round(&rec("recover.reset", vec![1], vec![0], vec![0]));
         t.end_op();
         assert_eq!(t.events()[0].op, "recovery");
+        // the stage is prefixed with the op it was set under
+        assert_eq!(t.events()[0].phase, "recovery/rebuild");
         assert_eq!(t.current_op(), "insert");
     }
 
@@ -557,7 +562,7 @@ mod tests {
 
         let mut t = Tracer::new();
         t.begin_op("get");
-        t.set_phase("get/read");
+        t.set_phase("read");
         t.on_round(&rec("get.read", vec![3, 1], vec![3, 1], vec![4, 0]));
         let s = &t.phase_summaries()[0];
         assert!((s.io_skew - 1.5).abs() < 1e-9); // [6,2] → 6/4
@@ -590,7 +595,7 @@ mod tests {
         let build = || {
             let mut t = Tracer::new();
             t.begin_op("lcp");
-            t.set_phase("lcp/block-match");
+            t.set_phase("block-match");
             t.on_round(&rec("match.block.pull", vec![5, 0], vec![2, 1], vec![3, 3]));
             t.on_cpu(7);
             t

@@ -175,7 +175,7 @@ mod tests {
         let t = sample();
         let pre = preorder(&t);
         assert_eq!(pre[0], NodeId::ROOT);
-        let pos: std::collections::HashMap<_, _> =
+        let pos: std::collections::BTreeMap<_, _> =
             pre.iter().enumerate().map(|(i, id)| (*id, i)).collect();
         for id in t.node_ids() {
             if let Some(p) = t.node(id).parent {

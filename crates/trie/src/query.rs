@@ -4,13 +4,13 @@
 //! adjacent pairs, and generate the Patricia trie in a single linear pass
 //! (the Cartesian-tree-style stack construction of Blelloch–Shun \[14\]).
 //!
-//! The CPU-side sort uses rayon's parallel comparison sort in place of the
-//! specialised parallel string sort of Hagerup \[26\]; this changes only the
-//! CPU-work constant/log-factor, never any IO metric (see DESIGN.md).
+//! The CPU-side sort is the standard library's sequential stable sort in
+//! place of the specialised parallel string sort of Hagerup \[26\]; this
+//! changes only CPU work and depth, never any IO metric (see DESIGN.md,
+//! deviations).
 
 use crate::trie::{Node, NodeId, Trie, Value};
 use bitstr::BitStr;
-use rayon::prelude::*;
 
 /// A query trie: the Patricia trie of a batch plus, for every batch
 /// element, the node that represents it.
@@ -28,9 +28,10 @@ impl QueryTrie {
     /// Build the query trie for a batch. Duplicate keys are collapsed;
     /// every input index keeps a handle to its node. Paper: Algorithm 1.
     pub fn build(batch: &[BitStr]) -> QueryTrie {
-        // 1. StringSort(Q) — rayon parallel sort of indices.
+        // 1. StringSort(Q) — a stable sort of indices, so equal keys
+        //    keep batch order and the first occurrence leads its run.
         let mut order: Vec<usize> = (0..batch.len()).collect();
-        order.par_sort_unstable_by(|&a, &b| batch[a].cmp(&batch[b]));
+        order.sort_by(|&a, &b| batch[a].cmp(&batch[b]));
 
         // 2. Dedupe, remembering each input's unique slot.
         let mut uniq: Vec<usize> = Vec::with_capacity(batch.len());

@@ -1159,7 +1159,7 @@ mod tests {
         t.check_invariants(false);
         // Some keys collide after truncation to 37 bits? They'd overwrite;
         // verify via items count == unique count.
-        let uniq: std::collections::HashSet<_> = keys.iter().collect();
+        let uniq: std::collections::BTreeSet<_> = keys.iter().collect();
         assert_eq!(t.n_keys(), uniq.len());
         for k in keys.iter().step_by(2) {
             t.delete(k.as_slice());

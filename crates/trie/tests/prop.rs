@@ -88,20 +88,20 @@ proptest! {
             prop_assert!(w <= 2 * kb + 2 * max_node);
         }
         // reassembly: glue via mirrors
-        let by_root: std::collections::HashMap<NodeId, usize> = blocks
+        let by_root: std::collections::BTreeMap<NodeId, usize> = blocks
             .iter()
             .enumerate()
             .map(|(i, b)| (b.orig_root, i))
             .collect();
         fn walk(
             blocks: &[partition::Block],
-            by_root: &std::collections::HashMap<NodeId, usize>,
+            by_root: &std::collections::BTreeMap<NodeId, usize>,
             bi: usize,
             prefix: &BitStr,
             items: &mut Vec<(BitStr, u64)>,
         ) {
             let b = &blocks[bi];
-            let mirror_map: std::collections::HashMap<NodeId, NodeId> =
+            let mirror_map: std::collections::BTreeMap<NodeId, NodeId> =
                 b.mirrors.iter().copied().collect();
             let mut stack = vec![(NodeId::ROOT, prefix.clone())];
             while let Some((id, s)) = stack.pop() {

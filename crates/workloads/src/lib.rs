@@ -468,7 +468,7 @@ mod tests {
         for q in &qs {
             assert!(q.starts_with(&base));
         }
-        let set: std::collections::HashSet<_> = qs.iter().collect();
+        let set: std::collections::BTreeSet<_> = qs.iter().collect();
         assert_eq!(set.len(), 50);
     }
 

@@ -25,7 +25,7 @@ fn main() {
 
     // 24 clients in a closed loop (exponential think times, Zipf key
     // popularity, 10% writes) against a 16-deep admission queue with
-    // pipelined 8-request epochs and a finite latency budget.
+    // 8-request epochs and a finite latency budget.
     let spec = ClosedLoopSpec {
         mean_think: 200.0,
         deadline: 20_000,
@@ -36,10 +36,7 @@ fn main() {
 
     let mut srv = Server::new(
         trie,
-        ServeConfig::default()
-            .with_queue_cap(16)
-            .with_epoch_max(8)
-            .with_pipeline(true),
+        ServeConfig::default().with_queue_cap(16).with_epoch_max(8),
     );
 
     // Mid-run chaos: one of the 16 modules stops answering, so requests

@@ -125,6 +125,92 @@ fn sorted(mut items: Vec<(BitStr, u64)>) -> Vec<(BitStr, u64)> {
     items
 }
 
+/// Long keys under very narrow digests: the meta-level hash index then
+/// hands out targets whose root pivot hash differs from the query's, and
+/// only the block-level check of the full-width pivot hash (pushed and
+/// pulled blocks alike) catches them. Every such catch becomes an exact
+/// redo, so answers match the oracle and the redo path really runs.
+#[test]
+fn very_narrow_digests_on_long_keys_redo_to_exact_answers() {
+    for width in [1u32, 2, 4] {
+        for seed in [0u64, 1] {
+            let keys = workloads::uniform_fixed(3000, 200, seed);
+            let values: Vec<u64> = (0..keys.len() as u64).collect();
+            let cfg = PimTrieConfig::for_modules(16)
+                .with_seed(seed)
+                .with_hash_width(HashWidth(width));
+            let mut pim = PimTrie::build(cfg, &keys, &values);
+            let mut oracle = Trie::new();
+            for (k, v) in keys.iter().zip(&values) {
+                oracle.insert(k, *v);
+            }
+            let ctx = format!("width {width} seed {seed}");
+
+            // random strings, stored keys extended past their end, and
+            // stored-key halves (which end mid-trie)
+            let mut queries = workloads::uniform_fixed(1500, 220, 100 + seed);
+            let tails = workloads::uniform_fixed(1500, 13, 200 + seed);
+            queries.extend(keys.iter().zip(&tails).map(|(k, t)| k.concat(t)));
+            queries.extend(keys.iter().skip(1500).map(|k| k.slice(0..100).to_bitstr()));
+            let want: Vec<usize> = queries
+                .iter()
+                .map(|q| oracle.lcp(q.as_slice()).lcp_bits)
+                .collect();
+            assert_same(&pim.lcp_batch(&queries), &want, &format!("lcp {ctx}"));
+            let probes: Vec<BitStr> = keys.iter().take(1500).cloned().chain(queries).collect();
+            let want_get: Vec<Option<u64>> =
+                probes.iter().map(|k| oracle.get(k.as_slice())).collect();
+            assert_same(&pim.get_batch(&probes), &want_get, &format!("get {ctx}"));
+            assert!(pim.redo_paths() > 0, "the redo path never ran: {ctx}");
+
+            // one round of updates and subtree queries on the same index
+            let dels: Vec<BitStr> = keys.iter().step_by(3).cloned().collect();
+            let want_removed = dels
+                .iter()
+                .filter(|k| oracle.delete(k.as_slice()).is_some())
+                .count();
+            assert_eq!(pim.delete_batch(&dels), want_removed, "delete {ctx}");
+            let fresh = workloads::uniform_fixed(400, 200, 300 + seed);
+            let fv: Vec<u64> = (5000..5000 + fresh.len() as u64).collect();
+            pim.insert_batch(&fresh, &fv);
+            for (k, v) in fresh.iter().zip(&fv) {
+                oracle.insert(k, *v);
+            }
+            assert_eq!(pim.len(), oracle.n_keys(), "{ctx}");
+            let prefixes: Vec<BitStr> = keys
+                .iter()
+                .chain(&fresh)
+                .step_by(7)
+                .map(|k| k.slice(0..12).to_bitstr())
+                .collect();
+            for (pfx, sub) in prefixes.iter().zip(pim.subtree_batch(&prefixes)) {
+                let want = oracle.subtree(pfx.as_slice()).map(|t| sorted(t.items()));
+                assert_eq!(
+                    sub.map(|t| sorted(t.items())),
+                    want,
+                    "subtree of {pfx} {ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// Element-wise comparison that names the first few differing indices
+/// instead of printing two batches in full.
+fn assert_same<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    let wrong: Vec<(usize, &T, &T)> = (0..got.len())
+        .filter(|&i| got[i] != want[i])
+        .map(|i| (i, &got[i], &want[i]))
+        .collect();
+    assert!(
+        wrong.is_empty(),
+        "{ctx}: {} wrong answers, first (index, got, want): {:?}",
+        wrong.len(),
+        &wrong[..wrong.len().min(5)]
+    );
+}
+
 #[test]
 fn redo_counter_is_observable() {
     // with 6-bit digests and prefix-sharing keys, at least the counter API
