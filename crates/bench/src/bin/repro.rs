@@ -327,11 +327,11 @@ fn run(args: Args) {
     }
 
     if let Some(path) = &args.trace {
-        let traced = bench::export::trace_all(p, quick);
-        write_file(path, &traced.jsonl);
+        let traced = bench::export::trace_all(p, quick).tracer;
+        write_file(path, &traced.to_jsonl());
         records.push(Json::obj(vec![
             ("experiment", Json::str("trace-phases")),
-            ("trace", traced.summary),
+            ("trace", traced.summary_json()),
         ]));
         println!("\ntrace events written to {path}");
     }

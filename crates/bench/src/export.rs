@@ -8,7 +8,7 @@
 
 use crate::{values_for, Row};
 use bitstr::BitStr;
-use pim_sim::Json;
+use pim_sim::{Json, MetricsDelta, Tracer};
 use pim_trie::{CrashSpec, FaultPlan, PimTrie, PimTrieConfig};
 
 /// Version stamp of the `BENCH_repro.json` schema. Bump on any change to
@@ -50,21 +50,22 @@ pub fn summary(p: usize, quick: bool, records: Vec<Json>) -> Json {
     ])
 }
 
-/// A canonical traced run: the JSONL event log (one [`pim_sim::TraceEvent`]
-/// per line) plus the per-phase distribution summary.
+/// A canonical traced run: the tracer (its [`Tracer::to_jsonl`] is the
+/// event log, its [`Tracer::summary_json`] the per-phase summary) and the
+/// counters the same window metered.
 pub struct TraceRun {
-    /// one JSON object per line, one line per BSP round observed
-    pub jsonl: String,
-    /// [`pim_sim::Tracer::summary_json`] — event count + per-phase rows
-    pub summary: Json,
+    /// every round of the run, attributed to its op and phase
+    pub tracer: Box<Tracer>,
+    /// the metered counters over exactly the traced rounds
+    pub delta: MetricsDelta,
 }
 
 /// Run every public batch op (`lcp`, `insert`, `delete`, `subtree`,
 /// `get`) plus a faulted batch (retransmits and one state-losing crash →
-/// journal rebuild) on a traced PIM-trie, and return the event log.
+/// journal rebuild) on a traced PIM-trie, and return the trace.
 ///
 /// Deterministic for fixed `p`/`quick`: same seeds, no wall clocks —
-/// two calls produce byte-identical `jsonl`.
+/// two calls produce byte-identical event logs.
 pub fn trace_all(p: usize, quick: bool) -> TraceRun {
     let n = if quick { 1 << 10 } else { 1 << 12 };
     let keys = workloads::uniform_fixed(n, 96, 91);
@@ -75,6 +76,7 @@ pub fn trace_all(p: usize, quick: bool) -> TraceRun {
             .with_max_round_retries(64),
     );
     pim.enable_tracing();
+    let snap = pim.system().metrics().snapshot();
     pim.insert_batch(&keys, &values_for(&keys));
     let queries = workloads::uniform_fixed(n / 2, 96, 93);
     let _ = pim.lcp_batch(&queries);
@@ -105,13 +107,11 @@ pub fn trace_all(p: usize, quick: bool) -> TraceRun {
     let vals2: Vec<u64> = (n as u64..).take(keys2.len()).collect();
     pim.insert_batch(&keys2, &vals2);
     pim.clear_faults();
+    let delta = pim.system().metrics().since(&snap);
     let tracer = pim
         .system_mut()
         .metrics_mut()
         .take_tracer()
         .expect("tracing was enabled above");
-    TraceRun {
-        jsonl: tracer.to_jsonl(),
-        summary: tracer.summary_json(),
-    }
+    TraceRun { tracer, delta }
 }

@@ -760,19 +760,24 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
                     }),
             );
         }
-        t.system_mut().metrics_mut().set_round_logging(true);
+        t.enable_tracing();
         let snap = t.system().metrics().snapshot();
         t.insert_batch(&keys2, &vals2);
         let got = t.lcp_batch(&queries);
         assert_eq!(got, want, "faulted run {tag} diverged from oracle");
-        let m = t.system().metrics();
-        let max_msg = m
-            .round_log
+        let tracer = t
+            .system_mut()
+            .metrics_mut()
+            .take_tracer()
+            .unwrap_or_default();
+        let max_msg = tracer
+            .events()
             .iter()
-            .flat_map(|r| r.sent.iter().chain(&r.received))
+            .flat_map(|ev| ev.sent.iter().chain(&ev.received))
             .copied()
             .max()
             .unwrap_or(0);
+        let m = t.system().metrics();
         let row = fault_cols(
             Row::new(tag),
             rate.unwrap_or(0.0),

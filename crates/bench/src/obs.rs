@@ -18,7 +18,7 @@ use crate::{values_for, zipf_over_keys, Row};
 use baselines::RangePartitioned;
 use bitstr::BitStr;
 use obs::{critical, default_board, report, ObsSample, Registry, Timeline};
-use pim_sim::{MetricsDelta, ResidentStats, TraceEvent};
+use pim_sim::{MetricsDelta, ResidentStats, Tracer};
 use pim_trie::{PimTrie, PimTrieConfig};
 
 /// Everything one `pimtrie-report` invocation produces.
@@ -38,7 +38,7 @@ pub struct ObsReport {
 /// One traced run's raw material for the report.
 struct TracedRun {
     tag: String,
-    events: Vec<TraceEvent>,
+    tracer: Box<Tracer>,
     delta: MetricsDelta,
     alarms: u64,
     alarm_text: String,
@@ -48,7 +48,7 @@ struct TracedRun {
 
 fn run_skew_case(
     tag: &str,
-    events: Vec<TraceEvent>,
+    tracer: Box<Tracer>,
     delta: MetricsDelta,
     resident: Option<ResidentStats>,
 ) -> TracedRun {
@@ -62,7 +62,7 @@ fn run_skew_case(
     );
     TracedRun {
         tag: tag.to_string(),
-        events,
+        tracer,
         delta,
         alarms: fired,
         alarm_text: board.render(),
@@ -101,7 +101,7 @@ fn skew_runs(p: usize, quick: bool) -> Vec<TracedRun> {
             .unwrap_or_default();
         runs.push(run_skew_case(
             &format!("pim-trie/{tag}"),
-            tracer.events().to_vec(),
+            tracer,
             delta,
             Some(pim.resident_stats().clone()),
         ));
@@ -118,7 +118,7 @@ fn skew_runs(p: usize, quick: bool) -> Vec<TracedRun> {
             .unwrap_or_default();
         runs.push(run_skew_case(
             &format!("range-part/{tag}"),
-            tracer.events().to_vec(),
+            tracer,
             delta,
             None,
         ));
@@ -234,10 +234,11 @@ pub fn obs_report(p: usize, quick: bool) -> ObsReport {
 
     text.push_str("\n== X-obs/skew — critical paths and timelines under skew ==\n");
     for run in skew_runs(p, quick) {
-        let crit = critical::analyze(&run.events);
-        let tl = Timeline::from_events(&run.events);
+        let rows = run.tracer.phase_summaries();
+        let crit = critical::analyze(&rows);
+        let tl = Timeline::from_phases(&rows);
         reg.publish_delta(&run.delta);
-        reg.publish_events(&run.events);
+        reg.publish_events(run.tracer.events());
 
         text.push_str(&format!("\n-- {} --\n", run.tag));
         text.push_str(&diagnosis_lines(&crit, &tl));

@@ -8,18 +8,75 @@ use std::process::Command;
 
 #[test]
 fn trace_jsonl_is_byte_identical_across_runs_and_pool_sizes() {
-    let a = export::trace_all(4, true);
-    let b = export::trace_all(4, true);
-    assert_eq!(a.jsonl, b.jsonl, "same seed/P must give identical traces");
-    assert_eq!(a.summary.dump(), b.summary.dump());
+    let jsonl = || export::trace_all(4, true).tracer.to_jsonl();
+    let a = export::trace_all(4, true).tracer;
+    let b = export::trace_all(4, true).tracer;
+    assert_eq!(
+        a.to_jsonl(),
+        b.to_jsonl(),
+        "same seed/P must give identical traces"
+    );
+    assert_eq!(a.summary_json().dump(), b.summary_json().dump());
 
     // pool size must not leak into the trace: these are real worker
     // pools (1 thread vs 8), so this asserts that genuinely concurrent
     // module dispatch and batch work cannot perturb a single trace byte
-    let one = pim_trie::with_threads(1, || export::trace_all(4, true).jsonl);
-    let many = pim_trie::with_threads(8, || export::trace_all(4, true).jsonl);
+    let one = pim_trie::with_threads(1, jsonl);
+    let many = pim_trie::with_threads(8, jsonl);
     assert_eq!(one, many, "trace must not depend on pool size");
-    assert_eq!(one, a.jsonl);
+    assert_eq!(one, a.to_jsonl());
+}
+
+/// The phase rows are the only attribution of a trace, so they must add
+/// up to what the meters counted over the same window — through the
+/// faulted tail's retransmits and journal rebuild too.
+#[test]
+fn phase_rows_and_timeline_conserve_the_metered_window() {
+    let run = export::trace_all(4, true);
+    let rows = run.tracer.phase_summaries();
+    assert!(rows
+        .iter()
+        .any(|r| r.phase == pim_sim::RETRANSMIT_PHASE && r.rounds > 0));
+    assert!(rows.iter().any(|r| r.op == "recovery" && r.rounds > 0));
+
+    let d = &run.delta;
+    let (mut io, mut work) = (
+        vec![0; d.io_per_module.len()],
+        vec![0; d.pim_per_module.len()],
+    );
+    for r in &rows {
+        for (m, w) in r.io_per_module().iter().enumerate() {
+            io[m] += w;
+        }
+        for (m, w) in r.work.iter().enumerate() {
+            work[m] += w;
+        }
+    }
+    assert_eq!(io, d.io_per_module);
+    assert_eq!(work, d.pim_per_module);
+    assert_eq!(rows.iter().map(|r| r.rounds).sum::<u64>(), d.io_rounds);
+    assert_eq!(rows.iter().map(|r| r.io_time).sum::<u64>(), d.io_time);
+    assert_eq!(rows.iter().map(|r| r.pim_time).sum::<u64>(), d.pim_time);
+
+    let tl = obs::Timeline::from_phases(&rows);
+    let lanes = tl.lanes();
+    let lane_io: Vec<u64> = lanes.iter().map(|l| l.sent + l.received).collect();
+    let lane_busy: Vec<u64> = lanes.iter().map(|l| l.busy).collect();
+    assert_eq!(lane_io, d.io_per_module);
+    assert_eq!(lane_busy, d.pim_per_module);
+    assert_eq!(
+        (tl.rounds(), tl.io_time(), tl.pim_time()),
+        (d.io_rounds, d.io_time, d.pim_time)
+    );
+    // each round with PIM time credits exactly one barrier
+    let barriers: u64 = lanes.iter().map(|l| l.barriers_set).sum();
+    let worked = run
+        .tracer
+        .events()
+        .iter()
+        .filter(|e| e.pim_time > 0)
+        .count();
+    assert_eq!(barriers, worked as u64);
 }
 
 #[test]

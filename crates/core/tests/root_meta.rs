@@ -43,10 +43,12 @@ fn check(t: &mut PimTrie, oracle: &Trie, probes: &[BitStr], stage: &str, mark: &
     assert_eq!(t.audit_debug(), Vec::<String>::new(), "audit after reads");
 }
 
-/// Names of the rounds run since the log was last cleared.
+/// Names of the rounds traced since the last call; tracing restarts.
 fn rounds_since_clear(t: &mut PimTrie) -> Vec<String> {
-    let log = std::mem::take(&mut t.system_mut().metrics_mut().round_log);
-    log.into_iter().map(|r| r.name).collect()
+    let m = t.system_mut().metrics_mut();
+    let tracer = m.take_tracer().expect("tracing on");
+    m.enable_tracing();
+    tracer.events().iter().map(|ev| ev.round.clone()).collect()
 }
 
 #[test]
@@ -60,7 +62,7 @@ fn root_meta_survives_splits_merges_and_rebuild() {
         .with_fault_tolerance(true)
         .with_max_round_retries(64);
     let mut t = PimTrie::new(cfg);
-    t.system_mut().metrics_mut().set_round_logging(true);
+    t.enable_tracing();
     let mut oracle = Trie::new();
 
     let keys = workloads::zipf_prefixes(1 << 11, 96, 4, 2.5, 17);
@@ -146,7 +148,7 @@ fn repeated_read_batch_pulls_nothing_and_skips_the_resident_levels() {
     let keys = workloads::uniform_fixed(1 << 12, 64, 5);
     let values: Vec<u64> = (0..keys.len() as u64).collect();
     let mut t = PimTrie::build(resident_cfg(8), &keys, &values);
-    t.system_mut().metrics_mut().set_round_logging(true);
+    t.enable_tracing();
     let batch = workloads::uniform_fixed(512, 64, 6);
 
     let first = t.lcp_batch(&batch);

@@ -5,8 +5,7 @@
 //! records an [`AlarmEvent`] on every **rising edge** — the evaluation
 //! at which a condition crosses from quiet to firing. Edge-triggering
 //! keeps the event log proportional to the number of incidents, not the
-//! number of epochs spent inside one; [`AlarmBoard::epochs_active`]
-//! still counts how long each condition held.
+//! number of epochs spent inside one.
 //!
 //! Determinism contract: evaluating a board only *reads* counters — it
 //! never charges simulated cost, draws randomness, or reads a clock —
@@ -20,7 +19,7 @@
 // them as f64 and compare against advisory thresholds; nothing here
 // feeds back into the metered execution
 
-use pim_sim::{balance, ServeStats};
+use pim_sim::{balance, json::round6, ServeStats};
 
 use crate::report;
 
@@ -90,7 +89,6 @@ pub struct ObsSample {
 struct SpecState {
     spec: AlarmSpec,
     active: bool,
-    epochs_active: u64,
 }
 
 /// A set of alarm specs plus their firing history.
@@ -108,7 +106,6 @@ impl AlarmBoard {
                 .map(|spec| SpecState {
                     spec,
                     active: false,
-                    epochs_active: 0,
                 })
                 .collect(),
             fired: Vec::new(),
@@ -145,17 +142,14 @@ impl AlarmBoard {
                     (s.descend_rounds as f64, b as f64, s.descend_rounds > b)
                 }
             };
-            if firing {
-                if !st.active {
-                    self.fired.push(AlarmEvent {
-                        name: st.spec.name,
-                        epoch,
-                        value: round6(value),
-                        threshold: round6(bound),
-                    });
-                    new += 1;
-                }
-                st.epochs_active += 1;
+            if firing && !st.active {
+                self.fired.push(AlarmEvent {
+                    name: st.spec.name,
+                    epoch,
+                    value: round6(value),
+                    threshold: round6(bound),
+                });
+                new += 1;
             }
             st.active = firing;
         }
@@ -170,14 +164,6 @@ impl AlarmBoard {
     /// Total firings so far (what `ServeStats::alarms` accumulates).
     pub fn count(&self) -> u64 {
         self.fired.len() as u64
-    }
-
-    /// Epochs each spec spent firing, in spec order: `(name, epochs)`.
-    pub fn epochs_active(&self) -> Vec<(&'static str, u64)> {
-        self.specs
-            .iter()
-            .map(|st| (st.spec.name, st.epochs_active))
-            .collect()
     }
 
     /// Render the firing log as an aligned table; `"(no alarms fired)"`
@@ -243,10 +229,6 @@ fn ceil_log2(p: usize) -> u64 {
     u64::from(p.max(2).next_power_of_two().trailing_zeros())
 }
 
-fn round6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +256,7 @@ mod tests {
         assert_eq!(b.evaluate(4, &sample(vec![], 10, 9)), 1); // new incident
         assert_eq!(b.count(), 2);
         assert_eq!(b.fired()[0].epoch, 1);
-        assert_eq!(b.epochs_active(), vec![("shed-rate", 3)]);
+        assert_eq!(b.fired()[1].epoch, 4);
     }
 
     #[test]

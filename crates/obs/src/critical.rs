@@ -5,9 +5,9 @@
 //! chain of per-round maxima — and attributing it means answering, per
 //! phase: how much barrier time did it contribute, which module set
 //! those barriers, and was the load balanced or skewed while it ran?
-//! [`analyze`] computes exactly that from a [`TraceEvent`] stream, then
-//! rolls phases up into per-op totals with each op's **dominant phase**
-//! (the phase contributing the largest share of its barrier time).
+//! [`analyze`] reads exactly that off the rows of
+//! [`Tracer::phase_summaries`](pim_sim::Tracer::phase_summaries), the
+//! one fold over a trace, and ranks the phases by barrier time.
 //!
 //! Balance here is the same max/mean ratio as
 //! [`MetricsDelta::io_balance`](pim_sim::MetricsDelta::io_balance),
@@ -20,9 +20,7 @@
 // them as f64 and compare against advisory thresholds; nothing here
 // feeds back into the metered execution
 
-use std::collections::BTreeMap;
-
-use pim_sim::{balance, Dist, TraceEvent};
+use pim_sim::{balance, Dist, PhaseSummary};
 
 use crate::report;
 
@@ -45,38 +43,20 @@ pub struct PhaseCost {
     pub balance: f64,
     /// Module with the largest (words + work) total in this phase.
     pub worst_module: u64,
-    /// Rounds whose PIM barrier `worst_module` set (ties count for the
-    /// lowest-id tied module, matching `Dist::argmax`).
+    /// Rounds whose PIM barrier `worst_module` set
+    /// ([`TraceEvent::barrier_module`](pim_sim::TraceEvent::barrier_module)).
     pub barrier_rounds: u64,
     /// Straggler-fault delay injected while this phase ran.
     pub straggler_delay: u64,
 }
 
-/// Roll-up of one op across all its phases.
-#[derive(Clone, Debug, PartialEq)]
-pub struct OpCost {
-    /// Op label.
-    pub op: String,
-    /// Rounds across all phases of the op.
-    pub rounds: u64,
-    /// Total barrier time across all phases.
-    pub time: u64,
-    /// Phase contributing the most barrier time (ties → first in
-    /// lexicographic phase order).
-    pub dominant_phase: String,
-    /// `dominant_phase`'s share of the op's barrier time (0.0 when the
-    /// op consumed none).
-    pub dominant_share: f64,
-}
-
-/// The full attribution: per-phase costs and per-op roll-ups.
+/// The full attribution: per-phase costs, ranked.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CriticalReport {
-    /// Phase costs, sorted by barrier time descending (ties → op, phase
-    /// ascending, so the order is total and deterministic).
+    /// Phase costs of every phase that ran a round, sorted by barrier
+    /// time descending (ties → op, phase ascending, so the order is
+    /// total and deterministic).
     pub phases: Vec<PhaseCost>,
-    /// Op roll-ups, same sort.
-    pub ops: Vec<OpCost>,
     /// Σ barrier time over all rounds.
     pub total_time: u64,
 }
@@ -145,69 +125,31 @@ impl CriticalReport {
     }
 }
 
-struct Acc {
-    rounds: u64,
-    io_time: u64,
-    pim_time: u64,
-    per_module: Vec<u64>,
-    barrier_sets: Vec<u64>,
-    straggler_delay: u64,
-}
-
-/// Attribute a round-event stream. Pure and deterministic: same events
+/// Attribute a trace's phase rows. Pure and deterministic: same rows
 /// in, same report out, byte for byte.
-pub fn analyze(events: &[TraceEvent]) -> CriticalReport {
-    let mut accs: BTreeMap<(String, String), Acc> = BTreeMap::new();
-    let mut total_time = 0u64;
-    for ev in events {
-        total_time += ev.io_time + ev.pim_time;
-        let acc = accs
-            .entry((ev.op.clone(), ev.phase.clone()))
-            .or_insert_with(|| Acc {
-                rounds: 0,
-                io_time: 0,
-                pim_time: 0,
-                per_module: vec![0; ev.pim_work.len()],
-                barrier_sets: vec![0; ev.pim_work.len()],
-                straggler_delay: 0,
-            });
-        acc.rounds += 1;
-        acc.io_time += ev.io_time;
-        acc.pim_time += ev.pim_time;
-        if ev.pim_work.len() > acc.per_module.len() {
-            acc.per_module.resize(ev.pim_work.len(), 0);
-            acc.barrier_sets.resize(ev.pim_work.len(), 0);
-        }
-        for m in 0..ev.pim_work.len() {
-            acc.per_module[m] += ev.sent[m] + ev.received[m] + ev.pim_work[m];
-        }
-        // the module that set this round's barrier (max work+words;
-        // ties → lowest id, exactly Dist::argmax)
-        let combined: Vec<u64> = (0..ev.pim_work.len())
-            .map(|m| ev.sent[m] + ev.received[m] + ev.pim_work[m])
-            .collect();
-        let setter = Dist::from_samples(&combined).argmax as usize;
-        if !combined.is_empty() {
-            acc.barrier_sets[setter] += 1;
-        }
-        acc.straggler_delay += ev.straggler_delay.iter().sum::<u64>();
-    }
-
-    let mut phases: Vec<PhaseCost> = accs
-        .into_iter()
-        .map(|((op, phase), acc)| {
-            let worst = Dist::from_samples(&acc.per_module).argmax;
+pub fn analyze(rows: &[PhaseSummary]) -> CriticalReport {
+    let mut phases: Vec<PhaseCost> = rows
+        .iter()
+        .filter(|s| s.rounds > 0)
+        .map(|s| {
+            let per_module: Vec<u64> = s
+                .io_per_module()
+                .iter()
+                .zip(&s.work)
+                .map(|(io, work)| io + work)
+                .collect();
+            let worst = Dist::from_samples(&per_module).argmax;
             PhaseCost {
-                op,
-                phase,
-                rounds: acc.rounds,
-                io_time: acc.io_time,
-                pim_time: acc.pim_time,
-                time: acc.io_time + acc.pim_time,
-                balance: balance(&acc.per_module),
+                op: s.op.clone(),
+                phase: s.phase.clone(),
+                rounds: s.rounds,
+                io_time: s.io_time,
+                pim_time: s.pim_time,
+                time: s.io_time + s.pim_time,
+                balance: balance(&per_module),
                 worst_module: worst,
-                barrier_rounds: acc.barrier_sets.get(worst as usize).copied().unwrap_or(0),
-                straggler_delay: acc.straggler_delay,
+                barrier_rounds: s.barriers.get(worst as usize).copied().unwrap_or(0),
+                straggler_delay: s.straggler_delay.iter().sum(),
             }
         })
         .collect();
@@ -217,69 +159,46 @@ pub fn analyze(events: &[TraceEvent]) -> CriticalReport {
             .then(a.op.cmp(&b.op))
             .then(a.phase.cmp(&b.phase))
     });
-
-    let mut by_op: BTreeMap<&str, (u64, u64, &PhaseCost)> = BTreeMap::new();
-    for p in &phases {
-        let e = by_op.entry(p.op.as_str()).or_insert((0, 0, p));
-        e.0 += p.rounds;
-        e.1 += p.time;
-        // dominant = more time; ties → lexicographically first phase
-        if p.time > e.2.time || (p.time == e.2.time && p.phase < e.2.phase) {
-            e.2 = p;
-        }
-    }
-    let mut ops: Vec<OpCost> = by_op
-        .into_iter()
-        .map(|(op, (rounds, time, dom))| OpCost {
-            op: op.to_string(),
-            rounds,
-            time,
-            dominant_phase: dom.phase.clone(),
-            dominant_share: if time == 0 {
-                0.0
-            } else {
-                dom.time as f64 / time as f64
-            },
-        })
-        .collect();
-    ops.sort_by(|a, b| b.time.cmp(&a.time).then(a.op.cmp(&b.op)));
-
-    CriticalReport {
-        phases,
-        ops,
-        total_time,
-    }
+    let total_time = phases.iter().map(|p| p.time).sum();
+    CriticalReport { phases, total_time }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use pim_sim::PimSystem;
 
-    fn ev(op: &str, phase: &str, sent: Vec<u64>, work: Vec<u64>) -> TraceEvent {
-        let received = vec![0; sent.len()];
-        TraceEvent {
-            seq: 0,
-            op: op.into(),
-            phase: phase.into(),
-            round: "r".into(),
-            io_time: *sent.iter().max().unwrap_or(&0),
-            io_volume: sent.iter().sum(),
-            pim_time: *work.iter().max().unwrap_or(&0),
-            straggler_delay: vec![0; work.len()],
-            sent,
-            received,
-            pim_work: work,
+    /// Trace one round per `(op, stage, sent words, work)` on a system
+    /// with one module per entry of `sent`, and fold the trace.
+    pub(crate) fn rows(
+        rounds: &[(&'static str, &'static str, Vec<u64>, Vec<u64>)],
+    ) -> Vec<PhaseSummary> {
+        let mut sys = PimSystem::new(rounds[0].2.len(), |_| ());
+        sys.metrics_mut().enable_tracing();
+        for (op, stage, sent, work) in rounds {
+            let t = sys.metrics_mut().tracer_mut().expect("tracing on");
+            t.begin_op(op);
+            t.set_phase(stage);
+            let inbox = sent.iter().map(|&n| vec![0u64; n as usize]).collect();
+            sys.round("r", inbox, |ctx, _: Vec<u64>| {
+                ctx.work(work[ctx.id]);
+                Vec::<u64>::new()
+            });
+            sys.metrics_mut().tracer_mut().expect("tracing on").end_op();
         }
+        sys.metrics()
+            .tracer()
+            .expect("tracing on")
+            .phase_summaries()
     }
 
     #[test]
     fn phases_rank_by_time_and_attribute_modules() {
-        let events = vec![
-            ev("get", "get/read", vec![10, 0], vec![5, 0]),
-            ev("get", "get/read", vec![8, 0], vec![4, 0]),
-            ev("insert", "insert/graft", vec![1, 1], vec![1, 1]),
-        ];
-        let r = analyze(&events);
+        let r = analyze(&rows(&[
+            ("get", "read", vec![10, 0], vec![5, 0]),
+            ("get", "read", vec![8, 0], vec![4, 0]),
+            ("insert", "graft", vec![1, 1], vec![1, 1]),
+        ]));
         assert_eq!(r.total_time, 10 + 5 + 8 + 4 + 1 + 1);
         let top = r.top_phase().expect("rounds ran");
         assert_eq!((top.op.as_str(), top.phase.as_str()), ("get", "get/read"));
@@ -289,22 +208,17 @@ mod tests {
         assert!((top.balance - 2.0).abs() < 1e-9); // [27, 0] → 27/13.5
                                                    // worst balance is the skewed get phase, not the balanced graft
         assert_eq!(r.worst_balance().expect("phases").phase, "get/read");
-        // per-op roll-up: get dominates, its only phase has share 1.0
-        assert_eq!(r.ops[0].op, "get");
-        assert_eq!(r.ops[0].dominant_phase, "get/read");
-        assert!((r.ops[0].dominant_share - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn dominant_phase_picks_biggest_share() {
-        let events = vec![
-            ev("lcp", "lcp/hash-probe", vec![2, 2], vec![2, 2]),
-            ev("lcp", "lcp/block-match", vec![9, 9], vec![9, 9]),
-        ];
-        let r = analyze(&events);
-        assert_eq!(r.ops.len(), 1);
-        assert_eq!(r.ops[0].dominant_phase, "lcp/block-match");
-        assert!(r.ops[0].dominant_share > 0.5);
+        let r = analyze(&rows(&[
+            ("lcp", "hash-probe", vec![2, 2], vec![2, 2]),
+            ("lcp", "block-match", vec![9, 9], vec![9, 9]),
+        ]));
+        let top = r.top_phase().expect("rounds ran");
+        assert_eq!(top.phase, "lcp/block-match");
+        assert!(top.time * 2 > r.total_time);
     }
 
     #[test]
@@ -312,9 +226,8 @@ mod tests {
         let r = analyze(&[]);
         assert_eq!(r.total_time, 0);
         assert!(r.top_phase().is_none());
-        let events = vec![ev("get", "get/read", vec![3, 1], vec![1, 1])];
-        let a = analyze(&events);
-        assert_eq!(a.render(), analyze(&events).render());
-        assert!(a.render().contains("get:get/read"));
+        let rs = rows(&[("get", "read", vec![3, 1], vec![1, 1])]);
+        assert_eq!(analyze(&rs).render(), analyze(&rs).render());
+        assert!(analyze(&rs).render().contains("get:get/read"));
     }
 }

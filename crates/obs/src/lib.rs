@@ -3,28 +3,30 @@
 //! The simulator's [`Metrics`](pim_sim::Metrics) and
 //! [`Tracer`](pim_sim::Tracer) answer *how much* and *where*; this crate
 //! answers *why was it slow*: which module set each round's barrier, which
-//! phase dominates an op's latency, whether the imbalance is skew or a
+//! phase dominates the latency, whether the imbalance is skew or a
 //! straggler fault, and whether any of it crossed a declared threshold.
 //!
-//! Everything here is a **pure function of streams the simulator already
-//! produces** — publishing into the registry, reconstructing a timeline,
-//! or evaluating an alarm board never charges simulated cost, draws
+//! Everything here is a **pure function of what the simulator already
+//! produces** — publishing into the registry, summing a timeline, or
+//! evaluating an alarm board never charges simulated cost, draws
 //! randomness, or reads a clock, so every metered counter is bit-identical
 //! with observability fully on or fully off, at any thread count. The
-//! only notion of time is simulated PIM time carried by the trace events
-//! themselves.
+//! only notion of time is simulated PIM time carried by the trace
+//! itself. Rounds are attributed to phases and modules once, by
+//! [`Tracer::phase_summaries`](pim_sim::Tracer::phase_summaries); the
+//! timeline and the critical-path table read its rows.
 //!
 //! The pieces:
 //!
 //! * [`Registry`] — a deterministic metrics registry (counters, gauges,
 //!   fixed-bucket log₂ histograms) with a closed name set
 //!   ([`names`]) and a Prometheus-style text [`Registry::expose`].
-//! * [`Timeline`] — per-module, per-round utilization (words in/out,
-//!   busy vs. idle PIM time, straggler delay) reconstructed from
-//!   [`TraceEvent`](pim_sim::TraceEvent)s.
+//! * [`Timeline`] — per-module utilization (words in/out, busy vs. idle
+//!   PIM time, straggler delay, barriers set): a column sum of the phase
+//!   rows.
 //! * [`critical::analyze`] — critical-path attribution over the
-//!   op → phase → round hierarchy: dominant phase per op, barrier-setting
-//!   module per round, balance score per phase.
+//!   op → phase → round hierarchy: phases ranked by barrier time, with
+//!   each phase's balance score, worst module and the barriers it set.
 //! * [`AlarmBoard`] — declarative thresholds (balance, shed rate,
 //!   quarantine, descent rounds) evaluated per epoch by the serving
 //!   layer and surfaced in [`ServeStats`](pim_sim::ServeStats).
@@ -46,10 +48,13 @@
 //! });
 //! let tracer = sys.metrics_mut().take_tracer().unwrap();
 //!
-//! let tl = Timeline::from_events(tracer.events());
+//! let rows = tracer.phase_summaries();
+//! let tl = Timeline::from_phases(&rows);
 //! assert_eq!(tl.modules(), 2);
+//! // m1 did the most work, so it set the round's barrier
+//! assert_eq!(tl.bottleneck(), Some(1));
 //!
-//! let crit = critical::analyze(tracer.events());
+//! let crit = critical::analyze(&rows);
 //! assert_eq!(crit.top_phase().unwrap().phase, "demo");
 //!
 //! let mut reg = Registry::new();
@@ -69,6 +74,6 @@ pub use alarms::{
     default_board, AlarmBoard, AlarmEvent, AlarmSpec, ObsSample, Threshold,
     BALANCE_MIN_WORDS_PER_MODULE,
 };
-pub use critical::{CriticalReport, OpCost, PhaseCost};
+pub use critical::{CriticalReport, PhaseCost};
 pub use registry::{names, Log2Hist, MetricKind, Registry};
 pub use timeline::{ModuleLane, Timeline};

@@ -169,7 +169,7 @@ pub enum MetricKind {
 /// Bucket `i` holds samples whose bit length is `i` — bucket 0 holds
 /// exactly the zeros, bucket 1 holds `1`, bucket 2 holds `2..=3`, bucket
 /// `i` holds `2^(i-1) ..= 2^i - 1`. Bucket boundaries are fixed at
-/// compile time, so merging and exposition never depend on the data.
+/// compile time, so exposition never depends on the data.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Log2Hist {
     buckets: [u64; 65],
@@ -223,15 +223,6 @@ impl Log2Hist {
     /// Samples in bucket `i`.
     pub fn bucket(&self, i: usize) -> u64 {
         self.buckets[i]
-    }
-
-    /// Fold another histogram in (bucket-wise sum — exact, associative).
-    pub fn merge(&mut self, other: &Log2Hist) {
-        for i in 0..self.buckets.len() {
-            self.buckets[i] += other.buckets[i];
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -461,11 +452,6 @@ mod tests {
         assert_eq!(h.bucket(0), 1);
         assert_eq!(h.bucket(2), 2);
         assert_eq!(h.bucket(3), 1);
-        let mut other = Log2Hist::default();
-        other.observe(2);
-        h.merge(&other);
-        assert_eq!(h.bucket(2), 3);
-        assert_eq!(h.count(), 7);
     }
 
     #[test]

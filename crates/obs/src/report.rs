@@ -1,11 +1,11 @@
 //! Shared deterministic renderers: aligned tables and the folded-stack
 //! (flamegraph-compatible) exporter.
 //!
-//! `pimtrie-report`, the timeline/critical renderers, and
-//! `Metrics::report` all use the same layout rule — first column
-//! left-aligned, every other column right-aligned, each column exactly
-//! as wide as its widest cell — so side-by-side sections line up and
-//! every byte is a pure function of the cell contents.
+//! `pimtrie-report` and the timeline/critical renderers all use the
+//! same layout rule — first column left-aligned, every other column
+//! right-aligned, each column exactly as wide as its widest cell — so
+//! side-by-side sections line up and every byte is a pure function of
+//! the cell contents.
 
 use crate::critical::PhaseCost;
 

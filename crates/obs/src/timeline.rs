@@ -1,14 +1,14 @@
-//! Per-module, per-round utilization timelines.
+//! Per-module utilization timelines.
 //!
-//! Reconstructed purely from the [`TraceEvent`] stream a traced
-//! [`PimSystem`](pim_sim::PimSystem) emits — one event per BSP round,
-//! carrying per-module words sent/received, per-module metered work, and
-//! per-module straggler delay. The timeline rebuilds the barrier
-//! structure the PIM Model defines: within a round every module waits
-//! for the slowest one, so a module's **idle** time is the barrier's PIM
-//! time minus its own work. Summing lanes over rounds gives each
-//! module's utilization and answers "which module was the bottleneck in
-//! round 12, and was it skew or a straggler fault?" directly.
+//! A column sum over the rows of
+//! [`Tracer::phase_summaries`](pim_sim::Tracer::phase_summaries), the one
+//! fold over a trace: each row already carries per-module words
+//! sent/received, metered work, straggler delay and barriers set. The
+//! timeline keeps the barrier structure the PIM Model defines: within a
+//! round every module waits for the slowest one, so a module's **idle**
+//! time is the barrier's PIM time minus its own work. Summing lanes gives
+//! each module's utilization and answers "which module was the
+//! bottleneck, and was it skew or a straggler fault?" directly.
 //!
 //! The clock is simulated PIM time: round `k` starts when round `k-1`'s
 //! barrier closed (`t_end = t_start + io_time + pim_time`). Host CPU
@@ -20,7 +20,7 @@
 // them as f64 and compare against advisory thresholds; nothing here
 // feeds back into the metered execution
 
-use pim_sim::TraceEvent;
+use pim_sim::PhaseSummary;
 
 use crate::report;
 
@@ -38,8 +38,8 @@ pub struct ModuleLane {
     pub idle: u64,
     /// Portion of `busy` injected by straggler faults.
     pub straggler_delay: u64,
-    /// Rounds in which this module set the PIM-time barrier (was the
-    /// slowest; ties credit every tied module).
+    /// Rounds in which this module set the PIM-time barrier
+    /// ([`TraceEvent::barrier_module`](pim_sim::TraceEvent::barrier_module)).
     pub barriers_set: u64,
 }
 
@@ -65,30 +65,25 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Rebuild module lanes from a round-event stream. Events with
-    /// differing module counts (e.g. a mixed-`P` trace) widen the lane
-    /// set; absent modules simply accrue nothing.
-    pub fn from_events(events: &[TraceEvent]) -> Timeline {
+    /// Sum a trace's phase rows into module lanes. Rows of differing
+    /// module counts widen the lane set; absent modules accrue nothing.
+    pub fn from_phases(rows: &[PhaseSummary]) -> Timeline {
         let mut tl = Timeline::default();
-        for ev in events {
-            if ev.pim_work.len() > tl.lanes.len() {
-                tl.lanes.resize(ev.pim_work.len(), ModuleLane::default());
+        for row in rows {
+            if row.work.len() > tl.lanes.len() {
+                tl.lanes.resize(row.work.len(), ModuleLane::default());
             }
-            tl.rounds += 1;
-            tl.io_time += ev.io_time;
-            tl.pim_time += ev.pim_time;
-            for (m, lane) in tl.lanes.iter_mut().enumerate() {
-                if m >= ev.pim_work.len() {
-                    continue;
-                }
-                lane.sent += ev.sent[m];
-                lane.received += ev.received[m];
-                lane.busy += ev.pim_work[m];
-                lane.idle += ev.pim_time - ev.pim_work[m];
-                lane.straggler_delay += ev.straggler_delay[m];
-                if ev.pim_time > 0 && ev.pim_work[m] == ev.pim_time {
-                    lane.barriers_set += 1;
-                }
+            tl.rounds += row.rounds;
+            tl.io_time += row.io_time;
+            tl.pim_time += row.pim_time;
+            for (m, &work) in row.work.iter().enumerate() {
+                let lane = &mut tl.lanes[m];
+                lane.sent += row.sent[m];
+                lane.received += row.received[m];
+                lane.busy += work;
+                lane.idle += row.pim_time - work;
+                lane.straggler_delay += row.straggler_delay[m];
+                lane.barriers_set += row.barriers[m];
             }
         }
         tl
@@ -175,56 +170,84 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(sent: Vec<u64>, received: Vec<u64>, work: Vec<u64>, delay: Vec<u64>) -> TraceEvent {
-        let io_time = sent
-            .iter()
-            .zip(&received)
-            .map(|(s, r)| s + r)
-            .max()
-            .unwrap_or(0);
-        TraceEvent {
-            seq: 0,
-            op: "op".into(),
-            phase: "op/phase".into(),
-            round: "r".into(),
-            io_time,
-            io_volume: sent.iter().sum::<u64>() + received.iter().sum::<u64>(),
-            pim_time: work.iter().copied().max().unwrap_or(0),
-            sent,
-            received,
-            pim_work: work,
-            straggler_delay: delay,
-        }
-    }
+    use crate::critical::tests::rows;
+    use pim_sim::{FaultPlan, PimSystem};
 
     #[test]
     fn lanes_accumulate_busy_idle_and_barriers() {
-        let events = vec![
-            ev(vec![4, 1], vec![0, 1], vec![6, 2], vec![0, 0]),
-            ev(vec![1, 1], vec![1, 1], vec![1, 5], vec![0, 4]),
-        ];
-        let tl = Timeline::from_events(&events);
+        let rs = rows(&[
+            ("op", "a", vec![4, 1], vec![6, 2]),
+            ("op", "b", vec![1, 1], vec![1, 5]),
+        ]);
+        let tl = Timeline::from_phases(&rs);
         assert_eq!(tl.modules(), 2);
         assert_eq!(tl.rounds(), 2);
         assert_eq!(tl.pim_time(), 6 + 5);
         let m0 = &tl.lanes()[0];
         let m1 = &tl.lanes()[1];
+        assert_eq!((m0.sent, m1.sent), (5, 2));
         assert_eq!((m0.busy, m0.idle), (7, 4)); // 6+1 busy, 0+4 idle
         assert_eq!((m1.busy, m1.idle), (7, 4)); // 2+5 busy, 4+0 idle
         assert_eq!(m0.barriers_set, 1);
         assert_eq!(m1.barriers_set, 1);
-        assert_eq!(m1.straggler_delay, 4);
-        assert_eq!(tl.straggler_delay(), 4);
         // tie on barriers: lowest module id wins
         assert_eq!(tl.bottleneck(), Some(0));
         assert!((m0.utilization() - 7.0 / 11.0).abs() < 1e-9);
     }
 
+    /// The critical table and the timeline read barriers off the same
+    /// rows, so they credit the same module: the lowest-id module at the
+    /// round's PIM time, never the one with the most words, and only one
+    /// module per round on a tie.
+    #[test]
+    fn critical_and_timeline_credit_the_same_barrier_module() {
+        let rs = rows(&[
+            // most words on m0, most work on m1
+            ("get", "read", vec![9, 0], vec![1, 5]),
+            // m0 and m1 tie on work
+            ("get", "probe", vec![4, 0], vec![3, 3]),
+        ]);
+        let crit = crate::critical::analyze(&rs);
+        let lane_barriers = |phase: &str| -> Vec<u64> {
+            let row = rs.iter().filter(|r| r.phase == phase);
+            let tl = Timeline::from_phases(&row.cloned().collect::<Vec<_>>());
+            tl.lanes().iter().map(|l| l.barriers_set).collect()
+        };
+        assert_eq!(lane_barriers("get/read"), vec![0, 1]);
+        assert_eq!(lane_barriers("get/probe"), vec![1, 0]);
+        for cost in &crit.phases {
+            assert_eq!(cost.worst_module, 0, "{}", cost.phase);
+            let want = lane_barriers(&cost.phase)[cost.worst_module as usize];
+            assert_eq!(cost.barrier_rounds, want, "{}", cost.phase);
+        }
+        let tl = Timeline::from_phases(&rs);
+        assert_eq!(tl.lanes()[0].barriers_set + tl.lanes()[1].barriers_set, 2);
+    }
+
+    #[test]
+    fn straggler_delay_sums_into_lanes() {
+        let mut sys = PimSystem::new(2, |_| ());
+        sys.metrics_mut().enable_tracing();
+        sys.install_faults(FaultPlan::new(1).with_stragglers(1.0, 2), None);
+        sys.round("r", vec![vec![0u64], vec![]], |ctx, _: Vec<u64>| {
+            ctx.work(3 - 2 * ctx.id as u64);
+            Vec::<u64>::new()
+        });
+        let rows = sys
+            .metrics()
+            .tracer()
+            .expect("tracing on")
+            .phase_summaries();
+        let tl = Timeline::from_phases(&rows);
+        let (m0, m1) = (&tl.lanes()[0], &tl.lanes()[1]);
+        assert_eq!((m0.straggler_delay, m1.straggler_delay), (3, 1));
+        assert_eq!(tl.straggler_delay(), 4);
+        assert_eq!((m0.busy, m1.busy, m1.idle), (6, 2, 4));
+    }
+
     #[test]
     fn render_is_deterministic_and_marks_bottleneck() {
-        let events = vec![ev(vec![2, 0], vec![0, 0], vec![3, 1], vec![0, 0])];
-        let tl = Timeline::from_events(&events);
+        let tl = Timeline::from_phases(&rows(&[("op", "a", vec![2, 0], vec![3, 1])]));
         let (a, b) = (tl.render(), tl.render());
         assert_eq!(a, b);
         assert!(a.contains("m0*"));
@@ -233,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_timeline() {
-        let tl = Timeline::from_events(&[]);
+        let tl = Timeline::from_phases(&[]);
         assert_eq!(tl.modules(), 0);
         assert_eq!(tl.bottleneck(), None);
         assert_eq!(tl.pim_time(), 0);

@@ -145,6 +145,12 @@ impl Json {
     }
 }
 
+/// Stabilize a float ratio to 6 decimal places, so a rendered value is
+/// byte-reproducible across formatting-neutral refactors.
+pub fn round6(v: f64) -> f64 {
+    (v * 1e6).round() / 1e6
+}
+
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {

@@ -222,9 +222,6 @@ pub struct Metrics {
     resident: ResidentStats,
     serve: ServeStats,
     codec: CodecStats,
-    /// Detailed per-round log (kept only when `log_rounds` is on).
-    pub round_log: Vec<RoundRecord>,
-    log_rounds: bool,
     tracer: Option<Box<Tracer>>,
 }
 
@@ -236,11 +233,6 @@ impl Metrics {
             pim_per_module: vec![0; p],
             ..Default::default()
         }
-    }
-
-    /// Keep a full per-round log (off by default; aggregates are always on).
-    pub fn set_round_logging(&mut self, on: bool) {
-        self.log_rounds = on;
     }
 
     /// Attach a fresh [`Tracer`] so subsequent rounds and CPU charges are
@@ -281,9 +273,6 @@ impl Metrics {
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             t.on_round(&rec);
-        }
-        if self.log_rounds {
-            self.round_log.push(rec);
         }
     }
 
@@ -419,93 +408,6 @@ impl Metrics {
     }
 }
 
-impl Metrics {
-    /// Human-readable per-round-name cost report (requires round logging).
-    /// The name column widens to fit the longest round name, and per-name
-    /// PIM time is reported alongside IO time. When the resident, serving or
-    /// codec layers have recorded anything (any counter non-zero), a
-    /// `resident.*` / `serve.*` / `codec.*` section follows in the same column layout;
-    /// with those layers idle the sections are omitted entirely, so a
-    /// plain simulation report looks exactly as it always did.
-    pub fn report(&self) -> String {
-        use std::collections::BTreeMap;
-        let mut agg: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
-        for r in &self.round_log {
-            let e = agg.entry(r.name.as_str()).or_insert((0, 0, 0, 0));
-            e.0 += 1;
-            e.1 += r.io_volume();
-            e.2 += r.io_time();
-            e.3 += r.pim_time();
-        }
-        let r = &self.resident;
-        let resident_rows: Vec<(&str, u64)> = if self.resident == ResidentStats::default() {
-            Vec::new()
-        } else {
-            vec![
-                ("resident.words", r.words),
-                ("resident.words_high_water", r.words_high_water),
-                ("resident.fills", r.fills),
-                ("resident.fill_words", r.fill_words),
-                ("resident.invalidations", r.invalidations),
-                ("resident.host_matches", r.host_matches),
-            ]
-        };
-        let s = &self.serve;
-        let serve_rows: Vec<(&str, u64)> = if self.serve == ServeStats::default() {
-            Vec::new()
-        } else {
-            vec![
-                ("serve.submitted", s.submitted),
-                ("serve.admitted", s.admitted),
-                ("serve.rejected", s.rejected),
-                ("serve.expired", s.expired),
-                ("serve.completed", s.completed),
-                ("serve.failed", s.failed),
-                ("serve.epochs", s.epochs),
-                ("serve.alarms", s.alarms),
-            ]
-        };
-        let k = &self.codec;
-        let codec_rows: Vec<(&str, u64)> = if self.codec == CodecStats::default() {
-            Vec::new()
-        } else {
-            vec![
-                ("codec.version", k.version),
-                ("codec.negotiations", k.negotiations),
-                ("codec.frames", k.frames),
-                ("codec.plain_words", k.plain_words),
-                ("codec.encoded_words", k.encoded_words),
-            ]
-        };
-        let width = agg
-            .keys()
-            .map(|name| name.len())
-            .chain(resident_rows.iter().map(|(n, _)| n.len()))
-            .chain(serve_rows.iter().map(|(n, _)| n.len()))
-            .chain(codec_rows.iter().map(|(n, _)| n.len()))
-            .chain(std::iter::once("round name".len()))
-            .max()
-            .unwrap_or(0);
-        let mut out = format!(
-            "{:width$} {:>8} {:>10} {:>10} {:>10}\n",
-            "round name", "rounds", "volume", "io_time", "pim_time"
-        );
-        for (name, (n, vol, io, pim)) in agg {
-            out.push_str(&format!(
-                "{name:width$} {n:>8} {vol:>10} {io:>10} {pim:>10}\n"
-            ));
-        }
-        for (name, v) in resident_rows
-            .iter()
-            .chain(serve_rows.iter())
-            .chain(codec_rows.iter())
-        {
-            out.push_str(&format!("{name:width$} {v:>8}\n"));
-        }
-        out
-    }
-}
-
 /// A point-in-time copy of the aggregate counters.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
@@ -614,51 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn report_aligns_long_names_and_shows_pim_time() {
-        let mut m = Metrics::new(2);
-        m.set_round_logging(true);
-        m.record_round(rec("s", vec![1, 0], vec![0, 0], vec![4, 0]));
-        m.record_round(rec(
-            "a.very.long.round.name.exceeding.24.chars",
-            vec![2, 2],
-            vec![1, 0],
-            vec![0, 7],
-        ));
-        let rep = m.report();
-        let lines: Vec<&str> = rep.lines().collect();
-        assert_eq!(lines.len(), 3);
-        // every row is the same width: the name column stretched to fit
-        assert!(lines.iter().all(|l| l.len() == lines[0].len()));
-        assert!(lines[0].contains("pim_time"));
-        let short_row = lines.iter().find(|l| l.starts_with("s ")).unwrap();
-        assert!(short_row.ends_with("         4"));
-    }
-
-    #[test]
-    fn report_sections_appear_only_when_nonzero() {
-        let mut m = Metrics::new(2);
-        m.set_round_logging(true);
-        m.record_round(rec("s", vec![1, 0], vec![0, 0], vec![4, 0]));
-        let plain = m.report();
-        assert!(!plain.contains("resident."));
-        assert!(!plain.contains("serve."));
-
-        m.resident_stats_mut().fills = 4;
-        m.resident_stats_mut().host_matches = 3;
-        m.serve_stats_mut().submitted = 9;
-        m.serve_stats_mut().alarms = 1;
-        let full = m.report();
-        assert!(full.contains("resident.fills"));
-        assert!(full.contains("serve.alarms"));
-        // stat labels share the round-name column: every stat row is
-        // padded to the same width as the table's name column
-        let name_w = "resident.words_high_water".len();
-        for line in full.lines().filter(|l| l.contains("serve.")) {
-            assert_eq!(line.len(), name_w + 1 + 8, "row: {line:?}");
-        }
-    }
-
-    #[test]
     fn balance_fn_is_public_and_total() {
         assert_eq!(balance(&[]), 1.0);
         assert_eq!(balance(&[0, 0]), 1.0);
@@ -714,13 +571,10 @@ mod tests {
     }
 
     #[test]
-    fn codec_stats_default_zero_and_report_section() {
+    fn codec_stats_default_zero_and_ratio() {
         let mut m = Metrics::new(2);
-        m.set_round_logging(true);
-        m.record_round(rec("s", vec![1, 0], vec![0, 0], vec![4, 0]));
         assert_eq!(*m.codec_stats(), CodecStats::default());
         assert_eq!(m.codec_stats().ratio(), 1.0);
-        assert!(!m.report().contains("codec."));
         let k = m.codec_stats_mut();
         k.version = 2;
         k.negotiations = 1;
@@ -728,9 +582,6 @@ mod tests {
         k.plain_words = 300;
         k.encoded_words = 100;
         assert!((m.codec_stats().ratio() - 3.0).abs() < 1e-12);
-        let rep = m.report();
-        assert!(rep.contains("codec.version"));
-        assert!(rep.contains("codec.encoded_words"));
     }
 
     #[test]

@@ -174,7 +174,7 @@ impl<M: Send> PimSystem<M> {
         &self.metrics
     }
 
-    /// Mutable metrics (for `charge_cpu`, logging toggles, snapshots).
+    /// Mutable metrics (for `charge_cpu`, tracing, snapshots).
     pub fn metrics_mut(&mut self) -> &mut Metrics {
         &mut self.metrics
     }

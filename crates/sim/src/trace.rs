@@ -36,8 +36,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
-use crate::metrics::RoundRecord;
+use crate::json::{round6, Json};
+use crate::metrics::{balance, RoundRecord};
 
 /// Phase label resolved for BSP rounds issued while the tracer is in
 /// retry mode (see [`Tracer::set_retry`]): rounds spent re-asking modules
@@ -96,6 +96,16 @@ impl TraceEvent {
             ("straggler_delay", nums(&self.straggler_delay)),
         ])
     }
+
+    /// The module that set this round's PIM barrier: the lowest-id module
+    /// whose work equals the round's `pim_time`, or `None` when no module
+    /// worked. Every barrier count in a report uses this one definition.
+    pub fn barrier_module(&self) -> Option<usize> {
+        if self.pim_time == 0 {
+            return None;
+        }
+        self.pim_work.iter().position(|&w| w == self.pim_time)
+    }
 }
 
 fn nums(v: &[u64]) -> Json {
@@ -103,15 +113,9 @@ fn nums(v: &[u64]) -> Json {
 }
 
 /// Distribution summary of a per-round quantity within one phase.
-///
-/// `count`, `sum`, `min`, `max`, `mean`, and `argmax` are *exact* and
-/// [`merge`](Dist::merge) combines them exactly; `p50`/`p99` are exact
-/// under [`from_samples`](Dist::from_samples) but merge as upper bounds
-/// (the max of the two sides) so that merging stays associative and
-/// order-invariant — see the sim proptests.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Dist {
-    /// Number of samples summarized (0 ⇒ empty/identity distribution).
+    /// Number of samples summarized (0 ⇒ empty distribution).
     pub count: u64,
     /// Exact sum of all samples.
     pub sum: u64,
@@ -160,38 +164,6 @@ impl Dist {
         }
     }
 
-    /// Combine two summaries. `count`/`sum`/`min`/`max`/`mean`/`argmax`
-    /// merge exactly (the empty `Dist` is the identity; on a `max` tie
-    /// the lower `argmax` wins, making the result order-invariant);
-    /// `p50`/`p99` merge as the max of the two sides — an upper bound,
-    /// chosen over exactness so that merge is associative.
-    pub fn merge(self, other: Dist) -> Dist {
-        if self.count == 0 {
-            return other;
-        }
-        if other.count == 0 {
-            return self;
-        }
-        let (max, argmax) =
-            if other.max > self.max || (other.max == self.max && other.argmax < self.argmax) {
-                (other.max, other.argmax)
-            } else {
-                (self.max, self.argmax)
-            };
-        let count = self.count + other.count;
-        let sum = self.sum + other.sum;
-        Dist {
-            count,
-            sum,
-            min: self.min.min(other.min),
-            max,
-            argmax,
-            mean: sum as f64 / count as f64,
-            p50: self.p50.max(other.p50),
-            p99: self.p99.max(other.p99),
-        }
-    }
-
     fn to_json(self) -> Json {
         Json::obj(vec![
             ("count", Json::num(self.count as f64)),
@@ -206,7 +178,9 @@ impl Dist {
     }
 }
 
-/// Aggregated costs of one (op, phase) scope across a trace.
+/// Aggregated costs of one (op, phase) scope across a trace. The
+/// per-module vectors are indexed by module id and empty for a row that
+/// ran no round.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSummary {
     /// Op span the phase ran under.
@@ -229,22 +203,35 @@ pub struct PhaseSummary {
     pub words_per_round: Dist,
     /// Distribution of per-round PIM time (max module work).
     pub work_per_round: Dist,
-    /// Skew of cumulative per-module words: max / mean (1.0 = balanced).
-    pub io_skew: f64,
-    /// Skew of cumulative per-module work: max / mean.
-    pub pim_skew: f64,
-    /// Module that moved the most cumulative words in this phase
-    /// (`Dist::argmax` over per-module word totals; 0 when round-less).
-    pub io_worst_module: u64,
-    /// Module that did the most cumulative work in this phase.
-    pub pim_worst_module: u64,
-    /// Σ straggler-fault delay injected across modules in this phase.
-    pub straggler_delay: u64,
+    /// Words written CPU→module, per module.
+    pub sent: Vec<u64>,
+    /// Words read module→CPU, per module.
+    pub received: Vec<u64>,
+    /// Work metered inside each module handler (straggler delay included).
+    pub work: Vec<u64>,
+    /// Straggler-fault delay injected into each module.
+    pub straggler_delay: Vec<u64>,
+    /// Rounds whose PIM barrier each module set
+    /// ([`TraceEvent::barrier_module`]).
+    pub barriers: Vec<u64>,
 }
 
 impl PhaseSummary {
-    /// The summary as a JSON object.
+    /// Words each module moved: sent + received.
+    pub fn io_per_module(&self) -> Vec<u64> {
+        self.sent
+            .iter()
+            .zip(&self.received)
+            .map(|(s, r)| s + r)
+            .collect()
+    }
+
+    /// The summary as a JSON object. `io_skew`/`pim_skew` are the
+    /// [`balance`] of per-module words and work, and
+    /// `io_worst_module`/`pim_worst_module` the module holding each
+    /// maximum (ties → lowest id; 0 for a round-less row).
     pub fn to_json(&self) -> Json {
+        let io = self.io_per_module();
         Json::obj(vec![
             ("op", Json::str(&*self.op)),
             ("phase", Json::str(&*self.phase)),
@@ -256,28 +243,22 @@ impl PhaseSummary {
             ("retries", Json::num(self.retries as f64)),
             ("words_per_round", self.words_per_round.to_json()),
             ("work_per_round", self.work_per_round.to_json()),
-            ("io_skew", Json::num(round6(self.io_skew))),
-            ("pim_skew", Json::num(round6(self.pim_skew))),
-            ("io_worst_module", Json::num(self.io_worst_module as f64)),
-            ("pim_worst_module", Json::num(self.pim_worst_module as f64)),
-            ("straggler_delay", Json::num(self.straggler_delay as f64)),
+            ("io_skew", Json::num(round6(balance(&io)))),
+            ("pim_skew", Json::num(round6(balance(&self.work)))),
+            (
+                "io_worst_module",
+                Json::num(Dist::from_samples(&io).argmax as f64),
+            ),
+            (
+                "pim_worst_module",
+                Json::num(Dist::from_samples(&self.work).argmax as f64),
+            ),
+            (
+                "straggler_delay",
+                Json::num(self.straggler_delay.iter().sum::<u64>() as f64),
+            ),
         ])
     }
-}
-
-/// Stabilize float ratios to 6 decimal places so summaries are
-/// byte-reproducible across formatting-neutral refactors.
-fn round6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
-}
-
-fn skew(per_module: &[u64]) -> f64 {
-    let total: u64 = per_module.iter().sum();
-    if total == 0 || per_module.is_empty() {
-        return 1.0;
-    }
-    let max = *per_module.iter().max().unwrap() as f64;
-    max / (total as f64 / per_module.len() as f64)
 }
 
 /// Records op/phase-attributed round events and scope-attributed CPU and
@@ -402,49 +383,43 @@ impl Tracer {
     }
 
     /// Per-(op, phase) aggregates over the whole trace, sorted by op then
-    /// phase. Scopes that only charged CPU (no rounds) still appear.
+    /// phase. Scopes that only charged CPU (no rounds) still appear. This
+    /// is the one fold over the events: reports attribute rounds, time
+    /// and barriers to phases and modules from its rows.
     pub fn phase_summaries(&self) -> Vec<PhaseSummary> {
+        #[derive(Default)]
         struct Acc {
             io_times: Vec<u64>,
             pim_times: Vec<u64>,
             io_volume: u64,
-            io_per_module: Vec<u64>,
-            pim_per_module: Vec<u64>,
-            straggler_delay: u64,
+            sent: Vec<u64>,
+            received: Vec<u64>,
+            work: Vec<u64>,
+            straggler_delay: Vec<u64>,
+            barriers: Vec<u64>,
         }
+        let add = |acc: &mut Vec<u64>, v: &[u64]| {
+            acc.resize(acc.len().max(v.len()), 0);
+            acc.iter_mut().zip(v).for_each(|(a, x)| *a += x);
+        };
         let mut accs: BTreeMap<(String, String), Acc> = BTreeMap::new();
         for ev in &self.events {
-            let acc = accs
-                .entry((ev.op.clone(), ev.phase.clone()))
-                .or_insert_with(|| Acc {
-                    io_times: Vec::new(),
-                    pim_times: Vec::new(),
-                    io_volume: 0,
-                    io_per_module: vec![0; ev.sent.len()],
-                    pim_per_module: vec![0; ev.pim_work.len()],
-                    straggler_delay: 0,
-                });
+            let acc = accs.entry((ev.op.clone(), ev.phase.clone())).or_default();
             acc.io_times.push(ev.io_time);
             acc.pim_times.push(ev.pim_time);
             acc.io_volume += ev.io_volume;
-            for i in 0..ev.sent.len() {
-                acc.io_per_module[i] += ev.sent[i] + ev.received[i];
+            add(&mut acc.sent, &ev.sent);
+            add(&mut acc.received, &ev.received);
+            add(&mut acc.work, &ev.pim_work);
+            add(&mut acc.straggler_delay, &ev.straggler_delay);
+            acc.barriers.resize(acc.work.len(), 0);
+            if let Some(m) = ev.barrier_module() {
+                acc.barriers[m] += 1;
             }
-            for i in 0..ev.pim_work.len() {
-                acc.pim_per_module[i] += ev.pim_work[i];
-            }
-            acc.straggler_delay += ev.straggler_delay.iter().sum::<u64>();
         }
         // CPU-only and retry-only scopes still get a (round-less) row.
         for key in self.cpu_by_scope.keys().chain(self.retries_by_scope.keys()) {
-            accs.entry(key.clone()).or_insert_with(|| Acc {
-                io_times: Vec::new(),
-                pim_times: Vec::new(),
-                io_volume: 0,
-                io_per_module: Vec::new(),
-                pim_per_module: Vec::new(),
-                straggler_delay: 0,
-            });
+            accs.entry(key.clone()).or_default();
         }
         accs.into_iter()
             .map(|((op, phase), acc)| {
@@ -458,11 +433,11 @@ impl Tracer {
                     retries: self.retries_by_scope.get(&key).copied().unwrap_or(0),
                     words_per_round: Dist::from_samples(&acc.io_times),
                     work_per_round: Dist::from_samples(&acc.pim_times),
-                    io_skew: skew(&acc.io_per_module),
-                    pim_skew: skew(&acc.pim_per_module),
-                    io_worst_module: Dist::from_samples(&acc.io_per_module).argmax,
-                    pim_worst_module: Dist::from_samples(&acc.pim_per_module).argmax,
+                    sent: acc.sent,
+                    received: acc.received,
+                    work: acc.work,
                     straggler_delay: acc.straggler_delay,
+                    barriers: acc.barriers,
                     op,
                     phase,
                 }
@@ -564,30 +539,30 @@ mod tests {
         t.begin_op("get");
         t.set_phase("read");
         t.on_round(&rec("get.read", vec![3, 1], vec![3, 1], vec![4, 0]));
-        let s = &t.phase_summaries()[0];
-        assert!((s.io_skew - 1.5).abs() < 1e-9); // [6,2] → 6/4
-        assert!((s.pim_skew - 2.0).abs() < 1e-9); // [4,0] → 4/2
-        assert_eq!(s.io_worst_module, 0);
-        assert_eq!(s.pim_worst_module, 0);
+        let s = t.phase_summaries()[0].to_json();
+        let num = |k: &str| s.get(k).and_then(Json::as_num);
+        assert_eq!(num("io_skew"), Some(1.5)); // [6,2] → 6/4
+        assert_eq!(num("pim_skew"), Some(2.0)); // [4,0] → 4/2
+        assert_eq!(num("io_worst_module"), Some(0.0));
+        assert_eq!(num("pim_worst_module"), Some(0.0));
     }
 
     #[test]
-    fn dist_merge_is_exact_on_exact_fields() {
-        let a = Dist::from_samples(&[1, 9, 4]);
-        let b = Dist::from_samples(&[2, 2]);
-        let m = a.merge(b);
-        assert_eq!((m.count, m.sum, m.min, m.max, m.argmax), (5, 18, 1, 9, 1));
-        assert!((m.mean - 3.6).abs() < 1e-9);
-        // empty is the identity on both sides
-        assert_eq!(a.merge(Dist::default()), a);
-        assert_eq!(Dist::default().merge(a), a);
-        // p50/p99 merge as the max of the two sides (upper bound)
-        assert_eq!(m.p50, a.p50.max(b.p50));
-        // max tie: the lower argmax wins regardless of merge order
-        let x = Dist::from_samples(&[9, 1]); // argmax 0
-        let y = Dist::from_samples(&[1, 9]); // argmax 1
-        assert_eq!(x.merge(y).argmax, 0);
-        assert_eq!(y.merge(x).argmax, 0);
+    fn barrier_goes_to_the_lowest_id_module_at_pim_time() {
+        let mut t = Tracer::new();
+        // most words on m0, most work on m1: m1 set the barrier
+        t.on_round(&rec("a", vec![9, 0, 0], vec![0, 0, 0], vec![1, 5, 0]));
+        // m1 and m2 tie on work: the lower id alone is credited
+        t.on_round(&rec("a", vec![0, 0, 0], vec![0, 0, 0], vec![2, 3, 3]));
+        // no module worked: nobody set a PIM barrier
+        t.on_round(&rec("a", vec![1, 1, 1], vec![0, 0, 0], vec![0, 0, 0]));
+        let ev = t.events();
+        let set: Vec<Option<usize>> = ev.iter().map(TraceEvent::barrier_module).collect();
+        assert_eq!(set, vec![Some(1), Some(1), None]);
+        let s = &t.phase_summaries()[0];
+        assert_eq!(s.barriers, vec![0, 2, 0]);
+        assert_eq!(s.work, vec![3, 8, 3]);
+        assert_eq!(s.io_per_module(), vec![10, 1, 1]);
     }
 
     #[test]
@@ -623,6 +598,10 @@ mod tests {
         assert_eq!(sums[0].phase, "host");
         assert_eq!(sums[0].cpu_work, 5);
         assert_eq!(sums[0].rounds, 0);
-        assert_eq!(sums[0].io_skew, 1.0);
+        assert!(sums[0].work.is_empty() && sums[0].barriers.is_empty());
+        assert_eq!(
+            sums[0].to_json().get("io_skew").and_then(Json::as_num),
+            Some(1.0)
+        );
     }
 }

@@ -82,57 +82,3 @@ proptest! {
         prop_assert_eq!(d.io_volume(), want);
     }
 }
-
-/// Compare two `Dist`s for exact equality on the integer fields and
-/// bit-equality on `mean` (merge computes it as `sum / count`, so any
-/// merge order over the same multiset yields the same quotient).
-fn dists_eq(a: pim_sim::Dist, b: pim_sim::Dist) -> bool {
-    a == b
-}
-
-proptest! {
-    #[test]
-    fn dist_merge_is_associative_and_order_invariant(
-        xs in proptest::collection::vec(any::<u32>(), 0..12),
-        ys in proptest::collection::vec(any::<u32>(), 0..12),
-        zs in proptest::collection::vec(any::<u32>(), 0..12),
-    ) {
-        use pim_sim::Dist;
-        let to64 = |v: &[u32]| v.iter().map(|&x| x as u64).collect::<Vec<u64>>();
-        let (a, b, c) = (
-            Dist::from_samples(&to64(&xs)),
-            Dist::from_samples(&to64(&ys)),
-            Dist::from_samples(&to64(&zs)),
-        );
-        // associative: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        prop_assert!(dists_eq(a.merge(b).merge(c), a.merge(b.merge(c))));
-        // order-invariant: every permutation of {a, b, c} agrees
-        let folds = [
-            a.merge(b).merge(c),
-            a.merge(c).merge(b),
-            b.merge(a).merge(c),
-            b.merge(c).merge(a),
-            c.merge(a).merge(b),
-            c.merge(b).merge(a),
-        ];
-        for f in &folds[1..] {
-            prop_assert!(dists_eq(folds[0], *f));
-        }
-        // the empty Dist is a two-sided identity
-        prop_assert!(dists_eq(Dist::default().merge(a), a));
-        prop_assert!(dists_eq(a.merge(Dist::default()), a));
-        // exact fields match a from_samples over the concatenation
-        let mut all = to64(&xs);
-        all.extend(to64(&ys));
-        all.extend(to64(&zs));
-        let whole = Dist::from_samples(&all);
-        let merged = a.merge(b).merge(c);
-        prop_assert_eq!(merged.count, whole.count);
-        prop_assert_eq!(merged.sum, whole.sum);
-        prop_assert_eq!(merged.min, whole.min);
-        prop_assert_eq!(merged.max, whole.max);
-        // p50/p99 merge as upper bounds on the concatenation's
-        prop_assert!(merged.p50 >= whole.p50);
-        prop_assert!(merged.p99 >= whole.p99);
-    }
-}
