@@ -190,7 +190,16 @@ impl DistRadixTree {
     /// Batch LongestCommonPrefix by level-by-level pointer chasing:
     /// `Θ(max path length)` BSP rounds for the batch.
     pub fn lcp_batch(&mut self, raw_queries: &[BitStr]) -> Vec<usize> {
-        crate::trace_op(self.sys.metrics_mut(), "lcp", "pointer-chase");
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "lcp",
+            "pointer-chase",
+            |s| s.lcp_batch_inner(raw_queries),
+        )
+    }
+
+    fn lcp_batch_inner(&mut self, raw_queries: &[BitStr]) -> Vec<usize> {
         // queries are padded like stored keys; the reported LCP is capped
         // at the raw query length (span > 1 quantises LCPs to digit
         // granularity — the l/s resolution Table 1 charges this design)
@@ -249,13 +258,21 @@ impl DistRadixTree {
             }
             active = next_active;
         }
-        crate::trace_op_end(self.sys.metrics_mut());
         out
     }
 
     /// Exact-key lookup, same pointer-chasing pattern.
     pub fn get_batch(&mut self, raw_keys: &[BitStr]) -> Vec<Option<Value>> {
-        crate::trace_op(self.sys.metrics_mut(), "get", "pointer-chase");
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "get",
+            "pointer-chase",
+            |s| s.get_batch_inner(raw_keys),
+        )
+    }
+
+    fn get_batch_inner(&mut self, raw_keys: &[BitStr]) -> Vec<Option<Value>> {
         // queries walk the same padded digit space the build used
         let keys: Vec<BitStr> = raw_keys.iter().map(|k| pad_key(k, self.span)).collect();
         let p = self.sys.p();
@@ -298,7 +315,6 @@ impl DistRadixTree {
             }
             active = next_active;
         }
-        crate::trace_op_end(self.sys.metrics_mut());
         out
     }
 

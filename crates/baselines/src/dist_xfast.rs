@@ -103,7 +103,16 @@ impl DistXFastTrie {
     /// Insert a batch: every key writes one entry per level — `O(w)` words
     /// per key, the Table 1 insert cost.
     pub fn insert_batch(&mut self, keys: &[u64]) {
-        crate::trace_op(self.sys.metrics_mut(), "insert", "level-tables");
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "insert",
+            "level-tables",
+            |s| s.insert_batch_inner(keys),
+        )
+    }
+
+    fn insert_batch_inner(&mut self, keys: &[u64]) {
         let p = self.sys.p();
         let mut out = Scatter::new(p);
         for &x in keys {
@@ -142,25 +151,32 @@ impl DistXFastTrie {
             });
             self.n_keys = counts.iter().flatten().sum::<u64>() as usize;
         }
-        crate::trace_op_end(self.sys.metrics_mut());
     }
 
     /// Batch longest-common-prefix lengths against the stored key set —
     /// the x-fast binary search over levels, `O(log w)` BSP rounds for the
     /// whole batch.
     pub fn lcp_batch(&mut self, queries: &[u64]) -> Vec<usize> {
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "lcp",
+            "binary-search",
+            |s| s.lcp_batch_inner(queries),
+        )
+    }
+
+    fn lcp_batch_inner(&mut self, queries: &[u64]) -> Vec<usize> {
         let p = self.sys.p();
         let n = queries.len();
         if n == 0 {
             return Vec::new();
         }
-        crate::trace_op(self.sys.metrics_mut(), "lcp", "binary-search");
         // per-query binary search interval [lo, hi] over levels; invariant:
         // prefix at `lo` is present (level 0 always matches once nonempty)
         let mut lo = vec![0u8; n];
         let mut hi = vec![self.width as u8; n];
         if self.n_keys == 0 {
-            crate::trace_op_end(self.sys.metrics_mut());
             return vec![0; n];
         }
         while (0..n).any(|i| lo[i] < hi[i]) {
@@ -191,10 +207,6 @@ impl DistXFastTrie {
                 }
             }
         }
-        // lint: allow(span-balance) — the span is closed on both the
-        // empty-trie early return above and this fall-through path; the
-        // flow-insensitive scan reads the second close as unmatched
-        crate::trace_op_end(self.sys.metrics_mut());
         lo.into_iter().map(|l| l as usize).collect()
     }
 }
@@ -276,5 +288,16 @@ mod tests {
         t.insert_batch(&[7, 7, 7]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.lcp_batch(&[7]), vec![64]);
+    }
+
+    #[test]
+    fn lcp_on_an_empty_trie_closes_its_span() {
+        let mut t = DistXFastTrie::new(4, 64, 29);
+        t.system_mut().metrics_mut().enable_tracing();
+        // the early return for a trie with no keys
+        assert_eq!(t.lcp_batch(&[5, 6]), vec![0, 0]);
+        let tracer = t.system().metrics().tracer().expect("tracing on");
+        assert_eq!(tracer.current_op(), "-");
+        assert!(tracer.events().is_empty());
     }
 }

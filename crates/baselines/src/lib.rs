@@ -41,20 +41,21 @@ pub(crate) fn gathered<T, M, R>(
         .unwrap_or_else(|e| unreachable!("baseline round: {e}"))
 }
 
-/// Open a traced op span with its single stage on a baseline's metrics
+/// Run one baseline batch op as a traced span with its single stage
 /// (baseline batch ops are one logical phase each, traced as
-/// `<op>/<stage>`). No-op when tracing is off — the metered counters are
-/// untouched either way.
-pub(crate) fn trace_op(metrics: &mut pim_sim::Metrics, op: &'static str, stage: &'static str) {
-    if let Some(t) = metrics.tracer_mut() {
-        t.begin_op(op);
-        t.set_phase(stage);
-    }
-}
-
-/// Close the span opened by [`trace_op`].
-pub(crate) fn trace_op_end(metrics: &mut pim_sim::Metrics) {
-    if let Some(t) = metrics.tracer_mut() {
-        t.end_op();
-    }
+/// `<op>/<stage>`). With tracing off only `body` runs — the metered
+/// counters are untouched either way.
+pub(crate) fn traced<S, R>(
+    owner: &mut S,
+    metrics: impl Fn(&mut S) -> &mut pim_sim::Metrics,
+    op: &'static str,
+    stage: &'static str,
+    body: impl FnOnce(&mut S) -> R,
+) -> R {
+    pim_sim::in_op(owner, &metrics, op, |s| {
+        if let Some(t) = metrics(s).tracer_mut() {
+            t.set_phase(stage);
+        }
+        body(s)
+    })
 }

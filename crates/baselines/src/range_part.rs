@@ -120,7 +120,16 @@ impl RangePartitioned {
 
     /// Insert a batch: each key ships to its range's module only.
     pub fn insert_batch(&mut self, keys: &[BitStr], values: &[Value]) {
-        crate::trace_op(self.sys.metrics_mut(), "insert", "range-scatter");
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "insert",
+            "range-scatter",
+            |s| s.insert_batch_inner(keys, values),
+        )
+    }
+
+    fn insert_batch_inner(&mut self, keys: &[BitStr], values: &[Value]) {
         let mut out = Scatter::new(self.sys.p());
         for (k, v) in keys.iter().zip(values) {
             out.push(self.range_of(k), (), InsertMsg(k.clone(), *v));
@@ -138,7 +147,6 @@ impl RangePartitioned {
                 vec![fresh]
             });
         self.n_keys += replies.iter().flatten().sum::<u64>() as usize;
-        crate::trace_op_end(self.sys.metrics_mut());
     }
 
     /// Batch LCP: each query ships to exactly its range's module (the next
@@ -146,7 +154,16 @@ impl RangePartitioned {
     /// boundary) — the O(1)-communication design whose skewed batches
     /// serialize on one module.
     pub fn lcp_batch(&mut self, queries: &[BitStr]) -> Vec<usize> {
-        crate::trace_op(self.sys.metrics_mut(), "lcp", "local-scan");
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "lcp",
+            "local-scan",
+            |s| s.lcp_batch_inner(queries),
+        )
+    }
+
+    fn lcp_batch_inner(&mut self, queries: &[BitStr]) -> Vec<usize> {
         let mut sent = Scatter::new(self.sys.p());
         for (i, q) in queries.iter().enumerate() {
             sent.push(self.range_of(q), i, QueryMsg(q.clone()));
@@ -161,13 +178,21 @@ impl RangePartitioned {
         for (_, i, r) in crate::gathered(sent, replies) {
             out[i] = out[i].max(r as usize);
         }
-        crate::trace_op_end(self.sys.metrics_mut());
         out
     }
 
     /// Batch exact lookup (single-range shipping).
     pub fn get_batch(&mut self, keys: &[BitStr]) -> Vec<Option<Value>> {
-        crate::trace_op(self.sys.metrics_mut(), "get", "range-lookup");
+        crate::traced(
+            self,
+            |s| s.sys.metrics_mut(),
+            "get",
+            "range-lookup",
+            |s| s.get_batch_inner(keys),
+        )
+    }
+
+    fn get_batch_inner(&mut self, keys: &[BitStr]) -> Vec<Option<Value>> {
         let mut sent = Scatter::new(self.sys.p());
         for (i, k) in keys.iter().enumerate() {
             sent.push(self.range_of(k), i, QueryMsg(k.clone()));
@@ -182,7 +207,6 @@ impl RangePartitioned {
         for (_, i, r) in crate::gathered(sent, replies) {
             out[i] = r;
         }
-        crate::trace_op_end(self.sys.metrics_mut());
         out
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Re-runs the X-obs skew and serve scenarios with tracing and alarms
 //! enabled and prints what the `obs` crate diagnoses: per-phase
-//! critical paths, per-module timelines, alarm firings, and a
-//! Prometheus-style exposition dump. Output is byte-deterministic for
-//! fixed `--p`/`--quick` at any `--threads` value.
+//! critical paths, per-module timelines and alarm firings. Output is
+//! byte-deterministic for fixed `--p`/`--quick` at any `--threads`
+//! value.
 //!
 //! Usage:
 //! ```text
@@ -17,7 +17,7 @@ fn usage() -> String {
     "usage: report [--quick] [--p N] [--threads N] [--folded PATH] [--out PATH]\n\
      \n\
      Renders the X-obs diagnosis report (critical paths, timelines,\n\
-     alarms, exposition) for the skew and serve scenarios.\n\
+     alarms) for the skew and serve scenarios.\n\
      \n\
      options:\n\
      \x20 --quick        reduced sizes (CI scale)\n\

@@ -57,7 +57,7 @@ fn usage() -> String {
          \x20                (the cost-guard baseline format)\n\
          \x20 --trace PATH   write the canonical traced run as JSONL events\n\
          \x20 --obs-report   append the X-obs diagnosis report (critical\n\
-         \x20                paths, timelines, alarms, exposition)\n\
+         \x20                paths, timelines, alarms)\n\
          \x20 --folded PATH  with --obs-report: write folded stacks\n\
          \x20                (flamegraph.pl input) to PATH\n\
          \x20 --help         this text\n\

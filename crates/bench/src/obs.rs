@@ -6,8 +6,7 @@
 //! and closed-loop serving (steady vs. overload) — with tracing and a
 //! [`obs::AlarmBoard`] enabled, then renders what the `obs` crate
 //! diagnoses: per-phase critical paths, per-module timelines, alarm
-//! firings, a Prometheus-style exposition dump, and folded stacks for
-//! flamegraph tooling. Everything is byte-deterministic for fixed
+//! firings, and folded stacks for flamegraph tooling. Everything is byte-deterministic for fixed
 //! `(p, quick)` at any thread count.
 //!
 //! Coverage note: the report traces pim-trie and range-part only; the
@@ -17,14 +16,14 @@
 use crate::{values_for, zipf_over_keys, Row};
 use baselines::RangePartitioned;
 use bitstr::BitStr;
-use obs::{critical, default_board, report, ObsSample, Registry, Timeline};
+use obs::{critical, default_board, report, ObsSample, Timeline};
 use pim_sim::{MetricsDelta, ResidentStats, Tracer};
 use pim_trie::{PimTrie, PimTrieConfig};
 
 /// Everything one `pimtrie-report` invocation produces.
 pub struct ObsReport {
-    /// The human-readable report (critical paths, timelines, alarms,
-    /// exposition) — byte-deterministic across runs and thread counts.
+    /// The human-readable report (critical paths, timelines, alarms) —
+    /// byte-deterministic across runs and thread counts.
     pub text: String,
     /// Folded stacks (`root;op;phase time` per line), flamegraph.pl /
     /// speedscope compatible.
@@ -218,14 +217,13 @@ fn diagnosis_lines(crit: &critical::CriticalReport, tl: &Timeline) -> String {
     out
 }
 
-/// Build the full X-obs report: skew + serve sections, exposition dump,
-/// folded stacks, and the summary rows `repro --json` records.
+/// Build the full X-obs report: skew + serve sections, folded stacks,
+/// and the summary rows `repro --json` records.
 pub fn obs_report(p: usize, quick: bool) -> ObsReport {
     let mut text = String::new();
     let mut folded = String::new();
     let mut skew_rows = Vec::new();
     let mut serve_rows = Vec::new();
-    let mut reg = Registry::new();
 
     text.push_str(&format!(
         "pimtrie-report (P = {p}{})\n",
@@ -237,13 +235,10 @@ pub fn obs_report(p: usize, quick: bool) -> ObsReport {
         let rows = run.tracer.phase_summaries();
         let crit = critical::analyze(&rows);
         let tl = Timeline::from_phases(&rows);
-        reg.publish_delta(&run.delta);
-        reg.publish_events(run.tracer.events());
 
         text.push_str(&format!("\n-- {} --\n", run.tag));
         text.push_str(&diagnosis_lines(&crit, &tl));
         if let Some(r) = &run.resident {
-            reg.publish_resident(r);
             text.push_str(&format!(
                 "resident top: {} words held (high-water {}), {} fills of {} words, \
                  {} invalidations, {} targets matched on the host\n",
@@ -290,9 +285,6 @@ pub fn obs_report(p: usize, quick: bool) -> ObsReport {
                 .col("alarms", s.alarms as f64),
         );
     }
-
-    text.push_str("\n== exposition — registry dump over every traced skew window ==\n");
-    text.push_str(&reg.expose());
 
     ObsReport {
         text,

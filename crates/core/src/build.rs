@@ -187,11 +187,15 @@ impl PimTrie {
     }
 
     pub(crate) fn bootstrap(&mut self) -> Result<(), PimTrieError> {
-        self.t_op("build");
-        self.t_phase("bootstrap");
-        let r = self.bootstrap_inner();
-        self.t_op_end();
-        r
+        pim_sim::in_op(
+            self,
+            |t| t.sys.metrics_mut(),
+            "build",
+            |t| {
+                t.t_phase("bootstrap");
+                t.bootstrap_inner()
+            },
+        )
     }
 
     fn bootstrap_inner(&mut self) -> Result<(), PimTrieError> {
@@ -360,11 +364,10 @@ impl PimTrie {
                 let st = self.sys.metrics_mut().fault_stats_mut();
                 st.retries += n_retried;
                 st.recovery_rounds += 1;
-                // retry rounds are recovery work: tag them
+                // the retry round is recovery work: the tracer tags it
                 // `recovery/retransmit` without touching the op's sticky
                 // phase, so attribution resumes cleanly afterwards
                 if let Some(t) = self.sys.metrics_mut().tracer_mut() {
-                    t.set_retry(true);
                     t.note_retries(n_retried);
                 }
             }
@@ -374,11 +377,6 @@ impl PimTrie {
                     .map(|sr| handle_sealed(ctx, hasher, sr))
                     .collect()
             });
-            if attempt > 0 {
-                if let Some(t) = self.sys.metrics_mut().tracer_mut() {
-                    t.set_retry(false);
-                }
-            }
             let mut corrupt = 0u64;
             let mut missing = 0u64;
             let mut lost: Option<u32> = None;

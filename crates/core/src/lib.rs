@@ -185,21 +185,6 @@ impl PimTrie {
         self.sys.metrics_mut().enable_tracing();
     }
 
-    /// Open a tracer op span (no-op when tracing is off). Callers must
-    /// pair with [`Self::t_op_end`] on every path, including errors.
-    pub(crate) fn t_op(&mut self, op: &'static str) {
-        if let Some(t) = self.sys.metrics_mut().tracer_mut() {
-            t.begin_op(op);
-        }
-    }
-
-    /// Close the innermost tracer op span (no-op when tracing is off).
-    pub(crate) fn t_op_end(&mut self) {
-        if let Some(t) = self.sys.metrics_mut().tracer_mut() {
-            t.end_op();
-        }
-    }
-
     /// Set the tracer phase to `<current-op>/<stage>` (or bare `stage`
     /// outside any op span). No-op when tracing is off.
     pub(crate) fn t_phase(&mut self, stage: &'static str) {

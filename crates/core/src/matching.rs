@@ -31,7 +31,9 @@
 
 use crate::error::{unexpected, PimTrieError};
 use crate::hvm::{hash_match_piece, QueryPiece};
-use crate::module::{match_block_local, BlockNodeResult, DataBlock, Req, Resp, RootMatch};
+use crate::module::{
+    block_root_collision, match_block_local, BlockNodeResult, DataBlock, Req, Resp, RootMatch,
+};
 use crate::refs::{BlockRef, MetaRef};
 use crate::resident::{index_entries, MetaIndex, ENTRY_WORDS};
 use crate::PimTrie;
@@ -538,10 +540,7 @@ impl PimTrie {
                     self.sys
                         .metrics_mut()
                         .charge_cpu(block.weight() + piece.size_words());
-                    // the depth and pivot-hash checks of the MatchBlock
-                    // handler (module.rs)
-                    if block.root_depth != piece.root_depth || block.pre_hash != piece.root_pre_hash
-                    {
+                    if block_root_collision(&block, piece) {
                         stats.collisions += 1;
                         flag_tags(&mut flagged, &piece.tags);
                         continue;

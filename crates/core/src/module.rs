@@ -754,13 +754,7 @@ pub fn handle(
         Req::MatchBlock { slot, piece } => {
             let b = state.blocks.get(slot).expect("MatchBlock: bad slot");
             work += piece.size_words();
-            // §4.4.3 verification: a genuine hash match puts the piece root
-            // at the block root, so both share the full-width hash at
-            // their pivot, and the piece's root_rem is a suffix of the
-            // block root's S_last (trailing bits of the same string).
-            let collision = b.root_depth != piece.root_depth
-                || b.pre_hash != piece.root_pre_hash
-                || !rem_consistent(&b.s_last, &piece.root_rem);
+            let collision = block_root_collision(b, &piece);
             let results = if collision {
                 Vec::new()
             } else {
@@ -1459,6 +1453,19 @@ fn copy_block_subtree(
     }
 }
 
+/// §4.4.3 block-root verification, shared by the pushed `MatchBlock`
+/// handler and the host's pulled-block path: true when the piece root
+/// cannot sit at the block root, so the hash match that sent it here was
+/// a collision. A genuine match puts the piece root at the block root,
+/// so both share the depth and the full-width hash at their pivot, and
+/// the piece's `root_rem` is a suffix of the block root's `S_last`
+/// (trailing bits of the same string).
+pub(crate) fn block_root_collision(block: &DataBlock, piece: &QueryPiece) -> bool {
+    block.root_depth != piece.root_depth
+        || block.pre_hash != piece.root_pre_hash
+        || !rem_consistent(&block.s_last, &piece.root_rem)
+}
+
 /// §4.4.3: a genuine root match implies the piece's `root_rem` equals the
 /// trailing `|rem|` bits of the block root's `S_last`.
 fn rem_consistent(s_last: &BitStr, root_rem: &BitStr) -> bool {
@@ -1488,5 +1495,40 @@ fn descend_local(block: &DataBlock, bits: &BitStr) -> DescendOut {
         next,
         anchor_node: stop.node.0,
         anchor_off: stop.edge_off as u32,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_root_check_reports_an_inconsistent_root_rem() {
+        // a block root at depth 70: its S_last is the root string's last
+        // 64 bits, and the 6 bits past the pivot end it
+        let s_last = BitStr::from_u64(0xdead_beef_0000_002a, 64);
+        let block = DataBlock {
+            trie: Trie::new(),
+            root_depth: 70,
+            root_hash: HashVal(1),
+            s_last: s_last.clone(),
+            pre_hash: HashVal(7),
+            rem: s_last.slice(58..64).to_bitstr(),
+            parent: None,
+            mirrors: BTreeMap::new(),
+            meta: None,
+        };
+        let piece = |root_rem: BitStr| QueryPiece {
+            trie: Trie::new(),
+            tags: vec![0],
+            root_depth: 70,
+            root_pre_hash: HashVal(7),
+            root_rem,
+        };
+        assert!(!block_root_collision(&block, &piece(block.rem.clone())));
+        // equal depth and pivot hash, but the bits past the pivot differ
+        let other = BitStr::from_u64(0b010101, 6);
+        assert_ne!(other, block.rem);
+        assert!(block_root_collision(&block, &piece(other)));
     }
 }

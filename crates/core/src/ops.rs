@@ -4,9 +4,10 @@
 //! undersized merges).
 
 use crate::error::{unexpected, PimTrieError};
-use crate::matching::Anchor;
+use crate::matching::{Anchor, MatchedTrie};
 use crate::module::{GraftMsg, Req, Resp, MIRROR_VALUE};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
+use crate::slowpath::SlowResult;
 use crate::PimTrie;
 use bitstr::BitStr;
 use pim_sim::Scatter;
@@ -39,10 +40,7 @@ impl PimTrie {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.t_op("lcp");
-        let r = self.with_recovery(|t| t.lcp_core(queries));
-        self.t_op_end();
-        r
+        self.with_recovery("lcp", |t| t.lcp_core(queries))
     }
 
     fn lcp_core(&mut self, queries: &[BitStr]) -> Result<Vec<usize>, PimTrieError> {
@@ -50,19 +48,30 @@ impl PimTrie {
         let mut out: Vec<usize> = (0..queries.len())
             .map(|i| mt.depth_of[mt.qt.key_node[i].idx()] as usize)
             .collect();
-        // §4.4.3 redo: recompute flagged paths exactly.
-        let flagged: Vec<usize> = (0..queries.len())
-            .filter(|i| mt.flagged[mt.qt.key_node[*i].idx()])
-            .collect();
-        if !flagged.is_empty() {
-            self.redo_paths += flagged.len() as u64;
-            let qs: Vec<BitStr> = flagged.iter().map(|i| queries[*i].clone()).collect();
-            let rs = self.try_slow_descend(&qs)?;
-            for (i, r) in flagged.into_iter().zip(rs) {
-                out[i] = r.depth as usize;
-            }
+        for (i, r) in self.redo_flagged(&mt, queries)? {
+            out[i] = r.depth as usize;
         }
         Ok(out)
+    }
+
+    /// §4.4.3 redo: recompute the keys whose matched path is flagged as
+    /// untrusted with one exact descent for all of them. Returns each
+    /// flagged key's index with its exact result.
+    fn redo_flagged(
+        &mut self,
+        mt: &MatchedTrie,
+        keys: &[BitStr],
+    ) -> Result<Vec<(usize, SlowResult)>, PimTrieError> {
+        let flagged: Vec<usize> = (0..keys.len())
+            .filter(|i| mt.flagged[mt.qt.key_node[*i].idx()])
+            .collect();
+        if flagged.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.redo_paths += flagged.len() as u64;
+        let qs: Vec<BitStr> = flagged.iter().map(|i| keys[*i].clone()).collect();
+        let rs = self.try_slow_descend(&qs)?;
+        Ok(flagged.into_iter().zip(rs).collect())
     }
 
     /// Insert a batch of (key, value) pairs. Duplicate keys within the
@@ -101,10 +110,7 @@ impl PimTrie {
         if keys.is_empty() {
             return Ok(());
         }
-        self.t_op("insert");
-        let r = self.with_recovery(|t| t.insert_core(keys, values));
-        self.t_op_end();
-        r?;
+        self.with_recovery("insert", |t| t.insert_core(keys, values))?;
         if self.cfg.fault_tolerance {
             for (k, v) in keys.iter().zip(values) {
                 self.journal.insert(k.clone(), *v);
@@ -270,10 +276,7 @@ impl PimTrie {
         if keys.is_empty() {
             return Ok(0);
         }
-        self.t_op("delete");
-        let r = self.with_recovery(|t| t.delete_core(keys));
-        self.t_op_end();
-        let removed = r?;
+        let removed = self.with_recovery("delete", |t| t.delete_core(keys))?;
         if self.cfg.fault_tolerance {
             for k in keys {
                 self.journal.remove(k);
@@ -372,32 +375,20 @@ impl PimTrie {
         if prefixes.is_empty() {
             return Ok(Vec::new());
         }
-        self.t_op("subtree");
-        let r = self.with_recovery(|t| t.subtree_core(prefixes));
-        self.t_op_end();
-        r
+        self.with_recovery("subtree", |t| t.subtree_core(prefixes))
     }
 
     fn subtree_core(&mut self, prefixes: &[BitStr]) -> Result<Vec<Option<Trie>>, PimTrieError> {
         let mt = self.match_batch(prefixes)?;
         let mut out: Vec<Option<Trie>> = (0..prefixes.len()).map(|_| None).collect();
-        // §4.4.3 redo: one exact descent for all flagged prefixes.
         let mut exact: Vec<(u64, Option<Anchor>)> = (0..prefixes.len())
             .map(|i| {
                 let node = mt.qt.key_node[i];
                 (mt.depth_of[node.idx()], mt.anchor_of[node.idx()])
             })
             .collect();
-        let flagged: Vec<usize> = (0..prefixes.len())
-            .filter(|i| mt.flagged[mt.qt.key_node[*i].idx()])
-            .collect();
-        if !flagged.is_empty() {
-            self.redo_paths += flagged.len() as u64;
-            let qs: Vec<BitStr> = flagged.iter().map(|i| prefixes[*i].clone()).collect();
-            let rs = self.try_slow_descend(&qs)?;
-            for (i, r) in flagged.into_iter().zip(rs) {
-                exact[i] = (r.depth, Some(r.anchor));
-            }
+        for (i, r) in self.redo_flagged(&mt, prefixes)? {
+            exact[i] = (r.depth, Some(r.anchor));
         }
         // frontier entries: (query idx, block, node, off, absolute prefix)
         let mut frontier: Vec<(usize, BlockRef, u32, u32, BitStr)> = Vec::new();
@@ -476,10 +467,7 @@ impl PimTrie {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        self.t_op("get");
-        let r = self.with_recovery(|t| t.get_core(keys));
-        self.t_op_end();
-        r
+        self.with_recovery("get", |t| t.get_core(keys))
     }
 
     fn get_core(&mut self, keys: &[BitStr]) -> Result<Vec<Option<u64>>, PimTrieError> {
@@ -1052,37 +1040,45 @@ impl PimTrie {
     // crash recovery
     // ------------------------------------------------------------------
 
-    /// Run `op`, rebuilding the index from the host journal and retrying
-    /// whenever a module reports a rebooted (blank) state mid-operation.
-    /// Fault plans fire each crash once, so a bounded number of rebuilds
-    /// always reaches a clean re-run; the bound guards against
-    /// pathological fault plans, not correctness.
+    /// Run `body` as the traced op `op`, rebuilding the index from the
+    /// host journal and retrying whenever a module reports a rebooted
+    /// (blank) state mid-operation. Fault plans fire each crash once, so
+    /// a bounded number of rebuilds always reaches a clean re-run; the
+    /// bound guards against pathological fault plans, not correctness.
     fn with_recovery<T>(
         &mut self,
-        mut op: impl FnMut(&mut Self) -> Result<T, PimTrieError>,
+        op: &'static str,
+        mut body: impl FnMut(&mut Self) -> Result<T, PimTrieError>,
     ) -> Result<T, PimTrieError> {
         const MAX_REBUILDS: u32 = 4;
-        let mut rebuilds = 0u32;
-        loop {
-            match op(self) {
-                Err(PimTrieError::ModuleLost { .. })
-                    if self.cfg.fault_tolerance && rebuilds < MAX_REBUILDS =>
-                {
-                    rebuilds += 1;
-                    // a crash can land during the rebuild too; retry it
-                    // within the same budget
-                    while let Err(e) = self.rebuild_from_journal() {
-                        match e {
-                            PimTrieError::ModuleLost { .. } if rebuilds < MAX_REBUILDS => {
-                                rebuilds += 1;
+        pim_sim::in_op(
+            self,
+            |t| t.sys.metrics_mut(),
+            op,
+            |t| {
+                let mut rebuilds = 0u32;
+                loop {
+                    match body(t) {
+                        Err(PimTrieError::ModuleLost { .. })
+                            if t.cfg.fault_tolerance && rebuilds < MAX_REBUILDS =>
+                        {
+                            rebuilds += 1;
+                            // a crash can land during the rebuild too; retry
+                            // it within the same budget
+                            while let Err(e) = t.rebuild_from_journal() {
+                                match e {
+                                    PimTrieError::ModuleLost { .. } if rebuilds < MAX_REBUILDS => {
+                                        rebuilds += 1;
+                                    }
+                                    other => return Err(other),
+                                }
                             }
-                            other => return Err(other),
                         }
+                        other => return other,
                     }
                 }
-                other => return other,
-            }
-        }
+            },
+        )
     }
 
     /// Re-scatter the whole index from the host-side journal after a
@@ -1092,10 +1088,12 @@ impl PimTrie {
     /// state, so a half-applied batch is rolled back here and re-run by
     /// `with_recovery`.
     fn rebuild_from_journal(&mut self) -> Result<(), PimTrieError> {
-        self.t_op("recovery");
-        let r = self.rebuild_from_journal_inner();
-        self.t_op_end();
-        r
+        pim_sim::in_op(
+            self,
+            |t| t.sys.metrics_mut(),
+            "recovery",
+            Self::rebuild_from_journal_inner,
+        )
     }
 
     fn rebuild_from_journal_inner(&mut self) -> Result<(), PimTrieError> {

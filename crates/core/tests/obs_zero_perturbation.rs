@@ -1,12 +1,10 @@
 //! Observability must be free on the core batch paths too: a chaos run
 //! (faults + recovery) over the host-resident top of the meta-block tree
 //! produces byte-identical results, metered counters, resident stats, and
-//! fault stats whether tracing and registry publication are on or off — at
-//! any thread count. The trace log and the Prometheus exposition are
-//! themselves byte-deterministic.
+//! fault stats whether tracing is on or off — at any thread count. The
+//! trace log is itself byte-deterministic.
 
 use bitstr::BitStr;
-use obs::Registry;
 use pim_sim::{FaultStats, ResidentStats};
 use pim_trie::{CrashSpec, FaultPlan, PimTrie, PimTrieConfig};
 
@@ -21,11 +19,9 @@ struct RunOut {
     resident: ResidentStats,
     faults: FaultStats,
     jsonl: String,
-    exposition: String,
 }
 
-/// Faulted op mix. With `obs` on, tracing runs end to end and
-/// the full registry (metrics + events) is published and exposed.
+/// Faulted op mix. With `obs` on, tracing runs end to end.
 fn run(obs: bool, threads: usize) -> RunOut {
     pim_trie::with_threads(threads, || {
         let mut pim = PimTrie::new(
@@ -76,18 +72,15 @@ fn run(obs: bool, threads: usize) -> RunOut {
         ];
         let resident = m.resident_stats().clone();
         let faults = m.fault_stats().clone();
-        let (jsonl, exposition) = if obs {
+        let jsonl = if obs {
             let tracer = pim
                 .system_mut()
                 .metrics_mut()
                 .take_tracer()
                 .expect("tracing was enabled");
-            let mut reg = Registry::new();
-            reg.publish_metrics(pim.system().metrics());
-            reg.publish_events(tracer.events());
-            (tracer.to_jsonl(), reg.expose())
+            tracer.to_jsonl()
         } else {
-            (String::new(), String::new())
+            String::new()
         };
         RunOut {
             lcps,
@@ -96,7 +89,6 @@ fn run(obs: bool, threads: usize) -> RunOut {
             resident,
             faults,
             jsonl,
-            exposition,
         }
     })
 }
@@ -118,7 +110,7 @@ fn obs_on_perturbs_no_core_counter_or_result() {
     assert_eq!(off.counters, on.counters, "obs charged simulated cost");
     assert_eq!(off.resident, on.resident, "obs perturbed resident stats");
     assert_eq!(off.faults, on.faults, "obs perturbed fault stats");
-    assert!(!on.jsonl.is_empty() && !on.exposition.is_empty());
+    assert!(!on.jsonl.is_empty());
 }
 
 #[test]
@@ -131,8 +123,4 @@ fn obs_on_is_thread_count_invariant_end_to_end() {
         "resident stats depend on threads"
     );
     assert_eq!(one.jsonl, four.jsonl, "trace JSONL depends on threads");
-    assert_eq!(
-        one.exposition, four.exposition,
-        "exposition depends on threads"
-    );
 }

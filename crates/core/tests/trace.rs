@@ -154,3 +154,55 @@ fn tracing_leaves_all_counters_identical() {
     };
     assert_eq!(run(false), run(true));
 }
+
+/// The innermost open op span: `"-"` once every span has closed.
+fn open_op(t: &PimTrie) -> &'static str {
+    t.system()
+        .metrics()
+        .tracer()
+        .expect("tracing was enabled")
+        .current_op()
+}
+
+#[test]
+fn op_spans_close_on_every_exit() {
+    let p = 8;
+    let keys = workloads::uniform_fixed(256, 96, 95);
+
+    // an error exit: every reply is dropped and no retry is allowed, so
+    // the op fails with recovery exhausted
+    let mut t = PimTrie::new(
+        PimTrieConfig::for_modules(p)
+            .with_seed(96)
+            .with_fault_tolerance(true)
+            .with_max_round_retries(0),
+    );
+    t.insert_batch(&keys, &values_for(&keys));
+    t.enable_tracing();
+    t.install_faults(FaultPlan::new(3).with_drop_rate(1.0));
+    assert!(t.try_lcp_batch(&keys).is_err(), "recovery did not give up");
+    assert_eq!(open_op(&t), "-");
+
+    // a crash mid-insert: the journal rebuild nests `recovery` and its
+    // `build` inside the insert, and all three spans close
+    let mut t = faulty_trie(p);
+    t.insert_batch(&keys, &values_for(&keys));
+    t.enable_tracing();
+    t.install_faults(FaultPlan::new(4).with_crash(CrashSpec {
+        round: 1,
+        module: p / 2,
+        down_rounds: 1,
+        state_loss: true,
+    }));
+    let more = workloads::uniform_fixed(64, 96, 97);
+    t.insert_batch(&more, &values_for(&more));
+    t.clear_faults();
+    assert_eq!(open_op(&t), "-");
+    let tracer = t.system().metrics().tracer().expect("tracing was enabled");
+    for op in ["insert", "recovery", "build"] {
+        assert!(
+            tracer.events().iter().any(|e| e.op == op),
+            "no round ran under '{op}'"
+        );
+    }
+}

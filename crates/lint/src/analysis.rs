@@ -162,8 +162,8 @@ fn metering_honesty(facts: &Facts, u: &Unit) -> Vec<Finding> {
         if sanctioned_fn {
             continue;
         }
-        let body = f.body.token_indices(true);
-        for &i in &body {
+        let body = &f.body;
+        for &i in body {
             let Some(field) = toks[i].ident() else {
                 continue;
             };
@@ -195,7 +195,7 @@ fn metering_honesty(facts: &Facts, u: &Unit) -> Vec<Finding> {
                 if root.is_call || root.name == "self" {
                     None
                 } else {
-                    binding_verdict(facts, toks, &body, &root.name)
+                    binding_verdict(facts, toks, body, &root.name)
                 }
             } else {
                 None
@@ -730,23 +730,23 @@ mod tests {
         let src = "\
             // lint: allow(float-determinism) — exporter output, never compared\n\
             fn ratio(x: f64) -> f64 { x }\n\
-            // lint: allow(span-balance) — nothing here opens a span\n\
+            // lint: allow(float-determinism) — nothing here uses a float\n\
             fn quiet() {}\n";
         let units = run_units(vec![unit("crates/core/src/a.rs", src)]);
         let dead = active(&units[0], "dead-waiver");
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].line, 3);
-        assert!(dead[0].msg.contains("allow(span-balance)"));
+        assert!(dead[0].msg.contains("allow(float-determinism)"));
     }
 
     #[test]
     fn meta_waiver_keeps_a_deliberate_dead_waiver() {
         let src = "\
             // lint: allow(dead-waiver) — template kept for the next port\n\
-            // lint: allow(span-balance) — nothing here opens a span\n\
+            // lint: allow(float-determinism) — nothing here uses a float\n\
             fn quiet() {}\n";
         let units = run_units(vec![unit("crates/core/src/a.rs", src)]);
-        // the span-balance waiver is dead but its finding is waived by the
+        // the float-determinism waiver is dead but its finding is waived by the
         // meta-waiver; the meta-waiver is then used, so nothing active
         assert!(active(&units[0], "dead-waiver").is_empty());
         assert_eq!(units[0].rep.findings.len(), 1);

@@ -3,9 +3,9 @@
 //!
 //! The rules in [`crate::rules`] only need to see *identifiers and
 //! punctuation that are really code*: an `f64` inside a string literal,
-//! a commented-out `.unwrap()`, or `begin_op` in a doc example must not
-//! trip a lint. So the lexer's job is exact classification of the
-//! token-boundary cases that naive `grep` gets wrong:
+//! a commented-out `.unwrap()`, or a stat-field write in a doc example
+//! must not trip a lint. So the lexer's job is exact classification of
+//! the token-boundary cases that naive `grep` gets wrong:
 //!
 //! * line comments and **nested** block comments,
 //! * string literals with escapes, raw strings (`r"…"`, `r#"…"#`, any

@@ -5,11 +5,11 @@
 //! *exact functions of (seed, P, workload)*. The toolchain guards most of
 //! that: the workspace lints forbid `unsafe` and deny `clippy.toml`'s
 //! hash-ordered collections, interior mutability, atomics and clock
-//! reads. This crate checks what no compiler lint can state — float use
-//! on metered paths, tracer spans closed on every path, stat counters
-//! bumped only through the metering API, per-crate panic and waiver
-//! budgets, and docs that name only live experiments and wire
-//! identifiers — and CI runs it as the `lint-invariants` gate.
+//! reads, and `pim_sim::in_op` closes every tracer span it opens. This
+//! crate checks what no compiler lint can state — float use on metered
+//! paths, stat counters bumped only through the metering API, per-crate
+//! panic and waiver budgets, and docs that name only live experiments
+//! and wire identifiers — and CI runs it as the `lint-invariants` gate.
 //!
 //! See [`rules`] for the rule set and the waiver syntax, [`lexer`] for
 //! the token model, [`ratchet`] for the panic budget, and [`walk`] for

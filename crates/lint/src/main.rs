@@ -27,7 +27,7 @@ const USAGE: &str = "usage: pimtrie-lint [--root DIR] [--json FILE] [--ratchet F
 
 Scans the workspace's library sources for violations of the
 determinism invariants the compiler cannot state. Per-file rules:
-panic-ratchet, float-determinism, span-balance. Workspace rules
+panic-ratchet, float-determinism. Workspace rules
 (cross-file facts): metering-honesty, dead-waiver, doc-drift,
 wire-spec-drift, plus the panic and waiver ratchets. rustc and clippy
 enforce the rest (workspace lints, clippy.toml). See DESIGN.md

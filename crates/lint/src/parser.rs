@@ -1,18 +1,15 @@
 //! A lightweight recursive-descent structural parser over the
 //! [`crate::lexer`] token stream.
 //!
-//! This is deliberately **not** a Rust grammar. The scope-aware rules
-//! (`span-balance`, `metering-honesty`) and the workspace symbol table
-//! only need the *structure* that a flat token walk cannot see:
+//! This is deliberately **not** a Rust grammar. The fn-scoped rule
+//! (`metering-honesty`) and the workspace symbol table only need the
+//! *structure* that a flat token walk cannot see:
 //!
 //! * items: `fn` definitions (with their `impl` target and
 //!   `#[cfg(test)]` status), `struct` definitions with named fields
 //!   and their type tokens, `mod`/`impl`/`trait` nesting;
-//! * fn bodies as trees of nested `{}` blocks;
-//! * **closure boundaries** — a `|args| body` inside a fn must not
-//!   contribute its `return`/`?`/span calls to the enclosing fn's
-//!   control flow;
-//! * nested `fn` items, which are their own scopes, not part of the
+//! * each fn body's tokens, closures included;
+//! * nested `fn` items, which are their own fns, not part of the
 //!   enclosing body.
 //!
 //! Everything else (expressions, patterns, generics) is passed through
@@ -50,8 +47,10 @@ pub struct FnDef {
     /// ResidentStats` yields `["mut", "ResidentStats"]`-ish; only the ident
     /// names survive). Empty for `()` returns and bodyless decls.
     pub ret_idents: Vec<String>,
-    /// The body scope; empty for bodyless declarations.
-    pub body: Scope,
+    /// Token indices of the body between its outer braces, in source
+    /// order, nested `fn` items excluded; empty for bodyless
+    /// declarations.
+    pub body: Vec<usize>,
 }
 
 /// One `struct` definition (named-field structs only; tuple and unit
@@ -76,53 +75,6 @@ pub struct Field {
     /// Identifier tokens appearing in the field's type (`Vec<u64>`
     /// yields `["Vec", "u64"]`).
     pub ty_idents: Vec<String>,
-}
-
-/// One element of a scope: a plain token (by index into the lexed
-/// token stream), a nested block, or a closure body.
-#[derive(Debug)]
-pub enum Node {
-    /// Index into the token stream.
-    Tok(usize),
-    /// A nested `{ … }` block — same control flow as its parent.
-    Block(Scope),
-    /// A closure body — *separate* control flow from its parent.
-    Closure(Scope),
-}
-
-/// An ordered list of scope nodes.
-#[derive(Debug, Default)]
-pub struct Scope {
-    /// The nodes, in source order.
-    pub nodes: Vec<Node>,
-}
-
-impl Scope {
-    /// Visit the token indices of this scope and nested blocks in
-    /// source order. `into_closures` controls whether closure bodies
-    /// are descended into (they are separate control flow, but still
-    /// the fn's code).
-    pub fn walk(&self, into_closures: bool, f: &mut impl FnMut(usize)) {
-        for n in &self.nodes {
-            match n {
-                Node::Tok(i) => f(*i),
-                Node::Block(s) => s.walk(into_closures, f),
-                Node::Closure(s) => {
-                    if into_closures {
-                        s.walk(into_closures, f)
-                    }
-                }
-            }
-        }
-    }
-
-    /// All token indices (blocks flattened), optionally including
-    /// closure bodies.
-    pub fn token_indices(&self, into_closures: bool) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.walk(into_closures, &mut |i| out.push(i));
-        out
-    }
 }
 
 /// Parse one file's token stream. `in_test_mask` is
@@ -363,7 +315,7 @@ impl<'a> Parser<'a> {
                         in_test,
                         impl_target: impl_target.map(str::to_string),
                         ret_idents,
-                        body: Scope::default(),
+                        body: Vec::new(),
                     });
                     return j + 1;
                 }
@@ -382,7 +334,7 @@ impl<'a> Parser<'a> {
         if j >= self.toks.len() {
             return j; // malformed signature: swallow to EOF
         }
-        let (body, end) = self.scope(j + 1, in_test);
+        let (body, end) = self.body(j + 1, in_test);
         self.out.fns.push(FnDef {
             name,
             line,
@@ -394,101 +346,27 @@ impl<'a> Parser<'a> {
         end
     }
 
-    /// Parse a `{ … }` scope body starting just *after* the `{`;
-    /// returns (scope, index past the matching `}`).
-    fn scope(&mut self, mut i: usize, in_test: bool) -> (Scope, usize) {
-        let mut nodes = Vec::new();
+    /// Collect a fn body's token indices, starting just *after* its
+    /// `{`; returns (indices, index past the matching `}`).
+    fn body(&mut self, mut i: usize, in_test: bool) -> (Vec<usize>, usize) {
+        let mut out = Vec::new();
+        let mut depth = 0usize;
         while i < self.toks.len() {
             match &self.toks[i].kind {
-                TokKind::Sym('}') => return (Scope { nodes }, i + 1),
-                TokKind::Sym('{') => {
-                    let (s, j) = self.scope(i + 1, in_test);
-                    nodes.push(Node::Block(s));
-                    i = j;
-                }
+                TokKind::Sym('}') if depth == 0 => return (out, i + 1),
                 TokKind::Ident(w) if w == "fn" && self.word(i + 1).is_some() => {
-                    // a nested fn item: its own scope, not ours
+                    // a nested fn item: its own fn, not our body
                     i = self.fn_def(i, in_test, None);
+                    continue;
                 }
-                TokKind::Sym('|') if self.closure_starts_at(i) => {
-                    let (s, j) = self.closure(i, in_test);
-                    nodes.push(Node::Closure(s));
-                    i = j;
-                }
-                _ => {
-                    nodes.push(Node::Tok(i));
-                    i += 1;
-                }
-            }
-        }
-        (Scope { nodes }, i)
-    }
-
-    /// Heuristic: a `|` opens a closure when the previous token could
-    /// not end an expression or pattern. `a | b` (bit-or), `Ok(x) | Err(x)`
-    /// (or-patterns) and `a || b` keep their previous operand token;
-    /// `(|x| …)`, `= |x| …`, `move |x| …`, `=> |x| …` do not.
-    fn closure_starts_at(&self, i: usize) -> bool {
-        let Some(prev) = i.checked_sub(1).and_then(|j| self.toks.get(j)) else {
-            return true; // scope starts with `|…|`
-        };
-        match &prev.kind {
-            TokKind::Sym(c) => matches!(c, '(' | ',' | '=' | '{' | ';' | ':' | '[' | '>' | '&'),
-            TokKind::Ident(w) => {
-                matches!(
-                    w.as_str(),
-                    "return" | "move" | "else" | "match" | "in" | "if" | "while"
-                )
-            }
-            _ => false,
-        }
-    }
-
-    /// Parse a closure from its opening `|`; returns (body scope,
-    /// index past the closure).
-    fn closure(&mut self, i: usize, in_test: bool) -> (Scope, usize) {
-        // arguments: scan to the closing `|` at pattern depth 0
-        let mut j = i + 1;
-        let mut depth = 0usize;
-        while j < self.toks.len() {
-            match self.toks[j].kind {
-                TokKind::Sym('(') | TokKind::Sym('[') => depth += 1,
-                TokKind::Sym(')') | TokKind::Sym(']') => depth = depth.saturating_sub(1),
-                TokKind::Sym('|') if depth == 0 => break,
+                TokKind::Sym('{') => depth += 1,
+                TokKind::Sym('}') => depth -= 1,
                 _ => {}
             }
-            j += 1;
+            out.push(i);
+            i += 1;
         }
-        j += 1; // past the closing `|`
-                // optional `-> Type` before a braced body
-        let mut k = j;
-        if self.sym(k, '-') && self.sym(k + 1, '>') {
-            k += 2;
-            while k < self.toks.len() && !self.sym(k, '{') {
-                k += 1;
-            }
-        }
-        if self.sym(k, '{') {
-            let (s, end) = self.scope(k + 1, in_test);
-            return (s, end);
-        }
-        // expression body: consume to a `,` / `)` / `]` / `;` / `}` at
-        // depth 0 (terminator not consumed)
-        let mut nodes = Vec::new();
-        let mut depth = 0usize;
-        let mut m = j;
-        while m < self.toks.len() {
-            match self.toks[m].kind {
-                TokKind::Sym('(') | TokKind::Sym('[') | TokKind::Sym('{') => depth += 1,
-                TokKind::Sym(')') | TokKind::Sym(']') | TokKind::Sym('}') if depth == 0 => break,
-                TokKind::Sym(')') | TokKind::Sym(']') | TokKind::Sym('}') => depth -= 1,
-                TokKind::Sym(',') | TokKind::Sym(';') if depth == 0 => break,
-                _ => {}
-            }
-            nodes.push(Node::Tok(m));
-            m += 1;
-        }
-        (Scope { nodes }, m)
+        (out, i)
     }
 
     /// Parse a struct from its `struct` keyword; returns the index
@@ -668,29 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn closures_are_separate_scopes() {
-        let src = "
-            fn f(v: Vec<u32>) -> u32 {
-                let g = |x: u32| x + 1;
-                v.iter().map(|x| g(*x)).filter(|&x| { x > 1 }).sum()
-            }
-        ";
-        let p = parse_src(src);
-        assert_eq!(p.fns.len(), 1);
-        let body = &p.fns[0].body;
-        let with: Vec<usize> = body.token_indices(true);
-        let without: Vec<usize> = body.token_indices(false);
-        assert!(with.len() > without.len(), "closures must hold tokens");
-        // the closure-internal `g(*x)` call is not in the outer walk
-        let l = lex(src);
-        let outer_idents: Vec<&str> = without.iter().filter_map(|&i| l.toks[i].ident()).collect();
-        assert!(outer_idents.contains(&"map"));
-        assert!(
-            !outer_idents.contains(&"g") || outer_idents.iter().filter(|s| **s == "g").count() == 1
-        );
-    }
-
-    #[test]
     fn nested_fn_is_not_part_of_outer_body() {
         let src = "
             fn outer() {
@@ -704,34 +559,10 @@ mod tests {
         let outer = p.fns.iter().find(|f| f.name == "outer").unwrap();
         let idents: Vec<&str> = outer
             .body
-            .token_indices(true)
-            .into_iter()
-            .filter_map(|i| l.toks[i].ident())
+            .iter()
+            .filter_map(|&i| l.toks[i].ident())
             .collect();
         assert_eq!(idents, ["work"]);
-    }
-
-    #[test]
-    fn or_patterns_and_bit_or_are_not_closures() {
-        let src = "
-            fn f(x: u32, o: Option<u32>) -> u32 {
-                let y = x | 3;
-                match o { Some(1) | Some(2) => 1, _ => y }
-            }
-        ";
-        let p = parse_src(src);
-        let body = &p.fns[0].body;
-        fn count_closures(s: &Scope) -> usize {
-            s.nodes
-                .iter()
-                .map(|n| match n {
-                    Node::Closure(_) => 1,
-                    Node::Block(b) => count_closures(b),
-                    Node::Tok(_) => 0,
-                })
-                .sum()
-        }
-        assert_eq!(count_closures(body), 0);
     }
 
     #[test]
@@ -776,7 +607,7 @@ mod tests {
         let p = parse_src(src);
         let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["decl", "with_default", "ffi"]);
-        assert!(p.fns[0].body.nodes.is_empty());
+        assert!(p.fns[0].body.is_empty());
         assert_eq!(p.fns[0].ret_idents, ["u32"]);
     }
 
@@ -786,21 +617,5 @@ mod tests {
         let p = parse_src(src);
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "takes");
-    }
-
-    #[test]
-    fn expression_closure_stops_at_terminator() {
-        let src = "fn f() { run(|| begin(), 7); after(); }";
-        let p = parse_src(src);
-        let l = lex(src);
-        let outer: Vec<&str> = p.fns[0]
-            .body
-            .token_indices(false)
-            .into_iter()
-            .filter_map(|i| l.toks[i].ident())
-            .collect();
-        // `begin` is closure-internal; `run`, the `7` argument's comma
-        // structure and `after` stay in the outer scope
-        assert_eq!(outer, ["run", "after"]);
     }
 }

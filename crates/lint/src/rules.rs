@@ -4,14 +4,14 @@
 //! |------------------|------------------------------------------------------------|
 //! | `panic-ratchet`  | `unwrap`/`expect`/`panic!` per library crate may only decrease (see [`crate::ratchet`]) |
 //! | `float-determinism` | no `f32`/`f64` types or float literals in the determinism-checked crates — platform- and flag-sensitive float rounding breaks cross-arch byte-identity of the metered counters; decision math belongs in integers |
-//! | `span-balance` | `begin_op`/`end_op` (and the `t_op`/`trace_op` wrappers, `set_retry(true/false)`) must pair up on every control path of a fn body — an early return between them leaves the tracer in a wedged span |
 //!
 //! Rules the compiler can state live in the toolchain instead: the
 //! workspace's `[workspace.lints]` forbid `unsafe` code and deny the
 //! `clippy.toml` lists of disallowed types (hash-ordered collections,
-//! interior mutability, atomics) and methods (wall-clock reads), and the
-//! tracer's `&'static str` signatures keep metric names closed. See
-//! DESIGN.md "Static analysis & invariants".
+//! interior mutability, atomics) and methods (wall-clock reads), the
+//! tracer's `&'static str` signatures keep metric names closed, and
+//! `pim_sim::in_op` closes every op span it opens. See DESIGN.md
+//! "Static analysis & invariants".
 //!
 //! Further rules need cross-file facts and live in [`crate::analysis`]:
 //! `metering-honesty`, `dead-waiver`, `doc-drift`, `wire-spec-drift`.
@@ -49,7 +49,7 @@ pub struct FileCtx {
 /// One rule violation (possibly waived).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule name (`float-determinism`, `span-balance`, …).
+    /// Rule name (`float-determinism`, `metering-honesty`, …).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub path: String,
@@ -184,16 +184,6 @@ fn collect_waivers(lexed: &Lexed) -> (Vec<WaiverSite>, BTreeMap<String, (u32, St
 }
 
 const RULE_FLOAT: &str = "float-determinism";
-const RULE_SPAN: &str = "span-balance";
-
-/// (open, close) span method pairs that must balance on every control
-/// path of a fn body. `set_retry(true)`/`set_retry(false)` is tracked
-/// as a fourth, argument-keyed pair.
-const SPAN_PAIRS: &[(&str, &str)] = &[
-    ("begin_op", "end_op"),
-    ("t_op", "t_op_end"),
-    ("trace_op", "trace_op_end"),
-];
 
 /// Run every per-file rule over one file's source text. Convenience
 /// wrapper around [`analyze`] + [`check`] for callers (and tests) that
@@ -210,7 +200,6 @@ pub fn check(ctx: &FileCtx, fa: &FileAnalysis) -> FileReport {
     };
     rule_panic_ratchet(&fa.lexed, &fa.in_test, &mut rep);
     rule_float_determinism(ctx, fa, &fa.in_test, &mut rep);
-    rule_span_balance(ctx, fa, &mut rep);
     rep
 }
 
@@ -439,152 +428,19 @@ fn rule_float_determinism(
     }
 }
 
-/// `span-balance`: within each fn body in a deterministic crate, the
-/// [`SPAN_PAIRS`] calls (plus `set_retry(true)`/`set_retry(false)`)
-/// must net to zero, and no `return`/`?` may fire while a span is
-/// open — an early exit between `begin_op` and `end_op` leaves the
-/// tracer wedged in a phantom span that corrupts every op recorded
-/// after it.
-///
-/// Scope rules: closures and nested fns are separate bodies (a stored
-/// callback legitimately closes a span its definer opened), `#[cfg(test)]`
-/// fns are exempt, and so is a fn *named* after a pair member (that is
-/// the implementation, not a use). Conditional opens (`match` arms that
-/// each open) can confuse the net counter — that is what waivers are
-/// for.
-fn rule_span_balance(ctx: &FileCtx, fa: &FileAnalysis, rep: &mut FileReport) {
-    let lexed = &fa.lexed;
-    if !ctx.deterministic {
-        return;
-    }
-    let mut pairs: Vec<(&str, &str)> = SPAN_PAIRS.to_vec();
-    pairs.push(("set_retry(true)", "set_retry(false)"));
-    let retry = pairs.len() - 1;
-
-    'fns: for f in &fa.parsed.fns {
-        if f.in_test || f.name == "set_retry" {
-            continue;
-        }
-        for (a, b) in SPAN_PAIRS {
-            if f.name == *a || f.name == *b {
-                continue 'fns;
-            }
-        }
-        // per-pair stack of opener lines; a close pops its opener
-        let mut open: Vec<Vec<u32>> = vec![Vec::new(); pairs.len()];
-        let mut exit_lines = BTreeSet::new();
-        let push = |rep: &mut FileReport, line: u32, msg: String| {
-            push_with_waiver(
-                rep,
-                fa,
-                Finding {
-                    rule: RULE_SPAN,
-                    path: ctx.path.clone(),
-                    line,
-                    krate: ctx.krate.clone(),
-                    msg,
-                    waived: None,
-                },
-            );
-        };
-        for i in f.body.token_indices(false) {
-            let t = &lexed.toks[i];
-            if t.is_sym('?') {
-                if let Some(first) = open.iter().flatten().min() {
-                    if exit_lines.insert(t.line) {
-                        push(
-                            rep,
-                            t.line,
-                            format!(
-                                "`?` may exit fn `{}` while the span opened at line {first} is \
-                                 still open — close it on every control path",
-                                f.name
-                            ),
-                        );
-                    }
-                }
-                continue;
-            }
-            let Some(name) = t.ident() else { continue };
-            if name == "return" {
-                if let Some(first) = open.iter().flatten().min() {
-                    if exit_lines.insert(t.line) {
-                        push(
-                            rep,
-                            t.line,
-                            format!(
-                                "`return` exits fn `{}` while the span opened at line {first} is \
-                                 still open — close it on every control path",
-                                f.name
-                            ),
-                        );
-                    }
-                }
-                continue;
-            }
-            if !lexed.toks.get(i + 1).is_some_and(|n| n.is_sym('(')) {
-                continue;
-            }
-            // which pair (if any) does this call act on, and which side?
-            let (p, opens) = if name == "set_retry" {
-                match lexed.toks.get(i + 2).and_then(|a| a.ident()) {
-                    Some("true") => (retry, true),
-                    Some("false") => (retry, false),
-                    _ => continue,
-                }
-            } else if let Some(p) = SPAN_PAIRS.iter().position(|(a, _)| *a == name) {
-                (p, true)
-            } else if let Some(p) = SPAN_PAIRS.iter().position(|(_, b)| *b == name) {
-                (p, false)
-            } else {
-                continue;
-            };
-            if opens {
-                open[p].push(t.line);
-            } else if open[p].pop().is_none() {
-                push(
-                    rep,
-                    t.line,
-                    format!(
-                        "`{}` in fn `{}` without a preceding `{}` — span close with no open",
-                        pairs[p].1, f.name, pairs[p].0
-                    ),
-                );
-            }
-        }
-        for (p, stack) in open.iter().enumerate() {
-            for &line in stack {
-                push(
-                    rep,
-                    line,
-                    format!(
-                        "`{}` at line {line} is never closed by `{}` on the fall-through path \
-                         of fn `{}`",
-                        pairs[p].0, pairs[p].1, f.name
-                    ),
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ctx(deterministic: bool) -> FileCtx {
+    fn det_src() -> FileCtx {
         FileCtx {
             path: "crates/x/src/lib.rs".into(),
             krate: "x".into(),
-            deterministic,
+            deterministic: true,
             // off by default so rule tests can use float literals as
             // innocuous values; float-determinism tests opt in
             float_checked: false,
         }
-    }
-
-    fn det_src() -> FileCtx {
-        ctx(true)
     }
 
     fn float_src() -> FileCtx {
@@ -635,7 +491,7 @@ mod tests {
 
     #[test]
     fn waiver_for_wrong_rule_does_not_apply() {
-        let src = "// lint: allow(span-balance) — wrong rule\n\
+        let src = "// lint: allow(metering-honesty) — wrong rule\n\
                    fn f(x: f64) -> f64 { x }\n";
         assert_eq!(
             rules_of(&check_file(&float_src(), src)),
@@ -735,101 +591,12 @@ mod tests {
         assert_eq!(rep.findings.len(), 2);
         assert!(rep.findings.iter().all(|f| f.waived.is_some()));
         assert!(rules_of(&rep).is_empty());
-        // …but not findings of other rules
-        let mixed = "// lint: allow-file(float-determinism) — exporter\n\
-                     fn f(t: &mut T) { t.begin_op(\"x\"); }\n";
-        assert_eq!(rules_of(&check_file(&float_src(), mixed)), ["span-balance"]);
-    }
-
-    // ---- span-balance ----
-
-    #[test]
-    fn balanced_spans_pass() {
-        for src in [
-            "fn f(t: &mut Tracer) { t.begin_op(\"get\"); work(); t.end_op(); }\n",
-            // balanced inside a loop body
-            "fn f(t: &mut Tracer) { for x in xs { t.begin_op(\"g\"); t.end_op(); } }\n",
-            // nested distinct pairs
-            "fn f(m: &mut M) { m.t_op(\"a\"); m.trace_op(\"b\");\n\
-             m.trace_op_end(); m.t_op_end(); }\n",
-            "fn f(t: &mut T) { t.set_retry(true); go(); t.set_retry(false); }\n",
-            // final `return` after the span closed is fine
-            "fn f(t: &mut T) -> u32 { t.begin_op(\"x\"); t.end_op(); return 1; }\n",
-        ] {
-            assert!(
-                rules_of(&check_file(&det_src(), src)).is_empty(),
-                "should pass: {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn early_return_and_question_mark_leaks_flagged() {
-        let ret = "fn f(t: &mut T) -> u32 {\n    t.begin_op(\"get\");\n\
-                   if bad { return 0; }\n    t.end_op();\n    1\n}\n";
-        let rep = check_file(&det_src(), ret);
-        assert_eq!(rules_of(&rep), ["span-balance"]);
-        assert_eq!(rep.findings[0].line, 3);
-        assert!(rep.findings[0].msg.contains("`return`"));
-
-        let q = "fn f(t: &mut T) -> Result<(), E> {\n    t.t_op(\"get\");\n\
-                 let v = load()?;\n    t.t_op_end();\n    Ok(())\n}\n";
-        let rep = check_file(&det_src(), q);
-        assert_eq!(rules_of(&rep), ["span-balance"]);
-        assert!(rep.findings[0].msg.contains("`?`"));
-    }
-
-    #[test]
-    fn unclosed_and_unopened_spans_flagged() {
-        let unclosed = "fn f(t: &mut T) {\n    t.begin_op(\"get\");\n    work();\n}\n";
-        let rep = check_file(&det_src(), unclosed);
-        assert_eq!(rules_of(&rep), ["span-balance"]);
-        assert_eq!(rep.findings[0].line, 2);
-        assert!(rep.findings[0].msg.contains("never closed"));
-
-        let unopened = "fn f(t: &mut T) { t.end_op(); }\n";
-        let rep = check_file(&det_src(), unopened);
-        assert_eq!(rules_of(&rep), ["span-balance"]);
-        assert!(rep.findings[0].msg.contains("no open"));
-
-        let retry = "fn f(t: &mut T) { t.set_retry(true); }\n";
-        assert_eq!(rules_of(&check_file(&det_src(), retry)), ["span-balance"]);
-    }
-
-    #[test]
-    fn span_scope_boundaries_respected() {
-        // a closure that closes a span its definer opened is a separate
-        // body on both sides — neither is flagged
-        let closure = "fn f(t: &mut T) {\n    t.begin_op(\"get\");\n\
-                       let fin = move || t.end_op();\n    fin();\n}\n";
-        let rep = check_file(&det_src(), closure);
-        // begin_op in the outer body has no close in that body…
-        assert_eq!(rules_of(&rep), ["span-balance"]);
-        // …but the closure's lone end_op is NOT also flagged
-        assert_eq!(rep.findings.len(), 1);
-
-        // the pair's own implementations are exempt
-        let impls = "impl Tracer {\n    pub fn begin_op(&mut self, op: &str) { self.d += 1; }\n\
-                     pub fn end_op(&mut self) { self.d -= 1; }\n}\n";
-        assert!(rules_of(&check_file(&det_src(), impls)).is_empty());
-
-        // non-deterministic crates are out of scope
-        let src = "fn f(t: &mut T) { t.begin_op(\"x\"); }\n";
-        assert!(rules_of(&check_file(&ctx(false), src)).is_empty());
-
-        // test fns are exempt
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn f(t: &mut T) { t.begin_op(\"x\"); }\n}\n";
-        assert!(rules_of(&check_file(&det_src(), test_src)).is_empty());
-    }
-
-    #[test]
-    fn span_waiver_applies_at_opener_line() {
-        let src = "fn f(t: &mut T) {\n\
-                   // lint: allow(span-balance) — closed by the stored finisher callback\n\
-                   t.begin_op(\"get\");\n}\n";
-        let rep = check_file(&det_src(), src);
-        assert_eq!(rep.findings.len(), 1);
-        assert!(rep.findings[0].waived.is_some());
-        assert!(rules_of(&rep).is_empty());
+        // …and only findings of that rule
+        let other = "// lint: allow-file(metering-honesty) — exporter\n\
+                     fn f(x: f64) -> f64 { x }\n";
+        assert_eq!(
+            rules_of(&check_file(&float_src(), other)),
+            ["float-determinism"]
+        );
     }
 }

@@ -1,12 +1,3 @@
 pub fn hot_share(total: u64) -> u64 {
     (total as f64 * 0.05) as u64
 }
-
-pub fn spanned(t: &mut Tracer, early: bool) -> u64 {
-    t.begin_op("lcp", "lcp/scan");
-    if early {
-        return 0;
-    }
-    t.end_op();
-    1
-}

@@ -1,10 +1,3 @@
 pub fn hot_share(share: Fx, total: u64) -> u64 {
     share.mul_u64(total)
 }
-
-pub fn spanned(t: &mut Tracer) -> u64 {
-    t.begin_op("lcp", "lcp/scan");
-    let n = 1;
-    t.end_op();
-    n
-}

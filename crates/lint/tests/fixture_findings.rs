@@ -49,7 +49,6 @@ fn bad_tree_reports_the_exact_seeded_findings() {
         ("wire-spec-drift", "WIRE_FORMAT.md", 12, false),
         ("doc-drift", "crates/bench/src/bin/repro.rs", 1, false),
         ("float-determinism", "crates/core/src/hot.rs", 2, false),
-        ("span-balance", "crates/core/src/hot.rs", 8, false),
         ("float-determinism", "crates/core/src/lib.rs", 2, true),
         ("float-determinism", "crates/core/src/lib.rs", 4, false),
         ("metering-honesty", "crates/core/src/sneak.rs", 3, false),
@@ -85,40 +84,34 @@ fn bad_tree_reports_the_exact_seeded_findings() {
         "doc-drift must name the experiment: {}",
         lines[2]
     );
-    // span-balance points back at the open site it leaks
-    assert!(
-        lines[4].contains("opened at line 6"),
-        "span-balance must cite the open site: {}",
-        lines[4]
-    );
     // the waived finding carries its written reason
     assert!(
-        lines[5].contains("\"reason\":\"rendered for humans only, never compared\""),
+        lines[4].contains("\"reason\":\"rendered for humans only, never compared\""),
         "waiver reason missing: {}",
-        lines[5]
+        lines[4]
     );
     // the reason-less waiver is called out, not honoured
     assert!(
-        lines[6].contains("missing a reason"),
+        lines[5].contains("missing a reason"),
         "reason-less waiver not flagged: {}",
-        lines[6]
+        lines[5]
     );
     // the private-copy metering dodge is diagnosed as such
     assert!(
-        lines[7].contains("privately constructed stat struct"),
+        lines[6].contains("privately constructed stat struct"),
         "metering-honesty verdict wrong: {}",
-        lines[7]
+        lines[6]
     );
     // both ratchet regressions name the crate and both counts
     assert!(
-        lines[9].contains("\"crate\":\"core\"") && lines[9].contains("2 unwrap"),
+        lines[8].contains("\"crate\":\"core\"") && lines[8].contains("2 unwrap"),
         "panic-ratchet message wrong: {}",
-        lines[9]
+        lines[8]
     );
     assert!(
-        lines[10].contains("3 lint waiver sites") && lines[10].contains("budget of 2"),
+        lines[9].contains("3 lint waiver sites") && lines[9].contains("budget of 2"),
         "waiver-ratchet message wrong: {}",
-        lines[10]
+        lines[9]
     );
 }
 

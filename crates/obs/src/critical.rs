@@ -44,7 +44,7 @@ pub struct PhaseCost {
     /// Module with the largest (words + work) total in this phase.
     pub worst_module: u64,
     /// Rounds whose PIM barrier `worst_module` set
-    /// ([`TraceEvent::barrier_module`](pim_sim::TraceEvent::barrier_module)).
+    /// ([`PhaseSummary::barriers`]).
     pub barrier_rounds: u64,
     /// Straggler-fault delay injected while this phase ran.
     pub straggler_delay: u64,
@@ -176,15 +176,15 @@ pub(crate) mod tests {
         let mut sys = PimSystem::new(rounds[0].2.len(), |_| ());
         sys.metrics_mut().enable_tracing();
         for (op, stage, sent, work) in rounds {
-            let t = sys.metrics_mut().tracer_mut().expect("tracing on");
-            t.begin_op(op);
-            t.set_phase(stage);
-            let inbox = sent.iter().map(|&n| vec![0u64; n as usize]).collect();
-            sys.round("r", inbox, |ctx, _: Vec<u64>| {
-                ctx.work(work[ctx.id]);
-                Vec::<u64>::new()
+            pim_sim::in_op(&mut sys, PimSystem::metrics_mut, op, |sys| {
+                let t = sys.metrics_mut().tracer_mut().expect("tracing on");
+                t.set_phase(stage);
+                let inbox = sent.iter().map(|&n| vec![0u64; n as usize]).collect();
+                sys.round("r", inbox, |ctx, _: Vec<u64>| {
+                    ctx.work(work[ctx.id]);
+                    Vec::<u64>::new()
+                });
             });
-            sys.metrics_mut().tracer_mut().expect("tracing on").end_op();
         }
         sys.metrics()
             .tracer()

@@ -7,20 +7,18 @@
 //! straggler fault, and whether any of it crossed a declared threshold.
 //!
 //! Everything here is a **pure function of what the simulator already
-//! produces** — publishing into the registry, summing a timeline, or
+//! produces** — summing a timeline, ranking the critical path, or
 //! evaluating an alarm board never charges simulated cost, draws
 //! randomness, or reads a clock, so every metered counter is bit-identical
 //! with observability fully on or fully off, at any thread count. The
 //! only notion of time is simulated PIM time carried by the trace
 //! itself. Rounds are attributed to phases and modules once, by
 //! [`Tracer::phase_summaries`](pim_sim::Tracer::phase_summaries); the
-//! timeline and the critical-path table read its rows.
+//! timeline and the critical-path table read its rows, and nothing in
+//! this crate reads the raw round events.
 //!
 //! The pieces:
 //!
-//! * [`Registry`] — a deterministic metrics registry (counters, gauges,
-//!   fixed-bucket log₂ histograms) with a closed name set
-//!   ([`names`]) and a Prometheus-style text [`Registry::expose`].
 //! * [`Timeline`] — per-module utilization (words in/out, busy vs. idle
 //!   PIM time, straggler delay, barriers set): a column sum of the phase
 //!   rows.
@@ -37,7 +35,7 @@
 //!
 //! ```
 //! use pim_sim::PimSystem;
-//! use obs::{critical, Registry, Timeline};
+//! use obs::{critical, Timeline};
 //!
 //! let mut sys = PimSystem::new(2, |_id| 0u64);
 //! sys.metrics_mut().enable_tracing();
@@ -56,17 +54,12 @@
 //!
 //! let crit = critical::analyze(&rows);
 //! assert_eq!(crit.top_phase().unwrap().phase, "demo");
-//!
-//! let mut reg = Registry::new();
-//! reg.publish_metrics(sys.metrics());
-//! assert!(reg.expose().contains("pimtrie_io_rounds_total 1"));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod alarms;
 pub mod critical;
-pub mod registry;
 pub mod report;
 pub mod timeline;
 
@@ -75,5 +68,4 @@ pub use alarms::{
     BALANCE_MIN_WORDS_PER_MODULE,
 };
 pub use critical::{CriticalReport, PhaseCost};
-pub use registry::{names, Log2Hist, MetricKind, Registry};
 pub use timeline::{ModuleLane, Timeline};

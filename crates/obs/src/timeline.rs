@@ -39,7 +39,7 @@ pub struct ModuleLane {
     /// Portion of `busy` injected by straggler faults.
     pub straggler_delay: u64,
     /// Rounds in which this module set the PIM-time barrier
-    /// ([`TraceEvent::barrier_module`](pim_sim::TraceEvent::barrier_module)).
+    /// ([`PhaseSummary::barriers`]).
     pub barriers_set: u64,
 }
 

@@ -109,7 +109,7 @@ pub use metrics::{
 pub use pim_codec::{stream as codec_stream, CodecError, Dec, Enc, WireCodec};
 pub use route::{GatherError, Scatter};
 pub use system::{CrashHandler, PimCtx, PimSystem};
-pub use trace::{Dist, PhaseSummary, TraceEvent, Tracer, RETRANSMIT_PHASE};
+pub use trace::{in_op, Dist, PhaseSummary, TraceEvent, Tracer, RETRANSMIT_PHASE};
 pub use wire::{words_for_bits, Wire};
 
 /// A machine word — the unit of all communication accounting.

@@ -1,14 +1,15 @@
 //! `pim-trace`: a hierarchical span/event layer over the cost meters.
 //!
-//! The meters in [`Metrics`](crate::Metrics) answer *how much* — rounds,
+//! The meters in [`Metrics`] answer *how much* — rounds,
 //! words, work. This module answers *where*: every BSP round is attributed
 //! to an **op → phase → round** hierarchy so a trace can say "the `lcp`
 //! batch spent 3 rounds and 41 words in `lcp/block-match`" instead of just
 //! bumping a global counter.
 //!
 //! * **op** — one public batch operation (`lcp`, `insert`, `delete`,
-//!   `subtree`, `get`, `build`, `recovery`, …). Ops nest: a rebuild
-//!   triggered inside an insert records as the innermost op.
+//!   `subtree`, `get`, `build`, `recovery`, …). A span is opened only
+//!   by [`in_op`], which closes it when its body returns. Ops nest: a
+//!   rebuild triggered inside an insert records as the innermost op.
 //! * **phase** — a named stage within the op (`lcp/hash-probe`,
 //!   `insert/graft`, `recovery/retransmit`). Callers name the stage only
 //!   (`hash-probe`); the tracer prefixes the innermost op. If no phase is
@@ -37,11 +38,11 @@
 use std::collections::BTreeMap;
 
 use crate::json::{round6, Json};
-use crate::metrics::{balance, RoundRecord};
+use crate::metrics::{balance, Metrics, RoundRecord};
 
-/// Phase label resolved for BSP rounds issued while the tracer is in
-/// retry mode (see [`Tracer::set_retry`]): rounds spent re-asking modules
-/// for replies that were lost or corrupted on the wire.
+/// Phase label resolved for a BSP round announced by
+/// [`Tracer::note_retries`]: a round spent re-asking modules for replies
+/// that were lost or corrupted on the wire.
 pub const RETRANSMIT_PHASE: &str = "recovery/retransmit";
 
 /// Fallback label when no op span is open (e.g. rounds run directly
@@ -262,15 +263,16 @@ impl PhaseSummary {
 }
 
 /// Records op/phase-attributed round events and scope-attributed CPU and
-/// retry counters. Owned by [`Metrics`](crate::Metrics); obtain one via
-/// [`Metrics::enable_tracing`](crate::Metrics::enable_tracing).
+/// retry counters. Owned by [`Metrics`]; obtain one via
+/// [`Metrics::enable_tracing`].
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
     op_stack: Vec<&'static str>,
     /// the stage set by [`Tracer::set_phase`], without its op prefix
     phase: Option<&'static str>,
-    retry: bool,
+    /// set by [`Tracer::note_retries`]; the next round consumes it
+    retransmit: bool,
     cpu_by_scope: BTreeMap<(String, String), u64>,
     retries_by_scope: BTreeMap<(String, String), u64>,
     seq: u64,
@@ -283,13 +285,14 @@ impl Tracer {
     }
 
     /// Open an op span. Clears any phase left over from a previous op.
-    pub fn begin_op(&mut self, op: &'static str) {
+    /// Spans are opened only through [`in_op`], which closes them.
+    pub(crate) fn begin_op(&mut self, op: &'static str) {
         self.op_stack.push(op);
         self.phase = None;
     }
 
     /// Close the innermost op span (and clear the current phase).
-    pub fn end_op(&mut self) {
+    pub(crate) fn end_op(&mut self) {
         self.op_stack.pop();
         self.phase = None;
     }
@@ -306,14 +309,6 @@ impl Tracer {
         self.phase = None;
     }
 
-    /// Toggle retry mode. While on, rounds resolve to
-    /// [`RETRANSMIT_PHASE`] *without* disturbing the sticky phase, so a
-    /// recovery ladder nested inside `insert/graft` tags its retries as
-    /// `recovery/retransmit` and then resumes graft attribution.
-    pub fn set_retry(&mut self, on: bool) {
-        self.retry = on;
-    }
-
     /// Innermost open op, or `"-"` when none.
     pub fn current_op(&self) -> &'static str {
         self.op_stack.last().copied().unwrap_or(NO_OP)
@@ -322,7 +317,7 @@ impl Tracer {
     /// The phase label rounds and charges resolve to now, with `fallback`
     /// standing in when no stage is set.
     fn resolve_phase(&self, fallback: &str) -> String {
-        match (self.retry, self.phase, self.op_stack.last()) {
+        match (self.retransmit, self.phase, self.op_stack.last()) {
             (true, _, _) => RETRANSMIT_PHASE.to_string(),
             (false, Some(stage), Some(op)) => format!("{op}/{stage}"),
             (false, Some(stage), None) => stage.to_string(),
@@ -351,6 +346,7 @@ impl Tracer {
             pim_work: rec.pim_work.clone(),
             straggler_delay: rec.straggler_delay.clone(),
         };
+        self.retransmit = false;
         self.seq += 1;
         self.events.push(ev);
     }
@@ -359,8 +355,14 @@ impl Tracer {
         *self.cpu_by_scope.entry(self.scope()).or_insert(0) += units;
     }
 
-    /// Record `n` recovery retries under the current scope.
+    /// Announce that the next round re-sends `n` messages whose replies
+    /// were lost or corrupted. That one round resolves to
+    /// [`RETRANSMIT_PHASE`] *without* disturbing the sticky phase, so a
+    /// recovery ladder nested inside `insert/graft` tags its retries as
+    /// `recovery/retransmit` and the round after resumes graft
+    /// attribution. The `n` retries count under that scope too.
     pub fn note_retries(&mut self, n: u64) {
+        self.retransmit = true;
         if n > 0 {
             *self.retries_by_scope.entry(self.scope()).or_insert(0) += n;
         }
@@ -458,6 +460,28 @@ impl Tracer {
     }
 }
 
+/// Run `body` inside the op span `op` on the tracer that `metrics`
+/// reaches from `owner` — the one way to open a span. The span opens
+/// before `body` runs and closes once it returns, on every return path
+/// of `body`, so a span can never be left open. Ops nest: a span opened
+/// inside `body` records as the innermost op. With tracing off this is
+/// a plain call of `body`.
+pub fn in_op<S, R>(
+    owner: &mut S,
+    metrics: impl Fn(&mut S) -> &mut Metrics,
+    op: &'static str,
+    body: impl FnOnce(&mut S) -> R,
+) -> R {
+    if let Some(t) = metrics(owner).tracer_mut() {
+        t.begin_op(op);
+    }
+    let out = body(owner);
+    if let Some(t) = metrics(owner).tracer_mut() {
+        t.end_op();
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,10 +521,9 @@ mod tests {
         let mut t = Tracer::new();
         t.begin_op("insert");
         t.set_phase("graft");
-        t.set_retry(true);
         t.note_retries(2);
         t.on_round(&rec("insert.graft", vec![1], vec![1], vec![1]));
-        t.set_retry(false);
+        // the mark covers one round only
         t.on_round(&rec("insert.graft", vec![1], vec![1], vec![1]));
         assert_eq!(t.events()[0].phase, RETRANSMIT_PHASE);
         assert_eq!(t.events()[1].phase, "insert/graft");
@@ -522,6 +545,30 @@ mod tests {
         // the stage is prefixed with the op it was set under
         assert_eq!(t.events()[0].phase, "recovery/rebuild");
         assert_eq!(t.current_op(), "insert");
+    }
+
+    #[test]
+    fn in_op_closes_its_span_on_every_return() {
+        let mut m = Metrics::new(1);
+        m.enable_tracing();
+        let op = |m: &mut Metrics| m.tracer().map(Tracer::current_op);
+        let early: Result<u32, ()> = in_op(
+            &mut m,
+            |m| m,
+            "insert",
+            |m| {
+                let seen = in_op(m, |m| m, "recovery", |m| op(m));
+                assert_eq!(seen, Some("recovery"));
+                assert_eq!(op(m), Some("insert"));
+                Err(())
+            },
+        );
+        assert!(early.is_err());
+        assert_eq!(op(&mut m), Some("-"));
+        // tracing off: the body still runs, nothing is recorded
+        let mut off = Metrics::new(1);
+        assert_eq!(in_op(&mut off, |m| m, "get", |_| 7), 7);
+        assert!(off.tracer().is_none());
     }
 
     #[test]
