@@ -35,6 +35,7 @@ pub fn is_exact_col(name: &str) -> bool {
         name,
         "io_rounds"
             | "xtra_rounds"
+            | "maint_rounds"
             | "keys"
             | "result_keys"
             | "injected"

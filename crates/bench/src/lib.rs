@@ -214,23 +214,32 @@ pub fn t1_rounds(p: usize, quick: bool) -> Vec<Row> {
 
 /// Amortized rounds for Insert/Delete/Subtree on PIM-trie (Table 1's
 /// update columns; the baselines' update paths follow their query paths).
+/// `maint_rounds` is the part of `io_rounds` spent re-cutting blocks,
+/// splitting meta-blocks and merging.
 pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
     let n = if quick { 1 << 12 } else { 1 << 14 };
     let base = workloads::uniform_fixed(n, 128, 11);
     let mut pim = build_pim(p, 6, &base);
     let mut rows = Vec::new();
+    pim.enable_tracing();
 
     let ins = workloads::uniform_fixed(n / 4, 128, 12);
     let snap = pim.system().metrics().snapshot();
     pim.insert_batch(&ins, &values_for(&ins));
     let d = pim.system().metrics().since(&snap);
-    rows.push(delta_cols(Row::new("pim-trie/insert"), &d, ins.len()));
+    rows.push(
+        delta_cols(Row::new("pim-trie/insert"), &d, ins.len())
+            .col("maint_rounds", maint_rounds(&mut pim)),
+    );
 
     let dels: Vec<BitStr> = base.iter().step_by(4).cloned().collect();
     let snap = pim.system().metrics().snapshot();
     let _ = pim.delete_batch(&dels);
     let d = pim.system().metrics().since(&snap);
-    rows.push(delta_cols(Row::new("pim-trie/delete"), &d, dels.len()));
+    rows.push(
+        delta_cols(Row::new("pim-trie/delete"), &d, dels.len())
+            .col("maint_rounds", maint_rounds(&mut pim)),
+    );
 
     let prefixes: Vec<BitStr> = base
         .iter()
@@ -244,9 +253,31 @@ pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
     let result_keys: usize = subs.iter().flatten().map(|t| t.n_keys()).sum();
     rows.push(
         delta_cols(Row::new("pim-trie/subtree"), &d, prefixes.len())
+            .col("maint_rounds", maint_rounds(&mut pim))
             .col("result_keys", result_keys as f64),
     );
     rows
+}
+
+/// Rounds spent in structural maintenance — the `repartition`,
+/// `meta-split` and `merge` phases — since tracing was last enabled,
+/// read from the tracer (which perturbs no metered counter); tracing is
+/// re-armed for the next op.
+fn maint_rounds(pim: &mut PimTrie) -> f64 {
+    let tracer = pim.system_mut().metrics_mut().take_tracer();
+    pim.enable_tracing();
+    let rows = tracer.map(|t| t.phase_summaries()).unwrap_or_default();
+    let rounds: u64 = rows
+        .iter()
+        .filter(|s| {
+            matches!(
+                s.phase.rsplit('/').next(),
+                Some("repartition" | "meta-split" | "merge")
+            )
+        })
+        .map(|s| s.rounds)
+        .sum();
+    rounds as f64
 }
 
 // ---------------------------------------------------------------------

@@ -9,8 +9,10 @@
 //!   reaches half the remaining size), detach its child subtrees, and
 //!   recurse — producing a *meta-block tree* whose pieces are at most
 //!   `K_SMB` nodes and whose height is `O(log K_MB)` (Lemma 4.6).
-//! * `PimTrie::place_chunks` ships such a plan to random modules
-//!   bottom-up (children before parents so `PutMeta` can carry child refs).
+//! * `PimTrie::place_chunks` addresses such a plan on random modules and
+//!   ships it in one round: the host authors every address
+//!   ([`crate::refs::Addresses`]), so each `PutMeta` already carries its
+//!   parent and children.
 //! * `PimTrie::split_meta_blocks` is the batched form of
 //!   §5.2 maintenance actions: an overfull meta-block is pulled to the CPU,
 //!   re-cut and re-distributed (the scapegoat-style rebuild, executed on
@@ -18,15 +20,18 @@
 //!   overfull meta-block *tree* into independent trees found through a
 //!   master table is not implemented (DESIGN.md, deviations).
 
-use crate::error::{unexpected, PimTrieError};
-use crate::module::{handle, ModuleState, NewMetaChild, NewMetaNode, PutMetaMsg, Req, Resp, Touch};
-use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
+use crate::error::PimTrieError;
+use crate::module::{
+    handle, ModuleState, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp, Touch,
+};
+use crate::refs::{Addresses, BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::wire_guard::{handle_sealed, SealedReq};
 use crate::{PimTrie, PimTrieConfig};
 use bitstr::hash::{HashVal, IncrementalHash, PolyHasher};
 use bitstr::{BitStr, WORD_BITS};
 use pim_sim::{PimSystem, Scatter};
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use trie_core::Trie;
 
@@ -136,10 +141,11 @@ impl PimTrie {
         let hasher = PolyHasher::with_seed(cfg.seed);
         let mut t = PimTrie {
             sys,
-            cfg,
             hasher,
             n_keys: 0,
             place_rng: rand_chacha::ChaCha8Rng::seed_from_u64(0x51AC_EE01),
+            addrs: Addresses::new(cfg.p),
+            cfg,
             redo_paths: 0,
             root_block: BlockRef { module: 0, slot: 0 },
             root_meta: MetaRef { module: 0, slot: 0 },
@@ -199,77 +205,72 @@ impl PimTrie {
     }
 
     fn bootstrap_inner(&mut self) -> Result<(), PimTrieError> {
-        // Root block: the empty string, on a random module.
+        // Root block: the empty string, on a random module; its meta-block
+        // (a single node) on the next draw. Both addresses are the host's,
+        // so the block carries its meta back-pointer and one round places
+        // both.
         let m = self.random_module();
-        let meta = root_meta(&self.hasher, &BitStr::new());
-        let resp = self.send_one(
-            m,
-            Req::PutBlock(crate::module::PutBlockMsg {
-                trie: TrieMsg(Trie::new()),
-                root_depth: 0,
-                root_hash: meta.hash,
-                s_last: BitsMsg(BitStr::new()),
-                pre_hash: meta.pre_hash,
-                rem: BitsMsg(meta.rem.clone()),
-                parent: None,
-                mirrors: Vec::new(),
-            }),
-            "bootstrap.block",
-        )?;
-        let Resp::Placed { slot, .. } = resp else {
-            return Err(unexpected("bootstrap"));
-        };
-        let root_block = BlockRef { module: m, slot };
-        self.root_block = root_block;
-
-        // Its meta-block (a single node) on a random module.
+        let block = self.addrs.block(m);
         let mm = self.random_module();
-        let resp = self.send_one(
-            mm,
-            Req::PutMeta(PutMetaMsg {
-                nodes: vec![meta.new_meta_node(root_block)],
-                root_idx: 0,
-                parent: None,
-                children: Vec::new(),
-                parents: vec![None],
-            }),
-            "bootstrap.meta",
-        )?;
-        let Resp::Placed {
-            slot, node_slots, ..
-        } = resp
-        else {
-            return Err(unexpected("bootstrap"));
+        let meta = self.addrs.meta(mm, 1);
+        let rm = root_meta(&self.hasher, &BitStr::new());
+        let mut out = Scatter::new(self.sys.p());
+        let msg = PutBlockMsg {
+            trie: TrieMsg(Trie::new()),
+            root_depth: 0,
+            root_hash: rm.hash,
+            s_last: BitsMsg(BitStr::new()),
+            pre_hash: rm.pre_hash,
+            rem: BitsMsg(rm.rem.clone()),
+            parent: None,
+            mirrors: Vec::new(),
+            meta: Some((meta, 0)),
         };
-        self.root_meta = MetaRef { module: mm, slot };
-
-        // Wire the block to its meta node.
-        self.send_one(
-            m,
-            Req::SetBlockMeta {
-                slot: root_block.slot,
-                meta: self.root_meta,
-                meta_slot: node_slots[0],
-            },
-            "bootstrap.wire",
-        )?;
+        let req = Req::PutBlock {
+            slot: block.slot,
+            msg: Box::new(msg),
+        };
+        out.push(m as usize, None::<()>, req);
+        let msg = PutMetaMsg {
+            nodes: vec![rm.new_meta_node(block)],
+            root_idx: 0,
+            parent: None,
+            children: Vec::new(),
+            parents: vec![None],
+        };
+        let req = Req::PutMeta {
+            slot: meta.slot,
+            msg,
+        };
+        out.push(mm as usize, None, req);
+        self.place("bootstrap", out)?;
+        self.root_block = block;
+        self.root_meta = meta;
         Ok(())
     }
 
-    /// Send one request to one module (a full BSP round with a single
-    /// message — small ops batch them through `rounds` instead).
-    pub(crate) fn send_one(
+    /// Run a round that fills host-chosen slots and returns the object
+    /// size each tagged `Put` reports. A module that found a named slot
+    /// live is a [`PimTrieError::Protocol`] error: the host's allocator
+    /// and the module's slab disagree.
+    pub(crate) fn place<T>(
         &mut self,
-        module: u32,
-        req: Req,
         name: &str,
-    ) -> Result<Resp, PimTrieError> {
-        let mut out = Scatter::new(self.sys.p());
-        out.push(module as usize, (), req);
-        let reply = self.rounds(name, out)?.into_iter().next();
-        reply
-            .map(|(_, (), resp)| resp)
-            .ok_or_else(|| unexpected(name))
+        out: Scatter<Option<T>, Req>,
+    ) -> Result<Vec<(T, u64)>, PimTrieError> {
+        let mut counts = Vec::new();
+        for (m, tag, resp) in self.rounds(name, out)? {
+            match (tag, resp) {
+                (_, Resp::SlotTaken { slot }) => {
+                    return Err(PimTrieError::Protocol(format!(
+                        "{name}: slot {slot} of module {m} is already live"
+                    )));
+                }
+                (Some(t), Resp::Placed { count }) => counts.push((t, count)),
+                _ => {}
+            }
+        }
+        Ok(counts)
     }
 
     /// Run one *logical* BSP round: ship `out`'s boxes, and hand the
@@ -561,195 +562,154 @@ pub(crate) struct PlaceJob {
     pub extra: Vec<(usize, NewMetaChild)>,
 }
 
-/// The placement result of one plan.
-pub(crate) struct PlacedPlan {
-    pub mref: MetaRef,
-    /// chunk-node idx -> meta node slot
-    pub node_slots: BTreeMap<usize, u32>,
-}
-
 impl PimTrie {
-    /// Ship decomposed chunks to random modules, children before parents;
-    /// all jobs advance together, one BSP round per plan-tree depth wave.
-    /// Each job may pin its root plan onto an existing meta-block slot
-    /// (rebuilds keep the chunk's address stable) and carry surviving
-    /// external child meta-blocks (plan index, payload with `under_node`
-    /// as a chunk-node index). Returns per-job, per-plan placements.
-    pub(crate) fn place_chunks(
-        &mut self,
-        jobs: &[PlaceJob],
-    ) -> Result<Vec<Vec<PlacedPlan>>, PimTrieError> {
-        let p = self.sys.p();
-        // per-job plan depths
+    /// Address every plan of `jobs` on a random module and place them all
+    /// in one round. Each job may pin its root plan onto an existing
+    /// meta-block slot (rebuilds keep the chunk's address stable) and
+    /// carry surviving external child meta-blocks (plan index, payload
+    /// with `under_node` as a chunk-node index). With every address known
+    /// up front, each `PutMeta` carries its parent and children, and the
+    /// same round points every covered block at its new meta node (node
+    /// `i` of a plan sits at slot `i`) and every surviving child at its
+    /// new parent.
+    pub(crate) fn place_chunks(&mut self, jobs: &[PlaceJob]) -> Result<(), PimTrieError> {
         fn mark(plans: &[Plan], pi: usize, d: usize, depth: &mut [usize]) {
             depth[pi] = d;
             for (c, _) in &plans[pi].children {
                 mark(plans, *c, d + 1, depth);
             }
         }
-        let mut depths: Vec<Vec<usize>> = Vec::with_capacity(jobs.len());
-        let mut maxd = 0;
-        for job in jobs {
+        // Draw deepest plans first, then by job and plan. The order fixes
+        // every meta-block's module and slot: keep it, or the layout of
+        // every index built through here moves.
+        let mut order = Vec::new();
+        for (ji, job) in jobs.iter().enumerate() {
             let mut depth = vec![0usize; job.plans.len()];
             mark(&job.plans, job.root_plan, 0, &mut depth);
-            maxd = maxd.max(depth.iter().copied().max().unwrap_or(0));
-            depths.push(depth);
+            order.extend(
+                depth
+                    .into_iter()
+                    .enumerate()
+                    .map(|(pi, d)| (Reverse(d), ji, pi)),
+            );
         }
-
-        let mut placed: Vec<Vec<Option<PlacedPlan>>> = jobs
+        order.sort_unstable();
+        // every plan is in `order` once, so each entry is overwritten
+        let mut at: Vec<Vec<MetaRef>> = jobs
             .iter()
-            .map(|j| (0..j.plans.len()).map(|_| None).collect())
+            .map(|j| vec![MetaRef { module: 0, slot: 0 }; j.plans.len()])
             .collect();
-        for d in (0..=maxd).rev() {
-            let mut out = Scatter::new(p);
-            for (ji, job) in jobs.iter().enumerate() {
-                for (pi, plan) in job.plans.iter().enumerate() {
-                    if depths[ji][pi] != d {
-                        continue;
-                    }
-                    let target = if pi == job.root_plan {
-                        match job.replace_root_at {
-                            Some(r) => r.module,
-                            None => self.random_module(),
-                        }
-                    } else {
-                        self.random_module()
-                    };
-                    let msg = self.plan_to_msg(
-                        &job.tree,
-                        &job.plans,
-                        plan,
-                        &placed[ji],
-                        pi == job.root_plan,
-                        job.replace_root_at,
-                        job.extra.iter().filter(|(x, _)| *x == pi).map(|(_, c)| c),
-                    );
-                    out.push(target as usize, (ji, pi), msg);
+        for (_, ji, pi) in order {
+            let job = &jobs[ji];
+            let n = job.plans[pi].nodes.len() as u32;
+            at[ji][pi] = match job.replace_root_at.filter(|_| pi == job.root_plan) {
+                Some(r) => {
+                    self.addrs.refill(r, n);
+                    r
                 }
-            }
-            for (m, (ji, pi), resp) in self.rounds("meta.place", out)? {
-                let Resp::Placed {
-                    slot, node_slots, ..
-                } = resp
-                else {
-                    return Err(unexpected("meta.place"));
-                };
-                let plan = &jobs[ji].plans[pi];
-                let mut map = BTreeMap::new();
-                for (i, &cn) in plan.nodes.iter().enumerate() {
-                    map.insert(cn, node_slots[i]);
+                None => {
+                    let m = self.random_module();
+                    self.addrs.meta(m, n)
                 }
-                placed[ji][pi] = Some(PlacedPlan {
-                    mref: MetaRef {
-                        module: m as u32,
-                        slot,
-                    },
-                    node_slots: map,
-                });
-            }
+            };
         }
-        let placed: Vec<Vec<PlacedPlan>> = placed
-            .into_iter()
-            .map(|v| v.into_iter().map(|o| o.unwrap()).collect())
-            .collect();
 
-        // Wire parents (children were placed before parents) and blocks.
-        let mut out = Scatter::new(p);
-        for (ji, job) in jobs.iter().enumerate() {
+        let mut out = Scatter::new(self.sys.p());
+        for (job, at) in jobs.iter().zip(&at) {
+            let mut parent = vec![None; job.plans.len()];
             for (pi, plan) in job.plans.iter().enumerate() {
-                let me = placed[ji][pi].mref;
                 for (c, _) in &plan.children {
-                    let cref = placed[ji][*c].mref;
-                    let req = Req::SetMetaParent {
-                        slot: cref.slot,
-                        parent: Some(me),
-                    };
-                    out.push(cref.module as usize, (), req);
+                    parent[*c] = Some(at[pi]);
                 }
-                for &cn in &plan.nodes {
+            }
+            for (pi, plan) in job.plans.iter().enumerate() {
+                let me = at[pi];
+                let extra = job.extra.iter().filter(|(x, _)| *x == pi).map(|(_, c)| c);
+                let msg = plan_to_msg(&job.tree, &job.plans, plan, at, parent[pi], extra);
+                let req = if pi == job.root_plan && job.replace_root_at.is_some() {
+                    Req::ReplaceMeta { slot: me.slot, msg }
+                } else {
+                    Req::PutMeta { slot: me.slot, msg }
+                };
+                out.push(me.module as usize, None::<()>, req);
+                for (i, &cn) in plan.nodes.iter().enumerate() {
                     let b = job.tree[cn].block;
                     let req = Req::SetBlockMeta {
                         slot: b.slot,
                         meta: me,
-                        meta_slot: placed[ji][pi].node_slots[&cn],
+                        meta_slot: i as u32,
                     };
-                    out.push(b.module as usize, (), req);
+                    out.push(b.module as usize, None, req);
                 }
             }
+            for (pi, child) in &job.extra {
+                let req = Req::SetMetaParent {
+                    slot: child.mref.slot,
+                    parent: Some(at[*pi]),
+                };
+                out.push(child.mref.module as usize, None, req);
+            }
         }
-        self.rounds("meta.wire", out)?;
-        Ok(placed)
+        self.place("msplit.place", out)?;
+        Ok(())
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn plan_to_msg<'a>(
-        &self,
-        tree: &[ChunkNode],
-        plans: &[Plan],
-        plan: &Plan,
-        placed: &[Option<PlacedPlan>],
-        is_root: bool,
-        replace_root_at: Option<MetaRef>,
-        extra: impl Iterator<Item = &'a NewMetaChild>,
-    ) -> Req {
-        let idx_of: BTreeMap<usize, u32> = plan
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &cn)| (cn, i as u32))
-            .collect();
-        let nodes: Vec<NewMetaNode> = plan
-            .nodes
-            .iter()
-            .map(|&cn| tree[cn].meta.new_meta_node(tree[cn].block))
-            .collect();
-        let parents: Vec<Option<u32>> = plan
-            .nodes
-            .iter()
-            .map(|&cn| tree[cn].parent.and_then(|p| idx_of.get(&p).copied()))
-            .collect();
-        let mut children: Vec<NewMetaChild> = plan
-            .children
-            .iter()
-            .map(|(cp, under)| {
-                let p = placed[*cp].as_ref().expect("child placed first");
-                let croot = plans[*cp].root;
-                NewMetaChild {
-                    mref: p.mref,
-                    under_node: idx_of[under],
-                    root_block: tree[croot].block,
-                    depth: tree[croot].meta.depth,
-                    pre_hash: tree[croot].meta.pre_hash,
-                    rem: BitsMsg(tree[croot].meta.rem.clone()),
-                    s_last: BitsMsg(tree[croot].meta.s_last.clone()),
-                }
-            })
-            .collect();
-        // surviving external children (rebuilds): under_node arrives as a
-        // chunk-node index; resolve to this plan's local index
-        for c in extra {
-            children.push(NewMetaChild {
-                mref: c.mref,
-                under_node: idx_of[&(c.under_node as usize)],
-                root_block: c.root_block,
-                depth: c.depth,
-                pre_hash: c.pre_hash,
-                rem: BitsMsg(c.rem.0.clone()),
-                s_last: BitsMsg(c.s_last.0.clone()),
-            });
-        }
-        let msg = PutMetaMsg {
-            nodes,
-            root_idx: idx_of[&plan.root],
-            parent: None, // wired afterwards
-            children,
-            parents,
-        };
-        if is_root {
-            if let Some(r) = replace_root_at {
-                return Req::ReplaceMeta { slot: r.slot, msg };
+/// The `PutMeta` payload of one plan, placed at `at[plan]` under `parent`
+/// (`None` keeps a replaced meta-block's parent).
+fn plan_to_msg<'a>(
+    tree: &[ChunkNode],
+    plans: &[Plan],
+    plan: &Plan,
+    at: &[MetaRef],
+    parent: Option<MetaRef>,
+    extra: impl Iterator<Item = &'a NewMetaChild>,
+) -> PutMetaMsg {
+    let idx_of: BTreeMap<usize, u32> = plan
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &cn)| (cn, i as u32))
+        .collect();
+    let nodes: Vec<NewMetaNode> = plan
+        .nodes
+        .iter()
+        .map(|&cn| tree[cn].meta.new_meta_node(tree[cn].block))
+        .collect();
+    let parents: Vec<Option<u32>> = plan
+        .nodes
+        .iter()
+        .map(|&cn| tree[cn].parent.and_then(|p| idx_of.get(&p).copied()))
+        .collect();
+    let mut children: Vec<NewMetaChild> = plan
+        .children
+        .iter()
+        .map(|(cp, under)| {
+            let croot = &tree[plans[*cp].root];
+            NewMetaChild {
+                mref: at[*cp],
+                under_node: idx_of[under],
+                root_block: croot.block,
+                depth: croot.meta.depth,
+                pre_hash: croot.meta.pre_hash,
+                rem: BitsMsg(croot.meta.rem.clone()),
+                s_last: BitsMsg(croot.meta.s_last.clone()),
             }
-        }
-        Req::PutMeta(msg)
+        })
+        .collect();
+    // surviving external children (rebuilds): under_node arrives as a
+    // chunk-node index; resolve to this plan's local index
+    for c in extra {
+        children.push(NewMetaChild {
+            under_node: idx_of[&(c.under_node as usize)],
+            ..c.clone()
+        });
+    }
+    PutMetaMsg {
+        nodes,
+        root_idx: idx_of[&plan.root],
+        parent,
+        children,
+        parents,
     }
 }

@@ -132,6 +132,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+impl<T: Encode> Encode for Box<T> {
+    fn enc(&self, e: &mut Enc) {
+        (**self).enc(e);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn dec(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        T::dec(d).map(Box::new)
+    }
+}
+
 impl<T: Encode> Encode for Vec<T> {
     fn enc(&self, e: &mut Enc) {
         e.put_varint(self.len() as u64);
@@ -525,17 +537,24 @@ pub(crate) mod tests {
                 slot: 0,
                 mref: mref(3, 1),
             },
-            Req::PutBlock(PutBlockMsg {
-                trie: subtree,
-                root_depth: 64,
-                root_hash: HashVal(11),
-                s_last: BitsMsg(bits("0011")),
-                pre_hash: HashVal(12),
-                rem: BitsMsg(bits("01")),
-                parent: Some(bref(0, 0)),
-                mirrors: vec![(1, bref(1, 1))],
-            }),
-            Req::PutMeta(put_meta_msg()),
+            Req::PutBlock {
+                slot: 3,
+                msg: Box::new(PutBlockMsg {
+                    trie: subtree,
+                    root_depth: 64,
+                    root_hash: HashVal(11),
+                    s_last: BitsMsg(bits("0011")),
+                    pre_hash: HashVal(12),
+                    rem: BitsMsg(bits("01")),
+                    parent: Some(bref(0, 0)),
+                    mirrors: vec![(1, bref(1, 1))],
+                    meta: Some((mref(1, 4), 2)),
+                }),
+            },
+            Req::PutMeta {
+                slot: 6,
+                msg: put_meta_msg(),
+            },
             Req::ReplaceMeta {
                 slot: 7,
                 msg: put_meta_msg(),
@@ -543,11 +562,6 @@ pub(crate) mod tests {
             Req::FetchMetaFull { slot: 6 },
             Req::DropBlock { slot: 4 },
             Req::DropMeta { slot: 5 },
-            Req::SetMirror {
-                slot: 1,
-                node: 4,
-                child: bref(3, 3),
-            },
             Req::SetParent {
                 slot: 1,
                 parent: None,
@@ -562,6 +576,7 @@ pub(crate) mod tests {
                 parent_node: 1,
                 nodes: vec![new_meta_node()],
                 parents: vec![Some(0), None],
+                node_slots: vec![4, 3],
             },
             Req::RemoveMetaNode { slot: 2, node: 5 },
             Req::SetMetaParent {
@@ -667,11 +682,7 @@ pub(crate) mod tests {
                 keys_delta: -3,
                 collision: false,
             },
-            Resp::Placed {
-                slot: 12,
-                node_slots: vec![0, 1, 2],
-                count: 44,
-            },
+            Resp::Placed { count: 44 },
             Resp::MetaVitals {
                 nodes: 17,
                 parent: None,
@@ -692,6 +703,7 @@ pub(crate) mod tests {
             Resp::Ok,
             Resp::CorruptReq,
             Resp::Rebooted,
+            Resp::SlotTaken { slot: 12 },
         ]
     }
 
@@ -700,24 +712,30 @@ pub(crate) mod tests {
     /// replaced: pins byte-identity per message. `MatchMeta` opens the
     /// group, so its frame carries the piece's streams undelta'd (529
     /// bits; 516 as `MatchBlock`, which follows it with the same piece).
+    /// Re-captured when the host began choosing every slot: `PutBlock`
+    /// gained its slot and meta back-pointer (27 → 30 words), `PutMeta`
+    /// its slot (18 → 19), `AddMetaNodes` one node slot per node (11 →
+    /// 13), and `SetMirror` (tag 18) is retired; every other message
+    /// keeps its words, and its bits wherever its streams start where
+    /// they did.
     #[rustfmt::skip]
-    const REQ_GOLDEN: [(u64, u64); 25] = [
+    const REQ_GOLDEN: [(u64, u64); 24] = [
         (52, 529), (52, 516), (1, 16), (1, 16),
         (43, 400), (3, 32), (3, 32), (21, 204),
-        (24, 244), (2, 32), (27, 409), (18, 379),
+        (24, 244), (2, 32), (30, 442), (19, 387),
         (18, 380), (1, 16), (1, 16), (1, 16),
-        (3, 40), (2, 17), (3, 40), (11, 234),
-        (2, 24), (2, 33), (3, 32), (3, 34),
-        (1, 8),
+        (2, 17), (3, 40), (13, 258), (2, 24),
+        (2, 33), (3, 32), (3, 34), (1, 8),
     ];
 
-    /// As `REQ_GOLDEN`, for `resp_samples()`.
+    /// As `REQ_GOLDEN`, for `resp_samples()`. `Placed` lost its slot
+    /// fields (6 → 1 words) and `SlotTaken` (tag 15) is new.
     #[rustfmt::skip]
-    const RESP_GOLDEN: [(u64, u64); 15] = [
+    const RESP_GOLDEN: [(u64, u64); 16] = [
         (7, 114), (6, 67), (7, 173), (26, 419),
-        (18, 403), (5, 49), (6, 56), (2, 17),
+        (18, 403), (5, 49), (1, 16), (2, 17),
         (23, 219), (4, 49), (2, 25), (2, 9),
-        (1, 8), (1, 8), (1, 8),
+        (1, 8), (1, 8), (1, 8), (1, 16),
     ];
 
     /// The variant tag a message encodes first.
@@ -731,8 +749,9 @@ pub(crate) mod tests {
     fn req_variants_roundtrip_in_one_group() {
         let msgs = req_samples();
         let tags: Vec<u64> = msgs.iter().map(tag_of).collect();
-        // tags 1, 24, 25 and 29–32 are retired (WIRE_FORMAT.md)
-        assert_eq!(tags, (2..=23).chain(26..=28).collect::<Vec<u64>>());
+        // tags 1, 18, 24, 25 and 29–32 are retired (WIRE_FORMAT.md)
+        let live = (2..=17).chain(19..=23).chain(26..=28);
+        assert_eq!(tags, live.collect::<Vec<u64>>());
         assert_eq!(roundtrip_group(&msgs), REQ_GOLDEN);
     }
 
@@ -741,7 +760,7 @@ pub(crate) mod tests {
         let msgs = resp_samples();
         let mut tags: Vec<u64> = msgs.iter().map(tag_of).collect();
         tags.dedup();
-        assert_eq!(tags, (1..=14).collect::<Vec<u64>>());
+        assert_eq!(tags, (1..=15).collect::<Vec<u64>>());
         assert_eq!(roundtrip_group(&msgs), RESP_GOLDEN);
     }
 
@@ -822,10 +841,9 @@ pub(crate) mod tests {
                 .map(|i| match i % 4 {
                     0 => Req::ReadKey { slot: slots[i], node: nodes[i], depth: depths[i] },
                     1 => Req::FetchBlock { slot: slots[i] },
-                    2 => Req::SetMirror {
+                    2 => Req::SetParent {
                         slot: slots[i],
-                        node: nodes[i],
-                        child: BlockRef { module: i as u32, slot: slots[i] },
+                        parent: Some(BlockRef { module: i as u32, slot: nodes[i] }),
                     },
                     _ => Req::DeleteKey { slot: slots[i], node: nodes[i], depth: depths[i] },
                 })

@@ -120,6 +120,9 @@ pub struct PimTrie {
     pub(crate) n_keys: usize,
     /// placement RNG (uniform random block/meta-block distribution)
     pub(crate) place_rng: rand_chacha::ChaCha8Rng,
+    /// the host's copies of the modules' slot allocators: every module
+    /// address is drawn here before the object is sent
+    pub(crate) addrs: refs::Addresses,
     /// count of verification-triggered redo walks (collision repairs)
     pub(crate) redo_paths: u64,
     /// the data trie's root block (depth 0); its address is stable across
@@ -352,6 +355,7 @@ impl PimTrie {
                 issues.push(format!("resident copy of {mref:?} is stale"));
             }
         }
+        self.audit_slots(&mut issues);
         for (mi, m) in self.sys.modules().enumerate() {
             for (slot, b) in m.blocks.iter() {
                 for (node, child) in &b.mirrors {
@@ -403,6 +407,56 @@ impl PimTrie {
             }
         }
         issues
+    }
+
+    /// The host authors every module address: its allocators must equal
+    /// each module's slabs — block and meta-block slots per module, node
+    /// slots per meta-block — live slots and free order both.
+    fn audit_slots(&self, issues: &mut Vec<String>) {
+        let mut diff = |what: String, host: &refs::SlotAlloc, module: &refs::SlotAlloc| {
+            if host == module {
+                return;
+            }
+            let bound = host.bound().max(module.bound());
+            let split: Vec<u32> = (0..bound)
+                .filter(|s| host.is_live(*s) != module.is_live(*s))
+                .collect();
+            issues.push(format!(
+                "{what}: host allocator {host:?} and module slab {module:?} disagree at slots {split:?}"
+            ));
+        };
+        for (mi, m) in self.sys.modules().enumerate() {
+            let module = mi as u32;
+            diff(
+                format!("blocks of m{mi}"),
+                self.addrs.blocks(module),
+                m.blocks.slots(),
+            );
+            diff(
+                format!("metas of m{mi}"),
+                self.addrs.metas(module),
+                m.metas.slots(),
+            );
+            for (slot, mb) in m.metas.iter() {
+                let mref = MetaRef { module, slot };
+                let empty = refs::SlotAlloc::default();
+                let host = self.addrs.nodes().get(&mref).unwrap_or(&empty);
+                diff(format!("nodes of {mref:?}"), host, mb.nodes.slots());
+            }
+        }
+        for mref in self.addrs.nodes().keys() {
+            if self
+                .sys
+                .module(mref.module as usize)
+                .metas
+                .get(mref.slot)
+                .is_none()
+            {
+                issues.push(format!(
+                    "host holds node slots of dropped meta-block {mref:?}"
+                ));
+            }
+        }
     }
 
     /// Debug-only shape of the meta-block tree: per level from the root

@@ -15,7 +15,7 @@
 //! [`Req`] messages and returns one [`Resp`] per request, metering PIM work.
 
 use crate::hvm::{hash_match_piece, HashIndex, IndexEntry, PieceMatch, QueryPiece};
-use crate::refs::{BlockRef, MetaRef, Slab, TrieMsg};
+use crate::refs::{BlockRef, MetaRef, Slab, SlotTaken, TrieMsg};
 use bitstr::hash::{HashVal, HashWidth};
 use bitstr::BitStr;
 use pim_sim::PimCtx;
@@ -44,8 +44,8 @@ pub struct DataBlock {
     pub parent: Option<BlockRef>,
     /// Mirror leaves: block node id → child block.
     pub mirrors: BTreeMap<NodeId, BlockRef>,
-    /// Where this block's meta node lives: (meta-block, node slot). Wired
-    /// by `SetBlockMeta` right after placement.
+    /// Where this block's meta node lives: (meta-block, node slot). Set
+    /// by `PutBlock` and rewired by `SetBlockMeta` when the node moves.
     pub meta: Option<(MetaRef, u32)>,
 }
 
@@ -309,10 +309,23 @@ pub enum Req {
         /// the child to detach
         mref: MetaRef,
     },
-    /// Install a new data block (repartition / build).
-    PutBlock(PutBlockMsg),
-    /// Install a new meta-block.
-    PutMeta(PutMetaMsg),
+    /// Install a new data block (repartition / build) at a slot the host
+    /// chose.
+    PutBlock {
+        /// free block slot
+        slot: u32,
+        /// the block (boxed: the largest payload would otherwise set the
+        /// size of every request)
+        msg: Box<PutBlockMsg>,
+    },
+    /// Install a new meta-block at a slot the host chose; its nodes take
+    /// slots `0..n` in message order.
+    PutMeta {
+        /// free meta-block slot
+        slot: u32,
+        /// the meta-block
+        msg: PutMetaMsg,
+    },
     /// Replace an existing meta-block's content in place (rebuilds keep
     /// the split meta-block's address stable).
     ReplaceMeta {
@@ -336,15 +349,6 @@ pub enum Req {
     DropMeta {
         /// meta-block slot
         slot: u32,
-    },
-    /// Point a block's mirror leaf at a (new) child block.
-    SetMirror {
-        /// block slot
-        slot: u32,
-        /// mirror leaf node id
-        node: u32,
-        /// child block
-        child: BlockRef,
     },
     /// Update a block's parent pointer.
     SetParent {
@@ -374,6 +378,8 @@ pub enum Req {
         nodes: Vec<NewMetaNode>,
         /// intra-batch parent links (index into `nodes`)
         parents: Vec<Option<u32>>,
+        /// free node slots the host chose, one per node
+        node_slots: Vec<u32>,
     },
     /// Remove a meta node (block vanished). Children are re-parented to
     /// the removed node's parent.
@@ -421,9 +427,10 @@ pub(crate) enum Touch {
     Meta(MetaRef),
     /// Wipes the module.
     Reset,
-    /// Reads, writes a data block (the host copies none), fills a slot no
-    /// copy can name yet, or rewires a field no copy holds (block parent /
-    /// meta location, meta-block parent).
+    /// Reads, writes a data block (the host copies none), fills a free
+    /// slot (no copy names a free slot: the request that freed it dropped
+    /// any copy), or rewires a field no copy holds (block parent / meta
+    /// location, meta-block parent).
     NoCopy,
 }
 
@@ -444,7 +451,6 @@ impl Req {
             Req::GraftMany { .. }
             | Req::DeleteKey { .. }
             | Req::ReplaceBlock { .. }
-            | Req::SetMirror { .. }
             | Req::DropBlock { .. }
             | Req::MergeChild { .. }
             | Req::MatchMeta { .. }
@@ -455,8 +461,8 @@ impl Req {
             | Req::FetchMetaFull { .. }
             | Req::FetchSubtree { .. }
             | Req::DescendBlock { .. }
-            | Req::PutBlock(_)
-            | Req::PutMeta(_)
+            | Req::PutBlock { .. }
+            | Req::PutMeta { .. }
             | Req::SetParent { .. }
             | Req::SetBlockMeta { .. }
             | Req::SetMetaParent { .. } => Touch::NoCopy,
@@ -496,6 +502,8 @@ pub struct PutBlockMsg {
     pub parent: Option<BlockRef>,
     /// mirror map: node id → child block
     pub mirrors: Vec<(u32, BlockRef)>,
+    /// the block's meta node: (meta-block, node slot)
+    pub meta: Option<(MetaRef, u32)>,
 }
 
 /// New meta-block payload (built on the CPU during rebuilds).
@@ -584,13 +592,8 @@ pub enum Resp {
         /// the op detected an inconsistency (hash collision) — redo
         collision: bool,
     },
-    /// Slot assigned by a Put op.
+    /// A Put op filled the slot it was given.
     Placed {
-        /// allocated slot
-        slot: u32,
-        /// slots of inserted meta nodes (AddMetaNodes/PutMeta), in input
-        /// order
-        node_slots: Vec<u32>,
         /// resulting object size (block weight / meta node count)
         count: u64,
     },
@@ -623,6 +626,12 @@ pub enum Resp {
     /// the host must abort the operation and rebuild
     /// ([`Req::ResetModule`]).
     Rebooted,
+    /// A Put op named a slot that is already live; nothing was written
+    /// (the host's allocator and this module's slab disagree).
+    SlotTaken {
+        /// the occupied slot
+        slot: u32,
+    },
 }
 
 /// One meta node with its stored metadata, as pulled for a rebuild.
@@ -855,18 +864,7 @@ pub fn handle(
         } => {
             let b = state.blocks.get_mut(slot).expect("MergeChild: bad slot");
             work += subtree.0.size_words() as u64 + 4;
-            let node = b
-                .mirrors
-                .iter()
-                .find(|(_, r)| **r == child)
-                .map(|(n, _)| *n)
-                .expect("MergeChild: child not mirrored here");
-            b.mirrors.remove(&node);
-            b.trie.unset_value(node);
-            let elen = b.trie.node(node).edge.len();
-            let ok = graft_local(&mut b.trie, node.0, elen as u32, subtree.0);
-            debug_assert!(ok, "merge graft hit an occupied slot");
-            b.trie.recompress_at(node);
+            let ok = merge_child(b, child, subtree.0);
             Resp::BlockVitals {
                 weight: b.weight(),
                 keys: b.n_real_keys() as u64,
@@ -915,7 +913,8 @@ pub fn handle(
                 parent: mb.parent,
             }
         }
-        Req::PutBlock(p) => {
+        Req::PutBlock { slot, msg } => {
+            let p = *msg;
             work += p.trie.0.size_words() as u64;
             let mut block = DataBlock {
                 trie: p.trie.0,
@@ -926,40 +925,38 @@ pub fn handle(
                 rem: p.rem.0,
                 parent: p.parent,
                 mirrors: p.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect(),
-                meta: None, // wired via SetBlockMeta
+                meta: p.meta,
             };
             for n in block.mirrors.keys().copied().collect::<Vec<_>>() {
                 if block.trie.node(n).value.is_none() {
                     block.trie.set_value(n, MIRROR_VALUE);
                 }
             }
-            let weight = block.weight();
-            let slot = state.blocks.insert(block);
-            Resp::Placed {
-                slot,
-                node_slots: Vec::new(),
-                count: weight,
+            let count = block.weight();
+            match state.blocks.insert_at(slot, block) {
+                Ok(()) => Resp::Placed { count },
+                Err(SlotTaken(slot)) => Resp::SlotTaken { slot },
             }
         }
-        Req::PutMeta(p) => {
-            work += p.nodes.len() as u64 * 2;
-            let count = p.nodes.len() as u64;
-            let (slot, node_slots) = put_meta(state, p, None);
-            Resp::Placed {
-                slot,
-                node_slots,
-                count,
+        Req::PutMeta { slot, msg } => {
+            work += msg.nodes.len() as u64 * 2;
+            let count = msg.nodes.len() as u64;
+            let mb = build_meta(state.width, msg);
+            match state.metas.insert_at(slot, mb) {
+                Ok(()) => Resp::Placed { count },
+                Err(SlotTaken(slot)) => Resp::SlotTaken { slot },
             }
         }
         Req::ReplaceMeta { slot, msg } => {
             work += msg.nodes.len() as u64 * 2;
             let count = msg.nodes.len() as u64;
-            let (slot, node_slots) = put_meta(state, msg, Some(slot));
-            Resp::Placed {
-                slot,
-                node_slots,
-                count,
+            let mut mb = build_meta(state.width, msg);
+            // keep the old parent pointer unless the payload set one
+            if mb.parent.is_none() {
+                mb.parent = state.metas.get(slot).and_then(|old| old.parent);
             }
+            state.metas.set(slot, mb);
+            Resp::Placed { count }
         }
         Req::FetchMetaFull { slot } => {
             let mb = state.metas.get(slot).expect("FetchMetaFull: bad slot");
@@ -972,15 +969,6 @@ pub fn handle(
         }
         Req::DropMeta { slot } => {
             state.metas.remove(slot);
-            Resp::Ok
-        }
-        Req::SetMirror { slot, node, child } => {
-            let b = state.blocks.get_mut(slot).expect("SetMirror: bad slot");
-            b.mirrors.insert(NodeId(node), child);
-            // pin the mirror leaf against path compression
-            if b.trie.node(NodeId(node)).value.is_none() {
-                b.trie.set_value(NodeId(node), MIRROR_VALUE);
-            }
             Resp::Ok
         }
         Req::SetParent { slot, parent } => {
@@ -1002,47 +990,25 @@ pub fn handle(
             parent_node,
             nodes,
             parents,
+            node_slots,
         } => {
             work += nodes.len() as u64 * 2;
             let mb = state.metas.get_mut(slot).expect("AddMetaNodes: bad slot");
-            let mut node_slots = Vec::with_capacity(nodes.len());
-            for n in &nodes {
-                let entry_slot = mb.index.insert(IndexEntry {
-                    depth: n.depth,
-                    pre_hash: n.pre_hash,
-                    rem: n.rem.0.clone(),
-                    s_last: n.s_last.0.clone(),
-                    target: LocalTarget::Own(0), // patched below
-                });
-                let ns = mb.nodes.insert(MetaNode {
-                    block: n.block,
-                    entry_slot,
-                    parent: None, // wired below
-                    children: Vec::new(),
-                    depth: n.depth,
-                    hash: n.hash,
-                });
-                patch_target(&mut mb.index, entry_slot, LocalTarget::Own(ns));
-                node_slots.push(ns);
-            }
-            // wire parents mirroring the block tree
-            for (i, par) in parents.iter().enumerate() {
-                let ps = match par {
-                    Some(j) => node_slots[*j as usize],
-                    None => parent_node,
-                };
-                mb.nodes.get_mut(node_slots[i]).unwrap().parent = Some(ps);
-                mb.nodes
-                    .get_mut(ps)
-                    .expect("parent meta node missing")
-                    .children
-                    .push(node_slots[i]);
-            }
-            let count = mb.n_nodes() as u64;
-            Resp::Placed {
-                slot,
-                node_slots,
-                count,
+            match add_meta_nodes(mb, &nodes, &node_slots) {
+                Ok(()) => {
+                    // wire parents mirroring the block tree
+                    for (i, par) in parents.iter().enumerate() {
+                        let ps = match par {
+                            Some(j) => node_slots[*j as usize],
+                            None => parent_node,
+                        };
+                        link_meta_node(mb, node_slots[i], ps);
+                    }
+                    Resp::Placed {
+                        count: mb.n_nodes() as u64,
+                    }
+                }
+                Err(SlotTaken(slot)) => Resp::SlotTaken { slot },
             }
         }
         Req::RemoveMetaNode { slot, node } => {
@@ -1134,81 +1100,83 @@ fn patch_target(index: &mut HashIndex<LocalTarget>, slot: u32, t: LocalTarget) {
     debug_assert_eq!(new_slot, slot);
 }
 
-fn put_meta(state: &mut ModuleState, p: PutMetaMsg, replace: Option<u32>) -> (u32, Vec<u32>) {
-    let mut mb = MetaBlock {
-        index: HashIndex::new(state.width),
-        nodes: Slab::new(),
-        root_node: 0,
-        parent: p.parent,
-        children: Vec::new(),
-    };
-    let mut node_slots = Vec::with_capacity(p.nodes.len());
-    for n in &p.nodes {
+/// Index `nodes` into `mb` at the given node slots, unlinked. Checks
+/// every slot first, so an occupied one leaves `mb` unchanged.
+fn add_meta_nodes(
+    mb: &mut MetaBlock,
+    nodes: &[NewMetaNode],
+    slots: &[u32],
+) -> Result<(), SlotTaken> {
+    if let Some(&s) = slots.iter().find(|s| mb.nodes.get(**s).is_some()) {
+        return Err(SlotTaken(s));
+    }
+    for (n, &ns) in nodes.iter().zip(slots) {
         let entry_slot = mb.index.insert(IndexEntry {
             depth: n.depth,
             pre_hash: n.pre_hash,
             rem: n.rem.0.clone(),
             s_last: n.s_last.0.clone(),
-            target: LocalTarget::Own(0),
+            target: LocalTarget::Own(ns),
         });
-        let ns = mb.nodes.insert(MetaNode {
-            block: n.block,
-            entry_slot,
-            parent: None,
-            children: Vec::new(),
-            depth: n.depth,
-            hash: n.hash,
-        });
-        patch_target(&mut mb.index, entry_slot, LocalTarget::Own(ns));
-        node_slots.push(ns);
+        mb.nodes.insert_at(
+            ns,
+            MetaNode {
+                block: n.block,
+                entry_slot,
+                parent: None,
+                children: Vec::new(),
+                depth: n.depth,
+                hash: n.hash,
+            },
+        )?;
     }
-    // parent links
+    Ok(())
+}
+
+/// Hang node `child` under node `parent` (both live in `mb`).
+fn link_meta_node(mb: &mut MetaBlock, child: u32, parent: u32) {
+    if let Some(c) = mb.nodes.get_mut(child) {
+        c.parent = Some(parent);
+    }
+    if let Some(p) = mb.nodes.get_mut(parent) {
+        p.children.push(child);
+    }
+}
+
+/// A meta-block built from its payload: node `i` at slot `i`.
+fn build_meta(width: HashWidth, p: PutMetaMsg) -> MetaBlock {
+    let mut mb = MetaBlock {
+        index: HashIndex::new(width),
+        nodes: Slab::new(),
+        root_node: p.root_idx,
+        parent: p.parent,
+        children: Vec::new(),
+    };
+    let slots: Vec<u32> = (0..p.nodes.len() as u32).collect();
+    // a fresh slab has no live slot to collide with
+    let _ = add_meta_nodes(&mut mb, &p.nodes, &slots);
     for (i, par) in p.parents.iter().enumerate() {
         if let Some(j) = par {
-            let child_slot = node_slots[i];
-            let parent_slot = node_slots[*j as usize];
-            mb.nodes.get_mut(child_slot).unwrap().parent = Some(parent_slot);
-            mb.nodes
-                .get_mut(parent_slot)
-                .unwrap()
-                .children
-                .push(child_slot);
+            link_meta_node(&mut mb, i as u32, *j);
         }
     }
-    mb.root_node = node_slots[p.root_idx as usize];
     for c in p.children {
+        let idx = mb.children.len() as u32;
         let entry_slot = mb.index.insert(IndexEntry {
             depth: c.depth,
             pre_hash: c.pre_hash,
-            rem: c.rem.0.clone(),
-            s_last: c.s_last.0.clone(),
-            target: LocalTarget::Child(0),
+            rem: c.rem.0,
+            s_last: c.s_last.0,
+            target: LocalTarget::Child(idx),
         });
-        let idx = mb.children.len() as u32;
-        patch_target(&mut mb.index, entry_slot, LocalTarget::Child(idx));
         mb.children.push(MetaChildInfo {
             mref: c.mref,
-            under_node: node_slots[c.under_node as usize],
+            under_node: c.under_node,
             entry_slot,
             root_block: c.root_block,
         });
     }
-    // ReplaceMeta keeps the old parent pointer unless the payload set one.
-    if mb.parent.is_none() {
-        if let Some(s) = replace {
-            if let Some(old) = state.metas.get(s) {
-                mb.parent = old.parent;
-            }
-        }
-    }
-    let slot = match replace {
-        Some(s) => {
-            state.metas.set(s, mb);
-            s
-        }
-        None => state.metas.insert(mb),
-    };
-    (slot, node_slots)
+    mb
 }
 
 fn remove_meta_node(mb: &mut MetaBlock, node: u32) {
@@ -1349,6 +1317,37 @@ fn extend_match(trie: &Trie, mut pos: TriePos, bits: bitstr::BitSlice<'_>) -> (u
             }
         }
     }
+}
+
+/// Inline a child block's trie at the mirror leaf that names it. Checks
+/// before it mutates: false, with the block unchanged, when no mirror
+/// names `child` or the leaf already has a child where the subtree's
+/// first edges attach.
+fn merge_child(b: &mut DataBlock, child: BlockRef, subtree: Trie) -> bool {
+    let Some(node) = b
+        .mirrors
+        .iter()
+        .find(|(_, r)| **r == child)
+        .map(|(n, _)| *n)
+    else {
+        return false;
+    };
+    let leaf = b.trie.node(node);
+    let root = subtree.node(NodeId::ROOT);
+    if root
+        .children
+        .iter()
+        .flatten()
+        .any(|c| leaf.children[subtree.node(*c).edge.get(0) as usize].is_some())
+    {
+        return false;
+    }
+    b.mirrors.remove(&node);
+    b.trie.unset_value(node);
+    let elen = b.trie.node(node).edge.len();
+    let ok = graft_local(&mut b.trie, node.0, elen as u32, subtree);
+    b.trie.recompress_at(node);
+    ok
 }
 
 /// Graft `subtree` (root = anchor position) into `trie`; false on
@@ -1530,5 +1529,56 @@ mod tests {
         let other = BitStr::from_u64(0b010101, 6);
         assert_ne!(other, block.rem);
         assert!(block_root_collision(&block, &piece(other)));
+    }
+
+    #[test]
+    fn merge_into_a_mirror_leaf_with_a_child_reports_collision_and_changes_nothing() {
+        let cfg = crate::PimTrieConfig::for_modules(1);
+        let hasher = bitstr::hash::PolyHasher::with_seed(cfg.seed);
+        let mut sys = pim_sim::PimSystem::new(1, |_| ModuleState::new(cfg.hash_width));
+        // the mirror leaf "0" already has a child "01"
+        let mut trie = Trie::new();
+        trie.insert(&BitStr::from_bin_str("0"), MIRROR_VALUE);
+        trie.insert(&BitStr::from_bin_str("01"), 5);
+        let leaf = trie
+            .node_ids()
+            .find(|id| trie.node_string(*id) == BitStr::from_bin_str("0"))
+            .unwrap();
+        let child = BlockRef { module: 0, slot: 1 };
+        let block = DataBlock {
+            trie,
+            root_depth: 0,
+            root_hash: HashVal(0),
+            s_last: BitStr::new(),
+            pre_hash: HashVal(0),
+            rem: BitStr::new(),
+            parent: None,
+            mirrors: BTreeMap::from([(leaf, child)]),
+            meta: None,
+        };
+        let before = block.trie.items();
+        sys.module_mut(0).blocks.insert_at(0, block).unwrap();
+        // the child's trie attaches its own "1" edge below the leaf
+        let mut subtree = Trie::new();
+        subtree.insert(&BitStr::from_bin_str("1"), 7);
+        let req = Req::MergeChild {
+            slot: 0,
+            child,
+            subtree: TrieMsg(subtree),
+        };
+        let out = sys.round("merge.apply", vec![vec![req]], |ctx, msgs| {
+            msgs.into_iter().map(|m| handle(ctx, &hasher, m)).collect()
+        });
+        assert!(matches!(
+            out[0][0],
+            Resp::BlockVitals {
+                collision: true,
+                ..
+            }
+        ));
+        let b = sys.module(0).blocks.get(0).unwrap();
+        assert_eq!(b.trie.items(), before);
+        assert_eq!(b.mirrors, BTreeMap::from([(leaf, child)]));
+        assert_eq!(b.trie.node(leaf).value, Some(MIRROR_VALUE));
     }
 }

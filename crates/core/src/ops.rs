@@ -249,7 +249,11 @@ impl PimTrie {
             else {
                 return Err(unexpected("graft"));
             };
-            assert!(!collision, "graft collision escaped verification");
+            if collision {
+                return Err(PimTrieError::Protocol(format!(
+                    "insert.graft: collision in block {block:?} escaped verification"
+                )));
+            }
             self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
             if weight > OVERSIZE_FACTOR * self.cfg.k_b {
                 oversized.push(block);
@@ -406,7 +410,11 @@ impl PimTrie {
         let mut guard = 0;
         while !frontier.is_empty() {
             guard += 1;
-            assert!(guard < 100_000, "subtree assembly did not terminate");
+            if guard >= 100_000 {
+                return Err(PimTrieError::Protocol(
+                    "subtree.fetch: assembly did not terminate".into(),
+                ));
+            }
             let mut fetch = Scatter::new(self.sys.p());
             for (qi, block, node, off, prefix) in frontier.drain(..) {
                 let req = Req::FetchSubtree {
@@ -529,8 +537,9 @@ impl PimTrie {
 
     /// Re-partition oversized blocks: pull them, cut each with the §4.2
     /// blocking algorithm, keep every root piece in place, scatter the
-    /// rest — all blocks advance together through shared BSP rounds, so a
-    /// batch of overflows costs O(1) extra rounds, not O(#blocks).
+    /// rest — all blocks advance together through the same two BSP rounds
+    /// (fetch, place), so a batch of overflows costs O(1) extra rounds,
+    /// not O(#blocks).
     pub(crate) fn repartition_blocks(&mut self, brefs: Vec<BlockRef>) -> Result<(), PimTrieError> {
         if brefs.is_empty() {
             return Ok(());
@@ -542,10 +551,6 @@ impl PimTrie {
         // Round 1: fetch all oversized blocks.
         let bds = self.fetch_blocks(&brefs, "repart.fetch")?;
 
-        struct Piece {
-            target: BlockRef,
-            meta: crate::build::RootMeta,
-        }
         struct Plan {
             bref: BlockRef,
             /// the block's meta node: (meta-block, node slot)
@@ -557,7 +562,8 @@ impl PimTrie {
             /// per piece, the piece holding its boundary mirror (the root
             /// piece is its own parent)
             parent_of: Vec<usize>,
-            placed: Vec<Piece>,
+            /// per piece, its root's metadata
+            metas: Vec<crate::build::RootMeta>,
             old_mirrors: BTreeMap<NodeId, BlockRef>,
         }
         let mut plans: Vec<Plan> = Vec::new();
@@ -599,28 +605,20 @@ impl PimTrie {
                 .ok_or_else(orphan)?;
             // compute every piece's root metadata now, while the
             // edge-split trie (which the piece ids refer to) is alive
-            let mut placed: Vec<Piece> = Vec::with_capacity(pieces.len());
-            for (bi, b) in pieces.iter().enumerate() {
-                let local = trie.node_string(b.orig_root);
-                let meta = crate::build::root_meta_with_prefix(
-                    &self.hasher,
-                    bd.root_hash,
-                    bd.root_depth,
-                    bd.pre_hash,
-                    &bd.rem.0,
-                    &bd.s_last.0,
-                    &local,
-                );
-                let target = if bi == root_idx {
-                    bref
-                } else {
-                    BlockRef {
-                        module: u32::MAX,
-                        slot: u32::MAX,
-                    }
-                };
-                placed.push(Piece { target, meta });
-            }
+            let metas = pieces
+                .iter()
+                .map(|b| {
+                    crate::build::root_meta_with_prefix(
+                        &self.hasher,
+                        bd.root_hash,
+                        bd.root_depth,
+                        bd.pre_hash,
+                        &bd.rem.0,
+                        &bd.s_last.0,
+                        &trie.node_string(b.orig_root),
+                    )
+                })
+                .collect();
             plans.push(Plan {
                 bref,
                 meta,
@@ -628,7 +626,7 @@ impl PimTrie {
                 root_idx,
                 piece_of_orig,
                 parent_of,
-                placed,
+                metas,
                 old_mirrors,
             });
         }
@@ -636,46 +634,47 @@ impl PimTrie {
             return Ok(());
         }
 
-        // Round 2: place all non-root pieces uniformly at random.
-        let mut place = Scatter::new(p);
-        for (pi, plan) in plans.iter().enumerate() {
-            for (bi, b) in plan.pieces.iter().enumerate() {
-                if bi == plan.root_idx {
-                    continue;
-                }
-                let meta = &plan.placed[bi].meta;
-                let m = self.random_module();
-                let req = Req::PutBlock(crate::module::PutBlockMsg {
-                    trie: TrieMsg(b.trie.clone()),
-                    root_depth: meta.depth,
-                    root_hash: meta.hash,
-                    s_last: BitsMsg(meta.s_last.clone()),
-                    pre_hash: meta.pre_hash,
-                    rem: BitsMsg(meta.rem.clone()),
-                    parent: Some(plan.bref), // fixed in the wire round
-                    mirrors: Vec::new(),
-                });
-                place.push(m as usize, (pi, bi), req);
-            }
-        }
-        for (m, (pi, bi), resp) in self.rounds("repart.place", place)? {
-            let Resp::Placed { slot, .. } = resp else {
-                return Err(unexpected("repart.place"));
-            };
-            plans[pi].placed[bi].target = BlockRef {
-                module: m as u32,
-                slot,
-            };
-        }
-        // Round 3: wire mirrors, parents, and replace root pieces.
-        let mut wire = Scatter::new(p);
+        // Address every non-root piece on a random module and its meta
+        // node in the block's meta-block. The order (plans, then pieces)
+        // fixes every piece's module and slot: keep it, or the layout of
+        // every index built through here moves.
+        let mut targets: Vec<Vec<BlockRef>> = Vec::with_capacity(plans.len());
         for plan in &plans {
-            for (bi, b) in plan.pieces.iter().enumerate() {
-                let me = plan.placed[bi].target;
+            let mut t = vec![plan.bref; plan.pieces.len()];
+            for (bi, target) in t.iter_mut().enumerate() {
+                if bi != plan.root_idx {
+                    let m = self.random_module();
+                    *target = self.addrs.block(m);
+                }
+            }
+            targets.push(t);
+        }
+        let mut node_slots: Vec<Vec<u32>> = Vec::with_capacity(plans.len());
+        for plan in &plans {
+            let n = plan.pieces.len() - 1;
+            node_slots.push((0..n).map(|_| self.addrs.node(plan.meta.0)).collect());
+        }
+
+        // One round: every piece arrives with its final mirrors, parent and
+        // meta node; moved children learn their new parent; root pieces
+        // shrink in place; the meta nodes are registered.
+        let mut out = Scatter::new(p);
+        for ((plan, target), slots) in plans.into_iter().zip(&targets).zip(node_slots) {
+            let (meta_ref, meta_slot) = plan.meta;
+            // non-root pieces in index order; meta parents mirror the piece
+            // tree so the meta tree keeps the block tree's bounded degree (a
+            // star here would degenerate the Lemma-4.5 decomposition)
+            let order: Vec<usize> = (0..plan.pieces.len())
+                .filter(|bi| *bi != plan.root_idx)
+                .collect();
+            let pos = |bi: usize| bi - usize::from(bi > plan.root_idx);
+            // the pieces move into the messages: no second copy of the tries
+            for (bi, b) in plan.pieces.into_iter().enumerate() {
+                let me = target[bi];
                 let mut mirrors: Vec<(u32, BlockRef)> = b
                     .mirrors
                     .iter()
-                    .map(|(leaf, orig)| (leaf.0, plan.placed[plan.piece_of_orig[orig]].target))
+                    .map(|(leaf, orig)| (leaf.0, target[plan.piece_of_orig[orig]]))
                     .collect();
                 for (new_id, orig_id) in b
                     .orig_of
@@ -692,96 +691,61 @@ impl PimTrie {
                             slot: r.slot,
                             parent: Some(me),
                         };
-                        wire.push(r.module as usize, (), req);
+                        out.push(r.module as usize, None, req);
                     }
                 }
-                if bi == plan.root_idx {
-                    let req = Req::ReplaceBlock {
+                let req = if bi == plan.root_idx {
+                    Req::ReplaceBlock {
                         slot: me.slot,
-                        trie: TrieMsg(b.trie.clone()),
+                        trie: TrieMsg(b.trie),
                         mirrors,
-                    };
-                    wire.push(me.module as usize, (), req);
-                } else {
-                    for (n, r) in mirrors {
-                        let req = Req::SetMirror {
-                            slot: me.slot,
-                            node: n,
-                            child: r,
-                        };
-                        wire.push(me.module as usize, (), req);
                     }
-                    let parent = plan.placed[plan.parent_of[bi]].target;
-                    let req = Req::SetParent {
-                        slot: me.slot,
-                        parent: Some(parent),
-                    };
-                    wire.push(me.module as usize, (), req);
-                }
-            }
-        }
-        self.rounds("repart.wire", wire)?;
-
-        // Round 4: register meta nodes for all new pieces.
-        let mut register = Scatter::new(p);
-        for plan in &plans {
-            let (meta_ref, meta_slot) = plan.meta;
-            // pieces in `order`; parents mirror the piece tree so the meta
-            // tree keeps the block tree's bounded degree (a star here would
-            // degenerate the Lemma-4.5 decomposition)
-            let order: Vec<usize> = (0..plan.pieces.len())
-                .filter(|bi| *bi != plan.root_idx)
-                .collect();
-            let order_pos: BTreeMap<usize, u32> = order
-                .iter()
-                .enumerate()
-                .map(|(i, bi)| (*bi, i as u32))
-                .collect();
-            let mut nodes = Vec::with_capacity(order.len());
-            let mut parents = Vec::with_capacity(order.len());
-            for &bi in &order {
-                let piece = &plan.placed[bi];
-                nodes.push(piece.meta.new_meta_node(piece.target));
-                let parent_bi = plan.parent_of[bi];
-                parents.push(if parent_bi == plan.root_idx {
-                    None
                 } else {
-                    Some(order_pos[&parent_bi])
-                });
+                    let meta = &plan.metas[bi];
+                    let msg = crate::module::PutBlockMsg {
+                        trie: TrieMsg(b.trie),
+                        root_depth: meta.depth,
+                        root_hash: meta.hash,
+                        s_last: BitsMsg(meta.s_last.clone()),
+                        pre_hash: meta.pre_hash,
+                        rem: BitsMsg(meta.rem.clone()),
+                        parent: Some(target[plan.parent_of[bi]]),
+                        mirrors,
+                        meta: Some((meta_ref, slots[pos(bi)])),
+                    };
+                    Req::PutBlock {
+                        slot: me.slot,
+                        msg: Box::new(msg),
+                    }
+                };
+                out.push(me.module as usize, None, req);
             }
+            let nodes = order
+                .iter()
+                .map(|&bi| plan.metas[bi].new_meta_node(target[bi]))
+                .collect();
+            let parents = order
+                .iter()
+                .map(|&bi| {
+                    let parent_bi = plan.parent_of[bi];
+                    (parent_bi != plan.root_idx).then(|| pos(parent_bi) as u32)
+                })
+                .collect();
             let req = Req::AddMetaNodes {
                 slot: meta_ref.slot,
                 parent_node: meta_slot,
                 nodes,
                 parents,
+                node_slots: slots,
             };
-            register.push(meta_ref.module as usize, plan, req);
+            out.push(meta_ref.module as usize, Some(meta_ref), req);
         }
-        let mut meta_wire = Scatter::new(p);
         let mut oversized_metas: Vec<MetaRef> = Vec::new();
-        for (_, plan, resp) in self.rounds("repart.meta", register)? {
-            let Resp::Placed {
-                node_slots, count, ..
-            } = resp
-            else {
-                return Err(unexpected("repart.meta"));
-            };
-            let meta_ref = plan.meta.0;
-            let order = (0..plan.pieces.len()).filter(|bi| *bi != plan.root_idx);
-            for (bi, ns) in order.zip(&node_slots) {
-                let b = plan.placed[bi].target;
-                let req = Req::SetBlockMeta {
-                    slot: b.slot,
-                    meta: meta_ref,
-                    meta_slot: *ns,
-                };
-                meta_wire.push(b.module as usize, (), req);
-            }
+        for (meta_ref, count) in self.place("repart.place", out)? {
             if count > self.cfg.k_smb as u64 && !oversized_metas.contains(&meta_ref) {
                 oversized_metas.push(meta_ref);
             }
         }
-        self.rounds("repart.meta.wire", meta_wire)?;
         self.split_meta_blocks(oversized_metas)
     }
 
@@ -863,20 +827,30 @@ impl PimTrie {
                     weight,
                     keys,
                     children,
+                    collision,
                     ..
                 } = resp
                 else {
                     return Err(unexpected("merge.apply"));
                 };
+                // a refused merge left the child's keys in the child:
+                // stop before the cleanup round drops it
+                if collision {
+                    return Err(PimTrieError::Protocol(format!(
+                        "merge.apply: block {parent:?} refused a child merge"
+                    )));
+                }
                 parent_vitals.insert(parent, (weight, keys, children));
             }
             // Round C: drop merged blocks + remove their meta nodes; only
             // the meta-node removals are tagged, their replies decide D.
             let mut cleanup = Scatter::new(p);
             for (bref, meta) in merged {
+                self.addrs.free_block(bref);
                 let req = Req::DropBlock { slot: bref.slot };
                 cleanup.push(bref.module as usize, None, req);
                 if let Some((mref, slot)) = meta {
+                    self.addrs.free_node(mref, slot);
                     let req = Req::RemoveMetaNode {
                         slot: mref.slot,
                         node: slot,
@@ -899,6 +873,7 @@ impl PimTrie {
                 else {
                     continue;
                 };
+                self.addrs.free_meta(mref);
                 let req = Req::DropMeta { slot: mref.slot };
                 meta_drop.push(mref.module as usize, (), req);
                 let req = Req::RemoveMetaChild {
@@ -951,9 +926,8 @@ impl PimTrie {
 
         // CPU: rebuild each meta-block's node tree and cut it.
         let mut jobs: Vec<crate::build::PlaceJob> = Vec::new();
-        let mut job_mref: Vec<MetaRef> = Vec::new();
         for (mref, full) in mrefs.iter().zip(fulls) {
-            let full = full.unwrap();
+            let full = full.ok_or_else(|| unexpected("msplit.fetch"))?;
             let idx_of: BTreeMap<u32, usize> = full
                 .nodes
                 .iter()
@@ -1015,25 +989,11 @@ impl PimTrie {
                 replace_root_at: Some(*mref),
                 extra,
             });
-            job_mref.push(*mref);
         }
         if jobs.is_empty() {
             return Ok(());
         }
-        let placed = self.place_chunks(&jobs)?;
-        // Re-wire surviving external children's parent pointers.
-        let mut rewire = Scatter::new(p);
-        for (ji, job) in jobs.iter().enumerate() {
-            for (plan_idx, child) in &job.extra {
-                let req = Req::SetMetaParent {
-                    slot: child.mref.slot,
-                    parent: Some(placed[ji][*plan_idx].mref),
-                };
-                rewire.push(child.mref.module as usize, (), req);
-            }
-        }
-        self.rounds("msplit.rewire", rewire)?;
-        Ok(())
+        self.place_chunks(&jobs)
     }
 
     // ------------------------------------------------------------------
@@ -1101,6 +1061,7 @@ impl PimTrie {
         self.t_phase("reset");
         let mut reset = Scatter::new(self.sys.p());
         for m in 0..self.sys.p() {
+            self.addrs.reset(m as u32);
             reset.push(m, (), Req::ResetModule);
         }
         self.rounds("recover.reset", reset)?;

@@ -249,7 +249,8 @@ wire_schema! {
         rem: shared(LABEL_REM),
         parent,
         mirrors,
-    } words = 4 + trie.wire_words() + s_last.wire_words() + mirrors.len() as u64 * 2;
+        meta,
+    } words = 6 + trie.wire_words() + s_last.wire_words() + mirrors.len() as u64 * 2;
 
     struct NewMetaNode {
         block,
@@ -336,16 +337,18 @@ wire_schema! {
             1 + trie.wire_words() + mirrors.len() as u64 * 2
         },
         11: RemoveMetaChild { slot, mref } => 2,
-        12: PutBlock(p) => p.wire_words(),
-        13: PutMeta(p) => p.wire_words(),
+        12: PutBlock { slot: delta(BLOCK_SLOT), msg } => 1 + msg.wire_words(),
+        13: PutMeta { slot: delta(META_SLOT), msg } => 1 + msg.wire_words(),
         14: ReplaceMeta { slot, msg } => msg.wire_words(),
         15: FetchMetaFull { slot } => 1,
         16: DropBlock { slot } => 1,
         17: DropMeta { slot } => 1,
-        18: SetMirror { slot, node, child } => 3,
+        // tag 18 is retired
         19: SetParent { slot, parent } => 2,
         20: SetBlockMeta { slot, meta, meta_slot } => 3,
-        21: AddMetaNodes { slot, parent_node, nodes, parents } => 2 + nodes.len() as u64 * 9,
+        21: AddMetaNodes { slot, parent_node, nodes, parents, node_slots: deltas(NODE_SLOT) } => {
+            2 + nodes.len() as u64 * 9 + node_slots.len() as u64
+        },
         22: RemoveMetaNode { slot, node } => 2,
         23: SetMetaParent { slot, parent } => 2,
         // tags 24 and 25 are retired
@@ -362,7 +365,7 @@ wire_schema! {
         4: BlockData(b) => b.wire_words(),
         5: MetaFull(m) => m.wire_words(),
         6: BlockVitals { weight, keys, children, keys_delta, collision } => 5,
-        7: Placed { slot, node_slots, count } => 3 + node_slots.len() as u64,
+        7: Placed { count } => 1,
         8: MetaVitals { nodes, parent } => 2,
         9: Subtree { trie, children, depth: delta(DEPTH) } => {
             2 + trie.wire_words() + children.len() as u64 * 2
@@ -372,5 +375,6 @@ wire_schema! {
         12: Ok => 1,
         13: CorruptReq => 1,
         14: Rebooted => 1,
+        15: SlotTaken { slot } => 1,
     }
 }

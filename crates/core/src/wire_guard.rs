@@ -154,6 +154,12 @@ impl<T: Fingerprint> Fingerprint for Option<T> {
     }
 }
 
+impl<T: Fingerprint> Fingerprint for Box<T> {
+    fn feed(&self, fp: &mut Fp) {
+        (**self).feed(fp);
+    }
+}
+
 impl<T: Fingerprint> Fingerprint for Vec<T> {
     fn feed(&self, fp: &mut Fp) {
         fp.word(self.len() as u64);

@@ -53,8 +53,16 @@ fn plain_run(threads: usize) -> (u64, u64, u64, u64, u64) {
 /// descent round — the lcp batch crosses the root that way — and a level
 /// being filled is one pull round where it was a pull and a push round;
 /// the words of those rounds are gone, less the 9 fills (669 words) that
-/// make and re-make the copies.
-const PRE_CODEC_GOLDEN: (u64, u64, u64, u64, u64) = (31, 27281, 63051, 100, 1716);
+/// make and re-make the copies; and again when the host began choosing
+/// every module address (31 − 10 rounds): placement and wiring share one
+/// round, so the bootstrap's three rounds become one, the insert's
+/// repartition (place, wire, meta, meta wire) becomes one `repart.place`
+/// and its meta-split (four `meta.place` waves, `meta.wire`,
+/// `msplit.rewire`) one `msplit.place`. The delete and lcp rounds are
+/// bit-identical; the words gone are the `Placed` slot fields and the
+/// `SetMirror`/`SetParent`/`SetBlockMeta`/`SetMetaParent` messages that
+/// only carried an address back out.
+const PRE_CODEC_GOLDEN: (u64, u64, u64, u64, u64) = (21, 25575, 58544, 100, 1716);
 
 #[test]
 fn plain_wire_is_bit_identical_to_pre_codec_builds() {
