@@ -36,6 +36,7 @@ pub fn is_exact_col(name: &str) -> bool {
         "io_rounds"
             | "xtra_rounds"
             | "maint_rounds"
+            | "assemble_rounds"
             | "keys"
             | "result_keys"
             | "injected"

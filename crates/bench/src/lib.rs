@@ -18,7 +18,7 @@ pub mod obs;
 use baselines::{DistRadixTree, DistXFastTrie, RangePartitioned};
 use bitstr::hash::HashWidth;
 use bitstr::BitStr;
-use pim_sim::MetricsDelta;
+use pim_sim::{MetricsDelta, PhaseSummary};
 use pim_trie::{PimTrie, PimTrieConfig};
 use workloads::Spec;
 
@@ -215,7 +215,10 @@ pub fn t1_rounds(p: usize, quick: bool) -> Vec<Row> {
 /// Amortized rounds for Insert/Delete/Subtree on PIM-trie (Table 1's
 /// update columns; the baselines' update paths follow their query paths).
 /// `maint_rounds` is the part of `io_rounds` spent re-cutting blocks,
-/// splitting meta-blocks and merging.
+/// splitting meta-blocks and merging; `assemble_rounds` the part a
+/// SubtreeQuery spends collecting the blocks below its prefixes.
+/// `subtree` asks 16-bit prefixes (≈ 1 key each), `subtree-64`
+/// `log2(n/64)`-bit ones (≈ 64 keys each, many blocks to assemble).
 pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
     let n = if quick { 1 << 12 } else { 1 << 14 };
     let base = workloads::uniform_fixed(n, 128, 11);
@@ -227,54 +230,62 @@ pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
     let snap = pim.system().metrics().snapshot();
     pim.insert_batch(&ins, &values_for(&ins));
     let d = pim.system().metrics().since(&snap);
+    let phases = take_phases(&mut pim);
     rows.push(
         delta_cols(Row::new("pim-trie/insert"), &d, ins.len())
-            .col("maint_rounds", maint_rounds(&mut pim)),
+            .col("maint_rounds", rounds_in(&phases, MAINT_PHASES)),
     );
 
     let dels: Vec<BitStr> = base.iter().step_by(4).cloned().collect();
     let snap = pim.system().metrics().snapshot();
     let _ = pim.delete_batch(&dels);
     let d = pim.system().metrics().since(&snap);
+    let phases = take_phases(&mut pim);
     rows.push(
         delta_cols(Row::new("pim-trie/delete"), &d, dels.len())
-            .col("maint_rounds", maint_rounds(&mut pim)),
+            .col("maint_rounds", rounds_in(&phases, MAINT_PHASES)),
     );
 
-    let prefixes: Vec<BitStr> = base
-        .iter()
-        .skip(1)
-        .step_by(16)
-        .map(|k| k.slice(0..16).to_bitstr())
-        .collect();
-    let snap = pim.system().metrics().snapshot();
-    let subs = pim.subtree_batch(&prefixes);
-    let d = pim.system().metrics().since(&snap);
-    let result_keys: usize = subs.iter().flatten().map(|t| t.n_keys()).sum();
-    rows.push(
-        delta_cols(Row::new("pim-trie/subtree"), &d, prefixes.len())
-            .col("maint_rounds", maint_rounds(&mut pim))
-            .col("result_keys", result_keys as f64),
-    );
+    let bits_64 = (n / 64).ilog2() as usize;
+    for (name, skip, step, bits) in [("subtree", 1, 16, 16), ("subtree-64", 0, 64, bits_64)] {
+        let prefixes: Vec<BitStr> = base
+            .iter()
+            .skip(skip)
+            .step_by(step)
+            .map(|k| k.slice(0..bits).to_bitstr())
+            .collect();
+        let snap = pim.system().metrics().snapshot();
+        let subs = pim.subtree_batch(&prefixes);
+        let d = pim.system().metrics().since(&snap);
+        let result_keys: usize = subs.iter().flatten().map(|t| t.n_keys()).sum();
+        let phases = take_phases(&mut pim);
+        rows.push(
+            delta_cols(Row::new(format!("pim-trie/{name}")), &d, prefixes.len())
+                .col("maint_rounds", rounds_in(&phases, MAINT_PHASES))
+                .col("assemble_rounds", rounds_in(&phases, &["assemble"]))
+                .col("result_keys", result_keys as f64),
+        );
+    }
     rows
 }
 
-/// Rounds spent in structural maintenance — the `repartition`,
-/// `meta-split` and `merge` phases — since tracing was last enabled,
-/// read from the tracer (which perturbs no metered counter); tracing is
-/// re-armed for the next op.
-fn maint_rounds(pim: &mut PimTrie) -> f64 {
+/// The phases of structural maintenance.
+const MAINT_PHASES: &[&str] = &["repartition", "meta-split", "merge"];
+
+/// The phases the tracer summed since tracing was last enabled (the
+/// tracer perturbs no metered counter); tracing is re-armed for the
+/// next op.
+fn take_phases(pim: &mut PimTrie) -> Vec<PhaseSummary> {
     let tracer = pim.system_mut().metrics_mut().take_tracer();
     pim.enable_tracing();
-    let rows = tracer.map(|t| t.phase_summaries()).unwrap_or_default();
-    let rounds: u64 = rows
+    tracer.map(|t| t.phase_summaries()).unwrap_or_default()
+}
+
+/// Rounds spent in the phases whose label ends in one of `names`.
+fn rounds_in(phases: &[PhaseSummary], names: &[&str]) -> f64 {
+    let rounds: u64 = phases
         .iter()
-        .filter(|s| {
-            matches!(
-                s.phase.rsplit('/').next(),
-                Some("repartition" | "meta-split" | "merge")
-            )
-        })
+        .filter(|s| names.iter().any(|n| s.phase.rsplit('/').next() == Some(*n)))
         .map(|s| s.rounds)
         .sum();
     rounds as f64

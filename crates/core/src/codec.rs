@@ -587,12 +587,17 @@ pub(crate) mod tests {
                 slot: 8,
                 node: 3,
                 off: 2,
+                meta: true,
             },
             Req::DescendBlock {
                 slot: 6,
                 bits: BitsMsg(bits("0110100111")),
             },
             Req::ResetModule,
+            Req::ListBlocks {
+                slot: 3,
+                prefix: BitsMsg(bits("01101001011")),
+            },
         ]
     }
 
@@ -691,6 +696,7 @@ pub(crate) mod tests {
                 trie: TrieMsg(sample_trie(&["10", "11"])),
                 children: vec![(1, bref(0, 9))],
                 depth: 77,
+                meta: Some(mref(2, 5)),
             },
             Resp::Descend(DescendOut {
                 consumed: 13,
@@ -704,6 +710,11 @@ pub(crate) mod tests {
             Resp::CorruptReq,
             Resp::Rebooted,
             Resp::SlotTaken { slot: 12 },
+            Resp::Listed {
+                blocks: vec![bref(0, 3), bref(2, 1), bref(2, 4)],
+                metas: vec![mref(1, 6)],
+            },
+            Resp::BadSlot { slot: 7 },
         ]
     }
 
@@ -717,25 +728,34 @@ pub(crate) mod tests {
     /// its slot (18 → 19), `AddMetaNodes` one node slot per node (11 →
     /// 13), and `SetMirror` (tag 18) is retired; every other message
     /// keeps its words, and its bits wherever its streams start where
-    /// they did.
+    /// they did. Re-captured when SubtreeQuery began listing its blocks
+    /// from the meta-blocks: `FetchSubtree` gained the one-bit `meta` flag
+    /// (32 → 33 bits, words unchanged) and `ListBlocks` (tag 33: slot
+    /// word, then the 11-bit prefix as a label, 3 words) is new.
     #[rustfmt::skip]
-    const REQ_GOLDEN: [(u64, u64); 24] = [
+    const REQ_GOLDEN: [(u64, u64); 25] = [
         (52, 529), (52, 516), (1, 16), (1, 16),
         (43, 400), (3, 32), (3, 32), (21, 204),
         (24, 244), (2, 32), (30, 442), (19, 387),
         (18, 380), (1, 16), (1, 16), (1, 16),
         (2, 17), (3, 40), (13, 258), (2, 24),
-        (2, 33), (3, 32), (3, 34), (1, 8),
+        (2, 33), (3, 33), (3, 34), (1, 8),
+        (3, 35),
     ];
 
     /// As `REQ_GOLDEN`, for `resp_samples()`. `Placed` lost its slot
-    /// fields (6 → 1 words) and `SlotTaken` (tag 15) is new.
+    /// fields (6 → 1 words) and `SlotTaken` (tag 15) is new. `Subtree`
+    /// gained its `meta` field (23 → 24 words, 219 → 236 bits: the
+    /// presence bit and the `MetaRef`); `Listed` (tag 16: two length
+    /// words, three blocks and one meta-block) and `BadSlot` (tag 17) are
+    /// new.
     #[rustfmt::skip]
-    const RESP_GOLDEN: [(u64, u64); 16] = [
+    const RESP_GOLDEN: [(u64, u64); 18] = [
         (7, 114), (6, 67), (7, 173), (26, 419),
         (18, 403), (5, 49), (1, 16), (2, 17),
-        (23, 219), (4, 49), (2, 25), (2, 9),
+        (24, 236), (4, 49), (2, 25), (2, 9),
         (1, 8), (1, 8), (1, 8), (1, 16),
+        (6, 88), (1, 16),
     ];
 
     /// The variant tag a message encodes first.
@@ -750,7 +770,7 @@ pub(crate) mod tests {
         let msgs = req_samples();
         let tags: Vec<u64> = msgs.iter().map(tag_of).collect();
         // tags 1, 18, 24, 25 and 29–32 are retired (WIRE_FORMAT.md)
-        let live = (2..=17).chain(19..=23).chain(26..=28);
+        let live = (2..=17).chain(19..=23).chain(26..=28).chain([33]);
         assert_eq!(tags, live.collect::<Vec<u64>>());
         assert_eq!(roundtrip_group(&msgs), REQ_GOLDEN);
     }
@@ -760,7 +780,7 @@ pub(crate) mod tests {
         let msgs = resp_samples();
         let mut tags: Vec<u64> = msgs.iter().map(tag_of).collect();
         tags.dedup();
-        assert_eq!(tags, (1..=15).collect::<Vec<u64>>());
+        assert_eq!(tags, (1..=17).collect::<Vec<u64>>());
         assert_eq!(roundtrip_group(&msgs), RESP_GOLDEN);
     }
 

@@ -16,7 +16,7 @@
 
 use crate::hvm::{hash_match_piece, HashIndex, IndexEntry, PieceMatch, QueryPiece};
 use crate::refs::{BlockRef, MetaRef, Slab, SlotTaken, TrieMsg};
-use bitstr::hash::{HashVal, HashWidth};
+use bitstr::hash::{HashVal, HashWidth, IncrementalHash};
 use bitstr::BitStr;
 use pim_sim::PimCtx;
 use std::collections::BTreeMap;
@@ -405,6 +405,17 @@ pub enum Req {
         node: u32,
         /// anchor edge offset
         off: u32,
+        /// also name the meta-block that describes this block
+        meta: bool,
+    },
+    /// List the blocks under a prefix that one meta-block describes, and
+    /// the child meta-blocks that may describe more (SubtreeQuery
+    /// assembly).
+    ListBlocks {
+        /// meta-block slot
+        slot: u32,
+        /// the query prefix, from the trie root
+        prefix: crate::refs::BitsMsg,
     },
     /// Read a block root's identity for slow-path descent.
     DescendBlock {
@@ -460,6 +471,7 @@ impl Req {
             | Req::ReadKey { .. }
             | Req::FetchMetaFull { .. }
             | Req::FetchSubtree { .. }
+            | Req::ListBlocks { .. }
             | Req::DescendBlock { .. }
             | Req::PutBlock { .. }
             | Req::PutMeta { .. }
@@ -612,6 +624,16 @@ pub enum Resp {
         children: Vec<(u32, BlockRef)>,
         /// anchor's depth (bits)
         depth: u64,
+        /// the meta-block describing the block, when the request asked
+        meta: Option<MetaRef>,
+    },
+    /// The blocks under a prefix, listed from one meta-block.
+    Listed {
+        /// blocks whose root extends the prefix
+        blocks: Vec<BlockRef>,
+        /// child meta-blocks whose root extends the prefix or lies on
+        /// its path
+        metas: Vec<MetaRef>,
     },
     /// Slow-path descent step result.
     Descend(DescendOut),
@@ -630,6 +652,11 @@ pub enum Resp {
     /// (the host's allocator and this module's slab disagree).
     SlotTaken {
         /// the occupied slot
+        slot: u32,
+    },
+    /// A read named a slot that holds nothing; nothing was read.
+    BadSlot {
+        /// the empty slot
         slot: u32,
     },
 }
@@ -752,16 +779,27 @@ pub fn handle(
     hasher: &bitstr::hash::PolyHasher,
     req: Req,
 ) -> Resp {
-    let state = &mut *ctx.state;
+    let (resp, work) = execute(&mut *ctx.state, hasher, req);
+    ctx.work(work.max(1));
+    resp
+}
+
+/// Execute one request on `state`; returns the reply and the PIM work
+/// done. A read of an empty slot answers `BadSlot` and reads nothing.
+fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req) -> (Resp, u64) {
     let mut work = 0u64;
     let resp = match req {
         Req::MatchMeta { slot, piece } => {
-            let mb = state.metas.get(slot).expect("MatchMeta: bad slot");
+            let Some(mb) = state.metas.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             let ms = hash_match_piece(hasher, &piece, &mb.index, &mut work);
             Resp::Matches(ms.iter().map(|m| meta_match(mb, m)).collect())
         }
         Req::MatchBlock { slot, piece } => {
-            let b = state.blocks.get(slot).expect("MatchBlock: bad slot");
+            let Some(b) = state.blocks.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += piece.size_words();
             let collision = block_root_collision(b, &piece);
             let results = if collision {
@@ -772,14 +810,18 @@ pub fn handle(
             Resp::BlockResults { results, collision }
         }
         Req::FetchMeta { slot } => {
-            let mb = state.metas.get(slot).expect("FetchMeta: bad slot");
+            let Some(mb) = state.metas.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += mb.n_nodes() as u64;
             Resp::MetaSummary {
                 entries: summarize_meta(mb),
             }
         }
         Req::FetchBlock { slot } => {
-            let b = state.blocks.get(slot).expect("FetchBlock: bad slot");
+            let Some(b) = state.blocks.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += b.weight();
             Resp::BlockData(BlockDataOut {
                 trie: TrieMsg(b.trie.clone()),
@@ -820,7 +862,9 @@ pub fn handle(
             }
         }
         Req::ReadKey { slot, node, depth } => {
-            let b = state.blocks.get(slot).expect("ReadKey: bad slot");
+            let Some(b) = state.blocks.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += 2;
             let id = NodeId(node);
             let v = (b.trie.is_live(id) && b.root_depth + b.trie.node(id).depth as u64 == depth)
@@ -959,7 +1003,9 @@ pub fn handle(
             Resp::Placed { count }
         }
         Req::FetchMetaFull { slot } => {
-            let mb = state.metas.get(slot).expect("FetchMetaFull: bad slot");
+            let Some(mb) = state.metas.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += mb.n_nodes() as u64;
             Resp::MetaFull(meta_full(mb))
         }
@@ -1024,18 +1070,35 @@ pub fn handle(
             mb.parent = parent;
             Resp::Ok
         }
-        Req::FetchSubtree { slot, node, off } => {
-            let b = state.blocks.get(slot).expect("FetchSubtree: bad slot");
+        Req::FetchSubtree {
+            slot,
+            node,
+            off,
+            meta,
+        } => {
+            let Some(b) = state.blocks.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += b.weight();
             let (trie, children, depth) = subtree_local(b, NodeId(node), off as usize);
             Resp::Subtree {
                 trie: TrieMsg(trie),
                 children,
                 depth,
+                meta: b.meta.filter(|_| meta).map(|(m, _)| m),
             }
         }
+        Req::ListBlocks { slot, prefix } => {
+            let Some(mb) = state.metas.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
+            let (blocks, metas) = list_under(hasher, mb, &prefix.0, &mut work);
+            Resp::Listed { blocks, metas }
+        }
         Req::DescendBlock { slot, bits } => {
-            let b = state.blocks.get(slot).expect("DescendBlock: bad slot");
+            let Some(b) = state.blocks.get(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += bits.0.len().div_ceil(64) as u64 + 2;
             Resp::Descend(descend_local(b, &bits.0))
         }
@@ -1044,8 +1107,7 @@ pub fn handle(
             Resp::Ok
         }
     };
-    ctx.work(work.max(1));
-    resp
+    (resp, work)
 }
 
 /// What an index entry of `mb` resolves to: one of its own blocks, or a
@@ -1431,6 +1493,110 @@ fn subtree_local(block: &DataBlock, node: NodeId, off: usize) -> (Trie, Vec<(u32
     (out, children, block.root_depth + depth_in_block as u64)
 }
 
+/// How a root string `S` stands to a query prefix `P`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rel {
+    /// `S` extends `P`, and so does every block below it.
+    Under,
+    /// `S` is a proper prefix of `P`: blocks below it may extend `P`.
+    OnPath,
+    /// Neither; no block below it extends `P`.
+    Off,
+    /// The stored bits cannot tell: `S`'s pivot lies past `P`'s end.
+    Unknown,
+}
+
+/// Compare an index entry's root string with `prefix`, given `pre[k]`,
+/// the hash of the prefix's first `k·w` bits. Exact wherever the entry's
+/// pivot (`|S_pre|`) lies within the prefix: `S_pre` must hash like the
+/// prefix's bits up to it, and `S_rem` must agree with the rest. A pivot
+/// past the prefix leaves only `S_last` to compare. A hash collision can
+/// only turn `Off` into a match, so a caller that fetches every match
+/// fetches too much, never too little.
+fn relation<R>(e: &IndexEntry<R>, prefix: &BitStr, pre: &[HashVal]) -> Rel {
+    let l = prefix.len() as u64;
+    if l == 0 {
+        return Rel::Under;
+    }
+    let pivot = e.depth - e.rem.len() as u64;
+    if pivot <= l {
+        let k = (pivot / bitstr::WORD_BITS as u64) as usize;
+        let n = (e.depth.min(l) - pivot) as usize;
+        let p = pivot as usize;
+        if pre[k] != e.pre_hash || e.rem.slice(0..n) != prefix.slice(p..p + n) {
+            return Rel::Off;
+        }
+        return if e.depth >= l {
+            Rel::Under
+        } else {
+            Rel::OnPath
+        };
+    }
+    // S_last holds S's bits from depth - |S_last| on
+    let from = e.depth - e.s_last.len() as u64;
+    if from < l {
+        let n = (l - from) as usize;
+        if e.s_last.slice(0..n) != prefix.slice(from as usize..l as usize) {
+            return Rel::Off;
+        }
+        if from == 0 {
+            return Rel::Under;
+        }
+    }
+    Rel::Unknown
+}
+
+/// The blocks `mb` describes whose root extends `prefix`, and its child
+/// meta-blocks whose root does, lies on the prefix's path, or cannot be
+/// told apart. Walks the meta nodes from the root: a meta node's parent
+/// describes a block above its own (not always the block right above it —
+/// a repartition hangs new pieces between a block and its old children
+/// and leaves the children's meta nodes where they were), so an `Off`
+/// node's subtree is `Off` and an `Under` node's subtree is `Under`.
+/// `Unknown` nodes are listed: a superset costs fetches, a miss rounds.
+fn list_under(
+    hasher: &bitstr::hash::PolyHasher,
+    mb: &MetaBlock,
+    prefix: &BitStr,
+    work: &mut u64,
+) -> (Vec<BlockRef>, Vec<MetaRef>) {
+    let w = bitstr::WORD_BITS;
+    let mut pre = vec![HashVal(0)];
+    for k in 0..prefix.len() / w {
+        let chunk = hasher.hash_bits(prefix.slice(k * w..(k + 1) * w));
+        pre.push(hasher.combine(pre[k], chunk, w as u64));
+    }
+    *work += pre.len() as u64;
+    let rel = |entry_slot: u32| {
+        mb.index
+            .get(entry_slot)
+            .map_or(Rel::Unknown, |e| relation(e, prefix, &pre))
+    };
+    let mut blocks = Vec::new();
+    // (node, its parent is Under)
+    let mut stack = vec![(mb.root_node, false)];
+    while let Some((ns, under)) = stack.pop() {
+        let Some(n) = mb.nodes.get(ns) else { continue };
+        *work += 1;
+        let r = if under { Rel::Under } else { rel(n.entry_slot) };
+        if r == Rel::Off {
+            continue;
+        }
+        if r != Rel::OnPath {
+            blocks.push(n.block);
+        }
+        stack.extend(n.children.iter().map(|c| (*c, r == Rel::Under)));
+    }
+    *work += mb.children.len() as u64;
+    let metas = mb
+        .children
+        .iter()
+        .filter(|c| rel(c.entry_slot) != Rel::Off)
+        .map(|c| c.mref)
+        .collect();
+    (blocks, metas)
+}
+
 fn filter_mirror(v: Option<Value>) -> Option<Value> {
     v.filter(|v| *v != MIRROR_VALUE)
 }
@@ -1529,6 +1695,66 @@ mod tests {
         let other = BitStr::from_u64(0b010101, 6);
         assert_ne!(other, block.rem);
         assert!(block_root_collision(&block, &piece(other)));
+    }
+
+    #[test]
+    fn reads_of_a_freed_slot_answer_bad_slot() {
+        let cfg = crate::PimTrieConfig::for_modules(1);
+        let hasher = bitstr::hash::PolyHasher::with_seed(cfg.seed);
+        let mut sys = pim_sim::PimSystem::new(1, |_| ModuleState::new(cfg.hash_width));
+        let mut run = |name: &str, reqs: Vec<Req>| {
+            sys.round(name, vec![reqs], |ctx, msgs| {
+                msgs.into_iter().map(|m| handle(ctx, &hasher, m)).collect()
+            })
+            .remove(0)
+        };
+        let block = PutBlockMsg {
+            trie: TrieMsg(Trie::new()),
+            root_depth: 0,
+            root_hash: HashVal(0),
+            s_last: crate::refs::BitsMsg(BitStr::new()),
+            pre_hash: HashVal(0),
+            rem: crate::refs::BitsMsg(BitStr::new()),
+            parent: None,
+            mirrors: Vec::new(),
+            meta: None,
+        };
+        let meta = PutMetaMsg {
+            nodes: Vec::new(),
+            root_idx: 0,
+            parent: None,
+            children: Vec::new(),
+            parents: Vec::new(),
+        };
+        let put = vec![
+            Req::PutBlock {
+                slot: 0,
+                msg: Box::new(block),
+            },
+            Req::PutMeta { slot: 0, msg: meta },
+        ];
+        run("place", put);
+        run(
+            "drop",
+            vec![Req::DropBlock { slot: 0 }, Req::DropMeta { slot: 0 }],
+        );
+        let reads = vec![
+            Req::FetchSubtree {
+                slot: 0,
+                node: 0,
+                off: 0,
+                meta: true,
+            },
+            Req::ListBlocks {
+                slot: 0,
+                prefix: crate::refs::BitsMsg(BitStr::from_bin_str("01")),
+            },
+        ];
+        let out = run("subtree.fetch+list", reads);
+        assert!(matches!(
+            out[..],
+            [Resp::BadSlot { slot: 0 }, Resp::BadSlot { slot: 0 }]
+        ));
     }
 
     #[test]

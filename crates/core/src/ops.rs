@@ -384,7 +384,6 @@ impl PimTrie {
 
     fn subtree_core(&mut self, prefixes: &[BitStr]) -> Result<Vec<Option<Trie>>, PimTrieError> {
         let mt = self.match_batch(prefixes)?;
-        let mut out: Vec<Option<Trie>> = (0..prefixes.len()).map(|_| None).collect();
         let mut exact: Vec<(u64, Option<Anchor>)> = (0..prefixes.len())
             .map(|i| {
                 let node = mt.qt.key_node[i];
@@ -394,71 +393,165 @@ impl PimTrie {
         for (i, r) in self.redo_flagged(&mt, prefixes)? {
             exact[i] = (r.depth, Some(r.anchor));
         }
-        // frontier entries: (query idx, block, node, off, absolute prefix)
-        let mut frontier: Vec<(usize, BlockRef, u32, u32, BitStr)> = Vec::new();
+        // one job per distinct prefix that lies on the trie
+        let mut jobs: Vec<(BitStr, Anchor)> = Vec::new();
+        let mut job_of: Vec<Option<usize>> = vec![None; prefixes.len()];
+        let mut by_prefix: BTreeMap<&BitStr, usize> = BTreeMap::new();
         for (i, prefix) in prefixes.iter().enumerate() {
             let (depth, anchor) = exact[i];
-            if depth as usize != prefix.len() {
+            let Some(a) = anchor.filter(|_| depth as usize == prefix.len()) else {
                 continue; // nothing extends this prefix
-            }
-            let Some(a) = anchor else { continue };
-            out[i] = Some(Trie::new());
-            frontier.push((i, a.block, a.node, a.off, prefix.clone()));
+            };
+            job_of[i] = Some(*by_prefix.entry(prefix).or_insert_with(|| {
+                jobs.push((prefix.clone(), a));
+                jobs.len() - 1
+            }));
         }
-        // BFS over the block tree, one round per level
         self.t_phase("assemble");
-        let mut guard = 0;
-        while !frontier.is_empty() {
-            guard += 1;
-            if guard >= 100_000 {
-                return Err(PimTrieError::Protocol(
-                    "subtree.fetch: assembly did not terminate".into(),
-                ));
+        let mut tries = self.assemble_subtrees(&jobs)?;
+        // the last query of a job takes its trie, earlier ones copy it
+        let mut last = vec![0; jobs.len()];
+        for (i, j) in job_of.iter().enumerate() {
+            if let Some(j) = j {
+                last[*j] = i;
             }
-            let mut fetch = Scatter::new(self.sys.p());
-            for (qi, block, node, off, prefix) in frontier.drain(..) {
+        }
+        Ok(job_of
+            .iter()
+            .enumerate()
+            .map(|(i, j)| {
+                let j = (*j)?;
+                // a prefix on a path whose blocks hold no key (only mirrors
+                // that are themselves empty) has no subtree
+                let t = if last[j] == i {
+                    tries[j].take()
+                } else {
+                    tries[j].clone()
+                };
+                t.filter(|t| t.n_keys() > 0)
+            })
+            .collect())
+    }
+
+    /// SubtreeQuery assembly for `(prefix, anchor)` jobs. The block
+    /// tree below an anchor is as deep as it is, but the blocks under a
+    /// prefix sit in one or two meta-blocks, so they are listed from
+    /// there and fetched together:
+    ///
+    /// 1. `subtree.fetch` — the piece below each anchor, and the
+    ///    meta-block describing the anchor's block;
+    /// 2. `subtree.fetch+list` — the anchor pieces' child blocks are
+    ///    fetched, and that meta-block lists the blocks under the prefix
+    ///    and the child meta-blocks that may describe more;
+    /// 3. every listed block is fetched and every named child meta-block
+    ///    listed, in one round, until the pieces below the anchors are
+    ///    all in.
+    ///
+    /// Each round also fetches every child block of a piece in hand that
+    /// no list produced, so the schedule never takes more rounds than
+    /// the block tree is deep, and a listing that misses a block (a
+    /// meta-block the lists did not reach) costs rounds, never keys.
+    /// Assembly ends as soon as no piece names a block not in hand; the
+    /// pieces are then spliced top-down from the anchors.
+    fn assemble_subtrees(
+        &mut self,
+        jobs: &[(BitStr, Anchor)],
+    ) -> Result<Vec<Option<Trie>>, PimTrieError> {
+        enum Tag {
+            Anchor(usize),
+            Block(BlockRef),
+            List(usize),
+        }
+        if jobs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let p = self.sys.p();
+        let mut anchors: Vec<Option<Piece>> = jobs.iter().map(|_| None).collect();
+        let mut pieces = Pieces::new((0..p as u32).map(|m| self.addrs.blocks(m).bound()));
+        // listed blocks, and (meta-block, job) lists, to send next round
+        let mut listed: Vec<BlockRef> = Vec::new();
+        let mut lists: BTreeSet<(MetaRef, usize)> = BTreeSet::new();
+        let mut lists_sent: BTreeSet<(MetaRef, usize)> = BTreeSet::new();
+        let mut out = Scatter::new(p);
+        for (j, (_, a)) in jobs.iter().enumerate() {
+            let req = Req::FetchSubtree {
+                slot: a.block.slot,
+                node: a.node,
+                off: a.off,
+                meta: true,
+            };
+            out.push(a.block.module as usize, Tag::Anchor(j), req);
+        }
+        let mut name = "subtree.fetch";
+        // each round asks for a block it never asked for before
+        for _ in 0..100_000 {
+            for (_, tag, resp) in self.rounds(name, out)? {
+                match (tag, resp) {
+                    (Tag::List(j), Resp::Listed { blocks, metas }) => {
+                        listed.extend(blocks);
+                        lists.extend(metas.into_iter().map(|m| (m, j)));
+                    }
+                    (Tag::Anchor(j), resp) => {
+                        let (piece, meta) = Piece::from_resp(resp)?;
+                        lists.extend(meta.map(|m| (m, j)));
+                        pieces.reach(piece.child_blocks().collect())?;
+                        // an anchor at a block root is the whole block
+                        let a = jobs[j].1;
+                        if a.node == NodeId::ROOT.0 && a.off == 0 && pieces.ask(a.block)? {
+                            pieces.add(a.block, piece.clone())?;
+                        }
+                        anchors[j] = Some(piece);
+                    }
+                    (Tag::Block(b), resp) => pieces.add(b, Piece::from_resp(resp)?.0)?,
+                    _ => return Err(unexpected("subtree")),
+                }
+            }
+            // a block reached before it was asked for this round is in hand
+            let frontier: Vec<BlockRef> = std::mem::take(&mut pieces.frontier)
+                .into_iter()
+                .filter(|b| !pieces.asked(b))
+                .collect();
+            if frontier.is_empty() {
+                return jobs
+                    .iter()
+                    .zip(&anchors)
+                    .map(|((prefix, _), anchor)| {
+                        let anchor = anchor.as_ref().ok_or_else(|| unexpected("subtree.fetch"))?;
+                        splice(prefix, anchor, &pieces).map(Some)
+                    })
+                    .collect();
+            }
+            lists.retain(|l| !lists_sent.contains(l));
+            name = if lists.is_empty() {
+                "subtree.fetch"
+            } else {
+                "subtree.fetch+list"
+            };
+            out = Scatter::new(p);
+            for b in std::mem::take(&mut listed).into_iter().chain(frontier) {
+                if !pieces.ask(b)? {
+                    continue;
+                }
                 let req = Req::FetchSubtree {
-                    slot: block.slot,
-                    node,
-                    off,
+                    slot: b.slot,
+                    node: NodeId::ROOT.0,
+                    off: 0,
+                    meta: false,
                 };
-                fetch.push(block.module as usize, (qi, prefix), req);
+                out.push(b.module as usize, Tag::Block(b), req);
             }
-            for (_, (qi, prefix), resp) in self.rounds("subtree.fetch", fetch)? {
-                let Resp::Subtree {
-                    trie,
-                    children,
-                    depth,
-                } = resp
-                else {
-                    return Err(unexpected("subtree"));
+            for (m, j) in std::mem::take(&mut lists) {
+                lists_sent.insert((m, j));
+                let req = Req::ListBlocks {
+                    slot: m.slot,
+                    prefix: BitsMsg(jobs[j].0.clone()),
                 };
-                debug_assert!(depth as usize >= prefix.len());
-                let piece = trie.0;
-                // splice items into the result under `prefix`
-                let result = out[qi].as_mut().unwrap();
-                for (rel, v) in piece.items() {
-                    let mut full = prefix.clone();
-                    full.append(&rel.as_slice());
-                    result.insert(&full, v);
-                }
-                // recurse into child blocks with their absolute prefixes
-                for (piece_node, child) in children {
-                    let mut child_prefix = prefix.clone();
-                    child_prefix.append(&piece.node_string(NodeId(piece_node)).as_slice());
-                    frontier.push((qi, child, NodeId::ROOT.0, 0, child_prefix));
-                }
+                out.push(m.module as usize, Tag::List(j), req);
             }
         }
-        // mark empty results as None (prefix on a path but no stored key
-        // extends it — possible when the anchor only led to mirrors that
-        // are themselves empty; items() was empty throughout)
-        for r in out.iter_mut() {
-            if r.as_ref().map(|t| t.n_keys() == 0).unwrap_or(false) {
-                *r = None;
-            }
-        }
-        Ok(out)
+        Err(PimTrieError::Protocol(
+            "subtree: assembly did not terminate".into(),
+        ))
     }
 
     /// Exact-key point lookup: one trie-matching pass, then one round of
@@ -1289,6 +1382,192 @@ impl PimTrie {
         }
         self.quarantined.len() > before
     }
+}
+
+/// One fetched piece of a SubtreeQuery: a block's trie below the fetch
+/// position, its mirror leaves, and the position's depth.
+#[derive(Clone)]
+struct Piece {
+    trie: Trie,
+    children: Vec<(u32, BlockRef)>,
+    depth: u64,
+}
+
+impl Piece {
+    /// The piece a `Subtree` reply carries, and the meta-block it names.
+    fn from_resp(resp: Resp) -> Result<(Piece, Option<MetaRef>), PimTrieError> {
+        let Resp::Subtree {
+            trie,
+            children,
+            depth,
+            meta,
+        } = resp
+        else {
+            return Err(unexpected("subtree.fetch"));
+        };
+        let piece = Piece {
+            trie: trie.0,
+            children,
+            depth,
+        };
+        Ok((piece, meta))
+    }
+
+    /// The child blocks its mirror leaves name.
+    fn child_blocks(&self) -> impl Iterator<Item = BlockRef> + '_ {
+        self.children.iter().map(|(_, b)| *b)
+    }
+}
+
+/// The blocks of one SubtreeQuery batch: which were asked for, their
+/// pieces once in hand, and which the anchors reach — a block is reached
+/// when a reached piece (an anchor's, to begin with) names it as a child.
+struct Pieces {
+    /// per module, per block slot the host gave out: index into `held`
+    index: Vec<Vec<u32>>,
+    held: Vec<Held>,
+    /// reached blocks not asked for when they were reached
+    frontier: Vec<BlockRef>,
+}
+
+/// What a SubtreeQuery batch knows of one block.
+#[derive(Default)]
+struct Held {
+    asked: bool,
+    reached: bool,
+    piece: Option<Piece>,
+}
+
+impl Pieces {
+    /// An empty table for the block slots `0..bound` of each module.
+    fn new(bounds: impl Iterator<Item = u32>) -> Self {
+        Pieces {
+            index: bounds.map(|b| vec![u32::MAX; b as usize]).collect(),
+            held: Vec::new(),
+            frontier: Vec::new(),
+        }
+    }
+
+    /// The entry of block `b`, made on first use. A reply naming a block
+    /// the host never placed is a protocol error.
+    fn entry(&mut self, b: BlockRef) -> Result<&mut Held, PimTrieError> {
+        let i = self
+            .index
+            .get_mut(b.module as usize)
+            .and_then(|m| m.get_mut(b.slot as usize))
+            .ok_or_else(|| unexpected("subtree.fetch"))?;
+        if *i == u32::MAX {
+            *i = self.held.len() as u32;
+            self.held.push(Held::default());
+        }
+        Ok(&mut self.held[*i as usize])
+    }
+
+    fn find(&self, b: &BlockRef) -> Option<&Held> {
+        let i = *self.index.get(b.module as usize)?.get(b.slot as usize)?;
+        self.held.get(i as usize)
+    }
+
+    fn get(&self, b: &BlockRef) -> Option<&Piece> {
+        self.find(b)?.piece.as_ref()
+    }
+
+    fn asked(&self, b: &BlockRef) -> bool {
+        self.find(b).is_some_and(|h| h.asked)
+    }
+
+    /// Mark `b` asked for; false if it already was.
+    fn ask(&mut self, b: BlockRef) -> Result<bool, PimTrieError> {
+        Ok(!std::mem::replace(&mut self.entry(b)?.asked, true))
+    }
+
+    /// Reach `blocks` and, through the pieces in hand, every block below
+    /// them; one neither in hand nor asked for joins the frontier.
+    fn reach(&mut self, mut blocks: Vec<BlockRef>) -> Result<(), PimTrieError> {
+        while let Some(b) = blocks.pop() {
+            let h = self.entry(b)?;
+            if std::mem::replace(&mut h.reached, true) {
+                continue;
+            }
+            match &h.piece {
+                Some(piece) => blocks.extend(piece.child_blocks()),
+                None if !h.asked => self.frontier.push(b),
+                None => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Hold block `b`'s piece; reach its children if `b` is reached.
+    fn add(&mut self, b: BlockRef, piece: Piece) -> Result<(), PimTrieError> {
+        let h = self.entry(b)?;
+        let below = if h.reached {
+            piece.child_blocks().collect()
+        } else {
+            Vec::new()
+        };
+        h.piece = Some(piece);
+        self.reach(below)
+    }
+}
+
+/// The trie of every key below `prefix`, spliced top-down from the
+/// anchor's piece: each child block's piece is copied in at the mirror
+/// leaf that names it. Path compression is restored last: a mirror leaf
+/// holds no key of its own, and a block cut at a long edge keeps a unary
+/// node.
+fn splice(prefix: &BitStr, anchor: &Piece, pieces: &Pieces) -> Result<Trie, PimTrieError> {
+    let mut out = Trie::new();
+    let top = if prefix.is_empty() {
+        NodeId::ROOT
+    } else {
+        out.attach_child(NodeId::ROOT, prefix.clone(), None)
+    };
+    // (piece, the node its root lands on, that node's depth)
+    let mut stack = vec![(anchor, top, prefix.len() as u64)];
+    let mut visits = 0;
+    while let Some((piece, at, depth)) = stack.pop() {
+        visits += 1;
+        if piece.depth != depth || visits > pieces.held.len() + 1 {
+            return Err(PimTrieError::Protocol(format!(
+                "subtree: the pieces below {prefix:?} do not form a tree"
+            )));
+        }
+        let landed = copy_piece(&mut out, at, &piece.trie);
+        for (node, child) in &piece.children {
+            let c = pieces
+                .get(child)
+                .ok_or_else(|| unexpected("subtree.fetch"))?;
+            let leaf = landed[*node as usize];
+            stack.push((c, leaf, u64::from(out.node(leaf).depth)));
+        }
+    }
+    // compressing a node removes only it and nodes above it
+    for id in (1..out.id_bound() as u32).rev().map(NodeId) {
+        if out.is_live(id) && !out.node(id).is_key() && out.node(id).degree() < 2 {
+            out.recompress_at(id);
+        }
+    }
+    Ok(out)
+}
+
+/// Copy `piece` into `out` with its root landing on `at` (a node with no
+/// value and no children); returns where each piece node landed.
+fn copy_piece(out: &mut Trie, at: NodeId, piece: &Trie) -> Vec<NodeId> {
+    let mut landed = vec![NodeId::ROOT; piece.id_bound()];
+    landed[NodeId::ROOT.idx()] = at;
+    if let Some(v) = piece.node(NodeId::ROOT).value {
+        out.set_value(at, v);
+    }
+    let mut stack = vec![NodeId::ROOT];
+    while let Some(n) = stack.pop() {
+        for c in piece.node(n).children.iter().flatten() {
+            let cn = piece.node(*c);
+            landed[c.idx()] = out.attach_child(landed[n.idx()], cn.edge.clone(), cn.value);
+            stack.push(*c);
+        }
+    }
+    landed
 }
 
 /// Build the graft subtree hanging below position `(below, depth)` of the

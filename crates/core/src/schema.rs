@@ -352,10 +352,12 @@ wire_schema! {
         22: RemoveMetaNode { slot, node } => 2,
         23: SetMetaParent { slot, parent } => 2,
         // tags 24 and 25 are retired
-        26: FetchSubtree { slot, node, off } => 3,
+        // the `meta` flag is one bit beside `off`
+        26: FetchSubtree { slot, node, off, meta } => 3,
         27: DescendBlock { slot, bits } => 1 + bits.wire_words(),
         28: ResetModule => 1,
         // tags 29–32 are retired
+        33: ListBlocks { slot, prefix } => 1 + prefix.wire_words(),
     }
 
     enum Resp {
@@ -367,8 +369,9 @@ wire_schema! {
         6: BlockVitals { weight, keys, children, keys_delta, collision } => 5,
         7: Placed { count } => 1,
         8: MetaVitals { nodes, parent } => 2,
-        9: Subtree { trie, children, depth: delta(DEPTH) } => {
-            2 + trie.wire_words() + children.len() as u64 * 2
+        // `meta` is there exactly when the request asked: no tag word
+        9: Subtree { trie, children, depth: delta(DEPTH), meta } => {
+            2 + trie.wire_words() + children.len() as u64 * 2 + u64::from(meta.is_some())
         },
         10: Descend(x) => x.wire_words(),
         11: Value(v) => 2,
@@ -376,5 +379,7 @@ wire_schema! {
         13: CorruptReq => 1,
         14: Rebooted => 1,
         15: SlotTaken { slot } => 1,
+        16: Listed { blocks, metas } => blocks.wire_words() + metas.wire_words(),
+        17: BadSlot { slot } => 1,
     }
 }
