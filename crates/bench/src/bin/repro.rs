@@ -226,7 +226,7 @@ fn run(args: Args) {
         );
         emit(
             "t1-rounds-updates",
-            "T1-rounds — Insert/Delete/Subtree (PIM-trie, amortized)",
+            "T1-rounds — Insert/Delete/Subtree/Get (PIM-trie, amortized)",
             &bench::t1_rounds_updates(p, quick),
         );
     }

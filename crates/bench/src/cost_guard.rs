@@ -37,6 +37,9 @@ pub fn is_exact_col(name: &str) -> bool {
             | "xtra_rounds"
             | "maint_rounds"
             | "assemble_rounds"
+            | "probe_rounds"
+            | "block_rounds"
+            | "read_rounds"
             | "keys"
             | "result_keys"
             | "injected"

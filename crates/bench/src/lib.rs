@@ -45,7 +45,8 @@ impl Row {
     }
 }
 
-/// Render rows as an aligned text table.
+/// Render rows as an aligned text table: one column per name any row
+/// carries, in first-seen order; a row without it leaves the cell blank.
 pub fn print_table(title: &str, rows: &[Row]) {
     println!("\n== {title} ==");
     if rows.is_empty() {
@@ -53,18 +54,24 @@ pub fn print_table(title: &str, rows: &[Row]) {
         return;
     }
     let label_w = rows.iter().map(|r| r.label.len()).max().unwrap().max(8);
+    let mut names: Vec<&str> = Vec::new();
+    for (name, _) in rows.iter().flat_map(|r| &r.cols) {
+        if !names.contains(name) {
+            names.push(name);
+        }
+    }
     print!("{:label_w$}", "");
-    for (name, _) in &rows[0].cols {
+    for name in &names {
         print!(" {name:>14}");
     }
     println!();
     for r in rows {
         print!("{:label_w$}", r.label);
-        for (_, v) in &r.cols {
-            if v.abs() >= 1000.0 || *v == v.trunc() {
-                print!(" {:>14.0}", v);
-            } else {
-                print!(" {:>14.3}", v);
+        for name in &names {
+            match r.cols.iter().find(|(n, _)| n == name) {
+                None => print!(" {:>14}", ""),
+                Some((_, v)) if v.abs() >= 1000.0 || *v == v.trunc() => print!(" {:>14.0}", v),
+                Some((_, v)) => print!(" {:>14.3}", v),
             }
         }
         println!();
@@ -212,13 +219,16 @@ pub fn t1_rounds(p: usize, quick: bool) -> Vec<Row> {
     rows
 }
 
-/// Amortized rounds for Insert/Delete/Subtree on PIM-trie (Table 1's
+/// Amortized rounds for Insert/Delete/Subtree/Get on PIM-trie (Table 1's
 /// update columns; the baselines' update paths follow their query paths).
 /// `maint_rounds` is the part of `io_rounds` spent re-cutting blocks,
 /// splitting meta-blocks and merging; `assemble_rounds` the part a
-/// SubtreeQuery spends collecting the blocks below its prefixes.
+/// SubtreeQuery spends collecting the blocks below its prefixes;
+/// `probe_rounds`, `block_rounds` and `read_rounds` the parts spent in
+/// the meta descent, in block matching and reading values.
 /// `subtree` asks 16-bit prefixes (≈ 1 key each), `subtree-64`
-/// `log2(n/64)`-bit ones (≈ 64 keys each, many blocks to assemble).
+/// `log2(n/64)`-bit ones (≈ 64 keys each, many blocks to assemble);
+/// `get` looks up every other base key, half of them deleted.
 pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
     let n = if quick { 1 << 12 } else { 1 << 14 };
     let base = workloads::uniform_fixed(n, 128, 11);
@@ -231,20 +241,20 @@ pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
     pim.insert_batch(&ins, &values_for(&ins));
     let d = pim.system().metrics().since(&snap);
     let phases = take_phases(&mut pim);
-    rows.push(
-        delta_cols(Row::new("pim-trie/insert"), &d, ins.len())
-            .col("maint_rounds", rounds_in(&phases, MAINT_PHASES)),
-    );
+    rows.push(phase_cols(
+        delta_cols(Row::new("pim-trie/insert"), &d, ins.len()),
+        &phases,
+    ));
 
     let dels: Vec<BitStr> = base.iter().step_by(4).cloned().collect();
     let snap = pim.system().metrics().snapshot();
     let _ = pim.delete_batch(&dels);
     let d = pim.system().metrics().since(&snap);
     let phases = take_phases(&mut pim);
-    rows.push(
-        delta_cols(Row::new("pim-trie/delete"), &d, dels.len())
-            .col("maint_rounds", rounds_in(&phases, MAINT_PHASES)),
-    );
+    rows.push(phase_cols(
+        delta_cols(Row::new("pim-trie/delete"), &d, dels.len()),
+        &phases,
+    ));
 
     let bits_64 = (n / 64).ilog2() as usize;
     for (name, skip, step, bits) in [("subtree", 1, 16, 16), ("subtree-64", 0, 64, bits_64)] {
@@ -260,13 +270,36 @@ pub fn t1_rounds_updates(p: usize, quick: bool) -> Vec<Row> {
         let result_keys: usize = subs.iter().flatten().map(|t| t.n_keys()).sum();
         let phases = take_phases(&mut pim);
         rows.push(
-            delta_cols(Row::new(format!("pim-trie/{name}")), &d, prefixes.len())
-                .col("maint_rounds", rounds_in(&phases, MAINT_PHASES))
-                .col("assemble_rounds", rounds_in(&phases, &["assemble"]))
-                .col("result_keys", result_keys as f64),
+            phase_cols(
+                delta_cols(Row::new(format!("pim-trie/{name}")), &d, prefixes.len()),
+                &phases,
+            )
+            .col("assemble_rounds", rounds_in(&phases, &["assemble"]))
+            .col("result_keys", result_keys as f64),
         );
     }
+
+    let gets: Vec<BitStr> = base.iter().step_by(2).cloned().collect();
+    let snap = pim.system().metrics().snapshot();
+    let got = pim.get_batch(&gets);
+    let d = pim.system().metrics().since(&snap);
+    let phases = take_phases(&mut pim);
+    rows.push(
+        phase_cols(
+            delta_cols(Row::new("pim-trie/get"), &d, gets.len()),
+            &phases,
+        )
+        .col("result_keys", got.iter().flatten().count() as f64),
+    );
     rows
+}
+
+/// The per-phase round columns every `t1-rounds-updates` row carries.
+fn phase_cols(row: Row, phases: &[PhaseSummary]) -> Row {
+    row.col("maint_rounds", rounds_in(phases, MAINT_PHASES))
+        .col("probe_rounds", rounds_in(phases, &["hash-probe"]))
+        .col("block_rounds", rounds_in(phases, &["block-match"]))
+        .col("read_rounds", rounds_in(phases, &["read"]))
 }
 
 /// The phases of structural maintenance.

@@ -495,7 +495,11 @@ pub(crate) mod tests {
                 slot: 4,
                 piece: piece.clone(),
             },
-            Req::MatchBlock { slot: 9, piece },
+            Req::MatchBlock {
+                slot: 9,
+                piece,
+                values: true,
+            },
             Req::FetchMeta { slot: 2 },
             Req::FetchBlock { slot: 3 },
             Req::GraftMany {
@@ -633,6 +637,7 @@ pub(crate) mod tests {
                     redirect: Some(bref(3, 0)),
                 }],
                 collision: true,
+                values: Some(vec![(7, 1234)]),
             },
             Resp::MetaSummary {
                 entries: vec![EntrySummary {
@@ -732,9 +737,12 @@ pub(crate) mod tests {
     /// from the meta-blocks: `FetchSubtree` gained the one-bit `meta` flag
     /// (32 → 33 bits, words unchanged) and `ListBlocks` (tag 33: slot
     /// word, then the 11-bit prefix as a label, 3 words) is new.
+    /// Re-captured when point lookups began reading values in block
+    /// matching: `MatchBlock` gained the one-bit `values` flag (516 → 517
+    /// bits, words unchanged).
     #[rustfmt::skip]
     const REQ_GOLDEN: [(u64, u64); 25] = [
-        (52, 529), (52, 516), (1, 16), (1, 16),
+        (52, 529), (52, 517), (1, 16), (1, 16),
         (43, 400), (3, 32), (3, 32), (21, 204),
         (24, 244), (2, 32), (30, 442), (19, 387),
         (18, 380), (1, 16), (1, 16), (1, 16),
@@ -748,10 +756,12 @@ pub(crate) mod tests {
     /// gained its `meta` field (23 → 24 words, 219 → 236 bits: the
     /// presence bit and the `MetaRef`); `Listed` (tag 16: two length
     /// words, three blocks and one meta-block) and `BadSlot` (tag 17) are
-    /// new.
+    /// new. `BlockResults` gained its `values` list (6 → 9 words: a length
+    /// word and one `(tag, value)` pair; 67 → 100 bits: the presence bit,
+    /// the length, tag 7 and value 1234 as varints).
     #[rustfmt::skip]
     const RESP_GOLDEN: [(u64, u64); 18] = [
-        (7, 114), (6, 67), (7, 173), (26, 419),
+        (7, 114), (9, 100), (7, 173), (26, 419),
         (18, 403), (5, 49), (1, 16), (2, 17),
         (24, 236), (4, 49), (2, 25), (2, 9),
         (1, 8), (1, 8), (1, 8), (1, 16),
@@ -789,7 +799,11 @@ pub(crate) mod tests {
         // The whole point: real protocol messages should encode well
         // under `wire_words`, not just round-trip.
         let piece = sample_piece();
-        let req = Req::MatchBlock { slot: 3, piece };
+        let req = Req::MatchBlock {
+            slot: 3,
+            piece,
+            values: false,
+        };
         let mut enc = Enc::new();
         enc.begin_frame();
         req.encode_frame(&mut enc);

@@ -344,7 +344,10 @@ impl PimTrie {
                 issues.push(format!("resident copy of {mref:?}: no such meta-block"));
                 continue;
             };
-            let live = module::summarize_meta(mb);
+            let Ok(live) = module::summarize_meta(mb) else {
+                issues.push(format!("{mref:?}: an index entry names an empty node slot"));
+                continue;
+            };
             let same = live.len() == index.len()
                 && live.iter().zip(index.iter()).all(|(l, (_, h))| {
                     (l.depth, l.pre_hash, &l.rem, &l.s_last)

@@ -17,14 +17,18 @@
 //!    aimed at it exceed the `log⁴ P` threshold — the meta-block's
 //!    `O(log² P)` entries are *pulled* to the CPU and matched there
 //!    (push-pull); that pull and a fill are the same request, the same
-//!    index build and the same matching kernel. Every iteration discovers
+//!    index build and the same matching kernel. A level's pulls and pushes
+//!    travel in one `match.meta` round. Every iteration discovers
 //!    deeper verified block-root matches and the child meta-blocks to
 //!    recurse into; iterations are bounded by the meta-block-tree height,
 //!    IO rounds by the height minus the resident levels.
 //! 2. **Block matching** (Algorithm 2): the query piece between a matched
 //!    block root and the next deeper matches is matched *bit by bit*
 //!    against the block — pushed if small, pulled if the piece outweighs
-//!    the `O(K_B)` block. This is simultaneously the §4.4.3 verification:
+//!    the `O(K_B)` block, both in one `match.block` round. A point lookup
+//!    also reads its values here: the replies list the values at the key
+//!    ends each block owns ([`crate::module::match_block_local`]). This is
+//!    simultaneously the §4.4.3 verification:
 //!    any inconsistency (failed `S_last`, a walk ending at a mirror with
 //!    query bits left) flags the affected paths for an exact slow-path
 //!    redo.
@@ -42,7 +46,7 @@ use bitstr::{BitStr, WORD_BITS};
 use pim_sim::{Scatter, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::query::QueryTrie;
-use trie_core::{NodeId, Trie};
+use trie_core::{NodeId, Trie, Value};
 
 const W: u64 = WORD_BITS as u64;
 
@@ -86,6 +90,22 @@ pub struct MatchedTrie {
     pub flagged: Vec<bool>,
     /// counters
     pub stats: MatchStats,
+    /// per qt node id, when the batch asked for values: the block that
+    /// owns the key ending there and the value it stores (`None`: not
+    /// stored); empty otherwise
+    pub(crate) answers: Vec<Answer>,
+}
+
+/// A key end's answer from block matching: its owning block and the value
+/// stored there.
+pub(crate) type Answer = Option<(BlockRef, Option<Value>)>;
+
+/// What a block-match message asks, kept beside it for its reply.
+enum BlockAsk {
+    /// a contended block, fetched once; its pieces are matched on the host
+    Pull(BlockRef, Vec<QueryPiece>),
+    /// one pushed piece: its block and its tags
+    Push(BlockRef, Vec<u32>),
 }
 
 /// Rolling pivot context at a query-trie node: the last `w`-boundary at or
@@ -98,16 +118,18 @@ pub(crate) struct NodeCtx {
     pub tail: BitStr,
 }
 
-pub(crate) fn node_ctxs(trie: &Trie, hasher: &bitstr::hash::PolyHasher) -> Vec<Option<NodeCtx>> {
-    let mut out: Vec<Option<NodeCtx>> = (0..trie.id_bound()).map(|_| None).collect();
-    out[NodeId::ROOT.idx()] = Some(NodeCtx {
+pub(crate) fn node_ctxs(trie: &Trie, hasher: &bitstr::hash::PolyHasher) -> Vec<NodeCtx> {
+    // every id starts at the root's context; a live node's is overwritten
+    // before any child reads it (parents are popped before children)
+    let root = NodeCtx {
         pre_depth: 0,
         pre_hash: hasher.empty(),
         tail: BitStr::new(),
-    });
+    };
+    let mut out: Vec<NodeCtx> = vec![root; trie.id_bound()];
     let mut stack = vec![NodeId::ROOT];
     while let Some(id) = stack.pop() {
-        let ctx = out[id.idx()].clone().unwrap();
+        let ctx = out[id.idx()].clone();
         for c in trie.node(id).children.iter().flatten() {
             let edge = &trie.node(*c).edge;
             let top = ctx.pre_depth + ctx.tail.len() as u64;
@@ -136,7 +158,7 @@ pub(crate) fn node_ctxs(trie: &Trie, hasher: &bitstr::hash::PolyHasher) -> Vec<O
                     tail,
                 }
             };
-            out[c.idx()] = Some(cctx);
+            out[c.idx()] = cctx;
             stack.push(*c);
         }
     }
@@ -147,17 +169,18 @@ pub(crate) fn node_ctxs(trie: &Trie, hasher: &bitstr::hash::PolyHasher) -> Vec<O
 /// into `below`, `depth` bits from the query root.
 pub(crate) fn ctx_at(
     trie: &Trie,
-    ctxs: &[Option<NodeCtx>],
+    ctxs: &[NodeCtx],
     hasher: &bitstr::hash::PolyHasher,
     below: NodeId,
     depth: u64,
 ) -> NodeCtx {
     let n = trie.node(below);
-    if depth == n.depth as u64 {
-        return ctxs[below.idx()].clone().unwrap();
-    }
-    let parent = n.parent.expect("position above root");
-    let pctx = ctxs[parent.idx()].clone().unwrap();
+    let parent = match n.parent {
+        Some(parent) if depth != n.depth as u64 => parent,
+        // at the node itself, or at the root (which has no edge)
+        _ => return ctxs[below.idx()].clone(),
+    };
+    let pctx = &ctxs[parent.idx()];
     let top = pctx.pre_depth + pctx.tail.len() as u64;
     debug_assert!(
         depth >= top && depth <= n.depth as u64,
@@ -202,7 +225,7 @@ pub(crate) type CutTable = [Vec<u64>];
 /// strictly below the root.
 pub(crate) fn make_piece(
     qt: &Trie,
-    ctxs: &[Option<NodeCtx>],
+    ctxs: &[NodeCtx],
     hasher: &bitstr::hash::PolyHasher,
     (root_below, root_depth): QtPos,
     cuts: &CutTable,
@@ -242,8 +265,9 @@ pub(crate) fn make_piece(
                     push_tag(tags, id, c.0);
                 }
                 Some(_) => {
-                    // cut exactly at the node: copy the edge, stop there
-                    let id = piece.attach_child(pnode, cn.edge.clone(), None);
+                    // cut exactly at the node: copy the edge (and the key
+                    // that ends there), stop there
+                    let id = piece.attach_child(pnode, cn.edge.clone(), cn.value);
                     push_tag(tags, id, c.0);
                 }
                 None => {
@@ -311,6 +335,18 @@ impl PimTrie {
     /// every public operation. Fails only when fault recovery gives up
     /// (never on a clean simulator). Paper: §4.3 (the whole pipeline).
     pub fn match_batch(&mut self, batch: &[BitStr]) -> Result<MatchedTrie, PimTrieError> {
+        self.match_keys(batch, false)
+    }
+
+    /// [`Self::match_batch`]; with `values`, every pushed `MatchBlock`
+    /// also asks for the values at the key ends its block owns, and the
+    /// host reads its pulled blocks the same way, into
+    /// [`MatchedTrie::answers`] (point lookups).
+    pub(crate) fn match_keys(
+        &mut self,
+        batch: &[BitStr],
+        values: bool,
+    ) -> Result<MatchedTrie, PimTrieError> {
         let qt = QueryTrie::build(batch);
         let mut stats = MatchStats::default();
         let bound = qt.trie.id_bound();
@@ -321,6 +357,7 @@ impl PimTrie {
                 anchor_of: vec![None; bound],
                 flagged: vec![false; bound],
                 stats,
+                answers: Vec::new(),
             });
         }
         let ctxs = node_ctxs(&qt.trie, &self.hasher);
@@ -392,14 +429,14 @@ impl PimTrie {
                 && !missing.is_empty()
                 && self.resident.words().saturating_add(estimate) <= budget;
             top &= missing.is_empty() || keep;
-            let mut pushes = Scatter::new(p);
-            let mut fetch = Scatter::new(p);
+            // pulls and pushes have no data dependency: one round
+            let mut out = Scatter::new(p);
             for (target, pieces) in missing {
                 let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
                 if keep || total > self.cfg.push_threshold {
                     stats.pulls += 1;
                     let req = Req::FetchMeta { slot: target.slot };
-                    fetch.push(target.module as usize, (target, pieces), req);
+                    out.push(target.module as usize, Some((target, pieces)), req);
                 } else {
                     for piece in pieces {
                         stats.pushes += 1;
@@ -407,38 +444,47 @@ impl PimTrie {
                             slot: target.slot,
                             piece,
                         };
-                        pushes.push(target.module as usize, (), req);
+                        out.push(target.module as usize, None, req);
                     }
                 }
             }
-            stats.descend_rounds += u64::from(!fetch.is_empty() || !pushes.is_empty());
-            let mut new_matches: Vec<RootMatch> = Vec::new();
-            let mut work = 0u64;
-            // pull round: fetch each meta-block once; a kept one joins the
-            // resident targets, the others are matched and let go
-            if !fetch.is_empty() {
-                for (_, (target, pieces), resp) in self.rounds("match.meta.pull", fetch)? {
-                    let Resp::MetaSummary { entries } = resp else {
-                        return Err(unexpected("match.meta.pull"));
-                    };
-                    // the estimate is not a bound (a meta-block indexes its
-                    // children's roots too): the budget is checked again on
-                    // what actually came back
-                    if keep && self.resident.words() + entries.wire_words() <= budget {
-                        let words = self.resident.fill(target, entries, self.cfg.hash_width);
-                        let rs = self.sys.metrics_mut().resident_stats_mut();
-                        rs.fills += 1;
-                        rs.fill_words += words;
-                        on_host.push((target, pieces));
-                    } else {
-                        top = false;
-                        let index = index_entries(entries, self.cfg.hash_width);
-                        match_pieces(&self.hasher, &index, &pieces, &mut work, &mut new_matches);
+            let mut pulled = Vec::new();
+            let mut pushed = Vec::new();
+            if !out.is_empty() {
+                stats.descend_rounds += 1;
+                for (_, pull, resp) in self.rounds("match.meta", out)? {
+                    match (pull, resp) {
+                        (Some(pull), Resp::MetaSummary { entries }) => pulled.push((pull, entries)),
+                        (None, Resp::Matches(ms)) => pushed.push(ms),
+                        _ => return Err(unexpected("match.meta")),
                     }
                 }
-                if keep {
-                    self.note_resident_words();
+            }
+            // replies in a fixed order — pulled, resident, pushed — so the
+            // matches (and every later message) do not depend on how the
+            // round interleaved them
+            let mut new_matches: Vec<RootMatch> = Vec::new();
+            let mut work = 0u64;
+            // a pulled meta-block kept joins the resident targets; the
+            // others are matched and let go
+            for ((target, pieces), entries) in pulled {
+                // the estimate is not a bound (a meta-block indexes its
+                // children's roots too): the budget is checked again on
+                // what actually came back
+                if keep && self.resident.words() + entries.wire_words() <= budget {
+                    let words = self.resident.fill(target, entries, self.cfg.hash_width);
+                    let rs = self.sys.metrics_mut().resident_stats_mut();
+                    rs.fills += 1;
+                    rs.fill_words += words;
+                    on_host.push((target, pieces));
+                } else {
+                    top = false;
+                    let index = index_entries(entries, self.cfg.hash_width);
+                    match_pieces(&self.hasher, &index, &pieces, &mut work, &mut new_matches);
                 }
+            }
+            if keep {
+                self.note_resident_words();
             }
             for (target, pieces) in &on_host {
                 let index = self.resident.get(*target).ok_or_else(|| {
@@ -451,15 +497,7 @@ impl PimTrie {
             if work > 0 {
                 metrics.charge_cpu(work);
             }
-            // push round
-            if !pushes.is_empty() {
-                for (_, (), resp) in self.rounds("match.meta.push", pushes)? {
-                    let Resp::Matches(ms) = resp else {
-                        return Err(unexpected("match.meta.push"));
-                    };
-                    new_matches.extend(ms);
-                }
-            }
+            new_matches.extend(pushed.into_iter().flatten());
             for m in new_matches {
                 if seen.insert((m.qt_below, m.depth, m.block)) {
                     cuts[m.qt_below as usize].push(m.depth);
@@ -486,8 +524,8 @@ impl PimTrie {
             let piece = make_piece(&qt.trie, &ctxs, &self.hasher, (m.qt_below, m.depth), &cuts);
             groups.entry(m.block).or_default().push(piece);
         }
-        let mut pushes = Scatter::new(p);
-        let mut pulls: Vec<(BlockRef, Vec<QueryPiece>)> = Vec::new();
+        // pulls and pushes share one round, as in the descent
+        let mut out = Scatter::new(p);
         let pull_threshold = self.cfg.k_b.max(self.cfg.push_threshold);
         for (block, pieces) in groups {
             let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
@@ -496,80 +534,90 @@ impl PimTrie {
             if total <= pull_threshold {
                 for piece in pieces {
                     stats.pushes += 1;
-                    let tag = (block, piece.tags.clone());
+                    let tag = BlockAsk::Push(block, piece.tags.clone());
                     let req = Req::MatchBlock {
                         slot: block.slot,
                         piece,
+                        values,
                     };
-                    pushes.push(block.module as usize, tag, req);
+                    out.push(block.module as usize, tag, req);
                 }
             } else {
                 stats.pulls += 1;
-                pulls.push((block, pieces));
+                let req = Req::FetchBlock { slot: block.slot };
+                out.push(block.module as usize, BlockAsk::Pull(block, pieces), req);
+            }
+        }
+        let mut pulled = Vec::new();
+        let mut pushed = Vec::new();
+        if !out.is_empty() {
+            for (_, ask, resp) in self.rounds("match.block", out)? {
+                match (ask, resp) {
+                    (BlockAsk::Pull(block, pieces), Resp::BlockData(bd)) => {
+                        pulled.push((block, pieces, bd));
+                    }
+                    (
+                        BlockAsk::Push(block, tags),
+                        Resp::BlockResults {
+                            results,
+                            collision,
+                            values: found,
+                        },
+                    ) if found.is_some() == values => {
+                        pushed.push((block, tags, results, collision, found));
+                    }
+                    _ => return Err(unexpected("match.block")),
+                }
             }
         }
         // results carry their block so anchors resolve directly
         let mut results: Vec<(BlockRef, BlockNodeResult)> = Vec::new();
         let mut flagged = vec![false; bound];
-        // pull side: fetch each contended block once
-        if !pulls.is_empty() {
-            let mut fetch = Scatter::new(p);
-            for pull in &pulls {
-                fetch.push(
-                    pull.0.module as usize,
-                    pull,
-                    Req::FetchBlock { slot: pull.0.slot },
-                );
-            }
-            for (_, (bref, pieces), resp) in self.rounds("match.block.pull", fetch)? {
-                let Resp::BlockData(bd) = resp else {
-                    return Err(unexpected("match.block.pull"));
-                };
-                let block = DataBlock {
-                    trie: bd.trie.0,
-                    root_depth: bd.root_depth,
-                    root_hash: bd.root_hash,
-                    s_last: bd.s_last.0,
-                    pre_hash: bd.pre_hash,
-                    rem: bd.rem.0,
-                    parent: bd.parent,
-                    mirrors: bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect(),
-                    meta: bd.meta,
-                };
-                for piece in pieces {
-                    self.sys
-                        .metrics_mut()
-                        .charge_cpu(block.weight() + piece.size_words());
-                    if block_root_collision(&block, piece) {
-                        stats.collisions += 1;
-                        flag_tags(&mut flagged, &piece.tags);
-                        continue;
-                    }
-                    results.extend(
-                        match_block_local(&block, piece)
-                            .into_iter()
-                            .map(|r| (*bref, r)),
-                    );
+        let mut answers: Vec<Answer> = if values {
+            vec![None; bound]
+        } else {
+            Vec::new()
+        };
+        // pulled blocks first, then pushed pieces in push order, so the
+        // results do not depend on how the round interleaved them
+        for (bref, pieces, bd) in pulled {
+            let block = DataBlock {
+                trie: bd.trie.0,
+                root_depth: bd.root_depth,
+                root_hash: bd.root_hash,
+                s_last: bd.s_last.0,
+                pre_hash: bd.pre_hash,
+                rem: bd.rem.0,
+                parent: bd.parent,
+                mirrors: bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect(),
+                meta: bd.meta,
+            };
+            for piece in &pieces {
+                self.sys
+                    .metrics_mut()
+                    .charge_cpu(block.weight() + piece.size_words());
+                if block_root_collision(&block, piece) {
+                    stats.collisions += 1;
+                    flag_tags(&mut flagged, &piece.tags);
+                    continue;
                 }
+                let mut found = Vec::new();
+                let rs = match_block_local(&block, piece, values.then_some(&mut found));
+                if values {
+                    note_answers(&mut answers, &qt.trie, bref, &rs, &found)?;
+                }
+                results.extend(rs.into_iter().map(|r| (bref, r)));
             }
         }
-        // push side: `groups` iterates in `BlockRef` order, which is
-        // module-major, so the gathered order is the push order
-        if !pushes.is_empty() {
-            for (_, (block, tags), resp) in self.rounds("match.block.push", pushes)? {
-                let Resp::BlockResults {
-                    results: rs,
-                    collision,
-                } = resp
-                else {
-                    return Err(unexpected("match.block.push"));
-                };
-                if collision {
-                    stats.collisions += 1;
-                    flag_tags(&mut flagged, &tags);
-                }
-                results.extend(rs.into_iter().map(|r| (block, r)));
+        for (block, tags, rs, collision, found) in pushed {
+            if collision {
+                stats.collisions += 1;
+                flag_tags(&mut flagged, &tags);
             }
+            if let Some(found) = found {
+                note_answers(&mut answers, &qt.trie, block, &rs, &found)?;
+            }
+            results.extend(rs.into_iter().map(|r| (block, r)));
         }
 
         // ---- Assemble -------------------------------------------------
@@ -676,6 +724,7 @@ impl PimTrie {
             anchor_of,
             flagged,
             stats,
+            answers,
         })
     }
 }
@@ -686,6 +735,45 @@ fn flag_tags(flagged: &mut [bool], tags: &[u32]) {
             flagged[t as usize] = true;
         }
     }
+}
+
+/// Record one block's answers for a point lookup: the block owns every
+/// key end whose result reached its qt key node's full depth, consumed
+/// and off a mirror leaf — `make_piece` gives exactly those piece nodes a
+/// value, which is what the block judged by — and `found` lists the
+/// values it stores, in the order of those results; an owned key end
+/// missing there is not stored. The first block to own a key end keeps
+/// it: a key anchored in another block (only a hash collision makes two
+/// owners) falls back to `ReadKey`.
+fn note_answers(
+    answers: &mut [Answer],
+    qt: &Trie,
+    block: BlockRef,
+    rs: &[BlockNodeResult],
+    found: &[(u32, Value)],
+) -> Result<(), PimTrieError> {
+    let owned = |r: &&BlockNodeResult| {
+        let id = NodeId(r.tag);
+        r.redirect.is_none()
+            && qt.is_live(id)
+            && qt.node(id).value.is_some()
+            && qt.node(id).depth as u64 == r.depth
+    };
+    let mut found = found.iter().peekable();
+    for r in rs.iter().filter(owned) {
+        let v = found.next_if(|(tag, _)| *tag == r.tag).map(|(_, v)| *v);
+        match &mut answers[r.tag as usize] {
+            slot @ None => *slot = Some((block, v)),
+            Some((owner, value)) if *owner == block => *value = value.or(v),
+            Some(_) => {}
+        }
+    }
+    if found.next().is_some() {
+        return Err(PimTrieError::Protocol(format!(
+            "match.block: {block:?} sent a value for a key end it does not own"
+        )));
+    }
+    Ok(())
 }
 
 /// HashMatching of the pieces aimed at one meta-block whose entries the
@@ -715,7 +803,7 @@ fn match_pieces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitstr::hash::PolyHasher;
+    use bitstr::hash::{HashVal, PolyHasher};
 
     fn b(s: &str) -> BitStr {
         BitStr::from_bin_str(s)
@@ -734,7 +822,7 @@ mod tests {
         let qt = qt_of(&[&long, "1011", "00"]);
         let ctxs = node_ctxs(&qt.trie, &hasher);
         for id in qt.trie.node_ids() {
-            let ctx = ctxs[id.idx()].as_ref().unwrap();
+            let ctx = &ctxs[id.idx()];
             let s = qt.trie.node_string(id);
             let depth = s.len() as u64;
             assert_eq!(ctx.pre_depth, depth / W * W, "{id:?}");
@@ -780,6 +868,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_block_owns_the_key_ends_its_walk_consumes_off_a_mirror() {
+        let mut trie = Trie::new();
+        trie.insert(&b("0101"), 5);
+        trie.insert(&b("0110"), 6);
+        trie.insert(&b("11"), crate::module::MIRROR_VALUE);
+        let leaf = trie
+            .node_ids()
+            .find(|id| trie.node_string(*id) == b("11"))
+            .unwrap();
+        let bref = BlockRef { module: 0, slot: 0 };
+        let block = DataBlock {
+            trie,
+            root_depth: 0,
+            root_hash: HashVal(0),
+            s_last: BitStr::new(),
+            pre_hash: HashVal(0),
+            rem: BitStr::new(),
+            parent: None,
+            mirrors: BTreeMap::from([(leaf, BlockRef { module: 0, slot: 1 })]),
+            meta: None,
+        };
+        // stored; a branch node; mid-edge; past a leaf; at the mirror
+        // leaf; mid-edge above it
+        let qt = qt_of(&["0101", "01", "011", "0111", "11", "1"]);
+        let hasher = PolyHasher::with_seed(1);
+        let ctxs = node_ctxs(&qt.trie, &hasher);
+        let piece = make_piece(&qt.trie, &ctxs, &hasher, (NodeId::ROOT.0, 0), &[]);
+        let mut found = Vec::new();
+        let rs = match_block_local(&block, &piece, Some(&mut found));
+        let mut answers: Vec<Answer> = vec![None; qt.trie.id_bound()];
+        note_answers(&mut answers, &qt.trie, bref, &rs, &found).unwrap();
+        let got: Vec<Answer> = (0..6).map(|i| answers[qt.key_node[i].idx()]).collect();
+        let owned = |v| Some((bref, v));
+        assert_eq!(
+            got,
+            [
+                owned(Some(5)),
+                owned(None),
+                owned(None),
+                None,
+                None,
+                owned(None)
+            ]
+        );
+        // a value for a key end the block did not reach is a protocol error
+        let stray = [(qt.key_node[3].0, 7)];
+        assert!(note_answers(&mut answers, &qt.trie, bref, &rs, &stray).is_err());
     }
 
     #[test]

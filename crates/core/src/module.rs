@@ -243,6 +243,9 @@ pub enum Req {
         slot: u32,
         /// query piece rooted at the block root
         piece: QueryPiece,
+        /// also list the values stored at the key ends the block owns
+        /// (point lookups; see [`match_block_local`])
+        values: bool,
     },
     /// Pull a meta-block's entries (and children) to the CPU.
     FetchMeta {
@@ -581,6 +584,10 @@ pub enum Resp {
         results: Vec<BlockNodeResult>,
         /// the block root's identity failed verification (§4.4.3)
         collision: bool,
+        /// when the request asked: `(tag, value)` of every key end the
+        /// block owns and stores a value at; an owned key end missing
+        /// here holds no value
+        values: Option<Vec<(u32, Value)>>,
     },
     /// Pulled meta-block content.
     MetaSummary {
@@ -654,7 +661,9 @@ pub enum Resp {
         /// the occupied slot
         slot: u32,
     },
-    /// A read named a slot that holds nothing; nothing was read.
+    /// A read named a slot that holds nothing, or an index entry of the
+    /// meta-block it read names a node slot that holds nothing; nothing
+    /// was read.
     BadSlot {
         /// the empty slot
         slot: u32,
@@ -794,28 +803,43 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
                 return (Resp::BadSlot { slot }, work);
             };
             let ms = hash_match_piece(hasher, &piece, &mb.index, &mut work);
-            Resp::Matches(ms.iter().map(|m| meta_match(mb, m)).collect())
+            match ms.iter().map(|m| meta_match(mb, m)).collect() {
+                Ok(ms) => Resp::Matches(ms),
+                Err(DanglingNode(slot)) => Resp::BadSlot { slot },
+            }
         }
-        Req::MatchBlock { slot, piece } => {
+        Req::MatchBlock {
+            slot,
+            piece,
+            values,
+        } => {
             let Some(b) = state.blocks.get(slot) else {
                 return (Resp::BadSlot { slot }, work);
             };
             work += piece.size_words();
             let collision = block_root_collision(b, &piece);
+            let mut found = Vec::new();
             let results = if collision {
                 Vec::new()
             } else {
-                match_block_local(b, &piece)
+                match_block_local(b, &piece, values.then_some(&mut found))
             };
-            Resp::BlockResults { results, collision }
+            work += found.len() as u64;
+            let values = values.then_some(found);
+            Resp::BlockResults {
+                results,
+                collision,
+                values,
+            }
         }
         Req::FetchMeta { slot } => {
             let Some(mb) = state.metas.get(slot) else {
                 return (Resp::BadSlot { slot }, work);
             };
             work += mb.n_nodes() as u64;
-            Resp::MetaSummary {
-                entries: summarize_meta(mb),
+            match summarize_meta(mb) {
+                Ok(entries) => Resp::MetaSummary { entries },
+                Err(DanglingNode(slot)) => Resp::BadSlot { slot },
             }
         }
         Req::FetchBlock { slot } => {
@@ -1110,38 +1134,44 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
     (resp, work)
 }
 
+/// An index entry names a node (or child) slot of its meta-block that
+/// holds nothing: the meta-block is inconsistent. Answered as
+/// [`Resp::BadSlot`] with that slot.
+#[derive(Debug)]
+pub(crate) struct DanglingNode(pub u32);
+
 /// What an index entry of `mb` resolves to: one of its own blocks, or a
 /// child meta-block's root block plus the child to descend into.
-fn resolve_target(mb: &MetaBlock, t: LocalTarget) -> RootMatchTarget {
-    match t {
+fn resolve_target(mb: &MetaBlock, t: LocalTarget) -> Result<RootMatchTarget, DanglingNode> {
+    Ok(match t {
         LocalTarget::Own(ns) => RootMatchTarget {
-            block: mb.nodes.get(ns).expect("match target node missing").block,
+            block: mb.nodes.get(ns).ok_or(DanglingNode(ns))?.block,
             descend: None,
         },
         LocalTarget::Child(ci) => {
-            let c = &mb.children[ci as usize];
+            let c = mb.children.get(ci as usize).ok_or(DanglingNode(ci))?;
             RootMatchTarget {
                 block: c.root_block,
                 descend: Some(c.mref),
             }
         }
-    }
+    })
 }
 
-fn meta_match(mb: &MetaBlock, m: &PieceMatch<LocalTarget>) -> RootMatch {
-    let t = resolve_target(mb, m.target);
-    RootMatch {
+fn meta_match(mb: &MetaBlock, m: &PieceMatch<LocalTarget>) -> Result<RootMatch, DanglingNode> {
+    let t = resolve_target(mb, m.target)?;
+    Ok(RootMatch {
         qt_below: m.qt_below,
         depth: m.depth,
         block: t.block,
         descend: t.descend,
-    }
+    })
 }
 
-pub(crate) fn summarize_meta(mb: &MetaBlock) -> Vec<EntrySummary> {
+pub(crate) fn summarize_meta(mb: &MetaBlock) -> Result<Vec<EntrySummary>, DanglingNode> {
     let mut out = Vec::with_capacity(mb.index.len());
     for (_, e) in mb.index.iter() {
-        let target = resolve_target(mb, e.target);
+        let target = resolve_target(mb, e.target)?;
         out.push(EntrySummary {
             depth: e.depth,
             pre_hash: e.pre_hash,
@@ -1150,7 +1180,7 @@ pub(crate) fn summarize_meta(mb: &MetaBlock) -> Vec<EntrySummary> {
             target,
         });
     }
-    out
+    Ok(out)
 }
 
 fn patch_target(index: &mut HashIndex<LocalTarget>, slot: u32, t: LocalTarget) {
@@ -1275,13 +1305,32 @@ fn remove_meta_node(mb: &mut MetaBlock, node: u32) {
 }
 
 /// Bit-exact matching of a query piece (rooted at the block root) against
-/// a data block (§4.3's local matching).
-pub fn match_block_local(block: &DataBlock, piece: &QueryPiece) -> Vec<BlockNodeResult> {
+/// a data block (§4.3's local matching). With `found`, also list the
+/// `(tag, value)` of every key end the block owns and stores a value at,
+/// in the order of their results: a piece node that carries a value (a
+/// batch key ends there), whose walk consumed its whole path and stopped
+/// off a mirror leaf (a stop on one belongs to the child block's root).
+/// One kernel behind a pushed `MatchBlock { values: true }` and the
+/// host's pulled blocks.
+pub fn match_block_local(
+    block: &DataBlock,
+    piece: &QueryPiece,
+    mut found: Option<&mut Vec<(u32, Value)>>,
+) -> Vec<BlockNodeResult> {
     let mut out = Vec::with_capacity(piece.trie.n_nodes());
     let root_pos = TriePos {
         node: NodeId::ROOT,
         edge_off: 0,
     };
+    let mut owns = |tag: u32, stop: TriePos| {
+        if let Some(found) = found.as_deref_mut() {
+            let v = is_at(&block.trie, stop).and_then(|n| filter_mirror(block.trie.node(n).value));
+            found.extend(v.map(|v| (tag, v)));
+        }
+    };
+    if piece.trie.node(NodeId::ROOT).value.is_some() {
+        owns(piece.tags[NodeId::ROOT.idx()], root_pos);
+    }
     out.push(BlockNodeResult {
         tag: piece.tags[NodeId::ROOT.idx()],
         depth: piece.root_depth,
@@ -1302,6 +1351,9 @@ pub fn match_block_local(block: &DataBlock, piece: &QueryPiece) -> Vec<BlockNode
                 let mirror_child = is_at(&block.trie, stop)
                     .and_then(|n| block.mirrors.get(&n))
                     .copied();
+                if still && mirror_child.is_none() && piece.trie.node(*child).value.is_some() {
+                    owns(piece.tags[child.idx()], stop);
+                }
                 (
                     BlockNodeResult {
                         tag: piece.tags[child.idx()],
@@ -1695,6 +1747,61 @@ mod tests {
         let other = BitStr::from_u64(0b010101, 6);
         assert_ne!(other, block.rem);
         assert!(block_root_collision(&block, &piece(other)));
+    }
+
+    #[test]
+    fn match_block_lists_the_values_of_the_key_ends_it_owns() {
+        let b = BitStr::from_bin_str;
+        let mut trie = Trie::new();
+        trie.insert(&b("0101"), 5);
+        trie.insert(&b("0110"), 6);
+        trie.insert(&b("11"), MIRROR_VALUE);
+        let leaf = trie
+            .node_ids()
+            .find(|id| trie.node_string(*id) == b("11"))
+            .unwrap();
+        let block = DataBlock {
+            trie,
+            root_depth: 0,
+            root_hash: HashVal(0),
+            s_last: BitStr::new(),
+            pre_hash: HashVal(0),
+            rem: BitStr::new(),
+            parent: None,
+            mirrors: BTreeMap::from([(leaf, BlockRef { module: 0, slot: 1 })]),
+            meta: None,
+        };
+        // stored; a branch node; mid-edge; past a leaf; at the mirror
+        // leaf; mid-edge above it
+        let keys: Vec<BitStr> = ["0101", "01", "011", "0111", "11", "1"]
+            .iter()
+            .map(|s| b(s))
+            .collect();
+        let qt = trie_core::query::QueryTrie::build(&keys);
+        let hasher = bitstr::hash::PolyHasher::with_seed(1);
+        let ctxs = crate::matching::node_ctxs(&qt.trie, &hasher);
+        let root = (NodeId::ROOT.0, 0);
+        let piece = crate::matching::make_piece(&qt.trie, &ctxs, &hasher, root, &[]);
+        let mut found = Vec::new();
+        let _ = match_block_local(&block, &piece, Some(&mut found));
+        let tag = |i: usize| qt.key_node[i].0;
+        assert_eq!(found, vec![(tag(0), 5)]);
+
+        // a pushed `MatchBlock` lists the found values only, when asked
+        let mut state = ModuleState::new(HashWidth::FULL);
+        state.blocks.insert_at(0, block).unwrap();
+        for values in [false, true] {
+            let req = Req::MatchBlock {
+                slot: 0,
+                piece: piece.clone(),
+                values,
+            };
+            let (resp, _) = execute(&mut state, &hasher, req);
+            let Resp::BlockResults { values: found, .. } = resp else {
+                panic!("not a block result");
+            };
+            assert_eq!(found, values.then(|| vec![(tag(0), 5)]));
+        }
     }
 
     #[test]

@@ -554,9 +554,12 @@ impl PimTrie {
         ))
     }
 
-    /// Exact-key point lookup: one trie-matching pass, then one round of
-    /// `O(1)`-word value reads at the matched anchors. Panics if fault
-    /// recovery gives up; [`PimTrie::try_get_batch`] reports it instead.
+    /// Exact-key point lookup: one trie-matching pass whose block-match
+    /// replies carry the values at the keys' ends; only a key whose
+    /// block gave no answer (a flagged key, or one anchored at a child
+    /// block that matched no piece) costs one more round of `O(1)`-word
+    /// value reads. Panics if fault recovery gives up;
+    /// [`PimTrie::try_get_batch`] reports it instead.
     pub fn get_batch(&mut self, keys: &[BitStr]) -> Vec<Option<u64>> {
         self.try_get_batch(keys)
             .unwrap_or_else(|e| panic!("get_batch: {e}"))
@@ -572,7 +575,7 @@ impl PimTrie {
     }
 
     fn get_core(&mut self, keys: &[BitStr]) -> Result<Vec<Option<u64>>, PimTrieError> {
-        let mt = self.match_batch(keys)?;
+        let mt = self.match_keys(keys, true)?;
         let mut out: Vec<Option<u64>> = vec![None; keys.len()];
         let mut reads = Scatter::new(self.sys.p());
         let mut slow: Vec<(usize, BitStr)> = Vec::new();
@@ -589,6 +592,13 @@ impl PimTrie {
                 slow.push((i, k.clone()));
                 continue;
             };
+            // the key's answer comes from the reply of its anchor's block
+            if let Some(&Some((owner, v))) = mt.answers.get(node.idx()) {
+                if owner == a.block {
+                    out[i] = v;
+                    continue;
+                }
+            }
             let req = Req::ReadKey {
                 slot: a.block.slot,
                 node: a.node,

@@ -326,7 +326,8 @@ wire_schema! {
     enum Req {
         // tag 1 is retired (WIRE_FORMAT.md): tags are never renumbered
         2: MatchMeta { slot, piece } => 2 + piece.wire_words(),
-        3: MatchBlock { slot, piece } => 2 + piece.wire_words(),
+        // the `values` flag is one bit beside the slot
+        3: MatchBlock { slot, piece, values } => 2 + piece.wire_words(),
         4: FetchMeta { slot } => 1,
         5: FetchBlock { slot } => 1,
         6: GraftMany { slot, grafts } => grafts.wire_words(),
@@ -362,7 +363,10 @@ wire_schema! {
 
     enum Resp {
         1: Matches(v) => v.wire_words(),
-        2: BlockResults { results, collision } => results.wire_words(),
+        // `values` is there exactly when the request asked: no tag word
+        2: BlockResults { results, collision, values } => {
+            results.wire_words() + values.as_ref().map_or(0, Wire::wire_words)
+        },
         3: MetaSummary { entries } => entries.wire_words(),
         4: BlockData(b) => b.wire_words(),
         5: MetaFull(m) => m.wire_words(),

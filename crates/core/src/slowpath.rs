@@ -62,7 +62,11 @@ impl PimTrie {
         let mut guard = 0;
         while !active.is_empty() {
             guard += 1;
-            assert!(guard < 100_000, "slow descent did not terminate");
+            if guard >= 100_000 {
+                return Err(PimTrieError::Protocol(
+                    "slowpath: descent did not terminate".into(),
+                ));
+            }
             let mut step = Scatter::new(p);
             for &qi in &active {
                 let st = &states[qi];

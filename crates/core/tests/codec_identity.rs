@@ -61,7 +61,11 @@ fn plain_run(threads: usize) -> (u64, u64, u64, u64, u64) {
 /// `msplit.rewire`) one `msplit.place`. The delete and lcp rounds are
 /// bit-identical; the words gone are the `Placed` slot fields and the
 /// `SetMirror`/`SetParent`/`SetBlockMeta`/`SetMetaParent` messages that
-/// only carried an address back out.
+/// only carried an address back out. It did not move when a descent
+/// level's pulls and pushes began sharing one round and block matching
+/// became one round: no level or block phase of this run both pulls and
+/// pushes, and it runs no get, the one op whose block matching now
+/// carries values.
 const PRE_CODEC_GOLDEN: (u64, u64, u64, u64, u64) = (21, 25575, 58544, 100, 1716);
 
 #[test]

@@ -128,7 +128,8 @@ fn root_meta_survives_splits_merges_and_rebuild() {
 // ---- the host-resident top of the meta-block tree ----------------------
 //
 // The configs below push every piece (`with_push_threshold(u64::MAX)`), so
-// a `match.meta.pull` round can only be a fill of the resident set.
+// a meta-block pull (`MatchStats::pulls`) can only be a fill of the
+// resident set.
 
 fn resident_cfg(p: usize) -> PimTrieConfig {
     PimTrieConfig::for_modules(p)
@@ -154,21 +155,19 @@ fn repeated_read_batch_pulls_nothing_and_skips_the_resident_levels() {
     let first = t.lcp_batch(&batch);
     let filled = t.resident_stats().fills;
     assert!(filled > 0, "the first read batch kept nothing");
+    assert!(t.last_match_stats().pulls > 0, "the fills pulled nothing");
     rounds_since_clear(&mut t);
 
     assert_eq!(t.lcp_batch(&batch), first);
     let rounds = rounds_since_clear(&mut t);
-    assert!(
-        rounds.iter().all(|r| r != "match.meta.pull"),
-        "second run pulled again: {rounds:?}"
-    );
+    assert_eq!(t.last_match_stats().pulls, 0, "second run pulled again");
     assert_eq!(t.resident_stats().fills, filled);
     // one descent iteration per level of the tree; the resident levels'
-    // issued no IO, every other one exactly its push round
+    // issued no IO, every other one exactly one `match.meta` round
     let (whole, height) = resident_levels(&t);
     assert!(whole >= 1 && whole < height, "{whole} of {height} levels");
-    let descent = rounds.iter().filter(|r| *r == "match.meta.push").count();
-    assert_eq!(descent, height - whole);
+    let descent = rounds.iter().filter(|r| *r == "match.meta").count();
+    assert_eq!(descent, height - whole, "{rounds:?}");
     assert_eq!(t.last_match_stats().descend_rounds, descent as u64);
     assert_eq!(t.audit_debug(), Vec::<String>::new());
 }
