@@ -261,7 +261,7 @@ fn run(args: Args) {
     if run("descent") {
         emit(
             "descent",
-            "X-descent — meta-descent IO rounds vs tree height as n grows (host-resident top levels)",
+            "X-descent — meta-descent IO rounds vs tree height as n grows (host master table)",
             &bench::descent(p, quick),
         );
     }

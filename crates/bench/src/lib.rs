@@ -534,10 +534,11 @@ pub fn scale_p(quick: bool) -> Vec<Row> {
 // ---------------------------------------------------------------------
 
 /// IO rounds of the meta descent against the height of the meta-block
-/// tree, for n ∈ {n₀/8, n₀, 4·n₀} stored keys at fixed `P`. The host holds
-/// the top levels of the tree (DESIGN.md, deviations), so the descent
-/// costs `height − resident levels` rounds, not `height`; this table says
-/// how many levels that is at each n and what holding them costs.
+/// tree, for n ∈ {n₀/8, n₀, 4·n₀} stored keys at fixed `P`. The host
+/// matches every query against its master table (Algorithm 4, DESIGN.md)
+/// and sends one `match.meta` round straight to each path's deepest
+/// meta-block, so the descent costs at most one round at every n; this
+/// table says what that table and the resident copies cost the host.
 ///
 /// Per n, two schedules on one index:
 ///
@@ -546,14 +547,15 @@ pub fn scale_p(quick: bool) -> Vec<Row> {
 ///   tree, so no resident copy is ever pulled twice;
 /// * `churn` — four cycles of insert 1024 fresh keys → delete them → the
 ///   same 4096-key `lcp`, then the 16-key batch. Meta splits and merges
-///   drop resident copies (`inval/batch`) and the next descent re-pulls
+///   drop resident copies (`inval/batch`) and the next match re-pulls
 ///   them (`fills/batch`); both are the schedule's totals over the
 ///   cycles' twelve batches.
 ///
-/// Columns: `height` (levels of the meta-block tree) and `res_levels`
-/// (leading levels held whole) from [`PimTrie::meta_levels_debug`] after
-/// the schedule, `res_words` and `res_high` (words held now, and the most
-/// ever held) from [`pim_trie::ResidentStats`], `descend/4096` and
+/// Columns: `height` (levels of the meta-block tree, from
+/// [`PimTrie::meta_levels_debug`]), `master_entries` and `master_words`
+/// (the master table: one entry per meta-block), `res_words` and
+/// `res_high` (words of resident copies held now, and the most ever
+/// held) from [`pim_trie::ResidentStats`], `descend/4096` and
 /// `descend/16` from [`pim_trie::MatchStats::descend_rounds`].
 pub fn descent(p: usize, quick: bool) -> Vec<Row> {
     let n0: usize = if quick { 1 << 13 } else { 1 << 15 };
@@ -568,12 +570,11 @@ pub fn descent(p: usize, quick: bool) -> Vec<Row> {
             t.last_match_stats().descend_rounds as f64
         };
         let row = |t: &PimTrie, tag: &str, big: f64, small: f64, fills: f64, inval: f64| {
-            let levels = t.meta_levels_debug();
-            let whole = levels.iter().take_while(|(all, held)| all == held).count();
             Row::new(format!("{tag}/n={n}"))
                 .col("n", n as f64)
-                .col("height", levels.len() as f64)
-                .col("res_levels", whole as f64)
+                .col("height", t.meta_levels_debug().len() as f64)
+                .col("master_entries", t.master_entries() as f64)
+                .col("master_words", t.master_words() as f64)
                 .col("res_words", t.resident_stats().words as f64)
                 .col("res_high", t.resident_stats().words_high_water as f64)
                 .col("descend/4096", big)
@@ -828,7 +829,9 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
                     .with_flip_rate(rate)
                     .with_drop_rate(rate)
                     .with_crash(CrashSpec {
-                        round: 11,
+                        // the lcp's first round, after the insert's
+                        // seven (fault-clock rounds count from 0)
+                        round: 7,
                         module: p / 2,
                         down_rounds: 1,
                         state_loss: true,

@@ -3,7 +3,7 @@
 //! * [`PimTrie::new`] bootstraps the empty index: one root block (the empty
 //!   string) on a random module and a one-node meta-block whose address the
 //!   host keeps as `PimTrie::root_meta` — the root of the one meta-block
-//!   tree, where every match starts.
+//!   tree, and the first entry of the host's master table.
 //! * [`cut_decompose`] is the recursive meta-block decomposition of §4.4.1:
 //!   repeatedly pick the Lemma-4.5 cut node (the highest node whose subtree
 //!   reaches half the remaining size), detach its child subtrees, and
@@ -12,7 +12,7 @@
 //! * `PimTrie::place_chunks` addresses such a plan on random modules and
 //!   ships it in one round: the host authors every address
 //!   ([`crate::refs::Addresses`]), so each `PutMeta` already carries its
-//!   parent and children.
+//!   parent and children, and the master table learns every new root.
 //! * `PimTrie::split_meta_blocks` is the batched form of
 //!   §5.2 maintenance actions: an overfull meta-block is pulled to the CPU,
 //!   re-cut and re-distributed (the scapegoat-style rebuild, executed on
@@ -154,6 +154,7 @@ impl PimTrie {
             quarantined: std::collections::BTreeSet::new(),
             scoped: crate::ScopedBatchStats::default(),
             resident: crate::resident::ResidentMeta::default(),
+            master: crate::resident::MasterTable::new(width),
             last_match: crate::MatchStats::default(),
         };
         t.bootstrap()?;
@@ -244,6 +245,7 @@ impl PimTrie {
         };
         out.push(mm as usize, None, req);
         self.place("bootstrap", out)?;
+        self.master.insert(meta, &rm, block, None);
         self.root_block = block;
         self.root_meta = meta;
         Ok(())
@@ -251,8 +253,9 @@ impl PimTrie {
 
     /// Run a round that fills host-chosen slots and returns the object
     /// size each tagged `Put` reports. A module that found a named slot
-    /// live is a [`PimTrieError::Protocol`] error: the host's allocator
-    /// and the module's slab disagree.
+    /// live, or a slot a request rewires empty, is a
+    /// [`PimTrieError::Protocol`] error: the host's allocator and the
+    /// module's slab disagree.
     pub(crate) fn place<T>(
         &mut self,
         name: &str,
@@ -264,6 +267,11 @@ impl PimTrie {
                 (_, Resp::SlotTaken { slot }) => {
                     return Err(PimTrieError::Protocol(format!(
                         "{name}: slot {slot} of module {m} is already live"
+                    )));
+                }
+                (_, Resp::BadSlot { slot }) => {
+                    return Err(PimTrieError::Protocol(format!(
+                        "{name}: slot {slot} of module {m} holds nothing"
                     )));
                 }
                 (Some(t), Resp::Placed { count }) => counts.push((t, count)),
@@ -624,6 +632,13 @@ impl PimTrie {
             }
             for (pi, plan) in job.plans.iter().enumerate() {
                 let me = at[pi];
+                // a replaced root plan keeps its root block and parent
+                let root = &job.tree[plan.root];
+                let in_tree = match job.replace_root_at.filter(|_| pi == job.root_plan) {
+                    Some(r) => self.master.parent(r),
+                    None => parent[pi],
+                };
+                self.master.insert(me, &root.meta, root.block, in_tree);
                 let extra = job.extra.iter().filter(|(x, _)| *x == pi).map(|(_, c)| c);
                 let msg = plan_to_msg(&job.tree, &job.plans, plan, at, parent[pi], extra);
                 let req = if pi == job.root_plan && job.replace_root_at.is_some() {
@@ -643,6 +658,7 @@ impl PimTrie {
                 }
             }
             for (pi, child) in &job.extra {
+                self.master.set_parent(child.mref, at[*pi]);
                 let req = Req::SetMetaParent {
                     slot: child.mref.slot,
                     parent: Some(at[*pi]),

@@ -581,6 +581,7 @@ pub(crate) mod tests {
                 nodes: vec![new_meta_node()],
                 parents: vec![Some(0), None],
                 node_slots: vec![4, 3],
+                relink: vec![(bref(2, 5), 4)],
             },
             Req::RemoveMetaNode { slot: 2, node: 5 },
             Req::SetMetaParent {
@@ -739,14 +740,18 @@ pub(crate) mod tests {
     /// word, then the 11-bit prefix as a label, 3 words) is new.
     /// Re-captured when point lookups began reading values in block
     /// matching: `MatchBlock` gained the one-bit `values` flag (516 → 517
-    /// bits, words unchanged).
+    /// bits, words unchanged). Re-captured when meta links began following
+    /// the block tree: `AddMetaNodes` gained its `relink` list, two words
+    /// per moved child (13 → 15 words for the sample's one; 258 → 290
+    /// bits: the list's length, the child's `BlockRef` and its node slot,
+    /// as varints).
     #[rustfmt::skip]
     const REQ_GOLDEN: [(u64, u64); 25] = [
         (52, 529), (52, 517), (1, 16), (1, 16),
         (43, 400), (3, 32), (3, 32), (21, 204),
         (24, 244), (2, 32), (30, 442), (19, 387),
         (18, 380), (1, 16), (1, 16), (1, 16),
-        (2, 17), (3, 40), (13, 258), (2, 24),
+        (2, 17), (3, 40), (15, 290), (2, 24),
         (2, 33), (3, 33), (3, 34), (1, 8),
         (3, 35),
     ];

@@ -140,9 +140,8 @@ impl PimTrieConfig {
     /// `P · K_SMB²` — `P log⁴ P` at the paper's parameters, one push
     /// threshold's worth per module — in Plain wire words of pulled
     /// entries. At `P = 64` that is 82 944 words, ≈ 384 meta-blocks at the
-    /// `K_SMB`-entry bound the admission estimate uses; the levels that
-    /// fit are whatever the index's shape makes of it (DESIGN.md,
-    /// deviations). Host memory, not PIM space.
+    /// `K_SMB`-entry bound the admission estimate uses, filled from the
+    /// root down (DESIGN.md, deviations). Host memory, not PIM space.
     pub fn resident_meta_words(&self) -> u64 {
         let k = self.k_smb as u64;
         (self.p as u64).saturating_mul(k.saturating_mul(k))

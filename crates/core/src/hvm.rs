@@ -175,6 +175,17 @@ impl<R: Copy> HashIndex<R> {
         self.entries.get(slot)
     }
 
+    /// The target of an entry, to re-point it (the key it is found by
+    /// stays).
+    pub fn target_mut(&mut self, slot: u32) -> Option<&mut R> {
+        self.entries.get_mut(slot).map(|e| &mut e.target)
+    }
+
+    /// The digest width the first layer compares.
+    pub fn width(&self) -> HashWidth {
+        self.width
+    }
+
     /// Iterate live entries.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &IndexEntry<R>)> {
         self.entries.iter()
@@ -243,27 +254,44 @@ pub fn hash_match_piece<R: Copy>(
     index: &HashIndex<R>,
     work: &mut u64,
 ) -> Vec<PieceMatch<R>> {
+    let root = (piece.root_depth, piece.root_pre_hash, &piece.root_rem);
+    let tag = |id: NodeId| piece.tags[id.idx()];
+    hash_match_trie(hasher, &piece.trie, tag, root, index, work)
+}
+
+/// [`hash_match_piece`] over any trie whose root sits at `(depth, hash of
+/// the prefix at its pivot, bits from the pivot down)`, reporting each
+/// node as `tag` names it — a whole query trie is matched in place this
+/// way, with no piece copied out of it.
+pub fn hash_match_trie<R: Copy>(
+    hasher: &PolyHasher,
+    trie: &Trie,
+    tag: impl Fn(NodeId) -> u32,
+    (root_depth, root_pre_hash, root_rem): (u64, HashVal, &BitStr),
+    index: &HashIndex<R>,
+    work: &mut u64,
+) -> Vec<PieceMatch<R>> {
     let mut out = Vec::new();
     if index.is_empty() {
         return out;
     }
-    let root_rem = sub_word(&piece.root_rem);
-    let root_pre = piece.root_depth - root_rem.len as u64;
+    let root_rem = sub_word(root_rem);
+    let root_pre = root_depth - root_rem.len as u64;
     debug_assert_eq!(root_pre % W, 0);
 
     // Match at the piece root itself (exact depth only: lo = hi).
     *work += 2;
     if let Some((depth, target)) = resolve(
         index,
-        piece.root_pre_hash,
+        root_pre_hash,
         root_rem,
         root_pre,
-        piece.root_depth,
-        piece.root_depth,
+        root_depth,
+        root_depth,
         work,
     ) {
         out.push(PieceMatch {
-            qt_below: piece.tags[NodeId::ROOT.idx()],
+            qt_below: tag(NodeId::ROOT),
             depth,
             target,
         });
@@ -271,13 +299,13 @@ pub fn hash_match_piece<R: Copy>(
 
     // DFS carrying the rolling pivot context: the last w-boundary at or
     // above the node, the query prefix's hash there, the bits since.
-    let mut stack = vec![(NodeId::ROOT, root_pre, piece.root_pre_hash, root_rem)];
+    let mut stack = vec![(NodeId::ROOT, root_pre, root_pre_hash, root_rem)];
     // per edge: (hash at the pivot, S'_rem below it) for each pivot
     let mut pivots: Vec<(HashVal, Chunk)> = Vec::new();
     while let Some((node, pre_depth, pre_hash, tail)) = stack.pop() {
         let top_depth = pre_depth + tail.len as u64;
-        for child in piece.trie.node(node).children.iter().flatten() {
-            let edge = piece.trie.node(*child).edge.as_slice();
+        for child in trie.node(node).children.iter().flatten() {
+            let edge = trie.node(*child).edge.as_slice();
             let bottom_depth = top_depth + edge.len() as u64;
             *work += edge.len().div_ceil(WORD_BITS) as u64 + 1;
 
@@ -310,7 +338,7 @@ pub fn hash_match_piece<R: Copy>(
                 });
             if let Some((depth, target)) = hit {
                 out.push(PieceMatch {
-                    qt_below: piece.tags[child.idx()],
+                    qt_below: tag(*child),
                     depth,
                     target,
                 });

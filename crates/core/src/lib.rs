@@ -16,17 +16,18 @@
 //! (node hash, PIM address, `S_pre`/`S_rem` pivot decomposition, `S_last`)
 //! lives in the **hash value manager** (§4.4): a *meta-tree* over blocks,
 //! itself cut into **meta-blocks**, recursively decomposed by cut nodes
-//! (Lemmas 4.5–4.6) into one *meta-block tree* whose root meta-block sits
-//! at an address the host keeps. (The paper cuts the meta-tree into many
-//! such trees and finds their roots through a replicated master table,
-//! Algorithm 4; this implementation has one tree and no master table —
-//! DESIGN.md, deviations.)
+//! (Lemmas 4.5–4.6) into one *meta-block tree*. The host keeps the
+//! **master table** of Algorithm 4 over it: one entry per meta-block root.
+//! (The paper cuts the meta-tree into many such trees and replicates the
+//! table on the modules; this implementation has one tree and holds the
+//! table on the host — DESIGN.md, deviations.)
 //!
 //! A batch is processed by **trie matching** (§4.1, §4.3): the CPU builds
-//! the *query trie* of the batch (Algorithm 1), then matches it against the
-//! data trie level by level — the meta-block tree from its root (its top
-//! levels on host-resident copies, no IO round; the rest on the modules),
-//! then blocks — using **hash comparisons at pivot positions** for coarse
+//! the *query trie* of the batch (Algorithm 1), finds each path's deepest
+//! meta-block root in the master table, matches the pieces below them in
+//! those meta-blocks in one round (on host-resident copies of the top ones,
+//! no IO; the rest on the modules), then matches blocks — using **hash
+//! comparisons at pivot positions** for coarse
 //! elimination and **bit-by-bit comparison** inside the matched blocks for
 //! the exact result. Work is spread with the **push-pull** rule: small query pieces
 //! are pushed to the module owning the data; large pieces pull the
@@ -152,6 +153,10 @@ pub struct PimTrie {
     /// [`resident`]): matched on the CPU, dropped when a request rewrites
     /// their source, re-filled by the descent's own pull
     pub(crate) resident: resident::ResidentMeta,
+    /// Algorithm 4's master table: one entry per meta-block root, matched
+    /// on the host so every query path goes straight to its deepest
+    /// meta-block (see [`resident::MasterTable`])
+    pub(crate) master: resident::MasterTable,
     /// counters of the most recent [`PimTrie::match_batch`]
     pub(crate) last_match: MatchStats,
 }
@@ -279,6 +284,17 @@ impl PimTrie {
         self.sys.metrics().resident_stats()
     }
 
+    /// Entries of the host's master table: one per meta-block.
+    pub fn master_entries(&self) -> usize {
+        self.master.len()
+    }
+
+    /// Host words the master table holds, seven an entry (an entry
+    /// summary's six and the parent): `O(n / (K_B · K_SMB))`.
+    pub fn master_words(&self) -> u64 {
+        self.master.words()
+    }
+
     /// Publish the resident set's size after it changed.
     pub(crate) fn note_resident_words(&mut self) {
         let held = self.resident.words();
@@ -359,6 +375,7 @@ impl PimTrie {
             }
         }
         self.audit_slots(&mut issues);
+        self.audit_meta_links(&mut issues);
         for (mi, m) in self.sys.modules().enumerate() {
             for (slot, b) in m.blocks.iter() {
                 for (node, child) in &b.mirrors {
@@ -459,6 +476,100 @@ impl PimTrie {
                     "host holds node slots of dropped meta-block {mref:?}"
                 ));
             }
+        }
+    }
+
+    /// Meta links follow the block tree: every meta node hangs under the
+    /// node describing its block's parent block — its parent node, or for
+    /// a meta-block's root node the node its parent meta-block lists it
+    /// under — and its block points back at it. Each child a meta-block
+    /// lists is rooted at the block it names and points back at it.
+    fn audit_meta_links(&self, issues: &mut Vec<String>) {
+        let block = |b: BlockRef| self.sys.module(b.module as usize).blocks.get(b.slot);
+        let meta = |m: MetaRef| self.sys.module(m.module as usize).metas.get(m.slot);
+        for (mi, m) in self.sys.modules().enumerate() {
+            for (slot, mb) in m.metas.iter() {
+                let mref = MetaRef {
+                    module: mi as u32,
+                    slot,
+                };
+                for (ns, n) in mb.nodes.iter() {
+                    let Some(b) = block(n.block) else {
+                        issues.push(format!(
+                            "{mref:?} node {ns}: describes dangling {:?}",
+                            n.block
+                        ));
+                        continue;
+                    };
+                    if b.meta != Some((mref, ns)) {
+                        issues.push(format!(
+                            "{mref:?} node {ns}: {:?} points at meta node {:?}",
+                            n.block, b.meta
+                        ));
+                    }
+                    // the block described by the node this one hangs under
+                    let above = match (ns == mb.root_node, n.parent, mb.parent) {
+                        (false, Some(ps), _) => mb.nodes.get(ps).map(|p| p.block),
+                        (true, None, Some(pm)) => meta(pm).and_then(|pmb| {
+                            let c = pmb.children.iter().find(|c| c.mref == mref)?;
+                            pmb.nodes.get(c.under_node).map(|u| u.block)
+                        }),
+                        (true, None, None) if mref == self.root_meta => None,
+                        _ => {
+                            issues.push(format!(
+                                "{mref:?} node {ns}: parent {:?} does not fit root node {}",
+                                n.parent, mb.root_node
+                            ));
+                            continue;
+                        }
+                    };
+                    if above != b.parent {
+                        issues.push(format!(
+                            "{mref:?} node {ns}: {:?} hangs under the node of {above:?}, its parent block is {:?}",
+                            n.block, b.parent
+                        ));
+                    }
+                }
+                // the master table's entry is this meta-block's root entry
+                let root = mb.nodes.get(mb.root_node);
+                let want = root.and_then(|n| Some((n.block, mb.index.get(n.entry_slot)?)));
+                let same = match (self.master.get(mref), want) {
+                    (Some(e), Some((block, r))) => {
+                        (e.depth, e.pre_hash, &e.rem, &e.s_last)
+                            == (r.depth, r.pre_hash, &r.rem, &r.s_last)
+                            && e.target.block == block
+                            && e.target.meta == mref
+                            && e.target.parent == mb.parent
+                    }
+                    _ => false,
+                };
+                if !same {
+                    issues.push(format!(
+                        "master table entry of {mref:?} is {:?}, not its root entry",
+                        self.master.get(mref).map(|e| (e.depth, e.target))
+                    ));
+                }
+                for c in &mb.children {
+                    let child = meta(c.mref);
+                    let root = child
+                        .and_then(|x| x.nodes.get(x.root_node))
+                        .map(|n| n.block);
+                    let parent = child.and_then(|x| x.parent);
+                    if root != Some(c.root_block) || parent != Some(mref) {
+                        issues.push(format!(
+                            "{mref:?} lists child {:?} rooted at {:?}; it is rooted at {root:?} under {parent:?}",
+                            c.mref, c.root_block
+                        ));
+                    }
+                }
+            }
+        }
+        let live: usize = self.sys.modules().map(|m| m.metas.len()).sum();
+        if self.master.len() != live {
+            issues.push(format!(
+                "master table holds {} entries for {live} meta-blocks",
+                self.master.len()
+            ));
         }
     }
 

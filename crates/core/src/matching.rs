@@ -1,28 +1,27 @@
-//! Trie matching — the orchestration of Algorithms 2, 3 and 5.
+//! Trie matching — the orchestration of Algorithms 2–5.
 //!
-//! One batch is matched in two phases, both expressed as BSP rounds over
-//! the simulator. There is no master-table round (Algorithm 4): the index
-//! is one meta-block tree whose root meta-block sits at an address the
-//! host has known since bootstrap (`PimTrie::root_meta`), and every query
-//! path starts at the empty string that root describes, so the first match
-//! is a constant the host supplies itself.
+//! One batch is matched in three steps, the last two as BSP rounds over
+//! the simulator.
 //!
-//! 1. **Meta descent** (Algorithm 5): the meta-block tree is walked level
-//!    by level from its root, one loop iteration per level. The host
-//!    holds copies of the top levels ([`crate::resident`]): a target with
-//!    a resident copy is matched on the CPU and costs no IO; a missing
-//!    target inside those levels is pulled (`FetchMeta`) and the reply
-//!    kept. Below them the query piece under a match is either *pushed*
-//!    to the module holding the (small) meta-block, or — when the pieces
-//!    aimed at it exceed the `log⁴ P` threshold — the meta-block's
-//!    `O(log² P)` entries are *pulled* to the CPU and matched there
-//!    (push-pull); that pull and a fill are the same request, the same
-//!    index build and the same matching kernel. A level's pulls and pushes
-//!    travel in one `match.meta` round. Every iteration discovers
-//!    deeper verified block-root matches and the child meta-blocks to
-//!    recurse into; iterations are bounded by the meta-block-tree height,
-//!    IO rounds by the height minus the resident levels.
-//! 2. **Block matching** (Algorithm 2): the query piece between a matched
+//! 1. **Master table** (Algorithm 4), on the host: the whole query trie is
+//!    matched against [`crate::resident::MasterTable`], one entry per
+//!    meta-block root. Per query-trie edge this finds the deepest
+//!    meta-block root on it; every meta-block is a connected piece of the
+//!    block tree, so that meta-block describes the deepest block root
+//!    below it. No IO: the host authors every meta-block placement and
+//!    keeps the table itself.
+//! 2. **Meta round** (Algorithm 5): the query piece below each such match
+//!    goes straight to its meta-block. A target the host holds a copy of
+//!    ([`crate::resident`]) is matched on the CPU with no IO; a missing
+//!    one the resident set may take is pulled (`FetchMeta`) and the reply
+//!    kept. Any other target gets its pieces *pushed* to its module, or —
+//!    when the pieces aimed at it exceed the `log⁴ P` threshold — its
+//!    `O(log² P)` entries *pulled* to the CPU and matched there
+//!    (push-pull); a pull and a fill are the same request, index build
+//!    and matching kernel. All of them travel in one `match.meta` round,
+//!    so the descent costs at most one round however tall the meta-block
+//!    tree is.
+//! 3. **Block matching** (Algorithm 2): the query piece between a matched
 //!    block root and the next deeper matches is matched *bit by bit*
 //!    against the block — pushed if small, pulled if the piece outweighs
 //!    the `O(K_B)` block, both in one `match.block` round. A point lookup
@@ -34,7 +33,7 @@
 //!    redo.
 
 use crate::error::{unexpected, PimTrieError};
-use crate::hvm::{hash_match_piece, QueryPiece};
+use crate::hvm::{hash_match_piece, hash_match_trie, QueryPiece};
 use crate::module::{
     block_root_collision, match_block_local, BlockNodeResult, DataBlock, Req, Resp, RootMatch,
 };
@@ -68,7 +67,9 @@ pub struct MatchStats {
     pub pushes: u64,
     /// metadata/block pulls to the CPU
     pub pulls: u64,
-    /// meta-descent rounds
+    /// `match.meta` rounds: at most one (the master table sends every
+    /// piece straight to its meta-block), none when every target is
+    /// resident
     pub descend_rounds: u64,
     /// §4.4.3 collision detections
     pub collisions: u64,
@@ -363,154 +364,46 @@ impl PimTrie {
         let ctxs = node_ctxs(&qt.trie, &self.hasher);
 
         let p = self.sys.p();
-        // The descent starts from a match the host already holds: the
-        // empty string is the root block's root, and its meta node is the
-        // root of the one meta-block tree. From here on pieces end at
-        // matched positions: every accepted match is appended to the cut
-        // table as it is found, and the descent rounds and block matching
-        // cut by it.
-        let root = RootMatch {
-            qt_below: NodeId::ROOT.0,
-            depth: 0,
-            block: self.root_block,
-            descend: Some(self.root_meta),
+        // Pieces end at matched positions: every accepted match is appended
+        // to the cut table as it is found, and the meta round and block
+        // matching cut by it.
+        let mut found = Found {
+            seen: BTreeSet::new(),
+            cuts: vec![Vec::new(); bound],
+            matches: Vec::new(),
         };
-        let mut cuts: Vec<Vec<u64>> = vec![Vec::new(); bound];
-        cuts[NodeId::ROOT.idx()].push(0);
-        let mut matches: Vec<RootMatch> = vec![root];
-        let mut seen: BTreeSet<(u32, u64, BlockRef)> =
-            BTreeSet::from([(root.qt_below, 0, root.block)]);
 
-        // ---- Phase 1: meta descent (Algorithm 5) ----------------------
-        // hash comparisons at pivot positions — the paper's coarse filter
-        self.t_phase("hash-probe");
-        // (meta-block to look in, matched position to look below). Every
-        // iteration consumes the whole frontier and the matches it finds
-        // are the next one, so iteration `level` works on level `level` of
-        // the meta-block tree, root = 0.
-        let mut frontier: Vec<(MetaRef, QtPos)> = vec![(self.root_meta, (root.qt_below, 0))];
-        let mut frontier_seen: BTreeSet<(MetaRef, u32, u64)> =
-            BTreeSet::from([(self.root_meta, root.qt_below, 0)]);
-        // no match so far needed a module: this level hangs off resident
-        // copies only, so its missing meta-blocks may join them
-        let mut top = true;
-        let mut level = 0u32;
-        while !frontier.is_empty() {
-            if level >= 64 {
-                return Err(PimTrieError::Protocol(
-                    "match.meta: descent did not terminate".into(),
-                ));
+        // ---- Phase 1a: the master table (Algorithm 4), on the host ------
+        // Per query-trie edge, the deepest meta-block root on it: that
+        // meta-block describes the deepest block root below it. The empty
+        // string is the root block's root and the root meta-block's.
+        self.t_phase("master-match");
+        let mut work = 0u64;
+        let origin = (0, self.hasher.empty(), &BitStr::new());
+        let tag = |id: NodeId| id.0;
+        let index = self.master.index();
+        let roots = hash_match_trie(&self.hasher, &qt.trie, tag, origin, index, &mut work);
+        self.sys.metrics_mut().charge_cpu(work);
+        let roots = roots
+            .into_iter()
+            .map(|m| (m.qt_below, m.depth, m.target.block, m.target.meta));
+        let mut targets: Vec<(MetaRef, QtPos)> = Vec::new();
+        let root = (NodeId::ROOT.0, 0, self.root_block, self.root_meta);
+        for (qt_below, depth, block, meta) in std::iter::once(root).chain(roots) {
+            let m = RootMatch {
+                qt_below,
+                depth,
+                block,
+                descend: Some(meta),
+            };
+            if found.accept(m) {
+                targets.push((meta, (qt_below, depth)));
             }
-            // Build pieces, grouped by target meta-block.
-            // BTreeMap: group iteration orders the push/pull messages, and
-            // that order must repeat across runs for seeded fault schedules
-            let mut groups: BTreeMap<MetaRef, Vec<QueryPiece>> = BTreeMap::new();
-            for (target, pos) in frontier.drain(..) {
-                let piece = make_piece(&qt.trie, &ctxs, &self.hasher, pos, &cuts);
-                groups.entry(target).or_default().push(piece);
-            }
-            // A target resident on the host is matched there, no IO. A
-            // missing one inside the resident levels is pulled — whatever
-            // its pieces weigh — and the reply kept; whether the level's
-            // missing targets fit is settled before any is pulled. Below
-            // those levels the push-pull decision (§3.3 / Algorithm 5) is
-            // per *target*: if the pieces aimed at one meta-block together
-            // outweigh the threshold — either one big piece, or many small
-            // contending pieces — the meta-block's O(log² P) entries are
-            // pulled once and every piece is matched on the CPU.
-            let (mut on_host, missing): (Vec<_>, Vec<_>) = groups
-                .into_iter()
-                .partition(|(target, _)| self.resident.get(*target).is_some());
-            // each missing meta-block counted at the `K_SMB`-entry bound
-            let budget = self.cfg.resident_meta_words();
-            let estimate =
-                (missing.len() as u64).saturating_mul(self.cfg.k_smb as u64 * ENTRY_WORDS);
-            let keep = top
-                && !missing.is_empty()
-                && self.resident.words().saturating_add(estimate) <= budget;
-            top &= missing.is_empty() || keep;
-            // pulls and pushes have no data dependency: one round
-            let mut out = Scatter::new(p);
-            for (target, pieces) in missing {
-                let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
-                if keep || total > self.cfg.push_threshold {
-                    stats.pulls += 1;
-                    let req = Req::FetchMeta { slot: target.slot };
-                    out.push(target.module as usize, Some((target, pieces)), req);
-                } else {
-                    for piece in pieces {
-                        stats.pushes += 1;
-                        let req = Req::MatchMeta {
-                            slot: target.slot,
-                            piece,
-                        };
-                        out.push(target.module as usize, None, req);
-                    }
-                }
-            }
-            let mut pulled = Vec::new();
-            let mut pushed = Vec::new();
-            if !out.is_empty() {
-                stats.descend_rounds += 1;
-                for (_, pull, resp) in self.rounds("match.meta", out)? {
-                    match (pull, resp) {
-                        (Some(pull), Resp::MetaSummary { entries }) => pulled.push((pull, entries)),
-                        (None, Resp::Matches(ms)) => pushed.push(ms),
-                        _ => return Err(unexpected("match.meta")),
-                    }
-                }
-            }
-            // replies in a fixed order — pulled, resident, pushed — so the
-            // matches (and every later message) do not depend on how the
-            // round interleaved them
-            let mut new_matches: Vec<RootMatch> = Vec::new();
-            let mut work = 0u64;
-            // a pulled meta-block kept joins the resident targets; the
-            // others are matched and let go
-            for ((target, pieces), entries) in pulled {
-                // the estimate is not a bound (a meta-block indexes its
-                // children's roots too): the budget is checked again on
-                // what actually came back
-                if keep && self.resident.words() + entries.wire_words() <= budget {
-                    let words = self.resident.fill(target, entries, self.cfg.hash_width);
-                    let rs = self.sys.metrics_mut().resident_stats_mut();
-                    rs.fills += 1;
-                    rs.fill_words += words;
-                    on_host.push((target, pieces));
-                } else {
-                    top = false;
-                    let index = index_entries(entries, self.cfg.hash_width);
-                    match_pieces(&self.hasher, &index, &pieces, &mut work, &mut new_matches);
-                }
-            }
-            if keep {
-                self.note_resident_words();
-            }
-            for (target, pieces) in &on_host {
-                let index = self.resident.get(*target).ok_or_else(|| {
-                    PimTrieError::Protocol(format!("match.meta: {target:?} is not resident"))
-                })?;
-                match_pieces(&self.hasher, index, pieces, &mut work, &mut new_matches);
-            }
-            let metrics = self.sys.metrics_mut();
-            metrics.resident_stats_mut().host_matches += on_host.len() as u64;
-            if work > 0 {
-                metrics.charge_cpu(work);
-            }
-            new_matches.extend(pushed.into_iter().flatten());
-            for m in new_matches {
-                if seen.insert((m.qt_below, m.depth, m.block)) {
-                    cuts[m.qt_below as usize].push(m.depth);
-                    matches.push(m);
-                }
-                if let Some(d) = m.descend {
-                    if frontier_seen.insert((d, m.qt_below, m.depth)) {
-                        frontier.push((d, (m.qt_below, m.depth)));
-                    }
-                }
-            }
-            level += 1;
         }
+
+        // ---- Phase 1b: one meta round (Algorithm 5) ---------------------
+        self.match_metas(&qt.trie, &ctxs, targets, &mut found, &mut stats)?;
+        let Found { cuts, matches, .. } = found;
 
         // ---- Phase 2: block matching (Algorithm 2) --------------------
         self.t_phase("block-match");
@@ -524,7 +417,7 @@ impl PimTrie {
             let piece = make_piece(&qt.trie, &ctxs, &self.hasher, (m.qt_below, m.depth), &cuts);
             groups.entry(m.block).or_default().push(piece);
         }
-        // pulls and pushes share one round, as in the descent
+        // pulls and pushes share one round, as in the meta round
         let mut out = Scatter::new(p);
         let pull_threshold = self.cfg.k_b.max(self.cfg.push_threshold);
         for (block, pieces) in groups {
@@ -774,6 +667,166 @@ fn note_answers(
         )));
     }
     Ok(())
+}
+
+/// The block-root matches of one batch, each once, and the cut table the
+/// pieces built from them end at.
+struct Found {
+    seen: BTreeSet<(u32, u64, BlockRef)>,
+    cuts: Vec<Vec<u64>>,
+    matches: Vec<RootMatch>,
+}
+
+impl Found {
+    /// Keep `m` unless it is known; true if it was new.
+    fn accept(&mut self, m: RootMatch) -> bool {
+        let new = self.seen.insert((m.qt_below, m.depth, m.block));
+        if new {
+            self.cuts[m.qt_below as usize].push(m.depth);
+            self.matches.push(m);
+        }
+        new
+    }
+}
+
+impl PimTrie {
+    /// Phase 1b: match the pieces below each master-table match in its
+    /// meta-block — on the host where the meta-block is resident, else in
+    /// one `match.meta` round of pushes and pulls — and accept the block
+    /// roots found. The pieces are dropped on return, before block
+    /// matching builds its own.
+    fn match_metas(
+        &mut self,
+        qt: &Trie,
+        ctxs: &[NodeCtx],
+        targets: Vec<(MetaRef, QtPos)>,
+        found: &mut Found,
+        stats: &mut MatchStats,
+    ) -> Result<(), PimTrieError> {
+        let p = self.sys.p();
+        // hash comparisons at pivot positions — the paper's coarse filter
+        self.t_phase("hash-probe");
+        // BTreeMap: group iteration orders the push/pull messages, and
+        // that order must repeat across runs for seeded fault schedules
+        let mut groups: BTreeMap<MetaRef, Vec<QueryPiece>> = BTreeMap::new();
+        for (target, pos) in targets {
+            let piece = make_piece(qt, ctxs, &self.hasher, pos, &found.cuts);
+            groups.entry(target).or_default().push(piece);
+        }
+        // A target resident on the host is matched there, no IO. A missing
+        // one the resident set may take (`plan_fills`) is pulled — whatever
+        // its pieces weigh — and the reply kept. The others follow the
+        // push-pull decision (§3.3 / Algorithm 5) per *target*: if the
+        // pieces aimed at one meta-block together outweigh the threshold —
+        // either one big piece, or many small contending pieces — the
+        // meta-block's O(log² P) entries are pulled once and every piece
+        // is matched on the CPU.
+        let (mut on_host, missing): (Vec<_>, Vec<_>) = groups
+            .into_iter()
+            .partition(|(target, _)| self.resident.get(*target).is_some());
+        let fills = self.plan_fills(missing.iter().map(|(target, _)| *target));
+        // pulls and pushes have no data dependency: one round
+        let mut out = Scatter::new(p);
+        for (target, pieces) in missing {
+            let total: u64 = pieces.iter().map(|pc| pc.size_words()).sum();
+            let fill = fills.contains(&target);
+            if fill || total > self.cfg.push_threshold {
+                stats.pulls += 1;
+                let req = Req::FetchMeta { slot: target.slot };
+                out.push(target.module as usize, Some((target, pieces, fill)), req);
+            } else {
+                for piece in pieces {
+                    stats.pushes += 1;
+                    let req = Req::MatchMeta {
+                        slot: target.slot,
+                        piece,
+                    };
+                    out.push(target.module as usize, None, req);
+                }
+            }
+        }
+        let mut pulled = Vec::new();
+        let mut pushed = Vec::new();
+        if !out.is_empty() {
+            stats.descend_rounds += 1;
+            for (_, pull, resp) in self.rounds("match.meta", out)? {
+                match (pull, resp) {
+                    (Some(pull), Resp::MetaSummary { entries }) => pulled.push((pull, entries)),
+                    (None, Resp::Matches(ms)) => pushed.push(ms),
+                    _ => return Err(unexpected("match.meta")),
+                }
+            }
+        }
+        // replies in a fixed order — pulled, resident, pushed — so the
+        // matches (and every later message) do not depend on how the
+        // round interleaved them
+        let mut new_matches: Vec<RootMatch> = Vec::new();
+        let mut work = 0u64;
+        let budget = self.cfg.resident_meta_words();
+        for ((target, pieces, fill), entries) in pulled {
+            // the plan counts each copy at the `K_SMB`-entry bound, which
+            // is not a bound (a meta-block indexes its children's roots
+            // too): the budget is checked again on what actually came back
+            if fill && self.resident.words() + entries.wire_words() <= budget {
+                let words = self.resident.fill(target, entries, self.cfg.hash_width);
+                let rs = self.sys.metrics_mut().resident_stats_mut();
+                rs.fills += 1;
+                rs.fill_words += words;
+                on_host.push((target, pieces));
+            } else {
+                let index = index_entries(entries, self.cfg.hash_width);
+                match_pieces(&self.hasher, &index, &pieces, &mut work, &mut new_matches);
+            }
+        }
+        if !fills.is_empty() {
+            self.note_resident_words();
+        }
+        for (target, pieces) in &on_host {
+            let index = self.resident.get(*target).ok_or_else(|| {
+                PimTrieError::Protocol(format!("match.meta: {target:?} is not resident"))
+            })?;
+            match_pieces(&self.hasher, index, pieces, &mut work, &mut new_matches);
+        }
+        let metrics = self.sys.metrics_mut();
+        metrics.resident_stats_mut().host_matches += on_host.len() as u64;
+        if work > 0 {
+            metrics.charge_cpu(work);
+        }
+        // a child meta-block's root found here is a block root like any
+        // other: the master table already sent its own pieces
+        for m in new_matches.into_iter().chain(pushed.into_iter().flatten()) {
+            found.accept(m);
+        }
+        Ok(())
+    }
+
+    /// The missing targets of a meta round the resident set takes: the
+    /// root meta-block, and any whose parent is resident or taken in the
+    /// same round — shallowest root first, so a parent is decided before
+    /// its children — while the copies held and taken fit the word budget
+    /// at the `K_SMB`-entry bound each. A target refused here is refused
+    /// again next batch unless the tree or the held set changed, so a
+    /// repeated batch pulls nothing.
+    fn plan_fills(&self, missing: impl Iterator<Item = MetaRef>) -> BTreeSet<MetaRef> {
+        let per = self.cfg.k_smb as u64 * ENTRY_WORDS;
+        let budget = self.cfg.resident_meta_words();
+        let mut order: Vec<(u64, MetaRef)> = missing
+            .map(|t| (self.master.get(t).map_or(u64::MAX, |e| e.depth), t))
+            .collect();
+        order.sort_unstable();
+        let mut fills = BTreeSet::new();
+        let mut held = self.resident.len() as u64;
+        for (_, target) in order {
+            let parent_held = |pm: MetaRef| self.resident.get(pm).is_some() || fills.contains(&pm);
+            let eligible =
+                target == self.root_meta || self.master.parent(target).is_some_and(parent_held);
+            if eligible && (held + 1).saturating_mul(per) <= budget {
+                held += 1;
+                fills.insert(target);
+            }
+        }
+        fills
+    }
 }
 
 /// HashMatching of the pieces aimed at one meta-block whose entries the

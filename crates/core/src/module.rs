@@ -7,9 +7,11 @@
 //!   for child-block roots;
 //! * [`MetaBlock`] — a piece of the meta-tree: meta-nodes for the block
 //!   roots it covers, a two-layer [`HashIndex`] over them (plus the roots of
-//!   its child meta-blocks for descent), and links forming the meta-block
-//!   tree. There is one meta-block tree; the host knows its root's address
-//!   (`PimTrie::root_meta`), so no module holds a table of tree roots.
+//!   its child meta-blocks), and links forming the meta-block tree. Meta
+//!   links follow the block tree: a meta node hangs under the node of its
+//!   block's parent block. There is one meta-block tree; the host holds
+//!   the table of its meta-block roots (`crate::resident::MasterTable`),
+//!   so no module does.
 //!
 //! [`handle`] is the module program: one BSP round delivers a vector of
 //! [`Req`] messages and returns one [`Resp`] per request, metering PIM work.
@@ -383,6 +385,10 @@ pub enum Req {
         parents: Vec<Option<u32>>,
         /// free node slots the host chose, one per node
         node_slots: Vec<u32>,
+        /// the repartitioned block's old children whose mirrors moved into
+        /// a new piece, each with that piece's node slot: the child's meta
+        /// node — or the child meta-block it roots — re-hangs there
+        relink: Vec<(BlockRef, u32)>,
     },
     /// Remove a meta node (block vanished). Children are re-parented to
     /// the removed node's parent.
@@ -433,7 +439,8 @@ pub enum Req {
 }
 
 /// What a request does to state the host may hold a copy of. The host's
-/// only copies are the top of the meta-block tree (`crate::resident`),
+/// only copies of module state are meta-blocks near the root of the
+/// meta-block tree (`crate::resident`; the master table is the host's own),
 /// kept coherent from this one answer, read where every request leaves
 /// the host (`PimTrie::exchange`).
 pub(crate) enum Touch {
@@ -705,13 +712,16 @@ pub struct MetaFullOut {
     pub children: Vec<(MetaChildInfo, u64, HashVal, BitStr, BitStr)>,
 }
 
-fn meta_full(mb: &MetaBlock) -> MetaFullOut {
+/// `mb`'s full structure; a node or child whose index entry is missing
+/// is a [`DanglingNode`] naming that entry slot.
+fn meta_full(mb: &MetaBlock) -> Result<MetaFullOut, DanglingNode> {
+    let entry = |slot: u32| mb.index.get(slot).ok_or(DanglingNode(slot));
     let nodes = mb
         .nodes
         .iter()
         .map(|(slot, n)| {
-            let e = mb.index.get(n.entry_slot).expect("entry missing");
-            MetaFullNode {
+            let e = entry(n.entry_slot)?;
+            Ok(MetaFullNode {
                 slot,
                 block: n.block,
                 parent: n.parent,
@@ -720,29 +730,29 @@ fn meta_full(mb: &MetaBlock) -> MetaFullOut {
                 pre_hash: e.pre_hash,
                 rem: e.rem.clone(),
                 s_last: e.s_last.clone(),
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     let children = mb
         .children
         .iter()
         .map(|c| {
-            let e = mb.index.get(c.entry_slot).expect("child entry missing");
-            (
+            let e = entry(c.entry_slot)?;
+            Ok((
                 c.clone(),
                 e.depth,
                 e.pre_hash,
                 e.rem.clone(),
                 e.s_last.clone(),
-            )
+            ))
         })
-        .collect();
-    MetaFullOut {
+        .collect::<Result<_, _>>()?;
+    Ok(MetaFullOut {
         nodes,
         root_node: mb.root_node,
         parent: mb.parent,
         children,
-    }
+    })
 }
 
 /// Pulled block content.
@@ -860,7 +870,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             })
         }
         Req::GraftMany { slot, grafts } => {
-            let b = state.blocks.get_mut(slot).expect("Graft: bad slot");
+            let Some(b) = state.blocks.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             let before = b.n_real_keys() as i64;
             let mut collision = false;
             // Offset adjustment across successive splits of the same edge:
@@ -898,7 +910,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             Resp::Value(v)
         }
         Req::DeleteKey { slot, node, depth } => {
-            let b = state.blocks.get_mut(slot).expect("DeleteKey: bad slot");
+            let Some(b) = state.blocks.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += 4;
             let id = NodeId(node);
             // The key is stored here only if the anchor node sits exactly
@@ -930,7 +944,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             child,
             subtree,
         } => {
-            let b = state.blocks.get_mut(slot).expect("MergeChild: bad slot");
+            let Some(b) = state.blocks.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += subtree.0.size_words() as u64 + 4;
             let ok = merge_child(b, child, subtree.0);
             Resp::BlockVitals {
@@ -946,7 +962,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             trie,
             mirrors,
         } => {
-            let b = state.blocks.get_mut(slot).expect("ReplaceBlock: bad slot");
+            let Some(b) = state.blocks.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             work += trie.0.size_words() as u64;
             b.trie = trie.0;
             b.mirrors = mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect();
@@ -964,10 +982,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             }
         }
         Req::RemoveMetaChild { slot, mref } => {
-            let mb = state
-                .metas
-                .get_mut(slot)
-                .expect("RemoveMetaChild: bad slot");
+            let Some(mb) = state.metas.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             if let Some(i) = mb.children.iter().position(|c| c.mref == mref) {
                 let c = mb.children.remove(i);
                 mb.index.remove(c.entry_slot);
@@ -1031,7 +1048,10 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
                 return (Resp::BadSlot { slot }, work);
             };
             work += mb.n_nodes() as u64;
-            Resp::MetaFull(meta_full(mb))
+            match meta_full(mb) {
+                Ok(full) => Resp::MetaFull(full),
+                Err(DanglingNode(slot)) => Resp::BadSlot { slot },
+            }
         }
         Req::DropBlock { slot } => {
             state.blocks.remove(slot);
@@ -1042,7 +1062,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             Resp::Ok
         }
         Req::SetParent { slot, parent } => {
-            let b = state.blocks.get_mut(slot).expect("SetParent: bad slot");
+            let Some(b) = state.blocks.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             b.parent = parent;
             Resp::Ok
         }
@@ -1051,7 +1073,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             meta,
             meta_slot,
         } => {
-            let b = state.blocks.get_mut(slot).expect("SetBlockMeta: bad slot");
+            let Some(b) = state.blocks.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             b.meta = Some((meta, meta_slot));
             Resp::Ok
         }
@@ -1061,9 +1085,12 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             nodes,
             parents,
             node_slots,
+            relink,
         } => {
-            work += nodes.len() as u64 * 2;
-            let mb = state.metas.get_mut(slot).expect("AddMetaNodes: bad slot");
+            work += nodes.len() as u64 * 2 + relink.len() as u64 * 2;
+            let Some(mb) = state.metas.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             match add_meta_nodes(mb, &nodes, &node_slots) {
                 Ok(()) => {
                     // wire parents mirroring the block tree
@@ -1074,6 +1101,9 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
                         };
                         link_meta_node(mb, node_slots[i], ps);
                     }
+                    for (child, under) in relink {
+                        relink_child(mb, child, under);
+                    }
                     Resp::Placed {
                         count: mb.n_nodes() as u64,
                     }
@@ -1082,15 +1112,21 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             }
         }
         Req::RemoveMetaNode { slot, node } => {
-            let mb = state.metas.get_mut(slot).expect("RemoveMetaNode: bad slot");
-            remove_meta_node(mb, node);
-            Resp::MetaVitals {
-                nodes: mb.n_nodes() as u64,
-                parent: mb.parent,
+            let Some(mb) = state.metas.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
+            match remove_meta_node(mb, node) {
+                Ok(()) => Resp::MetaVitals {
+                    nodes: mb.n_nodes() as u64,
+                    parent: mb.parent,
+                },
+                Err(DanglingNode(slot)) => Resp::BadSlot { slot },
             }
         }
         Req::SetMetaParent { slot, parent } => {
-            let mb = state.metas.get_mut(slot).expect("SetMetaParent: bad slot");
+            let Some(mb) = state.metas.get_mut(slot) else {
+                return (Resp::BadSlot { slot }, work);
+            };
             mb.parent = parent;
             Resp::Ok
         }
@@ -1184,12 +1220,9 @@ pub(crate) fn summarize_meta(mb: &MetaBlock) -> Result<Vec<EntrySummary>, Dangli
 }
 
 fn patch_target(index: &mut HashIndex<LocalTarget>, slot: u32, t: LocalTarget) {
-    // HashIndex has no in-place mutate; remove+insert would churn. Expose a
-    // tiny unsafe-free path: re-insert with the same payload.
-    let e = index.remove(slot).expect("patch_target: missing entry");
-    let new_slot = index.insert(IndexEntry { target: t, ..e });
-    // Slab reuses the freed slot, so the id is stable.
-    debug_assert_eq!(new_slot, slot);
+    if let Some(target) = index.target_mut(slot) {
+        *target = t;
+    }
 }
 
 /// Index `nodes` into `mb` at the given node slots, unlinked. Checks
@@ -1235,6 +1268,30 @@ fn link_meta_node(mb: &mut MetaBlock, child: u32, parent: u32) {
     }
 }
 
+/// Re-hang the meta node of block `child` under node `under`: its own
+/// node if this meta-block describes `child`, else the child meta-block
+/// rooted at it. A child described nowhere here is left alone.
+fn relink_child(mb: &mut MetaBlock, child: BlockRef, under: u32) {
+    if let Some(c) = mb.children.iter_mut().find(|c| c.root_block == child) {
+        c.under_node = under;
+        return;
+    }
+    let Some(ns) = mb
+        .nodes
+        .iter()
+        .find(|(_, n)| n.block == child)
+        .map(|(s, _)| s)
+    else {
+        return;
+    };
+    if let Some(old) = mb.nodes.get(ns).and_then(|n| n.parent) {
+        if let Some(p) = mb.nodes.get_mut(old) {
+            p.children.retain(|c| *c != ns);
+        }
+    }
+    link_meta_node(mb, ns, under);
+}
+
 /// A meta-block built from its payload: node `i` at slot `i`.
 fn build_meta(width: HashWidth, p: PutMetaMsg) -> MetaBlock {
     let mut mb = MetaBlock {
@@ -1271,8 +1328,10 @@ fn build_meta(width: HashWidth, p: PutMetaMsg) -> MetaBlock {
     mb
 }
 
-fn remove_meta_node(mb: &mut MetaBlock, node: u32) {
-    let n = mb.nodes.remove(node).expect("RemoveMetaNode: missing");
+/// Remove node `node` from `mb`; a slot that holds no node is a
+/// [`DanglingNode`].
+fn remove_meta_node(mb: &mut MetaBlock, node: u32) -> Result<(), DanglingNode> {
+    let n = mb.nodes.remove(node).ok_or(DanglingNode(node))?;
     mb.index.remove(n.entry_slot);
     // re-parent children
     if let Some(p) = n.parent {
@@ -1290,7 +1349,7 @@ fn remove_meta_node(mb: &mut MetaBlock, node: u32) {
         // only do this for leaf chains; assert simplicity)
         debug_assert!(n.children.len() <= 1, "root removal with branching");
         if let Some(&c) = n.children.first() {
-            mb.nodes.get_mut(c).unwrap().parent = None;
+            mb.nodes.get_mut(c).ok_or(DanglingNode(c))?.parent = None;
             mb.root_node = c;
         }
     }
@@ -1302,6 +1361,7 @@ fn remove_meta_node(mb: &mut MetaBlock, node: u32) {
             c.under_node = new_under;
         }
     }
+    Ok(())
 }
 
 /// Bit-exact matching of a query piece (rooted at the block root) against
@@ -1601,10 +1661,8 @@ fn relation<R>(e: &IndexEntry<R>, prefix: &BitStr, pre: &[HashVal]) -> Rel {
 /// The blocks `mb` describes whose root extends `prefix`, and its child
 /// meta-blocks whose root does, lies on the prefix's path, or cannot be
 /// told apart. Walks the meta nodes from the root: a meta node's parent
-/// describes a block above its own (not always the block right above it —
-/// a repartition hangs new pieces between a block and its old children
-/// and leaves the children's meta nodes where they were), so an `Off`
-/// node's subtree is `Off` and an `Under` node's subtree is `Under`.
+/// describes its block's parent block, so an `Off` node's subtree is
+/// `Off` and an `Under` node's subtree is `Under`.
 /// `Unknown` nodes are listed: a superset costs fetches, a miss rounds.
 fn list_under(
     hasher: &bitstr::hash::PolyHasher,

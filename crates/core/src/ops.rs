@@ -771,6 +771,9 @@ impl PimTrie {
                 .filter(|bi| *bi != plan.root_idx)
                 .collect();
             let pos = |bi: usize| bi - usize::from(bi > plan.root_idx);
+            // old children whose mirror moved into a new piece: their meta
+            // nodes follow it, so meta links keep following the block tree
+            let mut relink: Vec<(BlockRef, u32)> = Vec::new();
             // the pieces move into the messages: no second copy of the tries
             for (bi, b) in plan.pieces.into_iter().enumerate() {
                 let me = target[bi];
@@ -790,6 +793,9 @@ impl PimTrie {
                     }
                     if let Some(r) = plan.old_mirrors.get(&orig_id) {
                         mirrors.push((new_id as u32, *r));
+                        if bi != plan.root_idx {
+                            relink.push((*r, slots[pos(bi)]));
+                        }
                         let req = Req::SetParent {
                             slot: r.slot,
                             parent: Some(me),
@@ -840,6 +846,7 @@ impl PimTrie {
                 nodes,
                 parents,
                 node_slots: slots,
+                relink,
             };
             out.push(meta_ref.module as usize, Some(meta_ref), req);
         }
@@ -966,6 +973,9 @@ impl PimTrie {
             // describes the root block, which is never a merge candidate.
             let mut meta_drop = Scatter::new(p);
             for (_, mref, resp) in self.rounds("merge.cleanup", cleanup)? {
+                if matches!(resp, Resp::BadSlot { .. }) {
+                    return Err(unexpected("merge.cleanup"));
+                }
                 let (
                     Some(mref),
                     Resp::MetaVitals {
@@ -977,6 +987,7 @@ impl PimTrie {
                     continue;
                 };
                 self.addrs.free_meta(mref);
+                self.master.remove(mref);
                 let req = Req::DropMeta { slot: mref.slot };
                 meta_drop.push(mref.module as usize, (), req);
                 let req = Req::RemoveMetaChild {
@@ -986,7 +997,11 @@ impl PimTrie {
                 meta_drop.push(pm.module as usize, (), req);
             }
             if !meta_drop.is_empty() {
-                self.rounds("merge.meta.drop", meta_drop)?;
+                for (_, (), resp) in self.rounds("merge.meta.drop", meta_drop)? {
+                    if matches!(resp, Resp::BadSlot { .. }) {
+                        return Err(unexpected("merge.meta.drop"));
+                    }
+                }
             }
             // cascade: parents that shrank continue; oversized ones split
             let mut oversized = Vec::new();
@@ -1167,6 +1182,7 @@ impl PimTrie {
             self.addrs.reset(m as u32);
             reset.push(m, (), Req::ResetModule);
         }
+        self.master.clear();
         self.rounds("recover.reset", reset)?;
         self.n_keys = 0;
         self.bootstrap()?;

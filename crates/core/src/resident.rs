@@ -1,37 +1,46 @@
-//! The top of the meta-block tree, held on the host.
+//! What the host holds of the meta-block tree: Algorithm 4's master
+//! table over every meta-block root, and copies of the meta-blocks
+//! nearest the root.
 //!
-//! Every query crosses the top levels of the one meta-block tree, and the
-//! push-pull rule already pulls their contended meta-blocks to the CPU to
-//! match there. A [`ResidentMeta`] is what stays behind: per pulled
-//! meta-block, the [`HashIndex`] built over its entries, kept until a
-//! request rewrites the meta-block it came from. The descent
-//! (`PimTrie::match_batch`) matches a resident target with no IO and fills
-//! a missing one with the ordinary `FetchMeta` pull.
+//! * **The master table** ([`MasterTable`]) has one entry per meta-block,
+//!   keyed by its root block's root string. `PimTrie::match_batch` matches
+//!   the whole query trie against it and sends each piece straight to its
+//!   path's deepest meta-block. The host authors every meta-block
+//!   placement, so it keeps the table current with no IO: `bootstrap`,
+//!   `place_chunks` and the merges' meta-block drops update it, a journal
+//!   rebuild clears it, and `audit_debug` checks it against the modules.
+//!   Host words `O(n / (K_B · K_SMB))`, [`MASTER_ENTRY_WORDS`] an entry.
+//! * **Resident copies** ([`ResidentMeta`]): per pulled meta-block, the
+//!   [`HashIndex`] built over its entries, kept until a request rewrites
+//!   the meta-block it came from. The match round matches a resident
+//!   target with no IO and fills a missing one with the ordinary
+//!   `FetchMeta` pull.
 //!
-//! * **What is resident** is decided by a word budget
-//!   (`PimTrieConfig::resident_meta_words`), nearest the root first: the
-//!   descent fills a level only while every level above it was matched on
-//!   the host, and only if the level's missing meta-blocks fit what is
-//!   left of the budget. A meta-block's level is not a property it has —
-//!   meta splits insert levels mid-tree — so it is counted by the
-//!   descent, root = 0, and nothing here stores it.
-//! * **Coherence** — the host authors every meta mutation, and each
-//!   outgoing request is classified
-//!   ([`Req::touches`](crate::module::Req::touches)) before dispatch; a
-//!   copy whose meta-block a request rewrites is dropped and re-filled by
-//!   a metered pull the next time a query reaches it.
-//! * **Exactness** — a copy's index is built from the same
-//!   [`EntrySummary`]s, and matched by the same `hash_match_piece`, as the
-//!   pull arm of Algorithm 5 always used; matches found on the host go
-//!   through Phase-2 block verification like any other.
+//!   * **What is resident** is decided by a word budget
+//!     (`PimTrieConfig::resident_meta_words`), nearest the root first: a
+//!     missing target is taken when it is the root meta-block or its
+//!     parent (from the master table) is held or taken in the same
+//!     round, and the copies fit the budget at the `K_SMB`-entry bound
+//!     each.
+//!   * **Coherence** — the host authors every meta mutation, and each
+//!     outgoing request is classified
+//!     ([`Req::touches`](crate::module::Req::touches)) before dispatch; a
+//!     copy whose meta-block a request rewrites is dropped and re-filled
+//!     by a metered pull the next time a query reaches it.
+//!   * **Exactness** — a copy's index is built from the same
+//!     [`EntrySummary`]s, and matched by the same `hash_match_piece`, as
+//!     the pull arm of Algorithm 5 always used; matches found on the host
+//!     go through Phase-2 block verification like any other.
 //!
-//! Paper: PIM-tree (Kang et al., PAPERS.md) keeps the upper levels every
-//! query crosses on the host for the same reason; DESIGN.md's deviations
-//! log says why this stands in for §4.4's replicated master table.
+//! Paper: §4.4 (Algorithm 4) keeps the master table replicated on the
+//! modules; PIM-tree (Kang et al., PAPERS.md) keeps the upper levels every
+//! query crosses on the host. DESIGN.md's deviations log says why both
+//! live on the host here.
 
+use crate::build::RootMeta;
 use crate::hvm::{HashIndex, IndexEntry};
 use crate::module::{EntrySummary, RootMatchTarget};
-use crate::refs::MetaRef;
+use crate::refs::{BlockRef, MetaRef};
 use bitstr::hash::HashWidth;
 use pim_sim::Wire;
 use std::collections::BTreeMap;
@@ -41,7 +50,7 @@ use std::collections::BTreeMap;
 pub(crate) const ENTRY_WORDS: u64 = 6;
 
 /// The index over one pulled meta-block's entries, resolving straight to
-/// the matched block and the child meta-block to descend into.
+/// the matched block.
 pub(crate) type MetaIndex = HashIndex<RootMatchTarget>;
 
 /// Build the index the pull arm matches against.
@@ -57,6 +66,110 @@ pub(crate) fn index_entries(entries: Vec<EntrySummary>, width: HashWidth) -> Met
         });
     }
     index
+}
+
+/// What a master-table entry resolves to: a meta-block, the block its
+/// root node describes, and its parent in the meta-block tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MasterTarget {
+    pub block: BlockRef,
+    pub meta: MetaRef,
+    pub parent: Option<MetaRef>,
+}
+
+/// Host words of one master-table entry: an [`EntrySummary`]'s
+/// ([`ENTRY_WORDS`]) plus the parent.
+pub(crate) const MASTER_ENTRY_WORDS: u64 = ENTRY_WORDS + 1;
+
+/// Algorithm 4's master table, held on the host: one entry per meta-block,
+/// keyed by the root string of the block its root node describes. Since
+/// every meta-block is a connected piece of the block tree, the deepest
+/// entry on a query path names the meta-block that describes the deepest
+/// block root on it. The host authors every meta-block placement, so it
+/// keeps the table current at no IO cost (`PimTrie::bootstrap`,
+/// `PimTrie::place_chunks`, the merges' meta-block drops).
+pub(crate) struct MasterTable {
+    index: HashIndex<MasterTarget>,
+    slot_of: BTreeMap<MetaRef, u32>,
+}
+
+impl MasterTable {
+    pub(crate) fn new(width: HashWidth) -> Self {
+        MasterTable {
+            index: HashIndex::new(width),
+            slot_of: BTreeMap::new(),
+        }
+    }
+
+    /// The index the master match runs against.
+    pub(crate) fn index(&self) -> &HashIndex<MasterTarget> {
+        &self.index
+    }
+
+    /// Number of entries (= live meta-blocks).
+    pub(crate) fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// Host words held.
+    pub(crate) fn words(&self) -> u64 {
+        self.len() as u64 * MASTER_ENTRY_WORDS
+    }
+
+    /// Enter meta-block `meta`, rooted at `block` whose root string has
+    /// metadata `root`, replacing any entry it had.
+    pub(crate) fn insert(
+        &mut self,
+        meta: MetaRef,
+        root: &RootMeta,
+        block: BlockRef,
+        parent: Option<MetaRef>,
+    ) {
+        self.remove(meta);
+        let slot = self.index.insert(IndexEntry {
+            depth: root.depth,
+            pre_hash: root.pre_hash,
+            rem: root.rem.clone(),
+            s_last: root.s_last.clone(),
+            target: MasterTarget {
+                block,
+                meta,
+                parent,
+            },
+        });
+        self.slot_of.insert(meta, slot);
+    }
+
+    /// Forget a dropped meta-block.
+    pub(crate) fn remove(&mut self, meta: MetaRef) {
+        if let Some(slot) = self.slot_of.remove(&meta) {
+            self.index.remove(slot);
+        }
+    }
+
+    /// The entry of `meta`.
+    pub(crate) fn get(&self, meta: MetaRef) -> Option<&IndexEntry<MasterTarget>> {
+        self.index.get(*self.slot_of.get(&meta)?)
+    }
+
+    /// The parent of `meta` in the meta-block tree.
+    pub(crate) fn parent(&self, meta: MetaRef) -> Option<MetaRef> {
+        self.get(meta)?.target.parent
+    }
+
+    /// Re-hang `meta` under `parent` (a meta split carried it).
+    pub(crate) fn set_parent(&mut self, meta: MetaRef, parent: MetaRef) {
+        if let Some(&slot) = self.slot_of.get(&meta) {
+            if let Some(t) = self.index.target_mut(slot) {
+                t.parent = Some(parent);
+            }
+        }
+    }
+
+    /// Drop everything (the modules were reset).
+    pub(crate) fn clear(&mut self) {
+        *self = MasterTable::new(self.index.width());
+    }
 }
 
 struct Held {
@@ -80,6 +193,11 @@ impl ResidentMeta {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.copies.is_empty()
+    }
+
+    /// Number of copies held.
+    pub(crate) fn len(&self) -> usize {
+        self.copies.len()
     }
 
     /// The resident copy of `mref`, if there is one.
@@ -176,5 +294,29 @@ mod tests {
         assert_eq!(r.words(), 25);
         assert_eq!(r.clear(), 1);
         assert!(r.is_empty() && r.words() == 0);
+    }
+
+    #[test]
+    fn master_table_keeps_one_entry_per_meta_block() {
+        let h = PolyHasher::with_seed(1);
+        let mut t = MasterTable::new(HashWidth::FULL);
+        let root = crate::build::root_meta(&h, &BitStr::new());
+        let deep = crate::build::root_meta(&h, &BitStr::from_bin_str("0110"));
+        let block = |slot| BlockRef { module: 0, slot };
+        t.insert(mref(0), &root, block(0), None);
+        t.insert(mref(1), &deep, block(1), Some(mref(0)));
+        // re-entering a meta-block replaces its entry
+        t.insert(mref(1), &deep, block(2), Some(mref(0)));
+        assert_eq!((t.len(), t.words()), (2, 2 * MASTER_ENTRY_WORDS));
+        assert_eq!(
+            t.get(mref(1)).map(|e| (e.depth, e.target.block)),
+            Some((4, block(2)))
+        );
+        t.set_parent(mref(1), mref(3));
+        assert_eq!(t.parent(mref(1)), Some(mref(3)));
+        t.remove(mref(1));
+        assert!(t.get(mref(1)).is_none() && t.index().len() == 1);
+        t.clear();
+        assert_eq!((t.len(), t.index().len()), (0, 0));
     }
 }

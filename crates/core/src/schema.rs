@@ -347,8 +347,10 @@ wire_schema! {
         // tag 18 is retired
         19: SetParent { slot, parent } => 2,
         20: SetBlockMeta { slot, meta, meta_slot } => 3,
-        21: AddMetaNodes { slot, parent_node, nodes, parents, node_slots: deltas(NODE_SLOT) } => {
-            2 + nodes.len() as u64 * 9 + node_slots.len() as u64
+        21: AddMetaNodes {
+            slot, parent_node, nodes, parents, node_slots: deltas(NODE_SLOT), relink
+        } => {
+            2 + nodes.len() as u64 * 9 + node_slots.len() as u64 + relink.len() as u64 * 2
         },
         22: RemoveMetaNode { slot, node } => 2,
         23: SetMetaParent { slot, parent } => 2,

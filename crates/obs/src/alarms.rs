@@ -42,7 +42,8 @@ pub enum Threshold {
     /// `c · ⌈log₂ P⌉` — the paper's `O(log P)` round bound (Table 1) with
     /// its constant written out, `P` being the window's module count. A
     /// descent that grows with `log n` instead crosses it as the index
-    /// grows; one the host's resident top levels keep short does not.
+    /// grows; one through the host's master table (at most one round)
+    /// does not.
     DescentRoundsAbove(u64),
 }
 
@@ -201,11 +202,12 @@ pub const BALANCE_MIN_WORDS_PER_MODULE: u64 = 64;
 /// so the stock board is silent there; a Zipf batch on a
 /// range-partitioned layout (balance 4+) or an overloaded queue (69 %
 /// shed) crosses immediately.
-/// [`Threshold::DescentRoundsAbove`] is not on it: the descent still
-/// costs `height − resident levels` rounds, which a healthy run past
-/// `n ≈ 500 k` at `P = 64` (or any quick `P = 8` run) takes above
-/// `⌈log₂ P⌉`, so it is a monitor to install where that bound is the
-/// question, not a stock alarm.
+/// [`Threshold::DescentRoundsAbove`] is not on it: the host matches
+/// every batch against its master table and sends one `match.meta` round
+/// straight to the deepest meta-blocks, so a healthy descent takes at
+/// most one round at any `n` and the alarm could only fire on a broken
+/// index. It is a monitor to install where that bound is the question,
+/// not a stock alarm.
 pub fn default_board() -> AlarmBoard {
     AlarmBoard::new(vec![
         AlarmSpec {
@@ -282,7 +284,7 @@ mod tests {
     /// `uniform-read` at P = 64, n = 131 072: the meta-block tree is 8
     /// levels high. Walking all of them by IO (every commit before the
     /// host held the top) is 8 > 1 · ⌈log₂ 64⌉ = 6 rounds; with levels
-    /// 0–2 resident the descent is 5.
+    /// 0–2 resident it was 5, and through the master table it is 1.
     #[test]
     fn descent_rounds_fire_past_log_p() {
         let mut b = AlarmBoard::new(vec![AlarmSpec {

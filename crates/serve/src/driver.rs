@@ -85,7 +85,12 @@ pub fn run_closed_loop(server: &mut Server, scripts: &[ClientScript]) -> ServeRe
     let max_iters = 10_000_000u64;
     let mut iters = 0u64;
 
-    let mut outcomes: BTreeMap<(usize, usize), Outcome> = BTreeMap::new();
+    // (client, op) → outcome, in delivery order; each pair is delivered
+    // once. Collected into the report's map at the end, which sorts them
+    // first: a map built from sorted pairs fills its nodes, one filled in
+    // delivery order leaves them about a third empty, and callers keep
+    // every report.
+    let mut outcomes: Vec<((usize, usize), Outcome)> = Vec::new();
     let mut clients: Vec<ClientState> = scripts
         .iter()
         .map(|s| ClientState {
@@ -107,7 +112,7 @@ pub fn run_closed_loop(server: &mut Server, scripts: &[ClientScript]) -> ServeRe
         for (c, st) in clients.iter_mut().enumerate() {
             if let Some(id) = st.pending {
                 if let Some((finish, out)) = server.outcome(id) {
-                    outcomes.insert((c, st.next), out.clone());
+                    outcomes.push(((c, st.next), out.clone()));
                     let finish = *finish;
                     st.pending = None;
                     st.next += 1;
@@ -184,7 +189,7 @@ pub fn run_closed_loop(server: &mut Server, scripts: &[ClientScript]) -> ServeRe
     });
 
     ServeReport {
-        outcomes,
+        outcomes: outcomes.into_iter().collect(),
         stats: server.stats().clone(),
         latency,
         violations: server.violations(),

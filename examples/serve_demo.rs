@@ -41,11 +41,12 @@ fn main() {
 
     // Mid-run chaos: one of the 16 modules stops answering, so requests
     // for keys stored there fail with a typed, module-naming error
-    // while everyone else keeps being served.
+    // while everyone else keeps being served. The run takes about 950
+    // fault-clock rounds; the jam starts in its last fifth.
     srv.trie_mut()
         .install_faults(FaultPlan::new(13).with_jam(JamSpec {
             module: 5,
-            from_round: 3_000,
+            from_round: 800,
         }));
 
     let rep = run_closed_loop(&mut srv, &scripts);
