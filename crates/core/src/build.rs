@@ -245,7 +245,7 @@ impl PimTrie {
         };
         out.push(mm as usize, None, req);
         self.place("bootstrap", out)?;
-        self.master.insert(meta, &rm, block, None);
+        self.master.insert(meta, &rm, block);
         self.root_block = block;
         self.root_meta = meta;
         Ok(())
@@ -632,13 +632,8 @@ impl PimTrie {
             }
             for (pi, plan) in job.plans.iter().enumerate() {
                 let me = at[pi];
-                // a replaced root plan keeps its root block and parent
                 let root = &job.tree[plan.root];
-                let in_tree = match job.replace_root_at.filter(|_| pi == job.root_plan) {
-                    Some(r) => self.master.parent(r),
-                    None => parent[pi],
-                };
-                self.master.insert(me, &root.meta, root.block, in_tree);
+                self.master.insert(me, &root.meta, root.block);
                 let extra = job.extra.iter().filter(|(x, _)| *x == pi).map(|(_, c)| c);
                 let msg = plan_to_msg(&job.tree, &job.plans, plan, at, parent[pi], extra);
                 let req = if pi == job.root_plan && job.replace_root_at.is_some() {
@@ -658,7 +653,6 @@ impl PimTrie {
                 }
             }
             for (pi, child) in &job.extra {
-                self.master.set_parent(child.mref, at[*pi]);
                 let req = Req::SetMetaParent {
                     slot: child.mref.slot,
                     parent: Some(at[*pi]),

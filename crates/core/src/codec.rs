@@ -358,7 +358,7 @@ pub(crate) mod tests {
     use crate::module::{
         BlockDataOut, BlockNodeResult, DescendOut, EntrySummary, GraftMsg, MetaChildInfo,
         MetaFullNode, MetaFullOut, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp,
-        RootMatch, RootMatchTarget,
+        RootMatch,
     };
     use crate::wire_guard::seal_crc;
     use pim_sim::Wire;
@@ -609,23 +609,17 @@ pub(crate) mod tests {
     /// One sample of every `Resp` variant, in tag order (`Value` twice:
     /// `Some` and `None`).
     pub(crate) fn resp_samples() -> Vec<Resp> {
-        let target = RootMatchTarget {
-            block: bref(1, 2),
-            descend: Some(mref(2, 2)),
-        };
         vec![
             Resp::Matches(vec![
                 RootMatch {
                     qt_below: 4,
                     depth: 100,
                     block: bref(0, 1),
-                    descend: None,
                 },
                 RootMatch {
                     qt_below: 6,
                     depth: 164,
                     block: bref(0, 2),
-                    descend: Some(mref(1, 1)),
                 },
             ]),
             Resp::BlockResults {
@@ -646,7 +640,7 @@ pub(crate) mod tests {
                     pre_hash: HashVal(9),
                     rem: bits("0101"),
                     s_last: bits("01010101"),
-                    target,
+                    target: bref(1, 2),
                 }],
             },
             Resp::BlockData(BlockDataOut {
@@ -763,10 +757,14 @@ pub(crate) mod tests {
     /// words, three blocks and one meta-block) and `BadSlot` (tag 17) are
     /// new. `BlockResults` gained its `values` list (6 → 9 words: a length
     /// word and one `(tag, value)` pair; 67 → 100 bits: the presence bit,
-    /// the length, tag 7 and value 1234 as varints).
+    /// the length, tag 7 and value 1234 as varints). `RootMatch` and
+    /// `EntrySummary` lost their `descend` field: `Matches` keeps its 7
+    /// words (114 → 96 bits: per match the presence bit, and for the
+    /// second the `MetaRef`), `MetaSummary` drops 7 → 6 words (173 → 156
+    /// bits).
     #[rustfmt::skip]
     const RESP_GOLDEN: [(u64, u64); 18] = [
-        (7, 114), (9, 100), (7, 173), (26, 419),
+        (7, 96), (9, 100), (6, 156), (26, 419),
         (18, 403), (5, 49), (1, 16), (2, 17),
         (24, 236), (4, 49), (2, 25), (2, 9),
         (1, 8), (1, 8), (1, 8), (1, 16),
@@ -825,7 +823,6 @@ pub(crate) mod tests {
                 qt_below: 3,
                 depth: 96,
                 block: bref(0, 1),
-                descend: None,
             };
             8
         ]);

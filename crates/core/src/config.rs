@@ -55,8 +55,8 @@ pub struct PimTrieConfig {
 impl PimTrieConfig {
     /// The paper's parameter choices for `p` modules: `K_B = log² P`,
     /// `K_SMB = log² P`, push threshold `log⁴ P`.
+    /// [`PimTrieConfig::validate`] refuses `p = 0`.
     pub fn for_modules(p: usize) -> Self {
-        assert!(p >= 1);
         let lg = ceil_log2(p.max(2));
         let lg2 = (lg * lg).max(16);
         PimTrieConfig {
@@ -123,8 +123,8 @@ impl PimTrieConfig {
     }
 
     /// Override the block size bound `K_B` (ablation experiments).
+    /// [`PimTrieConfig::validate`] refuses one below 8 words.
     pub fn with_k_b(mut self, k_b: u64) -> Self {
-        assert!(k_b >= 8, "K_B below 8 words is degenerate");
         self.k_b = k_b;
         self
     }
@@ -191,6 +191,17 @@ mod tests {
         assert!(c.validate().is_err());
         let c = PimTrieConfig::for_modules(8).with_fault_tolerance(true);
         assert!(c.fault_tolerance && c.validate().is_ok());
+    }
+
+    #[test]
+    fn degenerate_builders_fail_try_new_with_bad_config() {
+        for cfg in [
+            PimTrieConfig::for_modules(8).with_k_b(4),
+            PimTrieConfig::for_modules(0),
+        ] {
+            let r = crate::PimTrie::try_new(cfg);
+            assert!(matches!(r, Err(PimTrieError::BadConfig(_))));
+        }
     }
 
     #[test]

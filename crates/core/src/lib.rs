@@ -289,8 +289,8 @@ impl PimTrie {
         self.master.len()
     }
 
-    /// Host words the master table holds, seven an entry (an entry
-    /// summary's six and the parent): `O(n / (K_B · K_SMB))`.
+    /// Host words the master table holds, six an entry (an entry
+    /// summary's five and the meta-block): `O(n / (K_B · K_SMB))`.
     pub fn master_words(&self) -> u64 {
         self.master.words()
     }
@@ -368,7 +368,7 @@ impl PimTrie {
                 && live.iter().zip(index.iter()).all(|(l, (_, h))| {
                     (l.depth, l.pre_hash, &l.rem, &l.s_last)
                         == (h.depth, h.pre_hash, &h.rem, &h.s_last)
-                        && (l.target.block, l.target.descend) == (h.target.block, h.target.descend)
+                        && l.target == h.target
                 });
             if !same {
                 issues.push(format!("resident copy of {mref:?} is stale"));
@@ -539,7 +539,6 @@ impl PimTrie {
                             == (r.depth, r.pre_hash, &r.rem, &r.s_last)
                             && e.target.block == block
                             && e.target.meta == mref
-                            && e.target.parent == mb.parent
                     }
                     _ => false,
                 };

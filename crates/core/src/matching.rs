@@ -394,7 +394,6 @@ impl PimTrie {
                 qt_below,
                 depth,
                 block,
-                descend: Some(meta),
             };
             if found.accept(m) {
                 targets.push((meta, (qt_below, depth)));
@@ -800,32 +799,23 @@ impl PimTrie {
         Ok(())
     }
 
-    /// The missing targets of a meta round the resident set takes: the
-    /// root meta-block, and any whose parent is resident or taken in the
-    /// same round — shallowest root first, so a parent is decided before
-    /// its children — while the copies held and taken fit the word budget
-    /// at the `K_SMB`-entry bound each. A target refused here is refused
-    /// again next batch unless the tree or the held set changed, so a
-    /// repeated batch pulls nothing.
+    /// The missing targets of a meta round the resident set takes,
+    /// shallowest root first, while the copies held and taken fit the word
+    /// budget at the `K_SMB`-entry bound each. A target refused here is
+    /// refused again next batch unless the tree or the held set changed,
+    /// so a repeated batch pulls nothing.
     fn plan_fills(&self, missing: impl Iterator<Item = MetaRef>) -> BTreeSet<MetaRef> {
         let per = self.cfg.k_smb as u64 * ENTRY_WORDS;
-        let budget = self.cfg.resident_meta_words();
+        let room = (self.cfg.resident_meta_words() / per) as usize;
         let mut order: Vec<(u64, MetaRef)> = missing
             .map(|t| (self.master.get(t).map_or(u64::MAX, |e| e.depth), t))
             .collect();
         order.sort_unstable();
-        let mut fills = BTreeSet::new();
-        let mut held = self.resident.len() as u64;
-        for (_, target) in order {
-            let parent_held = |pm: MetaRef| self.resident.get(pm).is_some() || fills.contains(&pm);
-            let eligible =
-                target == self.root_meta || self.master.parent(target).is_some_and(parent_held);
-            if eligible && (held + 1).saturating_mul(per) <= budget {
-                held += 1;
-                fills.insert(target);
-            }
-        }
-        fills
+        order
+            .into_iter()
+            .take(room.saturating_sub(self.resident.len()))
+            .map(|(_, t)| t)
+            .collect()
     }
 }
 
@@ -846,8 +836,7 @@ fn match_pieces(
                 .map(|m| RootMatch {
                     qt_below: m.qt_below,
                     depth: m.depth,
-                    block: m.target.block,
-                    descend: m.target.descend,
+                    block: m.target,
                 }),
         );
     }

@@ -68,7 +68,7 @@ impl DataBlock {
 pub enum LocalTarget {
     /// One of this meta-block's own meta nodes.
     Own(u32),
-    /// The root of the `i`-th child meta-block (descend for deeper roots).
+    /// The root of the `i`-th child meta-block.
     Child(u32),
 }
 
@@ -179,9 +179,6 @@ pub struct RootMatch {
     pub depth: u64,
     /// The matched block.
     pub block: BlockRef,
-    /// Meta-block to descend into for deeper roots, if this match is a
-    /// meta-block's root.
-    pub descend: Option<MetaRef>,
 }
 
 /// Result of bit-exact in-block matching for one query-piece node.
@@ -216,17 +213,8 @@ pub struct EntrySummary {
     pub rem: BitStr,
     /// See [`IndexEntry`].
     pub s_last: BitStr,
-    /// Resolved match payload.
-    pub target: RootMatchTarget,
-}
-
-/// Target info carried by a pulled entry summary.
-#[derive(Clone, Copy, Debug)]
-pub struct RootMatchTarget {
-    /// The block.
-    pub block: BlockRef,
-    /// Descend target, if any.
-    pub descend: Option<MetaRef>,
+    /// The block whose root the entry describes.
+    pub target: BlockRef,
 }
 
 /// Requests the host can send to a module in one round.
@@ -1176,31 +1164,25 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
 #[derive(Debug)]
 pub(crate) struct DanglingNode(pub u32);
 
-/// What an index entry of `mb` resolves to: one of its own blocks, or a
-/// child meta-block's root block plus the child to descend into.
-fn resolve_target(mb: &MetaBlock, t: LocalTarget) -> Result<RootMatchTarget, DanglingNode> {
+/// The block an index entry of `mb` describes: one of its own blocks, or
+/// a child meta-block's root block.
+fn resolve_target(mb: &MetaBlock, t: LocalTarget) -> Result<BlockRef, DanglingNode> {
     Ok(match t {
-        LocalTarget::Own(ns) => RootMatchTarget {
-            block: mb.nodes.get(ns).ok_or(DanglingNode(ns))?.block,
-            descend: None,
-        },
+        LocalTarget::Own(ns) => mb.nodes.get(ns).ok_or(DanglingNode(ns))?.block,
         LocalTarget::Child(ci) => {
-            let c = mb.children.get(ci as usize).ok_or(DanglingNode(ci))?;
-            RootMatchTarget {
-                block: c.root_block,
-                descend: Some(c.mref),
-            }
+            mb.children
+                .get(ci as usize)
+                .ok_or(DanglingNode(ci))?
+                .root_block
         }
     })
 }
 
 fn meta_match(mb: &MetaBlock, m: &PieceMatch<LocalTarget>) -> Result<RootMatch, DanglingNode> {
-    let t = resolve_target(mb, m.target)?;
     Ok(RootMatch {
         qt_below: m.qt_below,
         depth: m.depth,
-        block: t.block,
-        descend: t.descend,
+        block: resolve_target(mb, m.target)?,
     })
 }
 

@@ -440,19 +440,16 @@ impl PimTrie {
     ///
     /// 1. `subtree.fetch` — the piece below each anchor, and the
     ///    meta-block describing the anchor's block;
-    /// 2. `subtree.fetch+list` — the anchor pieces' child blocks are
-    ///    fetched, and that meta-block lists the blocks under the prefix
-    ///    and the child meta-blocks that may describe more;
+    /// 2. `subtree.fetch+list` — that meta-block lists the blocks under
+    ///    the prefix and the child meta-blocks that may describe more;
     /// 3. every listed block is fetched and every named child meta-block
-    ///    listed, in one round, until the pieces below the anchors are
-    ///    all in.
+    ///    listed, in one round, until no list is outstanding and every
+    ///    listed block has been asked for.
     ///
-    /// Each round also fetches every child block of a piece in hand that
-    /// no list produced, so the schedule never takes more rounds than
-    /// the block tree is deep, and a listing that misses a block (a
-    /// meta-block the lists did not reach) costs rounds, never keys.
-    /// Assembly ends as soon as no piece names a block not in hand; the
-    /// pieces are then spliced top-down from the anchors.
+    /// Meta links follow the block tree, so the lists name every block
+    /// under the prefix; an anchor piece that names no child block needs
+    /// no list. The pieces are then spliced top-down from the anchors,
+    /// and a child block no list named is a protocol error.
     fn assemble_subtrees(
         &mut self,
         jobs: &[(BitStr, Anchor)],
@@ -483,7 +480,7 @@ impl PimTrie {
             out.push(a.block.module as usize, Tag::Anchor(j), req);
         }
         let mut name = "subtree.fetch";
-        // each round asks for a block it never asked for before
+        // each round sends a list or asks for a block it never sent before
         for _ in 0..100_000 {
             for (_, tag, resp) in self.rounds(name, out)? {
                 match (tag, resp) {
@@ -493,8 +490,9 @@ impl PimTrie {
                     }
                     (Tag::Anchor(j), resp) => {
                         let (piece, meta) = Piece::from_resp(resp)?;
-                        lists.extend(meta.map(|m| (m, j)));
-                        pieces.reach(piece.child_blocks().collect())?;
+                        if !piece.children.is_empty() {
+                            lists.extend(meta.map(|m| (m, j)));
+                        }
                         // an anchor at a block root is the whole block
                         let a = jobs[j].1;
                         if a.node == NodeId::ROOT.0 && a.off == 0 && pieces.ask(a.block)? {
@@ -506,12 +504,14 @@ impl PimTrie {
                     _ => return Err(unexpected("subtree")),
                 }
             }
-            // a block reached before it was asked for this round is in hand
-            let frontier: Vec<BlockRef> = std::mem::take(&mut pieces.frontier)
-                .into_iter()
-                .filter(|b| !pieces.asked(b))
-                .collect();
-            if frontier.is_empty() {
+            lists.retain(|l| !lists_sent.contains(l));
+            let mut fetch = Vec::new();
+            for b in std::mem::take(&mut listed) {
+                if pieces.ask(b)? {
+                    fetch.push(b);
+                }
+            }
+            if lists.is_empty() && fetch.is_empty() {
                 return jobs
                     .iter()
                     .zip(&anchors)
@@ -521,17 +521,13 @@ impl PimTrie {
                     })
                     .collect();
             }
-            lists.retain(|l| !lists_sent.contains(l));
             name = if lists.is_empty() {
                 "subtree.fetch"
             } else {
                 "subtree.fetch+list"
             };
             out = Scatter::new(p);
-            for b in std::mem::take(&mut listed).into_iter().chain(frontier) {
-                if !pieces.ask(b)? {
-                    continue;
-                }
+            for b in fetch {
                 let req = Req::FetchSubtree {
                     slot: b.slot,
                     node: NodeId::ROOT.0,
@@ -1438,29 +1434,20 @@ impl Piece {
         };
         Ok((piece, meta))
     }
-
-    /// The child blocks its mirror leaves name.
-    fn child_blocks(&self) -> impl Iterator<Item = BlockRef> + '_ {
-        self.children.iter().map(|(_, b)| *b)
-    }
 }
 
-/// The blocks of one SubtreeQuery batch: which were asked for, their
-/// pieces once in hand, and which the anchors reach — a block is reached
-/// when a reached piece (an anchor's, to begin with) names it as a child.
+/// The blocks of one SubtreeQuery batch: which were asked for, and their
+/// pieces once in hand.
 struct Pieces {
     /// per module, per block slot the host gave out: index into `held`
     index: Vec<Vec<u32>>,
     held: Vec<Held>,
-    /// reached blocks not asked for when they were reached
-    frontier: Vec<BlockRef>,
 }
 
 /// What a SubtreeQuery batch knows of one block.
 #[derive(Default)]
 struct Held {
     asked: bool,
-    reached: bool,
     piece: Option<Piece>,
 }
 
@@ -1470,7 +1457,6 @@ impl Pieces {
         Pieces {
             index: bounds.map(|b| vec![u32::MAX; b as usize]).collect(),
             held: Vec::new(),
-            frontier: Vec::new(),
         }
     }
 
@@ -1489,17 +1475,9 @@ impl Pieces {
         Ok(&mut self.held[*i as usize])
     }
 
-    fn find(&self, b: &BlockRef) -> Option<&Held> {
-        let i = *self.index.get(b.module as usize)?.get(b.slot as usize)?;
-        self.held.get(i as usize)
-    }
-
     fn get(&self, b: &BlockRef) -> Option<&Piece> {
-        self.find(b)?.piece.as_ref()
-    }
-
-    fn asked(&self, b: &BlockRef) -> bool {
-        self.find(b).is_some_and(|h| h.asked)
+        let i = *self.index.get(b.module as usize)?.get(b.slot as usize)?;
+        self.held.get(i as usize)?.piece.as_ref()
     }
 
     /// Mark `b` asked for; false if it already was.
@@ -1507,33 +1485,10 @@ impl Pieces {
         Ok(!std::mem::replace(&mut self.entry(b)?.asked, true))
     }
 
-    /// Reach `blocks` and, through the pieces in hand, every block below
-    /// them; one neither in hand nor asked for joins the frontier.
-    fn reach(&mut self, mut blocks: Vec<BlockRef>) -> Result<(), PimTrieError> {
-        while let Some(b) = blocks.pop() {
-            let h = self.entry(b)?;
-            if std::mem::replace(&mut h.reached, true) {
-                continue;
-            }
-            match &h.piece {
-                Some(piece) => blocks.extend(piece.child_blocks()),
-                None if !h.asked => self.frontier.push(b),
-                None => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// Hold block `b`'s piece; reach its children if `b` is reached.
+    /// Hold block `b`'s piece.
     fn add(&mut self, b: BlockRef, piece: Piece) -> Result<(), PimTrieError> {
-        let h = self.entry(b)?;
-        let below = if h.reached {
-            piece.child_blocks().collect()
-        } else {
-            Vec::new()
-        };
-        h.piece = Some(piece);
-        self.reach(below)
+        self.entry(b)?.piece = Some(piece);
+        Ok(())
     }
 }
 
@@ -1644,5 +1599,62 @@ fn collect_keys_below(
         for c in qt.node(id).children.iter().flatten() {
             stack.push(*c);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PimTrieConfig;
+
+    /// The lists name every block under a prefix, so assembly does not
+    /// look for a child block they left out: an anchor piece that names
+    /// one ends assembly with `Protocol`. Here a mirror under `0` is
+    /// re-pointed at a block rooted as deep under `1`, which a walk down
+    /// the mirrors would fetch and splice in without noticing.
+    #[test]
+    fn a_child_block_no_list_names_is_a_protocol_error() {
+        let keys = workloads::uniform_fixed(1 << 12, 64, 3);
+        let values: Vec<u64> = (0..keys.len() as u64).collect();
+        let mut t = PimTrie::build(PimTrieConfig::for_modules(8), &keys, &values);
+        let prefix = BitStr::from_bin_str("0");
+        let mt = t.match_batch(std::slice::from_ref(&prefix)).unwrap();
+        let anchor = mt.anchor_of[mt.qt.key_node[0].idx()].unwrap();
+        // a block's root depth and, for roots of 1–63 bits (`rem` holds
+        // them whole), the root's first bit
+        let root = |b: &BlockRef| {
+            let b = t.sys.module(b.module as usize).blocks.get(b.slot).unwrap();
+            (
+                b.root_depth,
+                (1..64).contains(&b.root_depth).then(|| b.rem.get(0)),
+            )
+        };
+        let all: Vec<BlockRef> = (0..t.sys.p() as u32)
+            .flat_map(|m| {
+                let blocks = &t.sys.module(m as usize).blocks;
+                blocks
+                    .iter()
+                    .map(move |(slot, _)| BlockRef { module: m, slot })
+            })
+            .collect();
+        let blocks = &t.sys.module(anchor.block.module as usize).blocks;
+        let mirrors = &blocks.get(anchor.block.slot).unwrap().mirrors;
+        let (node, other) = mirrors
+            .iter()
+            .filter(|(_, c)| root(c).1 == Some(false))
+            .find_map(|(n, c)| {
+                let twin = all.iter().find(|o| root(o) == (root(c).0, Some(true)))?;
+                Some((*n, *twin))
+            })
+            .unwrap();
+        let block = t
+            .sys
+            .module_mut(anchor.block.module as usize)
+            .blocks
+            .get_mut(anchor.block.slot)
+            .unwrap();
+        block.mirrors.insert(node, other);
+        let r = t.assemble_subtrees(&[(prefix, anchor)]);
+        assert!(matches!(r, Err(PimTrieError::Protocol(_))));
     }
 }

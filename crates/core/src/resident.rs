@@ -17,11 +17,11 @@
 //!   `FetchMeta` pull.
 //!
 //!   * **What is resident** is decided by a word budget
-//!     (`PimTrieConfig::resident_meta_words`), nearest the root first: a
-//!     missing target is taken when it is the root meta-block or its
-//!     parent (from the master table) is held or taken in the same
-//!     round, and the copies fit the budget at the `K_SMB`-entry bound
-//!     each.
+//!     (`PimTrieConfig::resident_meta_words`): the missing targets of a
+//!     match round are taken shallowest root first while the copies fit
+//!     the budget at the `K_SMB`-entry bound each. A target's parent
+//!     need not be held, since the master table sends pieces straight to
+//!     it.
 //!   * **Coherence** — the host authors every meta mutation, and each
 //!     outgoing request is classified
 //!     ([`Req::touches`](crate::module::Req::touches)) before dispatch; a
@@ -39,7 +39,7 @@
 
 use crate::build::RootMeta;
 use crate::hvm::{HashIndex, IndexEntry};
-use crate::module::{EntrySummary, RootMatchTarget};
+use crate::module::EntrySummary;
 use crate::refs::{BlockRef, MetaRef};
 use bitstr::hash::HashWidth;
 use pim_sim::Wire;
@@ -47,11 +47,11 @@ use std::collections::BTreeMap;
 
 /// Plain wire words of one pulled entry ([`EntrySummary`] in
 /// `crate::schema`) — the unit the budget and the admission estimate count.
-pub(crate) const ENTRY_WORDS: u64 = 6;
+pub(crate) const ENTRY_WORDS: u64 = 5;
 
 /// The index over one pulled meta-block's entries, resolving straight to
 /// the matched block.
-pub(crate) type MetaIndex = HashIndex<RootMatchTarget>;
+pub(crate) type MetaIndex = HashIndex<BlockRef>;
 
 /// Build the index the pull arm matches against.
 pub(crate) fn index_entries(entries: Vec<EntrySummary>, width: HashWidth) -> MetaIndex {
@@ -68,17 +68,16 @@ pub(crate) fn index_entries(entries: Vec<EntrySummary>, width: HashWidth) -> Met
     index
 }
 
-/// What a master-table entry resolves to: a meta-block, the block its
-/// root node describes, and its parent in the meta-block tree.
+/// What a master-table entry resolves to: a meta-block and the block its
+/// root node describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct MasterTarget {
     pub block: BlockRef,
     pub meta: MetaRef,
-    pub parent: Option<MetaRef>,
 }
 
 /// Host words of one master-table entry: an [`EntrySummary`]'s
-/// ([`ENTRY_WORDS`]) plus the parent.
+/// ([`ENTRY_WORDS`]) plus the meta-block.
 pub(crate) const MASTER_ENTRY_WORDS: u64 = ENTRY_WORDS + 1;
 
 /// Algorithm 4's master table, held on the host: one entry per meta-block,
@@ -118,24 +117,14 @@ impl MasterTable {
 
     /// Enter meta-block `meta`, rooted at `block` whose root string has
     /// metadata `root`, replacing any entry it had.
-    pub(crate) fn insert(
-        &mut self,
-        meta: MetaRef,
-        root: &RootMeta,
-        block: BlockRef,
-        parent: Option<MetaRef>,
-    ) {
+    pub(crate) fn insert(&mut self, meta: MetaRef, root: &RootMeta, block: BlockRef) {
         self.remove(meta);
         let slot = self.index.insert(IndexEntry {
             depth: root.depth,
             pre_hash: root.pre_hash,
             rem: root.rem.clone(),
             s_last: root.s_last.clone(),
-            target: MasterTarget {
-                block,
-                meta,
-                parent,
-            },
+            target: MasterTarget { block, meta },
         });
         self.slot_of.insert(meta, slot);
     }
@@ -150,20 +139,6 @@ impl MasterTable {
     /// The entry of `meta`.
     pub(crate) fn get(&self, meta: MetaRef) -> Option<&IndexEntry<MasterTarget>> {
         self.index.get(*self.slot_of.get(&meta)?)
-    }
-
-    /// The parent of `meta` in the meta-block tree.
-    pub(crate) fn parent(&self, meta: MetaRef) -> Option<MetaRef> {
-        self.get(meta)?.target.parent
-    }
-
-    /// Re-hang `meta` under `parent` (a meta split carried it).
-    pub(crate) fn set_parent(&mut self, meta: MetaRef, parent: MetaRef) {
-        if let Some(&slot) = self.slot_of.get(&meta) {
-            if let Some(t) = self.index.target_mut(slot) {
-                t.parent = Some(parent);
-            }
-        }
     }
 
     /// Drop everything (the modules were reset).
@@ -263,12 +238,9 @@ mod tests {
                 pre_hash: h.empty(),
                 rem: BitStr::from_u64(0, i),
                 s_last: BitStr::from_u64(0, i),
-                target: RootMatchTarget {
-                    block: BlockRef {
-                        module: 0,
-                        slot: i as u32,
-                    },
-                    descend: None,
+                target: BlockRef {
+                    module: 0,
+                    slot: i as u32,
                 },
             })
             .collect()
@@ -283,15 +255,15 @@ mod tests {
     fn fill_invalidate_and_clear_keep_the_word_count() {
         let mut r = ResidentMeta::default();
         let w = HashWidth::FULL;
-        assert_eq!(r.fill(mref(1), entries(3), w), 1 + 3 * 6);
-        assert_eq!(r.fill(mref(2), entries(5), w), 1 + 5 * 6);
-        assert_eq!(r.words(), 50);
+        assert_eq!(r.fill(mref(1), entries(3), w), 1 + 3 * 5);
+        assert_eq!(r.fill(mref(2), entries(5), w), 1 + 5 * 5);
+        assert_eq!(r.words(), 42);
         // re-filling replaces
         r.fill(mref(1), entries(4), w);
-        assert_eq!(r.words(), 56);
+        assert_eq!(r.words(), 47);
         assert_eq!(r.get(mref(1)).map(HashIndex::len), Some(4));
         assert!(r.invalidate(mref(2)) && !r.invalidate(mref(2)));
-        assert_eq!(r.words(), 25);
+        assert_eq!(r.words(), 21);
         assert_eq!(r.clear(), 1);
         assert!(r.is_empty() && r.words() == 0);
     }
@@ -303,17 +275,15 @@ mod tests {
         let root = crate::build::root_meta(&h, &BitStr::new());
         let deep = crate::build::root_meta(&h, &BitStr::from_bin_str("0110"));
         let block = |slot| BlockRef { module: 0, slot };
-        t.insert(mref(0), &root, block(0), None);
-        t.insert(mref(1), &deep, block(1), Some(mref(0)));
+        t.insert(mref(0), &root, block(0));
+        t.insert(mref(1), &deep, block(1));
         // re-entering a meta-block replaces its entry
-        t.insert(mref(1), &deep, block(2), Some(mref(0)));
+        t.insert(mref(1), &deep, block(2));
         assert_eq!((t.len(), t.words()), (2, 2 * MASTER_ENTRY_WORDS));
         assert_eq!(
             t.get(mref(1)).map(|e| (e.depth, e.target.block)),
             Some((4, block(2)))
         );
-        t.set_parent(mref(1), mref(3));
-        assert_eq!(t.parent(mref(1)), Some(mref(3)));
         t.remove(mref(1));
         assert!(t.get(mref(1)).is_none() && t.index().len() == 1);
         t.clear();

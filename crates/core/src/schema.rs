@@ -43,7 +43,6 @@ use crate::hvm::QueryPiece;
 use crate::module::{
     BlockDataOut, BlockNodeResult, DescendOut, EntrySummary, GraftMsg, MetaChildInfo, MetaFullNode,
     MetaFullOut, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp, RootMatch,
-    RootMatchTarget,
 };
 use crate::wire_guard::{Fingerprint, Fp};
 use pim_sim::{codec_stream as stream, CodecError, Dec, Enc, Wire};
@@ -208,7 +207,6 @@ wire_schema! {
         qt_below: delta(TAG),
         depth: delta(DEPTH),
         block,
-        descend,
     } words = 3;
 
     struct BlockNodeResult {
@@ -220,19 +218,14 @@ wire_schema! {
         redirect,
     } words = 5;
 
-    struct RootMatchTarget {
-        block,
-        descend,
-    };
-
-    // depth + hash + rem + s_last (≤ 1 word each) + target refs
+    // depth + hash + rem + s_last (≤ 1 word each) + the block
     struct EntrySummary {
         depth: delta(DEPTH),
         pre_hash,
         rem: shared(LABEL_REM),
         s_last: shared(LABEL_LAST),
         target,
-    } words = 6;
+    } words = 5;
 
     struct GraftMsg {
         anchor_node,

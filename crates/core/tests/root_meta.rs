@@ -138,8 +138,7 @@ fn resident_cfg(p: usize) -> PimTrieConfig {
 }
 
 /// Leading levels of the meta-block tree held whole, and its height. The
-/// resident set fills from the root down: a meta-block is taken only
-/// below a held parent.
+/// resident set fills shallowest root first.
 fn resident_levels(t: &PimTrie) -> (usize, usize) {
     let levels = t.meta_levels_debug();
     let whole = levels.iter().take_while(|(all, held)| all == held).count();
@@ -289,5 +288,41 @@ fn level_that_outgrows_the_budget_is_not_pulled_again() {
     assert!(whole >= 1 && whole < height, "{shape:?}");
     assert!(shape.iter().all(|s| s.2 <= 1), "{shape:?}");
     assert_eq!(descent, 1, "{shape:?}");
+    assert!(t.resident_stats().words_high_water <= budget);
+}
+
+/// The master table sends a piece straight to its deepest meta-block, so
+/// a copy of a deep meta-block is useful on its own: a one-key read whose
+/// deepest meta-block sits three levels down keeps it and the root, with
+/// nothing held in between. Churn then rewrites the top copies; the audit
+/// stays clean and the copies stay within the budget.
+#[test]
+fn deep_meta_block_is_filled_without_its_parent() {
+    let keys = workloads::uniform_fixed(1 << 12, 64, 11);
+    let values: Vec<u64> = (0..keys.len() as u64).collect();
+    let cfg = resident_cfg(8);
+    let budget = cfg.resident_meta_words();
+    let mut t = PimTrie::build(cfg, &keys, &values);
+    let held = |t: &PimTrie| -> Vec<usize> { t.meta_levels_debug().iter().map(|l| l.1).collect() };
+    assert!(held(&t).iter().all(|h| *h == 0), "{:?}", held(&t));
+    let fills = t.resident_stats().fills;
+    assert_eq!(t.get_batch(&keys[..1]), vec![Some(0)]);
+    assert_eq!(held(&t), vec![1, 0, 0, 1, 0, 0]);
+    assert_eq!(t.resident_stats().fills, fills + 2);
+
+    let probes = workloads::uniform_fixed(512, 64, 12);
+    let _ = t.lcp_batch(&probes);
+    for cycle in 0..4u64 {
+        let fresh = workloads::uniform_fixed(512, 64, 300 + cycle);
+        let before = t.resident_stats().clone();
+        t.insert_batch(&fresh, &vec![cycle; fresh.len()]);
+        assert!(
+            t.resident_stats().invalidations > before.invalidations,
+            "cycle {cycle} rewrote no resident meta-block"
+        );
+        let _ = t.lcp_batch(&probes);
+        assert_eq!(t.audit_debug(), Vec::<String>::new(), "cycle {cycle}");
+        assert!(t.resident_stats().words <= budget, "cycle {cycle}");
+    }
     assert!(t.resident_stats().words_high_water <= budget);
 }

@@ -51,8 +51,9 @@ fn assert_oracle(t: &mut PimTrie, oracle: &Trie, prefixes: &[BitStr]) {
     }
 }
 
-/// `(assemble rounds, assemble words)` of one traced subtree batch.
-fn assemble_cost(t: &mut PimTrie, prefixes: &[BitStr]) -> (u64, u64) {
+/// `(assemble rounds, assemble words, assemble module work)` of one
+/// traced subtree batch.
+fn assemble_cost(t: &mut PimTrie, prefixes: &[BitStr]) -> (u64, u64, u64) {
     t.enable_tracing();
     t.subtree_batch(prefixes);
     let tracer = t.system_mut().metrics_mut().take_tracer().unwrap();
@@ -60,19 +61,18 @@ fn assemble_cost(t: &mut PimTrie, prefixes: &[BitStr]) -> (u64, u64) {
         .phase_summaries()
         .iter()
         .filter(|s| s.op == "subtree" && s.phase == "subtree/assemble")
-        .fold((0, 0), |(r, w), s| (r + s.rounds, w + s.io_volume))
+        .fold((0, 0, 0), |(r, v, w), s| {
+            (
+                r + s.rounds,
+                v + s.io_volume,
+                w + s.work.iter().sum::<u64>(),
+            )
+        })
 }
 
-#[test]
-fn assembly_matches_the_oracle_in_four_rounds_before_and_after_churn() {
-    let (mut t, mut oracle) = build(PimTrieConfig::for_modules(P));
-    let ps = prefixes();
-    assert_oracle(&mut t, &oracle, &ps);
-    let (rounds, _) = assemble_cost(&mut t, &ps);
-    assert!(rounds <= 4, "fresh build: assembly took {rounds} rounds");
-
-    // churn: inserts re-cut blocks and split meta-blocks, deletes merge
-    // blocks away and re-hang child meta-blocks
+/// Inserts re-cut blocks and split meta-blocks, deletes merge blocks away
+/// and re-hang child meta-blocks.
+fn churn(t: &mut PimTrie, oracle: &mut Trie) {
     let fresh = workloads::uniform_fixed(N / 2, 64, 6);
     let values = values_from(1 << 20, fresh.len());
     t.insert_batch(&fresh, &values);
@@ -90,9 +90,53 @@ fn assembly_matches_the_oracle_in_four_rounds_before_and_after_churn() {
         oracle.delete(k.as_slice());
     }
     assert!(t.audit_debug().is_empty(), "{:?}", t.audit_debug());
+}
+
+#[test]
+fn assembly_matches_the_oracle_in_four_rounds_before_and_after_churn() {
+    let (mut t, mut oracle) = build(PimTrieConfig::for_modules(P));
+    let ps = prefixes();
     assert_oracle(&mut t, &oracle, &ps);
-    let (rounds, _) = assemble_cost(&mut t, &ps);
+    let (rounds, ..) = assemble_cost(&mut t, &ps);
+    assert!(rounds <= 4, "fresh build: assembly took {rounds} rounds");
+    churn(&mut t, &mut oracle);
+    assert_oracle(&mut t, &oracle, &ps);
+    let (rounds, ..) = assemble_cost(&mut t, &ps);
     assert!(rounds <= 4, "after churn: assembly took {rounds} rounds");
+}
+
+/// At `P = 8` (`K_SMB = 16`) a prefix's blocks span several meta-block
+/// levels, which the lists reach one level a round: six rounds after this
+/// churn. The lists name every block under a prefix, so each is fetched
+/// once per batch however many prefixes of the batch it lies under: a
+/// batch of the empty prefix and every `BITS`-bit prefix does, on the
+/// modules, at least the fetch work of every block below depth `BITS`
+/// less than the two batches apart.
+#[test]
+fn churned_multi_level_assembly_is_exact_and_fetches_each_block_once() {
+    let (mut t, mut oracle) = build(PimTrieConfig::for_modules(8));
+    churn(&mut t, &mut oracle);
+    let ps = prefixes();
+    assert_oracle(&mut t, &oracle, &ps);
+    let (rounds, ..) = assemble_cost(&mut t, &ps);
+    assert!(rounds <= 6, "assembly took {rounds} rounds");
+
+    let root = vec![BitStr::new()];
+    let nested: Vec<BitStr> = root.iter().chain(&ps).cloned().collect();
+    assert_oracle(&mut t, &oracle, &nested);
+    let apart = assemble_cost(&mut t, &root).2 + assemble_cost(&mut t, &ps).2;
+    let together = assemble_cost(&mut t, &nested).2;
+    let deep: u64 = t
+        .system()
+        .modules()
+        .flat_map(|m| m.blocks.iter())
+        .filter(|(_, b)| b.root_depth >= BITS as u64)
+        .map(|(_, b)| b.weight())
+        .sum();
+    assert!(
+        apart - together >= deep,
+        "{apart} apart, {together} together, {deep} below depth {BITS}"
+    );
 }
 
 #[test]
