@@ -565,16 +565,17 @@ pub(crate) struct PlaceJob {
     pub tree: Vec<ChunkNode>,
     pub plans: Vec<Plan>,
     pub root_plan: usize,
-    pub replace_root_at: Option<MetaRef>,
+    /// the meta-block the root plan replaces, in place
+    pub replace_root_at: MetaRef,
     /// surviving external children: (holding plan index, payload)
     pub extra: Vec<(usize, NewMetaChild)>,
 }
 
 impl PimTrie {
-    /// Address every plan of `jobs` on a random module and place them all
-    /// in one round. Each job may pin its root plan onto an existing
-    /// meta-block slot (rebuilds keep the chunk's address stable) and
-    /// carry surviving external child meta-blocks (plan index, payload
+    /// Place every plan of `jobs` in one round: each job's root plan
+    /// replaces, in place, the meta-block the job re-cuts (the chunk keeps
+    /// its address), and every other plan lands on a random module. A job
+    /// may carry surviving external child meta-blocks (plan index, payload
     /// with `under_node` as a chunk-node index). With every address known
     /// up front, each `PutMeta` carries its parent and children, and the
     /// same round points every covered block at its new meta node (node
@@ -610,15 +611,12 @@ impl PimTrie {
         for (_, ji, pi) in order {
             let job = &jobs[ji];
             let n = job.plans[pi].nodes.len() as u32;
-            at[ji][pi] = match job.replace_root_at.filter(|_| pi == job.root_plan) {
-                Some(r) => {
-                    self.addrs.refill(r, n);
-                    r
-                }
-                None => {
-                    let m = self.random_module();
-                    self.addrs.meta(m, n)
-                }
+            at[ji][pi] = if pi == job.root_plan {
+                self.addrs.refill(job.replace_root_at, n);
+                job.replace_root_at
+            } else {
+                let m = self.random_module();
+                self.addrs.meta(m, n)
             };
         }
 
@@ -636,7 +634,7 @@ impl PimTrie {
                 self.master.insert(me, &root.meta, root.block);
                 let extra = job.extra.iter().filter(|(x, _)| *x == pi).map(|(_, c)| c);
                 let msg = plan_to_msg(&job.tree, &job.plans, plan, at, parent[pi], extra);
-                let req = if pi == job.root_plan && job.replace_root_at.is_some() {
+                let req = if pi == job.root_plan {
                     Req::ReplaceMeta { slot: me.slot, msg }
                 } else {
                     Req::PutMeta { slot: me.slot, msg }

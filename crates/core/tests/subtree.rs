@@ -4,7 +4,7 @@
 //! level. Answers are checked against the sequential trie.
 
 use bitstr::BitStr;
-use pim_trie::{FaultPlan, PimTrie, PimTrieConfig};
+use pim_trie::{BlockRef, FaultPlan, MetaRef, PimTrie, PimTrieConfig};
 use trie_core::Trie;
 
 /// The benchmark's module count. Its `K_SMB = 36` meta nodes per
@@ -70,6 +70,59 @@ fn assemble_cost(t: &mut PimTrie, prefixes: &[BitStr]) -> (u64, u64, u64) {
         })
 }
 
+/// `s`: the most meta-blocks one chain of the meta-block tree crosses
+/// from the meta-block of a prefix's anchor block down to the deepest
+/// block under the prefix. Assembly lists one of them a round, after the
+/// anchor fetch, and fetches the last one's blocks a round later: at most
+/// `s + 2` rounds. Block root strings are rebuilt down the mirrors.
+fn meta_levels(t: &PimTrie, prefixes: &[BitStr]) -> u64 {
+    let sys = t.system();
+    let meta_depth = |mut m: MetaRef| {
+        let mut d = 1;
+        while let Some(p) = sys
+            .module(m.module as usize)
+            .metas
+            .get(m.slot)
+            .unwrap()
+            .parent
+        {
+            (d, m) = (d + 1, p);
+        }
+        d
+    };
+    let root = (0..)
+        .zip(sys.modules())
+        .find_map(|(module, m)| {
+            let (slot, _) = m.blocks.iter().find(|(_, b)| b.parent.is_none())?;
+            Some(BlockRef { module, slot })
+        })
+        .unwrap();
+    // (root string, meta-block depth) of every block
+    let mut blocks = Vec::new();
+    let mut stack = vec![(root, BitStr::new())];
+    while let Some((b, s)) = stack.pop() {
+        let b = sys.module(b.module as usize).blocks.get(b.slot).unwrap();
+        for (n, c) in &b.mirrors {
+            stack.push((*c, s.concat(&b.trie.node_string(*n))));
+        }
+        blocks.push((s, meta_depth(b.meta.unwrap().0)));
+    }
+    prefixes
+        .iter()
+        .map(|p| {
+            // the anchor's block: the deepest one rooted on the prefix's path
+            let (_, anchor) = blocks
+                .iter()
+                .filter(|(r, _)| p.starts_with(r))
+                .max_by_key(|(r, _)| r.len())
+                .unwrap();
+            let below = blocks.iter().filter(|(r, _)| r.starts_with(p));
+            below.map(|(_, d)| *d).max().unwrap_or(*anchor) - anchor + 1
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Inserts re-cut blocks and split meta-blocks, deletes merge blocks away
 /// and re-hang child meta-blocks.
 fn churn(t: &mut PimTrie, oracle: &mut Trie) {
@@ -106,12 +159,12 @@ fn assembly_matches_the_oracle_in_four_rounds_before_and_after_churn() {
 }
 
 /// At `P = 8` (`K_SMB = 16`) a prefix's blocks span several meta-block
-/// levels, which the lists reach one level a round: six rounds after this
-/// churn. The lists name every block under a prefix, so each is fetched
-/// once per batch however many prefixes of the batch it lies under: a
-/// batch of the empty prefix and every `BITS`-bit prefix does, on the
-/// modules, at least the fetch work of every block below depth `BITS`
-/// less than the two batches apart.
+/// levels (`s = 4` after this churn), which the lists reach one level a
+/// round: `s + 2` rounds. The lists name every block under a prefix, so
+/// each is fetched once per batch however many prefixes of the batch it
+/// lies under: a batch of the empty prefix and every `BITS`-bit prefix
+/// does, on the modules, at least the fetch work of every block below
+/// depth `BITS` less than the two batches apart.
 #[test]
 fn churned_multi_level_assembly_is_exact_and_fetches_each_block_once() {
     let (mut t, mut oracle) = build(PimTrieConfig::for_modules(8));
@@ -119,7 +172,12 @@ fn churned_multi_level_assembly_is_exact_and_fetches_each_block_once() {
     let ps = prefixes();
     assert_oracle(&mut t, &oracle, &ps);
     let (rounds, ..) = assemble_cost(&mut t, &ps);
-    assert!(rounds <= 6, "assembly took {rounds} rounds");
+    let s = meta_levels(&t, &ps);
+    assert!(s >= 3, "the prefixes span only {s} meta-block levels");
+    assert!(
+        rounds <= s + 2,
+        "assembly took {rounds} rounds over {s} levels"
+    );
 
     let root = vec![BitStr::new()];
     let nested: Vec<BitStr> = root.iter().chain(&ps).cloned().collect();
@@ -137,6 +195,26 @@ fn churned_multi_level_assembly_is_exact_and_fetches_each_block_once() {
         apart - together >= deep,
         "{apart} apart, {together} together, {deep} below depth {BITS}"
     );
+}
+
+/// Prefixes of about one key each mostly anchor in a piece that names
+/// no child block, and otherwise in one whose child blocks hold the
+/// rest: the list sent beside those children names nothing more, so
+/// assembly ends after the children arrive. A list that also named the
+/// blocks and child meta-blocks its stored bits could not rule out took
+/// a third round here.
+#[test]
+fn one_key_prefixes_assemble_in_two_rounds() {
+    let (mut t, oracle) = build(PimTrieConfig::for_modules(32));
+    let keys: Vec<BitStr> = oracle.items().into_iter().map(|(k, _)| k).collect();
+    let ps: Vec<BitStr> = keys
+        .iter()
+        .step_by(16)
+        .map(|k| k.slice(0..16).to_bitstr())
+        .collect();
+    assert_oracle(&mut t, &oracle, &ps);
+    let (rounds, ..) = assemble_cost(&mut t, &ps);
+    assert!(rounds <= 2, "assembly took {rounds} rounds");
 }
 
 #[test]

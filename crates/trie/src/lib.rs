@@ -16,9 +16,6 @@
 //! * [`partition`] — the weighted tree-partitioning of §4.2 (base nodes on
 //!   weight-prefix-sum boundaries plus LCAs of adjacent base nodes) and the
 //!   decomposition of a trie into stand-alone blocks with mirror roots.
-//! * [`treefix`] — rootfix/leaffix sweeps (top-down and bottom-up
-//!   aggregation along tree paths), used for node hashing, nearest-marked-
-//!   ancestor computation, and the Delete dead-subtree pass.
 //!
 //! Everything here runs on the host CPU in the PIM Model; the distributed
 //! wrapper lives in the `pim-trie` crate.
@@ -34,7 +31,6 @@
 pub mod euler;
 pub mod partition;
 pub mod query;
-pub mod treefix;
 mod trie;
 
 pub use trie::{DeleteInfo, InsertInfo, LcpResult, Node, NodeId, Trie, TriePos, Value};

@@ -16,7 +16,6 @@
 //! in for the roots of child blocks (Figure 2's dashed circles).
 
 use crate::euler::{preorder, LcaIndex};
-use crate::treefix::rootfix;
 use crate::trie::{Node, NodeId, Trie};
 use std::collections::BTreeSet;
 
@@ -131,15 +130,6 @@ pub fn decompose(trie: &Trie, roots: &[NodeId]) -> Vec<Block> {
         marked.contains(&NodeId::ROOT),
         "partition must include the root"
     );
-    // nearest marked ancestor, marked nodes mapping to themselves
-    let _nma = rootfix(trie, NodeId::ROOT, |pa, id| {
-        if marked.contains(&id) {
-            id
-        } else {
-            *pa
-        }
-    });
-
     let mut blocks = Vec::with_capacity(roots.len());
     for &r in roots {
         let mut b = Block {
