@@ -830,8 +830,8 @@ pub fn faults(p: usize, quick: bool) -> Vec<Row> {
                     .with_drop_rate(rate)
                     .with_crash(CrashSpec {
                         // the lcp's first round, after the insert's
-                        // seven (fault-clock rounds count from 0)
-                        round: 7,
+                        // five (fault-clock rounds count from 0)
+                        round: 5,
                         module: p / 2,
                         down_rounds: 1,
                         state_loss: true,

@@ -20,9 +20,10 @@
 //!   overfull meta-block *tree* into independent trees found through a
 //!   master table is not implemented (DESIGN.md, deviations).
 
-use crate::error::PimTrieError;
+use crate::error::{unexpected, PimTrieError};
 use crate::module::{
-    handle, ModuleState, NewMetaChild, NewMetaNode, PutBlockMsg, PutMetaMsg, Req, Resp, Touch,
+    handle, BlockDataOut, MetaFullOut, ModuleState, NewMetaChild, NewMetaNode, PutBlockMsg,
+    PutMetaMsg, Req, Resp, SizeBand, Touch,
 };
 use crate::refs::{Addresses, BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::wire_guard::{handle_sealed, SealedReq};
@@ -132,8 +133,8 @@ impl PimTrie {
     /// An empty PIM-trie, with configuration validation.
     pub fn try_new(cfg: PimTrieConfig) -> Result<Self, PimTrieError> {
         cfg.validate()?;
-        let width = cfg.hash_width;
-        let mut sys = PimSystem::new(cfg.p, |_| ModuleState::new(width));
+        let (width, band) = (cfg.hash_width, SizeBand::new(cfg.k_b));
+        let mut sys = PimSystem::new(cfg.p, |_| ModuleState::new(width, band));
         // Version handshake before any protocol traffic: Plain is the
         // implicit default and costs nothing; Compact is one metered
         // broadcast round (see WIRE_FORMAT.md, "Version negotiation").
@@ -231,7 +232,7 @@ impl PimTrie {
             slot: block.slot,
             msg: Box::new(msg),
         };
-        out.push(m as usize, None::<()>, req);
+        out.push(m as usize, Read::Ack, req);
         let msg = PutMetaMsg {
             nodes: vec![rm.new_meta_node(block)],
             root_idx: 0,
@@ -243,7 +244,7 @@ impl PimTrie {
             slot: meta.slot,
             msg,
         };
-        out.push(mm as usize, None, req);
+        out.push(mm as usize, Read::Ack, req);
         self.place("bootstrap", out)?;
         self.master.insert(meta, &rm, block);
         self.root_block = block;
@@ -251,19 +252,19 @@ impl PimTrie {
         Ok(())
     }
 
-    /// Run a round that fills host-chosen slots and returns the object
-    /// size each tagged `Put` reports. A module that found a named slot
-    /// live, or a slot a request rewires empty, is a
-    /// [`PimTrieError::Protocol`] error: the host's allocator and the
-    /// module's slab disagree.
-    pub(crate) fn place<T>(
+    /// Run a round that fills host-chosen slots and rewires links, and
+    /// collect what its replies tagged [`Read::Removal`] and
+    /// [`Read::Full`] report. A module that found a named slot live, or a
+    /// slot a request rewires empty, is a [`PimTrieError::Protocol`]
+    /// error: the host's allocator and the module's slab disagree.
+    pub(crate) fn place(
         &mut self,
         name: &str,
-        out: Scatter<Option<T>, Req>,
-    ) -> Result<Vec<(T, u64)>, PimTrieError> {
-        let mut counts = Vec::new();
-        for (m, tag, resp) in self.rounds(name, out)? {
-            match (tag, resp) {
+        out: Scatter<Read, Req>,
+    ) -> Result<Placed, PimTrieError> {
+        let mut placed = Placed::default();
+        for (m, read, resp) in self.rounds(name, out)? {
+            match (read, resp) {
                 (_, Resp::SlotTaken { slot }) => {
                     return Err(PimTrieError::Protocol(format!(
                         "{name}: slot {slot} of module {m} is already live"
@@ -274,11 +275,19 @@ impl PimTrie {
                         "{name}: slot {slot} of module {m} holds nothing"
                     )));
                 }
-                (Some(t), Resp::Placed { count }) => counts.push((t, count)),
+                (
+                    Read::Removal(mref),
+                    Resp::MetaVitals {
+                        nodes: 0,
+                        parent: Some(pm),
+                    },
+                ) => placed.emptied.push((mref, pm)),
+                (Read::Full(mref), Resp::MetaFull(full)) => placed.full.push((mref, full)),
+                (Read::Full(_), _) => return Err(unexpected(name)),
                 _ => {}
             }
         }
-        Ok(counts)
+        Ok(placed)
     }
 
     /// Run one *logical* BSP round: ship `out`'s boxes, and hand the
@@ -407,6 +416,8 @@ impl PimTrie {
                     match sr.inner {
                         Resp::Rebooted => lost = Some(m as u32),
                         Resp::CorruptReq => corrupt += 1,
+                        // not run yet: stays outstanding, so it is retried
+                        Resp::Deferred => {}
                         r => {
                             results[m][i] = Some(r);
                             outstanding -= 1;
@@ -559,6 +570,26 @@ fn rec(
 // Plan placement
 // ---------------------------------------------------------------------
 
+/// What the host reads from one reply of a [`PimTrie::place`] round.
+#[derive(Clone, Copy)]
+pub(crate) enum Read {
+    /// only that the op succeeded
+    Ack,
+    /// a meta node removal from this meta-block: did it empty it?
+    Removal(MetaRef),
+    /// this meta-block, pulled whole after the round's last write to it
+    Full(MetaRef),
+}
+
+/// What a [`PimTrie::place`] round's replies reported, in reply order.
+#[derive(Default)]
+pub(crate) struct Placed {
+    /// meta-blocks a removal emptied, each with its parent
+    pub emptied: Vec<(MetaRef, MetaRef)>,
+    /// meta-blocks pulled whole
+    pub full: Vec<(MetaRef, MetaFullOut)>,
+}
+
 /// One chunk to (re)place: its node tree, the cut decomposition, and how
 /// it attaches to the world.
 pub(crate) struct PlaceJob {
@@ -580,8 +611,13 @@ impl PimTrie {
     /// up front, each `PutMeta` carries its parent and children, and the
     /// same round points every covered block at its new meta node (node
     /// `i` of a plan sits at slot `i`) and every surviving child at its
-    /// new parent.
-    pub(crate) fn place_chunks(&mut self, jobs: &[PlaceJob]) -> Result<(), PimTrieError> {
+    /// new parent. An image in `waiting` whose block moves to a new meta
+    /// node is pointed at it too.
+    pub(crate) fn place_chunks(
+        &mut self,
+        jobs: &[PlaceJob],
+        waiting: &mut BTreeMap<BlockRef, BlockDataOut>,
+    ) -> Result<(), PimTrieError> {
         fn mark(plans: &[Plan], pi: usize, d: usize, depth: &mut [usize]) {
             depth[pi] = d;
             for (c, _) in &plans[pi].children {
@@ -639,15 +675,18 @@ impl PimTrie {
                 } else {
                     Req::PutMeta { slot: me.slot, msg }
                 };
-                out.push(me.module as usize, None::<()>, req);
+                out.push(me.module as usize, Read::Ack, req);
                 for (i, &cn) in plan.nodes.iter().enumerate() {
                     let b = job.tree[cn].block;
+                    if let Some(image) = waiting.get_mut(&b) {
+                        image.meta = Some((me, i as u32));
+                    }
                     let req = Req::SetBlockMeta {
                         slot: b.slot,
                         meta: me,
                         meta_slot: i as u32,
                     };
-                    out.push(b.module as usize, None, req);
+                    out.push(b.module as usize, Read::Ack, req);
                 }
             }
             for (pi, child) in &job.extra {
@@ -655,7 +694,7 @@ impl PimTrie {
                     slot: child.mref.slot,
                     parent: Some(at[*pi]),
                 };
-                out.push(child.mref.module as usize, None, req);
+                out.push(child.mref.module as usize, Read::Ack, req);
             }
         }
         self.place("msplit.place", out)?;

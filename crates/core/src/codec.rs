@@ -522,10 +522,10 @@ pub(crate) mod tests {
                 node: 7,
                 depth: 140,
             },
-            Req::DeleteKey {
+            Req::DeleteKeys {
                 slot: 1,
-                node: 8,
-                depth: 141,
+                nodes: vec![8, 12],
+                depths: vec![141, 143],
             },
             Req::MergeChild {
                 slot: 2,
@@ -607,8 +607,9 @@ pub(crate) mod tests {
         ]
     }
 
-    /// One sample of every `Resp` variant, in tag order (`Value` twice:
-    /// `Some` and `None`).
+    /// One sample of every `Resp` variant, in tag order (`BlockVitals`
+    /// twice: without and with an image; `Value` twice: `Some` and
+    /// `None`).
     pub(crate) fn resp_samples() -> Vec<Resp> {
         vec![
             Resp::Matches(vec![
@@ -687,6 +688,25 @@ pub(crate) mod tests {
                 children: 2,
                 keys_delta: -3,
                 collision: false,
+                image: None,
+            },
+            Resp::BlockVitals {
+                weight: 9,
+                keys: 2,
+                children: 0,
+                keys_delta: -1,
+                collision: false,
+                image: Some(Box::new(BlockDataOut {
+                    trie: TrieMsg(sample_trie(&["0001", "0010"])),
+                    root_depth: 192,
+                    root_hash: HashVal(51),
+                    s_last: BitsMsg(bits("0111")),
+                    pre_hash: HashVal(52),
+                    rem: BitsMsg(bits("011")),
+                    parent: Some(bref(1, 4)),
+                    mirrors: Vec::new(),
+                    meta: Some((mref(3, 3), 5)),
+                })),
             },
             Resp::Placed { count: 44 },
             Resp::MetaVitals {
@@ -716,6 +736,7 @@ pub(crate) mod tests {
                 metas: vec![(mref(1, 6), bref(1, 2))],
             },
             Resp::BadSlot { slot: 7 },
+            Resp::Deferred,
         ]
     }
 
@@ -742,11 +763,17 @@ pub(crate) mod tests {
     /// as varints). Re-captured when SubtreeQuery lists began naming root
     /// blocks instead of a prefix: `ListBlocks` (tag 33) carries its slot
     /// word, the `under` node slot (a presence bit and a varint), a length
-    /// word and two `BlockRef`s (3 → 5 words, 35 → 65 bits).
+    /// word and two `BlockRef`s (3 → 5 words, 35 → 65 bits). Re-captured
+    /// when deletes began going out grouped per block: `DeleteKeys` (tag
+    /// 8, was `DeleteKey`) carries its slot and, per key, a node and a
+    /// depth — the sample's two keys price at `1 + 2·2` = 5 words (3 for
+    /// one key, as before); Compact the tag, the slot, a varint length
+    /// and the nodes, then a varint length and the depths on `DEPTH`
+    /// (32 → 64 bits).
     #[rustfmt::skip]
     const REQ_GOLDEN: [(u64, u64); 25] = [
         (52, 529), (52, 517), (1, 16), (1, 16),
-        (43, 400), (3, 32), (3, 32), (21, 204),
+        (43, 400), (3, 32), (5, 64), (21, 204),
         (24, 244), (2, 32), (30, 442), (19, 387),
         (18, 380), (1, 16), (1, 16), (1, 16),
         (2, 17), (3, 40), (15, 290), (2, 24),
@@ -769,13 +796,19 @@ pub(crate) mod tests {
     /// (6 → 7 words, 88 → 104 bits: the `BlockRef` as varints), and
     /// `Subtree`'s `meta` names the block's node slot beside its
     /// `MetaRef` (24 → 25 words, 236 → 244 bits: the slot as a varint).
+    /// `BlockVitals` gained its `image`, sampled twice: absent it keeps 5
+    /// words (49 → 50 bits: the presence bit), present it adds the
+    /// image's `BlockDataOut` words (a leaf image of 24 words: 29 words,
+    /// 443 bits). `Subtree` follows the image's depth on the `DEPTH`
+    /// stream, so its depth delta takes one more varint group (244 → 252
+    /// bits, words unchanged). `Deferred` (tag 18, a bare tag) is new.
     #[rustfmt::skip]
-    const RESP_GOLDEN: [(u64, u64); 18] = [
+    const RESP_GOLDEN: [(u64, u64); 20] = [
         (7, 96), (9, 100), (6, 156), (26, 419),
-        (18, 403), (5, 49), (1, 16), (2, 17),
-        (25, 244), (4, 49), (2, 25), (2, 9),
-        (1, 8), (1, 8), (1, 8), (1, 16),
-        (7, 104), (1, 16),
+        (18, 403), (5, 50), (29, 443), (1, 16),
+        (2, 17), (25, 252), (4, 49), (2, 25),
+        (2, 9), (1, 8), (1, 8), (1, 8),
+        (1, 16), (7, 104), (1, 16), (1, 8),
     ];
 
     /// The variant tag a message encodes first.
@@ -800,7 +833,7 @@ pub(crate) mod tests {
         let msgs = resp_samples();
         let mut tags: Vec<u64> = msgs.iter().map(tag_of).collect();
         tags.dedup();
-        assert_eq!(tags, (1..=17).collect::<Vec<u64>>());
+        assert_eq!(tags, (1..=18).collect::<Vec<u64>>());
         assert_eq!(roundtrip_group(&msgs), RESP_GOLDEN);
     }
 
@@ -888,7 +921,11 @@ pub(crate) mod tests {
                         slot: slots[i],
                         parent: Some(BlockRef { module: i as u32, slot: nodes[i] }),
                     },
-                    _ => Req::DeleteKey { slot: slots[i], node: nodes[i], depth: depths[i] },
+                    _ => Req::DeleteKeys {
+                        slot: slots[i],
+                        nodes: vec![nodes[i]],
+                        depths: vec![depths[i]],
+                    },
                 })
                 .collect();
             roundtrip_group(&msgs);

@@ -87,7 +87,7 @@ mod wire_guard;
 pub use config::PimTrieConfig;
 pub use error::PimTrieError;
 pub use matching::{MatchStats, MatchedTrie};
-pub use module::ModuleState;
+pub use module::{ModuleState, SizeBand};
 pub use refs::{BlockRef, MetaRef};
 // Re-exported so fault, residency and serving experiments need only this crate.
 pub use pim_sim::{
@@ -233,11 +233,11 @@ impl PimTrie {
     /// injected fault will corrupt results or panic (which is exactly the
     /// behaviour the fault experiments compare against).
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        let width = self.cfg.hash_width;
+        let (width, band) = (self.cfg.hash_width, SizeBand::new(self.cfg.k_b));
         self.sys.install_faults(
             plan,
             Some(Box::new(move |_id, state: &mut ModuleState| {
-                *state = ModuleState::new(width);
+                *state = ModuleState::new(width, band);
                 state.crashed = true;
             })),
         );

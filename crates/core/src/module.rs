@@ -128,6 +128,43 @@ impl MetaBlock {
     }
 }
 
+/// Blocks heavier than `OVERSIZE_FACTOR · K_B` words are re-cut.
+const OVERSIZE_FACTOR: u64 = 2;
+
+/// Non-root leaf blocks lighter than `K_B / UNDERSIZE_DIVISOR` words (or
+/// holding no key) merge into their parent.
+const UNDERSIZE_DIVISOR: u64 = 4;
+
+/// The size band structural maintenance keeps data blocks in. Each
+/// module holds it, so a write's reply can carry the image of a block the
+/// write pushed out of the band: the maintenance stage that re-cuts or
+/// merges the block then needs no round to fetch it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SizeBand {
+    /// the target block weight `K_B`, in words
+    pub k_b: u64,
+}
+
+impl SizeBand {
+    /// The band of blocks of target weight `k_b` words.
+    pub fn new(k_b: u64) -> Self {
+        SizeBand { k_b }
+    }
+
+    /// A block of `weight` words is re-cut.
+    pub fn oversized(&self, weight: u64) -> bool {
+        weight > OVERSIZE_FACTOR * self.k_b
+    }
+
+    /// `b` merges into its parent: a leaf block other than the root that
+    /// holds no key or is lighter than `K_B / 4` words.
+    pub fn merge_candidate(&self, b: &DataBlock) -> bool {
+        b.parent.is_some()
+            && b.mirrors.is_empty()
+            && (b.n_real_keys() == 0 || b.weight() < self.k_b / UNDERSIZE_DIVISOR)
+    }
+}
+
 /// One module's PIM memory.
 pub struct ModuleState {
     /// Data-trie blocks.
@@ -136,6 +173,8 @@ pub struct ModuleState {
     pub metas: Slab<MetaBlock>,
     /// digest width shared by all indexes on this module
     pub width: HashWidth,
+    /// the block size band (from the config; survives `ResetModule`)
+    pub band: SizeBand,
     /// Set by the host's crash callback when this module's memory was
     /// wiped; until cleared by `Req::ResetModule` every sealed request
     /// is answered with `Resp::Rebooted` instead of touching (dangling)
@@ -151,11 +190,12 @@ pub struct ModuleState {
 
 impl ModuleState {
     /// Fresh empty module.
-    pub fn new(width: HashWidth) -> Self {
+    pub fn new(width: HashWidth, band: SizeBand) -> Self {
         ModuleState {
             blocks: Slab::new(),
             metas: Slab::new(),
             width,
+            band,
             crashed: false,
             reply_cache: BTreeMap::new(),
             cache_seq: 0,
@@ -265,16 +305,16 @@ pub enum Req {
         /// the key's global bit-depth (anchor validity check)
         depth: u64,
     },
-    /// Delete a key at an exact node (batch delete).
-    DeleteKey {
+    /// Delete keys at exact nodes of one block (batch delete), in order.
+    DeleteKeys {
         /// block slot
         slot: u32,
-        /// exact data node holding the key
-        node: u32,
-        /// the key's global bit-depth; the node qualifies only if its own
-        /// depth matches (depths survive sibling splices within a batch,
-        /// unlike edge offsets)
-        depth: u64,
+        /// per key, the exact data node holding it
+        nodes: Vec<u32>,
+        /// per key, its global bit-depth; the node qualifies only if its
+        /// own depth matches (depths survive sibling splices within a
+        /// batch, unlike edge offsets)
+        depths: Vec<u64>,
     },
     /// Inline an undersized child block's content at its mirror leaf.
     MergeChild {
@@ -462,7 +502,7 @@ impl Req {
             }),
             Req::ResetModule => Touch::Reset,
             Req::GraftMany { .. }
-            | Req::DeleteKey { .. }
+            | Req::DeleteKeys { .. }
             | Req::ReplaceBlock { .. }
             | Req::DropBlock { .. }
             | Req::MergeChild { .. }
@@ -609,6 +649,10 @@ pub enum Resp {
         keys_delta: i64,
         /// the op detected an inconsistency (hash collision) — redo
         collision: bool,
+        /// the block's image, when the op left it out of its size band
+        /// (see [`SizeBand`]): the input of the maintenance that follows
+        /// (boxed: it would otherwise set the size of every reply)
+        image: Option<Box<BlockDataOut>>,
     },
     /// A Put op filled the slot it was given.
     Placed {
@@ -651,6 +695,11 @@ pub enum Resp {
     /// The sealed request failed its integrity check and was not
     /// executed; the host should retry it.
     CorruptReq,
+    /// The sealed request — a meta-block pull, or a fill whose slot is
+    /// still live — waits for an earlier request of its round on this
+    /// module that has not run yet (it may free the slot or write the
+    /// meta-block); nothing was done, and the host should retry it.
+    Deferred,
     /// This module lost its memory in a crash and has not been reset yet;
     /// the host must abort the operation and rebuild
     /// ([`Req::ResetModule`]).
@@ -849,18 +898,7 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             let Some(b) = state.blocks.get(slot) else {
                 return (Resp::BadSlot { slot }, work);
             };
-            work += b.weight();
-            Resp::BlockData(BlockDataOut {
-                trie: TrieMsg(b.trie.clone()),
-                root_depth: b.root_depth,
-                root_hash: b.root_hash,
-                s_last: crate::refs::BitsMsg(b.s_last.clone()),
-                pre_hash: b.pre_hash,
-                rem: crate::refs::BitsMsg(b.rem.clone()),
-                parent: b.parent,
-                mirrors: b.mirrors.iter().map(|(n, r)| (n.0, *r)).collect(),
-                meta: b.meta,
-            })
+            Resp::BlockData(image(b, &mut work))
         }
         Req::GraftMany { slot, grafts } => {
             let Some(b) = state.blocks.get_mut(slot) else {
@@ -882,13 +920,14 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
                 }
                 collision |= !graft_local(&mut b.trie, g.anchor_node, off, g.subtree.0);
             }
-            Resp::BlockVitals {
-                weight: b.weight(),
-                keys: b.n_real_keys() as u64,
-                children: b.mirrors.len() as u64,
-                keys_delta: b.n_real_keys() as i64 - before,
+            let out = state.band.oversized(b.weight());
+            vitals(
+                b,
+                b.n_real_keys() as i64 - before,
                 collision,
-            }
+                out,
+                &mut work,
+            )
         }
         Req::ReadKey { slot, node, depth } => {
             let Some(b) = state.blocks.get(slot) else {
@@ -902,35 +941,36 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
                 .filter(|v| *v != MIRROR_VALUE);
             Resp::Value(v)
         }
-        Req::DeleteKey { slot, node, depth } => {
+        Req::DeleteKeys {
+            slot,
+            nodes,
+            depths,
+        } => {
             let Some(b) = state.blocks.get_mut(slot) else {
                 return (Resp::BadSlot { slot }, work);
             };
-            work += 4;
-            let id = NodeId(node);
-            // The key is stored here only if the anchor node sits exactly
-            // at the key's depth (mid-edge anchors mean the key is absent).
-            // An earlier delete in this very batch may have *freed* the
-            // anchor through path compression — anchors of absent keys can
-            // be plain branch nodes — so liveness is checked first.
-            let at_node =
-                b.trie.is_live(id) && b.root_depth + b.trie.node(id).depth as u64 == depth;
-            let collision = if at_node
-                && b.trie.node(id).value.is_some()
-                && b.trie.node(id).value != Some(MIRROR_VALUE)
-            {
-                delete_at_node(&mut b.trie, id);
-                false
-            } else {
-                true
-            };
-            Resp::BlockVitals {
-                weight: b.weight(),
-                keys: b.n_real_keys() as u64,
-                children: b.mirrors.len() as u64,
-                keys_delta: if collision { 0 } else { -1 },
-                collision,
+            let before = b.n_real_keys() as i64;
+            for (node, depth) in nodes.into_iter().zip(depths) {
+                work += 4;
+                let id = NodeId(node);
+                // The key is stored here only if the anchor node sits
+                // exactly at the key's depth (mid-edge anchors mean the key
+                // is absent). An earlier delete in this very batch may have
+                // *freed* the anchor through path compression — anchors of
+                // absent keys can be plain branch nodes — so liveness is
+                // checked first.
+                let at_node =
+                    b.trie.is_live(id) && b.root_depth + b.trie.node(id).depth as u64 == depth;
+                if at_node
+                    && b.trie.node(id).value.is_some()
+                    && b.trie.node(id).value != Some(MIRROR_VALUE)
+                {
+                    delete_at_node(&mut b.trie, id);
+                }
             }
+            // a key not found is no inconsistency: it was not stored
+            let out = state.band.merge_candidate(b);
+            vitals(b, b.n_real_keys() as i64 - before, false, out, &mut work)
         }
         Req::MergeChild {
             slot,
@@ -942,13 +982,8 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             };
             work += subtree.0.size_words() as u64 + 4;
             let ok = merge_child(b, child, subtree.0);
-            Resp::BlockVitals {
-                weight: b.weight(),
-                keys: b.n_real_keys() as u64,
-                children: b.mirrors.len() as u64,
-                keys_delta: 0,
-                collision: !ok,
-            }
+            let out = state.band.oversized(b.weight()) || state.band.merge_candidate(b);
+            vitals(b, 0, !ok, ok && out, &mut work)
         }
         Req::ReplaceBlock {
             slot,
@@ -966,13 +1001,7 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
                     b.trie.set_value(n, MIRROR_VALUE);
                 }
             }
-            Resp::BlockVitals {
-                weight: b.weight(),
-                keys: b.n_real_keys() as u64,
-                children: b.mirrors.len() as u64,
-                keys_delta: 0,
-                collision: false,
-            }
+            vitals(b, 0, false, false, &mut work)
         }
         Req::RemoveMetaChild { slot, mref } => {
             let Some(mb) = state.metas.get_mut(slot) else {
@@ -1161,11 +1190,40 @@ fn execute(state: &mut ModuleState, hasher: &bitstr::hash::PolyHasher, req: Req)
             Resp::Descend(descend_local(b, &bits.0))
         }
         Req::ResetModule => {
-            *state = ModuleState::new(state.width);
+            *state = ModuleState::new(state.width, state.band);
             Resp::Ok
         }
     };
     (resp, work)
+}
+
+/// `b`'s image: everything a host-side re-cut or merge reads.
+fn image(b: &DataBlock, work: &mut u64) -> BlockDataOut {
+    *work += b.weight();
+    BlockDataOut {
+        trie: TrieMsg(b.trie.clone()),
+        root_depth: b.root_depth,
+        root_hash: b.root_hash,
+        s_last: crate::refs::BitsMsg(b.s_last.clone()),
+        pre_hash: b.pre_hash,
+        rem: crate::refs::BitsMsg(b.rem.clone()),
+        parent: b.parent,
+        mirrors: b.mirrors.iter().map(|(n, r)| (n.0, *r)).collect(),
+        meta: b.meta,
+    }
+}
+
+/// A write's reply: `b`'s vitals, and its image when `out` (the write left
+/// it out of its size band).
+fn vitals(b: &DataBlock, keys_delta: i64, collision: bool, out: bool, work: &mut u64) -> Resp {
+    Resp::BlockVitals {
+        weight: b.weight(),
+        keys: b.n_real_keys() as u64,
+        children: b.mirrors.len() as u64,
+        keys_delta,
+        collision,
+        image: out.then(|| Box::new(image(b, work))),
+    }
 }
 
 /// An index entry names a node (or child) slot of its meta-block that
@@ -1793,7 +1851,7 @@ mod tests {
         assert_eq!(found, vec![(tag(0), 5)]);
 
         // a pushed `MatchBlock` lists the found values only, when asked
-        let mut state = ModuleState::new(HashWidth::FULL);
+        let mut state = ModuleState::new(HashWidth::FULL, SizeBand::new(64));
         state.blocks.insert_at(0, block).unwrap();
         for values in [false, true] {
             let req = Req::MatchBlock {
@@ -1849,7 +1907,7 @@ mod tests {
             ],
             parents: vec![None, Some(0), Some(0), Some(1), Some(2)],
         };
-        let mut state = ModuleState::new(HashWidth::FULL);
+        let mut state = ModuleState::new(HashWidth::FULL, SizeBand::new(64));
         state
             .metas
             .insert_at(0, build_meta(HashWidth::FULL, msg))
@@ -1902,7 +1960,9 @@ mod tests {
     fn reads_of_a_freed_slot_answer_bad_slot() {
         let cfg = crate::PimTrieConfig::for_modules(1);
         let hasher = bitstr::hash::PolyHasher::with_seed(cfg.seed);
-        let mut sys = pim_sim::PimSystem::new(1, |_| ModuleState::new(cfg.hash_width));
+        let mut sys = pim_sim::PimSystem::new(1, |_| {
+            ModuleState::new(cfg.hash_width, SizeBand::new(cfg.k_b))
+        });
         let mut run = |name: &str, reqs: Vec<Req>| {
             sys.round(name, vec![reqs], |ctx, msgs| {
                 msgs.into_iter().map(|m| handle(ctx, &hasher, m)).collect()
@@ -1959,11 +2019,127 @@ mod tests {
         ));
     }
 
+    /// A block holding `keys` (mirror leaves where `mirrors` says) under
+    /// `parent`.
+    fn block_of(
+        keys: &[&str],
+        mirrors: &[(&str, BlockRef)],
+        parent: Option<BlockRef>,
+    ) -> DataBlock {
+        let mut trie = Trie::new();
+        for k in keys {
+            trie.insert(&BitStr::from_bin_str(k), 1);
+        }
+        let mut ms = BTreeMap::new();
+        for (k, r) in mirrors {
+            let bits = BitStr::from_bin_str(k);
+            trie.insert(&bits, MIRROR_VALUE);
+            let id = trie.node_ids().find(|id| trie.node_string(*id) == bits);
+            ms.insert(id.unwrap(), *r);
+        }
+        DataBlock {
+            trie,
+            root_depth: 0,
+            root_hash: HashVal(0),
+            s_last: BitStr::new(),
+            pre_hash: HashVal(0),
+            rem: BitStr::new(),
+            parent,
+            mirrors: ms,
+            meta: None,
+        }
+    }
+
+    /// Whether a write reply carries an image.
+    fn imaged(r: &Resp) -> bool {
+        matches!(r, Resp::BlockVitals { image: Some(_), .. })
+    }
+
+    /// Delete `key` from the block at `slot`.
+    fn delete_req(state: &ModuleState, slot: u32, key: &str) -> Req {
+        let b = state.blocks.get(slot).unwrap();
+        let bits = BitStr::from_bin_str(key);
+        let node = b.trie.node_ids().find(|id| b.trie.node_string(*id) == bits);
+        Req::DeleteKeys {
+            slot,
+            nodes: vec![node.unwrap().0],
+            depths: vec![key.len() as u64],
+        }
+    }
+
+    /// A graft of `sub` at the root of the block at `slot`.
+    fn graft_req(slot: u32, sub: Trie) -> Req {
+        Req::GraftMany {
+            slot,
+            grafts: vec![GraftMsg {
+                anchor_node: 0,
+                anchor_off: 0,
+                subtree: TrieMsg(sub),
+            }],
+        }
+    }
+
+    #[test]
+    fn write_replies_carry_the_image_of_a_block_that_left_its_band() {
+        let hasher = bitstr::hash::PolyHasher::with_seed(1);
+        let band = SizeBand::new(128);
+        let up = Some(BlockRef { module: 0, slot: 9 });
+        let child = BlockRef { module: 0, slot: 5 };
+        let mut state = ModuleState::new(HashWidth::FULL, band);
+        let keys = ["0000", "0011", "0101"];
+        // 0: a leaf under a parent, 1: the root block, 2: a block with a
+        // child block, 3: an empty leaf
+        state.blocks.insert_at(0, block_of(&keys, &[], up)).unwrap();
+        state
+            .blocks
+            .insert_at(1, block_of(&keys, &[], None))
+            .unwrap();
+        state
+            .blocks
+            .insert_at(2, block_of(&["0011"], &[("11", child)], up))
+            .unwrap();
+        state.blocks.insert_at(3, block_of(&[], &[], up)).unwrap();
+        // only the non-root leaf, now under K_B / 4 words, comes back whole
+        for (slot, want) in [(0, true), (1, false), (2, false)] {
+            let req = delete_req(&state, slot, "0011");
+            let (resp, _) = execute(&mut state, &hasher, req);
+            assert_eq!(imaged(&resp), want, "delete in block {slot}");
+        }
+        let b = state.blocks.get(0).unwrap();
+        assert!(b.weight() < band.k_b / 4 && b.n_real_keys() == 2);
+        // merging its child leaves block 2 a one-key leaf: it comes back
+        // whole
+        let merge = Req::MergeChild {
+            slot: 2,
+            child,
+            subtree: TrieMsg(block_of(&["0"], &[], None).trie),
+        };
+        let (resp, _) = execute(&mut state, &hasher, merge);
+        assert!(imaged(&resp), "the merge left a small leaf");
+        // a graft that keeps its block inside the band does not; one that
+        // pushes it past 2·K_B words does
+        let (resp, _) = execute(
+            &mut state,
+            &hasher,
+            graft_req(1, block_of(&["1"], &[], None).trie),
+        );
+        assert!(!imaged(&resp), "the graft kept the block in its band");
+        let mut big = Trie::new();
+        for i in 0..512u64 {
+            big.insert(&BitStr::from_u64(i, 12), i);
+        }
+        let (resp, _) = execute(&mut state, &hasher, graft_req(3, big));
+        assert!(band.oversized(state.blocks.get(3).unwrap().weight()));
+        assert!(imaged(&resp), "the graft pushed the block past 2·K_B");
+    }
+
     #[test]
     fn merge_into_a_mirror_leaf_with_a_child_reports_collision_and_changes_nothing() {
         let cfg = crate::PimTrieConfig::for_modules(1);
         let hasher = bitstr::hash::PolyHasher::with_seed(cfg.seed);
-        let mut sys = pim_sim::PimSystem::new(1, |_| ModuleState::new(cfg.hash_width));
+        let mut sys = pim_sim::PimSystem::new(1, |_| {
+            ModuleState::new(cfg.hash_width, SizeBand::new(cfg.k_b))
+        });
         // the mirror leaf "0" already has a child "01"
         let mut trie = Trie::new();
         trie.insert(&BitStr::from_bin_str("0"), MIRROR_VALUE);

@@ -3,9 +3,10 @@
 //! their updates trigger (block re-partitioning, meta-block splits,
 //! undersized merges).
 
+use crate::build::Read;
 use crate::error::{unexpected, PimTrieError};
 use crate::matching::{Anchor, MatchedTrie};
-use crate::module::{GraftMsg, Req, Resp, MIRROR_VALUE};
+use crate::module::{BlockDataOut, GraftMsg, MetaFullOut, Req, Resp, SizeBand, MIRROR_VALUE};
 use crate::refs::{BitsMsg, BlockRef, MetaRef, TrieMsg};
 use crate::slowpath::SlowResult;
 use crate::PimTrie;
@@ -13,14 +14,6 @@ use bitstr::BitStr;
 use pim_sim::Scatter;
 use std::collections::{BTreeMap, BTreeSet};
 use trie_core::{NodeId, Trie};
-
-/// Blocks heavier than `OVERSIZE_FACTOR · K_B` words are re-partitioned
-/// after inserts and merges.
-const OVERSIZE_FACTOR: u64 = 2;
-
-/// Leaf blocks lighter than `K_B / UNDERSIZE_DIVISOR` words (or holding
-/// no key) merge into their parent after deletes.
-const UNDERSIZE_DIVISOR: u64 = 4;
 
 impl PimTrie {
     /// LongestCommonPrefix for every query in the batch: the length in
@@ -238,12 +231,13 @@ impl PimTrie {
             };
             out.push(block.module as usize, block, req);
         }
-        let mut oversized: Vec<BlockRef> = Vec::new();
+        // a block the grafts pushed past 2·K_B comes back whole
+        let mut oversized: Vec<(BlockRef, BlockDataOut)> = Vec::new();
         for (_, block, resp) in self.rounds("insert.graft", out)? {
             let Resp::BlockVitals {
-                weight,
                 keys_delta,
                 collision,
+                image,
                 ..
             } = resp
             else {
@@ -255,11 +249,16 @@ impl PimTrie {
                 )));
             }
             self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
-            if weight > OVERSIZE_FACTOR * self.cfg.k_b {
-                oversized.push(block);
-            }
+            oversized.extend(image.map(|image| (block, *image)));
         }
-        self.repartition_blocks(oversized)
+        if oversized.is_empty() {
+            return Ok(());
+        }
+        self.t_phase("repartition");
+        let mut out = Scatter::new(self.sys.p());
+        let mut waiting = BTreeMap::new();
+        self.plan_repartition(oversized, &mut out, &mut waiting)?;
+        self.finish_placement("repart.place", out, &mut waiting)
     }
 
     /// Delete a batch of keys; returns how many were present and
@@ -291,7 +290,14 @@ impl PimTrie {
 
     fn delete_core(&mut self, keys: &[BitStr]) -> Result<usize, PimTrieError> {
         let mt = self.match_batch(keys)?;
-        let mut out = Scatter::new(self.sys.p());
+        // per block, the (node, depth) of each key to delete there, in
+        // batch order
+        let mut per_block: BTreeMap<BlockRef, (Vec<u32>, Vec<u64>)> = BTreeMap::new();
+        let mut at = |block: BlockRef, node: u32, depth: usize| {
+            let (nodes, depths) = per_block.entry(block).or_default();
+            nodes.push(node);
+            depths.push(depth as u64);
+        };
         let mut sent: BTreeSet<u32> = BTreeSet::new();
         let mut slow: Vec<BitStr> = Vec::new();
         for (i, k) in keys.iter().enumerate() {
@@ -312,12 +318,7 @@ impl PimTrie {
             };
             // the key must end exactly at a compressed node to be stored
             // (anchor_off == edge len is checked module-side via value)
-            let req = Req::DeleteKey {
-                slot: a.block.slot,
-                node: a.node,
-                depth: k.len() as u64,
-            };
-            out.push(a.block.module as usize, a.block, req);
+            at(a.block, a.node, k.len());
         }
         // exact path for flagged keys
         if !slow.is_empty() {
@@ -325,39 +326,38 @@ impl PimTrie {
             let rs = self.try_slow_descend(&slow)?;
             for (k, r) in slow.iter().zip(rs) {
                 if r.depth as usize == k.len() {
-                    let req = Req::DeleteKey {
-                        slot: r.anchor.block.slot,
-                        node: r.anchor.node,
-                        depth: k.len() as u64,
-                    };
-                    out.push(r.anchor.block.module as usize, r.anchor.block, req);
+                    at(r.anchor.block, r.anchor.node, k.len());
                 }
             }
         }
-        if out.is_empty() {
+        if per_block.is_empty() {
             return Ok(0);
         }
         self.t_phase("remove");
+        let mut out = Scatter::new(self.sys.p());
+        for (block, (nodes, depths)) in per_block {
+            let req = Req::DeleteKeys {
+                slot: block.slot,
+                nodes,
+                depths,
+            };
+            out.push(block.module as usize, block, req);
+        }
+        // a block the deletes left a merge candidate comes back whole
         let mut removed = 0usize;
-        let mut shrunk: Vec<(BlockRef, u64, u64, u64)> = Vec::new();
+        let mut candidates: BTreeMap<BlockRef, BlockDataOut> = BTreeMap::new();
         for (_, block, resp) in self.rounds("delete.keys", out)? {
             let Resp::BlockVitals {
-                weight,
-                keys,
-                children,
-                keys_delta,
-                collision,
+                keys_delta, image, ..
             } = resp
             else {
                 return Err(unexpected("delete"));
             };
-            if !collision {
-                removed += 1;
-                self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
-            }
-            shrunk.push((block, weight, keys, children));
+            removed += keys_delta.unsigned_abs() as usize;
+            self.n_keys = (self.n_keys as i64 + keys_delta) as usize;
+            candidates.extend(image.map(|image| (block, *image)));
         }
-        self.maintain_after_shrink(shrunk)?;
+        self.maintain_after_shrink(candidates)?;
         Ok(removed)
     }
 
@@ -653,22 +653,21 @@ impl PimTrie {
     // maintenance
     // ------------------------------------------------------------------
 
-    /// Re-partition oversized blocks: pull them, cut each with the §4.2
-    /// blocking algorithm, keep every root piece in place, scatter the
-    /// rest — all blocks advance together through the same two BSP rounds
-    /// (fetch, place), so a batch of overflows costs O(1) extra rounds,
-    /// not O(#blocks).
-    pub(crate) fn repartition_blocks(&mut self, brefs: Vec<BlockRef>) -> Result<(), PimTrieError> {
-        if brefs.is_empty() {
-            return Ok(());
-        }
-        self.t_phase("repartition");
-        let p = self.sys.p();
+    /// Plan the re-cut of oversized blocks from their images: cut each
+    /// with the §4.2 blocking algorithm, keep every root piece in place,
+    /// scatter the rest, and push the whole placement onto `out`, so a
+    /// batch of overflows costs one round, not O(#blocks). A meta-block
+    /// the placement pushes past `K_SMB` is pulled whole in the same
+    /// round ([`Read::Full`]). An image in `waiting` whose block's mirror
+    /// moves into a new piece is pointed at that piece.
+    fn plan_repartition(
+        &mut self,
+        images: Vec<(BlockRef, BlockDataOut)>,
+        out: &mut Scatter<Read, Req>,
+        waiting: &mut BTreeMap<BlockRef, BlockDataOut>,
+    ) -> Result<(), PimTrieError> {
         let k_b = self.cfg.k_b;
         let orphan = || PimTrieError::Protocol("repartition: piece tree is not rooted".into());
-        // Round 1: fetch all oversized blocks.
-        let bds = self.fetch_blocks(&brefs, "repart.fetch")?;
-
         struct Plan {
             bref: BlockRef,
             /// the block's meta node: (meta-block, node slot)
@@ -685,7 +684,7 @@ impl PimTrie {
             old_mirrors: BTreeMap<NodeId, BlockRef>,
         }
         let mut plans: Vec<Plan> = Vec::new();
-        for (bref, bd) in brefs.into_iter().zip(bds) {
+        for (bref, bd) in images {
             let mut trie = bd.trie.0;
             let old_mirrors: BTreeMap<NodeId, BlockRef> =
                 bd.mirrors.iter().map(|(n, r)| (NodeId(*n), *r)).collect();
@@ -699,7 +698,7 @@ impl PimTrie {
                 continue;
             }
             let Some(meta) = bd.meta else {
-                return Err(unexpected("repart.fetch"));
+                return Err(unexpected("repartition"));
             };
             let pieces = trie_core::partition::decompose(&trie, &roots);
             let piece_of_orig: BTreeMap<NodeId, usize> = pieces
@@ -767,6 +766,26 @@ impl PimTrie {
             }
             targets.push(t);
         }
+        // The host's node counts tell which meta-blocks the placement
+        // pushes past K_SMB; each is pulled whole after the round's last
+        // write to it, for the split that follows. The pulls go out by
+        // module, then by the plan whose nodes crossed the bound: the order
+        // the splits draw their addresses in.
+        let mut count: BTreeMap<MetaRef, (u64, bool)> = BTreeMap::new();
+        let mut full: Vec<(u32, usize, MetaRef)> = Vec::new();
+        for (pi, plan) in plans.iter().enumerate() {
+            let m = plan.meta.0;
+            let (n, pulled) = count.entry(m).or_insert_with(|| {
+                let live = self.addrs.nodes().get(&m).map_or(0, |a| a.live());
+                (live as u64, false)
+            });
+            *n += plan.pieces.len() as u64 - 1;
+            if *n > self.cfg.k_smb as u64 && !*pulled {
+                *pulled = true;
+                full.push((m.module, pi, m));
+            }
+        }
+        full.sort_unstable();
         let mut node_slots: Vec<Vec<u32>> = Vec::with_capacity(plans.len());
         for plan in &plans {
             let n = plan.pieces.len() - 1;
@@ -776,7 +795,6 @@ impl PimTrie {
         // One round: every piece arrives with its final mirrors, parent and
         // meta node; moved children learn their new parent; root pieces
         // shrink in place; the meta nodes are registered.
-        let mut out = Scatter::new(p);
         for ((plan, target), slots) in plans.into_iter().zip(&targets).zip(node_slots) {
             let (meta_ref, meta_slot) = plan.meta;
             // non-root pieces in index order; meta parents mirror the piece
@@ -811,11 +829,14 @@ impl PimTrie {
                         if bi != plan.root_idx {
                             relink.push((*r, slots[pos(bi)]));
                         }
+                        if let Some(image) = waiting.get_mut(r) {
+                            image.parent = Some(me);
+                        }
                         let req = Req::SetParent {
                             slot: r.slot,
                             parent: Some(me),
                         };
-                        out.push(r.module as usize, None, req);
+                        out.push(r.module as usize, Read::Ack, req);
                     }
                 }
                 let req = if bi == plan.root_idx {
@@ -842,7 +863,7 @@ impl PimTrie {
                         msg: Box::new(msg),
                     }
                 };
-                out.push(me.module as usize, None, req);
+                out.push(me.module as usize, Read::Ack, req);
             }
             let nodes = order
                 .iter()
@@ -863,96 +884,94 @@ impl PimTrie {
                 node_slots: slots,
                 relink,
             };
-            out.push(meta_ref.module as usize, Some(meta_ref), req);
+            out.push(meta_ref.module as usize, Read::Ack, req);
         }
-        let mut oversized_metas: Vec<MetaRef> = Vec::new();
-        for (meta_ref, count) in self.place("repart.place", out)? {
-            if count > self.cfg.k_smb as u64 && !oversized_metas.contains(&meta_ref) {
-                oversized_metas.push(meta_ref);
-            }
+        for (module, _, m) in full {
+            out.push(
+                module as usize,
+                Read::Full(m),
+                Req::FetchMetaFull { slot: m.slot },
+            );
         }
-        self.split_meta_blocks(oversized_metas)
+        Ok(())
     }
 
-    /// Round helper: fetch many blocks at once.
-    fn fetch_blocks(
+    /// Run a maintenance placement round, then drop the meta-blocks it
+    /// emptied and split the ones it pulled whole.
+    fn finish_placement(
         &mut self,
-        brefs: &[BlockRef],
         name: &str,
-    ) -> Result<Vec<crate::module::BlockDataOut>, PimTrieError> {
-        let mut fetch = Scatter::new(self.sys.p());
-        for (i, b) in brefs.iter().enumerate() {
-            fetch.push(b.module as usize, i, Req::FetchBlock { slot: b.slot });
+        out: Scatter<Read, Req>,
+        waiting: &mut BTreeMap<BlockRef, BlockDataOut>,
+    ) -> Result<(), PimTrieError> {
+        if out.is_empty() {
+            return Ok(());
         }
-        let mut out: Vec<Option<crate::module::BlockDataOut>> =
-            brefs.iter().map(|_| None).collect();
-        for (_, i, resp) in self.rounds(name, fetch)? {
-            let Resp::BlockData(bd) = resp else {
-                return Err(unexpected(name));
+        let placed = self.place(name, out)?;
+        // The root meta-block never empties: its root node describes the
+        // root block, which is never a merge candidate.
+        let mut drop = Scatter::new(self.sys.p());
+        for &(mref, pm) in &placed.emptied {
+            self.addrs.free_meta(mref);
+            self.master.remove(mref);
+            drop.push(
+                mref.module as usize,
+                Read::Ack,
+                Req::DropMeta { slot: mref.slot },
+            );
+            let req = Req::RemoveMetaChild {
+                slot: pm.slot,
+                mref,
             };
-            out[i] = Some(bd);
+            drop.push(pm.module as usize, Read::Ack, req);
         }
-        out.into_iter()
-            .collect::<Option<_>>()
-            .ok_or_else(|| unexpected(name))
+        if !drop.is_empty() {
+            self.place("merge.meta.drop", drop)?;
+        }
+        let dropped: BTreeSet<MetaRef> = placed.emptied.iter().map(|(m, _)| *m).collect();
+        self.split_meta_blocks(placed.full, &dropped, waiting)
     }
 
-    /// Merge/drop undersized and emptied blocks after deletions. Each loop
-    /// iteration advances every candidate one level up through shared BSP
-    /// rounds; cascades drain in O(depth) rounds total.
+    /// Merge undersized and emptied blocks into their parents after
+    /// deletions, from the images the delete replies carried. Each loop
+    /// iteration advances every candidate one level up: a `merge.apply`
+    /// round, whose replies carry every parent that left its size band,
+    /// then one round that drops the merged blocks and places the re-cut
+    /// of every parent the merges pushed past `2·K_B`. Cascades drain in
+    /// O(depth) rounds total.
     fn maintain_after_shrink(
         &mut self,
-        mut shrunk: Vec<(BlockRef, u64, u64, u64)>,
+        mut waiting: BTreeMap<BlockRef, BlockDataOut>,
     ) -> Result<(), PimTrieError> {
         let p = self.sys.p();
         let mut guard = 0;
-        while !shrunk.is_empty() {
+        while !waiting.is_empty() {
             guard += 1;
             if guard > 64 {
                 break;
             }
-            // several deletes may hit one block: keep the last vitals
-            // (ordered — candidate order decides fetch message order)
-            let mut latest: BTreeMap<BlockRef, (u64, u64, u64)> = BTreeMap::new();
-            for (bref, weight, keys, children) in shrunk.drain(..) {
-                latest.insert(bref, (weight, keys, children));
-            }
-            let candidates: Vec<BlockRef> = latest
-                .into_iter()
-                .filter(|(bref, (weight, keys, children))| {
-                    *bref != self.root_block
-                        && *children == 0
-                        && (*keys == 0 || *weight < self.cfg.k_b / UNDERSIZE_DIVISOR)
-                })
-                .map(|(b, _)| b)
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            // re-assert each iteration: a cascaded repartition re-tags
+            // re-assert each level: a cascaded meta-split re-tags
             self.t_phase("merge");
-            // Round A: fetch all candidates.
-            let bds = self.fetch_blocks(&candidates, "merge.fetch")?;
-            // Round B: splice each into its parent.
+            // Round A: splice each candidate into its parent.
             let mut apply = Scatter::new(p);
             let mut merged: Vec<(BlockRef, Option<(MetaRef, u32)>)> = Vec::new();
-            for (bref, bd) in candidates.iter().zip(bds) {
-                let Some(parent) = bd.parent else { continue };
+            for (bref, image) in std::mem::take(&mut waiting) {
+                let Some(parent) = image.parent else { continue };
                 let req = Req::MergeChild {
                     slot: parent.slot,
-                    child: *bref,
-                    subtree: bd.trie,
+                    child: bref,
+                    subtree: image.trie,
                 };
                 apply.push(parent.module as usize, parent, req);
-                merged.push((*bref, bd.meta));
+                merged.push((bref, image.meta));
             }
-            let mut parent_vitals: BTreeMap<BlockRef, (u64, u64, u64)> = BTreeMap::new();
+            // a parent's last reply describes it after all its merges
+            let mut parents: BTreeMap<BlockRef, Option<(u64, BlockDataOut)>> = BTreeMap::new();
             for (_, parent, resp) in self.rounds("merge.apply", apply)? {
                 let Resp::BlockVitals {
                     weight,
-                    keys,
-                    children,
                     collision,
+                    image,
                     ..
                 } = resp
                 else {
@@ -965,102 +984,66 @@ impl PimTrie {
                         "merge.apply: block {parent:?} refused a child merge"
                     )));
                 }
-                parent_vitals.insert(parent, (weight, keys, children));
+                parents.insert(parent, image.map(|image| (weight, *image)));
             }
-            // Round C: drop merged blocks + remove their meta nodes; only
-            // the meta-node removals are tagged, their replies decide D.
-            let mut cleanup = Scatter::new(p);
+            // Round B: drop the merged blocks and their meta nodes, and
+            // place the re-cut of every oversized parent. The drops come
+            // first in each inbox, so a slot they free is free before a
+            // piece or a meta node takes it.
+            let mut out = Scatter::new(p);
             for (bref, meta) in merged {
                 self.addrs.free_block(bref);
-                let req = Req::DropBlock { slot: bref.slot };
-                cleanup.push(bref.module as usize, None, req);
+                out.push(
+                    bref.module as usize,
+                    Read::Ack,
+                    Req::DropBlock { slot: bref.slot },
+                );
                 if let Some((mref, slot)) = meta {
                     self.addrs.free_node(mref, slot);
                     let req = Req::RemoveMetaNode {
                         slot: mref.slot,
                         node: slot,
                     };
-                    cleanup.push(mref.module as usize, Some(mref), req);
+                    out.push(mref.module as usize, Read::Removal(mref), req);
                 }
             }
-            // Round D: drop emptied meta-blocks and detach them from their
-            // parents. The root meta-block never empties: its root node
-            // describes the root block, which is never a merge candidate.
-            let mut meta_drop = Scatter::new(p);
-            for (_, mref, resp) in self.rounds("merge.cleanup", cleanup)? {
-                if matches!(resp, Resp::BadSlot { .. }) {
-                    return Err(unexpected("merge.cleanup"));
-                }
-                let (
-                    Some(mref),
-                    Resp::MetaVitals {
-                        nodes: 0,
-                        parent: Some(pm),
-                    },
-                ) = (mref, resp)
-                else {
+            // parents that shrank into candidates continue; oversized
+            // ones are re-cut
+            let mut oversized = Vec::new();
+            for (parent, last) in parents {
+                let Some((weight, image)) = last else {
                     continue;
                 };
-                self.addrs.free_meta(mref);
-                self.master.remove(mref);
-                let req = Req::DropMeta { slot: mref.slot };
-                meta_drop.push(mref.module as usize, (), req);
-                let req = Req::RemoveMetaChild {
-                    slot: pm.slot,
-                    mref,
-                };
-                meta_drop.push(pm.module as usize, (), req);
-            }
-            if !meta_drop.is_empty() {
-                for (_, (), resp) in self.rounds("merge.meta.drop", meta_drop)? {
-                    if matches!(resp, Resp::BadSlot { .. }) {
-                        return Err(unexpected("merge.meta.drop"));
-                    }
-                }
-            }
-            // cascade: parents that shrank continue; oversized ones split
-            let mut oversized = Vec::new();
-            let mut next = Vec::new();
-            for (parent, (weight, keys, children)) in parent_vitals {
-                if weight > OVERSIZE_FACTOR * self.cfg.k_b {
-                    oversized.push(parent);
+                if SizeBand::new(self.cfg.k_b).oversized(weight) {
+                    oversized.push((parent, image));
                 } else {
-                    next.push((parent, weight, keys, children));
+                    waiting.insert(parent, image);
                 }
             }
-            self.repartition_blocks(oversized)?;
-            shrunk = next;
+            self.plan_repartition(oversized, &mut out, &mut waiting)?;
+            self.finish_placement("merge.cleanup", out, &mut waiting)?;
         }
         Ok(())
     }
 
-    /// Split overfull meta-blocks: pull each, re-cut with Lemma 4.5, keep
-    /// every root piece at its address, scatter the children (§4.4.1 / the
-    /// §5.2 CPU-side rebuild). All splits advance through shared rounds.
-    pub(crate) fn split_meta_blocks(&mut self, mrefs: Vec<MetaRef>) -> Result<(), PimTrieError> {
-        if mrefs.is_empty() {
+    /// Split overfull meta-blocks, pulled whole by the placement round that
+    /// overfilled them: re-cut each with Lemma 4.5, keep every root piece
+    /// at its address, scatter the children (§4.4.1 / the §5.2 CPU-side
+    /// rebuild). All splits share one round. A child meta-block in
+    /// `dropped` was dropped after its pull and is left out.
+    fn split_meta_blocks(
+        &mut self,
+        fulls: Vec<(MetaRef, MetaFullOut)>,
+        dropped: &BTreeSet<MetaRef>,
+        waiting: &mut BTreeMap<BlockRef, BlockDataOut>,
+    ) -> Result<(), PimTrieError> {
+        if fulls.is_empty() {
             return Ok(());
         }
         self.t_phase("meta-split");
-        let p = self.sys.p();
-        // Round 1: fetch all full meta-blocks.
-        let mut fetch = Scatter::new(p);
-        for (i, m) in mrefs.iter().enumerate() {
-            fetch.push(m.module as usize, i, Req::FetchMetaFull { slot: m.slot });
-        }
-        let mut fulls: Vec<Option<crate::module::MetaFullOut>> =
-            mrefs.iter().map(|_| None).collect();
-        for (_, i, resp) in self.rounds("msplit.fetch", fetch)? {
-            let Resp::MetaFull(full) = resp else {
-                return Err(unexpected("msplit"));
-            };
-            fulls[i] = Some(full);
-        }
-
         // CPU: rebuild each meta-block's node tree and cut it.
         let mut jobs: Vec<crate::build::PlaceJob> = Vec::new();
-        for (mref, full) in mrefs.iter().zip(fulls) {
-            let full = full.ok_or_else(|| unexpected("msplit.fetch"))?;
+        for (mref, full) in fulls {
             let idx_of: BTreeMap<u32, usize> = full
                 .nodes
                 .iter()
@@ -1100,6 +1083,7 @@ impl PimTrie {
             let extra: Vec<(usize, crate::module::NewMetaChild)> = full
                 .children
                 .iter()
+                .filter(|(c, ..)| !dropped.contains(&c.mref))
                 .map(|(c, depth, pre, rem, last)| {
                     (
                         locate[&idx_of[&c.under_node]],
@@ -1119,14 +1103,14 @@ impl PimTrie {
                 tree,
                 plans,
                 root_plan,
-                replace_root_at: *mref,
+                replace_root_at: mref,
                 extra,
             });
         }
         if jobs.is_empty() {
             return Ok(());
         }
-        self.place_chunks(&jobs)
+        self.place_chunks(&jobs, waiting)
     }
 
     // ------------------------------------------------------------------
@@ -1207,8 +1191,10 @@ impl PimTrie {
         // empty trie, so the chunk size bounds the largest single graft
         // message. Replaying 4k keys at once builds one root graft so
         // large that no per-word corruption rate worth recovering from
-        // would ever deliver it within the retry budget.
-        for chunk in entries.chunks(256) {
+        // would ever deliver it within the retry budget. A graft reply
+        // carries back the image of every block the graft overfills, and
+        // one round must deliver both, so a chunk is 128 keys.
+        for chunk in entries.chunks(128) {
             let keys: Vec<BitStr> = chunk.iter().map(|(k, _)| k.clone()).collect();
             let vals: Vec<u64> = chunk.iter().map(|(_, v)| *v).collect();
             self.insert_core(&keys, &vals)?;

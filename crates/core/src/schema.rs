@@ -325,7 +325,9 @@ wire_schema! {
         5: FetchBlock { slot } => 1,
         6: GraftMany { slot, grafts } => grafts.wire_words(),
         7: ReadKey { slot, node, depth: delta(DEPTH) } => 3,
-        8: DeleteKey { slot, node, depth: delta(DEPTH) } => 3,
+        // the slot, then a node and a depth a key: the key count rides in
+        // the frame's length, as the graft count does in `GraftMany`'s
+        8: DeleteKeys { slot, nodes, depths: deltas(DEPTH) } => 1 + 2 * nodes.len() as u64,
         9: MergeChild { slot, child, subtree } => 2 + subtree.wire_words(),
         10: ReplaceBlock { slot, trie, mirrors } => {
             1 + trie.wire_words() + mirrors.len() as u64 * 2
@@ -368,7 +370,11 @@ wire_schema! {
         3: MetaSummary { entries } => entries.wire_words(),
         4: BlockData(b) => b.wire_words(),
         5: MetaFull(m) => m.wire_words(),
-        6: BlockVitals { weight, keys, children, keys_delta, collision } => 5,
+        // `image` is there exactly when the block left its size band: no
+        // tag word, the frame's length tells
+        6: BlockVitals { weight, keys, children, keys_delta, collision, image } => {
+            5 + image.as_ref().map_or(0, Wire::wire_words)
+        },
         7: Placed { count } => 1,
         8: MetaVitals { nodes, parent } => 2,
         // `meta` is there exactly when the request asked: no tag word; it
@@ -384,5 +390,6 @@ wire_schema! {
         15: SlotTaken { slot } => 1,
         16: Listed { blocks, metas } => blocks.wire_words() + metas.wire_words(),
         17: BadSlot { slot } => 1,
+        18: Deferred => 1,
     }
 }

@@ -13,13 +13,28 @@
 //!
 //! The module side ([`handle_sealed`]) implements three defenses:
 //!
-//! * **integrity** — a request whose checksum does not verify is answered
-//!   with [`Resp::CorruptReq`] and *not executed*, so a corrupted mutation
-//!   can never be applied;
+//! * **integrity** — a request whose checksum does not verify is *not
+//!   executed*, so a corrupted mutation can never be applied; it is
+//!   answered with [`Resp::CorruptReq`];
+//! * **in-round order** — a round's requests depend on earlier ones of
+//!   the same round in two ways only: a fill (`PutBlock`, `PutMeta`,
+//!   `AddMetaNodes`) may take a slot an earlier request frees, and a
+//!   `FetchMetaFull` follows the writes to its meta-block. Across retries
+//!   such a request waits until every earlier request of its round has
+//!   run: a pull, or a fill that finds its slot still live (it writes
+//!   nothing), is answered with [`Resp::Deferred`] and retried. So a round
+//!   may free a slot and fill it again, or pull a meta-block after writing
+//!   it, as on the unsealed wire, and every other request runs as it
+//!   arrives;
 //! * **at-most-once execution** — replies of the current round sequence
 //!   are cached by `(seq, idx)`, so when the host retries a request whose
 //!   *reply* was lost or corrupted, the module returns the cached reply
-//!   instead of re-executing a (possibly mutating) request;
+//!   instead of re-executing a (possibly mutating) request. The cached
+//!   reply is returned even when the retry itself arrived damaged: it is
+//!   the genuine reply to the request its `(seq, idx)` header names, and
+//!   the host checks the reply's own seal. So a large request need not
+//!   arrive whole a second time to fetch a large reply (a write whose
+//!   reply carries a block image);
 //! * **crash fencing** — a module whose memory was wiped by a crash
 //!   answers every request with [`Resp::Rebooted`] until the host resets
 //!   it with [`Req::ResetModule`], instead of panicking on dangling slots.
@@ -298,19 +313,38 @@ pub(crate) fn handle_sealed(
     if ctx.state.crashed && !matches!(sreq.inner, Req::ResetModule) {
         return SealedResp::seal(sreq.seq, sreq.idx, Resp::Rebooted);
     }
-    if !sreq.verify() {
-        return SealedResp::seal(sreq.seq, sreq.idx, Resp::CorruptReq);
-    }
-    if sreq.seq > ctx.state.cache_seq {
-        ctx.state.cache_seq = sreq.seq;
+    let (seq, idx) = (sreq.seq, sreq.idx);
+    let intact = sreq.verify();
+    if intact && seq > ctx.state.cache_seq {
+        ctx.state.cache_seq = seq;
         ctx.state.reply_cache.clear();
     }
-    if let Some(r) = ctx.state.reply_cache.get(&(sreq.seq, sreq.idx)) {
-        let cached = r.clone();
-        return SealedResp::seal(sreq.seq, sreq.idx, cached);
+    // a damaged header names no cached reply, or another genuine one
+    if seq == ctx.state.cache_seq {
+        if let Some(r) = ctx.state.reply_cache.get(&(seq, idx)) {
+            let cached = r.clone();
+            return SealedResp::seal(seq, idx, cached);
+        }
     }
-    let (seq, idx) = (sreq.seq, sreq.idx);
+    if !intact {
+        return SealedResp::seal(seq, idx, Resp::CorruptReq);
+    }
+    // A round's requests depend on earlier ones of the same round in two
+    // ways only: a fill may take a slot an earlier request frees, and a
+    // meta-block pull follows the writes to it. Across retries either
+    // waits until every earlier request of its round has run (has a
+    // cached reply), as it would on the unsealed wire.
+    let earlier_ran = |st: &ModuleState| st.reply_cache.range(..(seq, idx)).count() == idx as usize;
+    if matches!(sreq.inner, Req::FetchMetaFull { .. }) && !earlier_ran(ctx.state) {
+        return SealedResp::seal(seq, idx, Resp::Deferred);
+    }
     let resp = handle(ctx, hasher, sreq.inner);
+    // a fill that found its slot live wrote nothing
+    if matches!(resp, Resp::SlotTaken { .. }) && !earlier_ran(ctx.state) {
+        return SealedResp::seal(seq, idx, Resp::Deferred);
+    }
+    // a reset wiped the cache with the rest of the module
+    ctx.state.cache_seq = seq;
     ctx.state.reply_cache.insert((seq, idx), resp.clone());
     SealedResp::seal(seq, idx, resp)
 }
@@ -348,6 +382,132 @@ mod tests {
             let sealed = SealedResp::seal(7, 2, resp);
             check(sealed, SealedResp::verify, &format!("resp sample {i}"));
         }
+    }
+
+    /// One module holding a non-root leaf block (the empty root string
+    /// plus the key `1`) in a size band of `K_B = 2` words, and a hasher.
+    fn one_block() -> (pim_sim::PimSystem<ModuleState>, PolyHasher) {
+        use crate::module::{DataBlock, SizeBand};
+        let mut sys = pim_sim::PimSystem::new(1, |_| {
+            ModuleState::new(bitstr::hash::HashWidth::FULL, SizeBand::new(2))
+        });
+        let mut trie = trie_core::Trie::new();
+        trie.insert(&BitStr::from_bin_str("1"), 1);
+        let block = DataBlock {
+            trie,
+            root_depth: 0,
+            root_hash: HashVal(0),
+            s_last: BitStr::new(),
+            pre_hash: HashVal(0),
+            rem: BitStr::new(),
+            parent: Some(BlockRef { module: 0, slot: 1 }),
+            mirrors: std::collections::BTreeMap::new(),
+            meta: None,
+        };
+        sys.module_mut(0).blocks.insert_at(0, block).unwrap();
+        (sys, PolyHasher::with_seed(1))
+    }
+
+    /// Run one sealed round on module 0; returns its replies.
+    fn sealed_round(
+        sys: &mut pim_sim::PimSystem<ModuleState>,
+        hasher: &PolyHasher,
+        msgs: Vec<SealedReq>,
+    ) -> Vec<SealedResp> {
+        sys.round("sealed", vec![msgs], |ctx, msgs| {
+            msgs.into_iter()
+                .map(|m| handle_sealed(ctx, hasher, m))
+                .collect()
+        })
+        .remove(0)
+    }
+
+    /// A graft of eight keys below `0` that pushes the block past `2·K_B`,
+    /// sealed as request 0 of round `seq`.
+    fn big_graft(seq: u64) -> SealedReq {
+        let mut sub = trie_core::Trie::new();
+        for k in [
+            "0000", "0011", "0101", "0110", "0001", "0010", "0100", "0111",
+        ] {
+            sub.insert(&BitStr::from_bin_str(k), 5);
+        }
+        let graft = crate::module::GraftMsg {
+            anchor_node: 0,
+            anchor_off: 0,
+            subtree: TrieMsg(sub),
+        };
+        let req = Req::GraftMany {
+            slot: 0,
+            grafts: vec![graft],
+        };
+        SealedReq::seal(seq, 0, req)
+    }
+
+    /// The image a sealed reply carries, as its keys.
+    fn image_keys(r: &SealedResp) -> Option<Vec<(BitStr, u64)>> {
+        assert!(r.verify());
+        match &r.inner {
+            Resp::BlockVitals { image, .. } => image.as_ref().map(|i| i.trie.0.items()),
+            _ => panic!("not a write reply"),
+        }
+    }
+
+    #[test]
+    fn a_retried_write_gets_its_cached_image_even_when_it_arrives_damaged() {
+        let (mut sys, hasher) = one_block();
+        let first = sealed_round(&mut sys, &hasher, vec![big_graft(1)]);
+        let image = image_keys(&first[0]).expect("the graft left the band");
+        assert_eq!(image.len(), 9);
+        let weight = sys.module(0).blocks.get(0).unwrap().weight();
+        // the reply was lost: the intact retry, then a retry damaged in
+        // its payload, both get the cached reply, image and all
+        let mut damaged = big_graft(1);
+        assert!(damaged.flip_bit(2) && !damaged.verify());
+        for retry in [big_graft(1), damaged] {
+            let again = sealed_round(&mut sys, &hasher, vec![retry]);
+            assert_eq!(image_keys(&again[0]).as_ref(), Some(&image));
+        }
+        // and the block was grafted once
+        assert_eq!(sys.module(0).blocks.get(0).unwrap().weight(), weight);
+    }
+
+    #[test]
+    fn a_fill_and_a_pull_wait_for_the_earlier_requests_of_their_round() {
+        let (mut sys, hasher) = one_block();
+        // the round frees block slot 0, fills it again and pulls a
+        // meta-block; the free arrives damaged
+        let put = || {
+            let msg = crate::module::PutBlockMsg {
+                trie: TrieMsg(trie_core::Trie::new()),
+                root_depth: 0,
+                root_hash: HashVal(0),
+                s_last: BitsMsg(BitStr::new()),
+                pre_hash: HashVal(0),
+                rem: BitsMsg(BitStr::new()),
+                parent: None,
+                mirrors: Vec::new(),
+                meta: None,
+            };
+            let req = Req::PutBlock {
+                slot: 0,
+                msg: Box::new(msg),
+            };
+            SealedReq::seal(1, 1, req)
+        };
+        let pull = || SealedReq::seal(1, 2, Req::FetchMetaFull { slot: 0 });
+        let mut drop = SealedReq::seal(1, 0, Req::DropBlock { slot: 0 });
+        assert!(drop.flip_bit(2));
+        let out = sealed_round(&mut sys, &hasher, vec![drop, put(), pull()]);
+        assert!(matches!(out[0].inner, Resp::CorruptReq));
+        assert!(matches!(out[1].inner, Resp::Deferred));
+        assert!(matches!(out[2].inner, Resp::Deferred));
+        assert_eq!(sys.module(0).blocks.get(0).unwrap().trie.n_keys(), 1);
+        // retried, they run in inbox order: the slot is free for the fill
+        let drop = SealedReq::seal(1, 0, Req::DropBlock { slot: 0 });
+        let out = sealed_round(&mut sys, &hasher, vec![drop, put(), pull()]);
+        assert!(matches!(out[1].inner, Resp::Placed { .. }));
+        assert!(matches!(out[2].inner, Resp::BadSlot { slot: 0 }));
+        assert_eq!(sys.module(0).blocks.get(0).unwrap().trie.n_keys(), 0);
     }
 
     #[test]

@@ -143,7 +143,7 @@ fn churn_that_splits_and_merges_meta_blocks_keeps_links_and_table_exact() {
         check(&mut t, &oracle, &probes, &format!("delete {cycle}"));
         rounds.extend(rounds_since_clear(&mut t));
     }
-    assert!(count(&rounds, "msplit.fetch") > 0, "no meta-block split");
+    assert!(count(&rounds, "msplit.place") > 0, "no meta-block split");
     assert!(
         count(&rounds, "merge.meta.drop") > 0,
         "no meta-block dropped"

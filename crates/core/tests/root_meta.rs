@@ -78,7 +78,7 @@ fn root_meta_survives_splits_merges_and_rebuild() {
     }
     let rounds = rounds_since_clear(&mut t);
     assert!(
-        rounds.iter().any(|r| r == "msplit.fetch"),
+        rounds.iter().any(|r| r == "msplit.place"),
         "no meta-block split while loading"
     );
     check(&mut t, &oracle, &probes, "meta splits", &mark);

@@ -31,7 +31,8 @@ fn run_all_ops(t: &mut PimTrie, p: usize, n: usize) {
             .with_flip_rate(1e-3)
             .with_drop_rate(1e-3)
             .with_crash(CrashSpec {
-                round: 11,
+                // inside the faulted insert's five rounds (counted from 0)
+                round: 4,
                 module: p / 2,
                 down_rounds: 1,
                 state_loss: true,
